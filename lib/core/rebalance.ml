@@ -18,6 +18,25 @@ type t = {
 
 let moves t = t.moves
 
+let majority_health replicas r =
+  let dead =
+    Array.fold_left
+      (fun n cl ->
+        if Select_replica.health cl r = Select_replica.Dead then n + 1 else n)
+      0 replicas
+  in
+  if 2 * dead >= Array.length replicas then `Dead else `Up
+
+let summed_load ~shards replicas () =
+  let acc = Array.make shards 0 in
+  Array.iter
+    (fun cl ->
+      Array.iteri
+        (fun i v -> acc.(i) <- acc.(i) + v)
+        (Select_replica.shard_calls cl))
+    replicas;
+  acc
+
 let argbest ~better xs =
   List.fold_left
     (fun best x ->

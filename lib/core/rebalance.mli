@@ -43,6 +43,16 @@ val create :
     tick period; [skew_ratio] (default 3.0) and [sustain] (default 2
     ticks) gate the skew policy. *)
 
+val majority_health : Select_replica.t array -> int -> [ `Up | `Dead ]
+(** A [replica_health] signal over the clients' replica maps: replica
+    [r] is [`Dead] once at least half of them declare it
+    {!Select_replica.Dead}. *)
+
+val summed_load : shards:int -> Select_replica.t array -> unit -> int array
+(** A [shard_load] signal: the clients' cumulative per-shard call
+    counts ({!Select_replica.shard_calls}), summed over [shards]
+    shards. *)
+
 val start : t -> until:float -> unit
 (** Snapshot the load baseline and arm the periodic tick, re-arming
     after each fire while the current time is at most [until] —

@@ -122,7 +122,7 @@ let closed_fanin () =
 
 let open_below_knee () =
   let f = World.create_fanin ~clients:4 () in
-  let r = Load.run_open ~rate:200. ~arrivals:80 f (Stacks.mrpc_fanin f) in
+  let r = Load.run_open_fan ~rate:200. ~arrivals:80 f (Stacks.mrpc_fanin f) in
   Tutil.check_int "nothing shed below the knee" 0 r.Load.shed;
   Tutil.check_int "all arrivals completed" 80 r.Load.completed;
   Tutil.check_int "no failures" 0 r.Load.failed;
@@ -135,7 +135,7 @@ let open_past_knee () =
   (* ~1650 calls/s is M.RPC's ceiling here; offer 20x that into a
      4-call window, so most arrivals find it full *)
   let r =
-    Load.run_open ~rate:40_000. ~arrivals:120 ~window:4 f
+    Load.run_open_fan ~rate:40_000. ~arrivals:120 ~window:4 f
       (Stacks.mrpc_fanin f)
   in
   Alcotest.(check bool) "overload sheds" true (r.Load.shed > 0);
@@ -146,7 +146,7 @@ let open_past_knee () =
 let open_uniform_deterministic_arrivals () =
   let f = World.create_fanin ~clients:2 () in
   let r =
-    Load.run_open ~arrival:Load.Uniform ~rate:500. ~arrivals:50 f
+    Load.run_open_fan ~arrival:Load.Uniform ~rate:500. ~arrivals:50 f
       (Stacks.lrpc_fanin f)
   in
   Tutil.check_int "all arrivals completed" 50 r.Load.completed;
@@ -168,13 +168,13 @@ let open_uniform_deterministic_arrivals () =
 let crash_under_load_no_hung_fibers () =
   (* Crashing the single fan-in server mid-run must not strand any
      fiber: every dispatched call ends in a reply, a Timeout or a
-     Rebooted, so run_open's accounting balances and the run drains.
+     Rebooted, so run_open_fan's accounting balances and the run drains.
      (A hung fiber would leave pending calls unaccounted for.) *)
   let f = World.create_fanin ~clients:4 () in
   let w = f.World.fan in
   Chaos.apply ~wire:w.World.wire ~devices:(World.devices w)
     [ { Chaos.from_t = 0.15; until_t = 0.16; spec = Chaos.Crash 0 } ];
-  let r = Load.run_open ~rate:800. ~arrivals:200 f (Stacks.lrpc_fanin f) in
+  let r = Load.run_open_fan ~rate:800. ~arrivals:200 f (Stacks.lrpc_fanin f) in
   Tutil.check_int "every arrival accounted for" 200
     (r.Load.completed + r.Load.failed + r.Load.shed);
   Alcotest.(check bool) "the crash was observed" true (r.Load.failed > 0);
@@ -185,7 +185,7 @@ let arto_storm ~rto_load_floor =
   Stats.reset_registry ();
   let f = World.create_fanin ~clients:4 () in
   let fan = Stacks.lrpc_fanin ~adaptive:true ~rto_load_floor f in
-  let r = Load.run_open ~rate:1200. ~arrivals:200 f fan in
+  let r = Load.run_open_fan ~rate:1200. ~arrivals:200 f fan in
   let retransmits =
     List.fold_left
       (fun acc i ->
@@ -222,7 +222,7 @@ let sweep_deterministic () =
     let closed = Load.run_closed ~fibers:8 ~calls:10 f (Stacks.lrpc_fanin f) in
     let f2 = World.create_fanin ~clients:4 () in
     let opened =
-      Load.run_open ~rate:400. ~arrivals:60 f2 (Stacks.mrpc_fanin f2)
+      Load.run_open_fan ~rate:400. ~arrivals:60 f2 (Stacks.mrpc_fanin f2)
     in
     Json.to_string (Json.Arr [ Load.to_json closed; Load.to_json opened ])
   in

@@ -9,6 +9,7 @@ module Shard_map = Rpc.Shard_map
 module Select = Rpc.Select
 module Select_replica = Rpc.Select_replica
 module Rebalance = Rpc.Rebalance
+module Load = Rpc.Load
 module S = Rpc.Wire_fmt.Select
 
 (* --- the map itself ------------------------------------------------------ *)
@@ -229,7 +230,6 @@ let mrpc_chaos_run () =
   let arrivals = 250 and rate = 500. and window = 16 in
   let fo = World.create_fanout ~clients:2 ~servers:3 ~seed:11 () in
   let w = fo.World.fo in
-  let sim = w.World.sim in
   let map = Shard_map.create ~seed:11 ~shards:8 ~replicas:3 in
   let s =
     Stacks.mrpc_fanout ~policy:Select_replica.Hash ~shard_map:map
@@ -247,56 +247,26 @@ let mrpc_chaos_run () =
     ];
   let coord = Option.get s.Stacks.fos_coord in
   let replicas = s.Stacks.fos_replicas in
-  let replica_health r =
-    let dead =
-      Array.fold_left
-        (fun n cl ->
-          if Select_replica.health cl r = Select_replica.Dead then n + 1 else n)
-        0 replicas
-    in
-    if 2 * dead >= Array.length replicas then `Dead else `Up
-  in
-  let shard_load () =
-    let acc = Array.make 8 0 in
-    Array.iter
-      (fun cl ->
-        Array.iteri
-          (fun i v -> acc.(i) <- acc.(i) + v)
-          (Select_replica.shard_calls cl))
-      replicas;
-    acc
-  in
   let rb =
-    Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord ~replica_health
-      ~shard_load ~interval:0.025 ~on_skew:false ()
+    Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord
+      ~replica_health:(Rebalance.majority_health replicas)
+      ~shard_load:(Rebalance.summed_load ~shards:8 replicas)
+      ~interval:0.025 ~on_skew:false ()
   in
   Rebalance.start rb ~until:0.8;
-  let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-  let pending = ref 0 in
-  Tutil.run_in w (fun () ->
-      for k = 0 to arrivals - 1 do
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          Sim.spawn sim (fun () ->
-              (match
-                 s.Stacks.fos_call (k mod 2) ~key:k ~command:Stacks.cmd_null
-                   Msg.empty
-               with
-              | Ok _ -> incr completed
-              | Error _ -> incr failed);
-              decr pending)
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done);
-  (* run_in drained the world: no hung fibers. *)
-  let lost = arrivals - !completed - !failed - !shed in
+  let o =
+    Load.run_open ~arrival:Load.Uniform ~arrivals ~window ~rate w ~clients:2
+      (fun i ~key ->
+        s.Stacks.fos_call i ~key ~command:Stacks.cmd_null Msg.empty)
+  in
+  (* run_open drained the world: no hung fibers. *)
+  let lost = arrivals - o.Load.o_completed - o.Load.o_failed - o.Load.o_shed in
   Json.to_string
     (Json.Obj
        [
-         ("completed", Json.Int !completed);
-         ("failed", Json.Int !failed);
-         ("shed", Json.Int !shed);
+         ("completed", Json.Int o.Load.o_completed);
+         ("failed", Json.Int o.Load.o_failed);
+         ("shed", Json.Int o.Load.o_shed);
          ("lost", Json.Int lost);
          ("moved", Json.Int (Rebalance.moves rb));
          ( "map_version",
