@@ -16,49 +16,66 @@ let standard_handlers register =
   register ~command:cmd_null (fun _req -> Ok Msg.empty);
   register ~command:cmd_echo (fun req -> Ok req)
 
+(* A connection opened by the first call that needs it (inside that
+   call's fiber, where blocking is allowed) and reused after. *)
+let on_first_use connect =
+  let conn = ref None in
+  fun () ->
+    match !conn with
+    | Some c -> c
+    | None ->
+        let c = connect () in
+        conn := Some c;
+        c
+
 type mono_lower = L_eth | L_ip | L_vip
+
+let mono_name lower =
+  "M.RPC-" ^ match lower with L_eth -> "ETH" | L_ip -> "IP" | L_vip -> "VIP"
+
+let mono_proto_num = 91
+let mono_eth_type = Addr.eth_type_of_ip_proto mono_proto_num
+
+let mono_create ~lower ?n_channels (n : World.node) =
+  let lower =
+    match lower with
+    | L_eth -> Netproto.Eth.proto n.eth
+    | L_ip -> Netproto.Ip.proto n.ip
+    | L_vip -> Netproto.Vip.proto n.vip
+  in
+  Sprite_mono.create ~host:n.host ~lower ~proto_num:mono_proto_num ?n_channels
+    ()
+
+let mono_serve ~lower m_s =
+  standard_handlers (Sprite_mono.register m_s);
+  match lower with
+  | L_eth -> Sprite_mono.serve m_s ~enable:[ Part.Eth_type mono_eth_type ] ()
+  | L_ip | L_vip -> Sprite_mono.serve m_s ()
+
+(* Client [m_c] on node [n]'s connection to [server].  Over raw
+   ethernet, RPC itself must name the peer with an ethernet address;
+   resolve it once, up front, with ARP. *)
+let mono_connect ~lower (n : World.node) m_c server =
+  on_first_use (fun () ->
+      match lower with
+      | L_eth ->
+          let peer_eth =
+            match Netproto.Arp.resolve n.arp server with
+            | Some e -> e
+            | None -> failwith "M.RPC-ETH: cannot resolve server"
+          in
+          Sprite_mono.connect m_c ~server
+            ~remote:[ Part.Eth peer_eth; Part.Eth_type mono_eth_type ]
+            ()
+      | L_ip | L_vip -> Sprite_mono.connect m_c ~server ())
 
 let mrpc (w : World.t) ~lower =
   let c = World.node w 0 and s = World.node w 1 in
-  let proto_num = 91 in
-  let lower_name, lower_of =
-    match lower with
-    | L_eth -> ("ETH", fun (n : World.node) -> Netproto.Eth.proto n.eth)
-    | L_ip -> ("IP", fun (n : World.node) -> Netproto.Ip.proto n.ip)
-    | L_vip -> ("VIP", fun (n : World.node) -> Netproto.Vip.proto n.vip)
-  in
-  let m_c = Sprite_mono.create ~host:c.host ~lower:(lower_of c) ~proto_num () in
-  let m_s = Sprite_mono.create ~host:s.host ~lower:(lower_of s) ~proto_num () in
-  standard_handlers (Sprite_mono.register m_s);
-  let eth_type = Addr.eth_type_of_ip_proto proto_num in
-  (match lower with
-  | L_eth -> Sprite_mono.serve m_s ~enable:[ Part.Eth_type eth_type ] ()
-  | L_ip | L_vip -> Sprite_mono.serve m_s ());
-  let client = ref None in
-  let connect () =
-    match !client with
-    | Some cl -> cl
-    | None ->
-        (* Over raw ethernet, RPC itself must name the peer with an
-           ethernet address; resolve it once, up front, with ARP. *)
-        let cl =
-          match lower with
-          | L_eth ->
-              let peer_eth =
-                match Netproto.Arp.resolve c.arp s.host.Host.ip with
-                | Some e -> e
-                | None -> failwith "mrpc-eth: cannot resolve server"
-              in
-              Sprite_mono.connect m_c ~server:s.host.Host.ip
-                ~remote:[ Part.Eth peer_eth; Part.Eth_type eth_type ]
-                ()
-          | L_ip | L_vip -> Sprite_mono.connect m_c ~server:s.host.Host.ip ()
-        in
-        client := Some cl;
-        cl
-  in
+  let m_c = mono_create ~lower c in
+  mono_serve ~lower (mono_create ~lower s);
+  let connect = mono_connect ~lower c m_c s.host.Host.ip in
   {
-    config_name = "M.RPC-" ^ lower_name;
+    config_name = mono_name lower;
     call = (fun ~command msg -> Sprite_mono.call (connect ()) ~command msg);
     client_host = c.host;
     server_host = s.host;
@@ -76,56 +93,16 @@ type fan = {
 }
 
 let mrpc_fanin ?(lower = L_vip) ?n_channels (f : World.fanin) =
-  let proto_num = 91 in
-  let lower_name, lower_of =
-    match lower with
-    | L_eth -> ("ETH", fun (n : World.node) -> Netproto.Eth.proto n.eth)
-    | L_ip -> ("IP", fun (n : World.node) -> Netproto.Ip.proto n.ip)
-    | L_vip -> ("VIP", fun (n : World.node) -> Netproto.Vip.proto n.vip)
-  in
   let s = f.World.server in
-  let m_s =
-    Sprite_mono.create ~host:s.World.host ~lower:(lower_of s) ~proto_num
-      ?n_channels ()
-  in
-  standard_handlers (Sprite_mono.register m_s);
-  let eth_type = Addr.eth_type_of_ip_proto proto_num in
-  (match lower with
-  | L_eth -> Sprite_mono.serve m_s ~enable:[ Part.Eth_type eth_type ] ()
-  | L_ip | L_vip -> Sprite_mono.serve m_s ());
-  let server_ip = s.World.host.Host.ip in
+  mono_serve ~lower (mono_create ~lower ?n_channels s);
   let mk_client (n : World.node) =
-    let m_c =
-      Sprite_mono.create ~host:n.World.host ~lower:(lower_of n) ~proto_num
-        ?n_channels ()
-    in
-    let client = ref None in
-    fun ~command msg ->
-      let cl =
-        match !client with
-        | Some cl -> cl
-        | None ->
-            let cl =
-              match lower with
-              | L_eth ->
-                  let peer_eth =
-                    match Netproto.Arp.resolve n.World.arp server_ip with
-                    | Some e -> e
-                    | None -> failwith "mrpc_fanin-eth: cannot resolve server"
-                  in
-                  Sprite_mono.connect m_c ~server:server_ip
-                    ~remote:[ Part.Eth peer_eth; Part.Eth_type eth_type ]
-                    ()
-              | L_ip | L_vip -> Sprite_mono.connect m_c ~server:server_ip ()
-            in
-            client := Some cl;
-            cl
-      in
-      Sprite_mono.call cl ~command msg
+    let m_c = mono_create ~lower ?n_channels n in
+    let connect = mono_connect ~lower n m_c s.World.host.Host.ip in
+    fun ~command msg -> Sprite_mono.call (connect ()) ~command msg
   in
   let calls = Array.map mk_client f.World.clients in
   {
-    fan_name = "M.RPC-" ^ lower_name;
+    fan_name = mono_name lower;
     fan_call = (fun i -> calls.(i));
     fan_clients =
       Array.map (fun (n : World.node) -> n.World.host) f.World.clients;
@@ -150,14 +127,8 @@ let lrpc ?adaptive ?rto_load_floor ?n_channels (w : World.t) =
   let _, _, sel_s = lrpc_node ?adaptive ?rto_load_floor ?n_channels s in
   standard_handlers (Select.register sel_s);
   Select.serve sel_s;
-  let client = ref None in
-  let connect () =
-    match !client with
-    | Some cl -> cl
-    | None ->
-        let cl = Select.connect sel_c ~server:s.host.Host.ip in
-        client := Some cl;
-        cl
+  let connect =
+    on_first_use (fun () -> Select.connect sel_c ~server:s.host.Host.ip)
   in
   {
     config_name = "L.RPC-VIP";
@@ -176,17 +147,10 @@ let lrpc_fanin ?adaptive ?rto_load_floor ?n_channels (f : World.fanin) =
   let server_ip = f.World.server.World.host.Host.ip in
   let mk_client (n : World.node) =
     let _, _, sel_c = lrpc_node ?adaptive ?rto_load_floor ?n_channels n in
-    let client = ref None in
-    fun ~command msg ->
-      let cl =
-        match !client with
-        | Some cl -> cl
-        | None ->
-            let cl = Select.connect sel_c ~server:server_ip in
-            client := Some cl;
-            cl
-      in
-      Select.call cl ~command msg
+    let connect =
+      on_first_use (fun () -> Select.connect sel_c ~server:server_ip)
+    in
+    fun ~command msg -> Select.call (connect ()) ~command msg
   in
   let calls = Array.map mk_client f.World.clients in
   {
@@ -306,68 +270,23 @@ let lrpc_fanout ?adaptive ?rto_load_floor ?n_channels ?policy ?attempt_timeout
 let mrpc_fanout ?(lower = L_vip) ?n_channels ?policy ?attempt_timeout ?deadline
     ?max_failovers ?probation ?probe_limit ?probe_timeout ?dead_retry_interval
     ?drain_deadline ?shard_map ?map_delay ?map_jitter (f : World.fanout) =
-  let proto_num = 91 in
-  let lower_name, lower_of =
-    match lower with
-    | L_eth -> ("ETH", fun (n : World.node) -> Netproto.Eth.proto n.eth)
-    | L_ip -> ("IP", fun (n : World.node) -> Netproto.Ip.proto n.ip)
-    | L_vip -> ("VIP", fun (n : World.node) -> Netproto.Vip.proto n.vip)
-  in
-  let eth_type = Addr.eth_type_of_ip_proto proto_num in
   Array.iter
-    (fun (s : World.node) ->
-      let m_s =
-        Sprite_mono.create ~host:s.World.host ~lower:(lower_of s) ~proto_num
-          ?n_channels ()
-      in
-      standard_handlers (Sprite_mono.register m_s);
-      match lower with
-      | L_eth -> Sprite_mono.serve m_s ~enable:[ Part.Eth_type eth_type ] ()
-      | L_ip | L_vip -> Sprite_mono.serve m_s ())
+    (fun s -> mono_serve ~lower (mono_create ~lower ?n_channels s))
     f.World.servers;
   let mk_client (n : World.node) =
-    let m_c =
-      Sprite_mono.create ~host:n.World.host ~lower:(lower_of n) ~proto_num
-        ?n_channels ()
-    in
+    let m_c = mono_create ~lower ?n_channels n in
     let endpoints =
       Array.map
         (fun (s : World.node) ->
           let server_ip = s.World.host.Host.ip in
-          let client = ref None in
+          let connect = mono_connect ~lower n m_c server_ip in
           {
             Select_replica.ep_addr = server_ip;
             ep_call =
               (* The monolithic stack cannot carry a shard stamp; the
                  routing map still steers which replica is called. *)
               (fun ?expires:_ ?shard:_ ~command msg ->
-                let cl =
-                  match !client with
-                  | Some cl -> cl
-                  | None ->
-                      let cl =
-                        match lower with
-                        | L_eth ->
-                            let peer_eth =
-                              match
-                                Netproto.Arp.resolve n.World.arp server_ip
-                              with
-                              | Some e -> e
-                              | None ->
-                                  failwith
-                                    "mrpc_fanout-eth: cannot resolve server"
-                            in
-                            Sprite_mono.connect m_c ~server:server_ip
-                              ~remote:
-                                [ Part.Eth peer_eth; Part.Eth_type eth_type ]
-                              ()
-                        | L_ip | L_vip ->
-                            Sprite_mono.connect m_c ~server:server_ip ()
-                      in
-                      client := Some cl;
-                      cl
-                in
-                Sprite_mono.call cl ~command msg);
+                Sprite_mono.call (connect ()) ~command msg);
           })
         f.World.servers
     in
@@ -382,7 +301,7 @@ let mrpc_fanout ?(lower = L_vip) ?n_channels ?policy ?attempt_timeout ?deadline
       ~replicas ~selects:[||] shard_map
   in
   {
-    fos_name = "M.RPC-" ^ lower_name ^ "-REPLICA";
+    fos_name = mono_name lower ^ "-REPLICA";
     fos_call =
       (fun i ?key ~command msg ->
         Select_replica.call replicas.(i) ?key ~command msg);
@@ -426,17 +345,6 @@ let lrpc_switched ?adaptive ?rto_load_floor ?n_channels ?policy
   in
   ({ stack with fos_name = "L.RPC-VIP-SWITCHED" }, inc)
 
-let mrpc_switched ?lower ?n_channels ?policy ?attempt_timeout ?deadline
-    ?max_failovers ?probation ?probe_limit ?probe_timeout ?dead_retry_interval
-    ?drain_deadline ?shard_map ?map_delay ?map_jitter (sw : World.switched) =
-  let stack =
-    mrpc_fanout ?lower ?n_channels ?policy ?attempt_timeout ?deadline
-      ?max_failovers ?probation ?probe_limit ?probe_timeout
-      ?dead_retry_interval ?drain_deadline ?shard_map ?map_delay ?map_jitter
-      sw.World.sw
-  in
-  { stack with fos_name = stack.fos_name ^ "-SWITCHED" }
-
 (* SELECT-CHANNEL-VIPsize, with FRAGMENT moved below VIPsize and
    VIPaddr below both (Figure 3(b)). *)
 let lrpc_vip_size_node (n : World.node) =
@@ -458,14 +366,8 @@ let lrpc_vip_size (w : World.t) =
   let _, _, _, sel_s = lrpc_vip_size_node s in
   standard_handlers (Select.register sel_s);
   Select.serve sel_s;
-  let client = ref None in
-  let connect () =
-    match !client with
-    | Some cl -> cl
-    | None ->
-        let cl = Select.connect sel_c ~server:s.host.Host.ip in
-        client := Some cl;
-        cl
+  let connect =
+    on_first_use (fun () -> Select.connect sel_c ~server:s.host.Host.ip)
   in
   {
     config_name = "SELECT-CHANNEL-VIPsize";
@@ -501,11 +403,8 @@ let channel_fragment_vip (w : World.t) =
   let echo = channel_echo ~host:s.host ~channel:chan_s in
   Proto.open_enable (Channel.proto chan_s) ~upper:echo
     (Part.v ~local:[ Part.Ip_proto proto_num ] ());
-  let sess = ref None in
-  let session () =
-    match !sess with
-    | Some x -> x
-    | None ->
+  let session =
+    on_first_use (fun () ->
         let part =
           Part.v
             ~local:
@@ -516,9 +415,7 @@ let channel_fragment_vip (w : World.t) =
             ()
         in
         let upper = channel_echo ~host:c.host ~channel:chan_c in
-        let x = Proto.open_ (Channel.proto chan_c) ~upper part in
-        sess := Some x;
-        x
+        Proto.open_ (Channel.proto chan_c) ~upper part)
   in
   {
     config_name = "CHANNEL-FRAGMENT-VIP";
