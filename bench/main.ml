@@ -8,9 +8,6 @@
 
 open Xkernel
 module E = Rpc.Experiments
-module World = Netproto.World
-module Stacks = Rpc.Stacks
-module Load = Rpc.Load
 
 let pr = Printf.printf
 let section title = pr "\n=== %s ===\n%!" title
@@ -128,151 +125,19 @@ let microbench () =
     "\n(A layer crossing adds only a handful of ns of real work - the\n\
     \ x-kernel claim that a layer costs one procedure call.)\n"
 
-(* --- harness throughput benchmark ---------------------------------------- *)
-
-(* How fast is the simulator itself?  A fan-in world (4 client hosts
-   into 1 server, the capacity-sweep topology) runs a closed-loop
-   million-call sweep and we report *wall-clock* simulated-calls/sec
-   and events/sec — the numbers that decide whether K-server x
-   M-client x 10^6-call sweeps fit in CI.  Tracked across PRs in
-   BENCH_harness.json the same way the paper tables are. *)
-
-let harness ~calls ~out ~baseline () =
-  section
-    (Printf.sprintf
-       "Harness throughput: %d-call closed-loop fan-in (wall clock)" calls);
-  (* 2 fibers per client host keeps the fixed-RTO stack below its
-     retransmission knee, so the sweep measures the per-call event path
-     rather than timeout pathology, and the workload is identical
-     before and after any RTO-policy change. *)
-  let clients = 4 and fibers = 8 in
-  let per_fiber = max 1 (calls / fibers) in
-  (* a layered null call is a few hundred sim events (charges, timers,
-     fiber switches); leave generous headroom *)
-  let f = World.create_fanin ~max_events:(1000 * calls) ~clients () in
-  let fan = Stacks.lrpc_fanin ~adaptive:false f in
-  let sim = f.World.fan.World.sim in
-  let ev0 = Sim.processed sim in
-  let w0 = Unix.gettimeofday () in
-  let r = Load.run_closed ~fibers ~calls:per_fiber f fan in
-  let wall = Unix.gettimeofday () -. w0 in
-  let events = Sim.processed sim - ev0 in
-  let completed = r.Load.completed in
-  let calls_per_sec = float_of_int completed /. wall in
-  let events_per_sec = float_of_int events /. wall in
-  pr "%-28s %12d\n" "calls completed" completed;
-  pr "%-28s %12d\n" "simulator events" events;
-  pr "%-28s %12.2f s\n" "wall clock" wall;
-  pr "%-28s %12.2f s\n" "simulated time" r.Load.elapsed_s;
-  pr "%-28s %12.0f\n" "calls/sec (wall)" calls_per_sec;
-  pr "%-28s %12.0f\n" "events/sec (wall)" events_per_sec;
-  let fields =
-    [
-      ("bench", Json.Str "harness");
-      ("config", Json.Str fan.Stacks.fan_name);
-      ("mode", Json.Str "closed");
-      ("clients", Json.Int clients);
-      ("fibers", Json.Int fibers);
-      ("calls", Json.Int (per_fiber * fibers));
-      ("completed", Json.Int completed);
-      ("failed", Json.Int r.Load.failed);
-      ("events", Json.Int events);
-      ("events_per_call", Json.Float (float_of_int events /. float_of_int completed));
-      ("sim_elapsed_s", Json.Float r.Load.elapsed_s);
-      ("wall_s", Json.Float wall);
-      ("calls_per_sec", Json.Float calls_per_sec);
-      ("events_per_sec", Json.Float events_per_sec);
-    ]
-  in
-  (* [--harness-baseline FILE] embeds a pre-optimization run (same
-     schema) so the committed BENCH_harness.json records the speedup. *)
-  let fields =
-    match baseline with
-    | None -> fields
-    | Some path -> (
-        match Json.parse_file path with
-        | Ok (Json.Obj b) ->
-            let bcps =
-              match List.assoc_opt "calls_per_sec" b with
-              | Some (Json.Float v) -> v
-              | Some (Json.Int v) -> float_of_int v
-              | _ -> 0.
-            in
-            fields
-            @ [
-                ("baseline", Json.Obj b);
-                ( "speedup",
-                  Json.Float (if bcps > 0. then calls_per_sec /. bcps else 0.)
-                );
-              ]
-        | Ok _ | Error _ ->
-            Printf.eprintf "bench: cannot read baseline %s\n" path;
-            exit 1)
-  in
-  let doc = Json.Obj fields in
-  (match out with
-  | None -> ()
-  | Some path -> (
-      match Json.write_file path doc with
-      | () -> pr "wrote harness benchmark to %s\n" path
-      | exception Sys_error e ->
-          Printf.eprintf "bench: cannot write %s: %s\n" path e;
-          exit 1));
-  doc
-
-(* Hand-parsed flags: [--json FILE] writes every experiment's rows plus
-   the full stats-registry dump; [--harness-calls N], [--harness-out
-   FILE], [--harness-baseline FILE] and [--harness-only] control the
-   harness throughput benchmark. *)
-type opts = {
-  o_json : string option;
-  o_harness_calls : int;
-  o_harness_out : string option;
-  o_harness_baseline : string option;
-  o_harness_only : bool;
-}
-
-let parse_opts () =
-  let o =
-    ref
-      {
-        o_json = None;
-        o_harness_calls = 1_000_000;
-        o_harness_out = None;
-        o_harness_baseline = None;
-        o_harness_only = false;
-      }
-  in
-  let argv = Sys.argv in
-  let value i flag =
-    if i + 1 < Array.length argv then argv.(i + 1)
-    else begin
-      Printf.eprintf "bench: %s needs an argument\n" flag;
+(* [--json FILE] writes every experiment's rows plus the full
+   stats-registry dump.  Anything else is refused, so a misspelled flag
+   never silently runs the whole suite. *)
+let json_path () =
+  match Array.to_list Sys.argv with
+  | [ _ ] -> None
+  | [ _; "--json"; path ] -> Some path
+  | _ ->
+      prerr_endline "usage: main.exe [--json FILE]";
       exit 2
-    end
-  in
-  Array.iteri
-    (fun i a ->
-      match a with
-      | "--json" -> o := { !o with o_json = Some (value i a) }
-      | "--harness-calls" ->
-          o := { !o with o_harness_calls = int_of_string (value i a) }
-      | "--harness-out" -> o := { !o with o_harness_out = Some (value i a) }
-      | "--harness-baseline" ->
-          o := { !o with o_harness_baseline = Some (value i a) }
-      | "--harness-only" -> o := { !o with o_harness_only = true }
-      | _ -> ())
-    argv;
-  !o
 
 let () =
-  let opts = parse_opts () in
-  if opts.o_harness_only then begin
-    ignore
-      (harness ~calls:opts.o_harness_calls ~out:opts.o_harness_out
-         ~baseline:opts.o_harness_baseline ());
-    exit 0
-  end;
+  let json = json_path () in
   pr "RPC in the x-Kernel: reproduction benchmarks\n";
   pr "(virtual-time msec from the calibrated simulator; see DESIGN.md)\n";
   let sections =
@@ -296,14 +161,10 @@ let () =
       ("overload", E.overload ());
       ("inc", E.inc ());
       ("shardscale", E.shardscale ());
-      ( "harness",
-        harness
-          ~calls:opts.o_harness_calls
-          ~out:opts.o_harness_out ~baseline:opts.o_harness_baseline () );
     ]
   in
   microbench ();
-  match opts.o_json with
+  match json with
   | None -> ()
   | Some path -> (
       let doc =
