@@ -94,7 +94,12 @@ let observe_boot t ~server ~boot_id =
       end
 
 let key ~client ~server req =
-  Printf.sprintf "%d|%d|%s" (Addr.Ip.to_int client) (Addr.Ip.to_int server) req
+  String.concat "|"
+    [
+      string_of_int (Addr.Ip.to_int client);
+      string_of_int (Addr.Ip.to_int server);
+      req;
+    ]
 
 let store t k e =
   if not (Hashtbl.mem t.cache k) then begin

@@ -27,6 +27,12 @@ type replica = {
   mutable r_probe_fails : int; (* consecutive failed recovery probes *)
   mutable r_probe_armed : bool;
   mutable r_next_retry : float; (* earliest Dead re-probe (dead_retry_interval) *)
+  (* ["replica<i>-fail"], ["-suspect"], ["-dead"] and ["-recovered"],
+     resolved once at create time. *)
+  c_fail : Stats.counter;
+  c_suspect : Stats.counter;
+  c_dead : Stats.counter;
+  c_recovered : Stats.counter;
 }
 
 (* One shard-routed attempt currently on the wire: enough for a map
@@ -123,7 +129,7 @@ let set_gauges t =
 let mark_healthy t r =
   if r.r_health <> Healthy then begin
     r.r_health <- Healthy;
-    Stats.incr t.stats (Printf.sprintf "replica%d-recovered" r.r_idx);
+    Stats.tick r.c_recovered;
     set_gauges t
   end;
   r.r_probe_fails <- 0
@@ -188,8 +194,7 @@ let rec arm_probe t r ~delay =
                    | Some iv ->
                        r.r_next_retry <- Sim.now (Host.sim t.host) +. iv
                    | None -> ());
-                   Stats.incr t.stats
-                     (Printf.sprintf "replica%d-dead" r.r_idx);
+                   Stats.tick r.c_dead;
                    set_gauges t
                  end
                  else arm_probe t r ~delay:(probe_delay t r.r_probe_fails)
@@ -227,7 +232,7 @@ let mark_suspect t r =
   match r.r_health with
   | Healthy ->
       r.r_health <- Suspect;
-      Stats.incr t.stats (Printf.sprintf "replica%d-suspect" r.r_idx);
+      Stats.tick r.c_suspect;
       set_gauges t;
       arm_probe t r ~delay:(probe_delay t 0)
   | Suspect | Dead -> ()
@@ -511,7 +516,7 @@ let call t ?key ~command msg =
                    re-execute a non-idempotent procedure. *)
                 e
             | Error ((Rpc_error.Timeout | Rpc_error.Rebooted) as err) ->
-                Stats.incr t.stats (Printf.sprintf "replica%d-fail" r.r_idx);
+                Stats.tick r.c_fail;
                 mark_suspect t r;
                 if rest = [] || tried + 1 >= max_attempts then
                   go ~refreshed ~stamp (tried + 1) err rest
@@ -582,6 +587,9 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
       replicas =
         Array.mapi
           (fun i ep ->
+            let c what =
+              Stats.counter stats (Printf.sprintf "replica%d-%s" i what)
+            in
             {
               r_idx = i;
               r_addr = ep.ep_addr;
@@ -590,6 +598,10 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
               r_probe_fails = 0;
               r_probe_armed = false;
               r_next_retry = 0.;
+              c_fail = c "fail";
+              c_suspect = c "suspect";
+              c_dead = c "dead";
+              c_recovered = c "recovered";
             })
           endpoints;
       policy;

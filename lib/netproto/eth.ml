@@ -12,6 +12,8 @@ type t = {
   (* open_enable registrations: type -> upper protocol. *)
   enabled : (int, Proto.t) Hashtbl.t;
   stats : Stats.t;
+  c_tx : Stats.counter;
+  c_rx : Stats.counter;
 }
 
 let proto t = t.p
@@ -42,7 +44,7 @@ let make_session t ~upper ~peer ~typ =
   let cell = ref None in
   let self () = Option.get !cell in
   let push msg =
-    Stats.incr t.stats "tx";
+    Stats.tick t.c_tx;
     Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
       ~dir:`Send msg;
     Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
@@ -96,7 +98,7 @@ let input t msg =
       in
       if not for_me then Stats.incr t.stats "rx-other"
       else begin
-        Stats.incr t.stats "rx";
+        Stats.tick t.c_rx;
         Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
           ~dir:`Recv rest;
         match Hashtbl.find_opt t.sessions (session_key ~peer:src ~typ) with
@@ -111,6 +113,7 @@ let input t msg =
 
 let create ~host ~dev =
   let p = Proto.create ~host ~name:"ETH" () in
+  let stats = Proto.stats p in
   let t =
     {
       host;
@@ -118,7 +121,9 @@ let create ~host ~dev =
       p;
       sessions = Hashtbl.create 16;
       enabled = Hashtbl.create 16;
-      stats = Proto.stats p;
+      stats;
+      c_tx = Stats.counter stats "tx";
+      c_rx = Stats.counter stats "rx";
     }
   in
   let ops =

@@ -10,6 +10,8 @@ type t = {
   sessions : (int * int, Proto.session) Hashtbl.t; (* (peer ip, proto) *)
   enabled : (int, Proto.t) Hashtbl.t;
   stats : Stats.t;
+  c_tx_eth : Stats.counter;
+  c_tx_ip : Stats.counter;
 }
 
 let proto t = t.p
@@ -84,10 +86,10 @@ let make_session t ~upper ~peer_ip ~proto_num =
        by Proto.push). *)
     match (eth_sess, ip_sess) with
     | Some es, _ when Msg.length msg <= payload ->
-        Stats.incr t.stats "tx-eth";
+        Stats.tick t.c_tx_eth;
         Proto.push es msg
     | _, Some is ->
-        Stats.incr t.stats "tx-ip";
+        Stats.tick t.c_tx_ip;
         Proto.push is msg
     | Some es, None ->
         (* The upper protocol exceeded its advertised maximum; all we
@@ -157,6 +159,7 @@ let input t ~lower msg =
 
 let create ~host ~eth ~ip ~arp ?adv () =
   let p = Proto.create ~host ~name:"VIP" ~virtual_:true () in
+  let stats = Proto.stats p in
   let t =
     {
       host;
@@ -167,7 +170,9 @@ let create ~host ~eth ~ip ~arp ?adv () =
       p;
       sessions = Hashtbl.create 16;
       enabled = Hashtbl.create 8;
-      stats = Proto.stats p;
+      stats;
+      c_tx_eth = Stats.counter stats "tx-eth";
+      c_tx_ip = Stats.counter stats "tx-ip";
     }
   in
   let ops =

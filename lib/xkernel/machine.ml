@@ -180,16 +180,23 @@ let op_cost p = function
   | Os_per_message -> p.os_per_message
   | Busy s -> s
 
+(* All-float, so charging updates the totals in place without boxing. *)
+type account = { mutable busy : float; mutable wait : float }
+
 type t = {
   m_sim : Sim.t;
   cpu : Sim.Semaphore.sem;
   mutable prof : profile;
-  mutable busy : float;
-  mutable wait : float;
+  acct : account;
 }
 
 let create m_sim prof =
-  { m_sim; cpu = Sim.Semaphore.create m_sim 1; prof; busy = 0.; wait = 0. }
+  {
+    m_sim;
+    cpu = Sim.Semaphore.create m_sim 1;
+    prof;
+    acct = { busy = 0.; wait = 0. };
+  }
 
 let sim m = m.m_sim
 let profile m = m.prof
@@ -202,9 +209,9 @@ let charge_cost m total =
     (* Run-queue sojourn: time this charge spent waiting for the CPU,
        as opposed to using it — the server-side queueing-delay signal
        overload experiments account against deadlines. *)
-    m.wait <- m.wait +. (Sim.now m.m_sim -. t0);
+    m.acct.wait <- m.acct.wait +. (Sim.now m.m_sim -. t0);
     Sim.delay m.m_sim total;
-    m.busy <- m.busy +. total;
+    m.acct.busy <- m.acct.busy +. total;
     Sim.Semaphore.v m.cpu
   end
 
@@ -216,13 +223,13 @@ let charge m ops =
    bookkeeping): no list or fold closure per call. *)
 let charge_one m op = charge_cost m (op_cost m.prof op)
 
-let cpu_seconds m = m.busy
+let cpu_seconds m = m.acct.busy
 
 let reset_cpu_seconds m =
-  m.busy <- 0.;
-  m.wait <- 0.
+  m.acct.busy <- 0.;
+  m.acct.wait <- 0.
 
-let cpu_wait_seconds m = m.wait
+let cpu_wait_seconds m = m.acct.wait
 
 let queue_depth m =
   Sim.Semaphore.waiters m.cpu + (1 - Sim.Semaphore.count m.cpu)

@@ -13,10 +13,15 @@ let set_level level =
 
 let stamp sim = Sim.now sim *. 1e3
 
+(* Test the level before building the message closure: [packet] runs at
+   every layer of every frame, and with tracing off it must cost nothing. *)
 let packet sim ~host ~proto ~dir msg =
-  let arrow = match dir with `Send -> "->" | `Recv -> "<-" in
-  Log.debug (fun m ->
-      m "[%8.3fms] %s %s %s %a" (stamp sim) host proto arrow Msg.pp msg)
+  match Logs.Src.level src with
+  | Some Logs.Debug ->
+      let arrow = match dir with `Send -> "->" | `Recv -> "<-" in
+      Log.debug (fun m ->
+          m "[%8.3fms] %s %s %s %a" (stamp sim) host proto arrow Msg.pp msg)
+  | _ -> ()
 
 let debugf sim ~host fmt =
   Format.kasprintf

@@ -11,18 +11,6 @@ type stats = {
   bytes : int;
 }
 
-let zero_stats =
-  {
-    frames = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    corrupted = 0;
-    delayed = 0;
-    partitioned = 0;
-    bytes = 0;
-  }
-
 type attachment = { tap_id : int; recv : Msg.t -> unit }
 
 (* Mirror handles into a registered per-wire table, resolved once at
@@ -59,7 +47,15 @@ type t = {
   mutable down : bool;
   blocked : (int * int, unit) Hashtbl.t; (* (src tap, dst tap) pairs *)
   mutable frame_count : int;
-  mutable st : stats;
+  (* The {!stats} totals, bumped in place; [stats] copies them out. *)
+  mutable n_frames : int;
+  mutable n_delivered : int;
+  mutable n_dropped : int;
+  mutable n_duplicated : int;
+  mutable n_corrupted : int;
+  mutable n_delayed : int;
+  mutable n_partitioned : int;
+  mutable n_bytes : int;
 }
 
 let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
@@ -100,7 +96,14 @@ let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
     down = false;
     blocked = Hashtbl.create 8;
     frame_count = 0;
-    st = zero_stats;
+    n_frames = 0;
+    n_delivered = 0;
+    n_dropped = 0;
+    n_duplicated = 0;
+    n_corrupted = 0;
+    n_delayed = 0;
+    n_partitioned = 0;
+    n_bytes = 0;
   }
 
 let sim w = w.w_sim
@@ -151,8 +154,27 @@ let pair_blocked w ~from ~to_ =
 let set_down w d = w.down <- d
 let is_down w = w.down
 
-let stats w = w.st
-let reset_stats w = w.st <- zero_stats
+let stats w =
+  {
+    frames = w.n_frames;
+    delivered = w.n_delivered;
+    dropped = w.n_dropped;
+    duplicated = w.n_duplicated;
+    corrupted = w.n_corrupted;
+    delayed = w.n_delayed;
+    partitioned = w.n_partitioned;
+    bytes = w.n_bytes;
+  }
+
+let reset_stats w =
+  w.n_frames <- 0;
+  w.n_delivered <- 0;
+  w.n_dropped <- 0;
+  w.n_duplicated <- 0;
+  w.n_corrupted <- 0;
+  w.n_delayed <- 0;
+  w.n_partitioned <- 0;
+  w.n_bytes <- 0
 
 let draw_faults w msg =
   let faults = ref [] in
@@ -171,7 +193,8 @@ let transmit w ~from msg =
   let n = w.frame_count in
   w.frame_count <- n + 1;
   let wire_bytes = on_wire_bytes (Msg.length msg) in
-  w.st <- { w.st with frames = w.st.frames + 1; bytes = w.st.bytes + wire_bytes };
+  w.n_frames <- w.n_frames + 1;
+  w.n_bytes <- w.n_bytes + wire_bytes;
   mirror w (fun l -> l.l_frames);
   (match w.lbl with
   | None -> ()
@@ -185,7 +208,7 @@ let transmit w ~from msg =
     | None -> draw_faults w msg
   in
   if List.mem Drop faults then begin
-    w.st <- { w.st with dropped = w.st.dropped + 1 };
+    w.n_dropped <- w.n_dropped + 1;
     mirror w (fun l -> l.l_dropped)
   end
   else begin
@@ -196,17 +219,17 @@ let transmit w ~from msg =
       | Drop -> ()
       | Duplicate ->
           incr copies;
-          w.st <- { w.st with duplicated = w.st.duplicated + 1 };
+          w.n_duplicated <- w.n_duplicated + 1;
           mirror w (fun l -> l.l_duplicated)
       | Delay d ->
           extra_delay := !extra_delay +. d;
-          w.st <- { w.st with delayed = w.st.delayed + 1 };
+          w.n_delayed <- w.n_delayed + 1;
           mirror w (fun l -> l.l_delayed)
       | Corrupt off when Msg.length msg > 0 ->
           let off = off mod Msg.length msg in
           delivered_msg :=
             Msg.map_byte off (fun c -> Char.chr (Char.code c lxor 0xff)) !delivered_msg;
-          w.st <- { w.st with corrupted = w.st.corrupted + 1 };
+          w.n_corrupted <- w.n_corrupted + 1;
           mirror w (fun l -> l.l_corrupted)
       | Corrupt _ -> ()
     in
@@ -214,7 +237,7 @@ let transmit w ~from msg =
     let deliver_to tap =
       if tap.tap_id <> from.tap_id then
         if w.down || Hashtbl.mem w.blocked (from.tap_id, tap.tap_id) then begin
-          w.st <- { w.st with partitioned = w.st.partitioned + 1 };
+          w.n_partitioned <- w.n_partitioned + 1;
           mirror w (fun l -> l.l_partitioned)
         end
         else
@@ -223,7 +246,7 @@ let transmit w ~from msg =
            actually handed to a tap. *)
         for copy = 1 to !copies do
           let m = if copy = 1 then !delivered_msg else msg in
-          w.st <- { w.st with delivered = w.st.delivered + 1 };
+          w.n_delivered <- w.n_delivered + 1;
           mirror w (fun l -> l.l_delivered);
           ignore
             (Sim.after w.w_sim (w.propagation +. !extra_delay) (fun () ->
