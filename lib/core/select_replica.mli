@@ -79,10 +79,8 @@ val create :
   ?policy:policy ->
   ?attempt_timeout:float ->
   ?deadline:float ->
-  ?max_failovers:int ->
   ?probation:float ->
   ?probe_limit:int ->
-  ?probe_command:int ->
   ?propagate_deadline:bool ->
   ?retry_budget:float ->
   ?hedge:bool ->
@@ -97,11 +95,11 @@ val create :
 (** [create ~host ~endpoints ()] is a replica map over [endpoints].
     [attempt_timeout] (default 0.25 s) bounds each per-replica attempt;
     [deadline] (default 1 s) bounds the whole call including all
-    failovers; [max_failovers] (default K-1) caps extra attempts;
+    failovers; a call makes at most K attempts;
     [probation] (default 0.1 s) is the base suspect-to-probe delay,
     doubled per failed probe with seeded jitter from the simulator rng;
-    [probe_command] (default 1, the null procedure) is the recovery
-    probe; [below] records the protocol graph for [pp_graph].
+    the recovery probe is a null call (procedure 1); [below] records
+    the protocol graph for [pp_graph].
 
     [probe_timeout] bounds each recovery probe (default: unbounded, the
     lower stack's RTO ladder decides); [dead_retry_interval] re-probes
@@ -109,31 +107,6 @@ val create :
     jitter) so a replica that reboots heals back instead of staying
     buried; [drain_deadline] bounds graceful handoff (see
     {!install_map}); [shard_map] pre-installs a routing map. *)
-
-val of_select :
-  host:Xkernel.Host.t ->
-  select:Select.t ->
-  servers:Xkernel.Addr.Ip.t array ->
-  ?policy:policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?probe_command:int ->
-  ?propagate_deadline:bool ->
-  ?retry_budget:float ->
-  ?hedge:bool ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  unit ->
-  t
-(** [of_select ~host ~select ~servers ()] fronts one {!Select} client
-    instance with one lazily-opened connection per server address —
-    the standard way to build the layer over an L.RPC or M.RPC
-    stack.  Shard stamps are threaded down to {!Select.call}. *)
 
 val call :
   t ->

@@ -5,7 +5,6 @@ type endpoints = {
   config_name : string;
   call : command:int -> Msg.t -> (Msg.t, Rpc_error.t) result;
   client_host : Host.t;
-  server_host : Host.t;
   tops : Proto.t list;
 }
 
@@ -36,15 +35,14 @@ let mono_name lower =
 let mono_proto_num = 91
 let mono_eth_type = Addr.eth_type_of_ip_proto mono_proto_num
 
-let mono_create ~lower ?n_channels (n : World.node) =
+let mono_create ~lower (n : World.node) =
   let lower =
     match lower with
     | L_eth -> Netproto.Eth.proto n.eth
     | L_ip -> Netproto.Ip.proto n.ip
     | L_vip -> Netproto.Vip.proto n.vip
   in
-  Sprite_mono.create ~host:n.host ~lower ~proto_num:mono_proto_num ?n_channels
-    ()
+  Sprite_mono.create ~host:n.host ~lower ~proto_num:mono_proto_num ()
 
 let mono_serve ~lower m_s =
   standard_handlers (Sprite_mono.register m_s);
@@ -78,7 +76,6 @@ let mrpc (w : World.t) ~lower =
     config_name = mono_name lower;
     call = (fun ~command msg -> Sprite_mono.call (connect ()) ~command msg);
     client_host = c.host;
-    server_host = s.host;
     tops = [ Sprite_mono.proto m_c ];
   }
 
@@ -92,11 +89,11 @@ type fan = {
   fan_server : Host.t;
 }
 
-let mrpc_fanin ?(lower = L_vip) ?n_channels (f : World.fanin) =
+let mrpc_fanin ?(lower = L_vip) (f : World.fanin) =
   let s = f.World.server in
-  mono_serve ~lower (mono_create ~lower ?n_channels s);
+  mono_serve ~lower (mono_create ~lower s);
   let mk_client (n : World.node) =
-    let m_c = mono_create ~lower ?n_channels n in
+    let m_c = mono_create ~lower n in
     let connect = mono_connect ~lower n m_c s.World.host.Host.ip in
     fun ~command msg -> Sprite_mono.call (connect ()) ~command msg
   in
@@ -134,19 +131,16 @@ let lrpc ?adaptive ?rto_load_floor ?n_channels (w : World.t) =
     config_name = "L.RPC-VIP";
     call = (fun ~command msg -> Select.call (connect ()) ~command msg);
     client_host = c.host;
-    server_host = s.host;
     tops = [ Select.proto sel_c ];
   }
 
-let lrpc_fanin ?adaptive ?rto_load_floor ?n_channels (f : World.fanin) =
-  let _, _, sel_s =
-    lrpc_node ?adaptive ?rto_load_floor ?n_channels f.World.server
-  in
+let lrpc_fanin ?adaptive ?rto_load_floor (f : World.fanin) =
+  let _, _, sel_s = lrpc_node ?adaptive ?rto_load_floor f.World.server in
   standard_handlers (Select.register sel_s);
   Select.serve sel_s;
   let server_ip = f.World.server.World.host.Host.ip in
   let mk_client (n : World.node) =
-    let _, _, sel_c = lrpc_node ?adaptive ?rto_load_floor ?n_channels n in
+    let _, _, sel_c = lrpc_node ?adaptive ?rto_load_floor n in
     let connect =
       on_first_use (fun () -> Select.connect sel_c ~server:server_ip)
     in
@@ -179,13 +173,10 @@ type fanout_stack = {
    startup race) and subscribes for subsequent generations, and each
    client's wrong-shard refresh hook pulls the coordinator's current
    map — the client-initiated half of the MAP protocol. *)
-let wire_shards ~host ?map_delay ?map_jitter ~replicas ~selects = function
+let wire_shards ~host ~replicas ~selects = function
   | None -> None
   | Some m ->
-      let coord =
-        Shard_map.Coordinator.create ~host ?publish_delay:map_delay
-          ?jitter:map_jitter ~map:m ()
-      in
+      let coord = Shard_map.Coordinator.create ~host ~map:m () in
       Array.iteri
         (fun i sel ->
           Select.enable_sharding sel ~self:i;
@@ -203,15 +194,15 @@ let wire_shards ~host ?map_delay ?map_jitter ~replicas ~selects = function
         replicas;
       Some coord
 
-let lrpc_fanout ?adaptive ?rto_load_floor ?n_channels ?policy ?attempt_timeout
-    ?deadline ?max_failovers ?probation ?probe_limit ?admit
-    ?propagate_deadline ?retry_budget ?hedge ?probe_timeout
-    ?dead_retry_interval ?drain_deadline ?shard_map ?map_delay ?map_jitter
-    (f : World.fanout) =
+(* REPLICA over SELECT-CHANNEL-FRAGMENT-VIP on a fan-out topology: the
+   body of both [lrpc_fanout] and [lrpc_switched]. *)
+let layered_replicas ~name ?adaptive ?n_channels ?policy ?attempt_timeout
+    ?deadline ?probation ?probe_limit ?admit ?propagate_deadline ?retry_budget
+    ?hedge ?probe_timeout ?drain_deadline ?shard_map (f : World.fanout) =
   let selects =
     Array.map
       (fun (n : World.node) ->
-        let _, _, sel_s = lrpc_node ?adaptive ?rto_load_floor ?n_channels n in
+        let _, _, sel_s = lrpc_node ?adaptive ?n_channels n in
         standard_handlers (Select.register sel_s);
         sel_s)
       f.World.servers
@@ -235,25 +226,37 @@ let lrpc_fanout ?adaptive ?rto_load_floor ?n_channels ?policy ?attempt_timeout
             adm)
           f.World.servers selects
   in
-  let server_ips =
-    Array.map (fun (n : World.node) -> n.World.host.Host.ip) f.World.servers
-  in
   let replicas =
     Array.map
       (fun (n : World.node) ->
-        let _, _, sel_c = lrpc_node ?adaptive ?rto_load_floor ?n_channels n in
-        Select_replica.of_select ~host:n.World.host ~select:sel_c
-          ~servers:server_ips ?policy ?attempt_timeout ?deadline ?max_failovers
-          ?probation ?probe_limit ?propagate_deadline ?retry_budget ?hedge
-          ?probe_timeout ?dead_retry_interval ?drain_deadline ())
+        let _, _, sel_c = lrpc_node ?adaptive ?n_channels n in
+        let endpoints =
+          Array.map
+            (fun (s : World.node) ->
+              let server = s.World.host.Host.ip in
+              let connect =
+                on_first_use (fun () -> Select.connect sel_c ~server)
+              in
+              {
+                Select_replica.ep_addr = server;
+                ep_call =
+                  (fun ?expires ?shard ~command msg ->
+                    Select.call (connect ()) ?expires ?shard ~command msg);
+              })
+            f.World.servers
+        in
+        Select_replica.create ~host:n.World.host ?policy ?attempt_timeout
+          ?deadline ?probation ?probe_limit ?propagate_deadline ?retry_budget
+          ?hedge ?probe_timeout ?drain_deadline
+          ~below:[ Select.proto sel_c ] ~endpoints ())
       f.World.fo_clients
   in
   let coord =
-    wire_shards ~host:f.World.fo_clients.(0).World.host ?map_delay ?map_jitter
-      ~replicas ~selects shard_map
+    wire_shards ~host:f.World.fo_clients.(0).World.host ~replicas ~selects
+      shard_map
   in
   {
-    fos_name = "L.RPC-VIP-REPLICA";
+    fos_name = name;
     fos_call =
       (fun i ?key ~command msg ->
         Select_replica.call replicas.(i) ?key ~command msg);
@@ -267,14 +270,15 @@ let lrpc_fanout ?adaptive ?rto_load_floor ?n_channels ?policy ?attempt_timeout
     fos_coord = coord;
   }
 
-let mrpc_fanout ?(lower = L_vip) ?n_channels ?policy ?attempt_timeout ?deadline
-    ?max_failovers ?probation ?probe_limit ?probe_timeout ?dead_retry_interval
-    ?drain_deadline ?shard_map ?map_delay ?map_jitter (f : World.fanout) =
-  Array.iter
-    (fun s -> mono_serve ~lower (mono_create ~lower ?n_channels s))
-    f.World.servers;
+let lrpc_fanout =
+  layered_replicas ~name:"L.RPC-VIP-REPLICA" ?adaptive:None ?n_channels:None
+
+let mrpc_fanout ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
+    ?probe_timeout ?shard_map (f : World.fanout) =
+  let lower = L_vip in
+  Array.iter (fun s -> mono_serve ~lower (mono_create ~lower s)) f.World.servers;
   let mk_client (n : World.node) =
-    let m_c = mono_create ~lower ?n_channels n in
+    let m_c = mono_create ~lower n in
     let endpoints =
       Array.map
         (fun (s : World.node) ->
@@ -291,14 +295,13 @@ let mrpc_fanout ?(lower = L_vip) ?n_channels ?policy ?attempt_timeout ?deadline
         f.World.servers
     in
     Select_replica.create ~host:n.World.host ?policy ?attempt_timeout ?deadline
-      ?max_failovers ?probation ?probe_limit ?probe_timeout
-      ?dead_retry_interval ?drain_deadline
-      ~below:[ Sprite_mono.proto m_c ] ~endpoints ()
+      ?probation ?probe_limit ?probe_timeout ~below:[ Sprite_mono.proto m_c ]
+      ~endpoints ()
   in
   let replicas = Array.map mk_client f.World.fo_clients in
   let coord =
-    wire_shards ~host:f.World.fo_clients.(0).World.host ?map_delay ?map_jitter
-      ~replicas ~selects:[||] shard_map
+    wire_shards ~host:f.World.fo_clients.(0).World.host ~replicas ~selects:[||]
+      shard_map
   in
   {
     fos_name = mono_name lower ^ "-REPLICA";
@@ -322,28 +325,20 @@ let mrpc_fanout ?(lower = L_vip) ?n_channels ?policy ?attempt_timeout ?deadline
    falls back to IP-via-gateway), which is exactly what lets an
    in-network computation see the traffic: [?inc_cacheable] installs
    {!Inc} on the switch's forwarding IP instance. *)
-let lrpc_switched ?adaptive ?rto_load_floor ?n_channels ?policy
-    ?attempt_timeout ?deadline ?max_failovers ?probation ?probe_limit ?admit
-    ?propagate_deadline ?retry_budget ?hedge ?probe_timeout
-    ?dead_retry_interval ?drain_deadline ?shard_map ?map_delay ?map_jitter
-    ?inc_cacheable ?inc_ttl ?inc_capacity (sw : World.switched) =
+let lrpc_switched ?adaptive ?n_channels ?policy ?attempt_timeout ?deadline
+    ?shard_map ?inc_cacheable (sw : World.switched) =
   let stack =
-    lrpc_fanout ?adaptive ?rto_load_floor ?n_channels ?policy ?attempt_timeout
-      ?deadline ?max_failovers ?probation ?probe_limit ?admit
-      ?propagate_deadline ?retry_budget ?hedge ?probe_timeout
-      ?dead_retry_interval ?drain_deadline ?shard_map ?map_delay ?map_jitter
-      sw.World.sw
+    layered_replicas ~name:"L.RPC-VIP-SWITCHED" ?adaptive ?n_channels ?policy
+      ?attempt_timeout ?deadline ?shard_map sw.World.sw
   in
   let inc =
-    match inc_cacheable with
-    | None -> None
-    | Some cacheable ->
-        Some
-          (Inc.install ~host:sw.World.sw_ports.(0).World.pt_host
-             ~ip:sw.World.sw_ip ~cacheable ?ttl:inc_ttl ?capacity:inc_capacity
-             ())
+    Option.map
+      (fun cacheable ->
+        Inc.install ~host:sw.World.sw_ports.(0).World.pt_host
+          ~ip:sw.World.sw_ip ~cacheable ())
+      inc_cacheable
   in
-  ({ stack with fos_name = "L.RPC-VIP-SWITCHED" }, inc)
+  (stack, inc)
 
 (* SELECT-CHANNEL-VIPsize, with FRAGMENT moved below VIPsize and
    VIPaddr below both (Figure 3(b)). *)
@@ -373,7 +368,6 @@ let lrpc_vip_size (w : World.t) =
     config_name = "SELECT-CHANNEL-VIPsize";
     call = (fun ~command msg -> Select.call (connect ()) ~command msg);
     client_host = c.host;
-    server_host = s.host;
     tops = [ Select.proto sel_c ];
   }
 
@@ -421,7 +415,6 @@ let channel_fragment_vip (w : World.t) =
     config_name = "CHANNEL-FRAGMENT-VIP";
     call = (fun ~command:_ msg -> Channel.call chan_c (session ()) msg);
     client_host = c.host;
-    server_host = s.host;
     tops = [ Channel.proto chan_c ];
   }
 

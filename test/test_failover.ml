@@ -14,8 +14,8 @@ type behaviour =
   | Fail of Rpc.Rpc_error.t
   | Block of float  (* serve only after this much delay *)
 
-let scripted w ?policy ?attempt_timeout ?deadline ?max_failovers ?probation
-    ?probe_limit ?probe_timeout ?dead_retry_interval ~k behave =
+let scripted w ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
+    ?probe_timeout ?dead_retry_interval ~k behave =
   let host = (World.node w 0).World.host in
   let sim = w.World.sim in
   let hits = Array.make k 0 in
@@ -35,9 +35,8 @@ let scripted w ?policy ?attempt_timeout ?deadline ?max_failovers ?probation
         })
   in
   let t =
-    Select_replica.create ~host ?policy ?attempt_timeout ?deadline
-      ?max_failovers ?probation ?probe_limit ?probe_timeout
-      ?dead_retry_interval ~endpoints ()
+    Select_replica.create ~host ?policy ?attempt_timeout ?deadline ?probation
+      ?probe_limit ?probe_timeout ?dead_retry_interval ~endpoints ()
   in
   (t, hits)
 
