@@ -54,12 +54,8 @@ type t = {
       (* CHANNEL's own protocol number toward the layer below; the
          protocol-number field in its header names the layer above *)
   chans : int;
-  base_timeout : float;
-  per_frag_timeout : float;
-  retries : int;
   adaptive : bool;
   rto_load_floor : bool;
-  rto_max : float;
   rng : Random.State.t; (* the simulator's seeded stream (backoff jitter) *)
   p : Proto.t;
   sessions : (int * int * int, sess) Hashtbl.t; (* (peer, proto, chan) *)
@@ -113,6 +109,14 @@ let transmit t s hdr payload =
     ~dir:`Send encoded;
   Proto.push s.lower_sess encoded
 
+(* Sprite's fixed timeouts: 20 ms for a single-fragment request plus
+   3 ms per expected fragment, 5 retries; the adaptive RTO is capped at
+   1 s. *)
+let base_timeout = 0.02
+let per_frag_timeout = 0.003
+let retries = 5
+let rto_max = 1.0
+
 let nfrags s len =
   let frag_size =
     match Proto.session_control s.lower_sess Control.Get_frag_size with
@@ -124,10 +128,10 @@ let nfrags s len =
 (* Step-function timeout: short for single-fragment requests; long
    enough for multi-fragment ones that the fragmentation layer below is
    surely done transmitting. *)
-let request_timeout t s len =
+let request_timeout s len =
   let n = nfrags s len in
-  if n <= 1 then t.base_timeout
-  else t.base_timeout +. (float_of_int n *. t.per_frag_timeout)
+  if n <= 1 then base_timeout
+  else base_timeout +. (float_of_int n *. per_frag_timeout)
 
 (* Effective RTO.  Before the first RTT sample (and whenever adaptation
    is off) this is exactly the paper's step function, so a loss-free run
@@ -137,10 +141,10 @@ let request_timeout t s len =
    function that measures how long the layer below is still busy — and
    capped at [rto_max]. *)
 let request_rto t s len =
-  if (not t.adaptive) || s.srtt < 0. then request_timeout t s len
+  if (not t.adaptive) || s.srtt < 0. then request_timeout s len
   else
-    let floor = float_of_int (nfrags s len) *. t.per_frag_timeout in
-    Float.min t.rto_max (Float.max (s.srtt +. (4. *. s.rttvar)) floor)
+    let floor = float_of_int (nfrags s len) *. per_frag_timeout in
+    Float.min rto_max (Float.max (s.srtt +. (4. *. s.rttvar)) floor)
 
 (* Karn's backoff persistence: [s.backoff] carries over into the next
    transaction; a valid sample clears it, and every retransmitted-but-
@@ -153,7 +157,7 @@ let request_rto t s len =
 let backed_rto t s len =
   let rto = request_rto t s len in
   if s.backoff = 0 then rto
-  else Float.min t.rto_max (rto *. (2. ** float_of_int s.backoff))
+  else Float.min rto_max (rto *. (2. ** float_of_int s.backoff))
 
 (* Load-sensitive RTO floor (the lrpc-arto cold-start storm fix).  The
    estimator's srtt describes round trips observed while [s.srtt_load]
@@ -281,7 +285,7 @@ let rec arm_timer t s o timeout =
                  in
                  transmit t s hdr o.payload;
                  let patience =
-                   if o.acked then t.base_timeout *. 4.
+                   if o.acked then base_timeout *. 4.
                    else if t.adaptive then begin
                      (* Exponential backoff on the effective RTO, capped,
                         with a little seeded jitter so a fleet of channels
@@ -293,7 +297,7 @@ let rec arm_timer t s o timeout =
                      *. load_scale t s
                      *. (1. +. (0.1 *. Random.State.float t.rng 1.))
                    end
-                   else request_timeout t s (Msg.length o.payload + C.bytes)
+                   else request_timeout s (Msg.length o.payload + C.bytes)
                  in
                  arm_timer t s o patience
                end
@@ -314,7 +318,7 @@ let send_request_free t s ~iv ~expires payload =
       sent_load = t.in_flight;
       expires;
       timer = None;
-      tries_left = t.retries;
+      tries_left = retries;
       acked = false;
     }
   in
@@ -416,7 +420,7 @@ let handle_reply t s (hdr : C.t) body =
   | Some o when hdr.C.sequence_num = o.o_seq -> (
       Stats.tick t.c_reply_rx;
       if t.adaptive then
-        if o.tries_left = t.retries then
+        if o.tries_left = retries then
           (* Karn's rule: a retransmitted transaction yields no sample —
              the reply cannot be matched to a particular transmission. *)
           observe_rtt t s ~load:o.sent_load
@@ -438,7 +442,7 @@ let handle_reply t s (hdr : C.t) body =
         | _ -> false
       in
       s.server_boot <- Some hdr.C.boot_id;
-      if reboot_detected && o.tries_left < t.retries then
+      if reboot_detected && o.tries_left < retries then
         (* The server restarted while we were retransmitting: we cannot
            know whether the procedure executed. *)
         complete t s (Error Rpc_error.Rebooted)
@@ -638,9 +642,8 @@ let call ?expires t xs msg =
   send_request ~expires t s ~iv:(Some iv) msg;
   Sim.Ivar.read iv
 
-let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8)
-    ?(base_timeout = 0.02) ?(per_frag_timeout = 0.003) ?(retries = 5)
-    ?(adaptive = true) ?(rto_load_floor = true) ?(rto_max = 1.0) () =
+let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8) ?(adaptive = true)
+    ?(rto_load_floor = true) () =
   let p = Proto.create ~host ~name:"CHANNEL" () in
   let t =
     {
@@ -648,12 +651,8 @@ let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8)
       lower;
       own_proto = proto_num;
       chans = n_channels;
-      base_timeout;
-      per_frag_timeout;
-      retries;
       adaptive;
       rto_load_floor;
-      rto_max;
       rng = Sim.rng (Host.sim host);
       p;
       sessions = Hashtbl.create 32;

@@ -44,25 +44,21 @@ val create :
   lower:Xkernel.Proto.t ->
   ?proto_num:int ->
   ?n_channels:int ->
-  ?base_timeout:float ->
-  ?per_frag_timeout:float ->
-  ?retries:int ->
   ?adaptive:bool ->
   ?rto_load_floor:bool ->
-  ?rto_max:float ->
   unit ->
   t
 (** [proto_num] (default 93) is CHANNEL's own protocol number toward
     the layer below (its header's protocol-number field names the upper
     protocol).  [n_channels] (default 8) is Sprite's fixed, predefined channel
-    count.  Timeout step function: [base_timeout] (default 20 ms) for
-    single-fragment requests; plus [per_frag_timeout] (default 3 ms) per
-    expected fragment otherwise.  [retries] defaults to 5.
+    count.  The timeout is Sprite's step function: 20 ms for
+    single-fragment requests, plus 3 ms per expected fragment otherwise,
+    with 5 retries.
 
     [adaptive] (default [true]) enables the per-channel RTT estimator;
     [false] gives the paper's fixed step-function timeout on every
-    transmission.  [rto_max] (default 1 s) caps the adaptive RTO and its
-    exponential backoff.
+    transmission.  The adaptive RTO and its exponential backoff are
+    capped at 1 s.
 
     [rto_load_floor] (default [true]) scales the {e armed} retransmit
     timer by the ratio of currently in-flight requests to the in-flight

@@ -30,6 +30,12 @@ type sess = {
   mutable xs : Proto.session option;
 }
 
+(* The sender keeps a message's fragments for 2 s; a receiver missing
+   fragments asks for them after 30 ms, at most 3 times. *)
+let cache_ttl = 2.0
+let nack_delay = 0.03
+let nack_retries = 3
+
 type t = {
   host : Host.t;
   lower : Proto.t;
@@ -37,9 +43,6 @@ type t = {
       (* FRAGMENT's own protocol number toward the layer below; the
          protocol-number *field* in its header names the layer above *)
   mutable frag_size : int;
-  cache_ttl : float;
-  nack_delay : float;
-  nack_retries : int;
   p : Proto.t;
   sessions : (int * int, sess) Hashtbl.t; (* (peer, proto_num) *)
   enabled : (int, Proto.t) Hashtbl.t;
@@ -111,7 +114,7 @@ let push_message t s msg =
     let entry = { frags = Array.init num frag } in
     Hashtbl.replace s.cache seq entry;
     ignore
-      (Event.schedule t.host t.cache_ttl (fun () ->
+      (Event.schedule t.host cache_ttl (fun () ->
            if Hashtbl.mem s.cache seq then begin
              Hashtbl.remove s.cache seq;
              Stats.incr t.stats "cache-drop"
@@ -141,7 +144,7 @@ let send_nack t s ~seq ~num ~missing =
    fragments; give up after [nack_retries] — the layer is unreliable. *)
 let rec arm_gap_timer t s seq =
   ignore
-    (Event.schedule t.host t.nack_delay (fun () ->
+    (Event.schedule t.host nack_delay (fun () ->
          match Hashtbl.find_opt s.reasm seq with
          | None -> ()
          | Some entry ->
@@ -160,7 +163,7 @@ let prune_recent t s =
   let now = Sim.now (Host.sim t.host) in
   let rec go () =
     match Queue.peek_opt s.recent_q with
-    | Some (seq, time) when now -. time > t.cache_ttl ->
+    | Some (seq, time) when now -. time > cache_ttl ->
         ignore (Queue.pop s.recent_q);
         Hashtbl.remove s.recent seq;
         Stats.tick t.c_recent_pruned;
@@ -177,7 +180,7 @@ let rec arm_prune_timer t s =
   if not s.prune_armed then begin
     s.prune_armed <- true;
     ignore
-      (Event.schedule t.host t.cache_ttl (fun () ->
+      (Event.schedule t.host cache_ttl (fun () ->
            s.prune_armed <- false;
            prune_recent t s;
            if Hashtbl.length s.recent > 0 then arm_prune_timer t s))
@@ -225,7 +228,7 @@ let handle_data t s (hdr : F.t) piece =
                     pieces = Array.make num None;
                     have = 0;
                     r_num = num;
-                    nacks_left = t.nack_retries;
+                    nacks_left = nack_retries;
                   }
                 in
                 Hashtbl.replace s.reasm seq e;
@@ -364,8 +367,7 @@ let open_session t ~upper part =
   in
   Option.get s.xs
 
-let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024)
-    ?(cache_ttl = 2.0) ?(nack_delay = 0.03) ?(nack_retries = 3) () =
+let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024) () =
   let p = Proto.create ~host ~name:"FRAGMENT" () in
   let t =
     {
@@ -373,9 +375,6 @@ let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024)
       lower;
       own_proto = proto_num;
       frag_size;
-      cache_ttl;
-      nack_delay;
-      nack_retries;
       p;
       sessions = Hashtbl.create 16;
       enabled = Hashtbl.create 8;

@@ -26,9 +26,6 @@ val create :
   lower:Xkernel.Proto.t ->
   ?proto_num:int ->
   ?frag_size:int ->
-  ?cache_ttl:float ->
-  ?nack_delay:float ->
-  ?nack_retries:int ->
   unit ->
   t
 (** [proto_num] (default 92) is FRAGMENT's *own* protocol number toward
@@ -36,11 +33,10 @@ val create :
     whichever upper protocol each message belongs to — the reason a
     reusable layer "must have its own protocol number (type) field"
     (section 3.2).  [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
-    message becomes 16 packets, per section 4.2); [cache_ttl] (default
-    2 s) is the sender-side discard timer; [nack_delay] (default
-    30 ms) is how long a receiver waits on an incomplete message before
-    requesting the missing fragments, rearmed up to [nack_retries]
-    (default 3) times. *)
+    message becomes 16 packets, per section 4.2).  The sender discards
+    a message's fragments after 2 s; a receiver waits 30 ms on an
+    incomplete message before requesting the missing fragments, and
+    rearms that up to 3 times. *)
 
 val proto : t -> Xkernel.Proto.t
 

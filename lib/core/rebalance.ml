@@ -7,7 +7,6 @@ type t = {
   shard_load : unit -> int array;
   interval : float;
   skew_ratio : float;
-  sustain : int;
   on_crash : bool;
   on_skew : bool;
   stats : Stats.t;
@@ -15,6 +14,9 @@ type t = {
   mutable skew_streak : int; (* consecutive ticks the skew trigger held *)
   mutable moves : int;
 }
+
+(* Consecutive skewed ticks before a move. *)
+let sustain = 2
 
 let moves t = t.moves
 
@@ -87,7 +89,7 @@ let tick_skew t m ~live ~delta =
              > t.skew_ratio *. float_of_int (max 1 per_replica.(cold))
         then begin
           t.skew_streak <- t.skew_streak + 1;
-          if t.skew_streak >= t.sustain then begin
+          if t.skew_streak >= sustain then begin
             t.skew_streak <- 0;
             let owned =
               List.filter
@@ -167,11 +169,9 @@ let start t ~until =
   arm ()
 
 let create ~host ~coord ~replica_health ~shard_load ?(interval = 0.05)
-    ?(skew_ratio = 3.0) ?(sustain = 2) ?(on_crash = true) ?(on_skew = true) ()
-    =
+    ?(skew_ratio = 3.0) ?(on_crash = true) ?(on_skew = true) () =
   if interval <= 0. then invalid_arg "Rebalance.create: interval <= 0";
   if skew_ratio <= 1. then invalid_arg "Rebalance.create: skew_ratio <= 1";
-  if sustain < 1 then invalid_arg "Rebalance.create: sustain < 1";
   {
     host;
     coord;
@@ -179,7 +179,6 @@ let create ~host ~coord ~replica_health ~shard_load ?(interval = 0.05)
     shard_load;
     interval;
     skew_ratio;
-    sustain;
     on_crash;
     on_skew;
     stats = Proto.stats (Shard_map.Coordinator.proto coord);

@@ -9,7 +9,7 @@
       them all reassigned to their best live rendezvous candidates in
       one generation (["rebalance-crash"] in the coordinator's stats).
     - {b skew}: when the hottest live replica carries more than
-      [skew_ratio] times the coldest's load for [sustain] consecutive
+      [skew_ratio] times the coldest's load for 2 consecutive
       ticks, the hottest shard moves to the coldest replica
       (["rebalance-skew"]) and the streak resets — hysteresis, so one
       noisy interval never moves anything and each move must re-earn
@@ -31,7 +31,6 @@ val create :
   shard_load:(unit -> int array) ->
   ?interval:float ->
   ?skew_ratio:float ->
-  ?sustain:int ->
   ?on_crash:bool ->
   ?on_skew:bool ->
   unit ->
@@ -40,8 +39,7 @@ val create :
     aggregated over the clients' health machines); [shard_load] returns
     {e cumulative} per-shard call counts — the controller diffs
     successive snapshots itself.  [interval] (default 50 ms) is the
-    tick period; [skew_ratio] (default 3.0) and [sustain] (default 2
-    ticks) gate the skew policy. *)
+    tick period; [skew_ratio] (default 3.0) gates the skew policy. *)
 
 val majority_health : Select_replica.t array -> int -> [ `Up | `Dead ]
 (** A [replica_health] signal over the clients' replica maps: replica

@@ -24,12 +24,14 @@ type sess = {
   mutable serving_xid : int option;
 }
 
+(* Retransmissions of a request before the call fails. *)
+let retries = 4
+
 type t = {
   host : Host.t;
   lower : Proto.t;
   own_proto : int;
   timeout : float;
-  retries : int;
   p : Proto.t;
   sessions : (int * int, sess) Hashtbl.t; (* (peer, upper proto) *)
   enabled : (int, Proto.t) Hashtbl.t;
@@ -98,7 +100,7 @@ let start_call t s payload =
       iv = Sim.Ivar.create (Host.sim t.host);
       payload;
       timer = None;
-      tries_left = t.retries;
+      tries_left = retries;
     }
   in
   Hashtbl.replace s.pending xid p;
@@ -219,8 +221,7 @@ let input t ~lower msg =
               else Stats.incr t.stats "rx-malformed"))
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower ?(proto_num = 95) ?(timeout = 0.025) ?(retries = 4) ()
-    =
+let create ~host ~lower ?(proto_num = 95) ?(timeout = 0.025) () =
   let p = Proto.create ~host ~name:"REQUEST_REPLY" () in
   let t =
     {
@@ -228,7 +229,6 @@ let create ~host ~lower ?(proto_num = 95) ?(timeout = 0.025) ?(retries = 4) ()
       lower;
       own_proto = proto_num;
       timeout;
-      retries;
       p;
       sessions = Hashtbl.create 16;
       enabled = Hashtbl.create 8;

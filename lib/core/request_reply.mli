@@ -18,12 +18,11 @@ val create :
   lower:Xkernel.Proto.t ->
   ?proto_num:int ->
   ?timeout:float ->
-  ?retries:int ->
   unit ->
   t
 (** [proto_num] (default 95) is this layer's own number toward [lower];
-    [timeout] (default 25 ms) and [retries] (default 4) drive client
-    retransmission. *)
+    [timeout] (default 25 ms) drives client retransmission, with 4
+    retransmissions before the call fails. *)
 
 val proto : t -> Xkernel.Proto.t
 

@@ -128,7 +128,7 @@ let pp fmt t =
    uniform control operation — [control (Install_map bytes)] against
    each sink protocol, exactly the late-binding channel the x-kernel
    already gives every layer.  Delivery is asynchronous: each sink gets
-   its own timer at [publish_delay] plus seeded jitter, so a fleet
+   its own timer at 2 ms plus up to 2 ms of seeded jitter, so a fleet
    never installs a map in lockstep and clients genuinely disagree
    about ownership for a window — the disagreement the wrong-shard
    handshake exists to absorb. *)
@@ -138,8 +138,6 @@ module Coordinator = struct
   type t = {
     host : Host.t;
     p : Proto.t;
-    publish_delay : float;
-    jitter : float;
     rng : Random.State.t;
     stats : Stats.t;
     mutable map : map;
@@ -148,6 +146,9 @@ module Coordinator = struct
     c_publish : Stats.counter;
     c_install : Stats.counter;
   }
+
+  let publish_delay = 0.002
+  let jitter = 0.002
 
   let current t = t.map
   let proto t = t.p
@@ -165,9 +166,7 @@ module Coordinator = struct
     let encoded = encode t.map in
     List.iter
       (fun sink ->
-        let delay =
-          t.publish_delay +. (t.jitter *. Random.State.float t.rng 1.)
-        in
+        let delay = publish_delay +. (jitter *. Random.State.float t.rng 1.) in
         ignore
           (Sim.after (Host.sim t.host) delay (fun () ->
                push_to t sink encoded)))
@@ -176,7 +175,7 @@ module Coordinator = struct
   let subscribe t sink =
     t.sinks <- sink :: t.sinks;
     (* A late subscriber catches up immediately (same delayed path). *)
-    let delay = t.publish_delay +. (t.jitter *. Random.State.float t.rng 1.) in
+    let delay = publish_delay +. (jitter *. Random.State.float t.rng 1.) in
     let encoded = encode t.map in
     ignore
       (Sim.after (Host.sim t.host) delay (fun () -> push_to t sink encoded))
@@ -192,17 +191,13 @@ module Coordinator = struct
       publish t
     end
 
-  let create ~host ?(publish_delay = 0.002) ?(jitter = 0.002) ~map () =
-    if publish_delay < 0. || jitter < 0. then
-      invalid_arg "Coordinator.create: negative delay";
+  let create ~host ~map () =
     let p = Proto.create ~host ~name:"MAP" ~virtual_:true () in
     let stats = Proto.stats p in
     let t =
       {
         host;
         p;
-        publish_delay;
-        jitter;
         rng = Sim.rng (Host.sim host);
         stats;
         map;

@@ -64,17 +64,10 @@ module Coordinator : sig
   type map = t
   type t
 
-  val create :
-    host:Xkernel.Host.t ->
-    ?publish_delay:float ->
-    ?jitter:float ->
-    map:map ->
-    unit ->
-    t
+  val create : host:Xkernel.Host.t -> map:map -> unit -> t
   (** A coordinator protocol (["MAP"], virtual) on [host] holding [map]
       as the authoritative assignment.  Each push to each sink is
-      delivered after [publish_delay] (default 2 ms) plus a seeded
-      uniform jitter of up to [jitter] (default 2 ms). *)
+      delivered after 2 ms plus a seeded uniform jitter of up to 2 ms. *)
 
   val subscribe : t -> Xkernel.Proto.t -> unit
   (** Add a sink; it immediately receives the current map (delayed and

@@ -4,6 +4,10 @@ module H = Wire_fmt.Sprite
 let max_frags = 16
 let flag_error = 0x10 (* reply carries an error status in [command] *)
 
+(* Sprite's 1 KB fragments and fixed set of 8 channels per client. *)
+let frag_size = 1024
+let n_channels = 8
+
 type reasm = {
   pieces : Msg.t option array;
   mutable have : int;
@@ -48,11 +52,6 @@ type t = {
   host : Host.t;
   lower : Proto.t;
   proto_num : int;
-  frag_size : int;
-  chans : int;
-  base_timeout : float;
-  per_frag_timeout : float;
-  retries : int;
   p : Proto.t;
   clients : (int * int, csess) Hashtbl.t; (* (server, chan) *)
   servers : (int * int, ssess) Hashtbl.t; (* (client, chan) *)
@@ -71,14 +70,14 @@ type client = {
 }
 
 let proto t = t.p
-let max_args t = max_frags * t.frag_size
+let max_args _ = max_frags * frag_size
 let full_mask n = (1 lsl n) - 1
 let stat t name = Stats.get t.stats name
 let calls_handled t = stat t "handled"
 
 let fragment t ~flags ~peer ~chan ~seq ~command ~as_client msg =
   let len = Msg.length msg in
-  let chunk = max t.frag_size ((len + max_frags - 1) / max_frags) in
+  let chunk = max frag_size ((len + max_frags - 1) / max_frags) in
   let num = max 1 ((len + chunk - 1) / chunk) in
   let clnt, srvr =
     if as_client then (t.host.Host.ip, peer) else (peer, t.host.Host.ip)
@@ -137,9 +136,15 @@ let frag_index (hdr : H.t) =
 
 (* --- client side ------------------------------------------------- *)
 
-let rpc_timeout t nfrags =
-  if nfrags <= 1 then t.base_timeout
-  else t.base_timeout +. (float_of_int nfrags *. t.per_frag_timeout)
+(* Sprite's fixed timeouts: 20 ms for a single-fragment call plus 3 ms
+   per fragment, 5 retries. *)
+let base_timeout = 0.02
+let per_frag_timeout = 0.003
+let retries = 5
+
+let rpc_timeout nfrags =
+  if nfrags <= 1 then base_timeout
+  else base_timeout +. (float_of_int nfrags *. per_frag_timeout)
 
 let cancel_timer t (o : outstanding) =
   match o.timer with
@@ -191,7 +196,7 @@ let rec arm_timer t cs (o : outstanding) timeout =
                          piece )
                  | None -> ());
                  let timeout =
-                   if o.patient then t.base_timeout *. 4. else rpc_timeout t 1
+                   if o.patient then base_timeout *. 4. else rpc_timeout 1
                  in
                  arm_timer t cs o timeout
                end
@@ -216,7 +221,7 @@ let start_call t cs ~command msg =
       frags;
       acked_mask = 0;
       timer = None;
-      tries_left = t.retries;
+      tries_left = retries;
       patient = false;
     }
   in
@@ -225,7 +230,7 @@ let start_call t cs ~command msg =
   Machine.charge t.host.Host.mach
     [ Machine.Semaphore_op; Machine.Process_switch ];
   Array.iter (send_frag t cs.c_lower) frags;
-  arm_timer t cs o (rpc_timeout t (Array.length frags));
+  arm_timer t cs o (rpc_timeout (Array.length frags));
   iv
 
 let handle_reply t cs (hdr : H.t) piece =
@@ -238,7 +243,7 @@ let handle_reply t cs (hdr : H.t) piece =
         | _ -> false
       in
       Hashtbl.replace t.server_boots peer_key hdr.H.boot_id;
-      if reboot && o.tries_left < t.retries then
+      if reboot && o.tries_left < retries then
         complete_call t cs (Error Rpc_error.Rebooted)
       else if hdr.H.flags land flag_error <> 0 then
         complete_call t cs (Error (Rpc_error.Remote hdr.H.command))
@@ -487,14 +492,14 @@ let connect t ~server ?remote () =
       ~default:[ Part.Ip server; Part.Ip_proto t.proto_num ]
   in
   let free = Queue.create () in
-  for chan = 0 to t.chans - 1 do
+  for chan = 0 to n_channels - 1 do
     Queue.add (client_session t ~server ~chan ~remote) free
   done;
   {
     cl_t = t;
     server;
     free;
-    free_sem = Sim.Semaphore.create (Host.sim t.host) t.chans;
+    free_sem = Sim.Semaphore.create (Host.sim t.host) n_channels;
   }
 
 let call cl ~command msg =
@@ -515,20 +520,13 @@ let serve t ?enable () =
   in
   Proto.open_enable t.lower ~upper:t.p (Part.v ~local ())
 
-let create ~host ~lower ?(proto_num = 91) ?(frag_size = 1024)
-    ?(n_channels = 8) ?(base_timeout = 0.02) ?(per_frag_timeout = 0.003)
-    ?(retries = 5) () =
+let create ~host ~lower ?(proto_num = 91) () =
   let p = Proto.create ~host ~name:"M.RPC" () in
   let t =
     {
       host;
       lower;
       proto_num;
-      frag_size;
-      chans = n_channels;
-      base_timeout;
-      per_frag_timeout;
-      retries;
       p;
       clients = Hashtbl.create 16;
       servers = Hashtbl.create 16;
@@ -550,8 +548,8 @@ let create ~host ~lower ?(proto_num = 91) ?(frag_size = 1024)
              fragment plus header at a time: it has its own
              fragmentation mechanism (section 3.1). *)
           | Control.Get_max_msg_size ->
-              Control.R_int (t.frag_size + H.bytes)
-          | Control.Get_channel_count -> Control.R_int t.chans
+              Control.R_int (frag_size + H.bytes)
+          | Control.Get_channel_count -> Control.R_int n_channels
           | Control.Flush_cache ->
               (* What an actual reboot does to the protocol state. *)
               Hashtbl.reset t.clients;

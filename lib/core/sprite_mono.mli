@@ -29,20 +29,16 @@ val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
   ?proto_num:int ->
-  ?frag_size:int ->
-  ?n_channels:int ->
-  ?base_timeout:float ->
-  ?per_frag_timeout:float ->
-  ?retries:int ->
   unit ->
   t
-(** Defaults: protocol number 91, 1 KB fragments, 8 channels, 20 ms
-    base timeout + 3 ms per expected fragment, 5 retries. *)
+(** [proto_num] defaults to 91.  The rest is Sprite's: 1 KB fragments,
+    8 channels, and a timeout of 20 ms, plus 3 ms per fragment for
+    multi-fragment calls, with 5 retries. *)
 
 val proto : t -> Xkernel.Proto.t
 
 val max_args : t -> int
-(** 16 KB with default fragment size — Sprite's argument limit. *)
+(** 16 KB — Sprite's argument limit. *)
 
 (** {1 Client} *)
 

@@ -33,14 +33,15 @@ and t = {
   lower : Proto.t;
   own_proto : int;
   window : int;
-  seg_size : int option; (* None: derive from the lower layer *)
   rto : float;
-  retries : int;
   p : Proto.t;
   conns : (int, conn) Hashtbl.t; (* peer ip *)
   mutable deliver : (peer:Addr.Ip.t -> Msg.t -> unit) option;
   stats : Stats.t;
 }
+
+(* Retransmissions of a segment before the stream breaks. *)
+let retries = 8
 
 let proto t = t.p
 let stat t name = Stats.get t.stats name
@@ -65,13 +66,11 @@ let decode raw =
   let len = Codec.R.u16 r in
   (typ, seq, ack, window, len)
 
-let segment_size t c =
-  match t.seg_size with
-  | Some n -> n
-  | None -> (
-      match Proto.session_control c.lower_sess Control.Get_opt_packet with
-      | Control.R_int n when n > header_bytes -> n - header_bytes
-      | _ -> 512)
+(* What fits one lower-layer packet. *)
+let segment_size c =
+  match Proto.session_control c.lower_sess Control.Get_opt_packet with
+  | Control.R_int n when n > header_bytes -> n - header_bytes
+  | _ -> 512
 
 let transmit t c ~typ ~seq payload =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
@@ -138,7 +137,7 @@ let handle_ack t c ack =
   if ack > c.snd_una then begin
     Stats.incr t.stats "ack-rx";
     c.snd_una <- ack;
-    c.tries_left <- t.retries;
+    c.tries_left <- retries;
     let rec release () =
       match Queue.peek_opt c.unacked with
       | Some seg when seg.seg_seq + Msg.length seg.data <= ack ->
@@ -216,7 +215,7 @@ let make_conn t ~peer =
       slots = Sim.Semaphore.create (Host.sim t.host) t.window;
       rto_timer = None;
       timer_gen = 0;
-      tries_left = t.retries;
+      tries_left = retries;
       broken = false;
       flush_waiters = [];
       rcv_next = 1;
@@ -234,7 +233,7 @@ let connect t ~peer =
 let send c msg =
   let t = c.c_t in
   if c.broken then raise Broken;
-  let seg_size = segment_size t c in
+  let seg_size = segment_size c in
   let len = Msg.length msg in
   let rec emit off =
     if off < len then begin
@@ -283,8 +282,7 @@ let input t ~lower msg =
           else if typ <> typ_ack then Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?segment_size
-    ?(rto = 0.03) ?(retries = 8) () =
+let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?(rto = 0.03) () =
   let p = Proto.create ~host ~name:"STREAM" () in
   let t =
     {
@@ -292,9 +290,7 @@ let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?segment_size
       lower;
       own_proto = proto_num;
       window;
-      seg_size = segment_size;
       rto;
-      retries;
       p;
       conns = Hashtbl.create 4;
       deliver = None;
@@ -312,10 +308,8 @@ let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?segment_size
           match req with
           (* One segment plus header at a time: a VIP below can keep
              local streams on the ethernet path. *)
-          | Control.Get_max_msg_size -> (
-              match t.seg_size with
-              | Some n -> Control.R_int (n + header_bytes)
-              | None -> Proto.control t.lower Control.Get_opt_packet)
+          | Control.Get_max_msg_size ->
+              Proto.control t.lower Control.Get_opt_packet
           | req -> Stats.control t.stats req);
     };
   Proto.open_enable lower ~upper:p

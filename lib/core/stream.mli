@@ -28,16 +28,13 @@ val create :
   lower:Xkernel.Proto.t ->
   ?proto_num:int ->
   ?window:int ->
-  ?segment_size:int ->
   ?rto:float ->
-  ?retries:int ->
   unit ->
   t
 (** [proto_num] (default 99) names STREAM toward the layer below;
-    [window] (default 8) is the send window in segments;
-    [segment_size] defaults to what fits one lower-layer packet;
-    [rto] (default 30 ms) is the retransmission timeout, with
-    [retries] (default 8) attempts before the stream breaks. *)
+    [window] (default 8) is the send window in segments, each what fits
+    one lower-layer packet; [rto] (default 30 ms) is the retransmission
+    timeout, with 8 retransmissions before the stream breaks. *)
 
 val proto : t -> Xkernel.Proto.t
 

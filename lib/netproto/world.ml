@@ -158,8 +158,7 @@ type switched = { sw : fanout; sw_ip : Ip.t; sw_ports : port array }
    IP-level work — routing, and any in-network computation installed via
    [Ip.set_forward_hook] — charges port 0's engine, the fabric CPU. *)
 let create_switched ?max_events ?(clients = 4) ?(servers = 1)
-    ?(profile = Machine.xkernel_sun3)
-    ?(switch_profile = Machine.switch_fabric) ?(seed = 42) () =
+    ?(profile = Machine.xkernel_sun3) ?(seed = 42) () =
   if clients < 1 then invalid_arg "World.create_switched: clients < 1";
   if servers < 1 then invalid_arg "World.create_switched: servers < 1";
   let n = servers + clients in
@@ -187,7 +186,7 @@ let create_switched ?max_events ?(clients = 4) ?(servers = 1)
             ~name:(Printf.sprintf "switch.p%d" i)
             ~ip:(gw i)
             ~eth:(Addr.Eth.v (eth_base + 0xff0000 + i))
-            ~profile:switch_profile ()
+            ~profile:Machine.switch_fabric ()
         in
         let pt_dev = Netdev.create ~host:pt_host ~wire:wires.(i) in
         let pt_eth = Eth.create ~host:pt_host ~dev:pt_dev in

@@ -121,7 +121,6 @@ val create_switched :
   ?clients:int ->
   ?servers:int ->
   ?profile:Xkernel.Machine.profile ->
-  ?switch_profile:Xkernel.Machine.profile ->
   ?seed:int ->
   unit ->
   switched
@@ -130,9 +129,8 @@ val create_switched :
     [10.0.<i>.x], gateway [10.0.<i>.254]) behind one switch.  Servers
     occupy node/port indices [0..servers-1], as in {!create_fanout}.
     End hosts run [profile] (default Sun 3/75); the switch's ports run
-    [switch_profile] (default {!Xkernel.Machine.switch_fabric}, which
-    forwards minimum frames several times faster than a wire can carry
-    them).  Wires are labelled, so each registers its own
+    {!Xkernel.Machine.switch_fabric}, which forwards minimum frames
+    several times faster than a wire can carry them.  Wires are labelled, so each registers its own
     [wire/<label>] stats table.
 
     Note that cross-wire {!Xkernel.Chaos.apply} [Partition] specs are

@@ -5,10 +5,12 @@
    half (sub in [half, sub_count)), so consecutive buckets tile the
    value range without overlap. *)
 
+(* 2^8 sub-buckets per bucket: under 0.8% relative error. *)
+let sub_bits = 8
+let sub_count = 1 lsl sub_bits
+let half = sub_count / 2
+
 type t = {
-  sub_bits : int;
-  sub_count : int;
-  half : int;
   h_max : int;  (* highest trackable value *)
   counts : int array;
   mutable total : int;
@@ -18,18 +20,11 @@ type t = {
   mutable sum : float;
 }
 
-let create ?(sub_bucket_bits = 8) ?(max_value = 1_000_000_000) () =
-  if sub_bucket_bits < 2 || sub_bucket_bits > 16 then
-    invalid_arg "Histogram.create: sub_bucket_bits must be in [2, 16]";
+let create ?(max_value = 1_000_000_000) () =
   if max_value < 1 then invalid_arg "Histogram.create: max_value < 1";
-  let sub_count = 1 lsl sub_bucket_bits in
   let n_buckets = ref 1 in
   while (sub_count lsl (!n_buckets - 1)) - 1 < max_value do incr n_buckets done;
-  let half = sub_count / 2 in
   {
-    sub_bits = sub_bucket_bits;
-    sub_count;
-    half;
     h_max = (sub_count lsl (!n_buckets - 1)) - 1;
     counts = Array.make ((!n_buckets + 1) * half) 0;
     total = 0;
@@ -50,18 +45,18 @@ let msb v =
   if !v >= 2 then incr n;
   !n
 
-let index_of t v =
-  if v < t.sub_count then v
+let index_of v =
+  if v < sub_count then v
   else
-    let bucket = msb v - (t.sub_bits - 1) in
-    (bucket * t.half) + (v lsr bucket)
+    let bucket = msb v - (sub_bits - 1) in
+    (bucket * half) + (v lsr bucket)
 
 (* Highest value that lands in counts slot [idx]. *)
-let highest_at t idx =
-  if idx < t.sub_count then idx
+let highest_at idx =
+  if idx < sub_count then idx
   else
-    let bucket = (idx / t.half) - 1 in
-    let sub = idx - (bucket * t.half) in
+    let bucket = (idx / half) - 1 in
+    let sub = idx - (bucket * half) in
     ((sub + 1) lsl bucket) - 1
 
 let record t v =
@@ -73,7 +68,7 @@ let record t v =
     end
     else v
   in
-  t.counts.(index_of t v) <- t.counts.(index_of t v) + 1;
+  t.counts.(index_of v) <- t.counts.(index_of v) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum +. float_of_int v;
   if v < t.v_min then t.v_min <- v;
@@ -97,11 +92,11 @@ let percentile t p =
       seen := !seen + t.counts.(!idx);
       incr idx
     done;
-    highest_at t (!idx - 1)
+    highest_at (!idx - 1)
   end
 
 let merge_into ~src ~dst =
-  if src.sub_bits <> dst.sub_bits || src.h_max <> dst.h_max then
+  if src.h_max <> dst.h_max then
     invalid_arg "Histogram.merge_into: incompatible configurations";
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) src.counts;
   dst.total <- dst.total + src.total;

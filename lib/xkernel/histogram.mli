@@ -3,9 +3,8 @@
 
     Values are non-negative integers in a caller-chosen unit (the load
     subsystem records microseconds).  The value range is covered by
-    power-of-two buckets each split into [2^sub_bucket_bits] linear
-    sub-buckets, so the relative recording error is bounded by
-    [2^-(sub_bucket_bits-1)] (< 0.8% at the default 8 bits) while the
+    power-of-two buckets each split into 2^8 linear sub-buckets, so the
+    relative recording error is bounded by 2^-7 (< 0.8%) while the
     whole structure is one flat [int array] — the classic
     HdrHistogram layout, sized here for a simulator rather than a
     wall clock.
@@ -15,12 +14,10 @@
 
 type t
 
-val create : ?sub_bucket_bits:int -> ?max_value:int -> unit -> t
+val create : ?max_value:int -> unit -> t
 (** [create ()] tracks values in [0, max_value] (default [10^9], i.e.
-    1000 s when recording microseconds) with [sub_bucket_bits]
-    (default 8, allowed 2-16) bits of sub-bucket resolution.  Values
-    above [max_value] are clamped into the top bucket and counted in
-    {!clamped}. *)
+    1000 s when recording microseconds).  Values above [max_value] are
+    clamped into the top bucket and counted in {!clamped}. *)
 
 val record : t -> int -> unit
 (** O(1).  Raises [Invalid_argument] on negative values. *)
@@ -44,8 +41,7 @@ val percentile : t -> float -> int
 
 val merge_into : src:t -> dst:t -> unit
 (** Add [src]'s counts into [dst].  Both histograms must share the
-    same [sub_bucket_bits] and [max_value] (raises [Invalid_argument]
-    otherwise).  [src] is unchanged. *)
+    same [max_value] (raises [Invalid_argument] otherwise).  [src] is unchanged. *)
 
 val to_json : t -> Json.t
 (** [{"count", "clamped", "min", "max", "mean", "p50", "p90", "p99",

@@ -28,10 +28,12 @@ type lbl = {
   l_bytes : Stats.counter;
 }
 
+(* A 10 Mb/s ethernet with 5 microseconds of propagation delay. *)
+let bandwidth = 10e6
+let propagation = 5e-6
+
 type t = {
   w_sim : Sim.t;
-  bandwidth : float;
-  propagation : float;
   medium : Sim.Semaphore.sem;
   rng : Random.State.t;
   w_label : string option;
@@ -58,8 +60,7 @@ type t = {
   mutable n_bytes : int;
 }
 
-let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
-    ?label () =
+let create w_sim ?(seed = 42) ?label () =
   let lbl =
     match label with
     | None -> None
@@ -79,8 +80,6 @@ let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
   in
   {
     w_sim;
-    bandwidth = bandwidth_bps;
-    propagation;
     medium = Sim.Semaphore.create w_sim 1;
     rng = Random.State.make [| seed |];
     w_label = label;
@@ -107,7 +106,7 @@ let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
   }
 
 let sim w = w.w_sim
-let bandwidth_bps w = w.bandwidth
+let bandwidth_bps _ = bandwidth
 let label w = w.w_label
 
 let mirror w f =
@@ -200,7 +199,7 @@ let transmit w ~from msg =
   | None -> ()
   | Some l -> Stats.bump l.l_bytes wire_bytes);
   Sim.Semaphore.p w.medium;
-  Sim.delay w.w_sim (float_of_int (wire_bytes * 8) /. w.bandwidth);
+  Sim.delay w.w_sim (float_of_int (wire_bytes * 8) /. bandwidth);
   Sim.Semaphore.v w.medium;
   let faults =
     match w.fault_hook with
@@ -249,7 +248,7 @@ let transmit w ~from msg =
           w.n_delivered <- w.n_delivered + 1;
           mirror w (fun l -> l.l_delivered);
           ignore
-            (Sim.after w.w_sim (w.propagation +. !extra_delay) (fun () ->
+            (Sim.after w.w_sim (propagation +. !extra_delay) (fun () ->
                  tap.recv m))
         done
     in

@@ -16,13 +16,12 @@ type attachment
 
 val create :
   Sim.t ->
-  ?bandwidth_bps:float ->
-  ?propagation:float ->
   ?seed:int ->
   ?label:string ->
   unit ->
   t
-(** Defaults: 10 Mb/s, 5 microseconds propagation, seed 42.
+(** A 10 Mb/s medium with 5 microseconds of propagation delay.  The
+    fault seed defaults to 42.
 
     With [~label], the wire also registers a [Stats] table named
     ["wire/<label>"] mirroring the {!stats} counters ([frames],
@@ -37,7 +36,7 @@ val sim : t -> Sim.t
 val label : t -> string option
 
 val bandwidth_bps : t -> float
-(** Configured serialization rate.  Together with {!stats}'s [bytes]
+(** Serialization rate, 10 Mb/s.  Together with {!stats}'s [bytes]
     this turns on-wire byte times into a utilization figure. *)
 
 val attach : t -> recv:(Msg.t -> unit) -> attachment
