@@ -2,7 +2,8 @@
 
    Subcommands:
      exp    run one experiment (or all) by id: intro, t1, t2, t3,
-            removal, figures, ablation, cpu, all
+            removal, figures, ablation, cpu, loss, capacity, failover,
+            rebalance, overload, inc, shardscale, all
      graph  print the protocol graph of a named configuration
      rpc    run an ad-hoc RPC workload (configurable size/count/loss)
      trace  run one RPC with packet tracing enabled *)
@@ -11,8 +12,9 @@ open Xkernel
 module World = Netproto.World
 module E = Rpc.Experiments
 
-(* The capacity sweep is parameterized from the command line; every
-   other experiment is a closed (unit -> Json.t). *)
+(* The open-loop experiments (capacity, failover, rebalance, overload,
+   inc, shardscale) are parameterized from the command line; the paper
+   experiments are closed (unit -> Json.t). *)
 type cap_opts = {
   cap_stacks : string list option;
   cap_rates : float list option;
@@ -262,7 +264,7 @@ let json_opt =
     & info [ "json" ] ~docv:"FILE"
         ~doc:"Write results and the full stats dump to $(docv) as JSON")
 
-(* Comma-separated list options for the capacity sweep. *)
+(* Comma-separated list options for the open-loop experiments. *)
 let split_list conv what s =
   try Some (List.map conv (String.split_on_char ',' (String.trim s)))
   with _ ->
@@ -277,35 +279,38 @@ let cap_opts_term =
       & info [ "stacks" ] ~docv:"S1,S2"
           ~doc:
             "Capacity sweep: stacks to drive (mrpc-eth, mrpc-ip, mrpc-vip, \
-             lrpc)")
+             lrpc, lrpc-arto)")
   in
   let rates =
     Arg.(
       value
       & opt (some string) None
       & info [ "rates" ] ~docv:"R1,R2"
-          ~doc:"Capacity sweep: open-loop offered loads in calls/second")
+          ~doc:
+            "Open-loop experiments: offered loads in calls/second; \
+             failover, rebalance, inc and shardscale take the first")
   in
   let arrivals =
     Arg.(
       value
       & opt (some int) None
       & info [ "arrivals" ] ~docv:"N"
-          ~doc:"Capacity sweep: arrivals per open-loop step")
+          ~doc:"Open-loop experiments: arrivals per step")
   in
   let clients =
     Arg.(
       value
       & opt (some int) None
       & info [ "load-clients" ] ~docv:"M"
-          ~doc:"Capacity sweep: client hosts fanning into the server")
+          ~doc:"Open-loop experiments: client hosts calling the servers")
   in
   let window =
     Arg.(
       value
       & opt (some int) None
       & info [ "window" ] ~docv:"W"
-          ~doc:"Capacity sweep: open-loop pending-call window (beyond: shed)")
+          ~doc:
+            "Open-loop experiments: pending-call window (beyond: shed)")
   in
   let conc =
     Arg.(
@@ -319,7 +324,9 @@ let cap_opts_term =
       value
       & opt (some int) None
       & info [ "servers" ] ~docv:"K"
-          ~doc:"Failover experiment: server replicas behind the REPLICA map")
+          ~doc:
+            "Failover, rebalance and overload experiments: server replicas \
+             behind the REPLICA map")
   in
   let controls =
     Arg.(
@@ -344,14 +351,14 @@ let cap_opts_term =
       value
       & opt (some int) None
       & info [ "exp-seed" ] ~docv:"SEED"
-          ~doc:"Failover/rebalance experiments: world seed")
+          ~doc:"Failover, rebalance, inc and shardscale experiments: world seed")
   in
   let shards =
     Arg.(
       value
       & opt (some int) None
       & info [ "shards" ] ~docv:"S"
-          ~doc:"Rebalance experiment: virtual shards in the map")
+          ~doc:"Rebalance and shardscale experiments: virtual shards in the map")
   in
   let modes =
     Arg.(

@@ -345,10 +345,24 @@ let shardscale () =
   holds "the rebalancer recovers goodput"
     (num rb "goodput_rps" >= num zipf "goodput_rps")
 
+(* An unknown stack name fails before any world is built, as in the
+   other parameterised experiments: nothing registers a stats table. *)
+let capacity_unknown_stack () =
+  Stats.reset_registry ();
+  (match E.capacity ~stacks:[ "lrpc"; "bogus" ] () with
+  | _ -> Alcotest.fail "unknown stack accepted"
+  | exception Invalid_argument _ -> ());
+  Tutil.check_int "no world was built" 0 (List.length (Stats.dump ()))
+
 let () =
   Alcotest.run "experiments"
     [
       ("export", [ Alcotest.test_case "JSON round trip" `Quick json_export ]);
+      ( "arguments",
+        [
+          Alcotest.test_case "capacity rejects unknown stacks" `Quick
+            capacity_unknown_stack;
+        ] );
       ( "verdicts",
         [
           Alcotest.test_case "loss" `Quick loss;

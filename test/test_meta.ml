@@ -22,6 +22,24 @@ let measured_stacks_adhere () =
   Alcotest.(check (list string)) "M.RPC clean" []
     (List.map (fun i -> i.Meta.rule) (Meta.check [ Rpc.Sprite_mono.proto m ]))
 
+(* The Stacks builders as `xkrpc check` runs them: each two-node
+   configuration's client graph passes the rule check. *)
+let stacks_builders_adhere () =
+  let module S = Rpc.Stacks in
+  List.iter
+    (fun mk ->
+      let e = mk (World.create ()) in
+      Alcotest.(check (list string)) e.S.config_name []
+        (List.map (fun i -> i.Meta.rule) (Meta.check e.S.tops)))
+    [
+      (fun w -> S.mrpc w ~lower:S.L_eth);
+      (fun w -> S.mrpc w ~lower:S.L_ip);
+      (fun w -> S.mrpc w ~lower:S.L_vip);
+      (fun w -> S.lrpc w);
+      S.lrpc_vip_size;
+      S.channel_fragment_vip;
+    ]
+
 let fig3b_adheres () =
   let w = World.create () in
   let n = World.node w 0 in
@@ -106,6 +124,8 @@ let () =
       ( "rules",
         [
           Alcotest.test_case "measured stacks adhere" `Quick measured_stacks_adhere;
+          Alcotest.test_case "Stacks builders adhere" `Quick
+            stacks_builders_adhere;
           Alcotest.test_case "figure 3(b) adheres" `Quick fig3b_adheres;
           Alcotest.test_case "oversized upper flagged" `Quick oversized_upper_flagged;
           Alcotest.test_case "well-sized upper clean" `Quick well_sized_upper_clean;
