@@ -4,7 +4,8 @@
    measurements from the simulator (the numbers to compare against the
    paper); the final section uses Bechamel for wall-clock
    microbenchmarks of the infrastructure itself (one procedure call per
-   layer crossing, message push/pop, header codecs). *)
+   layer crossing, message push/pop, header codecs, blocking on a
+   semaphore or a busy CPU). *)
 
 open Xkernel
 module E = Rpc.Experiments
@@ -100,9 +101,48 @@ let microbench () =
             fun () -> ignore (Codec.ip_checksum hdr)));
     ]
   in
+  (* Blocking primitives.  One run of "semaphore hand-off" wakes a fiber
+     parked on a semaphore, lets it continue and park again.  Eight
+     fibers loop on [charge_one] against one CPU, and one run of "CPU
+     charge" advances the clock by one charge's cost, so exactly one
+     charge completes: the holder wakes, releases the CPU to the next
+     queued fiber, and re-queues itself. *)
+  let sync_ops =
+    let handoff =
+      let sim = Sim.create () in
+      let sem = Sim.Semaphore.create sim 0 in
+      let rec waiter () =
+        Sim.Semaphore.p sem;
+        waiter ()
+      in
+      Sim.spawn sim waiter;
+      Sim.run sim;
+      fun () ->
+        Sim.Semaphore.v sem;
+        Sim.run sim
+    in
+    let contended_charge =
+      let sim = Sim.create () in
+      let m = Machine.create sim Machine.xkernel_sun3 in
+      let cost = Machine.op_cost Machine.xkernel_sun3 Machine.Layer_crossing in
+      for _ = 1 to 8 do
+        let rec charger () =
+          Machine.charge_one m Machine.Layer_crossing;
+          charger ()
+        in
+        Sim.spawn sim charger
+      done;
+      fun () -> Sim.run ~until:(Sim.now sim +. cost) sim
+    in
+    [
+      Test.make ~name:"semaphore hand-off" (Staged.stage handoff);
+      Test.make ~name:"CPU charge, 8 contending fibers"
+        (Staged.stage contended_charge);
+    ]
+  in
   let tests =
     Test.make_grouped ~name:"xkernel"
-      ([ crossing 1; crossing 5; crossing 10 ] @ msg_ops)
+      ([ crossing 1; crossing 5; crossing 10 ] @ msg_ops @ sync_ops)
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

@@ -133,8 +133,8 @@ let input t ~lower msg =
           cksum = 0
           ||
           begin
-            Machine.charge t.host.Host.mach
-              [ Machine.Checksum (Msg.length payload) ];
+            Machine.charge_one t.host.Host.mach
+              (Machine.Checksum (Msg.length payload));
             pseudo_checksum ~src ~dst:t.host.Host.ip payload = cksum
           end
         in

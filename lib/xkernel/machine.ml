@@ -157,7 +157,8 @@ type op =
   | Os_per_message
   | Busy of float
 
-let op_cost p = function
+let[@inline] op_cost p op =
+  match op with
   | Layer_crossing -> p.layer_crossing
   | Virtual_op -> p.virtual_op
   | Header n ->
@@ -180,8 +181,13 @@ let op_cost p = function
   | Os_per_message -> p.os_per_message
   | Busy s -> s
 
-(* All-float, so charging updates the totals in place without boxing. *)
-type account = { mutable busy : float; mutable wait : float }
+(* All-float, so charging updates the totals in place without boxing.
+   [sum] is scratch space for adding up an op list. *)
+type account = {
+  mutable busy : float;
+  mutable wait : float;
+  mutable sum : float;
+}
 
 type t = {
   m_sim : Sim.t;
@@ -195,7 +201,7 @@ let create m_sim prof =
     m_sim;
     cpu = Sim.Semaphore.create m_sim 1;
     prof;
-    acct = { busy = 0.; wait = 0. };
+    acct = { busy = 0.; wait = 0.; sum = 0. };
   }
 
 let sim m = m.m_sim
@@ -215,12 +221,21 @@ let charge_cost m total =
     Sim.Semaphore.v m.cpu
   end
 
+(* Left to right, as a fold would, but into [a.sum]: with [op_cost]
+   inlined the running total never leaves a float register. *)
+let rec add_costs a p = function
+  | [] -> ()
+  | op :: ops ->
+      a.sum <- a.sum +. op_cost p op;
+      add_costs a p ops
+
 let charge m ops =
-  charge_cost m
-    (List.fold_left (fun acc op -> acc +. op_cost m.prof op) 0. ops)
+  m.acct.sum <- 0.;
+  add_costs m.acct m.prof ops;
+  charge_cost m m.acct.sum
 
 (* Single-op form for per-event hot paths (layer crossings, timer
-   bookkeeping): no list or fold closure per call. *)
+   bookkeeping): no op list per call. *)
 let charge_one m op = charge_cost m (op_cost m.prof op)
 
 let cpu_seconds m = m.acct.busy

@@ -73,6 +73,18 @@ let to_string m =
       fold_leaves add () m;
       Buffer.contents buf
 
+let rec byte_at m i =
+  match m with
+  | Empty -> assert false
+  | Leaf l -> l.data.[l.off + i]
+  | Cat c ->
+      let ll = length c.left in
+      if i < ll then byte_at c.left i else byte_at c.right (i - ll)
+
+let get m i =
+  if i < 0 || i >= length m then invalid_arg "Msg.get";
+  byte_at m i
+
 let rec take m n =
   if n <= 0 then Empty
   else
@@ -137,9 +149,8 @@ let equal a b = length a = length b && String.equal (to_string a) (to_string b)
 let map_byte i f m =
   if i < 0 || i >= length m then invalid_arg "Msg.map_byte";
   let before, rest = split m i in
-  let byte, after = split rest 1 in
-  let c = f (to_string byte).[0] in
-  append before (append (of_string (String.make 1 c)) after)
+  let after = drop rest 1 in
+  append before (append (of_string (String.make 1 (f (get m i)))) after)
 
 let pp fmt m =
   let s = to_string m in

@@ -50,6 +50,10 @@ val split : t -> int -> t * t
     layers; both halves share structure with [m].  Raises
     [Invalid_argument] if [n] is negative or greater than [length m]. *)
 
+val get : t -> int -> char
+(** [get m i] is byte [i] of [m], read in place without allocating.
+    Raises [Invalid_argument] if out of range. *)
+
 val sub : t -> int -> int -> t
 (** [sub m off len] is the [len]-byte slice of [m] starting at [off]. *)
 

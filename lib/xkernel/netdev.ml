@@ -10,13 +10,19 @@ type t = {
 
 let eth_header_bytes = 14
 
-let peek_dst msg =
-  if Msg.length msg < 6 then None
-  else
-    let s = Msg.to_string (Msg.sub msg 0 6) in
+(* The 48-bit destination address, read in place; -1 for a runt. *)
+let dst_bits msg =
+  if Msg.length msg < 6 then -1
+  else begin
     let v = ref 0 in
-    String.iter (fun c -> v := (!v lsl 8) lor Char.code c) s;
-    Some (Addr.Eth.v !v)
+    for i = 0 to 5 do
+      v := (!v lsl 8) lor Char.code (Msg.get msg i)
+    done;
+    !v
+  end
+
+let peek_dst msg =
+  match dst_bits msg with -1 -> None | d -> Some (Addr.Eth.v d)
 
 let host dev = dev.nd_host
 let attachment dev = Option.get dev.tap
@@ -26,10 +32,11 @@ let receive dev frame =
   let mine =
     dev.promiscuous
     ||
-    match peek_dst frame with
-    | Some dst ->
+    match dst_bits frame with
+    | -1 -> false
+    | d ->
+        let dst = Addr.Eth.v d in
         Addr.Eth.equal dst dev.nd_host.Host.eth || Addr.Eth.is_broadcast dst
-    | None -> false
   in
   if mine then begin
     Trace.packet
@@ -73,8 +80,8 @@ let transmit dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Send frame;
-  Machine.charge dev.nd_host.Host.mach
-    [ Machine.Device_send (Msg.length frame) ];
+  Machine.charge_one dev.nd_host.Host.mach
+    (Machine.Device_send (Msg.length frame));
   Queue.add frame dev.txq;
   Sim.Semaphore.v dev.txq_items
 

@@ -29,26 +29,46 @@ exception Stalled of string
    the clock cannot pass a queued immediate).  Dropping the float field
    keeps the record box-free.
 
-   A timed wait is one event record used twice.  It is queued as a
-   [Wake] in the (time, seq) slot taken when the fiber suspended.  When
-   that fires, the same record takes a fresh [seq], becomes a [Resume]
-   and joins the back of the current instant's FIFO; when that fires,
-   the fiber continues.  Fixing the continuation's position when the
-   wake fires, not when the fiber suspended, keeps everything due at
-   one instant in FIFO order, which is what makes runs deterministic.
-   Both halves count in [processed]. *)
+   A timed wait is one event record used twice.  It is queued [Asleep]
+   in the (time, seq) slot taken when the fiber suspended.  When that
+   fires, the same record takes a fresh [seq], turns [Live] and joins
+   the back of the current instant's FIFO; when that fires, the fiber
+   continues.  Fixing the continuation's position when the wake fires,
+   not when the fiber suspended, keeps everything due at one instant in
+   FIFO order, which is what makes runs deterministic.  Both halves
+   count in [processed].
+
+   A fiber blocked on a semaphore or an ivar is a [Resume] event parked
+   in that primitive's wait ring, outside both queues.  Waking it is the
+   same move as a timed wait's first half: a fresh [seq] and an append
+   to [imm]. *)
 type event = {
   mutable seq : int;
-  mutable cancelled : bool;
-  mutable fired : bool; (* left the queues (ran, skipped, or purged) *)
-  mutable action : action;
+  mutable phase : phase;
+  action : action;
   owner : t;
 }
 
+and phase =
+  | Live (* queued; runs [action] when it fires *)
+  | Asleep (* a timed wait's first half: when it fires, it requeues *)
+  | Cancelled (* still queued, discarded when it surfaces *)
+  | Fired (* left the queues: ran or was purged *)
+
 and action =
-  | Fiber of (unit -> unit) (* start the thunk as a fresh fiber *)
-  | Wake of (unit, unit) Effect.Deep.continuation
+  | Fiber of (unit -> unit)
+      (* start the thunk as a fresh fiber; in a wait ring, a callback
+         called in place when the ring wakes it *)
   | Resume of (unit, unit) Effect.Deep.continuation
+
+(* A FIFO of events in a power-of-two array; head and tail grow without
+   bound and are masked on access.  The current instant's queue and
+   every semaphore's and ivar's waiters are rings. *)
+and ring = {
+  mutable slots : event array;
+  mutable head : int;
+  mutable tail : int;
+}
 
 (* All-float, so the store is unboxed: the fire time of the event about
    to be queued. *)
@@ -59,11 +79,7 @@ and t = {
   mutable heap : event array;
   mutable times : float array; (* times.(i) = heap.(i)'s fire time, unboxed *)
   mutable heap_size : int;
-  (* [imm] is a power-of-two ring buffer; head and tail grow without
-     bound and are masked on access. *)
-  mutable imm : event array;
-  mutable imm_head : int;
-  mutable imm_tail : int;
+  imm : ring;
   mutable live : int; (* queued events not yet cancelled *)
   mutable next_seq : int;
   mutable processed : int;
@@ -71,6 +87,7 @@ and t = {
   sim_rng : Random.State.t;
   dummy : event; (* fills empty queue slots, so popped events get freed *)
   due : due;
+  mutable park_in : ring; (* where the next [Park]ed fiber waits *)
   mutable handler : unit Effect.Deep.effect_handler;
 }
 
@@ -154,8 +171,7 @@ let purge t =
   let kept = ref 0 in
   for i = 0 to t.heap_size - 1 do
     let ev = h.(i) in
-    if ev.cancelled then ev.fired <- true
-    else begin
+    if ev.phase <> Cancelled then begin
       h.(!kept) <- ev;
       t.times.(!kept) <- t.times.(i);
       incr kept
@@ -170,29 +186,43 @@ let purge t =
     sift_down t !kept i
   done
 
+(* --- ring primitives --- *)
+
+let ring () = { slots = [||]; head = 0; tail = 0 }
+let ring_length r = r.tail - r.head
+
+let ring_push t r ev =
+  let cap = Array.length r.slots in
+  let len = r.tail - r.head in
+  if len = cap then begin
+    let grown = Array.make (max 1 (2 * cap)) t.dummy in
+    for i = 0 to len - 1 do
+      grown.(i) <- r.slots.((r.head + i) land (cap - 1))
+    done;
+    r.slots <- grown;
+    r.head <- 0;
+    r.tail <- len
+  end;
+  r.slots.(r.tail land (Array.length r.slots - 1)) <- ev;
+  r.tail <- r.tail + 1
+
+let ring_peek r = r.slots.(r.head land (Array.length r.slots - 1))
+
+let ring_pop t r =
+  let i = r.head land (Array.length r.slots - 1) in
+  let ev = r.slots.(i) in
+  r.slots.(i) <- t.dummy;
+  r.head <- r.head + 1;
+  ev
+
 (* Compacting is O(n), so only bother once the corpses both dominate
    the heap and number enough to matter.  Corpses in [imm] are at the
    current instant and drain on their own within a few pops. *)
 let purge_floor = 64
 
 let maybe_purge t =
-  let dead = t.heap_size + (t.imm_tail - t.imm_head) - t.live in
+  let dead = t.heap_size + ring_length t.imm - t.live in
   if dead > purge_floor && 2 * dead > t.heap_size then purge t
-
-let imm_add t ev =
-  let cap = Array.length t.imm in
-  let len = t.imm_tail - t.imm_head in
-  if len = cap then begin
-    let grown = Array.make (max 16 (2 * cap)) t.dummy in
-    for i = 0 to len - 1 do
-      grown.(i) <- t.imm.((t.imm_head + i) land (cap - 1))
-    done;
-    t.imm <- grown;
-    t.imm_head <- 0;
-    t.imm_tail <- len
-  end;
-  t.imm.(t.imm_tail land (Array.length t.imm - 1)) <- ev;
-  t.imm_tail <- t.imm_tail + 1
 
 let take_seq t =
   let seq = t.next_seq in
@@ -202,48 +232,69 @@ let take_seq t =
 (* Queue a new event due at [t.due.at].  Scheduling in the past never
    happens (all entry points add a non-negative delay to [now]), so
    [at = now] is the instant case. *)
-let schedule t action =
-  let ev =
-    { seq = take_seq t; cancelled = false; fired = false; action; owner = t }
-  in
-  if t.due.at = t.now then imm_add t ev else heap_push t ev;
+let schedule t phase action =
+  let ev = { seq = take_seq t; phase; action; owner = t } in
+  if t.due.at = t.now then ring_push t t.imm ev else heap_push t ev;
   t.live <- t.live + 1;
   ev
 
 let cancel ev =
-  if ev.cancelled || ev.fired then false
-  else begin
-    ev.cancelled <- true;
-    let t = ev.owner in
-    t.live <- t.live - 1;
-    maybe_purge t;
-    true
-  end
+  match ev.phase with
+  | Live ->
+      ev.phase <- Cancelled;
+      let t = ev.owner in
+      t.live <- t.live - 1;
+      maybe_purge t;
+      true
+  | Asleep | Cancelled | Fired -> false
 
-(* A fiber suspends by handing its resumption to [register]; whoever
-   holds the resumption calls it exactly once to queue the fiber's
-   continuation at the back of the current instant.
+(* Queue [ev], taken off a wait ring or a timed wait's first half, at
+   the back of the current instant. *)
+let requeue ev =
+  let t = ev.owner in
+  ev.seq <- take_seq t;
+  ev.phase <- Live;
+  ring_push t t.imm ev;
+  t.live <- t.live + 1
 
-   [Delay] is the pre-fused form of the dominant suspension — a timed
-   wait, due at [t.due.at].  It carries no payload, and its handler
-   branch is preallocated, so performing it allocates only the
-   continuation and the event. *)
+(* Wake the waiter at the head of [r]: a parked fiber continues from the
+   back of the current instant, a callback runs in place. *)
+let wake t r =
+  let ev = ring_pop t r in
+  match ev.action with Resume _ -> requeue ev | Fiber f -> f ()
+
+(* Three ways to suspend, all with a handler branch built once per
+   simulator:
+
+   - [Delay], a timed wait due at [t.due.at], and [Park], which waits in
+     the ring [t.park_in], carry no payload, so performing either
+     allocates only the continuation, its [Resume] box and the event.
+   - [Suspend] hands the fiber's resumption to [register]; whoever holds
+     it calls it once to queue the continuation at the back of the
+     current instant.  Only [Ivar.read_timeout] needs that generality. *)
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 type _ Effect.t += Delay : unit Effect.t
+type _ Effect.t += Park : unit Effect.t
 
 let resume_now t k =
   t.due.at <- t.now;
-  ignore (schedule t (Resume k))
+  ignore (schedule t Live (Resume k))
 
-(* Built once per simulator and shared by every fiber it starts. *)
 let make_handler t =
-  let on_delay = Some (fun k -> ignore (schedule t (Wake k))) in
+  let on_delay = Some (fun k -> ignore (schedule t Asleep (Resume k))) in
+  let on_park =
+    Some
+      (fun k ->
+        ring_push t t.park_in
+          { seq = -1; phase = Live; action = Resume k; owner = t })
+  in
   {
     Effect.Deep.effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
         | Delay -> on_delay
+        | Park -> on_park
         | Suspend register ->
             Some (fun k -> register (fun () -> resume_now t k))
         | _ -> None);
@@ -251,23 +302,14 @@ let make_handler t =
 
 let create ?(max_events = 10_000_000) ?(seed = 42) () =
   let due = { at = 0. } in
-  let rec dummy =
-    {
-      seq = -1;
-      cancelled = true;
-      fired = true;
-      action = Fiber ignore;
-      owner = t;
-    }
+  let rec dummy = { seq = -1; phase = Fired; action = Fiber ignore; owner = t }
   and t =
     {
       now = 0.;
       heap = [||];
       times = [||];
       heap_size = 0;
-      imm = [||];
-      imm_head = 0;
-      imm_tail = 0;
+      imm = ring ();
       live = 0;
       next_seq = 0;
       processed = 0;
@@ -275,6 +317,7 @@ let create ?(max_events = 10_000_000) ?(seed = 42) () =
       sim_rng = Random.State.make [| seed |];
       dummy;
       due;
+      park_in = ring ();
       handler = { Effect.Deep.effc = (fun _ -> None) };
     }
   in
@@ -287,6 +330,12 @@ let suspend register =
 
 let perform_delay () =
   try Effect.perform Delay with Effect.Unhandled Delay -> raise Not_in_fiber
+
+(* Block the calling fiber in [r] until a [wake] reaches it.  [r] must
+   belong to a primitive of [t], the simulator running the fiber. *)
+let park t r =
+  t.park_in <- r;
+  try Effect.perform Park with Effect.Unhandled Park -> raise Not_in_fiber
 
 let delay t d =
   if d < 0. then invalid_arg "Sim.delay: negative delay";
@@ -303,7 +352,7 @@ let yield t =
 let after t d f =
   if d < 0. then invalid_arg "Sim.after: negative delay";
   t.due.at <- t.now +. d;
-  schedule t (Fiber f)
+  schedule t Live (Fiber f)
 
 let spawn t ?name f =
   let run () =
@@ -318,40 +367,32 @@ let spawn t ?name f =
 
 let run ?until t =
   let execute ev =
-    ev.fired <- true;
     t.live <- t.live - 1;
     t.processed <- t.processed + 1;
     if t.processed > t.max_events then
       raise
         (Stalled (Printf.sprintf "more than %d events processed" t.max_events));
-    match ev.action with
-    | Fiber f -> Effect.Deep.try_with f () t.handler
-    | Wake k ->
-        ev.seq <- take_seq t;
-        ev.fired <- false;
-        ev.action <- Resume k;
-        imm_add t ev;
-        t.live <- t.live + 1
-    | Resume k -> Effect.Deep.continue k ()
+    match (ev.phase, ev.action) with
+    | Asleep, _ -> requeue ev
+    | _, Fiber f ->
+        ev.phase <- Fired;
+        Effect.Deep.try_with f () t.handler
+    | _, Resume k ->
+        ev.phase <- Fired;
+        Effect.Deep.continue k ()
   in
   let limit = match until with Some u -> u | None -> infinity in
-  let imm_pop t =
-    let ev = t.imm.(t.imm_head land (Array.length t.imm - 1)) in
-    t.imm.(t.imm_head land (Array.length t.imm - 1)) <- t.dummy;
-    t.imm_head <- t.imm_head + 1;
-    ev
-  in
   let rec loop () =
     (* Corpses are dropped without consulting [until] — they were
        already discounted from [live] when cancelled. *)
-    if t.heap_size > 0 && t.heap.(0).cancelled then begin
-      (heap_pop t).fired <- true;
+    if t.heap_size > 0 && t.heap.(0).phase = Cancelled then begin
+      (heap_pop t).phase <- Fired;
       loop ()
     end
-    else if t.imm_head < t.imm_tail then begin
-      let qe = t.imm.(t.imm_head land (Array.length t.imm - 1)) in
-      if qe.cancelled then begin
-        (imm_pop t).fired <- true;
+    else if ring_length t.imm > 0 then begin
+      let qe = ring_peek t.imm in
+      if qe.phase = Cancelled then begin
+        (ring_pop t t.imm).phase <- Fired;
         loop ()
       end
       else if
@@ -372,7 +413,7 @@ let run ?until t =
         end
       else if t.now > limit then t.now <- limit
       else begin
-        execute (imm_pop t);
+        execute (ring_pop t t.imm);
         loop ()
       end
     end
@@ -387,41 +428,36 @@ let run ?until t =
   loop ()
 
 module Semaphore = struct
-  type sem = {
-    sim : t;
-    mutable cnt : int;
-    blocked : (unit -> unit) Queue.t;
-  }
+  type sem = { sim : t; mutable cnt : int; blocked : ring }
 
   let create sim cnt =
     if cnt < 0 then invalid_arg "Semaphore.create";
-    { sim; cnt; blocked = Queue.create () }
+    { sim; cnt; blocked = ring () }
 
-  let p s =
-    if s.cnt > 0 then s.cnt <- s.cnt - 1
-    else suspend (fun resume -> Queue.add resume s.blocked)
+  let p s = if s.cnt > 0 then s.cnt <- s.cnt - 1 else park s.sim s.blocked
 
   let v s =
-    match Queue.take_opt s.blocked with
-    | Some resume -> resume ()
-    | None -> s.cnt <- s.cnt + 1
+    if ring_length s.blocked > 0 then wake s.sim s.blocked
+    else s.cnt <- s.cnt + 1
 
   let count s = s.cnt
-  let waiters s = Queue.length s.blocked
+  let waiters s = ring_length s.blocked
 end
 
 module Ivar = struct
-  type 'a state = Unset of (unit -> unit) Queue.t | Set of 'a
+  type 'a state = Unset of ring | Set of 'a
   type 'a ivar = { iv_sim : t; mutable state : 'a state }
 
-  let create sim = { iv_sim = sim; state = Unset (Queue.create ()) }
+  let create sim = { iv_sim = sim; state = Unset (ring ()) }
 
   let fill iv x =
     match iv.state with
     | Set _ -> invalid_arg "Ivar.fill: already filled"
     | Unset waiters ->
         iv.state <- Set x;
-        Queue.iter (fun resume -> resume ()) waiters
+        while ring_length waiters > 0 do
+          wake iv.iv_sim waiters
+        done
 
   let is_filled iv = match iv.state with Set _ -> true | Unset _ -> false
 
@@ -429,15 +465,17 @@ module Ivar = struct
     match iv.state with
     | Set x -> x
     | Unset waiters -> (
-        suspend (fun resume -> Queue.add resume waiters);
-        match iv.state with
-        | Set x -> x
-        | Unset _ -> assert false)
+        park iv.iv_sim waiters;
+        match iv.state with Set x -> x | Unset _ -> assert false)
 
+  (* The reader waits in the ring as a callback, so a fill wakes it in
+     arrival order among plain readers; [once] keeps the fill and the
+     timer from both resuming it. *)
   let read_timeout iv d =
     match iv.state with
     | Set x -> Some x
     | Unset waiters ->
+        let sim = iv.iv_sim in
         suspend (fun resume ->
             let fired = ref false in
             let once () =
@@ -446,11 +484,12 @@ module Ivar = struct
                 resume ()
               end
             in
-            let ev = after iv.iv_sim d once in
-            Queue.add
-              (fun () ->
-                if cancel ev then ();
-                once ())
-              waiters);
+            let ev = after sim d once in
+            let on_fill () =
+              ignore (cancel ev);
+              once ()
+            in
+            ring_push sim waiters
+              { seq = -1; phase = Live; action = Fiber on_fill; owner = sim });
         (match iv.state with Set x -> Some x | Unset _ -> None)
 end

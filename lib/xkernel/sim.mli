@@ -85,8 +85,11 @@ module Semaphore : sig
       Waiters are released in FIFO order. *)
 
   val v : sem -> unit
-  (** Increment, waking one waiter if any.  May be called from anywhere
-      (including outside fibers). *)
+  (** Increment, or, if fibers are blocked, wake the one that blocked
+      first instead: it leaves the queue at once (so {!waiters} drops)
+      and continues after everything already due at the current
+      instant.  May be called from anywhere (including outside
+      fibers). *)
 
   val count : sem -> int
   (** Current count (never negative; blocked waiters don't go below 0). *)
@@ -101,7 +104,11 @@ module Ivar : sig
   val create : t -> 'a ivar
 
   val fill : 'a ivar -> 'a -> unit
-  (** Raises [Invalid_argument] if already filled. *)
+  (** Wakes every waiting reader, {!read} and {!read_timeout} alike, in
+      the order they started waiting; each continues after everything
+      already due at the current instant.  A reader whose timeout has
+      already expired is not woken again.  Raises [Invalid_argument] if
+      already filled. *)
 
   val is_filled : 'a ivar -> bool
 

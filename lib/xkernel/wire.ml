@@ -175,18 +175,69 @@ let reset_stats w =
   w.n_partitioned <- 0;
   w.n_bytes <- 0
 
+let flip w rate = rate > 0. && Random.State.float w.rng 1. < rate
+
 let draw_faults w msg =
-  let faults = ref [] in
-  let flip rate = rate > 0. && Random.State.float w.rng 1. < rate in
-  if flip w.drop_rate then faults := Drop :: !faults
-  else begin
-    if flip w.dup_rate then faults := Duplicate :: !faults;
-    if flip w.reorder_rate then
-      faults := Delay (Random.State.float w.rng w.reorder_jitter) :: !faults;
-    if flip w.corrupt_rate && Msg.length msg > 0 then
-      faults := Corrupt (Random.State.int w.rng (Msg.length msg)) :: !faults
-  end;
-  !faults
+  if flip w w.drop_rate then [ Drop ]
+  else
+    let faults = if flip w w.dup_rate then [ Duplicate ] else [] in
+    let faults =
+      if flip w w.reorder_rate then
+        Delay (Random.State.float w.rng w.reorder_jitter) :: faults
+      else faults
+    in
+    if flip w w.corrupt_rate && Msg.length msg > 0 then
+      Corrupt (Random.State.int w.rng (Msg.length msg)) :: faults
+    else faults
+
+let invert c = Char.chr (Char.code c lxor 0xff)
+
+(* Hand the frame to every tap but [from], [d] seconds from now.  The
+   first of [copies] is [m], which carries any corruption (it damages
+   the original transmission); a Duplicate is an independent clean
+   copy of [msg].  [delivered] counts every copy handed to a tap. *)
+let rec deliver w ~from ~d ~copies msg m = function
+  | [] -> ()
+  | tap :: taps ->
+      if tap.tap_id <> from.tap_id then
+        if
+          w.down
+          (* Skip the lookup, and its key tuple, when nothing is blocked. *)
+          || Hashtbl.length w.blocked > 0
+             && Hashtbl.mem w.blocked (from.tap_id, tap.tap_id)
+        then begin
+          w.n_partitioned <- w.n_partitioned + 1;
+          mirror w (fun l -> l.l_partitioned)
+        end
+        else
+          for copy = 1 to copies do
+            let m = if copy = 1 then m else msg in
+            w.n_delivered <- w.n_delivered + 1;
+            mirror w (fun l -> l.l_delivered);
+            ignore (Sim.after w.w_sim d (fun () -> tap.recv m))
+          done;
+      deliver w ~from ~d ~copies msg m taps
+
+(* Apply [faults] in order to one transmission of [msg], then deliver
+   it.  The caller has already handled [Drop], and an empty frame has
+   no byte to corrupt. *)
+let rec apply_faults w ~from ~copies ~extra msg m = function
+  | [] -> deliver w ~from ~d:(propagation +. extra) ~copies msg m w.taps
+  | Duplicate :: faults ->
+      w.n_duplicated <- w.n_duplicated + 1;
+      mirror w (fun l -> l.l_duplicated);
+      apply_faults w ~from ~copies:(copies + 1) ~extra msg m faults
+  | Delay d :: faults ->
+      w.n_delayed <- w.n_delayed + 1;
+      mirror w (fun l -> l.l_delayed);
+      apply_faults w ~from ~copies ~extra:(extra +. d) msg m faults
+  | Corrupt off :: faults when Msg.length msg > 0 ->
+      let m = Msg.map_byte (off mod Msg.length msg) invert m in
+      w.n_corrupted <- w.n_corrupted + 1;
+      mirror w (fun l -> l.l_corrupted);
+      apply_faults w ~from ~copies ~extra msg m faults
+  | (Drop | Corrupt _) :: faults ->
+      apply_faults w ~from ~copies ~extra msg m faults
 
 let transmit w ~from msg =
   let n = w.frame_count in
@@ -210,47 +261,4 @@ let transmit w ~from msg =
     w.n_dropped <- w.n_dropped + 1;
     mirror w (fun l -> l.l_dropped)
   end
-  else begin
-    let copies = ref 1 in
-    let extra_delay = ref 0. in
-    let delivered_msg = ref msg in
-    let apply = function
-      | Drop -> ()
-      | Duplicate ->
-          incr copies;
-          w.n_duplicated <- w.n_duplicated + 1;
-          mirror w (fun l -> l.l_duplicated)
-      | Delay d ->
-          extra_delay := !extra_delay +. d;
-          w.n_delayed <- w.n_delayed + 1;
-          mirror w (fun l -> l.l_delayed)
-      | Corrupt off when Msg.length msg > 0 ->
-          let off = off mod Msg.length msg in
-          delivered_msg :=
-            Msg.map_byte off (fun c -> Char.chr (Char.code c lxor 0xff)) !delivered_msg;
-          w.n_corrupted <- w.n_corrupted + 1;
-          mirror w (fun l -> l.l_corrupted)
-      | Corrupt _ -> ()
-    in
-    List.iter apply faults;
-    let deliver_to tap =
-      if tap.tap_id <> from.tap_id then
-        if w.down || Hashtbl.mem w.blocked (from.tap_id, tap.tap_id) then begin
-          w.n_partitioned <- w.n_partitioned + 1;
-          mirror w (fun l -> l.l_partitioned)
-        end
-        else
-        (* Corruption damages the original transmission; a Duplicate is
-           an independent clean copy.  [delivered] counts every copy
-           actually handed to a tap. *)
-        for copy = 1 to !copies do
-          let m = if copy = 1 then !delivered_msg else msg in
-          w.n_delivered <- w.n_delivered + 1;
-          mirror w (fun l -> l.l_delivered);
-          ignore
-            (Sim.after w.w_sim (propagation +. !extra_delay) (fun () ->
-                 tap.recv m))
-        done
-    in
-    List.iter deliver_to w.taps
-  end
+  else apply_faults w ~from ~copies:1 ~extra:0. msg msg faults

@@ -111,6 +111,24 @@ let prop_fragment_reassemble =
       in
       Msg.equal m back)
 
+(* [get] reads in place through any tree shape, including leaves that
+   start mid-string (a slice), and agrees with linearizing. *)
+let prop_get =
+  Tutil.qtest "get i = (to_string m).[i]"
+    QCheck.(pair gen_msg (int_bound 40))
+    (fun (parts, cut) ->
+      let m = build parts in
+      let cut = min cut (Msg.length m) in
+      let m = Msg.sub m cut (Msg.length m - cut) in
+      let s = Msg.to_string m in
+      List.for_all (fun i -> Msg.get m i = s.[i]) (List.init (String.length s) Fun.id)
+      && (match Msg.get m (Msg.length m) with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+      && match Msg.get m (-1) with
+         | _ -> false
+         | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "msg"
     [
@@ -132,5 +150,6 @@ let () =
           prop_split_concat;
           prop_to_string_concat;
           prop_fragment_reassemble;
+          prop_get;
         ] );
     ]
