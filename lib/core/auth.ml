@@ -7,16 +7,17 @@ let flavor_digest = 3
 (* flavour (1) + upper protocol number (4) + credential length (2) *)
 let fixed_bytes = 7
 
+(* Every flavour's own protocol number toward the layer below. *)
+let own_proto = 96
+
 type t = {
   host : Host.t;
   lower : Proto.t;
-  own_proto : int;
   flavor : int;
   cred_for : Msg.t -> string;
   verify : cred:string -> Msg.t -> bool;
   p : Proto.t;
-  sessions : (int * int, Proto.session) Hashtbl.t; (* (peer, upper proto) *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer, upper proto) *)
   stats : Stats.t;
 }
 
@@ -31,13 +32,10 @@ let encode t ~upper_proto cred =
   Codec.W.bytes w cred;
   Codec.W.contents w
 
-let make_session t ~upper ~peer ~upper_proto =
+let make_session t ~upper (peer, upper_proto) =
   let lower_sess =
     Proto.open_ t.lower ~upper:t.p
-      (Part.v
-         ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.own_proto ]
-         ~remotes:[ [ Part.Ip peer; Part.Ip_proto t.own_proto ] ]
-         ())
+      (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
   in
   let cell = ref None in
   let push msg =
@@ -53,10 +51,9 @@ let make_session t ~upper ~peer ~upper_proto =
     | Control.Get_peer_proto | Control.Get_my_proto -> Control.R_int upper_proto
     | req -> Proto.session_control lower_sess req
   in
-  let close () = Hashtbl.remove t.sessions (Addr.Ip.to_int peer, upper_proto) in
+  let close () = Demux.unbind t.demux (peer, upper_proto) in
   let xs = Proto.make_session t.p { push; pop; s_control; close } in
   cell := Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer, upper_proto) xs;
   xs
 
 let input t ~lower msg =
@@ -78,37 +75,25 @@ let input t ~lower msg =
                 Stats.incr t.stats "auth-reject"
               else begin
                 Stats.incr t.stats "rx";
-                let xs =
-                  match
-                    Hashtbl.find_opt t.sessions
-                      (Addr.Ip.to_int peer, upper_proto)
-                  with
-                  | Some xs -> Some xs
-                  | None -> (
-                      match Hashtbl.find_opt t.enabled upper_proto with
-                      | Some upper ->
-                          Some (make_session t ~upper ~peer ~upper_proto)
-                      | None -> None)
-                in
-                match xs with
+                match
+                  Demux.resolve t.demux t (peer, upper_proto) upper_proto
+                with
                 | Some xs -> Proto.pop xs body
                 | None -> Stats.incr t.stats "rx-unbound"
               end))
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let make ~host ~lower ~proto_num ~flavor ~name ~cred_for ~verify =
+let make ~host ~lower ~flavor ~name ~cred_for ~verify =
   let p = Proto.create ~host ~name () in
   let t =
     {
       host;
       lower;
-      own_proto = proto_num;
       flavor;
       cred_for;
       verify;
       p;
-      sessions = Hashtbl.create 8;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 8 ~make:make_session;
       stats = Proto.stats p;
     }
   in
@@ -116,32 +101,12 @@ let make ~host ~lower ~proto_num ~flavor ~name ~cred_for ~verify =
     {
       Proto.open_ =
         (fun ~upper part ->
-          let peer_part = Part.peer part in
-          let peer =
-            match Part.find_ip peer_part with
-            | Some ip -> ip
-            | None -> invalid_arg "Auth.open_: no peer IP"
-          in
-          let upper_proto =
-            match
-              (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-            with
-            | Some n, _ | None, Some n -> n
-            | None, None -> invalid_arg "Auth.open_: no proto number"
-          in
-          match
-            Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, upper_proto)
-          with
-          | Some xs -> xs
-          | None -> make_session t ~upper ~peer ~upper_proto);
+          let peer = Part.peer_ip part in
+          Demux.open_ t.demux t ~upper (peer, Part.ip_proto part));
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Auth.open_enable: no proto number"
-          | Some n ->
-              Hashtbl.replace t.enabled n upper;
-              Proto.open_enable t.lower ~upper:t.p
-                (Part.v ~local:[ Part.Ip_proto t.own_proto ] ()));
+          Demux.enable t.demux (Part.ip_proto part) upper;
+          Proto.open_enable t.lower ~upper:t.p (Part.ip_enable own_proto));
       open_done = (fun ~upper:_ _ -> invalid_arg "Auth: open_done");
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control =
@@ -155,12 +120,12 @@ let make ~host ~lower ~proto_num ~flavor ~name ~cred_for ~verify =
   Proto.declare_below p [ lower ];
   t
 
-let none ~host ~lower ?(proto_num = 96) () =
-  make ~host ~lower ~proto_num ~flavor:flavor_none ~name:"AUTH_NONE"
+let none ~host ~lower () =
+  make ~host ~lower ~flavor:flavor_none ~name:"AUTH_NONE"
     ~cred_for:(fun _ -> "")
     ~verify:(fun ~cred:_ _ -> true)
 
-let unix ~host ~lower ?(proto_num = 96) ~uid ~gid ~allow () =
+let unix ~host ~lower ~uid ~gid ~allow () =
   let cred_for _msg =
     let w = Codec.W.create ~size:8 () in
     Codec.W.u32 w uid;
@@ -175,7 +140,7 @@ let unix ~host ~lower ?(proto_num = 96) ~uid ~gid ~allow () =
     let gid = Codec.R.u32 r in
     allow ~uid ~gid
   in
-  make ~host ~lower ~proto_num ~flavor:flavor_unix ~name:"AUTH_UNIX" ~cred_for
+  make ~host ~lower ~flavor:flavor_unix ~name:"AUTH_UNIX" ~cred_for
     ~verify
 
 (* Toy keyed checksum: a weighted byte sum of key and body.  Enough to
@@ -189,7 +154,7 @@ let digest_of ~key msg =
   Codec.W.u32 w !h;
   Codec.W.contents w
 
-let digest ~host ~lower ?(proto_num = 96) ~key () =
-  make ~host ~lower ~proto_num ~flavor:flavor_digest ~name:"AUTH_DIGEST"
+let digest ~host ~lower ~key () =
+  make ~host ~lower ~flavor:flavor_digest ~name:"AUTH_DIGEST"
     ~cred_for:(fun msg -> digest_of ~key msg)
     ~verify:(fun ~cred msg -> String.equal cred (digest_of ~key msg))

@@ -9,6 +9,8 @@
     anywhere in a stack — or left out entirely — without the layers
     above or below knowing.
 
+    Every flavour uses protocol number 96 toward the layer below.
+
     A server-side layer that fails to verify a credential drops the
     message (counted in ["auth-reject"]); the client then sees a
     timeout, which is how classic Sun RPC surfaces most credential
@@ -23,14 +25,13 @@ type t
 val proto : t -> Xkernel.Proto.t
 val rejects : t -> int
 
-val none : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> ?proto_num:int -> unit -> t
+val none : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> unit -> t
 (** AUTH_NONE: empty credential, always verifies; measures the pure
     cost of an extra layer. *)
 
 val unix :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   uid:int ->
   gid:int ->
   allow:(uid:int -> gid:int -> bool) ->
@@ -41,7 +42,6 @@ val unix :
 val digest :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   key:string ->
   unit ->
   t

@@ -47,20 +47,20 @@ type sess = {
          level at which its samples were taken (see {!load_scale}) *)
 }
 
+(* CHANNEL's own protocol number toward the layer below; the
+   protocol-number field in its header names the layer above. *)
+let own_proto = 93
+
 type t = {
   host : Host.t;
   lower : Proto.t;
-  own_proto : int;
-      (* CHANNEL's own protocol number toward the layer below; the
-         protocol-number field in its header names the layer above *)
   chans : int;
   adaptive : bool;
   rto_load_floor : bool;
   rng : Random.State.t; (* the simulator's seeded stream (backoff jitter) *)
   p : Proto.t;
-  sessions : (int * int * int, sess) Hashtbl.t; (* (peer, proto, chan) *)
+  demux : (t, Addr.Ip.t * int * int, sess) Demux.t; (* (peer, proto, chan) *)
   by_id : (int, sess) Hashtbl.t; (* Proto.session_id xs -> sess *)
-  enabled : (int, Proto.t) Hashtbl.t;
   stats : Stats.t;
   mutable in_flight : int; (* outstanding requests across all sessions *)
   (* Per-message counters, resolved once at create time (hot path). *)
@@ -473,14 +473,11 @@ let handle_packet t s hdr body =
   else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t s hdr
   else Stats.incr t.stats "rx-malformed"
 
-let lower_part t ~peer =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.own_proto ]
-    ~remotes:[ [ Part.Ip peer; Part.Ip_proto t.own_proto ] ]
-    ()
-
-let make_session t ~upper ~peer ~proto_num ~chan =
-  let lower_sess = Proto.open_ t.lower ~upper:t.p (lower_part t ~peer) in
+let make_session t ~upper (peer, proto_num, chan) =
+  let lower_sess =
+    Proto.open_ t.lower ~upper:t.p
+      (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
+  in
   let s =
     {
       chan;
@@ -537,7 +534,7 @@ let make_session t ~upper ~peer ~proto_num ~chan =
     | req -> Stats.control t.stats req
   in
   let close () =
-    Hashtbl.remove t.sessions (Addr.Ip.to_int peer, proto_num, chan);
+    Demux.unbind t.demux (peer, proto_num, chan);
     match s.xs with
     | Some xs -> Hashtbl.remove t.by_id (Proto.session_id xs)
     | None -> ()
@@ -550,27 +547,15 @@ let make_session t ~upper ~peer ~proto_num ~chan =
       { push; pop; s_control; close }
   in
   s.xs <- Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer, proto_num, chan) s;
   Hashtbl.replace t.by_id (Proto.session_id xs) s;
   s
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Channel.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Channel.open_: no IP protocol number"
-  in
+  let peer = Part.peer_ip part in
+  let proto_num = Part.ip_proto part in
   let chan =
     match
-      (Part.find_channel part.Part.local, Part.find_channel peer_part)
+      (Part.find_channel part.Part.local, Part.find_channel (Part.peer part))
     with
     | Some c, _ | None, Some c -> c
     | None, None -> invalid_arg "Channel.open_: no channel id"
@@ -579,9 +564,7 @@ let open_session t ~upper part =
     invalid_arg
       (Printf.sprintf "Channel.open_: channel %d outside the fixed set of %d"
          chan t.chans);
-  match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, proto_num, chan) with
-  | Some s -> Option.get s.xs
-  | None -> Option.get (make_session t ~upper ~peer ~proto_num ~chan).xs
+  Option.get (Demux.open_ t.demux t ~upper (peer, proto_num, chan)).xs
 
 let input t ~lower msg =
   (* The channel header carries no host addresses (they would duplicate
@@ -614,50 +597,43 @@ let input t ~lower msg =
               match hdr with
               | None -> Stats.incr t.stats "rx-runt"
               | Some hdr -> (
-                  let key =
-                    (Addr.Ip.to_int peer, hdr.C.protocol_num, hdr.C.channel)
-                  in
-                  match Hashtbl.find_opt t.sessions key with
+                  let proto_num = hdr.C.protocol_num in
+                  match
+                    Demux.resolve t.demux t
+                      (peer, proto_num, hdr.C.channel)
+                      proto_num
+                  with
                   | Some s -> handle_packet t s hdr body
-                  | None -> (
-                      match Hashtbl.find_opt t.enabled hdr.C.protocol_num with
-                      | Some upper ->
-                          let s =
-                            make_session t ~upper ~peer
-                              ~proto_num:hdr.C.protocol_num ~chan:hdr.C.channel
-                          in
-                          handle_packet t s hdr body
-                      | None -> Stats.incr t.stats "rx-unbound")))))
+                  | None -> Stats.incr t.stats "rx-unbound"))))
   | _ -> Stats.incr t.stats "rx-unidentified"
 
 let call ?expires t xs msg =
   (* O(1): the reverse table maps the exported session back to its
-     state without scanning every open channel. *)
+     state without scanning every open channel.  Ids are unique only
+     within one protocol object, so the owner must match too. *)
   let s =
     match Hashtbl.find_opt t.by_id (Proto.session_id xs) with
-    | Some s -> s
-    | None -> invalid_arg "Channel.call: not a channel session of this protocol"
+    | Some s when Proto.session_proto xs == t.p -> s
+    | _ -> invalid_arg "Channel.call: not a channel session of this protocol"
   in
   let iv = Sim.Ivar.create (Host.sim t.host) in
   send_request ~expires t s ~iv:(Some iv) msg;
   Sim.Ivar.read iv
 
-let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8) ?(adaptive = true)
+let create ~host ~lower ?(n_channels = 8) ?(adaptive = true)
     ?(rto_load_floor = true) () =
   let p = Proto.create ~host ~name:"CHANNEL" () in
   let t =
     {
       host;
       lower;
-      own_proto = proto_num;
       chans = n_channels;
       adaptive;
       rto_load_floor;
       rng = Sim.rng (Host.sim host);
       p;
-      sessions = Hashtbl.create 32;
+      demux = Demux.create 32 ~make:make_session;
       by_id = Hashtbl.create 32;
-      enabled = Hashtbl.create 8;
       stats = Proto.stats p;
       in_flight = 0;
       c_rtt_sample = Stats.counter (Proto.stats p) "rtt-sample";
@@ -675,12 +651,8 @@ let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8) ?(adaptive = true)
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Channel.open_enable: no IP protocol number"
-          | Some proto_num ->
-              Hashtbl.replace t.enabled proto_num upper;
-              Proto.open_enable t.lower ~upper:t.p
-                (Part.v ~local:[ Part.Ip_proto t.own_proto ] ()));
+          Demux.enable t.demux (Part.ip_proto part) upper;
+          Proto.open_enable t.lower ~upper:t.p (Part.ip_enable own_proto));
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control =
@@ -699,5 +671,5 @@ let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8) ?(adaptive = true)
      caches and RTT estimates all belong to the dead incarnation. *)
   Host.at_reboot host (fun () ->
       Stats.incr t.stats "crash-reset";
-      Hashtbl.iter (fun _ s -> crash_session t s) t.sessions);
+      Demux.iter (crash_session t) t.demux);
   t

@@ -42,15 +42,14 @@ type t
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   ?n_channels:int ->
   ?adaptive:bool ->
   ?rto_load_floor:bool ->
   unit ->
   t
-(** [proto_num] (default 93) is CHANNEL's own protocol number toward
-    the layer below (its header's protocol-number field names the upper
-    protocol).  [n_channels] (default 8) is Sprite's fixed, predefined channel
+(** CHANNEL's own protocol number toward the layer below is 93 (its
+    header's protocol-number field names the upper protocol).
+    [n_channels] (default 8) is Sprite's fixed, predefined channel
     count.  The timeout is Sprite's step function: 20 ms for
     single-fragment requests, plus 3 ms per expected fragment otherwise,
     with 5 retries.

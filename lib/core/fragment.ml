@@ -36,16 +36,16 @@ let cache_ttl = 2.0
 let nack_delay = 0.03
 let nack_retries = 3
 
+(* FRAGMENT's own protocol number toward the layer below; the
+   protocol-number *field* in its header names the layer above. *)
+let own_proto = 92
+
 type t = {
   host : Host.t;
   lower : Proto.t;
-  own_proto : int;
-      (* FRAGMENT's own protocol number toward the layer below; the
-         protocol-number *field* in its header names the layer above *)
   mutable frag_size : int;
   p : Proto.t;
-  sessions : (int * int, sess) Hashtbl.t; (* (peer, proto_num) *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, sess) Demux.t; (* (peer, proto_num) *)
   stats : Stats.t;
   (* Per-fragment counters, resolved once at create time (hot path). *)
   c_tx_frag : Stats.counter;
@@ -58,12 +58,6 @@ type t = {
 let proto t = t.p
 let max_message t = max_frags * t.frag_size
 let full_mask num = (1 lsl num) - 1
-
-let lower_part t ~peer =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.own_proto ]
-    ~remotes:[ [ Part.Ip peer; Part.Ip_proto t.own_proto ] ]
-    ()
 
 let send_fragment t s (hdr, piece) =
   Machine.charge t.host.Host.mach
@@ -268,8 +262,11 @@ let handle_nack t s (hdr : F.t) =
           end)
         entry.frags
 
-let make_session t ~upper ~peer ~proto_num =
-  let lower_sess = Proto.open_ t.lower ~upper:t.p (lower_part t ~peer) in
+let make_session t ~upper (peer, proto_num) =
+  let lower_sess =
+    Proto.open_ t.lower ~upper:t.p
+      (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
+  in
   let s =
     {
       peer;
@@ -296,31 +293,20 @@ let make_session t ~upper ~peer ~proto_num =
     | Control.Get_opt_packet -> Control.R_int t.frag_size
     | req -> Stats.control t.stats req
   in
-  let close () =
-    Hashtbl.remove t.sessions (Addr.Ip.to_int peer, proto_num)
-  in
+  let close () = Demux.unbind t.demux (peer, proto_num) in
   let xs =
     Proto.make_session t.p
       ~name:(Printf.sprintf "frag(%s,%d)" (Addr.Ip.to_string peer) proto_num)
       { push; pop; s_control; close }
   in
   s.xs <- Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer, proto_num) s;
   s
 
-let find_or_create t ~peer ~proto_num =
-  match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, proto_num) with
-  | Some s -> Some s
-  | None -> (
-      match Hashtbl.find_opt t.enabled proto_num with
-      | Some upper -> Some (make_session t ~upper ~peer ~proto_num)
-      | None -> None)
-
 let recent_count t =
-  Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.recent) t.sessions 0
+  Demux.fold (fun s acc -> acc + Hashtbl.length s.recent) t.demux 0
 
 let reasm_count t =
-  Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s.reasm) t.sessions 0
+  Demux.fold (fun s acc -> acc + Hashtbl.length s.reasm) t.demux 0
 
 let input t msg =
   Machine.charge t.host.Host.mach
@@ -335,7 +321,10 @@ let input t msg =
       | Some hdr -> (
           Stats.tick t.c_rx_frag;
           (* The peer is whoever sent this packet. *)
-          match find_or_create t ~peer:hdr.F.clnt_host ~proto_num:hdr.F.protocol_num with
+          let proto_num = hdr.F.protocol_num in
+          match
+            Demux.resolve t.demux t (hdr.F.clnt_host, proto_num) proto_num
+          with
           | None -> Stats.incr t.stats "rx-unbound"
           | Some s ->
               if hdr.F.typ = F.typ_nack then handle_nack t s hdr
@@ -347,37 +336,18 @@ let input t msg =
               else Stats.incr t.stats "rx-malformed"))
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Fragment.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Fragment.open_: no IP protocol number"
-  in
-  let s =
-    match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, proto_num) with
-    | Some s -> s
-    | None -> make_session t ~upper ~peer ~proto_num
-  in
-  Option.get s.xs
+  let peer = Part.peer_ip part in
+  Option.get (Demux.open_ t.demux t ~upper (peer, Part.ip_proto part)).xs
 
-let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024) () =
+let create ~host ~lower ?(frag_size = 1024) () =
   let p = Proto.create ~host ~name:"FRAGMENT" () in
   let t =
     {
       host;
       lower;
-      own_proto = proto_num;
       frag_size;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 16 ~make:make_session;
       stats = Proto.stats p;
       c_tx_frag = Stats.counter (Proto.stats p) "tx-frag";
       c_tx_msg = Stats.counter (Proto.stats p) "tx-msg";
@@ -391,14 +361,10 @@ let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024) () =
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Fragment.open_enable: no IP protocol number"
-          | Some proto_num ->
-              Hashtbl.replace t.enabled proto_num upper;
-              (* FRAGMENT itself must be reachable from below, under
-                 its own protocol number. *)
-              Proto.open_enable t.lower ~upper:t.p
-                (Part.v ~local:[ Part.Ip_proto t.own_proto ] ()));
+          Demux.enable t.demux (Part.ip_proto part) upper;
+          (* FRAGMENT itself must be reachable from below, under its own
+             protocol number. *)
+          Proto.open_enable t.lower ~upper:t.p (Part.ip_enable own_proto));
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower:_ msg -> input t msg);
       p_control =
@@ -430,12 +396,12 @@ let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024) () =
          table outlives our crash, and reusing pre-crash sequence
          numbers within its TTL would make it wrongly dedup fresh
          post-reboot messages. *)
-      Hashtbl.iter
-        (fun _ s ->
+      Demux.iter
+        (fun s ->
           Hashtbl.reset s.cache;
           Hashtbl.reset s.reasm;
           Hashtbl.reset s.recent;
           Queue.clear s.recent_q)
-        t.sessions;
+        t.demux;
       Stats.incr t.stats "crash-reset");
   t

@@ -24,15 +24,13 @@ type t
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   ?frag_size:int ->
   unit ->
   t
-(** [proto_num] (default 92) is FRAGMENT's *own* protocol number toward
-    the layer below; the protocol-number field inside its header names
-    whichever upper protocol each message belongs to — the reason a
-    reusable layer "must have its own protocol number (type) field"
-    (section 3.2).  [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
+(** FRAGMENT's *own* protocol number toward the layer below is 92; the
+    protocol-number field inside its header names whichever upper
+    protocol each message belongs to — the reason a reusable layer
+    "must have its own protocol number (type) field" (section 3.2).  [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
     message becomes 16 packets, per section 4.2).  The sender discards
     a message's fragments after 2 s; a receiver waits 30 ms on an
     incomplete message before requesting the missing fragments, and

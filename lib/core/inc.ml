@@ -26,11 +26,13 @@ type entry = {
   e_stored : float;
 }
 
+(* Cache entries held before FIFO eviction. *)
+let capacity = 1024
+
 type t = {
   host : Host.t;
   ip : Netproto.Ip.t;
   ttl : float;
-  capacity : int;
   cacheable : (int, unit) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
   order : string Queue.t;  (* insertion order, for eviction *)
@@ -104,7 +106,7 @@ let key ~client ~server req =
 let store t k e =
   if not (Hashtbl.mem t.cache k) then begin
     Queue.push k t.order;
-    while Hashtbl.length t.cache >= t.capacity && not (Queue.is_empty t.order) do
+    while Hashtbl.length t.cache >= capacity && not (Queue.is_empty t.order) do
       let victim = Queue.pop t.order in
       Hashtbl.remove t.cache victim
     done
@@ -202,7 +204,7 @@ let on_request t ~client ~server ~ch body =
               if found <> None then Hashtbl.remove t.cache k;
               Stats.tick t.c_misses;
               Stats.tick t.c_forwarded;
-              if Hashtbl.length t.pending > 4 * t.capacity then
+              if Hashtbl.length t.pending > 4 * capacity then
                 Hashtbl.reset t.pending;
               Hashtbl.replace t.pending
                 ( Addr.Ip.to_int client,
@@ -286,14 +288,13 @@ let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
               else false
         end
 
-let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) ?(capacity = 1024) () =
+let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) () =
   let stats = Stats.create ~name:(host.Host.name ^ "/INC") () in
   let t =
     {
       host;
       ip;
       ttl;
-      capacity = max 1 capacity;
       cacheable = Hashtbl.create 8;
       cache = Hashtbl.create 64;
       order = Queue.create ();

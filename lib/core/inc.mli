@@ -33,7 +33,6 @@ val install :
   ip:Netproto.Ip.t ->
   ?cacheable:int list ->
   ?ttl:float ->
-  ?capacity:int ->
   unit ->
   t
 (** [install ~host ~ip ()] hangs the computation off [ip]'s forward
@@ -41,8 +40,8 @@ val install :
     parsing and reply synthesis (port 0 of a switched world).
     [cacheable] (default none — commands must be registered explicitly,
     and probe/health commands never should be) lists SELECT command
-    numbers whose replies may be cached; [ttl] (default 2 s) and
-    [capacity] (default 1024 entries, FIFO eviction) bound the cache.
+    numbers whose replies may be cached; [ttl] (default 2 s) and a
+    capacity of 1024 entries (FIFO eviction) bound the cache.
     Registers a stats table named ["<host>/INC"] with counters [hits],
     [misses], [sheds], [forwarded], [stored] and [invalidated]. *)
 

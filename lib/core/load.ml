@@ -93,8 +93,8 @@ let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals ~bytes0
     per_client = o.o_hists;
   }
 
-let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(think = 0.)
-    ?(size = 0) (f : World.fanin) (s : Stacks.fan) =
+let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(size = 0)
+    (f : World.fanin) (s : Stacks.fan) =
   if fibers < 1 then invalid_arg "Load.run_closed: fibers < 1";
   let w = f.World.fan in
   let sim = w.World.sim in
@@ -130,8 +130,7 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(think = 0.)
           | Error _ -> incr failed);
           let now = Sim.now sim in
           Histogram.record hists.(i) (us_of (now -. t));
-          if now > !t_end then t_end := now;
-          if think > 0. then Sim.delay sim think
+          if now > !t_end then t_end := now
         done;
         decr running;
         if !running = 0 then stop := true)

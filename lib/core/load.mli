@@ -93,7 +93,6 @@ val run_closed :
   ?fibers:int ->
   ?calls:int ->
   ?warmup:int ->
-  ?think:float ->
   ?size:int ->
   Netproto.World.fanin ->
   Stacks.fan ->
@@ -101,9 +100,8 @@ val run_closed :
 (** [run_closed fanin fan] spreads [fibers] (default 8) closed-loop
     fibers round-robin across the client hosts; each issues [warmup]
     (default 2, unrecorded) then [calls] (default 25) null-procedure
-    calls of [size] bytes (default 0), sleeping [think] seconds
-    (default 0) after each.  All fibers warm up before the measured
-    phase starts.  Drives the world to completion. *)
+    calls of [size] bytes (default 0), back to back.  All fibers warm up
+    before the measured phase starts.  Drives the world to completion. *)
 
 val run_open :
   ?arrival:arrival ->

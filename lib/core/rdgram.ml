@@ -1,9 +1,10 @@
 open Xkernel
 
+let proto_num = 94
+
 type t = {
   host : Host.t;
   channel : Channel.t;
-  proto_num : int;
   p : Proto.t;
   mutable on_receive : (Addr.Ip.t -> Msg.t -> unit) option;
   sessions : (int, Proto.session) Hashtbl.t;
@@ -19,8 +20,8 @@ let session t ~dest =
       let part =
         Part.v
           ~local:
-            [ Part.Ip t.host.Host.ip; Part.Ip_proto t.proto_num; Part.Channel 0 ]
-          ~remotes:[ [ Part.Ip dest; Part.Ip_proto t.proto_num ] ]
+            [ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num; Part.Channel 0 ]
+          ~remotes:[ [ Part.Ip dest; Part.Ip_proto proto_num ] ]
           ()
       in
       let s = Proto.open_ (Channel.proto t.channel) ~upper:t.p part in
@@ -45,15 +46,14 @@ let input t ~lower msg =
 let listen t f =
   t.on_receive <- Some f;
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
-    (Part.v ~local:[ Part.Ip_proto t.proto_num ] ())
+    (Part.ip_enable proto_num)
 
-let create ~host ~channel ?(proto_num = 94) () =
+let create ~host ~channel () =
   let p = Proto.create ~host ~name:"RDGRAM" () in
   let t =
     {
       host;
       channel;
-      proto_num;
       p;
       on_receive = None;
       sessions = Hashtbl.create 4;

@@ -8,9 +8,8 @@
 
 type t
 
-val create :
-  host:Xkernel.Host.t -> channel:Channel.t -> ?proto_num:int -> unit -> t
-(** [proto_num] defaults to 94. *)
+val create : host:Xkernel.Host.t -> channel:Channel.t -> unit -> t
+(** RDGRAM's protocol number toward CHANNEL is 94. *)
 
 val send :
   t -> dest:Xkernel.Addr.Ip.t -> Xkernel.Msg.t ->

@@ -24,17 +24,18 @@ type sess = {
   mutable serving_xid : int option;
 }
 
-(* Retransmissions of a request before the call fails. *)
+(* The client waits 25 ms for a reply and retransmits a request 4
+   times before the call fails; the layer's own number toward the layer
+   below is 95. *)
+let timeout = 0.025
 let retries = 4
+let own_proto = 95
 
 type t = {
   host : Host.t;
   lower : Proto.t;
-  own_proto : int;
-  timeout : float;
   p : Proto.t;
-  sessions : (int * int, sess) Hashtbl.t; (* (peer, upper proto) *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, sess) Demux.t; (* (peer, upper proto) *)
   mutable next_xid : int;
   stats : Stats.t;
 }
@@ -77,7 +78,7 @@ let finish t s p outcome =
 let rec arm_timer t s p =
   p.timer <-
     Some
-      (Event.schedule t.host t.timeout (fun () ->
+      (Event.schedule t.host timeout (fun () ->
            if Hashtbl.mem s.pending p.p_xid then begin
              if p.tries_left <= 0 then finish t s p (Error Rpc_error.Timeout)
              else begin
@@ -111,14 +112,11 @@ let start_call t s payload =
   arm_timer t s p;
   p.iv
 
-let lower_part t ~peer =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.own_proto ]
-    ~remotes:[ [ Part.Ip peer; Part.Ip_proto t.own_proto ] ]
-    ()
-
-let make_session t ~upper ~peer ~upper_proto =
-  let lower_sess = Proto.open_ t.lower ~upper:t.p (lower_part t ~peer) in
+let make_session t ~upper (peer, upper_proto) =
+  let lower_sess =
+    Proto.open_ t.lower ~upper:t.p
+      (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
+  in
   let s =
     {
       peer;
@@ -145,34 +143,33 @@ let make_session t ~upper ~peer ~upper_proto =
     | Control.Get_my_host -> Control.R_ip t.host.Host.ip
     | Control.Get_peer_proto | Control.Get_my_proto ->
         Control.R_int upper_proto
-    | Control.Get_timeout -> Control.R_float t.timeout
+    | Control.Get_timeout -> Control.R_float timeout
     | ( Control.Get_frag_size | Control.Get_max_packet
       | Control.Get_opt_packet ) as req ->
         Proto.session_control lower_sess req
     | req -> Stats.control t.stats req
   in
-  let close () =
-    Hashtbl.remove t.sessions (Addr.Ip.to_int peer, upper_proto)
-  in
+  let close () = Demux.unbind t.demux (peer, upper_proto) in
   let xs =
     Proto.make_session t.p
       ~name:(Printf.sprintf "rr(%s,%d)" (Addr.Ip.to_string peer) upper_proto)
       { push; pop; s_control; close }
   in
   s.xs <- Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer, upper_proto) s;
   s
 
+let open_session t ~upper part =
+  let peer = Part.peer_ip part in
+  Option.get (Demux.open_ t.demux t ~upper (peer, Part.ip_proto part)).xs
+
 let session t ~peer ~upper_proto =
-  match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, upper_proto) with
-  | Some s -> Option.get s.xs
-  | None -> Option.get (make_session t ~upper:t.p ~peer ~upper_proto).xs
+  Option.get (Demux.open_ t.demux t ~upper:t.p (peer, upper_proto)).xs
 
 let call t xs msg =
   let s =
-    Hashtbl.fold
-      (fun _ s acc -> match s.xs with Some x when x == xs -> Some s | _ -> acc)
-      t.sessions None
+    Demux.fold
+      (fun s acc -> match s.xs with Some x when x == xs -> Some s | _ -> acc)
+      t.demux None
   in
   match s with
   | None -> invalid_arg "Request_reply.call: unknown session"
@@ -186,18 +183,7 @@ let input t ~lower msg =
       | None -> Stats.incr t.stats "rx-runt"
       | Some (raw, body) -> (
           let typ, xid, proto_num = decode raw in
-          let s =
-            match
-              Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, proto_num)
-            with
-            | Some s -> Some s
-            | None -> (
-                match Hashtbl.find_opt t.enabled proto_num with
-                | Some upper ->
-                    Some (make_session t ~upper ~peer ~upper_proto:proto_num)
-                | None -> None)
-          in
-          match s with
+          match Demux.resolve t.demux t (peer, proto_num) proto_num with
           | None -> Stats.incr t.stats "rx-unbound"
           | Some s ->
               if typ = typ_call then begin
@@ -221,51 +207,25 @@ let input t ~lower msg =
               else Stats.incr t.stats "rx-malformed"))
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower ?(proto_num = 95) ?(timeout = 0.025) () =
+let create ~host ~lower () =
   let p = Proto.create ~host ~name:"REQUEST_REPLY" () in
   let t =
     {
       host;
       lower;
-      own_proto = proto_num;
-      timeout;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 16 ~make:make_session;
       next_xid = 0;
       stats = Proto.stats p;
     }
   in
   Proto.set_ops p
     {
-      Proto.open_ =
-        (fun ~upper part ->
-          let peer_part = Part.peer part in
-          let peer =
-            match Part.find_ip peer_part with
-            | Some ip -> ip
-            | None -> invalid_arg "Request_reply.open_: no peer IP"
-          in
-          let upper_proto =
-            match
-              (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-            with
-            | Some n, _ | None, Some n -> n
-            | None, None -> invalid_arg "Request_reply.open_: no proto number"
-          in
-          match
-            Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer, upper_proto)
-          with
-          | Some s -> Option.get s.xs
-          | None -> Option.get (make_session t ~upper ~peer ~upper_proto).xs);
+      Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Request_reply.open_enable: no proto number"
-          | Some n ->
-              Hashtbl.replace t.enabled n upper;
-              Proto.open_enable t.lower ~upper:t.p
-                (Part.v ~local:[ Part.Ip_proto t.own_proto ] ()));
+          Demux.enable t.demux (Part.ip_proto part) upper;
+          Proto.open_enable t.lower ~upper:t.p (Part.ip_enable own_proto));
       open_done = (fun ~upper:_ _ -> invalid_arg "Request_reply: open_done");
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control =

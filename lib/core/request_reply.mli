@@ -16,13 +16,10 @@ type t
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
-  ?timeout:float ->
   unit ->
   t
-(** [proto_num] (default 95) is this layer's own number toward [lower];
-    [timeout] (default 25 ms) drives client retransmission, with 4
-    retransmissions before the call fails. *)
+(** This layer's own number toward [lower] is 95.  A client waits 25 ms
+    for each reply and retransmits 4 times before the call fails. *)
 
 val proto : t -> Xkernel.Proto.t
 

@@ -3,10 +3,11 @@ module S = Wire_fmt.Select
 
 type handler = Msg.t -> (Msg.t, int) result
 
+let proto_num = 90
+
 type t = {
   host : Host.t;
   channel : Channel.t;
-  proto_num : int;
   p : Proto.t;
   handlers : (int, handler) Hashtbl.t;
   stats : Stats.t;
@@ -37,10 +38,10 @@ let connect t ~server =
         ~local:
           [
             Part.Ip t.host.Host.ip;
-            Part.Ip_proto t.proto_num;
+            Part.Ip_proto proto_num;
             Part.Channel chan;
           ]
-        ~remotes:[ [ Part.Ip server; Part.Ip_proto t.proto_num ] ]
+        ~remotes:[ [ Part.Ip server; Part.Ip_proto proto_num ] ]
         ()
     in
     Queue.add (Proto.open_ (Channel.proto t.channel) ~upper:t.p part) free
@@ -198,14 +199,13 @@ let input t ~lower msg =
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
-    (Part.v ~local:[ Part.Ip_proto t.proto_num ] ())
+    (Part.ip_enable proto_num)
 
 (* Same enable, but requests surface in [upper] (an admission layer)
    instead of here; [upper] forwards the survivors with Proto.deliver,
    which lands in our demux as usual. *)
 let serve_behind t ~upper =
-  Proto.open_enable (Channel.proto t.channel) ~upper
-    (Part.v ~local:[ Part.Ip_proto t.proto_num ] ())
+  Proto.open_enable (Channel.proto t.channel) ~upper (Part.ip_enable proto_num)
 
 let calls_handled t = Stats.get t.stats "handled"
 
@@ -244,14 +244,13 @@ let enable_sharding t ~self =
 let shard_map_version t =
   match t.shard_map with None -> 0 | Some m -> Shard_map.version m
 
-let create ~host ~channel ?(proto_num = 90) () =
+let create ~host ~channel () =
   let p = Proto.create ~host ~name:"SELECT" () in
   let stats = Proto.stats p in
   let t =
     {
       host;
       channel;
-      proto_num;
       p;
       handlers = Hashtbl.create 16;
       stats;

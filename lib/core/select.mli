@@ -14,14 +14,10 @@
 
 type t
 
-val create :
-  host:Xkernel.Host.t ->
-  channel:Channel.t ->
-  ?proto_num:int ->
-  unit ->
-  t
-(** [proto_num] (default 90) identifies the SELECT/CHANNEL pair to the
-    layers below. *)
+val proto_num : int
+(** 90: identifies the SELECT/CHANNEL pair to the layers below. *)
+
+val create : host:Xkernel.Host.t -> channel:Channel.t -> unit -> t
 
 val proto : t -> Xkernel.Proto.t
 

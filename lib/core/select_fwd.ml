@@ -5,7 +5,6 @@ type t = {
   host : Host.t;
   channel : Channel.t;
   delegate : Addr.Ip.t;
-  proto_num : int;
   p : Proto.t;
   sel : Select.t; (* ordinary selector used as our client toward the delegate *)
   mutable client : Select.client option;
@@ -53,17 +52,16 @@ let input t ~lower msg =
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
-    (Part.v ~local:[ Part.Ip_proto t.proto_num ] ())
+    (Part.ip_enable Select.proto_num)
 
-let create ~host ~channel ~delegate ?(proto_num = 90) () =
+let create ~host ~channel ~delegate () =
   let p = Proto.create ~host ~name:"SELECT-FWD" () in
-  let sel = Select.create ~host ~channel ~proto_num () in
+  let sel = Select.create ~host ~channel () in
   let t =
     {
       host;
       channel;
       delegate;
-      proto_num;
       p;
       sel;
       client = None;

@@ -14,12 +14,11 @@ val create :
   host:Xkernel.Host.t ->
   channel:Channel.t ->
   delegate:Xkernel.Addr.Ip.t ->
-  ?proto_num:int ->
   unit ->
   t
 (** Requests arriving at this host are forwarded to [delegate] (which
-    must run an ordinary {!Select} server with the same protocol
-    number). *)
+    must run an ordinary {!Select} server; both use
+    {!Select.proto_num}). *)
 
 val serve : t -> unit
 val forwarded : t -> int

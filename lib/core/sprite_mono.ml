@@ -48,10 +48,11 @@ type ssess = {
   mutable req_reasm : (int * reasm) option;
 }
 
+let proto_num = 91
+
 type t = {
   host : Host.t;
   lower : Proto.t;
-  proto_num : int;
   p : Proto.t;
   clients : (int * int, csess) Hashtbl.t; (* (server, chan) *)
   servers : (int * int, ssess) Hashtbl.t; (* (client, chan) *)
@@ -408,7 +409,7 @@ let client_session t ~server ~chan ~remote =
   | None ->
       let part =
         Part.v
-          ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.proto_num ]
+          ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num ]
           ~remotes:[ remote ]
           ()
       in
@@ -489,7 +490,7 @@ let input t ~lower msg =
 let connect t ~server ?remote () =
   let remote =
     Option.value remote
-      ~default:[ Part.Ip server; Part.Ip_proto t.proto_num ]
+      ~default:[ Part.Ip server; Part.Ip_proto proto_num ]
   in
   let free = Queue.create () in
   for chan = 0 to n_channels - 1 do
@@ -516,17 +517,16 @@ let register t ~command handler = Hashtbl.replace t.handlers command handler
 
 let serve t ?enable () =
   let local =
-    Option.value enable ~default:[ Part.Ip_proto t.proto_num ]
+    Option.value enable ~default:[ Part.Ip_proto proto_num ]
   in
   Proto.open_enable t.lower ~upper:t.p (Part.v ~local ())
 
-let create ~host ~lower ?(proto_num = 91) () =
+let create ~host ~lower () =
   let p = Proto.create ~host ~name:"M.RPC" () in
   let t =
     {
       host;
       lower;
-      proto_num;
       p;
       clients = Hashtbl.create 16;
       servers = Hashtbl.create 16;

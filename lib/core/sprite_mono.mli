@@ -25,15 +25,17 @@
 
 type t
 
+val proto_num : int
+(** 91: M.RPC's protocol number toward the layer below. *)
+
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   unit ->
   t
-(** [proto_num] defaults to 91.  The rest is Sprite's: 1 KB fragments,
-    8 channels, and a timeout of 20 ms, plus 3 ms per fragment for
-    multi-fragment calls, with 5 retries. *)
+(** Sprite's parameters: 1 KB fragments, 8 channels, and a timeout of
+    20 ms, plus 3 ms per fragment for multi-fragment calls, with 5
+    retries. *)
 
 val proto : t -> Xkernel.Proto.t
 

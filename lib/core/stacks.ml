@@ -32,8 +32,7 @@ type mono_lower = L_eth | L_ip | L_vip
 let mono_name lower =
   "M.RPC-" ^ match lower with L_eth -> "ETH" | L_ip -> "IP" | L_vip -> "VIP"
 
-let mono_proto_num = 91
-let mono_eth_type = Addr.eth_type_of_ip_proto mono_proto_num
+let mono_eth_type = Addr.eth_type_of_ip_proto Sprite_mono.proto_num
 
 let mono_create ~lower (n : World.node) =
   let lower =
@@ -42,7 +41,7 @@ let mono_create ~lower (n : World.node) =
     | L_ip -> Netproto.Ip.proto n.ip
     | L_vip -> Netproto.Vip.proto n.vip
   in
-  Sprite_mono.create ~host:n.host ~lower ~proto_num:mono_proto_num ()
+  Sprite_mono.create ~host:n.host ~lower ()
 
 let mono_serve ~lower m_s =
   standard_handlers (Sprite_mono.register m_s);

@@ -31,7 +31,6 @@ type conn = {
 and t = {
   host : Host.t;
   lower : Proto.t;
-  own_proto : int;
   window : int;
   rto : float;
   p : Proto.t;
@@ -40,8 +39,10 @@ and t = {
   stats : Stats.t;
 }
 
-(* Retransmissions of a segment before the stream breaks. *)
+(* Retransmissions of a segment before the stream breaks; STREAM's
+   protocol number toward the layer below. *)
 let retries = 8
+let own_proto = 99
 
 let proto t = t.p
 let stat t name = Stats.get t.stats name
@@ -199,10 +200,7 @@ let handle_data t c ~seq data =
 let make_conn t ~peer =
   let lower_sess =
     Proto.open_ t.lower ~upper:t.p
-      (Part.v
-         ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.own_proto ]
-         ~remotes:[ [ Part.Ip peer; Part.Ip_proto t.own_proto ] ]
-         ())
+      (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
   in
   let c =
     {
@@ -282,13 +280,12 @@ let input t ~lower msg =
           else if typ <> typ_ack then Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?(rto = 0.03) () =
+let create ~host ~lower ?(window = 8) ?(rto = 0.03) () =
   let p = Proto.create ~host ~name:"STREAM" () in
   let t =
     {
       host;
       lower;
-      own_proto = proto_num;
       window;
       rto;
       p;
@@ -312,7 +309,6 @@ let create ~host ~lower ?(proto_num = 99) ?(window = 8) ?(rto = 0.03) () =
               Proto.control t.lower Control.Get_opt_packet
           | req -> Stats.control t.stats req);
     };
-  Proto.open_enable lower ~upper:p
-    (Part.v ~local:[ Part.Ip_proto proto_num ] ());
+  Proto.open_enable lower ~upper:p (Part.ip_enable own_proto);
   Proto.declare_below p [ lower ];
   t

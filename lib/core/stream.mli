@@ -26,12 +26,11 @@ type t
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   ?window:int ->
   ?rto:float ->
   unit ->
   t
-(** [proto_num] (default 99) names STREAM toward the layer below;
+(** Protocol number 99 names STREAM toward the layer below;
     [window] (default 8) is the send window in segments, each what fits
     one lower-layer packet; [rto] (default 30 ms) is the retransmission
     timeout, with 8 retransmissions before the stream breaks. *)

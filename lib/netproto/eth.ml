@@ -7,10 +7,8 @@ type t = {
   host : Host.t;
   dev : Netdev.t;
   p : Proto.t;
-  (* Active and passively-created sessions, keyed (peer, type). *)
-  sessions : (int * int, Proto.session) Hashtbl.t;
-  (* open_enable registrations: type -> upper protocol. *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  (* Sessions keyed (peer, type); open_enable registers a type. *)
+  demux : (t, Addr.Eth.t * int, Proto.session) Demux.t;
   stats : Stats.t;
   c_tx : Stats.counter;
   c_rx : Stats.counter;
@@ -32,15 +30,13 @@ let decode_header hdr =
   let typ = Codec.R.u16 r in
   (dst, src, typ)
 
-let session_key ~peer ~typ = (Addr.Eth.to_int peer, typ)
-
 let common_control t = function
   | Control.Get_mtu | Control.Get_max_packet | Control.Get_opt_packet ->
       Control.R_int mtu
   | Control.Get_my_eth -> Control.R_eth t.host.Host.eth
   | req -> Stats.control t.stats req
 
-let make_session t ~upper ~peer ~typ =
+let make_session t ~upper (peer, typ) =
   let cell = ref None in
   let self () = Option.get !cell in
   let push msg =
@@ -57,14 +53,13 @@ let make_session t ~upper ~peer ~typ =
     | Control.Get_peer_proto -> Control.R_int typ
     | req -> common_control t req
   in
-  let close () = Hashtbl.remove t.sessions (session_key ~peer ~typ) in
+  let close () = Demux.unbind t.demux (peer, typ) in
   let xs =
     Proto.make_session t.p
       ~name:(Printf.sprintf "eth(%s,0x%04x)" (Addr.Eth.to_string peer) typ)
       { push; pop; s_control; close }
   in
   cell := Some xs;
-  Hashtbl.replace t.sessions (session_key ~peer ~typ) xs;
   xs
 
 let open_session t ~upper part =
@@ -81,9 +76,7 @@ let open_session t ~upper part =
     | Some ty, _ | None, Some ty -> ty
     | None, None -> invalid_arg "Eth.open_: no ethernet type"
   in
-  match Hashtbl.find_opt t.sessions (session_key ~peer ~typ) with
-  | Some xs -> xs
-  | None -> make_session t ~upper ~peer ~typ
+  Demux.open_ t.demux t ~upper (peer, typ)
 
 (* Shared receive path; the layer crossing itself is charged by the
    caller (device handler or Proto.deliver). *)
@@ -101,14 +94,9 @@ let input t msg =
         Stats.tick t.c_rx;
         Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
           ~dir:`Recv rest;
-        match Hashtbl.find_opt t.sessions (session_key ~peer:src ~typ) with
+        match Demux.resolve t.demux t (src, typ) typ with
         | Some xs -> Proto.pop xs rest
-        | None -> (
-            match Hashtbl.find_opt t.enabled typ with
-            | Some upper ->
-                let xs = make_session t ~upper ~peer:src ~typ in
-                Proto.pop xs rest
-            | None -> Stats.incr t.stats "rx-unbound")
+        | None -> Stats.incr t.stats "rx-unbound"
       end)
 
 let create ~host ~dev =
@@ -119,8 +107,7 @@ let create ~host ~dev =
       host;
       dev;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 16;
+      demux = Demux.create 16 ~make:make_session;
       stats;
       c_tx = Stats.counter stats "tx";
       c_rx = Stats.counter stats "rx";
@@ -132,7 +119,7 @@ let create ~host ~dev =
       open_enable =
         (fun ~upper part ->
           match Part.find_eth_type part.Part.local with
-          | Some typ -> Hashtbl.replace t.enabled typ upper
+          | Some typ -> Demux.enable t.demux typ upper
           | None -> invalid_arg "Eth.open_enable: no ethernet type");
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower:_ msg -> input t msg);

@@ -55,10 +55,7 @@ let session_to t peer =
   | None ->
       let s =
         Proto.open_ (Ip.proto t.ip) ~upper:t.p
-          (Part.v
-             ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto ip_proto_icmp ]
-             ~remotes:[ [ Part.Ip peer; Part.Ip_proto ip_proto_icmp ] ]
-             ())
+          (Part.ip_open ~local:t.host.Host.ip ~peer ip_proto_icmp)
       in
       Hashtbl.replace t.sessions (Addr.Ip.to_int peer) s;
       s
@@ -151,8 +148,7 @@ let create ~host ~ip =
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control = (fun req -> Stats.control t.stats req);
     };
-  Proto.open_enable (Ip.proto ip) ~upper:p
-    (Part.v ~local:[ Part.Ip_proto ip_proto_icmp ] ());
+  Proto.open_enable (Ip.proto ip) ~upper:p (Part.ip_enable ip_proto_icmp);
   (* Turn IP's delivery failures into error messages to the source. *)
   Ip.set_error_hook ip (fun ~src err quote ->
       match err with

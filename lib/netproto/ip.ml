@@ -35,8 +35,7 @@ type t = {
   forward : bool;
   mutable ttl_default : int;
   p : Proto.t;
-  sessions : (int * int, Proto.session) Hashtbl.t; (* (peer, proto) *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer, proto) *)
   eth_cache : (Addr.Ip.t, Proto.session) Hashtbl.t; (* next hop -> eth sess *)
   reassembly : (int * int, reasm) Hashtbl.t; (* (src, ident) *)
   mutable next_ident : int;
@@ -199,9 +198,7 @@ let send_datagram t ~src ~dst ~proto_num ~ttl msg =
 let inject t ~src ~dst ~proto_num msg =
   send_datagram t ~src ~dst ~proto_num ~ttl:t.ttl_default msg
 
-let session_key ~peer ~proto_num = (Addr.Ip.to_int peer, proto_num)
-
-let make_session t ~upper ~peer ~proto_num =
+let make_session t ~upper (peer, proto_num) =
   let cell = ref None in
   let self () = Option.get !cell in
   let push msg =
@@ -218,58 +215,38 @@ let make_session t ~upper ~peer ~proto_num =
         Control.R_int (lower_payload t (List.hd t.ifaces))
     | req -> Stats.control t.stats req
   in
-  let close () = Hashtbl.remove t.sessions (session_key ~peer ~proto_num) in
+  let close () = Demux.unbind t.demux (peer, proto_num) in
   let xs =
     Proto.make_session t.p
       ~name:(Printf.sprintf "ip(%s,%d)" (Addr.Ip.to_string peer) proto_num)
       { push; pop; s_control; close }
   in
   cell := Some xs;
-  Hashtbl.replace t.sessions (session_key ~peer ~proto_num) xs;
   xs
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Ip.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Ip.open_: no IP protocol number"
-  in
-  match Hashtbl.find_opt t.sessions (session_key ~peer ~proto_num) with
-  | Some s -> s
-  | None -> make_session t ~upper ~peer ~proto_num
+  let peer = Part.peer_ip part in
+  Demux.open_ t.demux t ~upper (peer, Part.ip_proto part)
 
 let deliver_up t ~src ~dst ~proto_num ~ttl msg =
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"IP"
     ~dir:`Recv msg;
-  match Hashtbl.find_opt t.sessions (session_key ~peer:src ~proto_num) with
+  match Demux.resolve t.demux t (src, proto_num) proto_num with
   | Some xs -> Proto.pop xs msg
-  | None -> (
-      match Hashtbl.find_opt t.enabled proto_num with
-      | Some upper ->
-          let xs = make_session t ~upper ~peer:src ~proto_num in
-          Proto.pop xs msg
-      | None ->
-          Stats.incr t.stats "rx-unbound";
-          report_error t
-            {
-              totlen = header_bytes + Msg.length msg;
-              ident = 0;
-              mf = false;
-              frag_off = 0;
-              ttl;
-              proto_num;
-              src;
-              dst;
-            }
-            msg Proto_unreachable)
+  | None ->
+      Stats.incr t.stats "rx-unbound";
+      report_error t
+        {
+          totlen = header_bytes + Msg.length msg;
+          ident = 0;
+          mf = false;
+          frag_off = 0;
+          ttl;
+          proto_num;
+          src;
+          dst;
+        }
+        msg Proto_unreachable
 
 (* Reassembly: collect (offset, piece) pairs until they cover
    [0, total).  Overlaps from duplicated fragments are tolerated by
@@ -406,7 +383,7 @@ let input t msg =
                     ~ttl:h.ttl whole
             end))
 
-let create ~host ~ifaces ?gateway ?(forward = false) ?(ttl = 32) () =
+let create ~host ~ifaces ?gateway ?(forward = false) () =
   if ifaces = [] then invalid_arg "Ip.create: no interfaces";
   let p = Proto.create ~host ~name:"IP" () in
   let t =
@@ -415,10 +392,9 @@ let create ~host ~ifaces ?gateway ?(forward = false) ?(ttl = 32) () =
       ifaces;
       gateway;
       forward;
-      ttl_default = ttl;
+      ttl_default = 32;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 16;
+      demux = Demux.create 16 ~make:make_session;
       eth_cache = Hashtbl.create 16;
       reassembly = Hashtbl.create 16;
       next_ident = 1;
@@ -431,10 +407,7 @@ let create ~host ~ifaces ?gateway ?(forward = false) ?(ttl = 32) () =
     {
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
-        (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | Some n -> Hashtbl.replace t.enabled n upper
-          | None -> invalid_arg "Ip.open_enable: no IP protocol number");
+        (fun ~upper part -> Demux.enable t.demux (Part.ip_proto part) upper);
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower:_ msg -> input t msg);
       p_control =

@@ -23,13 +23,13 @@ val create :
   ifaces:iface list ->
   ?gateway:Xkernel.Addr.Ip.t ->
   ?forward:bool ->
-  ?ttl:int ->
   unit ->
   t
 (** [create ~host ~ifaces ()] — [ifaces] must be non-empty; the first is
     the primary interface.  [gateway] is the next hop for non-local
     destinations.  [forward] (default false) makes this instance a
-    router.  [ttl] defaults to 32. *)
+    router.  Datagrams leave with TTL 32 until [Control.Set_ttl]
+    changes it. *)
 
 val create_simple :
   host:Xkernel.Host.t ->

@@ -3,11 +3,11 @@ open Xkernel
 let header_bytes = 5
 let kind_request = 1
 let kind_reply = 2
+let proto_num = 200
 
 type t = {
   host : Host.t;
   lower : Proto.t;
-  proto_num : int;
   max_msg : int;
   port : int option;
   user_level : bool;
@@ -49,9 +49,8 @@ let session_for t ~peer =
       let part =
         Part.v
           ~local:
-            (with_port t [ Part.Ip t.host.Host.ip; Part.Ip_proto t.proto_num ])
-          ~remotes:
-            [ with_port t [ Part.Ip peer; Part.Ip_proto t.proto_num ] ]
+            (with_port t [ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num ])
+          ~remotes:[ with_port t [ Part.Ip peer; Part.Ip_proto proto_num ] ]
           ()
       in
       let s = Proto.open_ t.lower ~upper:t.p part in
@@ -104,14 +103,13 @@ let input t ~lower msg =
         | _ -> Stats.incr t.stats "rx-stale"
       end
 
-let create ~host ~lower ?(proto_num = 200) ?(max_msg = 1480) ?port
+let create ~host ~lower ?(max_msg = 1480) ?port
     ?(user_level = false) () =
   let p = Proto.create ~host ~name:"PROBE" () in
   let t =
     {
       host;
       lower;
-      proto_num;
       max_msg;
       port;
       user_level;
@@ -140,6 +138,6 @@ let create ~host ~lower ?(proto_num = 200) ?(max_msg = 1480) ?port
 
 let serve t =
   Proto.open_enable t.lower ~upper:t.p
-    (Part.v ~local:(with_port t [ Part.Ip_proto t.proto_num ]) ())
+    (Part.v ~local:(with_port t [ Part.Ip_proto proto_num ]) ())
 
 let echoes t = Stats.get t.stats "echoed"

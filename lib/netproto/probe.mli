@@ -14,13 +14,12 @@ type t
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
-  ?proto_num:int ->
   ?max_msg:int ->
   ?port:int ->
   ?user_level:bool ->
   unit ->
   t
-(** [proto_num] (default 200) identifies Probe to the stack below;
+(** Protocol number 200 identifies Probe to the stack below;
     [max_msg] (default 1480) is what Probe answers to
     [Get_max_msg_size] — VIP reads it at open time.  [port] adds a
     [Port] component to the participants (required when [lower] is

@@ -8,9 +8,8 @@ type t = {
   lower : Proto.t;
   checksum : bool;
   p : Proto.t;
-  sessions : (int * int * int, Proto.session) Hashtbl.t;
-      (* (local port, peer ip, peer port) *)
-  enabled : (int, Proto.t) Hashtbl.t; (* local port -> upper *)
+  demux : (t, int * Addr.Ip.t * int, Proto.session) Demux.t;
+      (* (local port, peer ip, peer port); enabled by local port *)
   mutable next_ephemeral : int;
   stats : Stats.t;
 }
@@ -45,16 +44,13 @@ let ephemeral t =
   t.next_ephemeral <- (if p >= 65535 then 49152 else p + 1);
   p
 
-let lower_part t ~peer_ip =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto ip_proto_udp ]
-    ~remotes:[ [ Part.Ip peer_ip; Part.Ip_proto ip_proto_udp ] ]
-    ()
-
-let make_session t ~upper ~lport ~peer_ip ~rport =
+let make_session t ~upper (lport, peer_ip, rport) =
   let cell = ref None in
   let self () = Option.get !cell in
-  let lower_sess = Proto.open_ t.lower ~upper:t.p (lower_part t ~peer_ip) in
+  let lower_sess =
+    Proto.open_ t.lower ~upper:t.p
+      (Part.ip_open ~local:t.host.Host.ip ~peer:peer_ip ip_proto_udp)
+  in
   let push msg =
     Stats.incr t.stats "tx";
     let len = header_bytes + Msg.length msg in
@@ -81,9 +77,7 @@ let make_session t ~upper ~lport ~peer_ip ~rport =
         Proto.session_control lower_sess req
     | req -> Stats.control t.stats req
   in
-  let close () =
-    Hashtbl.remove t.sessions (lport, Addr.Ip.to_int peer_ip, rport)
-  in
+  let close () = Demux.unbind t.demux (lport, peer_ip, rport) in
   let xs =
     Proto.make_session t.p
       ~name:
@@ -92,18 +86,12 @@ let make_session t ~upper ~lport ~peer_ip ~rport =
       { push; pop; s_control; close }
   in
   cell := Some xs;
-  Hashtbl.replace t.sessions (lport, Addr.Ip.to_int peer_ip, rport) xs;
   xs
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer_ip =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Udp.open_: peer has no IP address"
-  in
+  let peer_ip = Part.peer_ip part in
   let rport =
-    match Part.find_port peer_part with
+    match Part.find_port (Part.peer part) with
     | Some p -> p
     | None -> invalid_arg "Udp.open_: peer has no port"
   in
@@ -112,9 +100,7 @@ let open_session t ~upper part =
     | Some p -> p
     | None -> ephemeral t
   in
-  match Hashtbl.find_opt t.sessions (lport, Addr.Ip.to_int peer_ip, rport) with
-  | Some s -> s
-  | None -> make_session t ~upper ~lport ~peer_ip ~rport
+  Demux.open_ t.demux t ~upper (lport, peer_ip, rport)
 
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
@@ -140,22 +126,11 @@ let input t ~lower msg =
         in
         if not checksum_ok then Stats.incr t.stats "rx-bad-checksum"
         else
-          match
-            Hashtbl.find_opt t.sessions (dport, Addr.Ip.to_int src, sport)
-          with
+          match Demux.resolve t.demux t (dport, src, sport) dport with
           | Some xs ->
               Stats.incr t.stats "rx";
               Proto.pop xs payload
-          | None -> (
-              match Hashtbl.find_opt t.enabled dport with
-              | Some upper ->
-                  Stats.incr t.stats "rx";
-                  let xs =
-                    make_session t ~upper ~lport:dport ~peer_ip:src
-                      ~rport:sport
-                  in
-                  Proto.pop xs payload
-              | None -> Stats.incr t.stats "rx-unbound"))
+          | None -> Stats.incr t.stats "rx-unbound")
 
 let create ~host ~lower ?(checksum = false) () =
   let p = Proto.create ~host ~name:"UDP" () in
@@ -165,8 +140,7 @@ let create ~host ~lower ?(checksum = false) () =
       lower;
       checksum;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 16 ~make:make_session;
       next_ephemeral = 49152;
       stats = Proto.stats p;
     }
@@ -177,7 +151,7 @@ let create ~host ~lower ?(checksum = false) () =
       open_enable =
         (fun ~upper part ->
           match Part.find_port part.Part.local with
-          | Some port -> Hashtbl.replace t.enabled port upper
+          | Some port -> Demux.enable t.demux port upper
           | None -> invalid_arg "Udp.open_enable: no local port");
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower msg -> input t ~lower msg);
@@ -194,7 +168,6 @@ let create ~host ~lower ?(checksum = false) () =
     }
   in
   Proto.set_ops p ops;
-  Proto.open_enable t.lower ~upper:p
-    (Part.v ~local:[ Part.Ip_proto ip_proto_udp ] ());
+  Proto.open_enable t.lower ~upper:p (Part.ip_enable ip_proto_udp);
   Proto.declare_below p [ lower ];
   t

@@ -7,8 +7,7 @@ type t = {
   arp : Arp.t;
   adv : Vip_adv.t option;
   p : Proto.t;
-  sessions : (int * int, Proto.session) Hashtbl.t; (* (peer ip, proto) *)
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer ip, proto) *)
   stats : Stats.t;
   c_tx_eth : Stats.counter;
   c_tx_ip : Stats.counter;
@@ -36,13 +35,7 @@ let eth_part t ~peer_eth ~proto_num =
     ~remotes:[ [ Part.Eth peer_eth ] ]
     ()
 
-let ip_part t ~peer_ip ~proto_num =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num ]
-    ~remotes:[ [ Part.Ip peer_ip; Part.Ip_proto proto_num ] ]
-    ()
-
-let make_session t ~upper ~peer_ip ~proto_num =
+let make_session t ~upper (peer_ip, proto_num) =
   (* Open-time binding: resolve locality with ARP, ask the upper
      protocol its maximum message size, then open ETH, IP or both. *)
   let max_msg = upper_max_msg upper in
@@ -68,7 +61,9 @@ let make_session t ~upper ~peer_ip ~proto_num =
   in
   let ip_sess =
     if need_ip then
-      Some (Proto.open_ (Ip.proto t.ip) ~upper:t.p (ip_part t ~peer_ip ~proto_num))
+      Some
+        (Proto.open_ (Ip.proto t.ip) ~upper:t.p
+           (Part.ip_open ~local:t.host.Host.ip ~peer:peer_ip proto_num))
     else None
   in
   Stats.incr t.stats
@@ -109,9 +104,7 @@ let make_session t ~upper ~peer_ip ~proto_num =
           (match ip_sess with Some _ -> Ip.max_packet | None -> payload)
     | req -> Stats.control t.stats req
   in
-  let close () =
-    Hashtbl.remove t.sessions (Addr.Ip.to_int peer_ip, proto_num)
-  in
+  let close () = Demux.unbind t.demux (peer_ip, proto_num) in
   let xs =
     Proto.make_session t.p
       ~name:
@@ -119,26 +112,11 @@ let make_session t ~upper ~peer_ip ~proto_num =
       { push; pop; s_control; close }
   in
   cell := Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer_ip, proto_num) xs;
   xs
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer_ip =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Vip.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Vip.open_: no IP protocol number"
-  in
-  match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer_ip, proto_num) with
-  | Some s -> s
-  | None -> make_session t ~upper ~peer_ip ~proto_num
+  let peer_ip = Part.peer_ip part in
+  Demux.open_ t.demux t ~upper (peer_ip, Part.ip_proto part)
 
 let input t ~lower msg =
   match Lower_id.identify ~arp:t.arp lower with
@@ -146,16 +124,9 @@ let input t ~lower msg =
   | Some (peer_ip, proto_num) -> (
       Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"VIP"
         ~dir:`Recv msg;
-      match
-        Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer_ip, proto_num)
-      with
+      match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
       | Some xs -> Proto.pop xs msg
-      | None -> (
-          match Hashtbl.find_opt t.enabled proto_num with
-          | Some upper ->
-              let xs = make_session t ~upper ~peer_ip ~proto_num in
-              Proto.pop xs msg
-          | None -> Stats.incr t.stats "rx-unbound"))
+      | None -> Stats.incr t.stats "rx-unbound")
 
 let create ~host ~eth ~ip ~arp ?adv () =
   let p = Proto.create ~host ~name:"VIP" ~virtual_:true () in
@@ -168,8 +139,7 @@ let create ~host ~eth ~ip ~arp ?adv () =
       arp;
       adv;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 16 ~make:make_session;
       stats;
       c_tx_eth = Stats.counter stats "tx-eth";
       c_tx_ip = Stats.counter stats "tx-ip";
@@ -180,19 +150,16 @@ let create ~host ~eth ~ip ~arp ?adv () =
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Vip.open_enable: no IP protocol number"
-          | Some proto_num ->
-              Hashtbl.replace t.enabled proto_num upper;
-              (* Enable both lower paths: messages may arrive via the
-                 mapped ethernet type or via IP. *)
-              Proto.open_enable (Eth.proto t.eth) ~upper:t.p
-                (Part.v
-                   ~local:
-                     [ Part.Eth_type (Addr.eth_type_of_ip_proto proto_num) ]
-                   ());
-              Proto.open_enable (Ip.proto t.ip) ~upper:t.p
-                (Part.v ~local:[ Part.Ip_proto proto_num ] ()));
+          let proto_num = Part.ip_proto part in
+          Demux.enable t.demux proto_num upper;
+          (* Enable both lower paths: messages may arrive via the mapped
+             ethernet type or via IP. *)
+          Proto.open_enable (Eth.proto t.eth) ~upper:t.p
+            (Part.v
+               ~local:[ Part.Eth_type (Addr.eth_type_of_ip_proto proto_num) ]
+               ());
+          Proto.open_enable (Ip.proto t.ip) ~upper:t.p
+            (Part.ip_enable proto_num));
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control =

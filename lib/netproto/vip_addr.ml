@@ -11,27 +11,12 @@ type t = {
 
 let proto t = t.p
 
-let peer_and_proto part =
-  let peer_part = Part.peer part in
-  let peer_ip =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Vip_addr.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Vip_addr.open_: no IP protocol number"
-  in
-  (peer_ip, proto_num)
-
 (* The whole protocol is this one decision, made once per open; the
    session handed back belongs to ETH or IP, so no VIPaddr code runs on
    the message path. *)
 let open_session t ~upper part =
-  let peer_ip, proto_num = peer_and_proto part in
+  let peer_ip = Part.peer_ip part in
+  let proto_num = Part.ip_proto part in
   match Arp.resolve t.arp peer_ip with
   | Some peer_eth when not (Addr.Eth.is_broadcast peer_eth) ->
       Stats.incr t.stats "open-eth";
@@ -47,10 +32,7 @@ let open_session t ~upper part =
   | _ ->
       Stats.incr t.stats "open-ip";
       Proto.open_ (Ip.proto t.ip) ~upper
-        (Part.v
-           ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num ]
-           ~remotes:[ [ Part.Ip peer_ip; Part.Ip_proto proto_num ] ]
-           ())
+        (Part.ip_open ~local:t.host.Host.ip ~peer:peer_ip proto_num)
 
 let create ~host ~eth ~ip ~arp =
   let p = Proto.create ~host ~name:"VIPaddr" ~virtual_:true () in
@@ -60,16 +42,12 @@ let create ~host ~eth ~ip ~arp =
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Vip_addr.open_enable: no IP protocol number"
-          | Some proto_num ->
-              Proto.open_enable (Eth.proto t.eth) ~upper
-                (Part.v
-                   ~local:
-                     [ Part.Eth_type (Addr.eth_type_of_ip_proto proto_num) ]
-                   ());
-              Proto.open_enable (Ip.proto t.ip) ~upper
-                (Part.v ~local:[ Part.Ip_proto proto_num ] ()));
+          let proto_num = Part.ip_proto part in
+          Proto.open_enable (Eth.proto t.eth) ~upper
+            (Part.v
+               ~local:[ Part.Eth_type (Addr.eth_type_of_ip_proto proto_num) ]
+               ());
+          Proto.open_enable (Ip.proto t.ip) ~upper (Part.ip_enable proto_num));
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux =
         (fun ~lower:_ _ ->

@@ -6,8 +6,7 @@ type t = {
   direct : Proto.t;
   arp : Arp.t;
   p : Proto.t;
-  sessions : (int * int, Proto.session) Hashtbl.t;
-  enabled : (int, Proto.t) Hashtbl.t;
+  demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer ip, proto) *)
   stats : Stats.t;
 }
 
@@ -18,14 +17,8 @@ let upper_max_msg upper =
   | Control.R_int n -> n
   | _ -> max_int
 
-let part_for t ~peer_ip ~proto_num =
-  Part.v
-    ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto proto_num ]
-    ~remotes:[ [ Part.Ip peer_ip; Part.Ip_proto proto_num ] ]
-    ()
-
-let make_session t ~upper ~peer_ip ~proto_num =
-  let part = part_for t ~peer_ip ~proto_num in
+let make_session t ~upper (peer_ip, proto_num) =
+  let part = Part.ip_open ~local:t.host.Host.ip ~peer:peer_ip proto_num in
   let direct_sess = Proto.open_ t.direct ~upper:t.p part in
   let threshold =
     Control.int_exn (Proto.session_control direct_sess Control.Get_opt_packet)
@@ -64,9 +57,7 @@ let make_session t ~upper ~peer_ip ~proto_num =
         | None -> Control.Unsupported)
     | req -> Stats.control t.stats req
   in
-  let close () =
-    Hashtbl.remove t.sessions (Addr.Ip.to_int peer_ip, proto_num)
-  in
+  let close () = Demux.unbind t.demux (peer_ip, proto_num) in
   let xs =
     Proto.make_session t.p
       ~name:
@@ -75,41 +66,19 @@ let make_session t ~upper ~peer_ip ~proto_num =
       { push; pop; s_control; close }
   in
   cell := Some xs;
-  Hashtbl.replace t.sessions (Addr.Ip.to_int peer_ip, proto_num) xs;
   xs
 
 let open_session t ~upper part =
-  let peer_part = Part.peer part in
-  let peer_ip =
-    match Part.find_ip peer_part with
-    | Some ip -> ip
-    | None -> invalid_arg "Vip_size.open_: peer has no IP address"
-  in
-  let proto_num =
-    match
-      (Part.find_ip_proto peer_part, Part.find_ip_proto part.Part.local)
-    with
-    | Some n, _ | None, Some n -> n
-    | None, None -> invalid_arg "Vip_size.open_: no IP protocol number"
-  in
-  match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer_ip, proto_num) with
-  | Some s -> s
-  | None -> make_session t ~upper ~peer_ip ~proto_num
+  let peer_ip = Part.peer_ip part in
+  Demux.open_ t.demux t ~upper (peer_ip, Part.ip_proto part)
 
 let input t ~lower msg =
   match Lower_id.identify ~arp:t.arp lower with
   | None -> Stats.incr t.stats "rx-unidentified"
   | Some (peer_ip, proto_num) -> (
-      match
-        Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer_ip, proto_num)
-      with
+      match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
       | Some xs -> Proto.pop xs msg
-      | None -> (
-          match Hashtbl.find_opt t.enabled proto_num with
-          | Some upper ->
-              let xs = make_session t ~upper ~peer_ip ~proto_num in
-              Proto.pop xs msg
-          | None -> Stats.incr t.stats "rx-unbound"))
+      | None -> Stats.incr t.stats "rx-unbound")
 
 let create ~host ~bulk ~direct ~arp =
   let p = Proto.create ~host ~name:"VIPsize" ~virtual_:true () in
@@ -120,8 +89,7 @@ let create ~host ~bulk ~direct ~arp =
       direct;
       arp;
       p;
-      sessions = Hashtbl.create 16;
-      enabled = Hashtbl.create 8;
+      demux = Demux.create 16 ~make:make_session;
       stats = Proto.stats p;
     }
   in
@@ -130,15 +98,11 @@ let create ~host ~bulk ~direct ~arp =
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
       open_enable =
         (fun ~upper part ->
-          match Part.find_ip_proto part.Part.local with
-          | None -> invalid_arg "Vip_size.open_enable: no IP protocol number"
-          | Some proto_num ->
-              Hashtbl.replace t.enabled proto_num upper;
-              let enable_part =
-                Part.v ~local:[ Part.Ip_proto proto_num ] ()
-              in
-              Proto.open_enable t.bulk ~upper:t.p enable_part;
-              Proto.open_enable t.direct ~upper:t.p enable_part);
+          let proto_num = Part.ip_proto part in
+          Demux.enable t.demux proto_num upper;
+          let enable_part = Part.ip_enable proto_num in
+          Proto.open_enable t.bulk ~upper:t.p enable_part;
+          Proto.open_enable t.direct ~upper:t.p enable_part);
       open_done = (fun ~upper part -> open_session t ~upper part);
       demux = (fun ~lower msg -> input t ~lower msg);
       p_control =

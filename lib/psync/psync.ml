@@ -4,6 +4,7 @@ let typ_data = 1
 let typ_resend = 2
 let resend_delay = 0.05
 let resend_tries = 3
+let proto_num = 97
 
 type msg_id = { origin : Addr.Ip.t; seq : int }
 
@@ -33,7 +34,6 @@ type conversation = {
 and t = {
   host : Host.t;
   lower : Proto.t;
-  proto_num : int;
   p : Proto.t;
   convs : (int, conversation) Hashtbl.t;
   stats : Stats.t;
@@ -192,12 +192,7 @@ let join t ~conv_id ~members =
       let sessions =
         List.map
           (fun m ->
-            let part =
-              Part.v
-                ~local:[ Part.Ip t.host.Host.ip; Part.Ip_proto t.proto_num ]
-                ~remotes:[ [ Part.Ip m; Part.Ip_proto t.proto_num ] ]
-                ()
-            in
+            let part = Part.ip_open ~local:t.host.Host.ip ~peer:m proto_num in
             (m, Proto.open_ t.lower ~upper:t.p part))
           others
       in
@@ -239,11 +234,9 @@ let on_deliver cv f = cv.callback <- Some f
 let delivered cv = Stats.get cv.cv.stats "delivered"
 let blocked cv = List.length cv.waiting
 
-let create ~host ~lower ?(proto_num = 97) () =
+let create ~host ~lower () =
   let p = Proto.create ~host ~name:"PSYNC" () in
-  let t =
-    { host; lower; proto_num; p; convs = Hashtbl.create 4; stats = Proto.stats p }
-  in
+  let t = { host; lower; p; convs = Hashtbl.create 4; stats = Proto.stats p } in
   Proto.set_ops p
     {
       Proto.open_ = (fun ~upper:_ _ -> invalid_arg "Psync: use join/send");
@@ -259,7 +252,6 @@ let create ~host ~lower ?(proto_num = 97) () =
               Proto.control t.lower Control.Get_max_msg_size
           | req -> Stats.control t.stats req);
     };
-  Proto.open_enable lower ~upper:p
-    (Part.v ~local:[ Part.Ip_proto proto_num ] ());
+  Proto.open_enable lower ~upper:p (Part.ip_enable proto_num);
   Proto.declare_below p [ lower ];
   t

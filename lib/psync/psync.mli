@@ -19,9 +19,8 @@
 
 type t
 
-val create :
-  host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> ?proto_num:int -> unit -> t
-(** [proto_num] defaults to 97. *)
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> unit -> t
+(** Psync's protocol number toward [lower] is 97. *)
 
 val proto : t -> Xkernel.Proto.t
 

@@ -40,6 +40,24 @@ let find_program p =
 let find_procedure p = find_map (function Procedure a -> Some a | _ -> None) p
 let with_component p c = c :: p
 
+let peer_ip t =
+  match find_ip (peer t) with
+  | Some ip -> ip
+  | None -> invalid_arg "Part.peer_ip: peer has no IP address"
+
+let ip_proto t =
+  match Option.bind (peer_opt t) find_ip_proto with
+  | Some n -> n
+  | None -> (
+      match find_ip_proto t.local with
+      | Some n -> n
+      | None -> invalid_arg "Part.ip_proto: no IP protocol number")
+
+let ip_open ~local ~peer n =
+  v ~local:[ Ip local; Ip_proto n ] ~remotes:[ [ Ip peer; Ip_proto n ] ] ()
+
+let ip_enable n = v ~local:[ Ip_proto n ] ()
+
 let pp_component fmt = function
   | Ip a -> Format.fprintf fmt "ip:%a" Addr.Ip.pp a
   | Eth a -> Format.fprintf fmt "eth:%a" Addr.Eth.pp a

@@ -47,6 +47,30 @@ val find_command : participant -> int option
 val find_program : participant -> (int * int) option
 val find_procedure : participant -> int option
 
+(** {1 IP-keyed conventions}
+
+    The protocols that sit on an IP-like layer (IP itself, VIP and its
+    variants, FRAGMENT, CHANNEL, and the RPC layers above) all name a
+    session by the peer's IP address and an IP protocol number. *)
+
+val peer_ip : t -> Addr.Ip.t
+(** The peer's IP address.  Raises [Invalid_argument] if there is no
+    peer or it names no address. *)
+
+val ip_proto : t -> Addr.ip_proto
+(** The IP protocol number: the peer's if it names one, else the local
+    participant's — so it also reads an [open_enable] set.  Raises
+    [Invalid_argument] if neither names one. *)
+
+val ip_open : local:Addr.Ip.t -> peer:Addr.Ip.t -> Addr.ip_proto -> t
+(** [ip_open ~local ~peer n]: local and peer address, both under
+    protocol number [n] — what a protocol hands to [open_] on the layer
+    below. *)
+
+val ip_enable : Addr.ip_proto -> t
+(** A local-only participant naming protocol number [n] — what a
+    protocol hands to [open_enable] on the layer below. *)
+
 val with_component : participant -> component -> participant
 (** [with_component p c] adds [c] to the front of [p] — how a protocol
     refines a participant before opening the next protocol down. *)

@@ -4,6 +4,7 @@ type t = {
   virtual_ : bool;
   mutable p_below : t list;
   mutable p_ops : ops option;
+  mutable p_sessions : int; (* sessions made so far: the last id issued *)
   p_stats : Stats.t;
   (* Per-event accounting, pre-resolved once at create time so a layer
      crossing costs five increments rather than five string lookups. *)
@@ -39,6 +40,7 @@ let create ~host ~name ?(virtual_ = false) () =
     virtual_;
     p_below = [];
     p_ops = None;
+    p_sessions = 0;
     p_stats;
     c_pushes = Stats.counter p_stats "pushes";
     c_demuxes = Stats.counter p_stats "demuxes";
@@ -79,13 +81,11 @@ let deliver p ~lower msg =
   Machine.charge_one p.p_host.Host.mach (crossing_op p);
   (ops p).demux ~lower msg
 
-let session_counter = ref 0
-
 let make_session p ?name s_ops =
-  Stdlib.incr session_counter;
+  p.p_sessions <- p.p_sessions + 1;
   {
     s_name = Option.value name ~default:p.p_name;
-    s_id = !session_counter;
+    s_id = p.p_sessions;
     s_proto = p;
     s_ops;
   }

@@ -109,9 +109,10 @@ val session_name : session -> string
 val session_proto : session -> t
 
 val session_id : session -> int
-(** A process-unique integer identifying this session — usable as a
-    hash key where the session record itself cannot be (its closures
-    rule out structural equality). *)
+(** An integer unique among the sessions of one protocol object —
+    usable as a hash key where the session record itself cannot be (its
+    closures rule out structural equality).  Sessions of different
+    protocol objects may share an id, so check {!session_proto} first. *)
 
 val push : session -> Msg.t -> unit
 (** [push s msg] sends [msg] down through [s], charging one send-side

@@ -93,6 +93,35 @@ let peer_required () =
   Alcotest.(check bool) "first remote" true
     (Part.find_port (Part.peer ps2) = Some 2)
 
+let ip_conventions () =
+  let a = Addr.Ip.v 10 0 0 1 and b = Addr.Ip.v 10 0 0 2 in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let both =
+    Part.v ~local:[ Part.Ip a; Part.Ip_proto 17 ]
+      ~remotes:[ [ Part.Ip b; Part.Ip_proto 6 ] ] ()
+  in
+  Alcotest.check Tutil.ip "peer ip" b (Part.peer_ip both);
+  Tutil.check_int "peer's protocol preferred" 6 (Part.ip_proto both);
+  let local_only =
+    Part.v ~local:[ Part.Ip a; Part.Ip_proto 17 ] ~remotes:[ [ Part.Ip b ] ] ()
+  in
+  Tutil.check_int "falls back to local" 17 (Part.ip_proto local_only);
+  Tutil.check_int "enable set has no peer" 93 (Part.ip_proto (Part.ip_enable 93));
+  Tutil.check_bool "no protocol raises" true
+    (raises (fun () ->
+         Part.ip_proto (Part.v ~local:[ Part.Ip a ] ~remotes:[ [ Part.Ip b ] ] ())));
+  Tutil.check_bool "no peer address raises" true
+    (raises (fun () -> Part.peer_ip (Part.v ~local:[ Part.Ip a ] ~remotes:[ [] ] ())));
+  Tutil.check_bool "no peer raises" true
+    (raises (fun () -> Part.peer_ip (Part.ip_enable 17)));
+  let o = Part.ip_open ~local:a ~peer:b 92 in
+  Alcotest.(check bool) "open: local" true
+    (Part.find_ip o.Part.local = Some a && Part.find_ip_proto o.Part.local = Some 92);
+  Alcotest.check Tutil.ip "open: peer" b (Part.peer_ip o);
+  Tutil.check_int "open: peer protocol" 92 (Part.ip_proto o);
+  Alcotest.(check bool) "enable: local only" true
+    ((Part.ip_enable 92).Part.remotes = [])
+
 let printing () =
   let s =
     Format.asprintf "%a" Part.pp
@@ -180,6 +209,7 @@ let () =
           Alcotest.test_case "accessors" `Quick participant_accessors;
           Alcotest.test_case "first match wins" `Quick first_match_wins;
           Alcotest.test_case "peer required" `Quick peer_required;
+          Alcotest.test_case "IP-keyed conventions" `Quick ip_conventions;
           Alcotest.test_case "printing" `Quick printing;
         ] );
       ( "control",

@@ -383,14 +383,28 @@ let many_sessions_constant_call () =
     sessions;
   Tutil.check_int "all executed" 64 !execs;
   (* A session that belongs to a different CHANNEL instance is still
-     rejected: the reverse table is per protocol object. *)
-  let other = Channel.create ~host:(World.node w 0).World.host
+     rejected, even when one of that instance's own sessions carries the
+     same id: ids are unique only within one protocol object. *)
+  let n0 = World.node w 0 and n1 = World.node w 1 in
+  let other = Channel.create ~host:n0.World.host
       ~lower:(Fragment.proto
-                (Fragment.create ~host:(World.node w 0).World.host
-                   ~lower:(Netproto.Vip.proto (World.node w 0).World.vip)
-                   ~proto_num:77 ()))
-      ~proto_num:78 ()
+                (Fragment.create ~host:n0.World.host
+                   ~lower:(Netproto.Vip.proto n0.World.vip) ()))
+      ()
   in
+  let own =
+    Tutil.run_in w (fun () ->
+        Proto.open_ (Channel.proto other)
+          ~upper:(Proto.create ~host:n0.World.host ~name:"NULL" ())
+          (Part.v
+             ~local:
+               [ Part.Ip n0.World.host.Host.ip; Part.Ip_proto proto_num;
+                 Part.Channel 0 ]
+             ~remotes:[ [ Part.Ip n1.World.host.Host.ip; Part.Ip_proto proto_num ] ]
+             ()))
+  in
+  Tutil.check_int "ids collide across protocol objects"
+    (Proto.session_id own) (Proto.session_id (List.hd sessions));
   Alcotest.(check bool) "foreign session rejected" true
     (match Tutil.run_in w (fun () -> Channel.call other (List.hd sessions) Msg.empty) with
     | exception Invalid_argument _ -> true

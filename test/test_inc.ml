@@ -28,7 +28,7 @@ let lnode (n : World.node) =
 
 (* One server, one client, echo registered, INC caching [cmd_echo],
    ARP/VIP/RTT warmed by one call. *)
-let setup ?ttl ?capacity () =
+let setup ?ttl () =
   let sw = World.create_switched ~clients:2 ~servers:1 () in
   let w = sw.World.sw.World.fo in
   let server = World.node w 0 and client = World.node w 1 in
@@ -39,7 +39,7 @@ let setup ?ttl ?capacity () =
     Inc.install
       ~host:sw.World.sw_ports.(0).World.pt_host
       ~ip:sw.World.sw_ip
-      ~cacheable:[ Stacks.cmd_echo ] ?ttl ?capacity ()
+      ~cacheable:[ Stacks.cmd_echo ] ?ttl ()
   in
   let cl =
     Tutil.run_in w (fun () ->

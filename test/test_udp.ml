@@ -69,6 +69,48 @@ let unbound_port_dropped () =
   Tutil.run_in w (fun () -> Proto.push sess (Msg.of_string "void"));
   Tutil.check_int "rx-unbound" 1 (Tutil.stat (Netproto.Udp.proto udp1) "rx-unbound")
 
+let close_then_reopen () =
+  (* Closing a passively opened session unbinds it; the port is still
+     enabled, so the next datagram opens a fresh session. *)
+  let w = World.create () in
+  let n0, n1, udp0, udp1 = setup w in
+  let lowers = ref [] in
+  let p1 = Proto.create ~host:n1.World.host ~name:"SINK" () in
+  Proto.set_ops p1
+    {
+      Proto.open_ = (fun ~upper:_ _ -> invalid_arg "sink");
+      open_enable = (fun ~upper:_ _ -> invalid_arg "sink");
+      open_done = (fun ~upper:_ _ -> invalid_arg "sink");
+      demux = (fun ~lower _ -> lowers := lower :: !lowers);
+      p_control = (fun _ -> Control.Unsupported);
+    };
+  Proto.open_enable (Netproto.Udp.proto udp1) ~upper:p1
+    (Part.v ~local:[ Part.Port 1234 ] ());
+  let sess = open_session w n0 n1 udp0 ~sport:555 ~dport:1234 in
+  let send s = Tutil.run_in w (fun () -> Proto.push sess (Msg.of_string s)) in
+  send "one";
+  send "two";
+  let first =
+    match !lowers with
+    | [ b; a ] ->
+        Tutil.check_bool "second datagram hit the bound session" true (a == b);
+        a
+    | _ -> Alcotest.fail "expected two deliveries"
+  in
+  Proto.close first;
+  send "three";
+  (match !lowers with
+  | c :: _ ->
+      Tutil.check_bool "fresh session" false (c == first);
+      Tutil.check_str "same peer and ports" (Proto.session_name first)
+        (Proto.session_name c)
+  | [] -> Alcotest.fail "no delivery");
+  Tutil.check_int "all delivered" 3 (List.length !lowers);
+  Tutil.check_int "rx on every datagram" 3
+    (Tutil.stat (Netproto.Udp.proto udp1) "rx");
+  Tutil.check_int "none unbound" 0
+    (Tutil.stat (Netproto.Udp.proto udp1) "rx-unbound")
+
 let large_message_via_ip_frag () =
   (* UDP depends on IP to fragment (section 3.1). *)
   let w = World.create () in
@@ -153,6 +195,7 @@ let () =
           Alcotest.test_case "basic" `Quick basic_delivery;
           Alcotest.test_case "port demux" `Quick port_demux;
           Alcotest.test_case "unbound port" `Quick unbound_port_dropped;
+          Alcotest.test_case "close then reopen" `Quick close_then_reopen;
           Alcotest.test_case "large via IP fragmentation" `Quick
             large_message_via_ip_frag;
         ] );
