@@ -105,6 +105,11 @@ let write_json path doc =
       Printf.eprintf "xkrpc: cannot write JSON: %s\n" e;
       exit 1
 
+(* A numeric argument out of range: one line on stderr, exit code 2. *)
+let usage_error msg =
+  Printf.eprintf "xkrpc: %s\n" msg;
+  exit 2
+
 let run_exp json cap ids =
   let experiments = experiments cap in
   let ids = if ids = [] || List.mem "all" ids then List.map fst experiments else ids in
@@ -112,7 +117,8 @@ let run_exp json cap ids =
     List.map
       (fun id ->
         match List.assoc_opt id experiments with
-        | Some f -> (id, f ())
+        | Some f -> (
+            try (id, f ()) with Invalid_argument msg -> usage_error msg)
         | None ->
             Printf.eprintf "unknown experiment %S (try: %s, all)\n" id
               (String.concat ", " (List.map fst experiments));
@@ -151,6 +157,9 @@ let run_graph name =
       Format.printf "%a" Proto.pp_graph e.Rpc.Stacks.tops)
 
 let run_rpc name size count drop seed json =
+  if count < 1 then usage_error "--count must be at least 1";
+  if not (drop >= 0. && drop <= 1.) then
+    usage_error "--drop must be in [0, 1]";
   with_stack name (fun mk ->
       let w = World.create ~seed () in
       let e = mk w in

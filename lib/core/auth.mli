@@ -48,6 +48,3 @@ val digest :
 (** AUTH_DIGEST: a keyed checksum over the message body; both sides
     must share [key]. *)
 
-val flavor_none : int
-val flavor_unix : int
-val flavor_digest : int

@@ -99,12 +99,6 @@ val failover :
     default 42; uniform arrivals).  Resets the {!Xkernel.Stats}
     registry. *)
 
-val rebalance_modes : string list
-(** The three policies the rebalance experiment compares: ["static"]
-    (shard map installed, never updated), ["crash-rebalance"] (crash
-    chaos plus the crash policy) and ["skew-rebalance"] (hot-shard
-    arrivals plus the skew policy). *)
-
 val rebalance :
   ?servers:int ->
   ?clients:int ->
@@ -124,7 +118,10 @@ val rebalance :
     redirects every second arrival at one hot shard.  Each mode runs
     in a fresh world seeded with [seed] and resets the
     {!Xkernel.Stats} registry, so rows are deterministic and
-    independent.
+    independent.  [modes] defaults to all three policies: ["static"]
+    (shard map installed, never updated), ["crash-rebalance"] (crash
+    chaos plus the crash policy) and ["skew-rebalance"] (hot-shard
+    arrivals plus the skew policy).
 
     Goodput survives the crash in every mode — the REPLICA health
     machinery below the map routes around the dead owner — so the
@@ -176,12 +173,6 @@ val overload :
     hedge counts, server CPU busy/wait time and the latency
     histogram. *)
 
-val inc_modes : string list
-(** The three cells the INC experiment compares: ["no-inc"] (plain
-    forwarding switch), ["cold"] (INC installed, no request ever
-    repeats) and ["hot"] (INC installed, every client repeats one
-    cacheable request). *)
-
 val inc :
   ?clients:int ->
   ?rate:float ->
@@ -198,8 +189,9 @@ val inc :
     knee.  The hot mode repeats one cacheable SELECT echo, so after
     the first miss the {!Inc} layer answers every call at the switch;
     cold never repeats a request; no-inc runs the hot workload through
-    a plain forwarding switch.  Each mode builds a fresh world seeded
-    [seed] and resets the {!Xkernel.Stats} registry.
+    a plain forwarding switch.  [modes] defaults to all three:
+    ["no-inc"], ["cold"] and ["hot"].  Each mode builds a fresh world
+    seeded [seed] and resets the {!Xkernel.Stats} registry.
 
     Rows use [table = "inc"] and carry goodput, cache
     hits/misses/sheds/stored/invalidated, the server access wire's
@@ -207,11 +199,6 @@ val inc :
     CPU time, shed/lost counts and the latency histogram.  The
     headline: hot goodput strictly above no-inc goodput, with server
     wire bytes and CPU strictly lower. *)
-
-val shardscale_modes : string list
-(** The shardscale cells: ["uniform"] (keys sweep the shard space,
-    run at every K), ["zipf"] and ["zipf-rebalance"] (zipfian keys at
-    the largest K, without and with the skew rebalancer). *)
 
 val shardscale :
   ?ks:int list ->
@@ -228,11 +215,11 @@ val shardscale :
     wire: [clients] clients route [shards] shards over K ∈ [ks]
     L.RPC replicas through the switch ({!Shard_map} routing, hash
     policy), open loop at [rate] calls/s aggregate, [arrivals] per
-    cell.  Uniform cells run at every K; zipfian cells (exponent 1.2
-    over the shard space) run at the largest K, with
-    ["zipf-rebalance"] adding the {!Rebalance} skew policy.  Each cell
-    builds a fresh world seeded [seed] and resets the
-    {!Xkernel.Stats} registry.
+    cell.  [modes] defaults to all three cells: ["uniform"] runs at
+    every K; ["zipf"] (exponent 1.2 over the shard space) runs at the
+    largest K, and so does ["zipf-rebalance"], which adds the
+    {!Rebalance} skew policy.  Each cell builds a fresh world seeded
+    [seed] and resets the {!Xkernel.Stats} registry.
 
     Rows use [table = "shardscale"] and carry aggregate goodput,
     per-cell shed/failed/lost counts ([lost_calls] must be 0),

@@ -45,7 +45,6 @@ type t = {
      real FRAGMENT sender's (those count up from 1), so they can never
      collide in a client's duplicate-suppression table. *)
   mutable synth_seq : int;
-  stats : Stats.t;
   c_hits : Stats.counter;
   c_misses : Stats.counter;
   c_sheds : Stats.counter;
@@ -302,7 +301,6 @@ let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) () =
       server_boot = Hashtbl.create 8;
       gen = (0, 0);
       synth_seq = 0x40000000;
-      stats;
       c_hits = Stats.counter stats "hits";
       c_misses = Stats.counter stats "misses";
       c_sheds = Stats.counter stats "sheds";
@@ -316,14 +314,10 @@ let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) () =
     (Some (fun ~src ~dst ~proto_num msg -> hook t ~src ~dst ~proto_num msg));
   t
 
-let uninstall t = Netproto.Ip.set_forward_hook t.ip None
-let set_cacheable t ~command = Hashtbl.replace t.cacheable command ()
-let stats t = t.stats
 let hits t = Stats.value t.c_hits
 let misses t = Stats.value t.c_misses
 let sheds t = Stats.value t.c_sheds
 let forwarded t = Stats.value t.c_forwarded
 let stored t = Stats.value t.c_stored
 let invalidated t = Stats.value t.c_invalidated
-let cache_size t = Hashtbl.length t.cache
 let map_generation t = t.gen

@@ -45,10 +45,6 @@ val install :
     Registers a stats table named ["<host>/INC"] with counters [hits],
     [misses], [sheds], [forwarded], [stored] and [invalidated]. *)
 
-val uninstall : t -> unit
-val set_cacheable : t -> command:int -> unit
-val stats : t -> Xkernel.Stats.t
-
 val hits : t -> int
 (** Requests answered from the cache. *)
 
@@ -63,8 +59,6 @@ val forwarded : t -> int
 
 val stored : t -> int
 val invalidated : t -> int
-
-val cache_size : t -> int
 
 val map_generation : t -> int * int
 (** Newest shard-map (epoch, version) observed in transit. *)

@@ -11,8 +11,6 @@ type t = {
   stats : Stats.t;
 }
 
-let received t = Stats.get t.stats "rx"
-
 let session t ~dest =
   match Hashtbl.find_opt t.sessions (Addr.Ip.to_int dest) with
   | Some s -> s

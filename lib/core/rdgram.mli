@@ -19,5 +19,3 @@ val send :
 val listen : t -> (Xkernel.Addr.Ip.t -> Xkernel.Msg.t -> unit) -> unit
 (** Deliver each received datagram (exactly once per successful send)
     to the callback. *)
-
-val received : t -> int

@@ -56,8 +56,5 @@ val start : t -> until:float -> unit
     after each fire while the current time is at most [until] —
     bounded, so the event queue drains. *)
 
-val tick : t -> unit
-(** One decision step (exposed for tests). *)
-
 val moves : t -> int
 (** Shards moved by decisions taken so far. *)

@@ -23,9 +23,6 @@ val create :
 
 val proto : t -> Xkernel.Proto.t
 
-val header_bytes : int
-(** 9 *)
-
 val session :
   t -> peer:Xkernel.Addr.Ip.t -> upper_proto:int -> Xkernel.Proto.session
 (** Client session toward [peer] on behalf of the upper protocol

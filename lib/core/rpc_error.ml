@@ -6,6 +6,3 @@ let to_string = function
   | Busy -> "channel busy"
   | Wrong_shard v -> Printf.sprintf "wrong shard (map version %d)" v
   | Remote s -> Printf.sprintf "remote status %d" s
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b

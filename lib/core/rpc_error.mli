@@ -16,6 +16,4 @@ type t =
           owner *)
   | Remote of int  (** server-reported status (e.g. unknown command) *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool

@@ -85,6 +85,3 @@ val enable_sharding : t -> self:int -> unit
 val install_shard_map : t -> Shard_map.t -> bool
 (** Direct install (the control path calls this); [false] if not newer
     than the map already held. *)
-
-val shard_map_version : t -> int
-(** Version of the installed map; 0 when none. *)

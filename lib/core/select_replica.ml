@@ -100,7 +100,6 @@ let hedge_min_samples = 32
 let null_procedure = 1
 
 let proto t = t.p
-let replica_count t = Array.length t.replicas
 let health t i = t.replicas.(i).r_health
 
 let failovers t = Stats.value t.c_failover
@@ -110,7 +109,6 @@ let probes_ok t = Stats.value t.c_probe_ok
 let map_version t =
   match t.map with None -> 0 | Some m -> Shard_map.version m
 
-let current_map t = t.map
 let shard_calls t = Array.copy t.shard_calls
 let set_refresh t f = t.on_refresh <- Some f
 

@@ -120,7 +120,6 @@ val call :
     for at most [deadline] simulated seconds. *)
 
 val proto : t -> Xkernel.Proto.t
-val replica_count : t -> int
 
 val health : t -> int -> health
 (** This client's current opinion of replica [i]. *)
@@ -154,8 +153,6 @@ val install_map : t -> Shard_map.t -> bool
 
 val map_version : t -> int
 (** Version of the installed map; 0 when none. *)
-
-val current_map : t -> Shard_map.t option
 
 val set_refresh : t -> (unit -> unit) -> unit
 (** Hook invoked on a wrong-shard answer before re-routing — typically

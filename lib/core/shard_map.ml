@@ -118,11 +118,6 @@ let decode s =
       })
     (Wire_fmt.Map.decode s)
 
-let pp fmt t =
-  Format.fprintf fmt "map e%d v%d [%s]" t.epoch t.version
-    (String.concat ""
-       (Array.to_list (Array.map string_of_int t.owners)))
-
 (* The MAP control plane.  One coordinator holds the authoritative map
    and pushes every new generation to its subscribers through the
    uniform control operation — [control (Install_map bytes)] against

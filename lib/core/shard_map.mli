@@ -58,8 +58,6 @@ val encode : t -> string
 
 val decode : string -> t option
 
-val pp : Format.formatter -> t -> unit
-
 module Coordinator : sig
   type map = t
   type t
@@ -77,9 +75,6 @@ module Coordinator : sig
   val install : t -> map -> unit
   (** Adopt [map] iff strictly newer and push it to every sink; counts
       owner changes into {!moved}. *)
-
-  val publish : t -> unit
-  (** Re-push the current map to every sink. *)
 
   val current : t -> map
 

@@ -71,10 +71,8 @@ type client = {
 }
 
 let proto t = t.p
-let max_args _ = max_frags * frag_size
 let full_mask n = (1 lsl n) - 1
 let stat t name = Stats.get t.stats name
-let calls_handled t = stat t "handled"
 
 let fragment t ~flags ~peer ~chan ~seq ~command ~as_client msg =
   let len = Msg.length msg in

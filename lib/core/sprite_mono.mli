@@ -39,9 +39,6 @@ val create :
 
 val proto : t -> Xkernel.Proto.t
 
-val max_args : t -> int
-(** 16 KB — Sprite's argument limit. *)
-
 (** {1 Client} *)
 
 type client
@@ -68,5 +65,4 @@ val serve : t -> ?enable:Xkernel.Part.participant -> unit -> unit
 (** [enable] is the local participant for the lower [open_enable]
     (default [[Ip_proto n]]; use [[Eth_type ty]] over raw ethernet). *)
 
-val calls_handled : t -> int
 val stat : t -> string -> int

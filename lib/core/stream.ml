@@ -44,7 +44,6 @@ and t = {
 let retries = 8
 let own_proto = 99
 
-let proto t = t.p
 let stat t name = Stats.get t.stats name
 let bytes_sent c = c.snd_next - 1
 let bytes_acked c = c.snd_una - 1

@@ -35,8 +35,6 @@ val create :
     one lower-layer packet; [rto] (default 30 ms) is the retransmission
     timeout, with 8 retransmissions before the stream breaks. *)
 
-val proto : t -> Xkernel.Proto.t
-
 type conn
 
 val connect : t -> peer:Xkernel.Addr.Ip.t -> conn

@@ -52,7 +52,6 @@ type t = {
 
 type client = { c_t : t; sess : Proto.session; prog : int; vers : int }
 
-let proto t = t.p
 let calls_handled t = Stats.get t.stats "handled"
 
 let encode ~prog ~vers ~proc ~status =

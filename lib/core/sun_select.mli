@@ -29,7 +29,6 @@ val over_request_reply : Request_reply.t -> proto_num:int -> transaction
 val over_channel : Channel.t -> proto_num:int -> transaction
 
 val create : host:Xkernel.Host.t -> transaction:transaction -> t
-val proto : t -> Xkernel.Proto.t
 
 (** {1 Client} *)
 
@@ -49,7 +48,6 @@ val register :
 
 val serve : t -> unit
 
-val status_ok : int
 val status_prog_unavail : int
 val status_proc_unavail : int
 

@@ -152,9 +152,6 @@ module Map : sig
     owners : int array;  (** shard index -> owning replica index *)
   }
 
-  val header_bytes : int
-  (** 12; the full message is [header_bytes + n_shards] *)
-
   val max_shards : int
   val max_replicas : int
 

@@ -37,7 +37,6 @@ let decode s =
   (op, sender_ip, sender_eth, target_ip, target_eth)
 
 let add_entry t ip eth = Hashtbl.replace t.table ip eth
-let cache_size t = Hashtbl.length t.table
 
 let reverse t eth =
   Hashtbl.fold

@@ -25,10 +25,5 @@ val reverse : t -> Xkernel.Addr.Eth.t -> Xkernel.Addr.Ip.t option
 (** Reverse cache lookup — lets header-less virtual protocols identify
     the IP peer behind an incoming ethernet session. *)
 
-val add_entry : t -> Xkernel.Addr.Ip.t -> Xkernel.Addr.Eth.t -> unit
-(** Static table entry (tests, gateways). *)
-
-val cache_size : t -> int
-
 (** The protocol object answers [Resolve] (blocking; [R_eth] or
     [R_bool false]), [Reverse_resolve], and [Is_local]. *)

@@ -1,6 +1,6 @@
 open Xkernel
 
-let mtu = 1500
+let mtu = 1500 (* the paper's ethernet packet size *)
 let header_bytes = Netdev.eth_header_bytes (* 14 *)
 
 type t = {

@@ -15,9 +15,6 @@ val create : host:Xkernel.Host.t -> dev:Xkernel.Netdev.t -> t
 
 val proto : t -> Xkernel.Proto.t
 
-val mtu : int
-(** 1500 — the paper's ethernet packet size. *)
-
 (** Participants: an active [open_] needs [Eth dst] in the peer
     participant and [Eth_type ty] in either participant; [open_enable]
     needs [Eth_type ty].  Sessions answer [Get_mtu], [Get_max_packet],

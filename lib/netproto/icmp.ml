@@ -7,7 +7,6 @@ let typ_unreachable = 3
 let typ_time_exceeded = 11
 let typ_echo_request = 8
 let code_proto_unreachable = 2
-let code_host_unreachable = 1
 
 type event =
   | Echo_reply of { from : Addr.Ip.t; seq : int }
@@ -26,7 +25,6 @@ type t = {
   stats : Stats.t;
 }
 
-let proto t = t.p
 let stat t name = Stats.get t.stats name
 let on_event t f = t.observer <- Some f
 

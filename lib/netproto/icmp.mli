@@ -23,8 +23,6 @@ val create : host:Xkernel.Host.t -> ip:Ip.t -> t
 (** Registers on [ip] with protocol number 1 and installs itself as the
     instance's error reporter. *)
 
-val proto : t -> Xkernel.Proto.t
-
 val ping :
   t ->
   peer:Xkernel.Addr.Ip.t ->
@@ -44,6 +42,5 @@ val on_event : t -> (event -> unit) -> unit
 (** Observe incoming ICMP traffic (errors arrive here too). *)
 
 val code_proto_unreachable : int
-val code_host_unreachable : int
 
 val stat : t -> string -> int

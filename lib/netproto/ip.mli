@@ -46,9 +46,6 @@ val max_packet : int
 (** 65,515 bytes of payload — "IP is able to deliver 64k-byte packets to
     any host in the Internet" (section 3.1). *)
 
-val header_bytes : int
-(** 20. *)
-
 type delivery_error = Ttl_exceeded | Proto_unreachable
 
 val set_error_hook :

@@ -25,12 +25,6 @@ val create :
 
 val proto : t -> Xkernel.Proto.t
 
-val header_bytes : int
-(** 8. *)
-
-val ip_proto_udp : int
-(** 17. *)
-
 (** Participants: active [open_] needs [Ip dst] and [Port dport] in the
     peer; the local [Port] defaults to an ephemeral one.  [open_enable]
     needs a local [Port].  Sessions answer [Get_my_port],

@@ -16,7 +16,6 @@ type t = {
 }
 
 let proto t = t.p
-let known t = Hashtbl.length t.table
 
 let supports t ip =
   Addr.Ip.equal ip t.host.Host.ip || Hashtbl.mem t.table (Addr.Ip.to_int ip)

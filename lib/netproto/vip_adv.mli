@@ -28,11 +28,5 @@ val supports : t -> Xkernel.Addr.Ip.t -> bool
 (** Has this host advertised VIP support?  (The local host always
     counts.) *)
 
-val advertise : t -> unit
-(** Re-broadcast the beacon (e.g. after reboot). *)
-
 val query : t -> unit
 (** Broadcast a query: everyone re-beacons.  Useful for late joiners. *)
-
-val known : t -> int
-(** Number of advertisers in the table. *)

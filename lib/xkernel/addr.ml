@@ -33,7 +33,6 @@ module Ip = struct
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let equal = Int.equal
-  let compare = Int.compare
   let broadcast = 0xffffffff
   let any = 0
   let network t = t lsr 8
@@ -58,7 +57,6 @@ module Eth = struct
 
   let pp fmt t = Format.pp_print_string fmt (to_string t)
   let equal = Int.equal
-  let compare = Int.compare
   let broadcast = 0xffffffffffff
   let is_broadcast t = t = broadcast
 end

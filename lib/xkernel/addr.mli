@@ -27,18 +27,15 @@ module Ip : sig
   val to_string : t -> string
   val pp : Format.formatter -> t -> unit
   val equal : t -> t -> bool
-  val compare : t -> t -> int
   val broadcast : t
   (** The limited-broadcast address 255.255.255.255. *)
 
   val any : t
   (** The wildcard address 0.0.0.0. *)
 
-  val network : t -> int
-  (** [network a] is the /24 network prefix of [a], used by the
-      simulated hosts to decide local-vs-gateway routing. *)
-
   val same_network : t -> t -> bool
+  (** Same /24 network prefix: how the simulated hosts decide
+      local-vs-gateway routing. *)
 end
 
 (** 48-bit ethernet addresses. *)
@@ -55,7 +52,6 @@ module Eth : sig
 
   val pp : Format.formatter -> t -> unit
   val equal : t -> t -> bool
-  val compare : t -> t -> int
 
   val broadcast : t
   (** ff:ff:ff:ff:ff:ff. *)

@@ -100,7 +100,7 @@ let apply ?(seed = 7) ?(wires = []) ~wire ~devices plan =
     let rng = Random.State.make [| seed |] in
     Wire.set_fault_hook wire
       (Some
-         (fun _n msg ->
+         (fun _n _msg ->
            let t = Sim.now sim in
            let active w = w.from_t <= t && t < w.until_t in
            let burst =
@@ -121,7 +121,7 @@ let apply ?(seed = 7) ?(wires = []) ~wire ~devices plan =
            in
            (* Background faults still apply, except a burst window
               replaces the background drop decision with its own. *)
-           let faults = ref (Wire.draw_faults wire msg) in
+           let faults = ref (Wire.draw_faults wire) in
            if spike > 0. then faults := Wire.Delay spike :: !faults;
            (match burst with
            | Some p ->
@@ -159,7 +159,7 @@ let apply ?(seed = 7) ?(wires = []) ~wire ~devices plan =
       let rng = Random.State.make [| seed + 101 + i |] in
       Wire.set_fault_hook target
         (Some
-           (fun _n msg ->
+           (fun _n _msg ->
              let t = Sim.now sim in
              let p =
                List.find_map
@@ -167,7 +167,7 @@ let apply ?(seed = 7) ?(wires = []) ~wire ~devices plan =
                    if from_t <= t && t < until_t then Some p else None)
                  windows
              in
-             let faults = ref (Wire.draw_faults target msg) in
+             let faults = ref (Wire.draw_faults target) in
              (match p with
              | Some p ->
                  faults := List.filter (fun f -> f <> Wire.Drop) !faults;

@@ -54,7 +54,7 @@ val apply :
     {!Host.reboot}, and — only when the plan contains [Burst_loss] or
     [Delay_spike] windows — a fault hook is installed that applies
     those inside their windows and falls through to the wire's
-    probabilistic knobs ({!Wire.draw_faults}) outside them.
+    probabilistic rates ({!Wire.draw_faults}) outside them.
 
     [?wires] names additional wires for [Wire_down]/[Wire_loss] specs
     (a switched topology's per-port access links; see

@@ -18,7 +18,6 @@ module W = struct
 
   let bytes w s = Buffer.add_string w s
   let contents = Buffer.contents
-  let length = Buffer.length
 end
 
 module R = struct

@@ -28,8 +28,6 @@ module W : sig
 
   val contents : t -> string
   (** [contents w] returns everything written so far. *)
-
-  val length : t -> int
 end
 
 (** Reader: consumes header bytes front to back.

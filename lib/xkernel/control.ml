@@ -71,59 +71,4 @@ let bool_exn = function
   | r -> shape_failure "bool" (reply_name r)
 
 let ip_exn = function R_ip a -> a | r -> shape_failure "ip" (reply_name r)
-let eth_exn = function R_eth a -> a | r -> shape_failure "eth" (reply_name r)
 let int_opt = function R_int i -> Some i | _ -> None
-let eth_opt = function R_eth a -> Some a | _ -> None
-
-let pp_req fmt req =
-  let s =
-    match req with
-    | Get_mtu -> "Get_mtu"
-    | Get_max_packet -> "Get_max_packet"
-    | Get_opt_packet -> "Get_opt_packet"
-    | Get_max_msg_size -> "Get_max_msg_size"
-    | Get_my_host -> "Get_my_host"
-    | Get_peer_host -> "Get_peer_host"
-    | Get_my_eth -> "Get_my_eth"
-    | Get_peer_eth -> "Get_peer_eth"
-    | Get_my_port -> "Get_my_port"
-    | Get_peer_port -> "Get_peer_port"
-    | Get_my_proto -> "Get_my_proto"
-    | Get_peer_proto -> "Get_peer_proto"
-    | Resolve a -> Printf.sprintf "Resolve(%s)" (Addr.Ip.to_string a)
-    | Reverse_resolve a ->
-        Printf.sprintf "Reverse_resolve(%s)" (Addr.Eth.to_string a)
-    | Is_local a -> Printf.sprintf "Is_local(%s)" (Addr.Ip.to_string a)
-    | Get_boot_id -> "Get_boot_id"
-    | Get_timeout -> "Get_timeout"
-    | Set_timeout t -> Printf.sprintf "Set_timeout(%g)" t
-    | Get_rto -> "Get_rto"
-    | Get_rto_backed -> "Get_rto_backed"
-    | Get_srtt -> "Get_srtt"
-    | Get_retries -> "Get_retries"
-    | Set_retries n -> Printf.sprintf "Set_retries(%d)" n
-    | Get_frag_size -> "Get_frag_size"
-    | Set_frag_size n -> Printf.sprintf "Set_frag_size(%d)" n
-    | Get_ttl -> "Get_ttl"
-    | Set_ttl n -> Printf.sprintf "Set_ttl(%d)" n
-    | Get_channel_count -> "Get_channel_count"
-    | Get_free_channels -> "Get_free_channels"
-    | Get_stat s -> Printf.sprintf "Get_stat(%s)" s
-    | Flush_cache -> "Flush_cache"
-    | Get_rx_deadline -> "Get_rx_deadline"
-    | Reject_busy -> "Reject_busy"
-    | Install_map s -> Printf.sprintf "Install_map(%d bytes)" (String.length s)
-    | Get_map_version -> "Get_map_version"
-  in
-  Format.pp_print_string fmt s
-
-let pp_reply fmt r =
-  match r with
-  | R_unit -> Format.pp_print_string fmt "()"
-  | R_int i -> Format.fprintf fmt "%d" i
-  | R_float f -> Format.fprintf fmt "%g" f
-  | R_bool b -> Format.fprintf fmt "%b" b
-  | R_ip a -> Addr.Ip.pp fmt a
-  | R_eth a -> Addr.Eth.pp fmt a
-  | R_string s -> Format.pp_print_string fmt s
-  | Unsupported -> Format.pp_print_string fmt "<unsupported>"

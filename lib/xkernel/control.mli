@@ -85,10 +85,5 @@ val int_exn : reply -> int
 val float_exn : reply -> float
 val bool_exn : reply -> bool
 val ip_exn : reply -> Addr.Ip.t
-val eth_exn : reply -> Addr.Eth.t
 
 val int_opt : reply -> int option
-val eth_opt : reply -> Addr.Eth.t option
-
-val pp_req : Format.formatter -> req -> unit
-val pp_reply : Format.formatter -> reply -> unit

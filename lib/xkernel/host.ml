@@ -27,6 +27,3 @@ let reboot h =
      crash a host between runs), so they may not charge the machine or
      block. *)
   List.iter (fun f -> f ()) (List.rev h.reboot_hooks)
-
-let pp fmt h =
-  Format.fprintf fmt "%s(%a,%a)" h.name Addr.Ip.pp h.ip Addr.Eth.pp h.eth

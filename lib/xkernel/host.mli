@@ -45,5 +45,3 @@ val reboot : t -> unit
     servers restarted mid-call make clients observe an at-most-once
     failure rather than a re-execution — and runs the {!at_reboot}
     hooks, which tear down sessions and clear reply caches. *)
-
-val pp : Format.formatter -> t -> unit

@@ -161,11 +161,3 @@ let pp fmt m =
     (String.sub s 0 prefix_len);
   Format.fprintf fmt "<msg len=%d %s%s>" (length m) (Buffer.contents hex)
     (if String.length s > prefix_len then "..." else "")
-
-let pp_hex fmt m =
-  let s = to_string m in
-  String.iteri
-    (fun i c ->
-      if i > 0 && i mod 16 = 0 then Format.pp_print_newline fmt ();
-      Format.fprintf fmt "%02x " (Char.code c))
-    s

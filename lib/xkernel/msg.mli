@@ -69,6 +69,3 @@ val map_byte : int -> (char -> char) -> t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Prints length and a short hex prefix; for traces and test output. *)
-
-val pp_hex : Format.formatter -> t -> unit
-(** Full hex dump. *)

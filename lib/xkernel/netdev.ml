@@ -87,4 +87,3 @@ let transmit dev frame =
 
 let set_handler dev h = dev.handler <- Some h
 let set_promiscuous dev b = dev.promiscuous <- b
-let tx_queue_length dev = Queue.length dev.txq

@@ -40,4 +40,3 @@ val peek_dst : Msg.t -> Addr.Eth.t option
 (** Read the destination address of a frame without consuming it;
     [None] for runt frames. *)
 
-val tx_queue_length : t -> int

@@ -75,6 +75,4 @@ val with_component : participant -> component -> participant
 (** [with_component p c] adds [c] to the front of [p] — how a protocol
     refines a participant before opening the next protocol down. *)
 
-val pp_component : Format.formatter -> component -> unit
-val pp_participant : Format.formatter -> participant -> unit
 val pp : Format.formatter -> t -> unit

@@ -26,7 +26,6 @@ let create ?name () =
   | None -> ());
   t
 
-let name t = t.s_name
 
 let counter t name =
   match Hashtbl.find_opt t.tbl name with

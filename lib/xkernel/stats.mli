@@ -14,11 +14,8 @@ type t
 
 val create : ?name:string -> unit -> t
 (** A fresh, empty table.  With [~name] the table is also added to the
-    global registry ({!registered}, {!dump}, {!to_json}).  Protocol
-    tables are conventionally named ["host/PROTO"], e.g.
-    ["h0.0/CHANNEL"]. *)
-
-val name : t -> string option
+    global registry ({!dump}, {!to_json}).  Protocol tables are
+    conventionally named ["host/PROTO"], e.g. ["h0.0/CHANNEL"]. *)
 
 (** {2 Interned counter handles}
 
@@ -58,15 +55,13 @@ val to_list : t -> (string * int) list
 
 (* The registry. *)
 
-val registered : unit -> (string * t) list
-(** All named tables, in creation order (duplicate names possible when
-    several worlds live in one process). *)
-
 val find : string -> t option
 (** First registered table with that name. *)
 
 val dump : unit -> (string * (string * int) list) list
-(** Every named table with its sorted counters. *)
+(** Every named table with its sorted counters, in creation order
+    (duplicate names possible when several worlds live in one
+    process). *)
 
 val json : unit -> Json.t
 (** {!dump} as a JSON array of [{"name", "counters"}] objects. *)

@@ -27,8 +27,3 @@ let debugf sim ~host fmt =
   Format.kasprintf
     (fun s -> Log.debug (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
     fmt
-
-let infof sim ~host fmt =
-  Format.kasprintf
-    (fun s -> Log.info (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
-    fmt

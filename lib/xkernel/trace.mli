@@ -4,9 +4,6 @@
     that include virtual timestamps.  Disabled by default; tests and the
     CLI enable it with {!set_level}. *)
 
-val src : Logs.src
-(** The ["xkernel"] log source. *)
-
 val set_level : Logs.level option -> unit
 (** Enables the default [Fmt] reporter on first call. *)
 
@@ -17,4 +14,3 @@ val packet :
     level with the current virtual time. *)
 
 val debugf : Sim.t -> host:string -> ('a, Format.formatter, unit) format -> 'a
-val infof : Sim.t -> host:string -> ('a, Format.formatter, unit) format -> 'a

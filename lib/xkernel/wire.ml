@@ -36,15 +36,11 @@ type t = {
   w_sim : Sim.t;
   medium : Sim.Semaphore.sem;
   rng : Random.State.t;
-  w_label : string option;
   lbl : lbl option;
   mutable taps : attachment list;
   mutable next_tap : int;
   mutable drop_rate : float;
   mutable dup_rate : float;
-  mutable corrupt_rate : float;
-  mutable reorder_rate : float;
-  mutable reorder_jitter : float;
   mutable fault_hook : (int -> Msg.t -> fault list) option;
   mutable down : bool;
   blocked : (int * int, unit) Hashtbl.t; (* (src tap, dst tap) pairs *)
@@ -82,15 +78,11 @@ let create w_sim ?(seed = 42) ?label () =
     w_sim;
     medium = Sim.Semaphore.create w_sim 1;
     rng = Random.State.make [| seed |];
-    w_label = label;
     lbl;
     taps = [];
     next_tap = 0;
     drop_rate = 0.;
     dup_rate = 0.;
-    corrupt_rate = 0.;
-    reorder_rate = 0.;
-    reorder_jitter = 0.;
     fault_hook = None;
     down = false;
     blocked = Hashtbl.create 8;
@@ -107,7 +99,6 @@ let create w_sim ?(seed = 42) ?label () =
 
 let sim w = w.w_sim
 let bandwidth_bps _ = bandwidth
-let label w = w.w_label
 
 let mirror w f =
   match w.lbl with None -> () | Some l -> Stats.tick (f l)
@@ -122,13 +113,17 @@ let attach w ~recv =
    minimum applying to header+payload+CRC. *)
 let on_wire_bytes len = max (len + 4) 64 + 20
 
-let set_drop_rate w r = w.drop_rate <- r
-let set_dup_rate w r = w.dup_rate <- r
-let set_corrupt_rate w r = w.corrupt_rate <- r
+let check_rate what r =
+  if not (r >= 0. && r <= 1.) then
+    invalid_arg (Printf.sprintf "Wire.%s: %g is not in [0, 1]" what r)
 
-let set_reorder w ~rate ~jitter =
-  w.reorder_rate <- rate;
-  w.reorder_jitter <- jitter
+let set_drop_rate w r =
+  check_rate "set_drop_rate" r;
+  w.drop_rate <- r
+
+let set_dup_rate w r =
+  check_rate "set_dup_rate" r;
+  w.dup_rate <- r
 
 let set_fault_hook w h = w.fault_hook <- h
 
@@ -141,8 +136,6 @@ let block_pair w ~from ~to_ =
 
 let unblock_pair w ~from ~to_ =
   Hashtbl.remove w.blocked (from.tap_id, to_.tap_id)
-
-let unblock_all w = Hashtbl.reset w.blocked
 
 let pair_blocked w ~from ~to_ =
   Hashtbl.mem w.blocked (from.tap_id, to_.tap_id)
@@ -177,18 +170,10 @@ let reset_stats w =
 
 let flip w rate = rate > 0. && Random.State.float w.rng 1. < rate
 
-let draw_faults w msg =
+let draw_faults w =
   if flip w w.drop_rate then [ Drop ]
-  else
-    let faults = if flip w w.dup_rate then [ Duplicate ] else [] in
-    let faults =
-      if flip w w.reorder_rate then
-        Delay (Random.State.float w.rng w.reorder_jitter) :: faults
-      else faults
-    in
-    if flip w w.corrupt_rate && Msg.length msg > 0 then
-      Corrupt (Random.State.int w.rng (Msg.length msg)) :: faults
-    else faults
+  else if flip w w.dup_rate then [ Duplicate ]
+  else []
 
 let invert c = Char.chr (Char.code c lxor 0xff)
 
@@ -255,7 +240,7 @@ let transmit w ~from msg =
   let faults =
     match w.fault_hook with
     | Some hook -> hook n msg
-    | None -> draw_faults w msg
+    | None -> draw_faults w
   in
   if List.mem Drop faults then begin
     w.n_dropped <- w.n_dropped + 1;

@@ -3,8 +3,9 @@
     Models the isolated ethernet of the paper's testbed: half-duplex
     serialization at a configurable bandwidth, small propagation delay,
     broadcast delivery to every attached device, and a fault injector
-    (drop / duplicate / extra delay / byte corruption) for the lossy
-    experiments and tests.
+    for the lossy experiments and tests: probabilistic drop and
+    duplication, plus deterministic hooks that may also delay or
+    corrupt a frame.
 
     All randomness comes from a seeded [Random.State], so every
     experiment is deterministic. *)
@@ -32,8 +33,6 @@ val create :
     single-wire worlds' registry output unchanged. *)
 
 val sim : t -> Sim.t
-
-val label : t -> string option
 
 val bandwidth_bps : t -> float
 (** Serialization rate, 10 Mb/s.  Together with {!stats}'s [bytes]
@@ -66,19 +65,16 @@ type fault =
 
 val set_drop_rate : t -> float -> unit
 val set_dup_rate : t -> float -> unit
-val set_corrupt_rate : t -> float -> unit
-
-val set_reorder : t -> rate:float -> jitter:float -> unit
-(** With probability [rate], delay a frame by a uniform extra time in
-    [0, jitter] — enough to overtake later frames. *)
+(** Per-frame drop and duplication probabilities, both 0 by default.
+    Raise [Invalid_argument] outside [0, 1]. *)
 
 val set_fault_hook : t -> (int -> Msg.t -> fault list) option -> unit
 (** Deterministic override: given the frame's sequence number (counting
     from 0) and contents, return the faults to apply.  When set, the
-    probabilistic knobs are ignored. *)
+    probabilistic rates are ignored. *)
 
-val draw_faults : t -> Msg.t -> fault list
-(** Sample the probabilistic knobs once, advancing the wire's RNG.  A
+val draw_faults : t -> fault list
+(** Sample the probabilistic rates once, advancing the wire's RNG.  A
     custom fault hook that wants to {e add} to the background fault
     model (rather than replace it) calls this and appends. *)
 
@@ -92,7 +88,6 @@ val draw_faults : t -> Msg.t -> fault list
 
 val block_pair : t -> from:attachment -> to_:attachment -> unit
 val unblock_pair : t -> from:attachment -> to_:attachment -> unit
-val unblock_all : t -> unit
 val pair_blocked : t -> from:attachment -> to_:attachment -> bool
 
 val set_down : t -> bool -> unit

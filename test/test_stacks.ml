@@ -85,6 +85,37 @@ let layered_under_loss_and_dup () =
         | Error e -> Alcotest.failf "unexpected: %s" (Rpc.Rpc_error.to_string e)
       done)
 
+(* Exact simulator cost: events processed per call, measured inside
+   one fiber after 5 warm-up null calls.  Event counts do not depend on
+   the compiler or the host, so any change here is a change in what the
+   stack does per call; update a figure only when that is the intent. *)
+let events_per_call_exact () =
+  List.iter
+    (fun (name, mk, null_100, echo_10) ->
+      let w = World.create () in
+      let e = mk w in
+      let sim = w.World.sim in
+      let calls n command payload =
+        let before = Sim.processed sim in
+        for _ = 1 to n do
+          ignore (Tutil.ok_exn name (e.Stacks.call ~command payload))
+        done;
+        Sim.processed sim - before
+      in
+      let null, echo =
+        Tutil.run_in w (fun () ->
+            ignore (calls 5 Stacks.cmd_null Msg.empty);
+            let null = calls 100 Stacks.cmd_null Msg.empty in
+            (null, calls 10 Stacks.cmd_echo (Msg.fill 16000 'b')))
+      in
+      Tutil.check_int (name ^ ": events, 100 null calls") null_100 null;
+      Tutil.check_int (name ^ ": events, 10 echoes of 16,000 B") echo_10 echo)
+    [
+      ("L.RPC-VIP", (fun w -> Stacks.lrpc w), 9900, 10748);
+      ("M.RPC-VIP", (fun w -> Stacks.mrpc w ~lower:Stacks.L_vip), 6500, 10330);
+      ("SELECT-CHANNEL-VIPsize", Stacks.lrpc_vip_size, 7900, 9232);
+    ]
+
 (* --- the paper's shape claims, asserted --- *)
 
 let lat mk =
@@ -225,6 +256,7 @@ let () =
           Alcotest.test_case "layered stack under faults" `Quick
             layered_under_loss_and_dup;
           Alcotest.test_case "VIPsize handles bulk" `Quick vip_size_still_handles_bulk;
+          Alcotest.test_case "events per call, exact" `Quick events_per_call_exact;
         ] );
       ( "shape claims",
         [

@@ -145,6 +145,20 @@ let probabilistic_drops_deterministic () =
     (let c = run 7 in
      c > 0 && c < 100)
 
+let rates_outside_unit_interval_rejected () =
+  let _, wire = mk () in
+  List.iter
+    (fun (name, set) ->
+      List.iter
+        (fun r ->
+          match set wire r with
+          | () -> Alcotest.failf "%s %g accepted" name r
+          | exception Invalid_argument _ -> ())
+        [ -0.1; 1.5; Float.nan ];
+      set wire 0.;
+      set wire 1.)
+    [ ("set_drop_rate", Wire.set_drop_rate); ("set_dup_rate", Wire.set_dup_rate) ]
+
 let stats_accumulate () =
   let sim, wire = mk () in
   let tap0 = Wire.attach wire ~recv:(fun _ -> ()) in
@@ -202,6 +216,8 @@ let () =
           Alcotest.test_case "duplicate+corrupt accounting" `Quick
             duplicate_and_corrupt_accounting;
           Alcotest.test_case "reorder delay" `Quick reorder_fault;
+          Alcotest.test_case "rates outside [0, 1] rejected" `Quick
+            rates_outside_unit_interval_rejected;
           Alcotest.test_case "deterministic randomness" `Quick
             probabilistic_drops_deterministic;
           Alcotest.test_case "pair blocking" `Quick pair_blocking;
