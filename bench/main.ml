@@ -106,7 +106,11 @@ let microbench () =
      fibers loop on [charge_one] against one CPU, and one run of "CPU
      charge" advances the clock by one charge's cost, so exactly one
      charge completes: the holder wakes, releases the CPU to the next
-     queued fiber, and re-queues itself. *)
+     queued fiber, and re-queues itself.  The second charge row adds
+     4,096 timers that each re-arm 2 s out when they fire, the standing
+     population FRAGMENT's discard timers keep on a busy host.  The
+     charge's own events do not sift past them, but the row still pays
+     for the timers that fire. *)
   let sync_ops =
     let handoff =
       let sim = Sim.create () in
@@ -121,10 +125,14 @@ let microbench () =
         Sim.Semaphore.v sem;
         Sim.run sim
     in
-    let contended_charge =
+    let contended_charge ~timers =
       let sim = Sim.create () in
       let m = Machine.create sim Machine.xkernel_sun3 in
       let cost = Machine.op_cost Machine.xkernel_sun3 Machine.Layer_crossing in
+      let rec rearm () = ignore (Sim.after sim 2.0 rearm) in
+      for i = 1 to timers do
+        ignore (Sim.after sim (2.0 *. float_of_int i /. float_of_int timers) rearm)
+      done;
       for _ = 1 to 8 do
         let rec charger () =
           Machine.charge_one m Machine.Layer_crossing;
@@ -137,7 +145,9 @@ let microbench () =
     [
       Test.make ~name:"semaphore hand-off" (Staged.stage handoff);
       Test.make ~name:"CPU charge, 8 contending fibers"
-        (Staged.stage contended_charge);
+        (Staged.stage (contended_charge ~timers:0));
+      Test.make ~name:"CPU charge, 4,096 pending 2 s timers"
+        (Staged.stage (contended_charge ~timers:4096));
     ]
   in
   let tests =

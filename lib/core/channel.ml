@@ -19,7 +19,6 @@ type outstanding = {
 
 type sess = {
   chan : int;
-  peer : Addr.Ip.t;
   proto_num : int;
   upper : Proto.t;
   lower_sess : Proto.session;
@@ -481,7 +480,6 @@ let make_session t ~upper (peer, proto_num, chan) =
   let s =
     {
       chan;
-      peer;
       proto_num;
       upper;
       lower_sess;

@@ -13,7 +13,6 @@ type pending = {
 }
 
 type sess = {
-  peer : Addr.Ip.t;
   upper_proto : int;
   upper : Proto.t;
   lower_sess : Proto.session;
@@ -119,7 +118,6 @@ let make_session t ~upper (peer, upper_proto) =
   in
   let s =
     {
-      peer;
       upper_proto;
       upper;
       lower_sess;

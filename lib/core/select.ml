@@ -24,7 +24,6 @@ type client = {
   c_t : t;
   free : Proto.session Queue.t;
   free_sem : Sim.Semaphore.sem;
-  size : int;
 }
 
 let proto t = t.p
@@ -46,7 +45,7 @@ let connect t ~server =
     in
     Queue.add (Proto.open_ (Channel.proto t.channel) ~upper:t.p part) free
   done;
-  { c_t = t; free; free_sem = Sim.Semaphore.create (Host.sim t.host) n; size = n }
+  { c_t = t; free; free_sem = Sim.Semaphore.create (Host.sim t.host) n }
 
 let free_channels c = Queue.length c.free
 

@@ -16,7 +16,6 @@ type endpoint = {
 
 type replica = {
   r_idx : int;
-  r_addr : Addr.Ip.t;
   r_call :
     ?expires:float ->
     ?shard:Wire_fmt.Select.stamp ->
@@ -585,7 +584,6 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
             in
             {
               r_idx = i;
-              r_addr = ep.ep_addr;
               r_call = ep.ep_call;
               r_health = Healthy;
               r_probe_fails = 0;

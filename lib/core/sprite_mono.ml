@@ -17,7 +17,6 @@ type reasm = {
 
 type outstanding = {
   o_seq : int;
-  o_command : int;
   iv : (Msg.t, Rpc_error.t) result Sim.Ivar.ivar;
   frags : (H.t * Msg.t) array;
   mutable acked_mask : int; (* fragments the server has acknowledged *)
@@ -65,7 +64,6 @@ type t = {
 
 type client = {
   cl_t : t;
-  server : Addr.Ip.t;
   free : csess Queue.t;
   free_sem : Sim.Semaphore.sem;
 }
@@ -215,7 +213,6 @@ let start_call t cs ~command msg =
   let o =
     {
       o_seq = seq;
-      o_command = command;
       iv;
       frags;
       acked_mask = 0;
@@ -496,7 +493,6 @@ let connect t ~server ?remote () =
   done;
   {
     cl_t = t;
-    server;
     free;
     free_sem = Sim.Semaphore.create (Host.sim t.host) n_channels;
   }

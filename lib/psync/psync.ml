@@ -18,7 +18,6 @@ type packet = {
 type conversation = {
   cv : t;
   conv_id : int;
-  members : Addr.Ip.t list;
   sessions : (Addr.Ip.t * Proto.session) list;
   mutable my_seq : int;
   delivered_ids : (int * int, unit) Hashtbl.t; (* (origin, seq) *)
@@ -200,7 +199,6 @@ let join t ~conv_id ~members =
         {
           cv = t;
           conv_id;
-          members;
           sessions;
           my_seq = 0;
           delivered_ids = Hashtbl.create 64;

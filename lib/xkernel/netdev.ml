@@ -1,6 +1,5 @@
 type t = {
   nd_host : Host.t;
-  wire : Wire.t;
   mutable tap : Wire.attachment option;
   txq : Msg.t Queue.t;
   txq_items : Sim.Semaphore.sem;
@@ -50,7 +49,6 @@ let create ~host ~wire =
   let dev =
     {
       nd_host = host;
-      wire;
       tap = None;
       txq = Queue.create ();
       txq_items = Sim.Semaphore.create (Wire.sim wire) 0;

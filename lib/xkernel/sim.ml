@@ -1,29 +1,41 @@
 exception Not_in_fiber
 exception Stalled of string
 
-(* The event queue is split in two, both ordered by [(time, seq)] —
+(* The event queue is three queues, all ordered by [(time, seq)] —
    [seq] is a global schedule counter, so ties at one instant fire in
    FIFO order, exactly like the [Map.Make (float * int)] queue this
-   replaces:
+   replaces, whichever queue each tied event sits in:
 
-   - [heap]/[times]: an array-backed binary min-heap for events in the
-     future.  [times] mirrors the key's time component in an unboxed
-     float array so sift comparisons never chase a boxed float.
    - [imm]: a plain FIFO for events scheduled at the current instant
      (resumptions, yields, spawns — roughly half of all traffic).
      [now] never decreases and [seq] only grows, so this queue is
-     (time, seq)-sorted by construction and costs O(1) where the heap
+     (time, seq)-sorted by construction and costs O(1) where a heap
      would pay its worst case (a new minimum sifts to the root and is
      popped right back).
+   - [near]: an array-backed binary min-heap for events due less than
+     [far_after] from when they are queued: CPU charges, wire
+     serialization, frame delivery, retransmission timers.
+   - [far]: the same kind of heap for everything due later.  FRAGMENT
+     keeps each sent message for 2 s and arms a 2 s timer per message
+     and per session to free it, so a busy run holds thousands of those
+     at once.  In one heap every short event would sift through all of
+     them; kept apart, the short events see a heap of a few dozen, and
+     each long timer pays the deep heap once on the way in and once on
+     the way out (the near/far split of hashed and hierarchical timing
+     wheels, kept as small as one extra heap).
+
+   Each heap's [times] mirrors the key's time component in an unboxed
+   float array so sift comparisons never chase a boxed float.  The run
+   loop fires the least of the three heads.
 
    Cancellation is lazy: [cancel] marks the event and the run loop
    discards corpses as they surface; once heap corpses pass a
-   threshold the heap is compacted in one O(n) pass, so [pending]
+   threshold both heaps are compacted in one O(n) pass, so [pending]
    counts only live events and long sweeps that cancel many retransmit
    timers cannot grow memory without bound. *)
 
-(* An event does not store its own time: heap entries keep it in the
-   side [times] array, and an [imm] entry's time is by construction
+(* An event does not store its own time: heap entries keep it in their
+   heap's side [times] array, and an [imm] entry's time is by construction
    [now] from the moment it is enqueued until it fires (the loop always
    executes the global (time, seq) minimum and time never decreases, so
    the clock cannot pass a queued immediate).  Dropping the float field
@@ -39,7 +51,7 @@ exception Stalled of string
    count in [processed].
 
    A fiber blocked on a semaphore or an ivar is a [Resume] event parked
-   in that primitive's wait ring, outside both queues.  Waking it is the
+   in that primitive's wait ring, outside the queues.  Waking it is the
    same move as a timed wait's first half: a fresh [seq] and an append
    to [imm]. *)
 type event = {
@@ -70,15 +82,21 @@ and ring = {
   mutable tail : int;
 }
 
+(* An array-backed binary min-heap keyed [(times.(i), evs.(i).seq)]. *)
+and heap = {
+  mutable evs : event array;
+  mutable times : float array; (* times.(i) = evs.(i)'s fire time, unboxed *)
+  mutable size : int;
+}
+
 (* All-float, so the store is unboxed: the fire time of the event about
    to be queued. *)
 and due = { mutable at : float }
 
 and t = {
   mutable now : float;
-  mutable heap : event array;
-  mutable times : float array; (* times.(i) = heap.(i)'s fire time, unboxed *)
-  mutable heap_size : int;
+  near : heap;
+  far : heap;
   imm : ring;
   mutable live : int; (* queued events not yet cancelled *)
   mutable next_seq : int;
@@ -98,93 +116,104 @@ let rng t = t.sim_rng
 
 (* --- heap primitives --- *)
 
-let rec sift_up t i =
+let rec sift_up h i =
   if i > 0 then begin
     let p = (i - 1) / 2 in
-    let ti = t.times.(i) and tp = t.times.(p) in
-    if ti < tp || (ti = tp && t.heap.(i).seq < t.heap.(p).seq) then begin
-      let ev = t.heap.(i) in
-      t.heap.(i) <- t.heap.(p);
-      t.heap.(p) <- ev;
-      t.times.(i) <- tp;
-      t.times.(p) <- ti;
-      sift_up t p
+    let ti = h.times.(i) and tp = h.times.(p) in
+    if ti < tp || (ti = tp && h.evs.(i).seq < h.evs.(p).seq) then begin
+      let ev = h.evs.(i) in
+      h.evs.(i) <- h.evs.(p);
+      h.evs.(p) <- ev;
+      h.times.(i) <- tp;
+      h.times.(p) <- ti;
+      sift_up h p
     end
   end
 
-let rec sift_down t n i =
+let rec sift_down h n i =
   let l = (2 * i) + 1 in
   if l < n then begin
     let s =
       if
         l + 1 < n
-        && (t.times.(l + 1) < t.times.(l)
-           || (t.times.(l + 1) = t.times.(l)
-              && t.heap.(l + 1).seq < t.heap.(l).seq))
+        && (h.times.(l + 1) < h.times.(l)
+           || (h.times.(l + 1) = h.times.(l)
+              && h.evs.(l + 1).seq < h.evs.(l).seq))
       then l + 1
       else l
     in
-    let ts = t.times.(s) and ti = t.times.(i) in
-    if ts < ti || (ts = ti && t.heap.(s).seq < t.heap.(i).seq) then begin
-      let ev = t.heap.(i) in
-      t.heap.(i) <- t.heap.(s);
-      t.heap.(s) <- ev;
-      t.times.(i) <- ts;
-      t.times.(s) <- ti;
-      sift_down t n s
+    let ts = h.times.(s) and ti = h.times.(i) in
+    if ts < ti || (ts = ti && h.evs.(s).seq < h.evs.(i).seq) then begin
+      let ev = h.evs.(i) in
+      h.evs.(i) <- h.evs.(s);
+      h.evs.(s) <- ev;
+      h.times.(i) <- ts;
+      h.times.(s) <- ti;
+      sift_down h n s
     end
   end
 
-(* Push [ev] keyed at [t.due.at]. *)
-let heap_push t ev =
-  let cap = Array.length t.heap in
-  if t.heap_size = cap then begin
+let heap () = { evs = [||]; times = [||]; size = 0 }
+
+(* Push [ev] into [h] keyed at [t.due.at].  The time is read here, not
+   passed in: a float argument would be boxed on every push. *)
+let heap_push t h ev =
+  let cap = Array.length h.evs in
+  if h.size = cap then begin
     let cap' = max 256 (2 * cap) in
     let grown = Array.make cap' t.dummy in
     let grown_times = Array.make cap' infinity in
-    Array.blit t.heap 0 grown 0 t.heap_size;
-    Array.blit t.times 0 grown_times 0 t.heap_size;
-    t.heap <- grown;
-    t.times <- grown_times
+    Array.blit h.evs 0 grown 0 h.size;
+    Array.blit h.times 0 grown_times 0 h.size;
+    h.evs <- grown;
+    h.times <- grown_times
   end;
-  t.heap.(t.heap_size) <- ev;
-  t.times.(t.heap_size) <- t.due.at;
-  t.heap_size <- t.heap_size + 1;
-  sift_up t (t.heap_size - 1)
+  h.evs.(h.size) <- ev;
+  h.times.(h.size) <- t.due.at;
+  h.size <- h.size + 1;
+  sift_up h (h.size - 1)
 
 (* Pop the root.  The caller decides whether it was live. *)
-let heap_pop t =
-  let ev = t.heap.(0) in
-  t.heap_size <- t.heap_size - 1;
-  t.heap.(0) <- t.heap.(t.heap_size);
-  t.times.(0) <- t.times.(t.heap_size);
-  t.heap.(t.heap_size) <- t.dummy;
-  t.times.(t.heap_size) <- infinity;
-  if t.heap_size > 0 then sift_down t t.heap_size 0;
+let heap_pop t h =
+  let ev = h.evs.(0) in
+  h.size <- h.size - 1;
+  h.evs.(0) <- h.evs.(h.size);
+  h.times.(0) <- h.times.(h.size);
+  h.evs.(h.size) <- t.dummy;
+  h.times.(h.size) <- infinity;
+  if h.size > 0 then sift_down h h.size 0;
   ev
 
 (* Compact away cancelled events and re-heapify (Floyd's O(n) pass).
    Heap order depends only on the (time, seq) key, so rebuilding cannot
    perturb the firing schedule. *)
-let purge t =
-  let h = t.heap in
+let purge t h =
   let kept = ref 0 in
-  for i = 0 to t.heap_size - 1 do
-    let ev = h.(i) in
+  for i = 0 to h.size - 1 do
+    let ev = h.evs.(i) in
     if ev.phase <> Cancelled then begin
-      h.(!kept) <- ev;
-      t.times.(!kept) <- t.times.(i);
+      h.evs.(!kept) <- ev;
+      h.times.(!kept) <- h.times.(i);
       incr kept
     end
   done;
-  for i = !kept to t.heap_size - 1 do
-    h.(i) <- t.dummy;
-    t.times.(i) <- infinity
+  for i = !kept to h.size - 1 do
+    h.evs.(i) <- t.dummy;
+    h.times.(i) <- infinity
   done;
-  t.heap_size <- !kept;
+  h.size <- !kept;
   for i = (!kept / 2) - 1 downto 0 do
-    sift_down t !kept i
+    sift_down h !kept i
   done
+
+(* The heap whose root fires first, [near] when both are empty. *)
+let next_heap t =
+  let n = t.near and f = t.far in
+  if f.size = 0 then n
+  else if n.size = 0 then f
+  else
+    let tn = n.times.(0) and tf = f.times.(0) in
+    if tf < tn || (tf = tn && f.evs.(0).seq < n.evs.(0).seq) then f else n
 
 (* --- ring primitives --- *)
 
@@ -216,13 +245,20 @@ let ring_pop t r =
   ev
 
 (* Compacting is O(n), so only bother once the corpses both dominate
-   the heap and number enough to matter.  Corpses in [imm] are at the
+   the heaps and number enough to matter.  Corpses in [imm] are at the
    current instant and drain on their own within a few pops. *)
 let purge_floor = 64
 
 let maybe_purge t =
-  let dead = t.heap_size + ring_length t.imm - t.live in
-  if dead > purge_floor && 2 * dead > t.heap_size then purge t
+  let queued = t.near.size + t.far.size in
+  let dead = queued + ring_length t.imm - t.live in
+  if dead > purge_floor && 2 * dead > queued then begin
+    purge t t.near;
+    purge t t.far
+  end
+
+(* An event due at least this long after it is queued goes to [far]. *)
+let far_after = 0.5
 
 let take_seq t =
   let seq = t.next_seq in
@@ -234,7 +270,10 @@ let take_seq t =
    [at = now] is the instant case. *)
 let schedule t phase action =
   let ev = { seq = take_seq t; phase; action; owner = t } in
-  if t.due.at = t.now then ring_push t t.imm ev else heap_push t ev;
+  let at = t.due.at in
+  if at = t.now then ring_push t t.imm ev
+  else if at -. t.now < far_after then heap_push t t.near ev
+  else heap_push t t.far ev;
   t.live <- t.live + 1;
   ev
 
@@ -306,9 +345,8 @@ let create ?(max_events = 10_000_000) ?(seed = 42) () =
   and t =
     {
       now = 0.;
-      heap = [||];
-      times = [||];
-      heap_size = 0;
+      near = heap ();
+      far = heap ();
       imm = ring ();
       live = 0;
       next_seq = 0;
@@ -382,11 +420,14 @@ let run ?until t =
         Effect.Deep.continue k ()
   in
   let limit = match until with Some u -> u | None -> infinity in
+  (* Corpses are dropped without consulting [until] — they were already
+     discounted from [live] when cancelled.  Every event fired has a
+     time of at most [limit], so the clock never passes it; a bound
+     behind the clock fires nothing, since the clock must not run back. *)
   let rec loop () =
-    (* Corpses are dropped without consulting [until] — they were
-       already discounted from [live] when cancelled. *)
-    if t.heap_size > 0 && t.heap.(0).phase = Cancelled then begin
-      (heap_pop t).phase <- Fired;
+    let h = next_heap t in
+    if h.size > 0 && h.evs.(0).phase = Cancelled then begin
+      (heap_pop t h).phase <- Fired;
       loop ()
     end
     else if ring_length t.imm > 0 then begin
@@ -395,37 +436,26 @@ let run ?until t =
         (ring_pop t t.imm).phase <- Fired;
         loop ()
       end
-      else if
-        (* Both queues are live at their heads; fire the lesser
-           (time, seq).  A queued immediate's time is [now] by the
-           invariant above, so the heap can win only on an equal time
-           with a smaller seq (the clock never passes a queued
-           immediate). *)
-        t.heap_size > 0
-        && t.times.(0) = t.now
-        && t.heap.(0).seq < qe.seq
-      then
-        if t.times.(0) > limit then t.now <- limit
-        else begin
-          t.now <- t.times.(0);
-          execute (heap_pop t);
-          loop ()
-        end
-      else if t.now > limit then t.now <- limit
       else begin
-        execute (ring_pop t t.imm);
+        (* Both heads are live; fire the lesser (time, seq).  A queued
+           immediate's time is [now] by the invariant above, so a heap
+           can win only on an equal time with a smaller seq (the clock
+           never passes a queued immediate). *)
+        if h.size > 0 && h.times.(0) = t.now && h.evs.(0).seq < qe.seq then
+          execute (heap_pop t h)
+        else execute (ring_pop t t.imm);
         loop ()
       end
     end
-    else if t.heap_size > 0 then
-      if t.times.(0) > limit then t.now <- limit
+    else if h.size > 0 then
+      if h.times.(0) > limit then t.now <- limit
       else begin
-        t.now <- t.times.(0);
-        execute (heap_pop t);
+        t.now <- h.times.(0);
+        execute (heap_pop t h);
         loop ()
       end
   in
-  loop ()
+  if limit >= t.now then loop ()
 
 module Semaphore = struct
   type sem = { sim : t; mutable cnt : int; blocked : ring }

@@ -50,6 +50,26 @@ let run_until () =
   Sim.run sim;
   Tutil.check_int "remaining fires" 2 !fired
 
+(* A bound behind the clock fires nothing and leaves the clock alone:
+   the clock never runs back, so a timer armed afterwards cannot fire
+   before an instant that has already passed. *)
+let until_behind_clock () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s = log := (s, Sim.now sim) :: !log in
+  ignore (Sim.after sim 3.0 (fun () -> note "late"));
+  Sim.run ~until:2.0 sim;
+  Sim.spawn sim (fun () -> note "spawned");
+  Sim.run ~until:1.0 sim;
+  Alcotest.(check (float 0.)) "clock kept" 2.0 (Sim.now sim);
+  Tutil.check_int "nothing fired" 0 (List.length !log);
+  ignore (Sim.after sim 0.5 (fun () -> note "armed"));
+  Sim.run sim;
+  Alcotest.(check (list (pair string (float 0.))))
+    "fire times"
+    [ ("spawned", 2.0); ("armed", 2.5); ("late", 3.0) ]
+    (List.rev !log)
+
 let not_in_fiber () =
   let sim = Sim.create () in
   Alcotest.check_raises "delay outside fiber" Sim.Not_in_fiber (fun () ->
@@ -172,13 +192,14 @@ let event_module_cancel () =
 
 (* --- heap + immediate-queue event structure vs a (time, seq) model ----- *)
 
-(* The event queue (binary min-heap plus same-instant FIFO ring) must
-   fire events in exactly the order of a stable sort by time — FIFO
-   among equals, i.e. keyed (time, seq) with seq assigned at schedule
-   time. *)
+(* The event queues (near and far binary min-heaps plus the same-instant
+   FIFO ring) must fire events in exactly the order of a stable sort by
+   time — FIFO among equals, i.e. keyed (time, seq) with seq assigned at
+   schedule time.  Delays of 0-1.2 s fall on both sides of the 0.5 s
+   near/far split. *)
 let qcheck_heap_order =
   Tutil.qtest ~count:300 "firing order is a stable sort by time"
-    QCheck.(list_of_size (Gen.int_range 0 80) (int_bound 9))
+    QCheck.(list_of_size (Gen.int_range 0 80) (int_bound 12))
     (fun times ->
       let sim = Sim.create () in
       let log = ref [] in
@@ -196,13 +217,14 @@ let qcheck_heap_order =
       List.rev !log = model)
 
 (* Events scheduled from inside callbacks — including at the current
-   instant, the immediate-queue fast path — against a list-based
-   reference scheduler that takes the (time, seq) minimum each step. *)
+   instant, the immediate-queue fast path, and on both sides of the
+   near/far split — against a list-based reference scheduler that takes
+   the (time, seq) minimum each step. *)
 let qcheck_nested_order =
   Tutil.qtest ~count:300 "nested scheduling matches reference scheduler"
     QCheck.(
       list_of_size (Gen.int_range 1 25)
-        (pair (int_bound 5) (list_of_size (Gen.int_range 0 3) (int_bound 3))))
+        (pair (int_bound 12) (list_of_size (Gen.int_range 0 3) (int_bound 12))))
     (fun plan ->
       let sim = Sim.create () in
       let log = ref [] in
@@ -245,19 +267,24 @@ let qcheck_nested_order =
 
 (* Mass cancellation: [pending] counts only live events, the lazy-
    deletion purge must not disturb firing order, and [processed] counts
-   executed events. *)
+   executed events.  Even events are due within 0.3 s and odd ones from
+   2 s on, so corpses lie in both heaps: two purges compact them, and
+   the last cancels leave corpses in both for the run loop to drop. *)
 let cancel_purge_pending () =
   let sim = Sim.create () in
   let fired = ref [] in
+  let due i =
+    if i mod 2 = 0 then 0.001 *. float_of_int (i + 1) else 1.0 +. float_of_int i
+  in
   let evs =
     List.init 300 (fun i ->
-        (i, Sim.after sim (1.0 +. float_of_int i) (fun () -> fired := i :: !fired)))
+        (i, Sim.after sim (due i) (fun () -> fired := i :: !fired)))
   in
   Tutil.check_int "all live before cancels" 300 (Sim.pending sim);
   let live =
     List.filter_map
       (fun (i, ev) ->
-        if i mod 4 = 0 then Some i
+        if i mod 5 = 0 then Some i
         else begin
           Alcotest.(check bool) "cancel ok" true (Sim.cancel ev);
           None
@@ -267,9 +294,51 @@ let cancel_purge_pending () =
   Tutil.check_int "pending counts only live events" (List.length live)
     (Sim.pending sim);
   Sim.run sim;
-  Alcotest.(check (list int)) "live events fire in order" live (List.rev !fired);
+  let in_time_order =
+    List.stable_sort (fun a b -> compare (due a) (due b)) live
+  in
+  Alcotest.(check (list int))
+    "live events fire in order" in_time_order (List.rev !fired);
   Tutil.check_int "processed counts executions" (List.length live)
     (Sim.processed sim)
+
+(* Events due at one instant fire in (time, seq) order whichever queue
+   holds them.  An event lands in the far heap only when it is queued at
+   least 0.5 s before it is due, so of two tied heap roots the far one
+   was queued first; 0.6 +. 0.4 = 1.0 exactly, so the near timer below
+   ties with the far one.  The two cases arm the same events in opposite
+   program order, and the callbacks queue at the tied instant, so the
+   heads of all three queues tie as well. *)
+let equal_times_across_heaps () =
+  let order far_first =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let note s = log := s :: !log in
+    let far () =
+      ignore
+        (Sim.after sim 1.0 (fun () ->
+             note "far";
+             Sim.spawn sim (fun () -> note "far+0")))
+    in
+    let near () =
+      ignore
+        (Sim.after sim 0.6 (fun () ->
+             ignore
+               (Sim.after sim 0.4 (fun () ->
+                    note "near";
+                    Sim.spawn sim (fun () -> note "near+0")))))
+    in
+    if far_first then (far (); near ()) else (near (); far ());
+    Sim.spawn sim (fun () ->
+        Sim.delay sim 0.5;
+        ignore (Sim.after sim 0.5 (fun () -> note "far at 0.5")));
+    Sim.run sim;
+    Alcotest.(check (float 0.)) "one instant" 1.0 (Sim.now sim);
+    List.rev !log
+  in
+  let expect = [ "far"; "far at 0.5"; "near"; "far+0"; "near+0" ] in
+  Alcotest.(check (list string)) "far armed first" expect (order true);
+  Alcotest.(check (list string)) "near armed first" expect (order false)
 
 let cancel_after_fire () =
   let sim = Sim.create () in
@@ -329,14 +398,14 @@ let same_instant_order () =
   Tutil.check_int "events executed" 15 (Sim.processed sim)
 
 (* Allocation budgets for the per-crossing hot path, in minor words per
-   operation over 10k operations.  OCaml 5.1 measures 11 words for a
-   timed wait and for a CPU charge, and nothing for a disabled trace
-   point.  A charge that finds the CPU busy parks on its semaphore:
-   20 words with 8 fibers contending.  A two-op charge sums its list
-   in place (13), an ivar read that blocks until a fresh fiber fills it
-   costs 43 all told, and one 64-byte frame on a fault-free 5-tap wire
-   91 (four deliveries, each a timer and a fiber).  The budgets leave
-   headroom for other 5.x runtimes. *)
+   operation over 10k operations.  OCaml 5.1 measures 9 words for a
+   yield, 11 for a timed wait, short or long, and for a CPU charge, and
+   nothing for a disabled trace point.  A charge that finds the CPU busy
+   parks on its semaphore: 20 words with 8 fibers contending.  A two-op
+   charge sums its list in place (13), an ivar read that blocks until a
+   fresh fiber fills it costs 43 all told, and one 64-byte frame on a
+   fault-free 5-tap wire 91 (four deliveries, each a timer and a fiber).
+   The budgets leave headroom for other 5.x runtimes. *)
 let words_per_op n f =
   let w0 = Gc.minor_words () in
   f ();
@@ -351,16 +420,28 @@ let alloc_budget () =
   let sim = Sim.create () in
   let m = Machine.create sim Machine.xkernel_sun3 in
   let two_ops = [ Machine.Layer_crossing; Machine.Process_switch ] in
-  let delay_w = ref nan and charge_w = ref nan and charge2_w = ref nan in
+  let yield_w = ref nan and delay_w = ref nan and far_w = ref nan in
+  let charge_w = ref nan and charge2_w = ref nan in
   let ivar_w = ref nan in
   Sim.spawn sim (fun () ->
       (* Let the event queues grow to size before measuring. *)
       Sim.delay sim 1e-6;
+      Sim.delay sim 1.0;
       Machine.charge_one m Machine.Layer_crossing;
+      yield_w :=
+        words_per_op n (fun () ->
+            for _ = 1 to n do
+              Sim.yield sim
+            done);
       delay_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
               Sim.delay sim 1e-6
+            done);
+      far_w :=
+        words_per_op n (fun () ->
+            for _ = 1 to n do
+              Sim.delay sim 1.0
             done);
       charge_w :=
         words_per_op n (fun () ->
@@ -409,7 +490,14 @@ let alloc_budget () =
   in
   let figures =
     [
-      ("Sim.delay", 20., !delay_w);
+      (* A yield is a timed wait that never touches a heap, a short
+         wait goes through the near heap and a long one through the far
+         heap.  A wait that moves the clock also boxes the new [now] (2
+         words); beyond that each must allocate what the one before it
+         does, so a float boxed on a heap's path shows. *)
+      ("Sim.yield", 20., !yield_w);
+      ("Sim.delay", !yield_w +. 2.5, !delay_w);
+      ("Sim.delay 1 s", !delay_w +. 0.5, !far_w);
       ("Machine.charge_one", 20., !charge_w);
       ("Trace.packet (off)", 0.01, trace_w);
       ("Machine.charge_one, 8 contending", 30., contended_w);
@@ -512,6 +600,8 @@ let () =
           Alcotest.test_case "clock advances with delay" `Quick clock_advances;
           Alcotest.test_case "timer cancellation" `Quick cancel_timer;
           Alcotest.test_case "run ~until" `Quick run_until;
+          Alcotest.test_case "until behind the clock" `Quick
+            until_behind_clock;
           Alcotest.test_case "blocking outside fiber" `Quick not_in_fiber;
           Alcotest.test_case "runaway guard" `Quick stall_guard;
           Alcotest.test_case "yield" `Quick yield_interleaves;
@@ -525,6 +615,8 @@ let () =
           Alcotest.test_case "cancel purge and pending" `Quick
             cancel_purge_pending;
           Alcotest.test_case "cancel after fire" `Quick cancel_after_fire;
+          Alcotest.test_case "equal times across heaps" `Quick
+            equal_times_across_heaps;
         ] );
       ( "semaphore",
         [
