@@ -102,15 +102,18 @@ let microbench () =
     ]
   in
   (* Blocking primitives.  One run of "semaphore hand-off" wakes a fiber
-     parked on a semaphore, lets it continue and park again.  Eight
-     fibers loop on [charge_one] against one CPU, and one run of "CPU
-     charge" advances the clock by one charge's cost, so exactly one
-     charge completes: the holder wakes, releases the CPU to the next
-     queued fiber, and re-queues itself.  The second charge row adds
-     4,096 timers that each re-arm 2 s out when they fire, the standing
-     population FRAGMENT's discard timers keep on a busy host.  The
-     charge's own events do not sift past them, but the row still pays
-     for the timers that fire. *)
+     parked on a semaphore, lets it continue and park again.  "CPU
+     charge, lone fiber" is the same hand-off with one uncontended
+     [charge_one] between the wake and the park; nothing else is queued,
+     so the charge's wait runs in place, and the gap between the two
+     rows is its cost.  Eight fibers loop on [charge_one] against one
+     CPU, and one run of "CPU charge, 8 contending fibers" advances the
+     clock by one charge's cost, so exactly one charge completes: the
+     holder wakes, releases the CPU to the next queued fiber, and
+     re-queues itself.  The last charge row adds 4,096 timers that each
+     re-arm 2 s out when they fire, the standing population FRAGMENT's
+     discard timers keep on a busy host.  The charge's own events do not
+     sift past them, but the row still pays for the timers that fire. *)
   let sync_ops =
     let handoff =
       let sim = Sim.create () in
@@ -142,8 +145,24 @@ let microbench () =
       done;
       fun () -> Sim.run ~until:(Sim.now sim +. cost) sim
     in
+    let lone_charge =
+      let sim = Sim.create () in
+      let m = Machine.create sim Machine.xkernel_sun3 in
+      let go = Sim.Semaphore.create sim 0 in
+      let rec charger () =
+        Sim.Semaphore.p go;
+        Machine.charge_one m Machine.Layer_crossing;
+        charger ()
+      in
+      Sim.spawn sim charger;
+      Sim.run sim;
+      fun () ->
+        Sim.Semaphore.v go;
+        Sim.run sim
+    in
     [
       Test.make ~name:"semaphore hand-off" (Staged.stage handoff);
+      Test.make ~name:"CPU charge, lone fiber" (Staged.stage lone_charge);
       Test.make ~name:"CPU charge, 8 contending fibers"
         (Staged.stage (contended_charge ~timers:0));
       Test.make ~name:"CPU charge, 4,096 pending 2 s timers"

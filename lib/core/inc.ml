@@ -148,8 +148,8 @@ let synthesize t ~client ~server ~ch (e : entry) =
   in
   let frame = Msg.push (Msg.of_string chan_payload) (F.encode frag_hdr) in
   Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
-    "INC hit: reply %d bytes for %s from cache" (String.length e.e_reply)
-    (Addr.Ip.to_string client);
+    "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
+    Addr.Ip.pp client;
   Sim.spawn (Host.sim t.host) (fun () ->
       Netproto.Ip.inject t.ip ~src:server ~dst:client ~proto_num:92 frame)
 
@@ -159,7 +159,7 @@ let on_request t ~client ~server ~ch body =
        and a header parse only to drop it.  Shed here instead. *)
     Stats.tick t.c_sheds;
     Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
-      "INC shed: expired deadline from %s" (Addr.Ip.to_string client);
+      "INC shed: expired deadline from %a" Addr.Ip.pp client;
     true
   end
   else

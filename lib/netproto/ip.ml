@@ -44,6 +44,13 @@ type t = {
   mutable forward_hook :
     (src:Addr.Ip.t -> dst:Addr.Ip.t -> proto_num:int -> Msg.t -> bool) option;
   stats : Stats.t;
+  (* Counters ticked per datagram, resolved once at create time. *)
+  c_tx : Stats.counter;
+  c_tx_frag : Stats.counter;
+  c_rx : Stats.counter;
+  c_rx_frag : Stats.counter;
+  c_forwarded : Stats.counter;
+  c_hook_consumed : Stats.counter;
 }
 
 let proto t = t.p
@@ -187,7 +194,7 @@ let send_datagram t ~src ~dst ~proto_num ~ttl msg =
             in
             Machine.charge t.host.Host.mach
               [ Machine.Header header_bytes; Machine.Checksum header_bytes ];
-            Stats.incr t.stats (if mf || off > 0 then "tx-frag" else "tx");
+            Stats.tick (if mf || off > 0 then t.c_tx_frag else t.c_tx);
             Proto.push eth_sess (Msg.push piece hdr);
             if mf then emit (off + this)
           in
@@ -324,9 +331,9 @@ let input t msg =
                          hook ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                            payload
                      | None -> false)
-                then Stats.incr t.stats "hook-consumed"
+                then Stats.tick t.c_hook_consumed
                 else begin
-                Stats.incr t.stats "forwarded";
+                Stats.tick t.c_forwarded;
                 (* Forward the fragment as-is (same ident/offset/MF) so
                    the final destination can still reassemble. *)
                 Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
@@ -348,12 +355,12 @@ let input t msg =
               else Stats.incr t.stats "rx-not-mine"
             end
             else if (not h.mf) && h.frag_off = 0 then begin
-              Stats.incr t.stats "rx";
+              Stats.tick t.c_rx;
               deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                 ~ttl:h.ttl payload
             end
             else begin
-              Stats.incr t.stats "rx-frag";
+              Stats.tick t.c_rx_frag;
               let key = (Addr.Ip.to_int h.src, h.ident) in
               let entry =
                 match Hashtbl.find_opt t.reassembly key with
@@ -378,7 +385,7 @@ let input t msg =
               with
               | None -> ()
               | Some whole ->
-                  Stats.incr t.stats "rx";
+                  Stats.tick t.c_rx;
                   deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                     ~ttl:h.ttl whole
             end))
@@ -386,6 +393,7 @@ let input t msg =
 let create ~host ~ifaces ?gateway ?(forward = false) () =
   if ifaces = [] then invalid_arg "Ip.create: no interfaces";
   let p = Proto.create ~host ~name:"IP" () in
+  let stats = Proto.stats p in
   let t =
     {
       host;
@@ -400,7 +408,13 @@ let create ~host ~ifaces ?gateway ?(forward = false) () =
       next_ident = 1;
       error_hook = None;
       forward_hook = None;
-      stats = Proto.stats p;
+      stats;
+      c_tx = Stats.counter stats "tx";
+      c_tx_frag = Stats.counter stats "tx-frag";
+      c_rx = Stats.counter stats "rx";
+      c_rx_frag = Stats.counter stats "rx-frag";
+      c_forwarded = Stats.counter stats "forwarded";
+      c_hook_consumed = Stats.counter stats "hook-consumed";
     }
   in
   let ops =

@@ -50,6 +50,25 @@ exception Stalled of string
    FIFO order, which is what makes runs deterministic.  Both halves
    count in [processed].
 
+   Most waits are a lone CPU charge that nothing else can overtake, and
+   two shortcuts skip the fiber switch for them without moving any event:
+
+   - In place: [delay] returns at once, clock moved, when a [run] whose
+     bound covers the wake is in progress, the instant FIFO is empty and
+     no heap root is due at or before the wake.  The queued first half
+     would then be the global (time, seq) minimum, and its requeued half
+     would find an empty FIFO and no heap event at its instant, so the
+     two would fire back to back.
+   - Direct wake: a first half that fires with the FIFO empty and no heap
+     root due at [now] continues the fiber itself, for the same reason.
+
+   Either way the skipped halves still take their [seq] and count in
+   [processed], and a wait that would cross [max_events] goes the queued
+   way so the run loop raises [Stalled], not the fiber.  Any per-event
+   view of a run (a digest of fired events, a permutation of one
+   instant's events) must see and count both halves of these waits too,
+   or its counts will not match [processed].
+
    A fiber blocked on a semaphore or an ivar is a [Resume] event parked
    in that primitive's wait ring, outside the queues.  Waking it is the
    same move as a timed wait's first half: a fresh [seq] and an append
@@ -89,9 +108,10 @@ and heap = {
   mutable size : int;
 }
 
-(* All-float, so the store is unboxed: the fire time of the event about
-   to be queued. *)
-and due = { mutable at : float }
+(* All-float, so the stores are unboxed: the fire time of the event about
+   to be queued, and the bound of the [run] in progress ([neg_infinity]
+   when none is). *)
+and due = { mutable at : float; mutable bound : float }
 
 and t = {
   mutable now : float;
@@ -265,6 +285,15 @@ let take_seq t =
   t.next_seq <- seq + 1;
   seq
 
+(* Nothing queued fires at or before [t.due.at]: the instant FIFO is
+   empty and both heap roots lie later.  A corpse at a root counts as
+   due, which only sends a wait the queued way.  The times are read here,
+   not passed in: a float argument would be boxed on every wait. *)
+let nothing_due t =
+  ring_length t.imm = 0
+  && (t.near.size = 0 || t.near.times.(0) > t.due.at)
+  && (t.far.size = 0 || t.far.times.(0) > t.due.at)
+
 (* Queue a new event due at [t.due.at].  Scheduling in the past never
    happens (all entry points add a non-negative delay to [now]), so
    [at = now] is the instant case. *)
@@ -340,7 +369,7 @@ let make_handler t =
   }
 
 let create ?(max_events = 10_000_000) ?(seed = 42) () =
-  let due = { at = 0. } in
+  let due = { at = 0.; bound = neg_infinity } in
   let rec dummy = { seq = -1; phase = Fired; action = Fiber ignore; owner = t }
   and t =
     {
@@ -375,12 +404,22 @@ let park t r =
   t.park_in <- r;
   try Effect.perform Park with Effect.Unhandled Park -> raise Not_in_fiber
 
+(* A wait that would fire next and resume next runs in place: the fiber
+   keeps running, and the clock, [seq] and [processed] move exactly as the
+   two queued halves would have moved them. *)
 let delay t d =
   if d < 0. then invalid_arg "Sim.delay: negative delay";
   if d = 0. then ()
   else begin
-    t.due.at <- t.now +. d;
-    perform_delay ()
+    let due = t.due in
+    due.at <- t.now +. d;
+    if due.bound >= due.at && t.processed + 2 <= t.max_events && nothing_due t
+    then begin
+      t.next_seq <- t.next_seq + 2;
+      t.processed <- t.processed + 2;
+      t.now <- due.at
+    end
+    else perform_delay ()
   end
 
 let yield t =
@@ -411,7 +450,18 @@ let run ?until t =
       raise
         (Stalled (Printf.sprintf "more than %d events processed" t.max_events));
     match (ev.phase, ev.action) with
-    | Asleep, _ -> requeue ev
+    | Asleep, Resume k ->
+        (* A first half whose requeued half would fire next continues
+           the fiber now and counts that half. *)
+        t.due.at <- t.now;
+        if t.processed < t.max_events && nothing_due t then begin
+          t.next_seq <- t.next_seq + 1;
+          t.processed <- t.processed + 1;
+          ev.phase <- Fired;
+          Effect.Deep.continue k ()
+        end
+        else requeue ev
+    | Asleep, Fiber _ -> requeue ev
     | _, Fiber f ->
         ev.phase <- Fired;
         Effect.Deep.try_with f () t.handler
@@ -455,7 +505,11 @@ let run ?until t =
         loop ()
       end
   in
-  if limit >= t.now then loop ()
+  if limit >= t.now then begin
+    let outer = t.due.bound in
+    t.due.bound <- limit;
+    Fun.protect ~finally:(fun () -> t.due.bound <- outer) loop
+  end
 
 module Semaphore = struct
   type sem = { sim : t; mutable cnt : int; blocked : ring }

@@ -23,7 +23,12 @@ let packet sim ~host ~proto ~dir msg =
           m "[%8.3fms] %s %s %s %a" (stamp sim) host proto arrow Msg.pp msg)
   | _ -> ()
 
+(* The same level test for [debugf]: off, [ikfprintf] consumes the
+   arguments without formatting anything. *)
 let debugf sim ~host fmt =
-  Format.kasprintf
-    (fun s -> Log.debug (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
-    fmt
+  match Logs.Src.level src with
+  | Some Logs.Debug ->
+      Format.kasprintf
+        (fun s -> Log.debug (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
+        fmt
+  | _ -> Format.ikfprintf ignore Format.err_formatter fmt

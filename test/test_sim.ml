@@ -86,6 +86,78 @@ let stall_guard () =
     | () -> false
     | exception Sim.Stalled _ -> true)
 
+(* A wait whose wake lies past [run ~until] stays queued: the run stops
+   at its bound with the fiber asleep, and the next run resumes the fiber
+   at its own time.  A wake exactly at the bound still fires. *)
+let wait_past_until () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note s = log := (s, Sim.now sim) :: !log in
+  Sim.spawn sim (fun () ->
+      note "start";
+      Sim.delay sim 1.0;
+      note "a";
+      Sim.delay sim 1.0;
+      note "b";
+      Sim.delay sim 0.5;
+      note "c");
+  let check what expect =
+    Alcotest.(check (list (pair string (float 0.)))) what expect (List.rev !log)
+  in
+  Sim.run ~until:1.5 sim;
+  check "first run" [ ("start", 0.); ("a", 1.0) ];
+  Alcotest.(check (float 0.)) "clock at bound" 1.5 (Sim.now sim);
+  Tutil.check_int "fiber asleep" 1 (Sim.pending sim);
+  Sim.run ~until:2.0 sim;
+  check "wake at the bound" [ ("start", 0.); ("a", 1.0); ("b", 2.0) ];
+  Tutil.check_int "still asleep" 1 (Sim.pending sim);
+  Sim.run sim;
+  check "resumed at its own time"
+    [ ("start", 0.); ("a", 1.0); ("b", 2.0); ("c", 2.5) ];
+  Tutil.check_int "spawn plus two halves per wait" 7 (Sim.processed sim)
+
+(* [Stalled] comes from the run loop, never from inside a fiber, so a
+   fiber that catches everything around its waits cannot swallow it.
+   The loop raises on the first event past [max_events], so [processed]
+   reads one more than the limit whichever half of a wait that is. *)
+let stall_not_swallowed () =
+  List.iter
+    (fun max_events ->
+      let sim = Sim.create ~max_events () in
+      let swallowed = ref 0 in
+      Sim.spawn sim (fun () ->
+          while !swallowed = 0 do
+            try Sim.delay sim 0.001 with _ -> incr swallowed
+          done);
+      Alcotest.(check bool) "raises Stalled" true
+        (match Sim.run sim with
+        | () -> false
+        | exception Sim.Stalled _ -> true);
+      Tutil.check_int "nothing swallowed" 0 !swallowed;
+      Tutil.check_int "processed" (max_events + 1) (Sim.processed sim))
+    [ 100; 101 ]
+
+(* Outside a fiber [Sim.delay] raises [Not_in_fiber] whatever runs came
+   before: none, one that returned, or one that raised. *)
+let delay_outside_runs () =
+  let sim = Sim.create () in
+  let outside what =
+    Alcotest.check_raises what Sim.Not_in_fiber (fun () -> Sim.delay sim 1.0)
+  in
+  outside "before any run";
+  Sim.spawn sim (fun () -> Sim.delay sim 1.0);
+  Sim.run sim;
+  outside "after a run returned";
+  Sim.spawn sim (fun () -> Sim.delay sim 1.0);
+  Sim.run ~until:(Sim.now sim +. 0.5) sim;
+  outside "after a run stopped at its bound";
+  Sim.run sim;
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1.0;
+      failwith "boom");
+  Alcotest.check_raises "fiber failure" (Failure "boom") (fun () -> Sim.run sim);
+  outside "after a run that raised"
+
 let semaphore_mutex () =
   let sim = Sim.create () in
   let sem = Sim.Semaphore.create sim 1 in
@@ -265,6 +337,92 @@ let qcheck_nested_order =
       done;
       !log = !order)
 
+(* Fibers, not just callbacks.  Each plan entry is a callback (itself a
+   fiber) due 0-1.2 s out that runs a script: a [Sim.delay] of 0-1.2 s,
+   or a [Sim.after] that arms a child callback.  Steps of 0.1 s make
+   ties common and put waits in both heaps.  The reference scheduler
+   models a timed wait as two events: the wake is queued at
+   (now + d, seq) when the fiber suspends, and when it is the minimum
+   the continuation is queued at (now, fresh seq).  A zero delay is no
+   event at all.  Order, fire times and [processed] must all agree. *)
+type step = Wait of int | Arm of int
+
+let qcheck_fiber_order =
+  let step =
+    QCheck.(
+      map
+        (fun (w, d) -> if w then Wait d else Arm d)
+        (pair bool (int_bound 12)))
+  in
+  Tutil.qtest ~count:300 "fibers match two-half reference scheduler"
+    QCheck.(
+      list_of_size (Gen.int_range 1 12)
+        (pair (int_bound 12) (list_of_size (Gen.int_range 0 6) step)))
+    (fun plan ->
+      let tenth d = float_of_int d /. 10. in
+      let sim = Sim.create () in
+      let log = ref [] in
+      let note id = log := (id, Sim.now sim) :: !log in
+      List.iteri
+        (fun i (t, script) ->
+          ignore
+            (Sim.after sim (tenth t) (fun () ->
+                 note (i, 0);
+                 List.iteri
+                   (fun j st ->
+                     match st with
+                     | Wait d ->
+                         Sim.delay sim (tenth d);
+                         note (i, j + 1)
+                     | Arm d ->
+                         ignore
+                           (Sim.after sim (tenth d) (fun () ->
+                                note (-i - 1, j + 1))))
+                   script)))
+        plan;
+      Sim.run sim;
+      (* A fiber is its id and the script steps it has yet to run. *)
+      let seq = ref 0 and fired = ref 0 in
+      let pending = ref [] in
+      let add time ev =
+        Stdlib.incr seq;
+        pending := (time, !seq, ev) :: !pending
+      in
+      let order = ref [] in
+      let rec run_fiber now i j = function
+        | [] -> ()
+        | Wait d :: rest ->
+            if d = 0 then begin
+              order := ((i, j + 1), now) :: !order;
+              run_fiber now i (j + 1) rest
+            end
+            else add (now +. tenth d) (`Wake (i, j, rest))
+        | Arm d :: rest ->
+            add (now +. tenth d) (`Child (i, j));
+            run_fiber now i (j + 1) rest
+      in
+      List.iteri (fun i (t, script) -> add (tenth t) (`Start (i, script))) plan;
+      while !pending <> [] do
+        let ((now, _, ev) as best) =
+          List.fold_left
+            (fun ((bt, bs, _) as b) ((t, s, _) as e) ->
+              if t < bt || (t = bt && s < bs) then e else b)
+            (List.hd !pending) (List.tl !pending)
+        in
+        pending := List.filter (fun e -> e != best) !pending;
+        Stdlib.incr fired;
+        match ev with
+        | `Start (i, script) ->
+            order := ((i, 0), now) :: !order;
+            run_fiber now i 0 script
+        | `Wake (i, j, rest) -> add now (`Resume (i, j, rest))
+        | `Resume (i, j, rest) ->
+            order := ((i, j + 1), now) :: !order;
+            run_fiber now i (j + 1) rest
+        | `Child (i, j) -> order := ((-i - 1, j + 1), now) :: !order
+      done;
+      !log = !order && Sim.processed sim = !fired && Sim.pending sim = 0)
+
 (* Mass cancellation: [pending] counts only live events, the lazy-
    deletion purge must not disturb firing order, and [processed] counts
    executed events.  Even events are due within 0.3 s and odd ones from
@@ -399,17 +557,47 @@ let same_instant_order () =
 
 (* Allocation budgets for the per-crossing hot path, in minor words per
    operation over 10k operations.  OCaml 5.1 measures 9 words for a
-   yield, 11 for a timed wait, short or long, and for a CPU charge, and
-   nothing for a disabled trace point.  A charge that finds the CPU busy
-   parks on its semaphore: 20 words with 8 fibers contending.  A two-op
-   charge sums its list in place (13), an ivar read that blocks until a
-   fresh fiber fills it costs 43 all told, and one 64-byte frame on a
-   fault-free 5-tap wire 91 (four deliveries, each a timer and a fiber).
-   The budgets leave headroom for other 5.x runtimes. *)
+   yield and 11 for a queued timed wait, short or long, and for a queued
+   CPU charge.  A wait or charge that runs in place allocates only the
+   new clock value (2), and a disabled trace point nothing, or 26 words
+   for a [debugf] that only discards its arguments.  A charge that finds
+   the CPU busy parks on its semaphore: 11 words with 8 fibers
+   contending, as the holder's own wait runs in place while the rest are
+   parked.  A two-op charge sums its list in place (13), an
+   ivar read that blocks until a fresh fiber fills it costs 43 all told,
+   and one 64-byte frame on a fault-free 5-tap wire 91 (four deliveries,
+   each a timer and a fiber).  The budgets leave headroom for other 5.x
+   runtimes. *)
 let words_per_op n f =
   let w0 = Gc.minor_words () in
   f ();
   (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Minor words per [op] taking the queued path.  Two fibers each run [n]
+   rounds of [op], the second half a [period] behind, so whenever one
+   waits the other's wake is queued and due sooner, and no wait runs in
+   place.  Each fiber has its own machine, so no charge waits for the
+   CPU.  The count covers both fibers' rounds. *)
+let queued_words n ~period op =
+  let sim = Sim.create () in
+  let w = ref nan in
+  let fiber ~lead =
+    let m = Machine.create sim Machine.xkernel_sun3 in
+    Sim.spawn sim (fun () ->
+        if not lead then Sim.delay sim (period /. 2.);
+        (* Let the event queues grow to size before measuring. *)
+        op sim m;
+        let rounds () =
+          for _ = 1 to n do
+            op sim m
+          done
+        in
+        if lead then w := words_per_op (2 * n) rounds else rounds ())
+  in
+  fiber ~lead:true;
+  fiber ~lead:false;
+  Sim.run sim;
+  !w
 
 (* (operation, budget, measured), printed after the run so that every
    test log records this runtime's figures. *)
@@ -417,41 +605,44 @@ let measured = ref []
 
 let alloc_budget () =
   let n = 10_000 in
+  let cost ops =
+    List.fold_left
+      (fun acc op -> acc +. Machine.op_cost Machine.xkernel_sun3 op)
+      0. ops
+  in
+  let crossing = [ Machine.Layer_crossing ] in
+  let two_ops = [ Machine.Layer_crossing; Machine.Process_switch ] in
+  let delay_w =
+    queued_words n ~period:1e-6 (fun sim _ -> Sim.delay sim 1e-6)
+  in
+  let far_w = queued_words n ~period:1.0 (fun sim _ -> Sim.delay sim 1.0) in
+  let charge_w =
+    queued_words n ~period:(cost crossing) (fun _ m ->
+        Machine.charge_one m Machine.Layer_crossing)
+  in
+  let charge2_w =
+    queued_words n ~period:(cost two_ops) (fun _ m -> Machine.charge m two_ops)
+  in
+  (* A lone fiber: nothing else is ever due, so its waits run in place. *)
   let sim = Sim.create () in
   let m = Machine.create sim Machine.xkernel_sun3 in
-  let two_ops = [ Machine.Layer_crossing; Machine.Process_switch ] in
-  let yield_w = ref nan and delay_w = ref nan and far_w = ref nan in
-  let charge_w = ref nan and charge2_w = ref nan in
+  let yield_w = ref nan and in_place_w = ref nan and lone_w = ref nan in
   let ivar_w = ref nan in
   Sim.spawn sim (fun () ->
-      (* Let the event queues grow to size before measuring. *)
-      Sim.delay sim 1e-6;
-      Sim.delay sim 1.0;
-      Machine.charge_one m Machine.Layer_crossing;
       yield_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
               Sim.yield sim
             done);
-      delay_w :=
+      in_place_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
               Sim.delay sim 1e-6
             done);
-      far_w :=
-        words_per_op n (fun () ->
-            for _ = 1 to n do
-              Sim.delay sim 1.0
-            done);
-      charge_w :=
+      lone_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
               Machine.charge_one m Machine.Layer_crossing
-            done);
-      charge2_w :=
-        words_per_op n (fun () ->
-            for _ = 1 to n do
-              Machine.charge m two_ops
             done);
       ivar_w :=
         words_per_op n (fun () ->
@@ -488,20 +679,34 @@ let alloc_budget () =
           Trace.packet sim ~host:"h" ~proto:"P" ~dir:`Send msg
         done)
   in
+  let client = Addr.Ip.v 10 0 0 1 in
+  let debugf_w =
+    words_per_op n (fun () ->
+        for _ = 1 to n do
+          Trace.debugf sim ~host:"h" "INC hit: reply %d bytes for %a from cache"
+            64 Addr.Ip.pp client
+        done)
+  in
   let figures =
     [
       (* A yield is a timed wait that never touches a heap, a short
-         wait goes through the near heap and a long one through the far
-         heap.  A wait that moves the clock also boxes the new [now] (2
-         words); beyond that each must allocate what the one before it
-         does, so a float boxed on a heap's path shows. *)
+         queued wait goes through the near heap and a long one through
+         the far heap.  A wait that moves the clock also boxes the new
+         [now] (2 words); beyond that each must allocate what the one
+         before it does, so a float boxed on a heap's path shows.  In
+         place, a wait or a charge allocates the clock box alone, so a
+         float passed as an argument there, or a fall-back to the
+         queued path, shows. *)
       ("Sim.yield", 20., !yield_w);
-      ("Sim.delay", !yield_w +. 2.5, !delay_w);
-      ("Sim.delay 1 s", !delay_w +. 0.5, !far_w);
-      ("Machine.charge_one", 20., !charge_w);
+      ("Sim.delay", !yield_w +. 2.5, delay_w);
+      ("Sim.delay 1 s", delay_w +. 0.5, far_w);
+      ("Sim.delay, in place", 2.5, !in_place_w);
+      ("Machine.charge_one", 20., charge_w);
+      ("Machine.charge_one, lone fiber", 2.5, !lone_w);
       ("Trace.packet (off)", 0.01, trace_w);
+      ("Trace.debugf (off)", 30., debugf_w);
       ("Machine.charge_one, 8 contending", 30., contended_w);
-      ("Machine.charge, two ops", 17., !charge2_w);
+      ("Machine.charge, two ops", 17., charge2_w);
       ("Ivar create+fill+read", 55., !ivar_w);
       ("64-byte frame, 5-tap wire", 125., frame_w);
     ]
@@ -604,6 +809,10 @@ let () =
             until_behind_clock;
           Alcotest.test_case "blocking outside fiber" `Quick not_in_fiber;
           Alcotest.test_case "runaway guard" `Quick stall_guard;
+          Alcotest.test_case "wait past the bound" `Quick wait_past_until;
+          Alcotest.test_case "Stalled not swallowed" `Quick stall_not_swallowed;
+          Alcotest.test_case "delay outside fiber around runs" `Quick
+            delay_outside_runs;
           Alcotest.test_case "yield" `Quick yield_interleaves;
           Alcotest.test_case "same-instant order" `Quick same_instant_order;
           Alcotest.test_case "allocation budget" `Quick alloc_budget;
@@ -612,6 +821,7 @@ let () =
         [
           qcheck_heap_order;
           qcheck_nested_order;
+          qcheck_fiber_order;
           Alcotest.test_case "cancel purge and pending" `Quick
             cancel_purge_pending;
           Alcotest.test_case "cancel after fire" `Quick cancel_after_fire;
