@@ -8,9 +8,11 @@
     "drive the ethernet controller at its maximum rate" (section 4.1).
 
     On the receive side the device filters destination addresses in
-    "hardware" (free), then dispatches an interrupt: a fresh shepherd
-    fiber charges [Interrupt] and hands the frame to the handler the ETH
-    protocol registered. *)
+    "hardware" (free): the wire asks the filter as it sends each copy,
+    so a frame for another station costs no event at all.  An accepted
+    frame dispatches an interrupt: a fresh shepherd fiber charges
+    [Interrupt] and hands the frame to the handler the ETH protocol
+    registered. *)
 
 type t
 
@@ -31,7 +33,10 @@ val set_handler : t -> (Msg.t -> unit) -> unit
 (** Install the receive handler (the ETH protocol's entry point). *)
 
 val set_promiscuous : t -> bool -> unit
-(** Accept frames addressed to other stations too (test taps). *)
+(** Accept frames addressed to other stations too (test taps).  The
+    filter judges a frame when the sender finishes serializing it, 5
+    microseconds of propagation before it arrives, so a frame already
+    propagating when the setting changes is judged by the old one. *)
 
 val eth_header_bytes : int
 (** 14: destination (6) + source (6) + type (2). *)

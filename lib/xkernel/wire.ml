@@ -11,7 +11,11 @@ type stats = {
   bytes : int;
 }
 
-type attachment = { tap_id : int; recv : Msg.t -> unit }
+type attachment = {
+  tap_id : int;
+  accepts : Msg.t -> bool; (* the device's address filter *)
+  recv : Msg.t -> unit;
+}
 
 (* Mirror handles into a registered per-wire table, resolved once at
    create time.  Only labelled wires pay for (or appear in) the
@@ -103,8 +107,10 @@ let bandwidth_bps _ = bandwidth
 let mirror w f =
   match w.lbl with None -> () | Some l -> Stats.tick (f l)
 
-let attach w ~recv =
-  let tap = { tap_id = w.next_tap; recv } in
+let accept_all _ = true
+
+let attach ?(accepts = accept_all) w ~recv =
+  let tap = { tap_id = w.next_tap; accepts; recv } in
   w.next_tap <- w.next_tap + 1;
   w.taps <- tap :: w.taps;
   tap
@@ -180,7 +186,9 @@ let invert c = Char.chr (Char.code c lxor 0xff)
 (* Hand the frame to every tap but [from], [d] seconds from now.  The
    first of [copies] is [m], which carries any corruption (it damages
    the original transmission); a Duplicate is an independent clean
-   copy of [msg].  [delivered] counts every copy handed to a tap. *)
+   copy of [msg].  [delivered] counts every copy handed to a tap, but
+   only a copy the tap's filter accepts costs an event: the filter
+   judges each copy by its own bytes. *)
 let rec deliver w ~from ~d ~copies msg m = function
   | [] -> ()
   | tap :: taps ->
@@ -199,7 +207,8 @@ let rec deliver w ~from ~d ~copies msg m = function
             let m = if copy = 1 then m else msg in
             w.n_delivered <- w.n_delivered + 1;
             mirror w (fun l -> l.l_delivered);
-            ignore (Sim.after w.w_sim d (fun () -> tap.recv m))
+            if tap.accepts m then
+              ignore (Sim.after w.w_sim d (fun () -> tap.recv m))
           done;
       deliver w ~from ~d ~copies msg m taps
 

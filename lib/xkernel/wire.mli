@@ -38,11 +38,15 @@ val bandwidth_bps : t -> float
 (** Serialization rate, 10 Mb/s.  Together with {!stats}'s [bytes]
     this turns on-wire byte times into a utilization figure. *)
 
-val attach : t -> recv:(Msg.t -> unit) -> attachment
+val attach : ?accepts:(Msg.t -> bool) -> t -> recv:(Msg.t -> unit) -> attachment
 (** [attach w ~recv] connects a device; [recv] is invoked (in a fresh
     fiber, after propagation) for every frame any *other* device
-    transmits.  Address filtering is the device's job, as in real
-    ethernet hardware. *)
+    transmits that [accepts] (default: every frame) lets through.
+    [accepts] is the device's address filter, as in real ethernet
+    hardware; the wire asks it once per copy as the frame is sent (a
+    corrupted copy by its own bytes, a duplicate by the clean frame),
+    so a filtered copy costs no event.  Filtered copies still count in
+    {!stats}'s [delivered]. *)
 
 val transmit : t -> from:attachment -> Msg.t -> unit
 (** [transmit w ~from frame] serializes [frame] onto the medium
