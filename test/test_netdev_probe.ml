@@ -55,6 +55,56 @@ let promiscuous_tap () =
   World.run w;
   Tutil.check_int "promiscuous device sees other traffic" 1 !snoop
 
+(* The wire asks each station's address filter as it sends a frame, so
+   on a 5-station wire a unicast frame costs one delivery event, the
+   addressed station's, while [delivered] still counts a copy per tap.
+   The event count is checked against the same frame on a 2-station
+   wire, where the addressed station is the only one.  Broadcast frames
+   and a promiscuous tap still get every copy; a corrupted copy is judged
+   by its own (damaged) destination and a duplicate by the clean frame. *)
+let filter_at_transmit () =
+  let send ?(n = 5) ?(promiscuous = []) ?faults ~dst () =
+    let w = World.create ~n () in
+    let n0 = World.node w 0 in
+    let hits = Array.make n 0 in
+    for i = 1 to n - 1 do
+      let dev = (World.node w i).World.dev in
+      Netdev.set_handler dev (fun _ -> hits.(i) <- hits.(i) + 1);
+      Netdev.set_promiscuous dev (List.mem i promiscuous)
+    done;
+    Wire.set_fault_hook w.World.wire
+      (Option.map (fun f _ _ -> f) faults);
+    (* The transmitter fibers start and park. *)
+    World.run w;
+    let before = Sim.processed w.World.sim in
+    World.spawn w (fun () ->
+        Netdev.transmit n0.World.dev
+          (frame ~dst:(dst w) ~src:n0.World.host.Host.eth ~typ:0x9999 "x"));
+    World.run w;
+    ( Sim.processed w.World.sim - before,
+      (Wire.stats w.World.wire).Wire.delivered,
+      Array.to_list hits )
+  in
+  let to_n1 w = (World.node w 1).World.host.Host.eth in
+  let events, delivered, hits = send ~dst:to_n1 () in
+  let events_2, _, _ = send ~n:2 ~dst:to_n1 () in
+  Tutil.check_int "events, as with one other station" events_2 events;
+  Tutil.check_int "delivered counts every tap" 4 delivered;
+  Alcotest.(check (list int)) "only the addressed station" [ 0; 1; 0; 0; 0 ]
+    hits;
+  let _, delivered, hits = send ~dst:(fun _ -> Addr.Eth.broadcast) () in
+  Tutil.check_int "broadcast: delivered" 4 delivered;
+  Alcotest.(check (list int)) "broadcast reaches all" [ 0; 1; 1; 1; 1 ] hits;
+  let _, _, hits = send ~promiscuous:[ 3 ] ~dst:to_n1 () in
+  Alcotest.(check (list int)) "promiscuous tap" [ 0; 1; 0; 1; 0 ] hits;
+  (* Offset 5 flips the destination's last byte: no station's address. *)
+  let _, delivered, hits =
+    send ~faults:[ Wire.Duplicate; Wire.Corrupt 5 ] ~dst:to_n1 ()
+  in
+  Tutil.check_int "two copies per tap" 8 delivered;
+  Alcotest.(check (list int)) "only the clean duplicate arrives"
+    [ 0; 1; 0; 0; 0 ] hits
+
 let peek_dst_works () =
   let f = frame ~dst:(Addr.Eth.v 0xaabbccddeeff) ~src:(Addr.Eth.v 1) ~typ:0 "" in
   Alcotest.(check bool) "peek" true
@@ -173,6 +223,7 @@ let () =
           Alcotest.test_case "destination filter" `Quick dst_filter;
           Alcotest.test_case "broadcast" `Quick broadcast_reaches_everyone;
           Alcotest.test_case "promiscuous tap" `Quick promiscuous_tap;
+          Alcotest.test_case "filter at transmit" `Quick filter_at_transmit;
           Alcotest.test_case "peek_dst" `Quick peek_dst_works;
           Alcotest.test_case "tx pipelining" `Quick pipelining_overlaps;
         ] );
