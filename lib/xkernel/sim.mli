@@ -41,7 +41,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     of {!run}. *)
 
 val delay : t -> float -> unit
-(** [delay sim d] suspends the calling fiber for [d] virtual seconds. *)
+(** [delay sim d] suspends the calling fiber for [d] virtual seconds.
+    Raises [Invalid_argument] if [d] is negative or NaN. *)
 
 val yield : t -> unit
 (** [yield sim] reschedules the calling fiber at the current time,
@@ -53,7 +54,8 @@ type event
 
 val after : t -> float -> (unit -> unit) -> event
 (** [after sim d f] schedules [f] to run (as a fiber) [d] seconds from
-    now.  Timer callbacks may themselves block. *)
+    now.  Timer callbacks may themselves block.  Raises
+    [Invalid_argument] if [d] is negative or NaN. *)
 
 val cancel : event -> bool
 (** [cancel ev] cancels [ev]; returns [false] if it already ran (or was
