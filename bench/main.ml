@@ -109,8 +109,8 @@ let microbench () =
      rows is its cost.  Eight fibers loop on [charge_one] against one
      CPU, and one run of "CPU charge, 8 contending fibers" advances the
      clock by one charge's cost, so exactly one charge completes: the
-     holder wakes, releases the CPU to the next queued fiber, and
-     re-queues itself.  The last charge row adds 4,096 timers that each
+     holder's timed wait ends and it queues its next charge behind the
+     other seven, whose finish times are already set.  The last charge row adds 4,096 timers that each
      re-arm 2 s out when they fire, the standing population FRAGMENT's
      discard timers keep on a busy host.  The charge's own events do not
      sift past them, but the row still pays for the timers that fire. *)

@@ -21,24 +21,27 @@ let validate ~n ~wires plan =
   in
   List.iter
     (fun w ->
-      if w.until_t < w.from_t then
-        invalid_arg "Chaos: window with until_t < from_t";
+      (* Each check is [not (x >= lo)], so a NaN fails it too. *)
+      if not (w.until_t >= w.from_t) then
+        invalid_arg "Chaos: window with until_t < from_t (or NaN)";
       match w.spec with
       | Partition { a; b } ->
           List.iter dev a;
           List.iter dev b
       | Burst_loss p ->
-          if p < 0. || p > 1. then
+          if not (p >= 0. && p <= 1.) then
             invalid_arg "Chaos: loss probability outside [0, 1]"
       | Link_flap { dev = d; period } ->
           dev d;
-          if period <= 0. then invalid_arg "Chaos: nonpositive flap period"
-      | Delay_spike d -> if d < 0. then invalid_arg "Chaos: negative delay"
+          if not (period > 0.) then
+            invalid_arg "Chaos: nonpositive or NaN flap period"
+      | Delay_spike d ->
+          if not (d >= 0.) then invalid_arg "Chaos: negative or NaN delay"
       | Crash d -> dev d
       | Wire_down name -> named name
       | Wire_loss { wire = name; p } ->
           named name;
-          if p < 0. || p > 1. then
+          if not (p >= 0. && p <= 1.) then
             invalid_arg "Chaos: loss probability outside [0, 1]")
     plan
 

@@ -67,7 +67,8 @@ val apply :
 
     @raise Invalid_argument on an out-of-range device index, a wire
     name absent from [?wires], [until_t < from_t], a nonpositive flap
-    period, or a loss probability outside [0, 1]. *)
+    period, a negative delay spike, or a loss probability outside
+    [0, 1]; a NaN in any of these fails its check too. *)
 
 val to_json : plan -> Json.t
 (** The plan as a JSON array, one object per window:

@@ -181,45 +181,29 @@ let[@inline] op_cost p op =
   | Os_per_message -> p.os_per_message
   | Busy s -> s
 
-(* All-float, so charging updates the totals in place without boxing.
-   [sum] is scratch space for adding up an op list. *)
-type account = {
-  mutable busy : float;
-  mutable wait : float;
-  mutable sum : float;
-}
+(* All-float, so adding up an op list stores unboxed: scratch space for
+   [charge]. *)
+type account = { mutable sum : float }
 
+(* The CPU is a FIFO server: a charge is one timed wait to its finish. *)
 type t = {
   m_sim : Sim.t;
-  cpu : Sim.Semaphore.sem;
+  cpu : Sim.Server.server;
   mutable prof : profile;
   acct : account;
 }
 
 let create m_sim prof =
-  {
-    m_sim;
-    cpu = Sim.Semaphore.create m_sim 1;
-    prof;
-    acct = { busy = 0.; wait = 0.; sum = 0. };
-  }
+  { m_sim; cpu = Sim.Server.create m_sim; prof; acct = { sum = 0. } }
 
 let sim m = m.m_sim
 let profile m = m.prof
 let set_profile m p = m.prof <- p
 
-let charge_cost m total =
-  if total > 0. then begin
-    let t0 = Sim.now m.m_sim in
-    Sim.Semaphore.p m.cpu;
-    (* Run-queue sojourn: time this charge spent waiting for the CPU,
-       as opposed to using it — the server-side queueing-delay signal
-       overload experiments account against deadlines. *)
-    m.acct.wait <- m.acct.wait +. (Sim.now m.m_sim -. t0);
-    Sim.delay m.m_sim total;
-    m.acct.busy <- m.acct.busy +. total;
-    Sim.Semaphore.v m.cpu
-  end
+(* The server also adds up the run-queue sojourn, time a charge waited
+   for the CPU as opposed to using it: the server-side queueing-delay
+   signal overload experiments account against deadlines. *)
+let charge_cost m total = if total > 0. then Sim.Server.hold m.cpu total
 
 (* Left to right, as a fold would, but into [a.sum]: with [op_cost]
    inlined the running total never leaves a float register. *)
@@ -238,13 +222,7 @@ let charge m ops =
    bookkeeping): no op list per call. *)
 let charge_one m op = charge_cost m (op_cost m.prof op)
 
-let cpu_seconds m = m.acct.busy
-
-let reset_cpu_seconds m =
-  m.acct.busy <- 0.;
-  m.acct.wait <- 0.
-
-let cpu_wait_seconds m = m.acct.wait
-
-let queue_depth m =
-  Sim.Semaphore.waiters m.cpu + (1 - Sim.Semaphore.count m.cpu)
+let cpu_seconds m = Sim.Server.busy m.cpu
+let reset_cpu_seconds m = Sim.Server.reset m.cpu
+let cpu_wait_seconds m = Sim.Server.wait m.cpu
+let queue_depth m = Sim.Server.holds m.cpu

@@ -88,8 +88,8 @@ type op =
 val op_cost : profile -> op -> float
 
 type t
-(** One host's CPU: a mutually exclusive resource on the virtual
-    clock plus an accumulated-busy-time counter. *)
+(** One host's CPU: a FIFO server on the virtual clock plus
+    accumulated busy and wait times. *)
 
 val create : Sim.t -> profile -> t
 val sim : t -> Sim.t
@@ -98,8 +98,10 @@ val set_profile : t -> profile -> unit
 
 val charge : t -> op list -> unit
 (** [charge m ops] occupies the CPU for the summed cost of [ops]
-    (blocking the calling fiber; contending fibers queue FIFO) and adds
-    it to the busy-time counter.  Free when the total cost is zero. *)
+    (blocking the calling fiber) and adds it to the busy-time counter.
+    The CPU is a FIFO server ({!Sim.Server}): a charge that finds it
+    busy finishes its cost after the charges ahead of it, a finish time
+    known on arrival.  Free when the total cost is zero. *)
 
 val charge_one : t -> op -> unit
 (** [charge_one m op] = [charge m [op]] without the per-call list — for
@@ -115,7 +117,8 @@ val reset_cpu_seconds : t -> unit
 val cpu_wait_seconds : t -> float
 (** Total time fibers spent queued for the CPU before their charges ran
     — the run-queue sojourn the overload experiments account against
-    propagated deadlines. *)
+    propagated deadlines.  A charge's wait counts from its arrival,
+    when it is known. *)
 
 val queue_depth : t -> int
 (** Fibers currently on this CPU: the holder (if any) plus everyone

@@ -85,6 +85,22 @@ exception Stalled of string
    instant's events) must see and count both halves of these waits too,
    or its counts will not match [processed].
 
+   A [Server] hold is a third kind of wait, between the two: the fiber
+   queues behind other holders, but as one timed wait.  A FIFO server
+   grants in arrival order, so a hold that finds it busy starts exactly
+   at the previous holder's finish, [free_at], and ends [d] later; it
+   waits straight to that finish, with no park, no hand-off and no
+   fiber switch in between (2 events where a semaphore [p], [delay], [v]
+   takes 3).  Its finish is the float sum that model gives, and the busy
+   and wait totals add up in the same order.  Two things differ from
+   that model on purpose:
+
+   - A queued hold takes its [seq] when it arrives, not when the server
+     is granted, so a tie with another event at its finish instant can
+     resolve the other way.
+   - [pending] counts a queued hold as an event, and [Server.wait]
+     counts a hold's wait when it arrives, not when it is granted.
+
    A fiber blocked on a semaphore or an ivar is its record parked in
    that primitive's wait ring, outside the queues.  Waking it is the
    same move as a timed wait's first half: a fresh [seq] and an append
@@ -156,21 +172,29 @@ let rng t = t.sim_rng
 
 (* --- heap primitives --- *)
 
-let rec sift_up h i =
+(* Hole-based sifts: the moving event [ev] is stored once, at its final
+   slot, and each level moves one neighbour into the hole.  A store into
+   [evs] goes through the write barrier, and a young event stored over a
+   major-heap one adds a remembered-set entry; storing [ev] at every
+   level filled that set before the minor heap.  [times] keeps the moving
+   time at the hole, since an unboxed float store needs no barrier.  No
+   float is passed: it would be boxed on every call. *)
+let rec sift_up h i ev =
   if i > 0 then begin
     let p = (i - 1) / 2 in
     let ti = h.times.(i) and tp = h.times.(p) in
-    if ti < tp || (ti = tp && h.evs.(i).seq < h.evs.(p).seq) then begin
-      let ev = h.evs.(i) in
-      h.evs.(i) <- h.evs.(p);
-      h.evs.(p) <- ev;
+    let pe = h.evs.(p) in
+    if ti < tp || (ti = tp && ev.seq < pe.seq) then begin
+      h.evs.(i) <- pe;
       h.times.(i) <- tp;
       h.times.(p) <- ti;
-      sift_up h p
+      sift_up h p ev
     end
+    else h.evs.(i) <- ev
   end
+  else h.evs.(i) <- ev
 
-let rec sift_down h n i =
+let rec sift_down h n i ev =
   let l = (2 * i) + 1 in
   if l < n then begin
     let s =
@@ -183,15 +207,16 @@ let rec sift_down h n i =
       else l
     in
     let ts = h.times.(s) and ti = h.times.(i) in
-    if ts < ti || (ts = ti && h.evs.(s).seq < h.evs.(i).seq) then begin
-      let ev = h.evs.(i) in
-      h.evs.(i) <- h.evs.(s);
-      h.evs.(s) <- ev;
+    let se = h.evs.(s) in
+    if ts < ti || (ts = ti && se.seq < ev.seq) then begin
+      h.evs.(i) <- se;
       h.times.(i) <- ts;
       h.times.(s) <- ti;
-      sift_down h n s
+      sift_down h n s ev
     end
+    else h.evs.(i) <- ev
   end
+  else h.evs.(i) <- ev
 
 let heap () = { evs = [||]; times = [||]; size = 0 }
 
@@ -208,20 +233,19 @@ let heap_push t h ev =
     h.evs <- grown;
     h.times <- grown_times
   end;
-  h.evs.(h.size) <- ev;
   h.times.(h.size) <- t.due.at;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) ev
 
 (* Pop the root.  The caller decides whether it was live. *)
 let heap_pop t h =
   let ev = h.evs.(0) in
   h.size <- h.size - 1;
-  h.evs.(0) <- h.evs.(h.size);
+  let last = h.evs.(h.size) in
   h.times.(0) <- h.times.(h.size);
   h.evs.(h.size) <- t.dummy;
   h.times.(h.size) <- infinity;
-  if h.size > 0 then sift_down h h.size 0;
+  if h.size > 0 then sift_down h h.size 0 last;
   ev
 
 (* Compact away cancelled events and re-heapify (Floyd's O(n) pass).
@@ -243,7 +267,7 @@ let purge t h =
   done;
   h.size <- !kept;
   for i = (!kept / 2) - 1 downto 0 do
-    sift_down h !kept i
+    sift_down h !kept i h.evs.(i)
   done
 
 (* The heap whose root fires first, [near] when both are empty. *)
@@ -438,22 +462,26 @@ let park t r =
   t.park_in <- r;
   try Effect.perform Park with Effect.Unhandled Park -> raise Not_in_fiber
 
-(* A wait that would fire next and resume next runs in place: the fiber
-   keeps running, and the clock, [seq] and [processed] move exactly as the
-   two queued halves would have moved them. *)
+(* Wait until [t.due.at], which lies ahead of the clock.  A wait that
+   would fire next and resume next runs in place: the fiber keeps
+   running, and the clock, [seq] and [processed] move exactly as the two
+   queued halves would have moved them. *)
+let wait_due t =
+  let due = t.due in
+  if due.bound >= due.at && t.processed + 2 <= t.max_events && nothing_due t
+  then begin
+    t.next_seq <- t.next_seq + 2;
+    t.processed <- t.processed + 2;
+    t.now <- due.at
+  end
+  else perform_delay ()
+
 let delay t d =
   if not (d >= 0.) then invalid_arg "Sim.delay: negative or NaN delay";
   if d = 0. then ()
   else begin
-    let due = t.due in
-    due.at <- t.now +. d;
-    if due.bound >= due.at && t.processed + 2 <= t.max_events && nothing_due t
-    then begin
-      t.next_seq <- t.next_seq + 2;
-      t.processed <- t.processed + 2;
-      t.now <- due.at
-    end
-    else perform_delay ()
+    t.due.at <- t.now +. d;
+    wait_due t
   end
 
 let yield t =
@@ -564,9 +592,54 @@ module Semaphore = struct
   let v s =
     if ring_length s.blocked > 0 then wake s.sim s.blocked
     else s.cnt <- s.cnt + 1
+end
 
-  let count s = s.cnt
-  let waiters s = ring_length s.blocked
+module Server = struct
+  (* All-float, so the updates are unboxed stores. *)
+  type clock = {
+    mutable free_at : float; (* when the last hold in flight ends *)
+    mutable busy : float;
+    mutable wait : float;
+  }
+
+  type server = { sim : t; clock : clock; mutable holds : int }
+
+  let create sim =
+    { sim; clock = { free_at = 0.; busy = 0.; wait = 0. }; holds = 0 }
+
+  (* One timed wait to the hold's finish.  A FIFO server grants in
+     arrival order, so a hold that finds the server busy starts exactly
+     when the holds ahead of it end, at [free_at], and its finish is
+     known on arrival.  The arithmetic stays here: a finish time passed
+     to [Sim] from outside would be boxed. *)
+  let hold s d =
+    if not (d >= 0.) then invalid_arg "Sim.Server.hold: negative or NaN time";
+    let t = s.sim and c = s.clock in
+    s.holds <- s.holds + 1;
+    if c.free_at <= t.now then begin
+      c.free_at <- t.now +. d;
+      if d > 0. then begin
+        t.due.at <- c.free_at;
+        wait_due t
+      end
+    end
+    else begin
+      c.wait <- c.wait +. (c.free_at -. t.now);
+      c.free_at <- c.free_at +. d;
+      t.due.at <- c.free_at;
+      wait_due t
+    end;
+    c.busy <- c.busy +. d;
+    s.holds <- s.holds - 1
+
+  let busy s = s.clock.busy
+  let wait s = s.clock.wait
+
+  let reset s =
+    s.clock.busy <- 0.;
+    s.clock.wait <- 0.
+
+  let holds s = s.holds
 end
 
 module Ivar = struct

@@ -88,15 +88,44 @@ module Semaphore : sig
 
   val v : sem -> unit
   (** Increment, or, if fibers are blocked, wake the one that blocked
-      first instead: it leaves the queue at once (so {!waiters} drops)
-      and continues after everything already due at the current
-      instant.  May be called from anywhere (including outside
+      first instead: it leaves the queue at once (a later [v] wakes the
+      next one) and continues after everything already due at the
+      current instant.  May be called from anywhere (including outside
       fibers). *)
+end
 
-  val count : sem -> int
-  (** Current count (never negative; blocked waiters don't go below 0). *)
+(** FIFO servers: one resource held for a known time, granted in arrival
+    order — a host's CPU, a shared wire.  Since the grant order is the
+    arrival order, a hold's finish time is known when it arrives, and
+    the hold is one timed wait to it, with no hand-off between holders.
+    Finish times are those of a semaphore [p], [delay d], [v]. *)
+module Server : sig
+  type server
 
-  val waiters : sem -> int
+  val create : t -> server
+  (** An idle server. *)
+
+  val hold : server -> float -> unit
+  (** [hold s d] waits for every hold that arrived before it, then holds
+      [s] for [d] seconds, blocking the calling fiber throughout.  A hold
+      of an idle server for [0.] returns at once.  Its queued wait takes
+      its place among events at its finish instant when it arrives, not
+      when the server is granted.  Raises [Invalid_argument] if [d] is
+      negative or NaN. *)
+
+  val busy : server -> float
+  (** Total time held, counted as each hold ends. *)
+
+  val wait : server -> float
+  (** Total time holds spent queued behind others, counted as each hold
+      arrives (its wait is known then). *)
+
+  val reset : server -> unit
+  (** Zeroes {!busy} and {!wait}. *)
+
+  val holds : server -> int
+  (** Holds in flight: the one being served, if any, plus those queued
+      behind it. *)
 end
 
 (** Write-once cells: how a client fiber waits for its RPC reply. *)

@@ -38,7 +38,7 @@ let propagation = 5e-6
 
 type t = {
   w_sim : Sim.t;
-  medium : Sim.Semaphore.sem;
+  medium : Sim.Server.server;
   rng : Random.State.t;
   lbl : lbl option;
   mutable taps : attachment list;
@@ -80,7 +80,7 @@ let create w_sim ?(seed = 42) ?label () =
   in
   {
     w_sim;
-    medium = Sim.Semaphore.create w_sim 1;
+    medium = Sim.Server.create w_sim;
     rng = Random.State.make [| seed |];
     lbl;
     taps = [];
@@ -243,9 +243,7 @@ let transmit w ~from msg =
   (match w.lbl with
   | None -> ()
   | Some l -> Stats.bump l.l_bytes wire_bytes);
-  Sim.Semaphore.p w.medium;
-  Sim.delay w.w_sim (float_of_int (wire_bytes * 8) /. bandwidth);
-  Sim.Semaphore.v w.medium;
+  Sim.Server.hold w.medium (float_of_int (wire_bytes * 8) /. bandwidth);
   let faults =
     match w.fault_hook with
     | Some hook -> hook n msg

@@ -250,8 +250,9 @@ let plan_is_deterministic () =
 let invalid_plans_rejected () =
   let w = World.create () in
   let _, _, _, _, devices = setup w in
+  let wires = [ ("w", w.World.wire) ] in
   let rejected plan =
-    match Chaos.apply ~wire:w.World.wire ~devices plan with
+    match Chaos.apply ~wires ~wire:w.World.wire ~devices plan with
     | exception Invalid_argument _ -> true
     | () -> false
   in
@@ -271,7 +272,35 @@ let invalid_plans_rejected () =
            until_t = 1.;
            spec = Chaos.Link_flap { dev = 0; period = 0. };
          };
-       ])
+       ]);
+  Alcotest.(check bool) "negative delay spike" true
+    (rejected
+       [ { Chaos.from_t = 0.; until_t = 1.; spec = Chaos.Delay_spike (-1.) } ]);
+  (* A NaN compares false with everything, so each check must be
+     written to fail on it. *)
+  let window ?(from_t = 0.) ?(until_t = 1.) spec =
+    [ { Chaos.from_t; until_t; spec } ]
+  in
+  List.iter
+    (fun (what, plan) ->
+      Alcotest.(check bool) ("NaN " ^ what) true (rejected plan))
+    [
+      ("window start", window ~from_t:nan (Chaos.Burst_loss 0.1));
+      ("window end", window ~until_t:nan (Chaos.Burst_loss 0.1));
+      ("loss probability", window (Chaos.Burst_loss nan));
+      ("flap period", window (Chaos.Link_flap { dev = 0; period = nan }));
+      ("delay spike", window (Chaos.Delay_spike nan));
+      ("wire loss probability", window (Chaos.Wire_loss { wire = "w"; p = nan }));
+    ];
+  Alcotest.(check bool) "the same windows, no NaN, accepted" false
+    (rejected
+       (List.concat
+          [
+            window (Chaos.Burst_loss 0.1);
+            window (Chaos.Link_flap { dev = 0; period = 0.5 });
+            window (Chaos.Delay_spike 0.);
+            window (Chaos.Wire_loss { wire = "w"; p = 0.5 });
+          ]))
 
 let plan_to_json () =
   let plan =

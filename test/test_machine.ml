@@ -32,6 +32,123 @@ let cpu_is_exclusive () =
   Alcotest.(check (list (float 1e-9))) "serialized on one CPU" [ 1.; 2.; 3. ]
     (List.sort compare !done_at)
 
+(* Differential check of the CPU against a semaphore model of it,
+   rebuilt here as the oracle: [p], [delay], accumulate, [v].
+   [depth] counts charges between arrival and [v], which is what the
+   semaphore's waiters plus its holder read. *)
+type oracle = {
+  sem : Sim.Semaphore.sem;
+  mutable busy : float;
+  mutable wait : float;
+  mutable depth : int;
+}
+
+let oracle_charge sim o cost =
+  if cost > 0. then begin
+    o.depth <- o.depth + 1;
+    let t0 = Sim.now sim in
+    Sim.Semaphore.p o.sem;
+    o.wait <- o.wait +. (Sim.now sim -. t0);
+    Sim.delay sim cost;
+    o.busy <- o.busy +. cost;
+    Sim.Semaphore.v o.sem;
+    o.depth <- o.depth - 1
+  end
+
+(* Arrivals on a 0.1 ms grid, so many share an instant, each a fiber
+   making one to three charges, back to back or after a pause; one
+   charge in eight costs nothing.  The load runs from about 0.5 to 2. *)
+let random_plan rng =
+  let n = 50 + Random.State.int rng 150 in
+  let slots = n * (1 + Random.State.int rng 4) / 2 in
+  List.init n (fun _ ->
+      let at = float_of_int (Random.State.int rng slots) *. 1e-4 in
+      let charge () =
+        let pause =
+          if Random.State.bool rng then 0. else Random.State.float rng 2e-4
+        in
+        let cost =
+          if Random.State.int rng 8 = 0 then 0.
+          else Random.State.float rng 1.5e-4
+        in
+        (pause, cost)
+      in
+      (at, List.init (1 + Random.State.int rng 3) (fun _ -> charge ())))
+
+type outcome = {
+  finish : (int * int * float) list; (* (arrival, charge, finish time) *)
+  depth : (int * int * float * int) list; (* (..., arrived at, depth seen) *)
+  busy : float;
+  wait : float;
+}
+
+let run_plan ~oracle plan =
+  let sim = Sim.create () in
+  let charge, depth, totals =
+    if oracle then
+      let o =
+        { sem = Sim.Semaphore.create sim 1; busy = 0.; wait = 0.; depth = 0 }
+      in
+      (oracle_charge sim o, (fun () -> o.depth), fun () -> (o.busy, o.wait))
+    else
+      let m = Machine.create sim p in
+      ( (fun c -> Machine.charge_one m (Machine.Busy c)),
+        (fun () -> Machine.queue_depth m),
+        fun () -> (Machine.cpu_seconds m, Machine.cpu_wait_seconds m) )
+  in
+  let finish = ref [] and seen = ref [] in
+  List.iteri
+    (fun i (at, charges) ->
+      ignore
+        (Sim.after sim at (fun () ->
+             List.iteri
+               (fun j (pause, cost) ->
+                 if pause > 0. then Sim.delay sim pause;
+                 seen := (i, j, Sim.now sim, depth ()) :: !seen;
+                 charge cost;
+                 finish := (i, j, Sim.now sim) :: !finish)
+               charges)))
+    plan;
+  Sim.run sim;
+  let busy, wait = totals () in
+  { finish = List.sort compare !finish; depth = List.sort compare !seen; busy; wait }
+
+let cpu_matches_semaphore_model () =
+  let bits x = Printf.sprintf "%h" x in
+  for seed = 1 to 40 do
+    let plan = random_plan (Random.State.make [| seed |]) in
+    let want = run_plan ~oracle:true plan
+    and got = run_plan ~oracle:false plan in
+    let what s = Printf.sprintf "seed %d: %s" seed s in
+    Alcotest.(check (list (triple int int string)))
+      (what "finish times")
+      (List.map (fun (i, j, t) -> (i, j, bits t)) want.finish)
+      (List.map (fun (i, j, t) -> (i, j, bits t)) got.finish);
+    Alcotest.(check string) (what "cpu_seconds") (bits want.busy) (bits got.busy);
+    Alcotest.(check string) (what "cpu_wait_seconds") (bits want.wait)
+      (bits got.wait);
+    (* At an instant where a charge ends, the two models may order the
+       ending and an arrival differently, so the depth is compared only
+       at arrivals that do not tie with a finish.  A free charge holds
+       nothing, so its finish is no tie. *)
+    let cost i j = snd (List.nth (snd (List.nth plan i)) j) in
+    let finishes =
+      List.filter_map
+        (fun (i, j, t) -> if cost i j > 0. then Some t else None)
+        want.finish
+    in
+    let untied =
+      List.filter (fun (_, _, at, _) -> not (List.mem at finishes))
+    in
+    let want_depth = untied want.depth and got_depth = untied got.depth in
+    Alcotest.(check bool) (what "some arrivals queue") true
+      (List.exists (fun (_, _, _, d) -> d > 1) want_depth);
+    Alcotest.(check (list (pair (pair int int) int)))
+      (what "queue_depth at untied arrivals")
+      (List.map (fun (i, j, _, d) -> ((i, j), d)) want_depth)
+      (List.map (fun (i, j, _, d) -> ((i, j), d)) got_depth)
+  done
+
 let two_hosts_parallel () =
   let sim = Sim.create () in
   let m1 = Machine.create sim p and m2 = Machine.create sim p in
@@ -109,6 +226,8 @@ let () =
           Alcotest.test_case "zero charge is free" `Quick zero_charge_free;
           Alcotest.test_case "CPU mutual exclusion" `Quick cpu_is_exclusive;
           Alcotest.test_case "hosts run in parallel" `Quick two_hosts_parallel;
+          Alcotest.test_case "matches the semaphore model" `Quick
+            cpu_matches_semaphore_model;
         ] );
       ( "profiles",
         [

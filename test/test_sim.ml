@@ -178,31 +178,54 @@ let semaphore_mutex () =
   let times = List.rev_map snd !log in
   Alcotest.(check (list (float 1e-9))) "serialized" [ 0.; 1.; 2. ] times
 
+(* [Sim.Semaphore.p sem] from the calling fiber, and whether it got
+   through without blocking: a fiber spawned just before it runs first
+   when it blocks. *)
+let p_without_blocking sim sem =
+  let overtaken = ref false in
+  Sim.spawn sim (fun () -> overtaken := true);
+  Sim.Semaphore.p sem;
+  not !overtaken
+
+(* A fiber that takes [sem] once, setting [got] when it gets through. *)
+let taker sim sem got =
+  Sim.spawn sim (fun () ->
+      Sim.Semaphore.p sem;
+      got := true)
+
 let semaphore_counts () =
   let sim = Sim.create () in
   let sem = Sim.Semaphore.create sim 2 in
-  Tutil.check_int "initial" 2 (Sim.Semaphore.count sem);
+  let finished = ref false and extra = ref false in
   Sim.spawn sim (fun () ->
-      Sim.Semaphore.p sem;
-      Sim.Semaphore.p sem;
-      Tutil.check_int "drained" 0 (Sim.Semaphore.count sem);
+      let check what = Alcotest.(check bool) what true in
+      check "initial count 2: first p" (p_without_blocking sim sem);
+      check "initial count 2: second p" (p_without_blocking sim sem);
+      ignore (Sim.after sim 1.0 (fun () -> Sim.Semaphore.v sem));
+      check "drained: p blocks" (not (p_without_blocking sim sem));
+      Alcotest.(check (float 0.)) "until the v" 1.0 (Sim.now sim);
       Sim.Semaphore.v sem;
-      Tutil.check_int "restored" 1 (Sim.Semaphore.count sem));
-  Sim.run sim
+      check "restored to 1: p" (p_without_blocking sim sem);
+      taker sim sem extra;
+      finished := true);
+  Sim.run sim;
+  Alcotest.(check bool) "ran to the end" true !finished;
+  Alcotest.(check bool) "and the count is 0 again" false !extra
 
 let semaphore_waiters () =
   let sim = Sim.create () in
   let sem = Sim.Semaphore.create sim 0 in
-  let got = ref false in
-  Sim.spawn sim (fun () ->
-      Sim.Semaphore.p sem;
-      got := true);
+  let got = ref false and late = ref false in
+  taker sim sem got;
   ignore
     (Sim.after sim 1.0 (fun () ->
-         Tutil.check_int "one waiter" 1 (Sim.Semaphore.waiters sem);
-         Sim.Semaphore.v sem));
+         Alcotest.(check bool) "one waiter, blocked" false !got;
+         Sim.Semaphore.v sem;
+         (* The v went to the waiter, not to the count. *)
+         taker sim sem late));
   Sim.run sim;
-  Alcotest.(check bool) "released" true !got
+  Alcotest.(check bool) "released" true !got;
+  Alcotest.(check bool) "count still 0" false !late
 
 let ivar_basic () =
   let sim = Sim.create () in
@@ -685,9 +708,10 @@ let nested_run_keeps_record () =
    queued CPU charge, which also box the new clock value (2).  A wait
    or charge that runs in place allocates only that box, and a disabled
    trace point nothing, or 26 words for a [debugf] that only discards
-   its arguments.  A charge that finds the CPU busy parks on its
-   semaphore: 4 words with 8 fibers contending, as the holder's own wait
-   runs in place while the rest are parked.  A two-op charge sums its
+   its arguments.  A charge that finds the CPU busy is a [Sim.Server]
+   hold, one queued timed wait to the finish it is given on arrival, so
+   8 fibers contending cost what a queued charge does (4), and so does a
+   bare hold of a busy server.  A two-op charge sums its
    list in place (6), an ivar read that blocks until a fresh fiber fills
    it costs 36 all told (the ivar, its wait ring and the filling fiber),
    and one 64-byte frame on a fault-free 5-tap wire 84 (four deliveries,
@@ -809,6 +833,17 @@ let alloc_budget () =
         done)
   done;
   let contended_w = words_per_op n (fun () -> Sim.run sim) in
+  (* Two fibers hold one server in turn: after the first, every hold
+     arrives while the other's is in flight. *)
+  let sim = Sim.create () in
+  let server = Sim.Server.create sim in
+  for _ = 1 to 2 do
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n / 2 do
+          Sim.Server.hold server 1e-6
+        done)
+  done;
+  let hold_w = words_per_op n (fun () -> Sim.run sim) in
   let sim = Sim.create () in
   let wire = Wire.create sim () in
   let taps = List.init 5 (fun _ -> Wire.attach wire ~recv:ignore) in
@@ -853,6 +888,7 @@ let alloc_budget () =
       ("Trace.packet (off)", 0.01, trace_w);
       ("Trace.debugf (off)", 30., debugf_w);
       ("Machine.charge_one, 8 contending", 6., contended_w);
+      ("server hold, busy", 6., hold_w);
       ("Machine.charge, two ops", 8., charge2_w);
       ("Ivar create+fill+read", 40., !ivar_w);
       ("64-byte frame, 5-tap wire", 125., frame_w);
@@ -876,11 +912,7 @@ let semaphore_ring_fifo () =
   let sim = Sim.create () in
   let sem = Sim.Semaphore.create sim 0 in
   let woke = ref [] and arrived = ref 0 and released = ref 0 in
-  let check_state what =
-    let blocked = !arrived - !released in
-    Tutil.check_int (what ^ ": waiters") blocked (Sim.Semaphore.waiters sem);
-    Tutil.check_int (what ^ ": count") 0 (Sim.Semaphore.count sem)
-  in
+  let extra = ref false in
   Sim.spawn sim (fun () ->
       List.iter
         (fun (arrive, release) ->
@@ -893,22 +925,25 @@ let semaphore_ring_fifo () =
           done;
           (* The new fibers run and block before this one resumes. *)
           Sim.yield sim;
-          check_state "after arrivals";
+          Tutil.check_int "none woken by arriving" !released
+            (List.length !woke);
+          (* Back to back: each v takes its waiter off the ring at once,
+             or the next would wake the same one, and none counts. *)
           for _ = 1 to release do
             Sim.Semaphore.v sem;
-            incr released;
-            check_state "after v"
+            incr released
           done;
           Sim.yield sim;
           Tutil.check_int "woken so far" !released (List.length !woke))
         [ (3, 1); (6, 2); (1, 4); (9, 5); (1, 8) ];
       Sim.Semaphore.v sem;
-      Tutil.check_int "a v with no waiter counts" 1 (Sim.Semaphore.count sem);
-      Sim.Semaphore.p sem;
-      Tutil.check_int "and p takes it back" 0 (Sim.Semaphore.count sem));
+      Alcotest.(check bool) "a v with no waiter counts" true
+        (p_without_blocking sim sem);
+      taker sim sem extra);
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO wake order" (List.init 20 Fun.id)
     (List.rev !woke);
+  Alcotest.(check bool) "and p takes it back" false !extra;
   Tutil.check_int "nothing pending" 0 (Sim.pending sim)
 
 (* One fill wakes plain and timed readers alike in the order they began
