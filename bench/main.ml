@@ -65,14 +65,12 @@ let microbench () =
   let msg_ops =
     let m = Msg.fill 1024 'a' in
     [
-      Test.make ~name:"msg push+pop 36B header"
+      Test.make ~name:"msg push+drop 36B header"
         (Staged.stage (fun () ->
-             match Msg.pop (Msg.push m (String.make 36 'h')) 36 with
-             | Some _ -> ()
-             | None -> assert false));
+             ignore (Msg.drop (Msg.push m (String.make 36 'h')) 36)));
       Test.make ~name:"msg split+append 1KB"
         (Staged.stage (fun () -> ignore (Msg.append (fst (Msg.split m 512)) m)));
-      Test.make ~name:"SPRITE_HDR encode+decode"
+      Test.make ~name:"SPRITE_HDR encode + read"
         (Staged.stage
            (let h =
               {
@@ -94,7 +92,43 @@ let microbench () =
             in
             fun () ->
               ignore
-                (Rpc.Wire_fmt.Sprite.decode (Rpc.Wire_fmt.Sprite.encode h))));
+                (Rpc.Wire_fmt.Sprite.read
+                   (Msg.of_string (Rpc.Wire_fmt.Sprite.encode h)))));
+      Test.make ~name:"CHANNEL header encode + read"
+        (Staged.stage
+           (let h =
+              {
+                Rpc.Wire_fmt.Channel.flags = Rpc.Wire_fmt.Flags.request;
+                channel = 3;
+                protocol_num = 93;
+                sequence_num = 7;
+                error = 0;
+                boot_id = 1;
+                deadline_us = -1;
+              }
+            in
+            fun () ->
+              ignore
+                (Rpc.Wire_fmt.Channel.read
+                   (Msg.of_string (Rpc.Wire_fmt.Channel.encode h)))));
+      Test.make ~name:"FRAGMENT header encode + read"
+        (Staged.stage
+           (let h =
+              {
+                Rpc.Wire_fmt.Fragment.typ = Rpc.Wire_fmt.Fragment.typ_data;
+                clnt_host = Addr.Ip.v 10 0 0 1;
+                srvr_host = Addr.Ip.v 10 0 0 2;
+                protocol_num = 93;
+                sequence_num = 7;
+                num_frags = 1;
+                frag_mask = 1;
+                len = 22;
+              }
+            in
+            fun () ->
+              ignore
+                (Rpc.Wire_fmt.Fragment.read
+                   (Msg.of_string (Rpc.Wire_fmt.Fragment.encode h)))));
       Test.make ~name:"IP checksum over 20B"
         (Staged.stage
            (let hdr = String.make 20 '\x42' in

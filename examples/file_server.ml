@@ -16,7 +16,7 @@ let cmd_stat = 12
 
 (* Tiny argument codecs over the byte codec the headers use. *)
 let encode_name_and_data name data =
-  let w = Codec.W.create () in
+  let w = Codec.W.create (2 + String.length name + String.length data) in
   Codec.W.u16 w (String.length name);
   Codec.W.bytes w name;
   Codec.W.bytes w data;
@@ -63,7 +63,7 @@ let () =
         | Some data -> String.length data
         | None -> -1
       in
-      let w = Codec.W.create () in
+      let w = Codec.W.create 4 in
       Codec.W.u32 w (size land 0xffffffff);
       Ok (Msg.of_string (Codec.W.contents w)));
   Rpc.Select.serve server_sel;
@@ -84,7 +84,7 @@ let () =
       Printf.printf "wrote 12 KB in %.2f ms\n" ((Sim.now w.World.sim -. t0) *. 1e3);
       (* Stat it. *)
       let stat = call cmd_stat (encode_name_and_data "/etc/motd" "") in
-      let size = Codec.R.u32 (Codec.R.of_string (Msg.to_string stat)) in
+      let size = Msg.u32 stat 0 in
       Printf.printf "stat: %d bytes\n" size;
       (* Read it back: now the 12 KB reply fragments. *)
       let t1 = Sim.now w.World.sim in

@@ -25,7 +25,7 @@ let proto t = t.p
 let rejects t = Stats.get t.stats "auth-reject"
 
 let encode t ~upper_proto cred =
-  let w = Codec.W.create ~size:(fixed_bytes + String.length cred) () in
+  let w = Codec.W.create (fixed_bytes + String.length cred) in
   Codec.W.u8 w t.flavor;
   Codec.W.u32 w upper_proto;
   Codec.W.u16 w (String.length cred);
@@ -60,27 +60,24 @@ let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
       Machine.charge_one t.host.Host.mach (Machine.Header fixed_bytes);
-      match Msg.pop msg fixed_bytes with
-      | None -> Stats.incr t.stats "rx-runt"
-      | Some (raw, rest) -> (
-          let r = Codec.R.of_string raw in
-          let flavor = Codec.R.u8 r in
-          let upper_proto = Codec.R.u32 r in
-          let cred_len = Codec.R.u16 r in
-          match Msg.pop rest cred_len with
-          | None -> Stats.incr t.stats "rx-runt"
-          | Some (cred, body) ->
-              if flavor <> t.flavor then Stats.incr t.stats "flavor-mismatch"
-              else if not (t.verify ~cred body) then
-                Stats.incr t.stats "auth-reject"
-              else begin
-                Stats.incr t.stats "rx";
-                match
-                  Demux.resolve t.demux t (peer, upper_proto) upper_proto
-                with
-                | Some xs -> Proto.pop xs body
-                | None -> Stats.incr t.stats "rx-unbound"
-              end))
+      if Msg.length msg < fixed_bytes then Stats.incr t.stats "rx-runt"
+      else
+        let flavor = Msg.u8 msg 0 and upper_proto = Msg.u32 msg 1 in
+        let cred_len = Msg.u16 msg 5 in
+        if Msg.length msg - fixed_bytes < cred_len then
+          Stats.incr t.stats "rx-runt"
+        else
+          let cred = Msg.to_string (Msg.sub msg fixed_bytes cred_len) in
+          let body = Msg.drop msg (fixed_bytes + cred_len) in
+          if flavor <> t.flavor then Stats.incr t.stats "flavor-mismatch"
+          else if not (t.verify ~cred body) then
+            Stats.incr t.stats "auth-reject"
+          else begin
+            Stats.incr t.stats "rx";
+            match Demux.resolve t.demux t (peer, upper_proto) upper_proto with
+            | Some xs -> Proto.pop xs body
+            | None -> Stats.incr t.stats "rx-unbound"
+          end)
   | _ -> Stats.incr t.stats "rx-unidentified"
 
 let make ~host ~lower ~flavor ~name ~cred_for ~verify =
@@ -127,7 +124,7 @@ let none ~host ~lower () =
 
 let unix ~host ~lower ~uid ~gid ~allow () =
   let cred_for _msg =
-    let w = Codec.W.create ~size:8 () in
+    let w = Codec.W.create 8 in
     Codec.W.u32 w uid;
     Codec.W.u32 w gid;
     Codec.W.contents w
@@ -150,7 +147,7 @@ let digest_of ~key msg =
   let feed c = h := (((!h lsl 5) + !h) + Char.code c) land 0x3fffffff in
   String.iter feed key;
   String.iter feed (Msg.to_string msg);
-  let w = Codec.W.create ~size:4 () in
+  let w = Codec.W.create 4 in
   Codec.W.u32 w !h;
   Codec.W.contents w
 

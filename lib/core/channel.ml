@@ -62,7 +62,8 @@ type t = {
   by_id : (int, sess) Hashtbl.t; (* Proto.session_id xs -> sess *)
   stats : Stats.t;
   mutable in_flight : int; (* outstanding requests across all sessions *)
-  (* Per-message counters, resolved once at create time (hot path). *)
+  (* Per-message counters and gauges, resolved once at create time (hot
+     path). *)
   c_rtt_sample : Stats.counter;
   c_req_tx : Stats.counter;
   c_reply_tx : Stats.counter;
@@ -71,6 +72,8 @@ type t = {
   c_karn_skip : Stats.counter;
   c_ack_tx : Stats.counter;
   c_ack_rx : Stats.counter;
+  g_srtt_us : Stats.counter;
+  g_rto_us : Stats.counter;
 }
 
 let proto t = t.p
@@ -189,8 +192,8 @@ let observe_rtt t s ~load r =
   s.backoff <- 0;
   Stats.tick t.c_rtt_sample;
   (* Gauges (microseconds): the most recent sample on any channel. *)
-  Stats.set t.stats "srtt-us" (int_of_float (s.srtt *. 1e6));
-  Stats.set t.stats "rto-us" (int_of_float (request_rto t s s.last_len *. 1e6))
+  Stats.store t.g_srtt_us (int_of_float (s.srtt *. 1e6));
+  Stats.store t.g_rto_us (int_of_float (request_rto t s s.last_len *. 1e6))
 
 let cancel_timer t o =
   match o.timer with
@@ -572,37 +575,20 @@ let input t ~lower msg =
   | Control.R_ip peer -> (
       Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
         ~dir:`Recv msg;
-      match Msg.pop msg C.bytes with
-      | None -> Stats.incr t.stats "rx-runt"
-      | Some (raw, body) -> (
-          Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
-          match C.decode raw with
-          | None -> Stats.incr t.stats "rx-malformed"
-          | Some hdr -> (
-              (* The optional deadline extension rides between the base
-                 header and the payload. *)
-              let hdr, body =
-                if hdr.C.flags land Wire_fmt.Flags.deadline = 0 then
-                  (Some hdr, body)
-                else
-                  match Msg.pop body C.ext_bytes with
-                  | Some (ext, rest) -> (
-                      match C.decode_ext ext with
-                      | Some d -> (Some { hdr with C.deadline_us = d }, rest)
-                      | None -> (None, rest))
-                  | None -> (None, body)
-              in
-              match hdr with
-              | None -> Stats.incr t.stats "rx-runt"
-              | Some hdr -> (
-                  let proto_num = hdr.C.protocol_num in
-                  match
-                    Demux.resolve t.demux t
-                      (peer, proto_num, hdr.C.channel)
-                      proto_num
-                  with
-                  | Some s -> handle_packet t s hdr body
-                  | None -> Stats.incr t.stats "rx-unbound"))))
+      if Msg.length msg < C.bytes then Stats.incr t.stats "rx-runt"
+      else begin
+        Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
+        (* [None] here is a deadline flag without its extension word. *)
+        match C.read msg with
+        | None -> Stats.incr t.stats "rx-runt"
+        | Some hdr -> (
+            let proto_num = hdr.C.protocol_num in
+            match
+              Demux.resolve t.demux t (peer, proto_num, hdr.C.channel) proto_num
+            with
+            | Some s -> handle_packet t s hdr (Msg.drop msg (C.length hdr))
+            | None -> Stats.incr t.stats "rx-unbound")
+      end)
   | _ -> Stats.incr t.stats "rx-unidentified"
 
 let call ?expires t xs msg =
@@ -642,6 +628,8 @@ let create ~host ~lower ?(n_channels = 8) ?(adaptive = true)
       c_karn_skip = Stats.counter (Proto.stats p) "karn-skip";
       c_ack_tx = Stats.counter (Proto.stats p) "ack-tx";
       c_ack_rx = Stats.counter (Proto.stats p) "ack-rx";
+      g_srtt_us = Stats.counter (Proto.stats p) "srtt-us";
+      g_rto_us = Stats.counter (Proto.stats p) "rto-us";
     }
   in
   Proto.set_ops p

@@ -974,7 +974,7 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
         Select.register sel_s ~command:cmd_work (fun req ->
             Machine.charge_one mach (Machine.Busy service_s);
             incr handler_runs;
-            let dl_us = Codec.R.u48 (Codec.R.of_string (Msg.to_string req)) in
+            let dl_us = Msg.u48 req 0 in
             if Load.us_of (Sim.now sim) > dl_us then
               wasted_us := !wasted_us + service_us;
             Ok Msg.empty))
@@ -994,7 +994,7 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
           | _ -> ())
         ~rate w ~clients:(Array.length s.Stacks.fos_clients)
         (fun i ~key:_ ->
-          let wr = Codec.W.create ~size:6 () in
+          let wr = Codec.W.create 6 in
           Codec.W.u48 wr (Load.us_of (Sim.now sim +. deadline));
           s.Stacks.fos_call i ~command:cmd_work
             (Msg.of_string (Codec.W.contents wr)))

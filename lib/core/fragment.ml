@@ -313,27 +313,22 @@ let input t msg =
     [ Machine.Header F.bytes; Machine.Frag_bookkeep ];
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"FRAGMENT"
     ~dir:`Recv msg;
-  match Msg.pop msg F.bytes with
+  match F.read msg with
   | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, rest) -> (
-      match F.decode raw with
-      | None -> Stats.incr t.stats "rx-malformed"
-      | Some hdr -> (
-          Stats.tick t.c_rx_frag;
-          (* The peer is whoever sent this packet. *)
-          let proto_num = hdr.F.protocol_num in
-          match
-            Demux.resolve t.demux t (hdr.F.clnt_host, proto_num) proto_num
-          with
-          | None -> Stats.incr t.stats "rx-unbound"
-          | Some s ->
-              if hdr.F.typ = F.typ_nack then handle_nack t s hdr
-              else if hdr.F.typ = F.typ_data then begin
-                if Msg.length rest < hdr.F.len then
-                  Stats.incr t.stats "rx-short"
-                else handle_data t s hdr (Msg.sub rest 0 hdr.F.len)
-              end
-              else Stats.incr t.stats "rx-malformed"))
+  | Some hdr -> (
+      Stats.tick t.c_rx_frag;
+      (* The peer is whoever sent this packet. *)
+      let proto_num = hdr.F.protocol_num in
+      match Demux.resolve t.demux t (hdr.F.clnt_host, proto_num) proto_num with
+      | None -> Stats.incr t.stats "rx-unbound"
+      | Some s ->
+          if hdr.F.typ = F.typ_nack then handle_nack t s hdr
+          else if hdr.F.typ = F.typ_data then begin
+            if Msg.length msg - F.bytes < hdr.F.len then
+              Stats.incr t.stats "rx-short"
+            else handle_data t s hdr (Msg.sub msg F.bytes hdr.F.len)
+          end
+          else Stats.incr t.stats "rx-malformed")
 
 let open_session t ~upper part =
   let peer = Part.peer_ip part in

@@ -163,17 +163,14 @@ let on_request t ~client ~server ~ch body =
     true
   end
   else
-    match Sel.decode body with
+    match Sel.read body with
     | None ->
         Stats.tick t.c_forwarded;
         false
     | Some sel ->
         let gen =
           if sel.Sel.typ = Sel.typ_request_sharded then
-            match
-              Sel.decode_stamp
-                (String.sub body Sel.bytes (String.length body - Sel.bytes))
-            with
+            match Sel.read_stamp (Msg.drop body Sel.bytes) with
             | Some s ->
                 observe_gen t (s.Sel.epoch, s.Sel.version);
                 (s.Sel.epoch, s.Sel.version)
@@ -189,7 +186,7 @@ let on_request t ~client ~server ~ch body =
           false
         end
         else begin
-          let k = key ~client ~server body in
+          let k = key ~client ~server (Msg.to_string body) in
           let fresh e =
             Sim.now (Host.sim t.host) -. e.e_stored <= t.ttl
             && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
@@ -222,17 +219,14 @@ let on_reply t ~client ~server ~ch body =
       ch.Ch.channel,
       ch.Ch.sequence_num )
   in
-  (match Sel.decode body with
+  (match Sel.read body with
   | Some sel
     when sel.Sel.typ = Sel.typ_reply && sel.Sel.status = Sel.status_wrong_shard
     -> (
       (* The owner moved under a routed call: everything cached under
          the older map generation is suspect. *)
       Hashtbl.remove t.pending pkey;
-      match
-        Sel.decode_wrong_shard
-          (String.sub body Sel.bytes (String.length body - Sel.bytes))
-      with
+      match Sel.read_wrong_shard (Msg.drop body Sel.bytes) with
       | Some v -> observe_gen t (fst t.gen, max v (snd t.gen + 1))
       | None -> observe_gen t (fst t.gen, snd t.gen + 1))
   | Some sel
@@ -245,7 +239,7 @@ let on_reply t ~client ~server ~ch body =
           if not (gen_newer t.gen gen && gen <> (0, 0)) then
             store t k
               {
-                e_reply = body;
+                e_reply = Msg.to_string body;
                 e_boot_id = ch.Ch.boot_id;
                 e_gen = gen;
                 e_stored = Sim.now (Host.sim t.host);
@@ -258,8 +252,7 @@ let on_reply t ~client ~server ~ch body =
 let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
   if proto_num <> 92 then false
   else
-    let s = Msg.to_string msg in
-    match F.decode s with
+    match F.read msg with
     | None -> false
     | Some fh ->
         if fh.F.typ <> F.typ_data || fh.F.num_frags <> 1 || fh.F.protocol_num <> 93
@@ -267,15 +260,11 @@ let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
         else begin
           Machine.charge t.host.Host.mach
             [ Machine.Virtual_op; Machine.Header F.bytes; Machine.Header Ch.bytes ];
-          let rest = String.sub s F.bytes (String.length s - F.bytes) in
-          match Ch.decode_full rest with
+          let rest = Msg.drop msg F.bytes in
+          match Ch.read rest with
           | None -> false
           | Some ch ->
-              let skip =
-                Ch.bytes
-                + if ch.Ch.flags land Flags.deadline <> 0 then Ch.ext_bytes else 0
-              in
-              let body = String.sub rest skip (String.length rest - skip) in
+              let body = Msg.drop rest (Ch.length ch) in
               if ch.Ch.flags land Flags.request <> 0 then
                 (* In a request frame FRAGMENT's sender field is the
                    client; in a reply it is the server. *)

@@ -43,18 +43,11 @@ let proto t = t.p
 let executions t = Stats.get t.stats "executed"
 
 let encode ~typ ~xid ~proto_num =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u8 w typ;
   Codec.W.u32 w xid;
   Codec.W.u32 w proto_num;
   Codec.W.contents w
-
-let decode raw =
-  let r = Codec.R.of_string raw in
-  let typ = Codec.R.u8 r in
-  let xid = Codec.R.u32 r in
-  let proto_num = Codec.R.u32 r in
-  (typ, xid, proto_num)
 
 let transmit t s ~typ ~xid payload =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
@@ -177,32 +170,33 @@ let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
       Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-      match Msg.pop msg header_bytes with
-      | None -> Stats.incr t.stats "rx-runt"
-      | Some (raw, body) -> (
-          let typ, xid, proto_num = decode raw in
-          match Demux.resolve t.demux t (peer, proto_num) proto_num with
-          | None -> Stats.incr t.stats "rx-unbound"
-          | Some s ->
-              if typ = typ_call then begin
-                (* Every arriving request executes: no duplicate
-                   filtering at this layer. *)
-                Stats.incr t.stats "executed";
-                Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
-                s.serving_xid <- Some xid;
-                Proto.deliver s.upper ~lower:(Option.get s.xs) body;
-                (* If the upper protocol did not reply synchronously,
-                   the client will simply retransmit. *)
-                s.serving_xid <- None
-              end
-              else if typ = typ_reply then begin
-                match Hashtbl.find_opt s.pending xid with
-                | Some p ->
-                    Stats.incr t.stats "reply-rx";
-                    finish t s p (Ok body)
-                | None -> Stats.incr t.stats "stale-rx"
-              end
-              else Stats.incr t.stats "rx-malformed"))
+      if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+      else
+        let typ = Msg.u8 msg 0 and xid = Msg.u32 msg 1 in
+        let proto_num = Msg.u32 msg 5 in
+        let body = Msg.drop msg header_bytes in
+        match Demux.resolve t.demux t (peer, proto_num) proto_num with
+        | None -> Stats.incr t.stats "rx-unbound"
+        | Some s ->
+            if typ = typ_call then begin
+              (* Every arriving request executes: no duplicate
+                 filtering at this layer. *)
+              Stats.incr t.stats "executed";
+              Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+              s.serving_xid <- Some xid;
+              Proto.deliver s.upper ~lower:(Option.get s.xs) body;
+              (* If the upper protocol did not reply synchronously,
+                 the client will simply retransmit. *)
+              s.serving_xid <- None
+            end
+            else if typ = typ_reply then begin
+              match Hashtbl.find_opt s.pending xid with
+              | Some p ->
+                  Stats.incr t.stats "reply-rx";
+                  finish t s p (Ok body)
+              | None -> Stats.incr t.stats "stale-rx"
+            end
+            else Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
 let create ~host ~lower () =

@@ -80,24 +80,21 @@ let call c ?expires ?shard ~command msg =
   | Error e -> Error e
   | Ok reply -> (
       Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-      match Msg.pop reply S.bytes with
-      | None -> Error (Rpc_error.Remote S.status_error)
-      | Some (raw, body) -> (
-          match S.decode raw with
-          | Some { S.typ; status; _ }
-            when typ = S.typ_reply && status = S.status_ok ->
-              Ok body
-          | Some { S.typ; status; _ }
-            when typ = S.typ_reply && status = S.status_wrong_shard ->
-              (* The server answered but disowned the shard: its newer
-                 map version rides in the body so the caller can refresh
-                 and re-route. *)
-              Error
-                (Rpc_error.Wrong_shard
-                   (Option.value ~default:0
-                      (S.decode_wrong_shard (Msg.to_string body))))
-          | Some { S.status; _ } -> Error (Rpc_error.Remote status)
-          | None -> Error (Rpc_error.Remote S.status_error)))
+      match S.read reply with
+      | Some { S.typ; status; _ }
+        when typ = S.typ_reply && status = S.status_ok ->
+          Ok (Msg.drop reply S.bytes)
+      | Some { S.typ; status; _ }
+        when typ = S.typ_reply && status = S.status_wrong_shard ->
+          (* The server answered but disowned the shard: its newer map
+             version rides in the body so the caller can refresh and
+             re-route. *)
+          Error
+            (Rpc_error.Wrong_shard
+               (Option.value ~default:0
+                  (S.read_wrong_shard (Msg.drop reply S.bytes))))
+      | Some { S.status; _ } -> Error (Rpc_error.Remote status)
+      | None -> Error (Rpc_error.Remote S.status_error))
 
 let register t ~command handler = Hashtbl.replace t.handlers command handler
 
@@ -127,74 +124,73 @@ let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
     ~dir:`Recv msg;
-  match Msg.pop msg S.bytes with
+  match S.read msg with
   | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, rest) -> (
-      match S.decode raw with
-      | None -> Stats.incr t.stats "rx-malformed"
-      | Some hdr ->
-          let sharded = hdr.S.typ = S.typ_request_sharded in
-          let stamp, body =
-            if sharded then (
-              Machine.charge_one t.host.Host.mach
-                (Machine.Header S.stamp_bytes);
-              match Msg.pop rest S.stamp_bytes with
-              | None -> (None, rest)
-              | Some (sraw, body) -> (S.decode_stamp sraw, body))
-            else (None, rest)
-          in
-          if (not sharded) && hdr.S.typ <> S.typ_request then
-            Stats.incr t.stats "rx-unexpected"
-          else if sharded && stamp = None then
-            Stats.incr t.stats "rx-malformed"
-          else if
-            (* Last call before the procedure's CPU is charged: a
-               request whose propagated deadline lapsed while it queued
-               below us is dropped, and the doomed reply suppressed —
-               the caller has already given up on it. *)
-            match Proto.session_control lower Control.Get_rx_deadline with
-            | Control.R_float e -> e >= 0. && e <= Sim.now (Host.sim t.host)
-            | _ -> false
-          then Stats.incr t.stats "deadline-expired-server"
-          else begin
-            let reply_body, status =
-              match reject_shard t stamp with
-              | Some version ->
-                  Stats.incr t.stats "wrong-shard-tx";
-                  ( Msg.of_string (S.encode_wrong_shard ~version),
-                    S.status_wrong_shard )
-              | None -> (
-                  (* Accepted but not ours: the caller is failing over
-                     around the owner (or runs a newer map than us).
-                     The counter is the affinity-loss signal — a static
-                     map with a dead owner shows it climbing forever,
-                     a rebalanced one converges back to zero. *)
-                  (match (stamp, t.shard_self, t.shard_map) with
-                  | Some st, Some self, Some m
-                    when st.S.shard >= 0
-                         && st.S.shard < Shard_map.shard_count m
-                         && Shard_map.owner m ~shard:st.S.shard <> self ->
-                      Stats.incr t.stats "foreign-shard-rx"
-                  | _ -> ());
-                  Stats.tick t.c_handled;
-                  Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
-                  match Hashtbl.find_opt t.handlers hdr.S.command with
-                  | None -> (Msg.empty, S.status_no_command)
-                  | Some h -> (
-                      match h body with
-                      | Ok reply -> (reply, S.status_ok)
-                      | Error s -> (Msg.empty, s)))
-            in
-            Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-            let rhdr =
-              S.encode
-                { S.typ = S.typ_reply; command = hdr.S.command; status }
-            in
-            let reply = Msg.push reply_body rhdr in
-            Trace.packet (Host.sim t.host) ~host:t.host.Host.name
-              ~proto:"SELECT" ~dir:`Send reply;
-            Proto.push lower reply
-          end)
+  | Some hdr ->
+      let sharded = hdr.S.typ = S.typ_request_sharded in
+      let stamp =
+        if sharded then begin
+          Machine.charge_one t.host.Host.mach
+            (Machine.Header S.stamp_bytes);
+          S.read_stamp (Msg.drop msg S.bytes)
+        end
+        else None
+      in
+      if (not sharded) && hdr.S.typ <> S.typ_request then
+        Stats.incr t.stats "rx-unexpected"
+      else if sharded && stamp = None then
+        Stats.incr t.stats "rx-malformed"
+      else if
+        (* Last call before the procedure's CPU is charged: a
+           request whose propagated deadline lapsed while it queued
+           below us is dropped, and the doomed reply suppressed —
+           the caller has already given up on it. *)
+        match Proto.session_control lower Control.Get_rx_deadline with
+        | Control.R_float e -> e >= 0. && e <= Sim.now (Host.sim t.host)
+        | _ -> false
+      then Stats.incr t.stats "deadline-expired-server"
+      else begin
+        let reply_body, status =
+          match reject_shard t stamp with
+          | Some version ->
+              Stats.incr t.stats "wrong-shard-tx";
+              ( Msg.of_string (S.encode_wrong_shard ~version),
+                S.status_wrong_shard )
+          | None -> (
+              (* Accepted but not ours: the caller is failing over
+                 around the owner (or runs a newer map than us).
+                 The counter is the affinity-loss signal — a static
+                 map with a dead owner shows it climbing forever,
+                 a rebalanced one converges back to zero. *)
+              (match (stamp, t.shard_self, t.shard_map) with
+              | Some st, Some self, Some m
+                when st.S.shard >= 0
+                     && st.S.shard < Shard_map.shard_count m
+                     && Shard_map.owner m ~shard:st.S.shard <> self ->
+                  Stats.incr t.stats "foreign-shard-rx"
+              | _ -> ());
+              Stats.tick t.c_handled;
+              Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+              match Hashtbl.find_opt t.handlers hdr.S.command with
+              | None -> (Msg.empty, S.status_no_command)
+              | Some h -> (
+                  let hdr_len =
+                    if sharded then S.bytes + S.stamp_bytes else S.bytes
+                  in
+                  match h (Msg.drop msg hdr_len) with
+                  | Ok reply -> (reply, S.status_ok)
+                  | Error s -> (Msg.empty, s)))
+        in
+        Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+        let rhdr =
+          S.encode
+            { S.typ = S.typ_reply; command = hdr.S.command; status }
+        in
+        let reply = Msg.push reply_body rhdr in
+        Trace.packet (Host.sim t.host) ~host:t.host.Host.name
+          ~proto:"SELECT" ~dir:`Send reply;
+        Proto.push lower reply
+      end
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p

@@ -21,34 +21,32 @@ let client t =
       t.client <- Some c;
       c
 
-(* Relay: decode just enough of the SELECT header to re-issue the call
+(* Relay: read just enough of the SELECT header to re-issue the call
    toward the delegate, then send the delegate's answer back on the
    channel session the original request arrived on. *)
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-  match Msg.pop msg S.bytes with
+  match S.read msg with
   | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, body) -> (
-      match S.decode raw with
-      | Some hdr when hdr.S.typ = S.typ_request ->
-          Stats.incr t.stats "forwarded";
-          let reply_hdr status =
-            S.encode { S.typ = S.typ_reply; command = hdr.S.command; status }
-          in
-          let reply =
-            match Select.call (client t) ~command:hdr.S.command body with
-            | Ok reply_body -> Msg.push reply_body (reply_hdr S.status_ok)
-            | Error (Rpc_error.Remote status) ->
-                Msg.of_string (reply_hdr status)
-            | Error
-                ( Rpc_error.Timeout | Rpc_error.Rebooted | Rpc_error.Busy
-                | Rpc_error.Wrong_shard _ ) ->
-                Msg.of_string (reply_hdr S.status_error)
-          in
-          Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-          Proto.push lower reply
-      | Some _ -> Stats.incr t.stats "rx-unexpected"
-      | None -> Stats.incr t.stats "rx-malformed")
+  | Some hdr when hdr.S.typ = S.typ_request ->
+      let body = Msg.drop msg S.bytes in
+      Stats.incr t.stats "forwarded";
+      let reply_hdr status =
+        S.encode { S.typ = S.typ_reply; command = hdr.S.command; status }
+      in
+      let reply =
+        match Select.call (client t) ~command:hdr.S.command body with
+        | Ok reply_body -> Msg.push reply_body (reply_hdr S.status_ok)
+        | Error (Rpc_error.Remote status) ->
+            Msg.of_string (reply_hdr status)
+        | Error
+            ( Rpc_error.Timeout | Rpc_error.Rebooted | Rpc_error.Busy
+            | Rpc_error.Wrong_shard _ ) ->
+            Msg.of_string (reply_hdr S.status_error)
+      in
+      Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+      Proto.push lower reply
+  | Some _ -> Stats.incr t.stats "rx-unexpected"
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p

@@ -449,36 +449,33 @@ let input t ~lower msg =
       Machine.Reasm_lookup;
       Machine.Semaphore_op;
     ];
-  match Msg.pop msg H.bytes with
+  match H.read msg with
   | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, rest) -> (
-      match H.decode raw with
-      | None -> Stats.incr t.stats "rx-malformed"
-      | Some hdr ->
-          let piece =
-            if Msg.length rest >= hdr.H.data1_sz then
-              Msg.sub rest 0 hdr.H.data1_sz
-            else rest
-          in
-          let f = hdr.H.flags in
-          if f land Wire_fmt.Flags.request <> 0 then
-            let ss =
-              server_session t ~client_ip:hdr.H.clnt_host ~chan:hdr.H.channel
-                ~lower
-            in
-            handle_request t ss ~lower hdr piece
-          else begin
-            match
-              Hashtbl.find_opt t.clients
-                (Addr.Ip.to_int hdr.H.srvr_host, hdr.H.channel)
-            with
-            | None -> Stats.incr t.stats "rx-unbound"
-            | Some cs ->
-                if f land Wire_fmt.Flags.reply <> 0 then
-                  handle_reply t cs hdr piece
-                else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t cs hdr
-                else Stats.incr t.stats "rx-malformed"
-          end)
+  | Some hdr ->
+      let piece =
+        if Msg.length msg - H.bytes >= hdr.H.data1_sz then
+          Msg.sub msg H.bytes hdr.H.data1_sz
+        else Msg.drop msg H.bytes
+      in
+      let f = hdr.H.flags in
+      if f land Wire_fmt.Flags.request <> 0 then
+        let ss =
+          server_session t ~client_ip:hdr.H.clnt_host ~chan:hdr.H.channel
+            ~lower
+        in
+        handle_request t ss ~lower hdr piece
+      else begin
+        match
+          Hashtbl.find_opt t.clients
+            (Addr.Ip.to_int hdr.H.srvr_host, hdr.H.channel)
+        with
+        | None -> Stats.incr t.stats "rx-unbound"
+        | Some cs ->
+            if f land Wire_fmt.Flags.reply <> 0 then
+              handle_reply t cs hdr piece
+            else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t cs hdr
+            else Stats.incr t.stats "rx-malformed"
+      end
 
 (* --- public API ---------------------------------------------------- *)
 

@@ -49,22 +49,13 @@ let bytes_sent c = c.snd_next - 1
 let bytes_acked c = c.snd_una - 1
 
 let encode ~typ ~seq ~ack ~window ~len =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u8 w typ;
   Codec.W.u32 w seq;
   Codec.W.u32 w ack;
   Codec.W.u16 w window;
   Codec.W.u16 w len;
   Codec.W.contents w
-
-let decode raw =
-  let r = Codec.R.of_string raw in
-  let typ = Codec.R.u8 r in
-  let seq = Codec.R.u32 r in
-  let ack = Codec.R.u32 r in
-  let window = Codec.R.u16 r in
-  let len = Codec.R.u16 r in
-  (typ, seq, ack, window, len)
 
 (* What fits one lower-layer packet. *)
 let segment_size c =
@@ -264,19 +255,19 @@ let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
       Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-      match Msg.pop msg header_bytes with
-      | None -> Stats.incr t.stats "rx-runt"
-      | Some (raw, rest) ->
-          let typ, seq, ack, _window, len = decode raw in
-          let c = connect t ~peer in
-          (* Every packet carries a cumulative ack. *)
-          handle_ack t c ack;
-          if typ = typ_data then begin
-            if Msg.length rest >= len then
-              handle_data t c ~seq (Msg.sub rest 0 len)
-            else Stats.incr t.stats "rx-short"
-          end
-          else if typ <> typ_ack then Stats.incr t.stats "rx-malformed")
+      if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+      else
+        let typ = Msg.u8 msg 0 and seq = Msg.u32 msg 1 in
+        let ack = Msg.u32 msg 5 and len = Msg.u16 msg 11 in
+        let c = connect t ~peer in
+        (* Every packet carries a cumulative ack. *)
+        handle_ack t c ack;
+        if typ = typ_data then begin
+          if Msg.length msg - header_bytes >= len then
+            handle_data t c ~seq (Msg.sub msg header_bytes len)
+          else Stats.incr t.stats "rx-short"
+        end
+        else if typ <> typ_ack then Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
 let create ~host ~lower ?(window = 8) ?(rto = 0.03) () =

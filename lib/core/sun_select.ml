@@ -55,20 +55,12 @@ type client = { c_t : t; sess : Proto.session; prog : int; vers : int }
 let calls_handled t = Stats.get t.stats "handled"
 
 let encode ~prog ~vers ~proc ~status =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u32 w prog;
   Codec.W.u32 w vers;
   Codec.W.u32 w proc;
   Codec.W.u8 w status;
   Codec.W.contents w
-
-let decode raw =
-  let r = Codec.R.of_string raw in
-  let prog = Codec.R.u32 r in
-  let vers = Codec.R.u32 r in
-  let proc = Codec.R.u32 r in
-  let status = Codec.R.u8 r in
-  (prog, vers, proc, status)
 
 let connect t ~server ~prog ~vers =
   { c_t = t; sess = t.transaction.x_open ~peer:server; prog; vers }
@@ -84,37 +76,38 @@ let call cl ~proc msg =
   | Ok reply -> (
       Machine.charge t.host.Host.mach
         [ Machine.Layer_crossing; Machine.Header header_bytes ];
-      match Msg.pop reply header_bytes with
-      | None -> Error (Rpc_error.Remote status_proc_unavail)
-      | Some (raw, body) -> (
-          match decode raw with
-          | _, _, _, 0 -> Ok body
-          | _, _, _, status -> Error (Rpc_error.Remote status)))
+      if Msg.length reply < header_bytes then
+        Error (Rpc_error.Remote status_proc_unavail)
+      else
+        match Msg.u8 reply 12 (* status *) with
+        | 0 -> Ok (Msg.drop reply header_bytes)
+        | status -> Error (Rpc_error.Remote status))
 
 let register t ~prog ~vers ~proc handler =
   Hashtbl.replace t.handlers (prog, vers, proc) handler
 
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, body) ->
-      let prog, vers, proc, _status = decode raw in
-      Stats.incr t.stats "handled";
-      let reply_body, status =
-        match Hashtbl.find_opt t.handlers (prog, vers, proc) with
-        | Some h -> (
-            match h body with
-            | Ok reply -> (reply, status_ok)
-            | Error s -> (Msg.empty, s))
-        | None ->
-            let prog_known =
-              Hashtbl.fold
-                (fun (p, v, _) _ acc -> acc || (p = prog && v = vers))
-                t.handlers false
-            in
-            (Msg.empty, if prog_known then status_proc_unavail else status_prog_unavail)
-      in
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let prog = Msg.u32 msg 0 and vers = Msg.u32 msg 4 in
+    let proc = Msg.u32 msg 8 in
+    let body = Msg.drop msg header_bytes in
+    Stats.incr t.stats "handled";
+    let reply_body, status =
+      match Hashtbl.find_opt t.handlers (prog, vers, proc) with
+      | Some h -> (
+          match h body with
+          | Ok reply -> (reply, status_ok)
+          | Error s -> (Msg.empty, s))
+      | None ->
+          let prog_known =
+            Hashtbl.fold
+              (fun (p, v, _) _ acc -> acc || (p = prog && v = vers))
+              t.handlers false
+          in
+          (Msg.empty, if prog_known then status_proc_unavail else status_prog_unavail)
+    in
       Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
       Proto.push lower (Msg.push reply_body (encode ~prog ~vers ~proc ~status))
 

@@ -5,14 +5,11 @@ module Flags = struct
   let reply = 0x2
   let ack = 0x4
   let please_ack = 0x8
+
+  (* CHANNEL_HDR only: a 4-byte remaining-deadline extension follows the
+     base header. *)
   let deadline = 0x10
 end
-
-let decode_with bytes f s =
-  if String.length s < bytes then None
-  else
-    let r = Codec.R.of_string s in
-    match f r with v -> Some v | exception Codec.R.Truncated -> None
 
 module Sprite = struct
   type t = {
@@ -35,7 +32,7 @@ module Sprite = struct
   let bytes = 36
 
   let encode t =
-    let w = Codec.W.create ~size:bytes () in
+    let w = Codec.W.create bytes in
     Codec.W.u16 w t.flags;
     Codec.W.u32 w (Addr.Ip.to_int t.clnt_host);
     Codec.W.u32 w (Addr.Ip.to_int t.srvr_host);
@@ -52,38 +49,26 @@ module Sprite = struct
     Codec.W.u16 w t.data2_off;
     Codec.W.contents w
 
-  let decode =
-    decode_with bytes (fun r ->
-        let flags = Codec.R.u16 r in
-        let clnt_host = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-        let srvr_host = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-        let channel = Codec.R.u16 r in
-        let srvr_process = Codec.R.u16 r in
-        let sequence_num = Codec.R.u32 r in
-        let num_frags = Codec.R.u16 r in
-        let frag_mask = Codec.R.u16 r in
-        let command = Codec.R.u16 r in
-        let boot_id = Codec.R.u32 r in
-        let data1_sz = Codec.R.u16 r in
-        let data2_sz = Codec.R.u16 r in
-        let data1_off = Codec.R.u16 r in
-        let data2_off = Codec.R.u16 r in
+  let read m =
+    if Msg.length m < bytes then None
+    else
+      Some
         {
-          flags;
-          clnt_host;
-          srvr_host;
-          channel;
-          srvr_process;
-          sequence_num;
-          num_frags;
-          frag_mask;
-          command;
-          boot_id;
-          data1_sz;
-          data2_sz;
-          data1_off;
-          data2_off;
-        })
+          flags = Msg.u16 m 0;
+          clnt_host = Addr.Ip.of_int32_bits (Msg.u32 m 2);
+          srvr_host = Addr.Ip.of_int32_bits (Msg.u32 m 6);
+          channel = Msg.u16 m 10;
+          srvr_process = Msg.u16 m 12;
+          sequence_num = Msg.u32 m 14;
+          num_frags = Msg.u16 m 18;
+          frag_mask = Msg.u16 m 20;
+          command = Msg.u16 m 22;
+          boot_id = Msg.u32 m 24;
+          data1_sz = Msg.u16 m 28;
+          data2_sz = Msg.u16 m 30;
+          data1_off = Msg.u16 m 32;
+          data2_off = Msg.u16 m 34;
+        }
 end
 
 module Select = struct
@@ -99,18 +84,15 @@ module Select = struct
   let status_wrong_shard = 3
 
   let encode t =
-    let w = Codec.W.create ~size:bytes () in
+    let w = Codec.W.create bytes in
     Codec.W.u8 w t.typ;
     Codec.W.u16 w t.command;
     Codec.W.u8 w t.status;
     Codec.W.contents w
 
-  let decode =
-    decode_with bytes (fun r ->
-        let typ = Codec.R.u8 r in
-        let command = Codec.R.u16 r in
-        let status = Codec.R.u8 r in
-        { typ; command; status })
+  let read m =
+    if Msg.length m < bytes then None
+    else Some { typ = Msg.u8 m 0; command = Msg.u16 m 1; status = Msg.u8 m 3 }
 
   (* Shard-stamped requests ([typ_request_sharded]) carry this extension
      between the 4-byte header and the body: which virtual shard the
@@ -122,25 +104,23 @@ module Select = struct
   let stamp_bytes = 10
 
   let encode_stamp s =
-    let w = Codec.W.create ~size:stamp_bytes () in
+    let w = Codec.W.create stamp_bytes in
     Codec.W.u16 w s.shard;
     Codec.W.u32 w s.epoch;
     Codec.W.u32 w s.version;
     Codec.W.contents w
 
-  let decode_stamp =
-    decode_with stamp_bytes (fun r ->
-        let shard = Codec.R.u16 r in
-        let epoch = Codec.R.u32 r in
-        let version = Codec.R.u32 r in
-        { shard; epoch; version })
+  let read_stamp m =
+    if Msg.length m < stamp_bytes then None
+    else
+      Some { shard = Msg.u16 m 0; epoch = Msg.u32 m 2; version = Msg.u32 m 6 }
 
   let encode_wrong_shard ~version =
-    let w = Codec.W.create ~size:4 () in
+    let w = Codec.W.create 4 in
     Codec.W.u32 w version;
     Codec.W.contents w
 
-  let decode_wrong_shard = decode_with 4 (fun r -> Codec.R.u32 r)
+  let read_wrong_shard m = if Msg.length m < 4 then None else Some (Msg.u32 m 0)
 end
 
 module Channel = struct
@@ -165,7 +145,7 @@ module Channel = struct
       if stamped then t.flags lor Flags.deadline
       else t.flags land lnot Flags.deadline
     in
-    let w = Codec.W.create ~size:(if stamped then bytes + ext_bytes else bytes) () in
+    let w = Codec.W.create (if stamped then bytes + ext_bytes else bytes) in
     Codec.W.u16 w flags;
     Codec.W.u16 w t.channel;
     Codec.W.u32 w t.protocol_num;
@@ -175,34 +155,28 @@ module Channel = struct
     if stamped then Codec.W.u32 w (min t.deadline_us max_deadline_us);
     Codec.W.contents w
 
-  let decode =
-    decode_with bytes (fun r ->
-        let flags = Codec.R.u16 r in
-        let channel = Codec.R.u16 r in
-        let protocol_num = Codec.R.u32 r in
-        let sequence_num = Codec.R.u32 r in
-        let error = Codec.R.u16 r in
-        let boot_id = Codec.R.u32 r in
-        {
-          flags;
-          channel;
-          protocol_num;
-          sequence_num;
-          error;
-          boot_id;
-          deadline_us = -1;
-        })
+  (* The optional deadline extension rides between the base header and
+     the payload; the flag bit says whether it is there. *)
+  let read m =
+    let n = Msg.length m in
+    if n < bytes then None
+    else
+      let flags = Msg.u16 m 0 in
+      let stamped = flags land Flags.deadline <> 0 in
+      if stamped && n < bytes + ext_bytes then None
+      else
+        Some
+          {
+            flags;
+            channel = Msg.u16 m 2;
+            protocol_num = Msg.u32 m 4;
+            sequence_num = Msg.u32 m 8;
+            error = Msg.u16 m 12;
+            boot_id = Msg.u32 m 14;
+            deadline_us = (if stamped then Msg.u32 m bytes else -1);
+          }
 
-  let decode_ext = decode_with ext_bytes (fun r -> Codec.R.u32 r)
-
-  let decode_full s =
-    match decode s with
-    | None -> None
-    | Some hdr ->
-        if hdr.flags land Flags.deadline = 0 then Some hdr
-        else
-          let rest = String.sub s bytes (String.length s - bytes) in
-          Option.map (fun d -> { hdr with deadline_us = d }) (decode_ext rest)
+  let length t = if t.deadline_us >= 0 then bytes + ext_bytes else bytes
 end
 
 (* MAP: the shard-map control-plane message.  A coordinator encodes its
@@ -223,7 +197,7 @@ module Map = struct
 
   let encode t =
     let s = Array.length t.owners in
-    let w = Codec.W.create ~size:(header_bytes + s) () in
+    let w = Codec.W.create (header_bytes + s) in
     Codec.W.u32 w t.epoch;
     Codec.W.u32 w t.version;
     Codec.W.u16 w t.n_replicas;
@@ -232,29 +206,23 @@ module Map = struct
     Codec.W.contents w
 
   let decode s =
-    match
-      decode_with header_bytes
-        (fun r ->
-          let epoch = Codec.R.u32 r in
-          let version = Codec.R.u32 r in
-          let n_replicas = Codec.R.u16 r in
-          let n_shards = Codec.R.u16 r in
-          (epoch, version, n_replicas, n_shards))
-        s
-    with
-    | None -> None
-    | Some (epoch, version, n_replicas, n_shards) ->
-        if
-          n_shards > max_shards || n_replicas > max_replicas
-          || String.length s < header_bytes + n_shards
-        then None
-        else
-          let owners =
-            Array.init n_shards (fun i ->
-                Char.code s.[header_bytes + i])
-          in
-          if Array.exists (fun o -> o >= n_replicas) owners then None
-          else Some { epoch; version; n_replicas; owners }
+    if String.length s < header_bytes then None
+    else
+      let r = Codec.R.of_string s in
+      let epoch = Codec.R.u32 r in
+      let version = Codec.R.u32 r in
+      let n_replicas = Codec.R.u16 r in
+      let n_shards = Codec.R.u16 r in
+      if
+        n_shards > max_shards || n_replicas > max_replicas
+        || String.length s < header_bytes + n_shards
+      then None
+      else
+        let owners =
+          Array.init n_shards (fun i -> Char.code s.[header_bytes + i])
+        in
+        if Array.exists (fun o -> o >= n_replicas) owners then None
+        else Some { epoch; version; n_replicas; owners }
 end
 
 module Fragment = struct
@@ -274,7 +242,7 @@ module Fragment = struct
   let typ_nack = 2
 
   let encode t =
-    let w = Codec.W.create ~size:bytes () in
+    let w = Codec.W.create bytes in
     Codec.W.u8 w t.typ;
     Codec.W.u32 w (Addr.Ip.to_int t.clnt_host);
     Codec.W.u32 w (Addr.Ip.to_int t.srvr_host);
@@ -285,24 +253,18 @@ module Fragment = struct
     Codec.W.u16 w t.len;
     Codec.W.contents w
 
-  let decode =
-    decode_with bytes (fun r ->
-        let typ = Codec.R.u8 r in
-        let clnt_host = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-        let srvr_host = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-        let protocol_num = Codec.R.u32 r in
-        let sequence_num = Codec.R.u32 r in
-        let num_frags = Codec.R.u16 r in
-        let frag_mask = Codec.R.u16 r in
-        let len = Codec.R.u16 r in
+  let read m =
+    if Msg.length m < bytes then None
+    else
+      Some
         {
-          typ;
-          clnt_host;
-          srvr_host;
-          protocol_num;
-          sequence_num;
-          num_frags;
-          frag_mask;
-          len;
-        })
+          typ = Msg.u8 m 0;
+          clnt_host = Addr.Ip.of_int32_bits (Msg.u32 m 1);
+          srvr_host = Addr.Ip.of_int32_bits (Msg.u32 m 5);
+          protocol_num = Msg.u32 m 9;
+          sequence_num = Msg.u32 m 13;
+          num_frags = Msg.u16 m 17;
+          frag_mask = Msg.u16 m 19;
+          len = Msg.u16 m 21;
+        }
 end

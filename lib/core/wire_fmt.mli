@@ -7,7 +7,10 @@
     duplicated because FRAGMENT and CHANNEL are each meant to be used by
     multiple high-level protocols.
 
-    Decoders return [None] on truncated or malformed input. *)
+    Each [read] takes the header at the front of a message, reading its
+    fields in place ({!Xkernel.Msg.u16} and friends), and returns [None]
+    when the message is too short to hold it; the caller then
+    {!Xkernel.Msg.drop}s the header. *)
 
 (** Flag bits shared by SPRITE_HDR and CHANNEL_HDR. *)
 module Flags : sig
@@ -20,11 +23,6 @@ module Flags : sig
 
   (** set on retransmissions *)
   val please_ack : int
-
-  (** CHANNEL_HDR only: a 4-byte remaining-deadline extension follows
-      the base header (not in the paper; off unless the caller stamps a
-      deadline) *)
-  val deadline : int
 end
 
 module Sprite : sig
@@ -52,7 +50,7 @@ module Sprite : sig
   (** 36 *)
 
   val encode : t -> string
-  val decode : string -> t option
+  val read : Xkernel.Msg.t -> t option
 end
 
 module Select : sig
@@ -78,7 +76,7 @@ module Select : sig
       version (u32) and the procedure was {e not} executed *)
 
   val encode : t -> string
-  val decode : string -> t option
+  val read : Xkernel.Msg.t -> t option
 
   type stamp = { shard : int; epoch : int; version : int }
   (** Which virtual shard the client routed by, and under which map
@@ -89,10 +87,14 @@ module Select : sig
   (** 10 *)
 
   val encode_stamp : stamp -> string
-  val decode_stamp : string -> stamp option
+
+  val read_stamp : Xkernel.Msg.t -> stamp option
+  (** the stamp at the front of the message (after the header) *)
 
   val encode_wrong_shard : version:int -> string
-  val decode_wrong_shard : string -> int option
+
+  val read_wrong_shard : Xkernel.Msg.t -> int option
+  (** the map version at the front of a wrong-shard reply's body *)
 end
 
 module Channel : sig
@@ -106,10 +108,11 @@ module Channel : sig
     deadline_us : int;
         (** remaining call budget in microseconds at transmit time;
             [-1] means "no deadline stamped" and keeps the header at its
-            paper-exact 18 bytes.  [encode] sets or clears
-            {!Flags.deadline} itself and appends the extension word only
-            when the field is non-negative, clamped to
-            {!max_deadline_us}. *)
+            paper-exact 18 bytes.  [encode] sets or clears the
+            deadline flag bit (0x10, not in the paper) itself and
+            appends the extension word only when the field is
+            non-negative, clamped to {!max_deadline_us}; [read] takes
+            the word only when the flag is set. *)
   }
 
   val bytes : int
@@ -126,17 +129,13 @@ module Channel : sig
 
   val encode : t -> string
 
-  val decode : string -> t option
-  (** base 18-byte header only; [deadline_us] is [-1] in the result even
-      when {!Flags.deadline} is set — callers pop {!ext_bytes} more and
-      use {!decode_ext} (as CHANNEL's input path does) *)
+  val read : Xkernel.Msg.t -> t option
+  (** the whole header: base plus, when {!Flags.deadline} is set, the
+      extension; [None] if the message is shorter than that *)
 
-  val decode_ext : string -> int option
-  (** the 4-byte extension word alone *)
-
-  val decode_full : string -> t option
-  (** whole-header convenience for tests: base header plus, when flagged,
-      the extension *)
+  val length : t -> int
+  (** bytes the header takes on the wire: {!bytes}, plus {!ext_bytes}
+      when [deadline_us] is stamped *)
 end
 
 (** MAP — the shard-map control-plane message pushed by a coordinator
@@ -182,5 +181,5 @@ module Fragment : sig
   (** request for the missing fragments named in [frag_mask] *)
 
   val encode : t -> string
-  val decode : string -> t option
+  val read : Xkernel.Msg.t -> t option
 end

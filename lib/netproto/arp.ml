@@ -19,22 +19,13 @@ type t = {
 let proto t = t.p
 
 let encode ~op ~sender_ip ~sender_eth ~target_ip ~target_eth =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u8 w op;
   Codec.W.u32 w (Addr.Ip.to_int sender_ip);
   Codec.W.u48 w (Addr.Eth.to_int sender_eth);
   Codec.W.u32 w (Addr.Ip.to_int target_ip);
   Codec.W.u48 w (Addr.Eth.to_int target_eth);
   Codec.W.contents w
-
-let decode s =
-  let r = Codec.R.of_string s in
-  let op = Codec.R.u8 r in
-  let sender_ip = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-  let sender_eth = Addr.Eth.v (Codec.R.u48 r) in
-  let target_ip = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-  let target_eth = Addr.Eth.v (Codec.R.u48 r) in
-  (op, sender_ip, sender_eth, target_ip, target_eth)
 
 let add_entry t ip eth = Hashtbl.replace t.table ip eth
 
@@ -113,24 +104,26 @@ let learn t ip eth =
 
 let input t msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (hdr, _rest) ->
-      let op, sender_ip, sender_eth, target_ip, _target_eth = decode hdr in
-      learn t sender_ip sender_eth;
-      if op = op_request && Addr.Ip.equal target_ip t.host.Host.ip then begin
-        Stats.incr t.stats "reply-tx";
-        (* Reply unicast to the requester. *)
-        let part =
-          Part.v
-            ~local:
-              [ Part.Eth t.host.Host.eth; Part.Eth_type Addr.eth_type_arp ]
-            ~remotes:[ [ Part.Eth sender_eth ] ]
-            ()
-        in
-        let via = Proto.open_ (Eth.proto t.eth) ~upper:t.p part in
-        send t ~via ~op:op_reply ~target_ip:sender_ip ~target_eth:sender_eth
-      end
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let op = Msg.u8 msg 0 in
+    let sender_ip = Addr.Ip.of_int32_bits (Msg.u32 msg 1) in
+    let sender_eth = Addr.Eth.v (Msg.u48 msg 5) in
+    let target_ip = Addr.Ip.of_int32_bits (Msg.u32 msg 11) in
+    learn t sender_ip sender_eth;
+    if op = op_request && Addr.Ip.equal target_ip t.host.Host.ip then begin
+      Stats.incr t.stats "reply-tx";
+      (* Reply unicast to the requester. *)
+      let part =
+        Part.v
+          ~local:
+            [ Part.Eth t.host.Host.eth; Part.Eth_type Addr.eth_type_arp ]
+          ~remotes:[ [ Part.Eth sender_eth ] ]
+          ()
+      in
+      let via = Proto.open_ (Eth.proto t.eth) ~upper:t.p part in
+      send t ~via ~op:op_reply ~target_ip:sender_ip ~target_eth:sender_eth
+    end
 
 let create ~host ~eth =
   let p = Proto.create ~host ~name:"ARP" () in

@@ -17,18 +17,11 @@ type t = {
 let proto t = t.p
 
 let encode_header ~dst ~src ~typ =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u48 w (Addr.Eth.to_int dst);
   Codec.W.u48 w (Addr.Eth.to_int src);
   Codec.W.u16 w typ;
   Codec.W.contents w
-
-let decode_header hdr =
-  let r = Codec.R.of_string hdr in
-  let dst = Addr.Eth.v (Codec.R.u48 r) in
-  let src = Addr.Eth.v (Codec.R.u48 r) in
-  let typ = Codec.R.u16 r in
-  (dst, src, typ)
 
 let common_control t = function
   | Control.Get_mtu | Control.Get_max_packet | Control.Get_opt_packet ->
@@ -82,22 +75,23 @@ let open_session t ~upper part =
    caller (device handler or Proto.deliver). *)
 let input t msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (hdr, rest) -> (
-      let dst, src, typ = decode_header hdr in
-      let for_me =
-        Addr.Eth.equal dst t.host.Host.eth || Addr.Eth.is_broadcast dst
-      in
-      if not for_me then Stats.incr t.stats "rx-other"
-      else begin
-        Stats.tick t.c_rx;
-        Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
-          ~dir:`Recv rest;
-        match Demux.resolve t.demux t (src, typ) typ with
-        | Some xs -> Proto.pop xs rest
-        | None -> Stats.incr t.stats "rx-unbound"
-      end)
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let dst = Addr.Eth.v (Msg.u48 msg 0) in
+    let for_me =
+      Addr.Eth.equal dst t.host.Host.eth || Addr.Eth.is_broadcast dst
+    in
+    if not for_me then Stats.incr t.stats "rx-other"
+    else begin
+      let src = Addr.Eth.v (Msg.u48 msg 6) and typ = Msg.u16 msg 12 in
+      let rest = Msg.drop msg header_bytes in
+      Stats.tick t.c_rx;
+      Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
+        ~dir:`Recv rest;
+      match Demux.resolve t.demux t (src, typ) typ with
+      | Some xs -> Proto.pop xs rest
+      | None -> Stats.incr t.stats "rx-unbound"
+    end
 
 let create ~host ~dev =
   let p = Proto.create ~host ~name:"ETH" () in

@@ -33,7 +33,7 @@ let emit t ev = match t.observer with Some f -> f ev | None -> ()
 (* Checksum covers the whole ICMP message with the checksum field
    zeroed, exactly like the IP header checksum. *)
 let encode ~typ ~code ~ident ~seq payload =
-  let w = Codec.W.create () in
+  let w = Codec.W.create (header_bytes + Msg.length payload) in
   Codec.W.u8 w typ;
   Codec.W.u8 w code;
   Codec.W.u16 w 0;
@@ -86,42 +86,37 @@ let input t ~lower msg =
     [ Machine.Header header_bytes; Machine.Checksum (Msg.length msg) ];
   if Codec.ones_complement_sum (Msg.to_string msg) <> 0xffff then
     Stats.incr t.stats "rx-bad-checksum"
+  else if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
-    match Msg.pop msg header_bytes with
-    | None -> Stats.incr t.stats "rx-runt"
-    | Some (raw, rest) -> (
-        let r = Codec.R.of_string raw in
-        let typ = Codec.R.u8 r in
-        let code = Codec.R.u8 r in
-        let _ck = Codec.R.u16 r in
-        let ident = Codec.R.u16 r in
-        let seq = Codec.R.u16 r in
-        let from =
-          match Proto.session_control lower Control.Get_peer_host with
-          | Control.R_ip ip -> ip
-          | _ -> Addr.Ip.any
-        in
-        if typ = typ_echo_request then begin
-          Stats.incr t.stats "echo-rx";
-          transmit t ~peer:from ~typ:typ_echo_reply ~code:0 ~ident ~seq rest
-        end
-        else if typ = typ_echo_reply then begin
-          Stats.incr t.stats "reply-rx";
-          emit t (Echo_reply { from; seq });
-          if ident = t.ident then
-            match Hashtbl.find_opt t.pending seq with
-            | Some iv when not (Sim.Ivar.is_filled iv) -> Sim.Ivar.fill iv ()
-            | _ -> Stats.incr t.stats "rx-stale"
-        end
-        else if typ = typ_time_exceeded then begin
-          Stats.incr t.stats "time-exceeded-rx";
-          emit t (Time_exceeded { from })
-        end
-        else if typ = typ_unreachable then begin
-          Stats.incr t.stats "unreachable-rx";
-          emit t (Unreachable { from; code })
-        end
-        else Stats.incr t.stats "rx-unknown-type")
+    let typ = Msg.u8 msg 0 and code = Msg.u8 msg 1 in
+    let ident = Msg.u16 msg 4 and seq = Msg.u16 msg 6 in
+    let rest = Msg.drop msg header_bytes in
+    let from =
+      match Proto.session_control lower Control.Get_peer_host with
+      | Control.R_ip ip -> ip
+      | _ -> Addr.Ip.any
+    in
+    if typ = typ_echo_request then begin
+      Stats.incr t.stats "echo-rx";
+      transmit t ~peer:from ~typ:typ_echo_reply ~code:0 ~ident ~seq rest
+    end
+    else if typ = typ_echo_reply then begin
+      Stats.incr t.stats "reply-rx";
+      emit t (Echo_reply { from; seq });
+      if ident = t.ident then
+        match Hashtbl.find_opt t.pending seq with
+        | Some iv when not (Sim.Ivar.is_filled iv) -> Sim.Ivar.fill iv ()
+        | _ -> Stats.incr t.stats "rx-stale"
+    end
+    else if typ = typ_time_exceeded then begin
+      Stats.incr t.stats "time-exceeded-rx";
+      emit t (Time_exceeded { from })
+    end
+    else if typ = typ_unreachable then begin
+      Stats.incr t.stats "unreachable-rx";
+      emit t (Unreachable { from; code })
+    end
+    else Stats.incr t.stats "rx-unknown-type"
 
 let create ~host ~ip =
   let p = Proto.create ~host ~name:"ICMP" () in

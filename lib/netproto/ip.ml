@@ -58,53 +58,59 @@ let set_error_hook t f = t.error_hook <- Some f
 let set_forward_hook t f = t.forward_hook <- f
 
 
+(* One's-complement sum folded to 16 bits: the header checksum
+   arithmetic, over words already added up. *)
+let rec fold16 sum =
+  if sum lsr 16 = 0 then sum else fold16 ((sum land 0xffff) + (sum lsr 16))
+
+(* The header is written once: its checksum is summed from the field
+   values before any byte is written. *)
 let encode_header h =
-  let w = Codec.W.create ~size:header_bytes () in
-  Codec.W.u8 w 0x45;
-  Codec.W.u8 w 0;
+  let flags_off =
+    ((if h.mf then flag_mf else 0) lor (h.frag_off / 8)) land 0xffff
+  in
+  let ttl_proto = ((h.ttl land 0xff) lsl 8) lor (h.proto_num land 0xff) in
+  let src = Addr.Ip.to_int h.src and dst = Addr.Ip.to_int h.dst in
+  let cksum =
+    lnot
+      (fold16
+         (0x4500 + (h.totlen land 0xffff) + (h.ident land 0xffff) + flags_off
+        + ttl_proto + (src lsr 16) + (src land 0xffff) + (dst lsr 16)
+        + (dst land 0xffff)))
+    land 0xffff
+  in
+  let w = Codec.W.create header_bytes in
+  Codec.W.u16 w 0x4500;
   Codec.W.u16 w h.totlen;
   Codec.W.u16 w h.ident;
-  Codec.W.u16 w ((if h.mf then flag_mf else 0) lor (h.frag_off / 8));
-  Codec.W.u8 w h.ttl;
-  Codec.W.u8 w h.proto_num;
-  Codec.W.u16 w 0;
-  Codec.W.u32 w (Addr.Ip.to_int h.src);
-  Codec.W.u32 w (Addr.Ip.to_int h.dst);
-  let raw = Codec.W.contents w in
-  let cksum = Codec.ip_checksum raw in
-  let b = Bytes.of_string raw in
-  Bytes.set_uint8 b 10 (cksum lsr 8);
-  Bytes.set_uint8 b 11 (cksum land 0xff);
-  Bytes.to_string b
+  Codec.W.u16 w flags_off;
+  Codec.W.u16 w ttl_proto;
+  Codec.W.u16 w cksum;
+  Codec.W.u32 w src;
+  Codec.W.u32 w dst;
+  Codec.W.contents w
 
-let decode_header s =
-  let r = Codec.R.of_string s in
-  let ver_ihl = Codec.R.u8 r in
-  if ver_ihl <> 0x45 then None
-  else begin
-    let _tos = Codec.R.u8 r in
-    let totlen = Codec.R.u16 r in
-    let ident = Codec.R.u16 r in
-    let flags_off = Codec.R.u16 r in
-    let ttl = Codec.R.u8 r in
-    let proto_num = Codec.R.u8 r in
-    let _cksum = Codec.R.u16 r in
-    let src = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-    let dst = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-    if Codec.ones_complement_sum s <> 0xffff then None
-    else
-      Some
-        {
-          totlen;
-          ident;
-          mf = flags_off land flag_mf <> 0;
-          frag_off = (flags_off land 0x1fff) * 8;
-          ttl;
-          proto_num;
-          src;
-          dst;
-        }
-  end
+(* The header at the front of [msg], read and checksummed in place;
+   [None] for a bad version or checksum.  [msg] holds [header_bytes]. *)
+let read_header msg =
+  let sum = ref 0 in
+  for i = 0 to (header_bytes / 2) - 1 do
+    sum := !sum + Msg.u16 msg (2 * i)
+  done;
+  if Msg.u8 msg 0 <> 0x45 || fold16 !sum <> 0xffff then None
+  else
+    let flags_off = Msg.u16 msg 6 in
+    Some
+      {
+        totlen = Msg.u16 msg 2;
+        ident = Msg.u16 msg 4;
+        mf = flags_off land flag_mf <> 0;
+        frag_off = (flags_off land 0x1fff) * 8;
+        ttl = Msg.u8 msg 8;
+        proto_num = Msg.u8 msg 9;
+        src = Addr.Ip.of_int32_bits (Msg.u32 msg 12);
+        dst = Addr.Ip.of_int32_bits (Msg.u32 msg 16);
+      }
 
 let report_error t h payload err =
   match t.error_hook with
@@ -300,95 +306,95 @@ let input t msg =
       Machine.Checksum header_bytes;
       Machine.Reasm_lookup;
     ];
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (hdr_raw, rest) -> (
-      match decode_header hdr_raw with
-      | None -> Stats.incr t.stats "rx-bad-checksum"
-      | Some h -> (
-          let payload_len = h.totlen - header_bytes in
-          if Msg.length rest < payload_len then Stats.incr t.stats "rx-short"
-          else
-            let payload = Msg.sub rest 0 payload_len in
-            let local_dst =
-              List.exists (fun i -> Addr.Ip.equal i.if_ip h.dst) t.ifaces
-              || Addr.Ip.equal h.dst Addr.Ip.broadcast
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    match read_header msg with
+    | None -> Stats.incr t.stats "rx-bad-checksum"
+    | Some h -> (
+        let payload_len = h.totlen - header_bytes in
+        if Msg.length msg - header_bytes < payload_len then
+          Stats.incr t.stats "rx-short"
+        else
+          let payload = Msg.sub msg header_bytes payload_len in
+          let local_dst =
+            List.exists (fun i -> Addr.Ip.equal i.if_ip h.dst) t.ifaces
+            || Addr.Ip.equal h.dst Addr.Ip.broadcast
+          in
+          if not local_dst then begin
+            if t.forward && h.ttl <= 1 then begin
+              Stats.incr t.stats "ttl-exceeded";
+              report_error t h payload Ttl_exceeded
+            end
+            else if t.forward then begin
+              (* A forwarding hook (an in-network computation layer)
+                 sees whole datagrams only — a fragment in transit
+                 cannot be parsed — and may consume one instead of
+                 forwarding it. *)
+              if
+                (not h.mf) && h.frag_off = 0
+                && (match t.forward_hook with
+                   | Some hook ->
+                       hook ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
+                         payload
+                   | None -> false)
+              then Stats.tick t.c_hook_consumed
+              else begin
+              Stats.tick t.c_forwarded;
+              (* Forward the fragment as-is (same ident/offset/MF) so
+                 the final destination can still reassemble. *)
+              Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
+              match route t h.dst with
+              | None -> Stats.incr t.stats "no-route"
+              | Some (iface, next_hop) -> (
+                  match eth_session t iface next_hop with
+                  | None -> Stats.incr t.stats "arp-fail"
+                  | Some eth_sess ->
+                      let hdr = encode_header { h with ttl = h.ttl - 1 } in
+                      Machine.charge t.host.Host.mach
+                        [
+                          Machine.Header header_bytes;
+                          Machine.Checksum header_bytes;
+                        ];
+                      Proto.push eth_sess (Msg.push payload hdr))
+              end
+            end
+            else Stats.incr t.stats "rx-not-mine"
+          end
+          else if (not h.mf) && h.frag_off = 0 then begin
+            Stats.tick t.c_rx;
+            deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
+              ~ttl:h.ttl payload
+          end
+          else begin
+            Stats.tick t.c_rx_frag;
+            let key = (Addr.Ip.to_int h.src, h.ident) in
+            let entry =
+              match Hashtbl.find_opt t.reassembly key with
+              | Some e -> e
+              | None ->
+                  (* Insert before scheduling the GC timer: scheduling
+                     charges (and so yields), and a concurrent shepherd
+                     carrying the next fragment must find this entry. *)
+                  let e = { pieces = []; total = None; timer = None } in
+                  Hashtbl.replace t.reassembly key e;
+                  e.timer <-
+                    Some
+                      (Event.schedule t.host reasm_timeout (fun () ->
+                           if Hashtbl.mem t.reassembly key then begin
+                             Hashtbl.remove t.reassembly key;
+                             Stats.incr t.stats "reasm-timeout"
+                           end));
+                  e
             in
-            if not local_dst then begin
-              if t.forward && h.ttl <= 1 then begin
-                Stats.incr t.stats "ttl-exceeded";
-                report_error t h payload Ttl_exceeded
-              end
-              else if t.forward then begin
-                (* A forwarding hook (an in-network computation layer)
-                   sees whole datagrams only — a fragment in transit
-                   cannot be parsed — and may consume one instead of
-                   forwarding it. *)
-                if
-                  (not h.mf) && h.frag_off = 0
-                  && (match t.forward_hook with
-                     | Some hook ->
-                         hook ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-                           payload
-                     | None -> false)
-                then Stats.tick t.c_hook_consumed
-                else begin
-                Stats.tick t.c_forwarded;
-                (* Forward the fragment as-is (same ident/offset/MF) so
-                   the final destination can still reassemble. *)
-                Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
-                match route t h.dst with
-                | None -> Stats.incr t.stats "no-route"
-                | Some (iface, next_hop) -> (
-                    match eth_session t iface next_hop with
-                    | None -> Stats.incr t.stats "arp-fail"
-                    | Some eth_sess ->
-                        let hdr = encode_header { h with ttl = h.ttl - 1 } in
-                        Machine.charge t.host.Host.mach
-                          [
-                            Machine.Header header_bytes;
-                            Machine.Checksum header_bytes;
-                          ];
-                        Proto.push eth_sess (Msg.push payload hdr))
-                end
-              end
-              else Stats.incr t.stats "rx-not-mine"
-            end
-            else if (not h.mf) && h.frag_off = 0 then begin
-              Stats.tick t.c_rx;
-              deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-                ~ttl:h.ttl payload
-            end
-            else begin
-              Stats.tick t.c_rx_frag;
-              let key = (Addr.Ip.to_int h.src, h.ident) in
-              let entry =
-                match Hashtbl.find_opt t.reassembly key with
-                | Some e -> e
-                | None ->
-                    (* Insert before scheduling the GC timer: scheduling
-                       charges (and so yields), and a concurrent shepherd
-                       carrying the next fragment must find this entry. *)
-                    let e = { pieces = []; total = None; timer = None } in
-                    Hashtbl.replace t.reassembly key e;
-                    e.timer <-
-                      Some
-                        (Event.schedule t.host reasm_timeout (fun () ->
-                             if Hashtbl.mem t.reassembly key then begin
-                               Hashtbl.remove t.reassembly key;
-                               Stats.incr t.stats "reasm-timeout"
-                             end));
-                    e
-              in
-              match
-                reasm_insert t key entry ~off:h.frag_off ~mf:h.mf payload
-              with
-              | None -> ()
-              | Some whole ->
-                  Stats.tick t.c_rx;
-                  deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-                    ~ttl:h.ttl whole
-            end))
+            match
+              reasm_insert t key entry ~off:h.frag_off ~mf:h.mf payload
+            with
+            | None -> ()
+            | Some whole ->
+                Stats.tick t.c_rx;
+                deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
+                  ~ttl:h.ttl whole
+          end)
 
 let create ~host ~ifaces ?gateway ?(forward = false) () =
   if ifaces = [] then invalid_arg "Ip.create: no interfaces";

@@ -28,16 +28,10 @@ let boundary t =
 let proto t = t.p
 
 let encode ~kind ~seq =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u8 w kind;
   Codec.W.u32 w seq;
   Codec.W.contents w
-
-let decode s =
-  let r = Codec.R.of_string s in
-  let kind = Codec.R.u8 r in
-  let seq = Codec.R.u32 r in
-  (kind, seq)
 
 let with_port t comps =
   match t.port with Some p -> Part.Port p :: comps | None -> comps
@@ -82,26 +76,26 @@ let rtt t ~peer ?(size = 0) ?(timeout = 1.0) () =
 
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (hdr, rest) ->
-      let kind, seq = decode hdr in
-      if kind = kind_request then begin
-        Stats.incr t.stats "echoed";
-        boundary t;
-        boundary t;
-        (* Echo straight back through the session the request arrived
-           on — sessions are bidirectional endpoints. *)
-        Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-        Proto.push lower (Msg.push rest (encode ~kind:kind_reply ~seq))
-      end
-      else begin
-        match Hashtbl.find_opt t.pending seq with
-        | Some iv when not (Sim.Ivar.is_filled iv) ->
-            Stats.incr t.stats "rx";
-            Sim.Ivar.fill iv rest
-        | _ -> Stats.incr t.stats "rx-stale"
-      end
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let kind = Msg.u8 msg 0 and seq = Msg.u32 msg 1 in
+    let rest = Msg.drop msg header_bytes in
+    if kind = kind_request then begin
+      Stats.incr t.stats "echoed";
+      boundary t;
+      boundary t;
+      (* Echo straight back through the session the request arrived
+         on — sessions are bidirectional endpoints. *)
+      Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+      Proto.push lower (Msg.push rest (encode ~kind:kind_reply ~seq))
+    end
+    else begin
+      match Hashtbl.find_opt t.pending seq with
+      | Some iv when not (Sim.Ivar.is_filled iv) ->
+          Stats.incr t.stats "rx";
+          Sim.Ivar.fill iv rest
+      | _ -> Stats.incr t.stats "rx-stale"
+    end
 
 let create ~host ~lower ?(max_msg = 1480) ?port
     ?(user_level = false) () =

@@ -17,27 +17,19 @@ type t = {
 let proto t = t.p
 
 let pseudo_checksum ~src ~dst payload =
-  let w = Codec.W.create () in
+  let w = Codec.W.create (8 + Msg.length payload) in
   Codec.W.u32 w (Addr.Ip.to_int src);
   Codec.W.u32 w (Addr.Ip.to_int dst);
   Codec.W.bytes w (Msg.to_string payload);
   Codec.ip_checksum (Codec.W.contents w)
 
 let encode ~sport ~dport ~len ~cksum =
-  let w = Codec.W.create ~size:header_bytes () in
+  let w = Codec.W.create header_bytes in
   Codec.W.u16 w sport;
   Codec.W.u16 w dport;
   Codec.W.u16 w len;
   Codec.W.u16 w cksum;
   Codec.W.contents w
-
-let decode s =
-  let r = Codec.R.of_string s in
-  let sport = Codec.R.u16 r in
-  let dport = Codec.R.u16 r in
-  let len = Codec.R.u16 r in
-  let cksum = Codec.R.u16 r in
-  (sport, dport, len, cksum)
 
 let ephemeral t =
   let p = t.next_ephemeral in
@@ -104,33 +96,33 @@ let open_session t ~upper part =
 
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-  match Msg.pop msg header_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (hdr, rest) -> (
-      let sport, dport, len, cksum = decode hdr in
-      if len < header_bytes || Msg.length rest < len - header_bytes then
-        Stats.incr t.stats "rx-short"
+  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let sport = Msg.u16 msg 0 and dport = Msg.u16 msg 2 in
+    let len = Msg.u16 msg 4 and cksum = Msg.u16 msg 6 in
+    if len < header_bytes || Msg.length msg < len then
+      Stats.incr t.stats "rx-short"
+    else
+      let payload = Msg.sub msg header_bytes (len - header_bytes) in
+      let src =
+        Control.ip_exn (Proto.session_control lower Get_peer_host)
+      in
+      let checksum_ok =
+        cksum = 0
+        ||
+        begin
+          Machine.charge_one t.host.Host.mach
+            (Machine.Checksum (Msg.length payload));
+          pseudo_checksum ~src ~dst:t.host.Host.ip payload = cksum
+        end
+      in
+      if not checksum_ok then Stats.incr t.stats "rx-bad-checksum"
       else
-        let payload = Msg.sub rest 0 (len - header_bytes) in
-        let src =
-          Control.ip_exn (Proto.session_control lower Get_peer_host)
-        in
-        let checksum_ok =
-          cksum = 0
-          ||
-          begin
-            Machine.charge_one t.host.Host.mach
-              (Machine.Checksum (Msg.length payload));
-            pseudo_checksum ~src ~dst:t.host.Host.ip payload = cksum
-          end
-        in
-        if not checksum_ok then Stats.incr t.stats "rx-bad-checksum"
-        else
-          match Demux.resolve t.demux t (dport, src, sport) dport with
-          | Some xs ->
-              Stats.incr t.stats "rx";
-              Proto.pop xs payload
-          | None -> Stats.incr t.stats "rx-unbound")
+        match Demux.resolve t.demux t (dport, src, sport) dport with
+        | Some xs ->
+            Stats.incr t.stats "rx";
+            Proto.pop xs payload
+        | None -> Stats.incr t.stats "rx-unbound"
 
 let create ~host ~lower ?(checksum = false) () =
   let p = Proto.create ~host ~name:"UDP" () in

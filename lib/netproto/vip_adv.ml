@@ -35,7 +35,7 @@ let broadcast_session t =
       s
 
 let send t ~op =
-  let w = Codec.W.create ~size:packet_bytes () in
+  let w = Codec.W.create packet_bytes in
   Codec.W.u8 w op;
   Codec.W.u32 w (Addr.Ip.to_int t.host.Host.ip);
   Codec.W.u8 w version;
@@ -52,25 +52,21 @@ let query t =
 
 let input t msg =
   Machine.charge_one t.host.Host.mach (Machine.Header packet_bytes);
-  match Msg.pop msg packet_bytes with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some (raw, _) ->
-      let r = Codec.R.of_string raw in
-      let op = Codec.R.u8 r in
-      let ip = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-      let _version = Codec.R.u8 r in
-      if op = op_beacon then begin
-        Stats.incr t.stats "beacon-rx";
-        if not (Addr.Ip.equal ip t.host.Host.ip) then
-          Hashtbl.replace t.table (Addr.Ip.to_int ip) ()
-      end
-      else if op = op_query then begin
-        Stats.incr t.stats "query-rx";
-        (* everyone who hears a query re-advertises, and we also learn
-           the querier if it beacons *)
-        advertise t
-      end
-      else Stats.incr t.stats "rx-malformed"
+  if Msg.length msg < packet_bytes then Stats.incr t.stats "rx-runt"
+  else
+    let op = Msg.u8 msg 0 and ip = Addr.Ip.of_int32_bits (Msg.u32 msg 1) in
+    if op = op_beacon then begin
+      Stats.incr t.stats "beacon-rx";
+      if not (Addr.Ip.equal ip t.host.Host.ip) then
+        Hashtbl.replace t.table (Addr.Ip.to_int ip) ()
+    end
+    else if op = op_query then begin
+      Stats.incr t.stats "query-rx";
+      (* everyone who hears a query re-advertises, and we also learn
+         the querier if it beacons *)
+      advertise t
+    end
+    else Stats.incr t.stats "rx-malformed"
 
 let create ~host ~eth =
   let p = Proto.create ~host ~name:"VIP-ADV" () in

@@ -42,13 +42,17 @@ let proto t = t.p
 
 let key (id : msg_id) = (Addr.Ip.to_int id.origin, id.seq)
 
+(* Fixed part: 14 bytes; context entries: 8 bytes each. *)
+let fixed_bytes = 14
+
 let header_of pk ~typ =
-  let w = Codec.W.create () in
+  let nctx = List.length pk.pk_ctx in
+  let w = Codec.W.create (fixed_bytes + (nctx * 8)) in
   Codec.W.u8 w typ;
   Codec.W.u32 w pk.pk_conv;
   Codec.W.u32 w (Addr.Ip.to_int pk.pk_id.origin);
   Codec.W.u32 w pk.pk_id.seq;
-  Codec.W.u8 w (List.length pk.pk_ctx);
+  Codec.W.u8 w nctx;
   List.iter
     (fun id ->
       Codec.W.u32 w (Addr.Ip.to_int id.origin);
@@ -57,27 +61,27 @@ let header_of pk ~typ =
   Codec.W.contents w
 
 let parse msg =
-  (* fixed part: 14 bytes; context entries: 8 bytes each *)
-  match Msg.pop msg 14 with
-  | None -> None
-  | Some (fixed, rest) -> (
-      let r = Codec.R.of_string fixed in
-      let typ = Codec.R.u8 r in
-      let conv = Codec.R.u32 r in
-      let origin = Addr.Ip.of_int32_bits (Codec.R.u32 r) in
-      let seq = Codec.R.u32 r in
-      let nctx = Codec.R.u8 r in
-      match Msg.pop rest (nctx * 8) with
-      | None -> None
-      | Some (ctx_raw, body) ->
-          let cr = Codec.R.of_string ctx_raw in
-          let ctx =
-            List.init nctx (fun _ ->
-                let origin = Addr.Ip.of_int32_bits (Codec.R.u32 cr) in
-                let seq = Codec.R.u32 cr in
-                { origin; seq })
-          in
-          Some (typ, { pk_conv = conv; pk_id = { origin; seq }; pk_ctx = ctx; pk_body = body }))
+  if Msg.length msg < fixed_bytes then None
+  else
+    let nctx = Msg.u8 msg 13 in
+    let hdr_len = fixed_bytes + (nctx * 8) in
+    if Msg.length msg < hdr_len then None
+    else
+      let id off =
+        {
+          origin = Addr.Ip.of_int32_bits (Msg.u32 msg off);
+          seq = Msg.u32 msg (off + 4);
+        }
+      in
+      let ctx = List.init nctx (fun i -> id (fixed_bytes + (i * 8))) in
+      Some
+        ( Msg.u8 msg 0,
+          {
+            pk_conv = Msg.u32 msg 1;
+            pk_id = id 5;
+            pk_ctx = ctx;
+            pk_body = Msg.drop msg hdr_len;
+          } )
 
 let transmit t sess ~typ pk =
   let hdr = header_of pk ~typ in

@@ -1,23 +1,36 @@
 module W = struct
-  type t = Buffer.t
+  type t = { buf : Bytes.t; mutable pos : int }
 
-  let create ?(size = 64) () = Buffer.create size
-  let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
+  let create size = { buf = Bytes.create size; pos = 0 }
 
-  let u16 w v =
-    u8 w (v lsr 8);
-    u8 w v
+  (* Claims the next [n] bytes; a write that does not fit changes
+     nothing. *)
+  let claim w n =
+    let p = w.pos in
+    if p + n > Bytes.length w.buf then invalid_arg "Codec.W: past the header";
+    w.pos <- p + n;
+    p
+
+  let u8 w v = Bytes.set_uint8 w.buf (claim w 1) (v land 0xff)
+  let u16 w v = Bytes.set_uint16_be w.buf (claim w 2) (v land 0xffff)
 
   let u32 w v =
-    u16 w (v lsr 16);
-    u16 w v
+    let p = claim w 4 in
+    Bytes.set_uint16_be w.buf p ((v lsr 16) land 0xffff);
+    Bytes.set_uint16_be w.buf (p + 2) (v land 0xffff)
 
   let u48 w v =
-    u16 w (v lsr 32);
-    u32 w v
+    let p = claim w 6 in
+    Bytes.set_uint16_be w.buf p ((v lsr 32) land 0xffff);
+    Bytes.set_uint16_be w.buf (p + 2) ((v lsr 16) land 0xffff);
+    Bytes.set_uint16_be w.buf (p + 4) (v land 0xffff)
 
-  let bytes w s = Buffer.add_string w s
-  let contents = Buffer.contents
+  let bytes w s =
+    Bytes.blit_string s 0 w.buf (claim w (String.length s)) (String.length s)
+
+  let contents w =
+    if w.pos <> Bytes.length w.buf then invalid_arg "Codec.W.contents";
+    Bytes.unsafe_to_string w.buf
 end
 
 module R = struct
@@ -27,7 +40,6 @@ module R = struct
 
   let of_string data = { data; pos = 0 }
   let remaining r = String.length r.data - r.pos
-  let pos r = r.pos
 
   let u8 r =
     if remaining r < 1 then raise Truncated;
@@ -44,11 +56,6 @@ module R = struct
     let hi = u16 r in
     let lo = u16 r in
     (hi lsl 16) lor lo
-
-  let u48 r =
-    let hi = u16 r in
-    let lo = u32 r in
-    (hi lsl 32) lor lo
 
   let bytes r n =
     if n < 0 || remaining r < n then raise Truncated;

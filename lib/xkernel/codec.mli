@@ -3,13 +3,21 @@
     Every protocol header in this repository (ethernet, IP, UDP, the four
     RPC headers from the paper's appendix) is encoded with these
     primitives.  All multi-byte fields are big-endian ("network order"),
-    matching the wire formats the paper's C structures imply. *)
+    matching the wire formats the paper's C structures imply.
 
-(** Writer: accumulates header bytes. *)
+    A header is written once, into a buffer of its exact size that
+    becomes the header string without a copy.  Protocols read headers in
+    place with {!Msg.u16} and friends; {!R} decodes strings a program
+    holds outside a message (control-plane payloads, credentials). *)
+
+(** Writer: fills an exact-size header buffer front to back.  An append
+    that does not fit in the size given to {!W.create} raises
+    [Invalid_argument] and writes nothing. *)
 module W : sig
   type t
 
-  val create : ?size:int -> unit -> t
+  val create : int -> t
+  (** [create n] is a writer for an [n]-byte header. *)
 
   val u8 : t -> int -> unit
   (** [u8 w v] appends the low 8 bits of [v]. *)
@@ -27,14 +35,14 @@ module W : sig
   (** [bytes w s] appends [s] verbatim. *)
 
   val contents : t -> string
-  (** [contents w] returns everything written so far. *)
+  (** [contents w] hands over the buffer as a string, without copying;
+      write nothing to [w] afterwards.  Raises [Invalid_argument] unless
+      exactly the size given to {!create} was written. *)
 end
 
-(** Reader: consumes header bytes front to back.
+(** Reader: consumes a string front to back.
 
-    All read functions raise {!Truncated} when the input is exhausted;
-    protocol [demux] implementations catch it and drop the packet, which
-    is exactly what a real stack does with a runt frame. *)
+    All read functions raise {!Truncated} when the input is exhausted. *)
 module R : sig
   type t
 
@@ -42,19 +50,14 @@ module R : sig
 
   val of_string : string -> t
 
-  val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
-  val u48 : t -> int
 
   val bytes : t -> int -> string
   (** [bytes r n] reads the next [n] raw bytes. *)
 
   val remaining : t -> int
   (** [remaining r] is the number of unread bytes. *)
-
-  val pos : t -> int
-  (** [pos r] is the number of bytes consumed so far. *)
 end
 
 val ones_complement_sum : string -> int

@@ -35,11 +35,11 @@ let append a b =
   | Empty, m | m, Empty -> m
   | _ -> Cat { left = a; right = b; len = length a + length b }
 
-(* Header push/pop is the per-layer hot path: every protocol prepends a
-   small encoded header on send and strips it on receive.  Small
-   combined leaves are flattened instead of building a [Cat] spine, so
-   a null call's message stays a single leaf through the whole stack
-   and [pop] usually returns the pushed string without copying. *)
+(* Header push and drop are the per-layer hot path: every protocol
+   prepends a small encoded header on send and strips it on receive.
+   Small combined leaves are flattened instead of building a [Cat]
+   spine, so a null call's message stays a single leaf through the
+   whole stack and every header read finds its bytes in that leaf. *)
 let small_leaf = 32
 
 let push m h =
@@ -97,7 +97,7 @@ let rec take m n =
         else if n >= c.len then m
         else append c.left (take c.right (n - ll))
 
-let rec drop m n =
+let rec drop_ m n =
   if n <= 0 then m
   else
     match m with
@@ -106,50 +106,53 @@ let rec drop m n =
     | Cat c ->
         let ll = length c.left in
         if n >= c.len then Empty
-        else if n >= ll then drop c.right (n - ll)
-        else append (drop c.left n) c.right
+        else if n >= ll then drop_ c.right (n - ll)
+        else append (drop_ c.left n) c.right
 
 let split m n =
   if n < 0 || n > length m then invalid_arg "Msg.split";
-  (take m n, drop m n)
+  (take m n, drop_ m n)
 
 let sub m off len =
   if off < 0 || len < 0 || off + len > length m then invalid_arg "Msg.sub";
-  take (drop m off) len
+  take (drop_ m off) len
 
-(* The first [n] bytes of a leaf as a string — zero-copy when the leaf
-   is exactly a previously pushed header. *)
-let leaf_prefix data off n =
-  if off = 0 && n = String.length data then data else String.sub data off n
+let drop m n =
+  if n < 0 || n > length m then invalid_arg "Msg.drop";
+  drop_ m n
 
-let pop m n =
-  if n < 0 || length m < n then None
-  else
-    match m with
-    | Leaf l when l.len >= n ->
-        Some (leaf_prefix l.data l.off n, leaf l.data (l.off + n) (l.len - n))
-    | Cat { left = Leaf l; right; len } when l.len >= n ->
-        let rest =
-          if l.len = n then right
-          else
-            Cat
-              {
-                left = Leaf { data = l.data; off = l.off + n; len = l.len - n };
-                right;
-                len = len - n;
-              }
-        in
-        Some (leaf_prefix l.data l.off n, rest)
-    | _ ->
-        let hdr, rest = split m n in
-        Some (to_string hdr, rest)
+(* In-place big-endian reads.  A protocol reads its header where a
+   [push] left it: flattened into the first leaf, or the left leaf of a
+   [Cat].  Only a read that straddles leaves (or a header arriving on a
+   [sub]-built spine) goes byte by byte through [get], which also
+   rejects out-of-range offsets. *)
+let read m off n =
+  match m with
+  | Leaf { data; off = base; len } | Cat { left = Leaf { data; off = base; len }; _ }
+    when off >= 0 && off <= len - n ->
+      let v = ref 0 in
+      for i = base + off to base + off + n - 1 do
+        v := (!v lsl 8) lor Char.code (String.unsafe_get data i)
+      done;
+      !v
+  | _ ->
+      let v = ref 0 in
+      for i = off to off + n - 1 do
+        v := (!v lsl 8) lor Char.code (get m i)
+      done;
+      !v
+
+let u8 m off = read m off 1
+let u16 m off = read m off 2
+let u32 m off = read m off 4
+let u48 m off = read m off 6
 
 let equal a b = length a = length b && String.equal (to_string a) (to_string b)
 
 let map_byte i f m =
   if i < 0 || i >= length m then invalid_arg "Msg.map_byte";
   let before, rest = split m i in
-  let after = drop rest 1 in
+  let after = drop_ rest 1 in
   append before (append (of_string (String.make 1 (f (get m i)))) after)
 
 let pp fmt m =

@@ -1,15 +1,16 @@
 (** Message objects.
 
     The x-kernel treats a message as a stack: protocols [push] headers
-    onto the front on the way down and [pop] them off on the way up
-    (section 2).  Messages here are immutable cords (concatenation
-    trees), which gives the three properties the paper's infrastructure
-    relies on:
+    onto the front on the way down and pop them off on the way up
+    (section 2).  Popping here is a read of the header fields in place
+    ({!u16} and friends) followed by a {!drop}; neither copies.
+    Messages are immutable cords (concatenation trees), which gives the
+    three properties the paper's infrastructure relies on:
 
     - O(1) length ("the x-kernel provides an inexpensive operation for
       determining the length of a given message" — VIP's push is a
       single length test);
-    - cheap header push without copying the body (the paper's
+    - cheap header push and pop without copying the body (the paper's
       pre-allocated header buffer discipline, section 5 "Potential
       Pitfalls");
     - multiple protocols may retain references to pieces of the same
@@ -40,10 +41,25 @@ val append : t -> t -> t
 val push : t -> string -> t
 (** [push m h] pushes header bytes [h] onto the front of [m]; O(1). *)
 
-val pop : t -> int -> (string * t) option
-(** [pop m n] strips the first [n] bytes off [m], returning them
-    together with the rest; [None] if [m] is shorter than [n].  This is
-    a protocol popping its header on the way up. *)
+val drop : t -> int -> t
+(** [drop m n] strips the first [n] bytes off [m] without copying: a
+    protocol popping its header on the way up, once it has read the
+    fields in place.  Raises [Invalid_argument] if [n] is negative or
+    greater than [length m]. *)
+
+(** {2 In-place header reads}
+
+    [u8 m off], [u16 m off], [u32 m off] and [u48 m off] are the 1-, 2-,
+    4- and 6-byte big-endian values at byte [off] of [m] ("network
+    order", as {!Codec.W} writes them).  A read inside the first leaf,
+    which holds a header just pushed, allocates nothing; one that
+    straddles leaves falls back to {!get}.  Raise [Invalid_argument] if
+    any byte is out of range. *)
+
+val u8 : t -> int -> int
+val u16 : t -> int -> int
+val u32 : t -> int -> int
+val u48 : t -> int -> int
 
 val split : t -> int -> t * t
 (** [split m n] is [(take n m, drop n m)].  Used by fragmentation
@@ -58,7 +74,8 @@ val sub : t -> int -> int -> t
 (** [sub m off len] is the [len]-byte slice of [m] starting at [off]. *)
 
 val to_string : t -> string
-(** Linearize.  O(n); used at the wire boundary and in tests. *)
+(** Linearize.  O(n): for a payload a program consumes as a string,
+    and for tests.  Protocols read their headers in place instead. *)
 
 val equal : t -> t -> bool
 (** Content equality (ignores tree shape). *)

@@ -10,15 +10,7 @@ type t = {
 let eth_header_bytes = 14
 
 (* The 48-bit destination address, read in place; -1 for a runt. *)
-let dst_bits msg =
-  if Msg.length msg < 6 then -1
-  else begin
-    let v = ref 0 in
-    for i = 0 to 5 do
-      v := (!v lsl 8) lor Char.code (Msg.get msg i)
-    done;
-    !v
-  end
+let dst_bits msg = if Msg.length msg < 6 then -1 else Msg.u48 msg 0
 
 let peek_dst msg =
   match dst_bits msg with -1 -> None | d -> Some (Addr.Eth.v d)

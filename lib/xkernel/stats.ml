@@ -43,15 +43,15 @@ let bump c n =
   c.v <- c.v + n;
   c.live <- true
 
+let store c v =
+  c.v <- v;
+  c.live <- true
+
 let value c = c.v
 
 let add t name n = bump (counter t name) n
 let incr t name = tick (counter t name)
-
-let set t name v =
-  let c = counter t name in
-  c.v <- v;
-  c.live <- true
+let set t name v = store (counter t name) v
 
 let get t name =
   match Hashtbl.find_opt t.tbl name with Some c -> c.v | None -> 0

@@ -36,6 +36,10 @@ val tick : counter -> unit
 val bump : counter -> int -> unit
 (** Increment by [n]. *)
 
+val store : counter -> int -> unit
+(** Overwrite the value: a gauge.  CHANNEL keeps its smoothed RTT and
+    current RTO (in microseconds) this way. *)
+
 val value : counter -> int
 
 (** {2 String-keyed API} *)
@@ -44,8 +48,8 @@ val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 
 val set : t -> string -> int -> unit
-(** [set t name v] overwrites the counter — a gauge.  CHANNEL exports
-    its smoothed RTT and current RTO (in microseconds) this way. *)
+(** [set t name v] overwrites the counter — a gauge; {!store} by
+    name. *)
 
 val get : t -> string -> int
 val reset : t -> unit

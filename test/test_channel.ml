@@ -423,6 +423,9 @@ let channel_out_of_range () =
 
 module C = Rpc.Wire_fmt.Channel
 
+(* CHANNEL_HDR's flag bit for the deadline extension word. *)
+let deadline_flag = 0x10
+
 let deadline_header_codec () =
   let base =
     {
@@ -438,37 +441,53 @@ let deadline_header_codec () =
   (* Unstamped: the paper-exact 18 bytes, flag clear, [-1] back out. *)
   let s = C.encode base in
   Tutil.check_int "base length" C.bytes (String.length s);
-  (match C.decode_full s with
+  (match C.read (Msg.of_string s) with
   | Some h ->
       Tutil.check_int "absent decodes -1" (-1) h.C.deadline_us;
-      Tutil.check_int "flag clear" 0 (h.C.flags land Rpc.Wire_fmt.Flags.deadline)
-  | None -> Alcotest.fail "decode_full failed on base header");
+      Tutil.check_int "flag clear" 0 (h.C.flags land deadline_flag)
+  | None -> Alcotest.fail "read failed on base header");
   (* Stamped: round-trips, including the zero (arrived-expired) and
      near-zero remaining budgets. *)
   List.iter
     (fun d ->
       let s = C.encode { base with C.deadline_us = d } in
       Tutil.check_int "stamped length" (C.bytes + C.ext_bytes) (String.length s);
-      match C.decode_full s with
+      match C.read (Msg.of_string s) with
       | Some h ->
           Tutil.check_int (Printf.sprintf "round trip %d" d) d h.C.deadline_us;
           Tutil.check_bool "flag set" true
-            (h.C.flags land Rpc.Wire_fmt.Flags.deadline <> 0)
-      | None -> Alcotest.fail "decode_full failed on stamped header")
+            (h.C.flags land deadline_flag <> 0)
+      | None -> Alcotest.fail "read failed on stamped header")
     [ 0; 1; 12345; C.max_deadline_us ];
   (* Oversized budgets clamp to the largest encodable word. *)
-  (match C.decode_full (C.encode { base with C.deadline_us = C.max_deadline_us + 5 }) with
+  (match
+     C.read
+       (Msg.of_string
+          (C.encode { base with C.deadline_us = C.max_deadline_us + 5 }))
+   with
   | Some h -> Tutil.check_int "clamped" C.max_deadline_us h.C.deadline_us
-  | None -> Alcotest.fail "decode_full failed on clamped header");
-  (* The two-stage path CHANNEL's input uses: the base decoder leaves
-     [-1] even when flagged; the extension word is popped separately. *)
+  | None -> Alcotest.fail "read failed on clamped header");
+  (* The flag alone says whether an extension word follows the base
+     header, as CHANNEL's input reads it: payload bytes after an
+     unflagged base header are not a deadline, and a stamped header's
+     word is read across a leaf boundary too. *)
+  let body = Msg.of_string "\x00\x00\x00\x63" in
+  (match C.read (Msg.push body (C.encode base)) with
+  | Some h ->
+      Tutil.check_int "base decode sees -1" (-1) h.C.deadline_us;
+      Tutil.check_int "base length" C.bytes (C.length h)
+  | None -> Alcotest.fail "base read failed");
   let s = C.encode { base with C.deadline_us = 99 } in
-  (match C.decode (String.sub s 0 C.bytes) with
-  | Some h -> Tutil.check_int "base decode sees -1" (-1) h.C.deadline_us
-  | None -> Alcotest.fail "base decode failed");
-  match C.decode_ext (String.sub s C.bytes C.ext_bytes) with
-  | Some d -> Tutil.check_int "extension word" 99 d
-  | None -> Alcotest.fail "decode_ext failed"
+  let split =
+    Msg.append
+      (Msg.of_string (String.sub s 0 C.bytes))
+      (Msg.of_string (String.sub s C.bytes C.ext_bytes))
+  in
+  match C.read split with
+  | Some h ->
+      Tutil.check_int "extension word" 99 h.C.deadline_us;
+      Tutil.check_int "stamped length" (C.bytes + C.ext_bytes) (C.length h)
+  | None -> Alcotest.fail "extension read failed"
 
 (* Like [setup], but the server records the reconstructed absolute
    deadline ([Get_rx_deadline]) of every request it executes. *)

@@ -4,17 +4,19 @@ let push_pop_stack () =
   let m = Msg.of_string "payload" in
   let m = Msg.push m "HDR2" in
   let m = Msg.push m "H1" in
-  (* Pops come off in reverse push order — stack discipline. *)
-  let h1, m = Option.get (Msg.pop m 2) in
-  Tutil.check_str "inner header" "H1" h1;
-  let h2, m = Option.get (Msg.pop m 4) in
-  Tutil.check_str "outer header" "HDR2" h2;
+  (* Pops come off in reverse push order — stack discipline.  A pop is
+     an in-place read of the header followed by a drop. *)
+  Tutil.check_int "inner header" 0x4831 (Msg.u16 m 0);
+  let m = Msg.drop m 2 in
+  Tutil.check_int "outer header" 0x48445232 (Msg.u32 m 0);
+  let m = Msg.drop m 4 in
   Tutil.check_str "payload intact" "payload" (Msg.to_string m)
 
 let pop_too_short () =
-  Alcotest.(check bool)
-    "pop beyond length" true
-    (Msg.pop (Msg.of_string "ab") 3 = None)
+  Alcotest.check_raises "pop beyond length" (Invalid_argument "Msg.drop")
+    (fun () -> ignore (Msg.drop (Msg.of_string "ab") 3));
+  Alcotest.check_raises "read beyond length" (Invalid_argument "Msg.get")
+    (fun () -> ignore (Msg.u16 (Msg.of_string "ab") 1))
 
 let length_o1 () =
   let m = Msg.fill 1_000_000 'x' in
@@ -87,9 +89,10 @@ let prop_push_pop =
     QCheck.(pair gen_msg (string_of_size (Gen.int_range 0 40)))
     (fun (parts, h) ->
       let m = build parts in
-      match Msg.pop (Msg.push m h) (String.length h) with
-      | Some (h', rest) -> String.equal h h' && Msg.equal rest m
-      | None -> false)
+      let n = String.length h in
+      let pushed = Msg.push m h in
+      String.equal h (Msg.to_string (Msg.sub pushed 0 n))
+      && Msg.equal (Msg.drop pushed n) m)
 
 let prop_to_string_concat =
   Tutil.qtest "to_string distributes over append" gen_msg (fun parts ->
@@ -129,6 +132,60 @@ let prop_get =
          | _ -> false
          | exception Invalid_argument _ -> true)
 
+(* A message of random shape: each step appends a leaf, pushes a header
+   (flattened into a small leaf or not), slices, or prepends a shared
+   fill, so reads land inside a first leaf, in a [Cat]'s left leaf and
+   across leaf boundaries. *)
+let gen_shape =
+  let print steps =
+    String.concat "; "
+      (List.map
+         (fun (k, s, a, b) -> Printf.sprintf "%d %S %d %d" k s a b)
+         steps)
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      list_size (int_range 1 8)
+        (quad (int_bound 3) (string_size (int_range 0 40)) small_nat small_nat))
+
+let shape steps =
+  List.fold_left
+    (fun m (kind, s, a, b) ->
+      match kind with
+      | 0 -> Msg.append m (Msg.of_string s)
+      | 1 -> Msg.push m s
+      | 2 ->
+          let off = a mod (Msg.length m + 1) in
+          Msg.sub m off (b mod (Msg.length m - off + 1))
+      | _ -> Msg.append (Msg.fill (a mod 64) (Char.chr (b land 0xff))) m)
+    Msg.empty steps
+
+let big_endian s off n =
+  let v = ref 0 in
+  for i = off to off + n - 1 do
+    v := (!v lsl 8) lor Char.code s.[i]
+  done;
+  !v
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let prop_readers =
+  Tutil.qtest ~count:300 "u8..u48 = big-endian of to_string" gen_shape
+    (fun steps ->
+      let m = shape steps in
+      let s = Msg.to_string m in
+      let len = String.length s in
+      List.for_all
+        (fun (n, read) ->
+          List.for_all
+            (fun off ->
+              if off + n <= len then read m off = big_endian s off n
+              else raises_invalid (fun () -> read m off))
+            (List.init (len + 1) Fun.id)
+          && raises_invalid (fun () -> read m (-1)))
+        [ (1, Msg.u8); (2, Msg.u16); (4, Msg.u32); (6, Msg.u48) ])
+
 let () =
   Alcotest.run "msg"
     [
@@ -138,6 +195,7 @@ let () =
           Alcotest.test_case "pop too short" `Quick pop_too_short;
           prop_push_pop;
         ] );
+      ("readers", [ prop_readers ]);
       ( "structure",
         [
           Alcotest.test_case "O(1) length" `Quick length_o1;

@@ -5,7 +5,7 @@ module Probe = Netproto.Probe
 (* --- Netdev --- *)
 
 let frame ~dst ~src ~typ payload =
-  let w = Codec.W.create () in
+  let w = Codec.W.create 14 in
   Codec.W.u48 w (Addr.Eth.to_int dst);
   Codec.W.u48 w (Addr.Eth.to_int src);
   Codec.W.u16 w typ;

@@ -211,7 +211,8 @@ let header_codec_roundtrip =
           data2_off = 0;
         }
       in
-      Rpc.Wire_fmt.Sprite.decode (Rpc.Wire_fmt.Sprite.encode h) = Some h)
+      Rpc.Wire_fmt.Sprite.read (Msg.of_string (Rpc.Wire_fmt.Sprite.encode h))
+      = Some h)
 
 let () =
   Alcotest.run "sprite_mono"
