@@ -113,22 +113,19 @@ let microbench () =
                    (Msg.of_string (Rpc.Wire_fmt.Channel.encode h)))));
       Test.make ~name:"FRAGMENT header encode + read"
         (Staged.stage
-           (let h =
-              {
-                Rpc.Wire_fmt.Fragment.typ = Rpc.Wire_fmt.Fragment.typ_data;
-                clnt_host = Addr.Ip.v 10 0 0 1;
-                srvr_host = Addr.Ip.v 10 0 0 2;
-                protocol_num = 93;
-                sequence_num = 7;
-                num_frags = 1;
-                frag_mask = 1;
-                len = 22;
-              }
-            in
+           (let module F = Rpc.Wire_fmt.Fragment in
+            let clnt = Addr.Ip.v 10 0 0 1 and srvr = Addr.Ip.v 10 0 0 2 in
             fun () ->
+              let m =
+                Msg.of_string
+                  (F.encode ~typ:F.typ_data ~clnt ~srvr ~proto:93 ~seq:7
+                     ~num:1 ~mask:1 ~len:22)
+              in
               ignore
-                (Rpc.Wire_fmt.Fragment.read
-                   (Msg.of_string (Rpc.Wire_fmt.Fragment.encode h)))));
+                (Sys.opaque_identity
+                   (F.typ m + Addr.Ip.to_int (F.clnt_host m)
+                  + Addr.Ip.to_int (F.srvr_host m) + F.protocol_num m
+                  + F.sequence_num m + F.num_frags m + F.frag_mask m + F.len m))));
       Test.make ~name:"IP checksum over 20B"
         (Staged.stage
            (let hdr = String.make 20 '\x42' in
@@ -203,9 +200,82 @@ let microbench () =
         (Staged.stage (contended_charge ~timers:4096));
     ]
   in
+  (* One 16 KB message down through FRAGMENT on one host and up through
+     FRAGMENT on another, over a lower layer that hands each fragment
+     straight across: the split, 16 headers written and read, the send
+     cache, the reassembly and delivery, and the timers they arm, on
+     the calibrated machine.  A run drains the simulator, so the
+     message's discard timer fires inside it too. *)
+  let fragment_16k =
+    let sim = Sim.create () in
+    let host i =
+      Host.create sim ~name:(Printf.sprintf "frag%d" i) ~ip:(Addr.Ip.v 10 9 9 i)
+        ~eth:(Addr.Eth.v i) ~profile:Machine.xkernel_sun3 ()
+    in
+    let h0 = host 1 and h1 = host 2 in
+    (* A protocol whose one session pushes into [push]; it delivers
+       nothing itself. *)
+    let handoff ~host push =
+      let p = Proto.create ~host ~name:"HANDOFF" () in
+      let s =
+        Proto.make_session p
+          {
+            Proto.push;
+            pop = ignore;
+            s_control = (fun _ -> Control.Unsupported);
+            close = ignore;
+          }
+      in
+      Proto.set_ops p
+        {
+          Proto.open_ = (fun ~upper:_ _ -> s);
+          open_enable = (fun ~upper:_ _ -> ());
+          open_done = (fun ~upper:_ _ -> s);
+          demux = (fun ~lower:_ _ -> ());
+          p_control = (fun _ -> Control.Unsupported);
+        };
+      (p, s)
+    in
+    let lower1, below1 = handoff ~host:h1 ignore in
+    let f1 = Rpc.Fragment.create ~host:h1 ~lower:lower1 () in
+    let lower0, _ =
+      handoff ~host:h0 (fun frame ->
+          Proto.deliver (Rpc.Fragment.proto f1) ~lower:below1 frame)
+    in
+    let f0 = Rpc.Fragment.create ~host:h0 ~lower:lower0 () in
+    (* The protocol above FRAGMENT on either side: [handoff]'s demux
+       drops what it is handed. *)
+    let sink, _ = handoff ~host:h1 ignore in
+    Proto.open_enable (Rpc.Fragment.proto f1) ~upper:sink
+      (Part.v ~local:[ Part.Ip_proto 200 ] ());
+    let body = Msg.fill 16384 'f' in
+    let go = Sim.Semaphore.create sim 0 in
+    Sim.spawn sim (fun () ->
+        let sess =
+          Proto.open_ (Rpc.Fragment.proto f0)
+            ~upper:(fst (handoff ~host:h0 ignore))
+            (Part.v
+               ~local:[ Part.Ip h0.Host.ip; Part.Ip_proto 200 ]
+               ~remotes:[ [ Part.Ip h1.Host.ip; Part.Ip_proto 200 ] ]
+               ())
+        in
+        let rec sender () =
+          Sim.Semaphore.p go;
+          Proto.push sess body;
+          sender ()
+        in
+        sender ());
+    Sim.run sim;
+    fun () ->
+      Sim.Semaphore.v go;
+      Sim.run sim
+  in
+  let layer_ops =
+    [ Test.make ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k) ]
+  in
   let tests =
     Test.make_grouped ~name:"xkernel"
-      ([ crossing 1; crossing 5; crossing 10 ] @ msg_ops @ sync_ops)
+      ([ crossing 1; crossing 5; crossing 10 ] @ msg_ops @ sync_ops @ layer_ops)
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in

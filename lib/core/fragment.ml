@@ -4,13 +4,11 @@ module F = Wire_fmt.Fragment
 let max_frags = 16 (* the 16-bit fragment mask *)
 
 type reasm = {
-  pieces : Msg.t option array;
+  pieces : Msg.t array; (* slot [i] holds fragment [i] once [have] says so *)
   mutable have : int; (* mask of fragments received *)
   r_num : int;
   mutable nacks_left : int;
 }
-
-type send_entry = { frags : (F.t * Msg.t) array }
 
 type sess = {
   peer : Addr.Ip.t;
@@ -18,7 +16,9 @@ type sess = {
   upper : Proto.t;
   lower_sess : Proto.session;
   mutable next_seq : int;
-  cache : (int, send_entry) Hashtbl.t; (* sent messages awaiting discard *)
+  cache : (int, Msg.t array) Hashtbl.t;
+      (* sent messages awaiting discard: fragment [i] carries mask bit
+         [i], so a NACK names the slots to send again *)
   reasm : (int, reasm) Hashtbl.t;
   recent : (int, float) Hashtbl.t; (* recently completed sequence numbers *)
   recent_q : (int * float) Queue.t;
@@ -59,11 +59,17 @@ let proto t = t.p
 let max_message t = max_frags * t.frag_size
 let full_mask num = (1 lsl num) - 1
 
-let send_fragment t s (hdr, piece) =
+(* Fragment [i] of message [seq]; its header is written only here, so
+   the send cache holds nothing but the pieces. *)
+let send_fragment t s ~seq ~num i piece =
   Machine.charge t.host.Host.mach
     [ Machine.Frag_bookkeep; Machine.Header F.bytes ];
   Stats.tick t.c_tx_frag;
-  let frame = Msg.push piece (F.encode hdr) in
+  let hdr =
+    F.encode ~typ:F.typ_data ~clnt:t.host.Host.ip ~srvr:s.peer
+      ~proto:s.proto_num ~seq ~num ~mask:(1 lsl i) ~len:(Msg.length piece)
+  in
+  let frame = Msg.push piece hdr in
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"FRAGMENT"
     ~dir:`Send frame;
   Proto.push s.lower_sess frame
@@ -89,49 +95,32 @@ let push_message t s msg =
     let seq = s.next_seq in
     s.next_seq <- s.next_seq + 1;
     Stats.tick t.c_tx_msg;
-    let frag i =
+    let piece i =
       let off = i * chunk in
       let this = min chunk (len - off) in
-      let piece = if this <= 0 then Msg.empty else Msg.sub msg off this in
-      ( {
-          F.typ = F.typ_data;
-          clnt_host = t.host.Host.ip;
-          srvr_host = s.peer;
-          protocol_num = s.proto_num;
-          sequence_num = seq;
-          num_frags = num;
-          frag_mask = 1 lsl i;
-          len = Msg.length piece;
-        },
-        piece )
+      if this <= 0 then Msg.empty else Msg.sub msg off this
     in
-    let entry = { frags = Array.init num frag } in
-    Hashtbl.replace s.cache seq entry;
+    let pieces = Array.init num piece in
+    Hashtbl.replace s.cache seq pieces;
     ignore
       (Event.schedule t.host cache_ttl (fun () ->
            if Hashtbl.mem s.cache seq then begin
              Hashtbl.remove s.cache seq;
              Stats.incr t.stats "cache-drop"
            end));
-    Array.iter (send_fragment t s) entry.frags
+    for i = 0 to num - 1 do
+      send_fragment t s ~seq ~num i pieces.(i)
+    done
   end
 
 let send_nack t s ~seq ~num ~missing =
   Stats.incr t.stats "nack-tx";
   let hdr =
-    {
-      F.typ = F.typ_nack;
-      clnt_host = t.host.Host.ip;
-      srvr_host = s.peer;
-      protocol_num = s.proto_num;
-      sequence_num = seq;
-      num_frags = num;
-      frag_mask = missing;
-      len = 0;
-    }
+    F.encode ~typ:F.typ_nack ~clnt:t.host.Host.ip ~srvr:s.peer
+      ~proto:s.proto_num ~seq ~num ~mask:missing ~len:0
   in
   Machine.charge_one t.host.Host.mach (Machine.Header F.bytes);
-  Proto.push s.lower_sess (Msg.of_string (F.encode hdr))
+  Proto.push s.lower_sess (Msg.of_string hdr)
 
 (* Receiver side: the persistence mechanism.  While a message sits
    incomplete, periodically ask the sender for exactly the missing
@@ -191,76 +180,78 @@ let deliver_complete t s msg =
   Stats.tick t.c_rx_msg;
   Proto.deliver s.upper ~lower:(Option.get s.xs) msg
 
-let handle_data t s (hdr : F.t) piece =
-  let seq = hdr.F.sequence_num in
+(* The index [i] below [num] whose bit is the whole of [mask], or -1:
+   a data fragment names exactly one slot. *)
+let rec frag_index num mask i =
+  if i >= num then -1 else if mask = 1 lsl i then i else frag_index num mask (i + 1)
+
+let reasm_entry s seq num =
+  match Hashtbl.find s.reasm seq with
+  | e -> e
+  | exception Not_found ->
+      let e =
+        {
+          pieces = Array.make num Msg.empty;
+          have = 0;
+          r_num = num;
+          nacks_left = nack_retries;
+        }
+      in
+      Hashtbl.replace s.reasm seq e;
+      e
+
+(* Receiver side: reassembly.  Arming the gap timer charges the CPU,
+   and the charge may yield to a fiber handling another fragment of the
+   same message, so the timer is armed only after this fragment is
+   stored and the mask tested.  Armed before, the yield would let a
+   duplicate of this fragment take its slot and a third fiber complete
+   the message; this fiber would then find the mask full and deliver
+   the message a second time. *)
+let handle_data t s ~seq ~num ~mask piece =
   if Hashtbl.mem s.recent seq then Stats.incr t.stats "rx-dup-complete"
-  else if hdr.F.num_frags = 1 then begin
+  else if num = 1 then begin
     note_recent t s seq;
     deliver_complete t s piece
   end
-  else begin
-    let num = hdr.F.num_frags in
-    if num < 1 || num > max_frags then Stats.incr t.stats "rx-malformed"
+  else if num < 1 || num > max_frags then Stats.incr t.stats "rx-malformed"
+  else
+    let idx = frag_index num mask 0 in
+    if idx < 0 then Stats.incr t.stats "rx-malformed"
     else
-      let idx =
-        let rec find i =
-          if i >= num then None
-          else if hdr.F.frag_mask = 1 lsl i then Some i
-          else find (i + 1)
-        in
-        find 0
-      in
-      match idx with
-      | None -> Stats.incr t.stats "rx-malformed"
-      | Some idx -> (
-          let entry =
-            match Hashtbl.find_opt s.reasm seq with
-            | Some e -> e
-            | None ->
-                let e =
-                  {
-                    pieces = Array.make num None;
-                    have = 0;
-                    r_num = num;
-                    nacks_left = nack_retries;
-                  }
-                in
-                Hashtbl.replace s.reasm seq e;
-                arm_gap_timer t s seq;
-                e
-          in
-          if entry.r_num <> num then Stats.incr t.stats "rx-malformed"
-          else begin
-            if entry.pieces.(idx) = None then begin
-              entry.pieces.(idx) <- Some piece;
-              entry.have <- entry.have lor (1 lsl idx)
-            end
-            else Stats.incr t.stats "rx-dup-frag";
-            if entry.have = full_mask num then begin
-              Hashtbl.remove s.reasm seq;
-              note_recent t s seq;
-              let whole =
-                Array.fold_left
-                  (fun acc piece -> Msg.append acc (Option.get piece))
-                  Msg.empty entry.pieces
-              in
-              deliver_complete t s whole
-            end
-          end)
-  end
+      let entry = reasm_entry s seq num in
+      if entry.r_num <> num then Stats.incr t.stats "rx-malformed"
+      else begin
+        (* Only the fiber that made the entry finds it empty. *)
+        let fresh = entry.have = 0 in
+        if entry.have land mask = 0 then begin
+          entry.pieces.(idx) <- piece;
+          entry.have <- entry.have lor mask
+        end
+        else Stats.incr t.stats "rx-dup-frag";
+        if entry.have = full_mask num then begin
+          Hashtbl.remove s.reasm seq;
+          note_recent t s seq;
+          (* Fold from the right: the cord leans right, so the headers
+             above are read and dropped at its shallow left end, and a
+             [Msg.sub] of it (an echo sent back) walks only the pieces it
+             spans. *)
+          deliver_complete t s (Array.fold_right Msg.append entry.pieces Msg.empty)
+        end
+        else if fresh then arm_gap_timer t s seq
+      end
 
-let handle_nack t s (hdr : F.t) =
+let handle_nack t s ~seq ~mask =
   Stats.incr t.stats "nack-rx";
-  match Hashtbl.find_opt s.cache hdr.F.sequence_num with
-  | None -> Stats.incr t.stats "nack-stale"
-  | Some entry ->
-      Array.iter
-        (fun ((fh : F.t), _piece as frag) ->
-          if fh.F.frag_mask land hdr.F.frag_mask <> 0 then begin
-            Stats.incr t.stats "retransmit";
-            send_fragment t s frag
-          end)
-        entry.frags
+  match Hashtbl.find s.cache seq with
+  | exception Not_found -> Stats.incr t.stats "nack-stale"
+  | pieces ->
+      let num = Array.length pieces in
+      for i = 0 to num - 1 do
+        if (1 lsl i) land mask <> 0 then begin
+          Stats.incr t.stats "retransmit";
+          send_fragment t s ~seq ~num i pieces.(i)
+        end
+      done
 
 let make_session t ~upper (peer, proto_num) =
   let lower_sess =
@@ -313,22 +304,26 @@ let input t msg =
     [ Machine.Header F.bytes; Machine.Frag_bookkeep ];
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"FRAGMENT"
     ~dir:`Recv msg;
-  match F.read msg with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some hdr -> (
-      Stats.tick t.c_rx_frag;
-      (* The peer is whoever sent this packet. *)
-      let proto_num = hdr.F.protocol_num in
-      match Demux.resolve t.demux t (hdr.F.clnt_host, proto_num) proto_num with
-      | None -> Stats.incr t.stats "rx-unbound"
-      | Some s ->
-          if hdr.F.typ = F.typ_nack then handle_nack t s hdr
-          else if hdr.F.typ = F.typ_data then begin
-            if Msg.length msg - F.bytes < hdr.F.len then
-              Stats.incr t.stats "rx-short"
-            else handle_data t s hdr (Msg.sub msg F.bytes hdr.F.len)
-          end
-          else Stats.incr t.stats "rx-malformed")
+  if Msg.length msg < F.bytes then Stats.incr t.stats "rx-runt"
+  else begin
+    Stats.tick t.c_rx_frag;
+    (* The peer is whoever sent this packet. *)
+    let proto_num = F.protocol_num msg in
+    match Demux.resolve t.demux t (F.clnt_host msg, proto_num) proto_num with
+    | None -> Stats.incr t.stats "rx-unbound"
+    | Some s ->
+        let typ = F.typ msg in
+        if typ = F.typ_nack then
+          handle_nack t s ~seq:(F.sequence_num msg) ~mask:(F.frag_mask msg)
+        else if typ = F.typ_data then begin
+          let len = F.len msg in
+          if Msg.length msg - F.bytes < len then Stats.incr t.stats "rx-short"
+          else
+            handle_data t s ~seq:(F.sequence_num msg) ~num:(F.num_frags msg)
+              ~mask:(F.frag_mask msg) (Msg.sub msg F.bytes len)
+        end
+        else Stats.incr t.stats "rx-malformed"
+  end
 
 let open_session t ~upper part =
   let peer = Part.peer_ip part in

@@ -94,13 +94,14 @@ let observe_boot t ~server ~boot_id =
           dead
       end
 
-let key ~client ~server req =
-  String.concat "|"
-    [
-      string_of_int (Addr.Ip.to_int client);
-      string_of_int (Addr.Ip.to_int server);
-      req;
-    ]
+(* The cache key, written once at its exact size: client, server (4
+   bytes each), then the request body. *)
+let key ~client ~server body =
+  let k = Bytes.create (8 + Msg.length body) in
+  Bytes.set_int32_be k 0 (Int32.of_int (Addr.Ip.to_int client));
+  Bytes.set_int32_be k 4 (Int32.of_int (Addr.Ip.to_int server));
+  Msg.blit body k 8;
+  Bytes.unsafe_to_string k
 
 let store t k e =
   if not (Hashtbl.mem t.cache k) then begin
@@ -135,18 +136,10 @@ let synthesize t ~client ~server ~ch (e : entry) =
   let seq = t.synth_seq in
   t.synth_seq <- t.synth_seq + 1;
   let frag_hdr =
-    {
-      F.typ = F.typ_data;
-      clnt_host = server;
-      srvr_host = client;
-      protocol_num = 93;
-      sequence_num = seq;
-      num_frags = 1;
-      frag_mask = 1;
-      len = String.length chan_payload;
-    }
+    F.encode ~typ:F.typ_data ~clnt:server ~srvr:client ~proto:93 ~seq ~num:1
+      ~mask:1 ~len:(String.length chan_payload)
   in
-  let frame = Msg.push (Msg.of_string chan_payload) (F.encode frag_hdr) in
+  let frame = Msg.push (Msg.of_string chan_payload) frag_hdr in
   Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
     "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
     Addr.Ip.pp client;
@@ -186,7 +179,7 @@ let on_request t ~client ~server ~ch body =
           false
         end
         else begin
-          let k = key ~client ~server (Msg.to_string body) in
+          let k = key ~client ~server body in
           let fresh e =
             Sim.now (Host.sim t.host) -. e.e_stored <= t.ttl
             && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
@@ -250,31 +243,28 @@ let on_reply t ~client ~server ~ch body =
   false
 
 let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
-  if proto_num <> 92 then false
-  else
-    match F.read msg with
+  if proto_num <> 92 || Msg.length msg < F.bytes then false
+  else if
+    F.typ msg <> F.typ_data || F.num_frags msg <> 1 || F.protocol_num msg <> 93
+  then false
+  else begin
+    Machine.charge t.host.Host.mach
+      [ Machine.Virtual_op; Machine.Header F.bytes; Machine.Header Ch.bytes ];
+    let rest = Msg.drop msg F.bytes in
+    match Ch.read rest with
     | None -> false
-    | Some fh ->
-        if fh.F.typ <> F.typ_data || fh.F.num_frags <> 1 || fh.F.protocol_num <> 93
-        then false
-        else begin
-          Machine.charge t.host.Host.mach
-            [ Machine.Virtual_op; Machine.Header F.bytes; Machine.Header Ch.bytes ];
-          let rest = Msg.drop msg F.bytes in
-          match Ch.read rest with
-          | None -> false
-          | Some ch ->
-              let body = Msg.drop rest (Ch.length ch) in
-              if ch.Ch.flags land Flags.request <> 0 then
-                (* In a request frame FRAGMENT's sender field is the
-                   client; in a reply it is the server. *)
-                on_request t ~client:fh.F.clnt_host ~server:fh.F.srvr_host ~ch
-                  body
-              else if ch.Ch.flags land Flags.reply <> 0 then
-                on_reply t ~client:fh.F.srvr_host ~server:fh.F.clnt_host ~ch
-                  body
-              else false
-        end
+    | Some ch ->
+        let body = Msg.drop rest (Ch.length ch) in
+        if ch.Ch.flags land Flags.request <> 0 then
+          (* In a request frame FRAGMENT's sender field is the client; in
+             a reply it is the server. *)
+          on_request t ~client:(F.clnt_host msg) ~server:(F.srvr_host msg) ~ch
+            body
+        else if ch.Ch.flags land Flags.reply <> 0 then
+          on_reply t ~client:(F.srvr_host msg) ~server:(F.clnt_host msg) ~ch
+            body
+        else false
+  end
 
 let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) () =
   let stats = Stats.create ~name:(host.Host.name ^ "/INC") () in

@@ -226,45 +226,29 @@ module Map = struct
 end
 
 module Fragment = struct
-  type t = {
-    typ : int;
-    clnt_host : Addr.Ip.t;
-    srvr_host : Addr.Ip.t;
-    protocol_num : int;
-    sequence_num : int;
-    num_frags : int;
-    frag_mask : int;
-    len : int;
-  }
-
   let bytes = 23
   let typ_data = 1
   let typ_nack = 2
 
-  let encode t =
+  let encode ~typ ~clnt ~srvr ~proto ~seq ~num ~mask ~len =
     let w = Codec.W.create bytes in
-    Codec.W.u8 w t.typ;
-    Codec.W.u32 w (Addr.Ip.to_int t.clnt_host);
-    Codec.W.u32 w (Addr.Ip.to_int t.srvr_host);
-    Codec.W.u32 w t.protocol_num;
-    Codec.W.u32 w t.sequence_num;
-    Codec.W.u16 w t.num_frags;
-    Codec.W.u16 w t.frag_mask;
-    Codec.W.u16 w t.len;
+    Codec.W.u8 w typ;
+    Codec.W.u32 w (Addr.Ip.to_int clnt);
+    Codec.W.u32 w (Addr.Ip.to_int srvr);
+    Codec.W.u32 w proto;
+    Codec.W.u32 w seq;
+    Codec.W.u16 w num;
+    Codec.W.u16 w mask;
+    Codec.W.u16 w len;
     Codec.W.contents w
 
-  let read m =
-    if Msg.length m < bytes then None
-    else
-      Some
-        {
-          typ = Msg.u8 m 0;
-          clnt_host = Addr.Ip.of_int32_bits (Msg.u32 m 1);
-          srvr_host = Addr.Ip.of_int32_bits (Msg.u32 m 5);
-          protocol_num = Msg.u32 m 9;
-          sequence_num = Msg.u32 m 13;
-          num_frags = Msg.u16 m 17;
-          frag_mask = Msg.u16 m 19;
-          len = Msg.u16 m 21;
-        }
+  (* The field offsets, in the order [encode] writes them. *)
+  let typ m = Msg.u8 m 0
+  let clnt_host m = Addr.Ip.of_int32_bits (Msg.u32 m 1)
+  let srvr_host m = Addr.Ip.of_int32_bits (Msg.u32 m 5)
+  let protocol_num m = Msg.u32 m 9
+  let sequence_num m = Msg.u32 m 13
+  let num_frags m = Msg.u16 m 17
+  let frag_mask m = Msg.u16 m 19
+  let len m = Msg.u16 m 21
 end

@@ -10,7 +10,8 @@
     Each [read] takes the header at the front of a message, reading its
     fields in place ({!Xkernel.Msg.u16} and friends), and returns [None]
     when the message is too short to hold it; the caller then
-    {!Xkernel.Msg.drop}s the header. *)
+    {!Xkernel.Msg.drop}s the header.  FRAGMENT_HDR, read once per
+    packet on the bulk path, has one reader per field instead. *)
 
 (** Flag bits shared by SPRITE_HDR and CHANNEL_HDR. *)
 module Flags : sig
@@ -161,25 +162,46 @@ module Map : sig
       [>= n_replicas]. *)
 end
 
+(** FRAGMENT_HDR has no record: FRAGMENT writes it field by field and
+    reads each field in place where it needs it, so a fragment costs
+    only its header bytes on either side. *)
 module Fragment : sig
-  type t = {
-    typ : int;
-    clnt_host : Xkernel.Addr.Ip.t;  (** sending host *)
-    srvr_host : Xkernel.Addr.Ip.t;  (** receiving host *)
-    protocol_num : int;
-    sequence_num : int;
-    num_frags : int;
-    frag_mask : int;
-    len : int;  (** payload bytes in this fragment *)
-  }
-
   val bytes : int
   (** 23 *)
 
   val typ_data : int
   val typ_nack : int
-  (** request for the missing fragments named in [frag_mask] *)
+  (** request for the missing fragments named in the mask *)
 
-  val encode : t -> string
-  val read : Xkernel.Msg.t -> t option
+  val encode :
+    typ:int ->
+    clnt:Xkernel.Addr.Ip.t ->
+    srvr:Xkernel.Addr.Ip.t ->
+    proto:int ->
+    seq:int ->
+    num:int ->
+    mask:int ->
+    len:int ->
+    string
+  (** The header of one fragment: [clnt] is the sending host, [srvr] the
+      receiving one, [proto] the protocol number of the layer above,
+      [num] the message's fragment count, [mask] this fragment's bit (a
+      NACK's missing ones) and [len] its payload bytes.  Each field is
+      masked to its width. *)
+
+  (** {2 In-place field readers}
+
+      Each reads one field of the header at the front of a message
+      without allocating.  The caller checks first that the message
+      holds at least {!bytes}; a shorter one raises
+      [Invalid_argument]. *)
+
+  val typ : Xkernel.Msg.t -> int
+  val clnt_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t
+  val srvr_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t
+  val protocol_num : Xkernel.Msg.t -> int
+  val sequence_num : Xkernel.Msg.t -> int
+  val num_frags : Xkernel.Msg.t -> int
+  val frag_mask : Xkernel.Msg.t -> int
+  val len : Xkernel.Msg.t -> int
 end

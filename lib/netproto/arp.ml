@@ -13,6 +13,7 @@ type t = {
   table : (Addr.Ip.t, Addr.Eth.t) Hashtbl.t;
   pending : (Addr.Ip.t, Addr.Eth.t Sim.Ivar.ivar list ref) Hashtbl.t;
   mutable bcast : Proto.session option;
+  mutable generation : int; (* bumped when [table] gains or changes a mapping *)
   stats : Stats.t;
 }
 
@@ -27,7 +28,14 @@ let encode ~op ~sender_ip ~sender_eth ~target_ip ~target_eth =
   Codec.W.u48 w (Addr.Eth.to_int target_eth);
   Codec.W.contents w
 
-let add_entry t ip eth = Hashtbl.replace t.table ip eth
+let generation t = t.generation
+
+let add_entry t ip eth =
+  match Hashtbl.find t.table ip with
+  | e when Addr.Eth.equal e eth -> ()
+  | _ | (exception Not_found) ->
+      Hashtbl.replace t.table ip eth;
+      t.generation <- t.generation + 1
 
 let reverse t eth =
   Hashtbl.fold
@@ -92,7 +100,7 @@ let resolve t ip =
 
 let learn t ip eth =
   if not (Addr.Ip.equal ip t.host.Host.ip) then begin
-    Hashtbl.replace t.table ip eth;
+    add_entry t ip eth;
     match Hashtbl.find_opt t.pending ip with
     | None -> ()
     | Some waiters ->
@@ -135,6 +143,7 @@ let create ~host ~eth =
       table = Hashtbl.create 16;
       pending = Hashtbl.create 8;
       bcast = None;
+      generation = 0;
       stats = Proto.stats p;
     }
   in

@@ -25,5 +25,10 @@ val reverse : t -> Xkernel.Addr.Eth.t -> Xkernel.Addr.Ip.t option
 (** Reverse cache lookup — lets header-less virtual protocols identify
     the IP peer behind an incoming ethernet session. *)
 
+val generation : t -> int
+(** A count that grows whenever the table gains a mapping or one changes
+    — not when a reply repeats what it holds — so a client that
+    remembers {!reverse} answers knows when they may be stale. *)
+
 (** The protocol object answers [Resolve] (blocking; [R_eth] or
     [R_bool false]), [Reverse_resolve], and [Is_local]. *)

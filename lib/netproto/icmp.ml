@@ -31,21 +31,21 @@ let on_event t f = t.observer <- Some f
 let emit t ev = match t.observer with Some f -> f ev | None -> ()
 
 (* Checksum covers the whole ICMP message with the checksum field
-   zeroed, exactly like the IP header checksum. *)
+   zeroed, exactly like the IP header checksum: the header's other three
+   words, then the payload where it lies. *)
 let encode ~typ ~code ~ident ~seq payload =
-  let w = Codec.W.create (header_bytes + Msg.length payload) in
+  let words =
+    (((typ land 0xff) lsl 8) lor (code land 0xff))
+    + (ident land 0xffff) + (seq land 0xffff)
+  in
+  let ck = lnot (Msg.ones_complement_sum ~init:words payload) land 0xffff in
+  let w = Codec.W.create header_bytes in
   Codec.W.u8 w typ;
   Codec.W.u8 w code;
-  Codec.W.u16 w 0;
+  Codec.W.u16 w ck;
   Codec.W.u16 w ident;
   Codec.W.u16 w seq;
-  Codec.W.bytes w (Msg.to_string payload);
-  let raw = Codec.W.contents w in
-  let ck = Codec.ip_checksum raw in
-  let b = Bytes.of_string raw in
-  Bytes.set_uint8 b 2 (ck lsr 8);
-  Bytes.set_uint8 b 3 (ck land 0xff);
-  Msg.of_string (Bytes.to_string b)
+  Msg.push payload (Codec.W.contents w)
 
 let session_to t peer =
   match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer) with
@@ -84,7 +84,7 @@ let ping t ~peer ?(payload = 56) ?(timeout = 1.0) () =
 let input t ~lower msg =
   Machine.charge t.host.Host.mach
     [ Machine.Header header_bytes; Machine.Checksum (Msg.length msg) ];
-  if Codec.ones_complement_sum (Msg.to_string msg) <> 0xffff then
+  if Msg.ones_complement_sum msg <> 0xffff then
     Stats.incr t.stats "rx-bad-checksum"
   else if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else

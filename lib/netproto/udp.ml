@@ -16,12 +16,12 @@ type t = {
 
 let proto t = t.p
 
+(* The checksum of the source and destination addresses followed by the
+   payload, summed where the payload lies. *)
 let pseudo_checksum ~src ~dst payload =
-  let w = Codec.W.create (8 + Msg.length payload) in
-  Codec.W.u32 w (Addr.Ip.to_int src);
-  Codec.W.u32 w (Addr.Ip.to_int dst);
-  Codec.W.bytes w (Msg.to_string payload);
-  Codec.ip_checksum (Codec.W.contents w)
+  let word32 ip = (Addr.Ip.to_int ip lsr 16) + (Addr.Ip.to_int ip land 0xffff) in
+  lnot (Msg.ones_complement_sum ~init:(word32 src + word32 dst) payload)
+  land 0xffff
 
 let encode ~sport ~dport ~len ~cksum =
   let w = Codec.W.create header_bytes in

@@ -8,6 +8,7 @@ type t = {
   adv : Vip_adv.t option;
   p : Proto.t;
   demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer ip, proto) *)
+  bound : Proto.session Lower_id.cache; (* lower session -> its session here *)
   stats : Stats.t;
   c_tx_eth : Stats.counter;
   c_tx_ip : Stats.counter;
@@ -104,7 +105,10 @@ let make_session t ~upper (peer_ip, proto_num) =
           (match ip_sess with Some _ -> Ip.max_packet | None -> payload)
     | req -> Stats.control t.stats req
   in
-  let close () = Demux.unbind t.demux (peer_ip, proto_num) in
+  let close () =
+    Demux.unbind t.demux (peer_ip, proto_num);
+    Lower_id.clear t.bound
+  in
   let xs =
     Proto.make_session t.p
       ~name:
@@ -118,15 +122,27 @@ let open_session t ~upper part =
   let peer_ip = Part.peer_ip part in
   Demux.open_ t.demux t ~upper (peer_ip, Part.ip_proto part)
 
+let trace_recv t msg =
+  Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"VIP"
+    ~dir:`Recv msg
+
+(* A lower session's first message identifies its peer and resolves
+   the session here; the rest find that session bound to it. *)
 let input t ~lower msg =
-  match Lower_id.identify ~arp:t.arp lower with
-  | None -> Stats.incr t.stats "rx-unidentified"
-  | Some (peer_ip, proto_num) -> (
-      Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"VIP"
-        ~dir:`Recv msg;
-      match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
-      | Some xs -> Proto.pop xs msg
-      | None -> Stats.incr t.stats "rx-unbound")
+  match Lower_id.find t.bound lower with
+  | xs ->
+      trace_recv t msg;
+      Proto.pop xs msg
+  | exception Not_found -> (
+      match Lower_id.identify ~arp:t.arp lower with
+      | None -> Stats.incr t.stats "rx-unidentified"
+      | Some (peer_ip, proto_num) -> (
+          trace_recv t msg;
+          match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
+          | Some xs ->
+              Lower_id.bind t.bound lower xs;
+              Proto.pop xs msg
+          | None -> Stats.incr t.stats "rx-unbound"))
 
 let create ~host ~eth ~ip ~arp ?adv () =
   let p = Proto.create ~host ~name:"VIP" ~virtual_:true () in
@@ -140,6 +156,7 @@ let create ~host ~eth ~ip ~arp ?adv () =
       adv;
       p;
       demux = Demux.create 16 ~make:make_session;
+      bound = Lower_id.cache ~arp;
       stats;
       c_tx_eth = Stats.counter stats "tx-eth";
       c_tx_ip = Stats.counter stats "tx-ip";

@@ -7,6 +7,7 @@ type t = {
   arp : Arp.t;
   p : Proto.t;
   demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer ip, proto) *)
+  bound : Proto.session Lower_id.cache; (* lower session -> its session here *)
   stats : Stats.t;
 }
 
@@ -57,7 +58,10 @@ let make_session t ~upper (peer_ip, proto_num) =
         | None -> Control.Unsupported)
     | req -> Stats.control t.stats req
   in
-  let close () = Demux.unbind t.demux (peer_ip, proto_num) in
+  let close () =
+    Demux.unbind t.demux (peer_ip, proto_num);
+    Lower_id.clear t.bound
+  in
   let xs =
     Proto.make_session t.p
       ~name:
@@ -72,13 +76,20 @@ let open_session t ~upper part =
   let peer_ip = Part.peer_ip part in
   Demux.open_ t.demux t ~upper (peer_ip, Part.ip_proto part)
 
+(* As VIP's: identify and resolve on a lower session's first message
+   only. *)
 let input t ~lower msg =
-  match Lower_id.identify ~arp:t.arp lower with
-  | None -> Stats.incr t.stats "rx-unidentified"
-  | Some (peer_ip, proto_num) -> (
-      match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
-      | Some xs -> Proto.pop xs msg
-      | None -> Stats.incr t.stats "rx-unbound")
+  match Lower_id.find t.bound lower with
+  | xs -> Proto.pop xs msg
+  | exception Not_found -> (
+      match Lower_id.identify ~arp:t.arp lower with
+      | None -> Stats.incr t.stats "rx-unidentified"
+      | Some (peer_ip, proto_num) -> (
+          match Demux.resolve t.demux t (peer_ip, proto_num) proto_num with
+          | Some xs ->
+              Lower_id.bind t.bound lower xs;
+              Proto.pop xs msg
+          | None -> Stats.incr t.stats "rx-unbound"))
 
 let create ~host ~bulk ~direct ~arp =
   let p = Proto.create ~host ~name:"VIPsize" ~virtual_:true () in
@@ -90,6 +101,7 @@ let create ~host ~bulk ~direct ~arp =
       arp;
       p;
       demux = Demux.create 16 ~make:make_session;
+      bound = Lower_id.cache ~arp;
       stats = Proto.stats p;
     }
   in

@@ -60,11 +60,8 @@ module R : sig
   (** [remaining r] is the number of unread bytes. *)
 end
 
-val ones_complement_sum : string -> int
-(** [ones_complement_sum s] is the 16-bit one's-complement sum of [s]
-    interpreted as a sequence of big-endian 16-bit words (odd trailing
-    byte padded with zero), as used by the IP header checksum. *)
-
 val ip_checksum : string -> int
-(** [ip_checksum s] is the complement of {!ones_complement_sum},
-    i.e. the value stored in an IP header checksum field. *)
+(** [ip_checksum s] is the complement of the 16-bit one's-complement
+    sum of [s] read as big-endian 16-bit words (odd trailing byte padded
+    with zero): the value stored in an IP header checksum field.  A
+    message is summed in place by {!Msg.ones_complement_sum}. *)

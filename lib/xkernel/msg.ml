@@ -61,6 +61,13 @@ let rec fold_leaves f acc = function
   | Leaf l -> f acc l.data l.off l.len
   | Cat c -> fold_leaves f (fold_leaves f acc c.left) c.right
 
+let blit m b off =
+  let copy pos data o len =
+    Bytes.blit_string data o b pos len;
+    pos + len
+  in
+  ignore (fold_leaves copy off m)
+
 let to_string m =
   match m with
   | Empty -> ""
@@ -68,10 +75,9 @@ let to_string m =
       if l.off = 0 && l.len = String.length l.data then l.data
       else String.sub l.data l.off l.len
   | Cat _ ->
-      let buf = Buffer.create (length m) in
-      let add () data off len = Buffer.add_substring buf data off len in
-      fold_leaves add () m;
-      Buffer.contents buf
+      let b = Bytes.create (length m) in
+      blit m b 0;
+      Bytes.unsafe_to_string b
 
 let rec byte_at m i =
   match m with
@@ -113,23 +119,41 @@ let split m n =
   if n < 0 || n > length m then invalid_arg "Msg.split";
   (take m n, drop_ m n)
 
+(* Only the nodes of the slice are new: a subtree it covers whole is
+   shared, and one it misses is not visited. *)
+let rec sub_ m off len =
+  if len = 0 then Empty
+  else if off = 0 && len = length m then m
+  else
+    match m with
+    | Empty -> Empty
+    | Leaf l -> Leaf { data = l.data; off = l.off + off; len }
+    | Cat c ->
+        let ll = length c.left in
+        if off + len <= ll then sub_ c.left off len
+        else if off >= ll then sub_ c.right (off - ll) len
+        else
+          let k = ll - off in
+          Cat { left = sub_ c.left off k; right = sub_ c.right 0 (len - k); len }
+
 let sub m off len =
   if off < 0 || len < 0 || off + len > length m then invalid_arg "Msg.sub";
-  take (drop_ m off) len
+  sub_ m off len
 
 let drop m n =
   if n < 0 || n > length m then invalid_arg "Msg.drop";
   drop_ m n
 
 (* In-place big-endian reads.  A protocol reads its header where a
-   [push] left it: flattened into the first leaf, or the left leaf of a
-   [Cat].  Only a read that straddles leaves (or a header arriving on a
-   [sub]-built spine) goes byte by byte through [get], which also
-   rejects out-of-range offsets. *)
+   [push] left it: in the first leaf, which is the message itself or
+   the leftmost leaf of a [Cat] spine (a reassembled message's first
+   fragment, say).  Only a read that straddles leaves goes byte by byte
+   through [get], which also rejects out-of-range offsets. *)
+let rec first_leaf = function Cat c -> first_leaf c.left | m -> m
+
 let read m off n =
-  match m with
-  | Leaf { data; off = base; len } | Cat { left = Leaf { data; off = base; len }; _ }
-    when off >= 0 && off <= len - n ->
+  match first_leaf m with
+  | Leaf { data; off = base; len } when off >= 0 && off <= len - n ->
       let v = ref 0 in
       for i = base + off to base + off + n - 1 do
         v := (!v lsl 8) lor Char.code (String.unsafe_get data i)
@@ -147,7 +171,67 @@ let u16 m off = read m off 2
 let u32 m off = read m off 4
 let u48 m off = read m off 6
 
-let equal a b = length a = length b && String.equal (to_string a) (to_string b)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* [len] bytes of [a] from [i] against [b] from [j], eight at a time. *)
+let rec bytes_equal a i b j len =
+  if len >= 8 then
+    get64u a i = get64u b j && bytes_equal a (i + 8) b (j + 8) (len - 8)
+  else
+    len = 0
+    || String.unsafe_get a i = String.unsafe_get b j
+       && bytes_equal a (i + 1) b (j + 1) (len - 1)
+
+(* [range_equal m pos data off len]: bytes [pos, pos + len) of [m] are
+   [data]'s bytes [off, off + len).  Descends to the leaves of [m] that
+   hold the range and compares them in place. *)
+let rec range_equal m pos data off len =
+  len = 0
+  ||
+  match m with
+  | Empty -> false
+  | Leaf l -> bytes_equal l.data (l.off + pos) data off len
+  | Cat c ->
+      let ll = length c.left in
+      if pos + len <= ll then range_equal c.left pos data off len
+      else if pos >= ll then range_equal c.right (pos - ll) data off len
+      else
+        let k = ll - pos in
+        range_equal c.left pos data off k
+        && range_equal c.right 0 data (off + k) (len - k)
+
+(* Each leaf of [a], at position [pos], against the same range of [b]. *)
+let rec leaves_equal a pos b =
+  match a with
+  | Empty -> true
+  | Leaf l -> range_equal b pos l.data l.off l.len
+  | Cat c ->
+      leaves_equal c.left pos b
+      && leaves_equal c.right (pos + length c.left) b
+
+let equal a b = length a = length b && leaves_equal a 0 b
+
+(* The sum runs over 16-bit big-endian words of the whole message, so a
+   leaf that ends on an odd byte leaves its high half in [hi] for the
+   next leaf's first byte to complete. *)
+let ones_complement_sum ?(init = 0) m =
+  let sum = ref init and hi = ref (-1) in
+  let add () data off len =
+    for i = off to off + len - 1 do
+      let b = Char.code (String.unsafe_get data i) in
+      if !hi < 0 then hi := b
+      else begin
+        sum := !sum + ((!hi lsl 8) lor b);
+        hi := -1
+      end
+    done
+  in
+  fold_leaves add () m;
+  if !hi >= 0 then sum := !sum + (!hi lsl 8);
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xffff) + (!sum lsr 16)
+  done;
+  !sum
 
 let map_byte i f m =
   if i < 0 || i >= length m then invalid_arg "Msg.map_byte";

@@ -77,8 +77,21 @@ val to_string : t -> string
 (** Linearize.  O(n): for a payload a program consumes as a string,
     and for tests.  Protocols read their headers in place instead. *)
 
+val blit : t -> bytes -> int -> unit
+(** [blit m b off] copies the bytes of [m] into [b] from [off], leaf by
+    leaf.  Raises [Invalid_argument] if they do not fit. *)
+
 val equal : t -> t -> bool
-(** Content equality (ignores tree shape). *)
+(** Content equality (ignores tree shape).  Compares leaf against leaf
+    in place: neither message is linearized. *)
+
+val ones_complement_sum : ?init:int -> t -> int
+(** [ones_complement_sum ~init m] is the 16-bit one's-complement sum of
+    the bytes of [m], read as big-endian 16-bit words (an odd last byte
+    padded with zero), with [init] added before the end-around carries
+    are folded in: the sum of a pseudo-header (UDP) or of header fields
+    (ICMP) then the message, read in place.  A 16-bit word may straddle
+    two leaves.  [init] defaults to 0. *)
 
 val map_byte : int -> (char -> char) -> t -> t
 (** [map_byte i f m] replaces byte [i] with [f] of itself — the wire's

@@ -72,7 +72,7 @@ let checksum_verifies () =
   Bytes.set_uint8 b 10 (ck lsr 8);
   Bytes.set_uint8 b 11 (ck land 0xff);
   Tutil.check_int "sums to ffff" 0xffff
-    (Codec.ones_complement_sum (Bytes.to_string b))
+    (Msg.ones_complement_sum (Msg.of_string (Bytes.to_string b)))
 
 let checksum_catches_flip () =
   let base = Tutil.body 20 in
@@ -85,8 +85,8 @@ let checksum_catches_flip () =
 
 let odd_length () =
   Tutil.check_int "odd == padded even"
-    (Codec.ones_complement_sum "abc")
-    (Codec.ones_complement_sum "abc\x00")
+    (Msg.ones_complement_sum (Msg.of_string "abc"))
+    (Msg.ones_complement_sum (Msg.of_string "abc\x00"))
 
 let prop_u32_roundtrip =
   Tutil.qtest "u32 roundtrip" QCheck.(int_bound 0xffffffff) (fun n ->
@@ -105,7 +105,7 @@ let prop_checksum_identity =
         ^ String.make 1 (Char.chr (ck lsr 8))
         ^ String.make 1 (Char.chr (ck land 0xff))
       in
-      Codec.ones_complement_sum full = 0xffff)
+      Msg.ones_complement_sum (Msg.of_string full) = 0xffff)
 
 (* --- protocol headers: write once, read in place --- *)
 
@@ -141,17 +141,28 @@ let round_trip name ~make ~encode ~read =
       && read (Msg.of_string (String.sub hdr 0 (String.length hdr - 1)))
          = None)
 
+(* FRAGMENT_HDR has no record: its fields, masked to their widths, in
+   [encode]'s order, written with [encode] and read back with the
+   in-place field readers. *)
 let fragment_of v =
-  {
-    F.typ = v.(0) land 0xff;
-    clnt_host = ip v.(1);
-    srvr_host = ip v.(2);
-    protocol_num = v.(3);
-    sequence_num = v.(4);
-    num_frags = v.(5) land 0xffff;
-    frag_mask = v.(6) land 0xffff;
-    len = v.(7) land 0xffff;
-  }
+  [|
+    v.(0) land 0xff; v.(1); v.(2); v.(3); v.(4);
+    v.(5) land 0xffff; v.(6) land 0xffff; v.(7) land 0xffff;
+  |]
+
+let fragment_encode f =
+  F.encode ~typ:f.(0) ~clnt:(ip f.(1)) ~srvr:(ip f.(2)) ~proto:f.(3) ~seq:f.(4)
+    ~num:f.(5) ~mask:f.(6) ~len:f.(7)
+
+let fragment_read m =
+  if Msg.length m < F.bytes then None
+  else
+    Some
+      [|
+        F.typ m; Addr.Ip.to_int (F.clnt_host m); Addr.Ip.to_int (F.srvr_host m);
+        F.protocol_num m; F.sequence_num m; F.num_frags m; F.frag_mask m;
+        F.len m;
+      |]
 
 (* The deadline flag bit (0x10) follows the extension word, as [encode]
    sets it. *)
@@ -191,7 +202,8 @@ let sprite_of v =
 
 let header_props =
   [
-    round_trip "FRAGMENT_HDR" ~make:fragment_of ~encode:F.encode ~read:F.read;
+    round_trip "FRAGMENT_HDR" ~make:fragment_of ~encode:fragment_encode
+      ~read:fragment_read;
     round_trip "CHANNEL_HDR" ~make:channel_of ~encode:C.encode ~read:C.read;
     round_trip "SELECT_HDR" ~make:select_of ~encode:S.encode ~read:S.read;
     round_trip "SPRITE_HDR" ~make:sprite_of ~encode:H.encode ~read:H.read;
@@ -207,9 +219,9 @@ let header_props =
 
 (* Allocation budgets for the header path, in minor words per operation
    over 10k operations (see test_sim's for the method).  OCaml 5.1.1
-   measures nothing for an in-place read of a pushed header, the record
-   and its option for a header read (FRAGMENT 9 + 2, CHANNEL 8 + 2,
-   SELECT 4 + 2), and for an encode the header bytes (4 words for
+   measures nothing for an in-place read of a pushed header (FRAGMENT's
+   field readers are such reads), the record and its option for a
+   header read (CHANNEL 8 + 2, SELECT 4 + 2), and for an encode the header bytes (4 words for
    FRAGMENT's 23 and CHANNEL's 18, 3 for ETH's 14) plus the writer (3).
    The 0.01 over each covers the boxed float of [Gc.minor_words]. *)
 let words_per_op n f =
@@ -221,6 +233,12 @@ let words_per_op n f =
 
 let measured = ref []
 
+(* Every FRAGMENT_HDR field FRAGMENT reads on receive, summed. *)
+let fragment_fields m =
+  F.typ m + Addr.Ip.to_int (F.clnt_host m) + Addr.Ip.to_int (F.srvr_host m)
+  + F.protocol_num m + F.sequence_num m + F.num_frags m + F.frag_mask m
+  + F.len m
+
 let alloc_budget () =
   let n = 10_000 in
   let fh = fragment_of (Array.init 14 (fun i -> 0x01020304 * (i + 1))) in
@@ -229,7 +247,7 @@ let alloc_budget () =
   (* A frame the size of a null call's (pushed onto a small leaf, so
      flattened into one) and one over a 1 KB body (a [Cat]). *)
   let small = Msg.push (Msg.of_string "ping") (C.encode ch) in
-  let large = Msg.push (Msg.fill 1024 'x') (F.encode fh) in
+  let large = Msg.push (Msg.fill 1024 'x') (fragment_encode fh) in
   let keep x = ignore (Sys.opaque_identity x) in
   let figures =
     [
@@ -238,13 +256,17 @@ let alloc_budget () =
         words_per_op n (fun () ->
             keep (Msg.u16 small 0 + Msg.u32 small 4 + Msg.u48 small 8);
             keep (Msg.u16 large 17 + Msg.u32 large 1 + Msg.u48 large 5)) );
-      ("FRAGMENT_HDR read", 11.01, words_per_op n (fun () -> keep (F.read large)));
+      ( "FRAGMENT_HDR field reads",
+        0.01,
+        words_per_op n (fun () -> keep (fragment_fields large)) );
       ("CHANNEL_HDR read", 10.01, words_per_op n (fun () -> keep (C.read small)));
       ( "SELECT_HDR read",
         6.01,
         let m = Msg.push (Msg.of_string "body") (S.encode sh) in
         words_per_op n (fun () -> keep (S.read m)) );
-      ("FRAGMENT_HDR encode", 7.01, words_per_op n (fun () -> keep (F.encode fh)));
+      ( "FRAGMENT_HDR encode",
+        7.01,
+        words_per_op n (fun () -> keep (fragment_encode fh)) );
       ("CHANNEL_HDR encode", 7.01, words_per_op n (fun () -> keep (C.encode ch)));
       (* ETH's [encode_header], field for field. *)
       ( "ETH header encode",

@@ -269,8 +269,190 @@ let prop_integrity_under_faults =
       Tutil.run_in w (fun () -> Sim.delay w.World.sim 1.0);
       List.for_all (fun d -> List.mem d sent) !got)
 
+(* Property: with loss, duplication and reordering of single frames,
+   every message sent comes back intact exactly once.  A data fragment
+   is dropped only on its first transmission, and never fragment 0, so
+   each message starts a reassembly and every gap is repaired by a NACK
+   and a retransmission from the send cache.  ARP frames and NACKs are
+   only duplicated or delayed. *)
+let prop_roundtrip_repaired =
+  Tutil.qtest ~count:30 "every message intact after NACK repair"
+    QCheck.(
+      pair (int_bound 1000)
+        (list_of_size (Gen.int_range 1 4) (int_range 0 16384)))
+    (fun (seed, sizes) ->
+      let w = World.create ~seed () in
+      let rng = Random.State.make [| seed |] in
+      let frag_type = Addr.eth_type_of_ip_proto 92 in
+      let sent_once = Hashtbl.create 64 in
+      let droppable frame =
+        (* ETH header (14 bytes), then FRAGMENT_HDR: VIP adds none. *)
+        Msg.length frame >= 14 + Rpc.Wire_fmt.Fragment.bytes
+        && Msg.u16 frame 12 = frag_type
+        &&
+        let f = Msg.drop frame 14 in
+        let module F = Rpc.Wire_fmt.Fragment in
+        let key = (F.sequence_num f, F.frag_mask f) in
+        F.typ f = F.typ_data && F.frag_mask f <> 1
+        && (not (Hashtbl.mem sent_once key))
+        && (Hashtbl.replace sent_once key ();
+            true)
+      in
+      Wire.set_fault_hook w.World.wire
+        (Some
+           (fun _ frame ->
+             match Random.State.int rng 8 with
+             | 0 when droppable frame -> [ Wire.Drop ]
+             | 1 -> [ Wire.Duplicate ]
+             | 2 -> [ Wire.Delay 0.002 ]
+             | _ -> []));
+      let _, _, sess, got = setup w in
+      let sent = List.mapi (fun i n -> String.make n (Char.chr (65 + i))) sizes in
+      Tutil.run_in w (fun () ->
+          List.iter (fun s -> Proto.push sess (Msg.of_string s)) sent);
+      List.sort compare !got = List.sort compare sent)
+
+(* --- allocation budgets ---
+
+   FRAGMENT between two stub layers, so the figures are FRAGMENT's own
+   (with the layer crossings and CPU charges it makes).  The lower stub
+   keeps what FRAGMENT pushes in a preallocated array; the upper sink
+   keeps the last message delivered.  Minor words per operation, as in
+   test_codec's budgets. *)
+
+(* A protocol with nothing but [demux]: an upper sink, or a bare upper
+   for a session that never delivers. *)
+let stub ~host ~name demux =
+  let p = Proto.create ~host ~name () in
+  Proto.set_ops p
+    {
+      Proto.open_ = (fun ~upper:_ _ -> invalid_arg name);
+      open_enable = (fun ~upper:_ _ -> invalid_arg name);
+      open_done = (fun ~upper:_ _ -> invalid_arg name);
+      demux;
+      p_control = (fun _ -> Control.Unsupported);
+    };
+  p
+
+(* A lower layer with one session, which keeps what is pushed into it
+   in [frames] from slot [!count] on. *)
+let stub_lower ~host frames count =
+  let p = Proto.create ~host ~name:"LOWER" () in
+  let sess =
+    Proto.make_session p
+      {
+        Proto.push =
+          (fun m ->
+            frames.(!count) <- m;
+            incr count);
+        pop = ignore;
+        s_control = (fun _ -> Control.Unsupported);
+        close = ignore;
+      }
+  in
+  Proto.set_ops p
+    {
+      Proto.open_ = (fun ~upper:_ _ -> sess);
+      open_enable = (fun ~upper:_ _ -> ());
+      open_done = (fun ~upper:_ _ -> sess);
+      demux = (fun ~lower:_ _ -> ());
+      p_control = (fun _ -> Control.Unsupported);
+    };
+  (p, sess)
+
+let words_per n f =
+  let w0 = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let measured = ref []
+
+(* OCaml 5.1.1 measures, in minor words: a fragment sent, with its
+   share of the message's split, send cache entry and discard timer,
+   38.53 (budget 40; a header record and a pair per fragment in the
+   cache measure 52); a fragment received, with its share of the
+   reassembly, delivery and dedup entry, 24.86 (26); and on the message
+   FRAGMENT reassembled, the reads and drops of a 4-byte header under
+   an 18-byte one (SELECT's and CHANNEL's), 8 on a cord that leans
+   right (8.01, the 0.01 for the boxed float of [Gc.minor_words]) and
+   120 on a left-deep one. *)
+let alloc_budget () =
+  let w = World.create () in
+  let n0 = World.node w 0 and n1 = World.node w 1 in
+  let msgs = 200 and frags = 16 in
+  let frames = Array.make (msgs * frags) Msg.empty and count = ref 0 in
+  let lower0, _ = stub_lower ~host:n0.World.host frames count in
+  let lower1, below1 = stub_lower ~host:n1.World.host [| Msg.empty |] (ref 0) in
+  let f0 = Fragment.create ~host:n0.World.host ~lower:lower0 () in
+  let f1 = Fragment.create ~host:n1.World.host ~lower:lower1 () in
+  let last = ref Msg.empty in
+  let sink = stub ~host:n1.World.host ~name:"SINK" (fun ~lower:_ m -> last := m) in
+  Proto.open_enable (Fragment.proto f1) ~upper:sink
+    (Part.v ~local:[ Part.Ip_proto 200 ] ());
+  (* A 16 KB body under two headers, as SELECT and CHANNEL push them:
+     16,022 bytes, 16 fragments. *)
+  let body =
+    Msg.push (Msg.push (Msg.fill 16000 'b') (String.make 4 's')) (String.make 18 'c')
+  in
+  let receive () =
+    for i = 0 to !count - 1 do
+      Proto.deliver (Fragment.proto f1) ~lower:below1 frames.(i)
+    done
+  in
+  let send, recv =
+    Tutil.run_in w (fun () ->
+        let sess =
+          Proto.open_ (Fragment.proto f0)
+            ~upper:(stub ~host:n0.World.host ~name:"NULL" (fun ~lower:_ _ -> ()))
+            (Part.v
+               ~local:[ Part.Ip n0.World.host.Host.ip; Part.Ip_proto 200 ]
+               ~remotes:[ [ Part.Ip n1.World.host.Host.ip; Part.Ip_proto 200 ] ]
+               ())
+        in
+        (* One message first, so both sessions exist before measuring. *)
+        Proto.push sess body;
+        receive ();
+        count := 0;
+        let send =
+          words_per (msgs * frags) (fun () ->
+              for _ = 1 to msgs do
+                Proto.push sess body
+              done)
+        in
+        (send, words_per (msgs * frags) receive))
+  in
+  let m = !last in
+  Tutil.check_int "reassembled" (Msg.length body) (Msg.length m);
+  Alcotest.check Tutil.msg "intact" body m;
+  let n = 10_000 in
+  let keep x = ignore (Sys.opaque_identity x) in
+  let figures =
+    [
+      ("per-fragment send", 40., send);
+      ("per-fragment receive", 26., recv);
+      ( "16 KB reassembled, 2 drops",
+        8.01,
+        words_per n (fun () ->
+            for _ = 1 to n do
+              let inner = Msg.drop m 18 in
+              keep (Msg.u16 m 0 + Msg.u32 m 4 + Msg.u16 inner 0);
+              keep (Msg.drop inner 4)
+            done) );
+    ]
+  in
+  measured := figures;
+  match List.filter (fun (_, budget, w) -> not (w <= budget)) figures with
+  | [] -> ()
+  | over ->
+      Alcotest.failf "over budget: %s"
+        (String.concat ", "
+           (List.map
+              (fun (what, budget, w) ->
+                Printf.sprintf "%s %.2f > %g" what w budget)
+              over))
+
 let () =
-  Alcotest.run "fragment"
+  Alcotest.run ~and_exit:false "fragment"
     [
       ( "roundtrip",
         [
@@ -295,5 +477,12 @@ let () =
           Alcotest.test_case "reorder within message" `Quick reorder_within_message;
           Alcotest.test_case "max message enforced" `Quick max_message_enforced;
           prop_integrity_under_faults;
+          prop_roundtrip_repaired;
         ] );
-    ]
+      ("allocation", [ Alcotest.test_case "allocation budget" `Quick alloc_budget ]);
+    ];
+  print_string "\n\nallocation budget, minor words/op:\n";
+  List.iter
+    (fun (what, budget, w) ->
+      Printf.printf "  %-32s %6.2f (budget %g)\n" what w budget)
+    !measured

@@ -186,6 +186,75 @@ let prop_readers =
           && raises_invalid (fun () -> read m (-1)))
         [ (1, Msg.u8); (2, Msg.u16); (4, Msg.u32); (6, Msg.u48) ])
 
+(* [equal] compares leaf against leaf: it must agree with comparing the
+   linearized bytes, for messages of unrelated shapes, for the same
+   bytes rebuilt in another shape (split at random points and joined
+   leaning the other way), and for one byte changed at any offset. *)
+let prop_equal =
+  Tutil.qtest ~count:200 "equal = String.equal of to_string"
+    QCheck.(triple gen_shape gen_shape (list_of_size (Gen.int_range 0 6) small_nat))
+    (fun (sa, sb, cuts) ->
+      let a = shape sa and b = shape sb in
+      let s = Msg.to_string a in
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let rebuilt =
+        let bounds = (0 :: cuts) @ [ n ] in
+        let rec pieces = function
+          | x :: (y :: _ as rest) -> String.sub s x (y - x) :: pieces rest
+          | _ -> []
+        in
+        List.fold_right (fun p acc -> Msg.append (Msg.of_string p) acc)
+          (pieces bounds) Msg.empty
+      in
+      let flip i = Msg.map_byte i (fun c -> Char.chr (Char.code c lxor 1)) in
+      Msg.equal a b = String.equal s (Msg.to_string b)
+      && Msg.equal a rebuilt && Msg.equal rebuilt a
+      && List.for_all
+           (fun i -> not (Msg.equal a (flip i rebuilt) || Msg.equal (flip i a) a))
+           (List.init n Fun.id))
+
+(* Leaves of odd length put a 16-bit word across every boundary. *)
+let prop_checksum =
+  Tutil.qtest ~count:200 "in-place sum = string sum of to_string"
+    QCheck.(
+      pair (int_bound 0x3ffff)
+        (list_of_size (Gen.int_range 0 8)
+           (map (fun s -> if String.length s mod 2 = 0 then s ^ "\x5a" else s)
+              (string_of_size (Gen.int_range 0 9)))))
+    (fun (init, parts) ->
+      let m = build parts in
+      let s = Msg.to_string m in
+      let pseudo =
+        String.init 4 (fun i -> Char.chr ((init lsr (8 * (3 - i))) land 0xff))
+      in
+      (* [Codec.ip_checksum] sums a string on its own and complements. *)
+      let sum s = lnot (Codec.ip_checksum s) land 0xffff in
+      Msg.ones_complement_sum m = sum s
+      && Msg.ones_complement_sum ~init:((init lsr 16) + (init land 0xffff)) m
+         = sum (pseudo ^ s))
+
+(* Two equal 16 KB messages, one as [fill] builds it and one as FRAGMENT
+   reassembles it from 16 pieces: comparing them allocates nothing
+   (OCaml 5.1.1 measures 0 minor words; the 0.01 covers the boxed float
+   of [Gc.minor_words]) and promotes nothing. *)
+let equal_budget () =
+  let a = Msg.fill 16384 'b' in
+  let b =
+    Array.fold_right Msg.append
+      (Array.init 16 (fun _ -> Msg.of_string (String.make 1024 'b')))
+      Msg.empty
+  in
+  let n = 1_000 in
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+  for _ = 1 to n do
+    if not (Msg.equal a b) then Alcotest.fail "unequal"
+  done;
+  let minor = (Gc.minor_words () -. minor0) /. float_of_int n in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check bool) (Printf.sprintf "minor %.2f <= 0.01" minor) true (minor <= 0.01);
+  Alcotest.(check (float 0.)) "no major words" 0. (major1 -. major0)
+
 let () =
   Alcotest.run "msg"
     [
@@ -209,5 +278,8 @@ let () =
           prop_to_string_concat;
           prop_fragment_reassemble;
           prop_get;
+          prop_equal;
+          prop_checksum;
         ] );
+      ("budget", [ Alcotest.test_case "equal allocates nothing" `Quick equal_budget ]);
     ]

@@ -230,6 +230,88 @@ let graph_rendering () =
   Alcotest.(check bool) "ETH below" true (contains s "ETH");
   Alcotest.(check bool) "IP below" true (contains s "IP")
 
+(* --- the binding of a lower session to its upper session ---
+
+   VIP and VIPsize identify a lower session's peer on its first message
+   and bind the session they resolve it to; these cases pin the two
+   events that must undo a binding. *)
+
+let vip_of (n : World.node) = Netproto.Vip.proto n.World.vip
+
+let vip_size_of (n : World.node) =
+  let vaddr = Netproto.Vip_addr.proto n.World.vip_addr in
+  let frag = Rpc.Fragment.create ~host:n.World.host ~lower:vaddr () in
+  Netproto.Vip_size.proto
+    (Netproto.Vip_size.create ~host:n.World.host ~bulk:(Rpc.Fragment.proto frag)
+       ~direct:vaddr ~arp:n.World.arp)
+
+(* An upper protocol that records the lower session of each message. *)
+let recorder host =
+  let seen = ref [] in
+  let p = Proto.create ~host ~name:"REC" () in
+  Proto.set_ops p
+    {
+      Proto.open_ = (fun ~upper:_ _ -> invalid_arg "rec");
+      open_enable = (fun ~upper:_ _ -> invalid_arg "rec");
+      open_done = (fun ~upper:_ _ -> invalid_arg "rec");
+      demux = (fun ~lower _ -> seen := lower :: !seen);
+      p_control = (fun _ -> Control.Unsupported);
+    };
+  (p, seen)
+
+let part_to (local : World.node) (peer : World.node) =
+  Part.v
+    ~local:[ Part.Ip local.World.host.Host.ip; Part.Ip_proto 200 ]
+    ~remotes:[ [ Part.Ip peer.World.host.Host.ip; Part.Ip_proto 200 ] ]
+    ()
+
+(* Node 0 sends small messages to a recorder enabled on node 1. *)
+let binding_rig make =
+  let w = World.create () in
+  let n0 = World.node w 0 and n1 = World.node w 1 in
+  let p0 = make n0 and p1 = make n1 in
+  let rec1, seen = recorder n1.World.host in
+  Proto.open_enable p1 ~upper:rec1 (Part.v ~local:[ Part.Ip_proto 200 ] ());
+  let rec0, _ = recorder n0.World.host in
+  let s0 = Tutil.run_in w (fun () -> Proto.open_ p0 ~upper:rec0 (part_to n0 n1)) in
+  let send () = Tutil.run_in w (fun () -> Proto.push s0 (Msg.of_string "x")) in
+  send ();
+  Tutil.check_int "first message delivered" 1 (List.length !seen);
+  (w, n0, n1, p1, rec1, seen, send)
+
+let rebinds_after_close make () =
+  let w, n0, n1, p1, rec1, seen, send = binding_rig make in
+  let first = List.hd !seen in
+  Proto.close first;
+  let reopened =
+    Tutil.run_in w (fun () -> Proto.open_ p1 ~upper:rec1 (part_to n1 n0))
+  in
+  Alcotest.(check bool) "a new session" true
+    (Proto.session_id reopened <> Proto.session_id first);
+  send ();
+  Tutil.check_int "second message delivered" 2 (List.length !seen);
+  Tutil.check_int "on the reopened session" (Proto.session_id reopened)
+    (Proto.session_id (List.hd !seen))
+
+let stale_eth_unidentified make () =
+  let w, n0, n1, p1, _, seen, send = binding_rig make in
+  (* Node 1's ARP hears that node 0's address moved to another ethernet
+     address; node 0 keeps sending from its own. *)
+  let moved =
+    let c = Codec.W.create 21 in
+    Codec.W.u8 c 2 (* reply *);
+    Codec.W.u32 c (Addr.Ip.to_int n0.World.host.Host.ip);
+    Codec.W.u48 c 0x0800200000ff;
+    Codec.W.u32 c (Addr.Ip.to_int n1.World.host.Host.ip);
+    Codec.W.u48 c (Addr.Eth.to_int n1.World.host.Host.eth);
+    Msg.of_string (Codec.W.contents c)
+  in
+  Tutil.run_in w (fun () ->
+      Proto.deliver (Netproto.Arp.proto n1.World.arp) ~lower:(List.hd !seen) moved);
+  send ();
+  Tutil.check_int "not delivered" 1 (List.length !seen);
+  Tutil.check_int "counted unidentified" 1 (Tutil.stat p1 "rx-unidentified")
+
 let () =
   Alcotest.run "vip"
     [
@@ -256,5 +338,16 @@ let () =
             advertisement_gates_ethernet_path;
           Alcotest.test_case "query reaches late joiner" `Quick
             query_reaches_late_joiner;
+        ] );
+      ( "binding",
+        [
+          Alcotest.test_case "VIP: rebinds after close" `Quick
+            (rebinds_after_close vip_of);
+          Alcotest.test_case "VIP: ARP move unidentifies" `Quick
+            (stale_eth_unidentified vip_of);
+          Alcotest.test_case "VIPsize: rebinds after close" `Quick
+            (rebinds_after_close vip_size_of);
+          Alcotest.test_case "VIPsize: ARP move unidentifies" `Quick
+            (stale_eth_unidentified vip_size_of);
         ] );
     ]
