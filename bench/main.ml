@@ -143,7 +143,7 @@ let microbench () =
      holder's timed wait ends and it queues its next charge behind the
      other seven, whose finish times are already set.  The last charge row adds 4,096 timers that each
      re-arm 2 s out when they fire, the standing population FRAGMENT's
-     discard timers keep on a busy host.  The charge's own events do not
+     discard timers kept on a busy host when it armed one per message.  The charge's own events do not
      sift past them, but the row still pays for the timers that fire. *)
   let sync_ops =
     let handoff =
@@ -205,7 +205,7 @@ let microbench () =
      straight across: the split, 16 headers written and read, the send
      cache, the reassembly and delivery, and the timers they arm, on
      the calibrated machine.  A run drains the simulator, so the
-     message's discard timer fires inside it too. *)
+     session's discard sweep fires inside it too. *)
   let fragment_16k =
     let sim = Sim.create () in
     let host i =

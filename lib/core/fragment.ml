@@ -10,25 +10,58 @@ type reasm = {
   mutable nacks_left : int;
 }
 
+(* What FRAGMENT holds for 2 s sits in flat rings: power-of-two arrays
+   indexed by a counter masked to the capacity, one array per field.
+
+   The send cache holds the messages [sent_base, next_seq): [next_seq]
+   moves only when a message is cached, so a session caches contiguous
+   sequence numbers and message [seq] sits at slot [seq] of the ring.
+   A slot keeps the message whole with its chunk size; fragment [i]
+   carries mask bit [i], and a NACK re-cuts the fragments it names as
+   the first send cut them.  Discard times grow with [seq] (each is
+   read at the end of a [Timer_op] charge, and the CPU serves charges
+   in arrival order), so one sweep per session, due at the oldest
+   message's discard time, frees the cache.  A slot whose charge is
+   still in flight has discard time [infinity] and holds the sweep up.
+
+   [recent] keeps its insertion order in a second ring.  Sim time is
+   monotone and a sequence number is noted at most once while it is
+   there, so the ring's head is always the oldest entry, and pruning
+   pops a prefix instead of folding the whole table on every
+   delivery. *)
 type sess = {
   peer : Addr.Ip.t;
   proto_num : int;
   upper : Proto.t;
   lower_sess : Proto.session;
   mutable next_seq : int;
-  cache : (int, Msg.t array) Hashtbl.t;
-      (* sent messages awaiting discard: fragment [i] carries mask bit
-         [i], so a NACK names the slots to send again *)
+  mutable sent_base : int; (* the oldest cached sequence number *)
+  mutable sent_msg : Msg.t array;
+  mutable sent_chunk : int array;
+  mutable sent_until : float array; (* discard times *)
+  mutable sweep_armed : bool;
+  sweep : unit -> unit; (* the discard sweep, built once *)
   reasm : (int, reasm) Hashtbl.t;
-  recent : (int, float) Hashtbl.t; (* recently completed sequence numbers *)
-  recent_q : (int * float) Queue.t;
-      (* [recent] in insertion order.  Sim time is monotone and a
-         sequence number is noted at most once, so the queue front is
-         always the oldest entry and pruning pops a prefix instead of
-         folding the whole table on every delivery. *)
+  recent : (int, unit) Hashtbl.t; (* recently completed sequence numbers *)
+  mutable recent_head : int;
+  mutable recent_tail : int;
+  mutable recent_seq : int array;
+  mutable recent_at : float array; (* when each was noted *)
   mutable prune_armed : bool; (* a sweep of [recent] is scheduled *)
   mutable xs : Proto.session option;
 }
+
+(* [ring] with the slots [lo, hi) moved into twice the capacity, each to
+   the slot of the same counter, so the ring keeps its order. *)
+let grow ring lo hi fill =
+  let cap = Array.length ring in
+  let bigger = Array.make (2 * cap) fill in
+  for i = lo to hi - 1 do
+    bigger.(i land ((2 * cap) - 1)) <- ring.(i land (cap - 1))
+  done;
+  bigger
+
+let slot ring i = i land (Array.length ring - 1)
 
 (* The sender keeps a message's fragments for 2 s; a receiver missing
    fragments asks for them after 30 ms, at most 3 times. *)
@@ -53,6 +86,7 @@ type t = {
   c_rx_msg : Stats.counter;
   c_rx_frag : Stats.counter;
   c_recent_pruned : Stats.counter;
+  c_cache_drop : Stats.counter;
 }
 
 let proto t = t.p
@@ -74,8 +108,58 @@ let send_fragment t s ~seq ~num i piece =
     ~dir:`Send frame;
   Proto.push s.lower_sess frame
 
-(* Sender side: split, transmit, cache, and arm the discard timer (no
-   positive acks exist, so only time frees the cache).
+(* Fragment [i] of [msg] cut into [chunk]-byte pieces, of [frag_count]
+   in all: the first send and every retransmission cut it alike. *)
+let frag_count len chunk = max 1 ((len + chunk - 1) / chunk)
+
+let piece msg chunk i =
+  let off = i * chunk in
+  let this = min chunk (Msg.length msg - off) in
+  if this <= 0 then Msg.empty else Msg.sub msg off this
+
+(* Drop every cached message due for discard by now, then re-arm for
+   the oldest left. *)
+let rec sweep_cache t s =
+  s.sweep_armed <- false;
+  let now = Sim.now (Host.sim t.host) in
+  while
+    s.sent_base < s.next_seq
+    && s.sent_until.(slot s.sent_until s.sent_base) <= now
+  do
+    s.sent_msg.(slot s.sent_msg s.sent_base) <- Msg.empty;
+    s.sent_base <- s.sent_base + 1;
+    Stats.tick t.c_cache_drop
+  done;
+  arm_sweep t s
+
+(* Arm the sweep at the oldest message's discard time exactly; a time
+   recomputed from a delay could miss it by an ulp.  Not while that
+   message's charge is in flight: its push arms the sweep after. *)
+and arm_sweep t s =
+  if s.sent_base < s.next_seq then begin
+    let i = slot s.sent_until s.sent_base in
+    if s.sent_until.(i) < infinity then begin
+      s.sweep_armed <- true;
+      ignore (Sim.at (Host.sim t.host) s.sent_until.(i) s.sweep)
+    end
+  end
+
+let cache_message s msg chunk =
+  if s.next_seq - s.sent_base = Array.length s.sent_msg then begin
+    s.sent_msg <- grow s.sent_msg s.sent_base s.next_seq Msg.empty;
+    s.sent_chunk <- grow s.sent_chunk s.sent_base s.next_seq 0;
+    s.sent_until <- grow s.sent_until s.sent_base s.next_seq infinity
+  end;
+  let i = slot s.sent_msg s.next_seq in
+  s.sent_msg.(i) <- msg;
+  s.sent_chunk.(i) <- chunk;
+  s.sent_until.(i) <- infinity;
+  s.next_seq <- s.next_seq + 1
+
+(* Sender side: split, transmit and cache (no positive acks exist, so
+   only time frees the cache).  Caching charges the [Timer_op] that
+   arming a discard timer would, and the discard time counts from the
+   end of that charge.
 
    The 16-bit fragment mask allows at most 16 fragments, so messages a
    little larger than 16 x frag_size (an upper protocol's headers on a
@@ -89,27 +173,21 @@ let push_message t s msg =
     | _ -> t.frag_size
   in
   let chunk = min cap (max t.frag_size ((len + max_frags - 1) / max_frags)) in
-  let num = max 1 ((len + chunk - 1) / chunk) in
+  let num = frag_count len chunk in
   if num > max_frags then Stats.incr t.stats "too-big"
   else begin
     let seq = s.next_seq in
-    s.next_seq <- s.next_seq + 1;
+    cache_message s msg chunk;
     Stats.tick t.c_tx_msg;
-    let piece i =
-      let off = i * chunk in
-      let this = min chunk (len - off) in
-      if this <= 0 then Msg.empty else Msg.sub msg off this
-    in
-    let pieces = Array.init num piece in
-    Hashtbl.replace s.cache seq pieces;
-    ignore
-      (Event.schedule t.host cache_ttl (fun () ->
-           if Hashtbl.mem s.cache seq then begin
-             Hashtbl.remove s.cache seq;
-             Stats.incr t.stats "cache-drop"
-           end));
+    Machine.charge_one t.host.Host.mach Machine.Timer_op;
+    (* A crash during the charge emptied the cache. *)
+    if seq >= s.sent_base then begin
+      s.sent_until.(slot s.sent_until seq) <-
+        Sim.now (Host.sim t.host) +. cache_ttl;
+      if not s.sweep_armed then arm_sweep t s
+    end;
     for i = 0 to num - 1 do
-      send_fragment t s ~seq ~num i pieces.(i)
+      send_fragment t s ~seq ~num i (piece msg chunk i)
     done
   end
 
@@ -144,16 +222,14 @@ let rec arm_gap_timer t s seq =
 
 let prune_recent t s =
   let now = Sim.now (Host.sim t.host) in
-  let rec go () =
-    match Queue.peek_opt s.recent_q with
-    | Some (seq, time) when now -. time > cache_ttl ->
-        ignore (Queue.pop s.recent_q);
-        Hashtbl.remove s.recent seq;
-        Stats.tick t.c_recent_pruned;
-        go ()
-    | _ -> ()
-  in
-  go ()
+  while
+    s.recent_head < s.recent_tail
+    && now -. s.recent_at.(slot s.recent_at s.recent_head) > cache_ttl
+  do
+    Hashtbl.remove s.recent s.recent_seq.(slot s.recent_seq s.recent_head);
+    s.recent_head <- s.recent_head + 1;
+    Stats.tick t.c_recent_pruned
+  done
 
 (* The dedup table must not grow without bound on a receiver whose
    traffic stops: deliver_complete prunes on traffic, and this timer
@@ -170,9 +246,14 @@ let rec arm_prune_timer t s =
   end
 
 let note_recent t s seq =
-  let now = Sim.now (Host.sim t.host) in
-  Hashtbl.replace s.recent seq now;
-  Queue.add (seq, now) s.recent_q;
+  Hashtbl.replace s.recent seq ();
+  if s.recent_tail - s.recent_head = Array.length s.recent_seq then begin
+    s.recent_seq <- grow s.recent_seq s.recent_head s.recent_tail 0;
+    s.recent_at <- grow s.recent_at s.recent_head s.recent_tail 0.
+  end;
+  s.recent_seq.(slot s.recent_seq s.recent_tail) <- seq;
+  s.recent_at.(slot s.recent_at s.recent_tail) <- Sim.now (Host.sim t.host);
+  s.recent_tail <- s.recent_tail + 1;
   arm_prune_timer t s
 
 let deliver_complete t s msg =
@@ -242,33 +323,43 @@ let handle_data t s ~seq ~num ~mask piece =
 
 let handle_nack t s ~seq ~mask =
   Stats.incr t.stats "nack-rx";
-  match Hashtbl.find s.cache seq with
-  | exception Not_found -> Stats.incr t.stats "nack-stale"
-  | pieces ->
-      let num = Array.length pieces in
-      for i = 0 to num - 1 do
-        if (1 lsl i) land mask <> 0 then begin
-          Stats.incr t.stats "retransmit";
-          send_fragment t s ~seq ~num i pieces.(i)
-        end
-      done
+  if seq < s.sent_base || seq >= s.next_seq then Stats.incr t.stats "nack-stale"
+  else begin
+    let msg = s.sent_msg.(slot s.sent_msg seq) in
+    let chunk = s.sent_chunk.(slot s.sent_chunk seq) in
+    let num = frag_count (Msg.length msg) chunk in
+    for i = 0 to num - 1 do
+      if (1 lsl i) land mask <> 0 then begin
+        Stats.incr t.stats "retransmit";
+        send_fragment t s ~seq ~num i (piece msg chunk i)
+      end
+    done
+  end
 
 let make_session t ~upper (peer, proto_num) =
   let lower_sess =
     Proto.open_ t.lower ~upper:t.p
       (Part.ip_open ~local:t.host.Host.ip ~peer own_proto)
   in
-  let s =
+  let rec s =
     {
       peer;
       proto_num;
       upper;
       lower_sess;
       next_seq = 1;
-      cache = Hashtbl.create 8;
+      sent_base = 1;
+      sent_msg = Array.make 8 Msg.empty;
+      sent_chunk = Array.make 8 0;
+      sent_until = Array.make 8 infinity;
+      sweep_armed = false;
+      sweep = (fun () -> sweep_cache t s);
       reasm = Hashtbl.create 8;
       recent = Hashtbl.create 16;
-      recent_q = Queue.create ();
+      recent_head = 0;
+      recent_tail = 0;
+      recent_seq = Array.make 16 0;
+      recent_at = Array.make 16 0.;
       prune_armed = false;
       xs = None;
     }
@@ -344,6 +435,7 @@ let create ~host ~lower ?(frag_size = 1024) () =
       c_rx_msg = Stats.counter (Proto.stats p) "rx-msg";
       c_rx_frag = Stats.counter (Proto.stats p) "rx-frag";
       c_recent_pruned = Stats.counter (Proto.stats p) "recent-pruned";
+      c_cache_drop = Stats.counter (Proto.stats p) "cache-drop";
     }
   in
   Proto.set_ops p
@@ -381,17 +473,19 @@ let create ~host ~lower ?(frag_size = 1024) () =
          and the duplicate-suppression tables all die with the kernel —
          otherwise a gap timer surviving the reboot would NACK for a
          pre-crash message and deliver it into the new incarnation.
-         Surviving cache/gap timers find their entries gone and no-op.
+         Surviving gap timers find their entries gone and no-op, and a
+         pending discard sweep finds the send cache empty.
          [next_seq] is deliberately NOT reset: the peer's [recent]
          table outlives our crash, and reusing pre-crash sequence
          numbers within its TTL would make it wrongly dedup fresh
          post-reboot messages. *)
       Demux.iter
         (fun s ->
-          Hashtbl.reset s.cache;
+          Array.fill s.sent_msg 0 (Array.length s.sent_msg) Msg.empty;
+          s.sent_base <- s.next_seq;
           Hashtbl.reset s.reasm;
           Hashtbl.reset s.recent;
-          Queue.clear s.recent_q)
+          s.recent_head <- s.recent_tail)
         t.demux;
       Stats.incr t.stats "crash-reset");
   t

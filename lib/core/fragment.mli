@@ -8,9 +8,12 @@
     - {b persistent}: a receiver missing fragments asks the sender for
       exactly those fragments (a NACK carrying the missing-fragment
       mask), a bounded number of times;
-    - the sender keeps a copy of each message's fragments and discards
-      it when a timer expires — not when the message is acknowledged,
-      because it never is;
+    - the sender keeps each message, to cut its fragments again for a
+      NACK, and discards it 2 s after sending — not when the message
+      is acknowledged, because it never is.  A session keeps its sent
+      messages in one ring indexed by sequence number, freed by one
+      discard sweep at the oldest message's discard time, rather than
+      a timer per message;
     - a message re-pushed by a higher-level protocol (e.g. a CHANNEL
       retransmission) is an independent message with a fresh sequence
       number.

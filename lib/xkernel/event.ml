@@ -1,41 +1,16 @@
-type t = { mutable ev : Sim.event option; mutable done_ : bool }
+type t = Sim.event
 
 let schedule host d f =
-  Machine.charge_one host.Host.mach (Machine.Timer_op);
-  let t = { ev = None; done_ = false } in
-  t.ev <-
-    Some
-      (Sim.after (Host.sim host) d (fun () ->
-           t.done_ <- true;
-           f ()));
-  t
+  Machine.charge_one host.Host.mach Machine.Timer_op;
+  Sim.after (Host.sim host) d f
 
 let cancel host t =
   (* Cancel before charging: charging yields the fiber, and a due timer
      must not be able to fire in that window. *)
-  let ok =
-    if t.done_ then false
-    else
-      match t.ev with
-      | None -> false
-      | Some ev ->
-          let ok = Sim.cancel ev in
-          if ok then t.done_ <- true;
-          ok
-  in
-  Machine.charge_one host.Host.mach (Machine.Timer_op);
+  let ok = Sim.cancel t in
+  Machine.charge_one host.Host.mach Machine.Timer_op;
   ok
 
-let abort t =
-  (* Crash teardown: cancel without charging the machine, so it is
-     safe from a reboot hook running outside any fiber. *)
-  if t.done_ then false
-  else
-    match t.ev with
-    | None -> false
-    | Some ev ->
-        let ok = Sim.cancel ev in
-        if ok then t.done_ <- true;
-        ok
-
-let cancelled_or_fired t = t.done_
+(* Crash teardown: cancel without charging the machine, so it is safe
+   from a reboot hook running outside any fiber. *)
+let abort = Sim.cancel

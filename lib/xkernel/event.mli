@@ -7,7 +7,8 @@
     the host that owns the timer. *)
 
 type t
-(** A scheduled event handle. *)
+(** A scheduled event handle: the {!Sim.event} itself, with no record
+    of its own. *)
 
 val schedule : Host.t -> float -> (unit -> unit) -> t
 (** [schedule host d f] runs [f] (in a fresh fiber) after [d] virtual
@@ -21,5 +22,3 @@ val abort : t -> bool
 (** Like {!cancel} but free: no [Timer_op] is charged and no fiber is
     required.  For crash teardown ({!Host.at_reboot} hooks), where the
     machine is not executing normally. *)
-
-val cancelled_or_fired : t -> bool

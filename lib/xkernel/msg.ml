@@ -30,9 +30,14 @@ let fill n c =
     build n
   end
 
+(* Two slices that lie side by side in one string join back into one
+   leaf: a reassembly of fragments cut from one buffer, and the header
+   drops that follow it, give a single leaf again instead of a spine. *)
 let append a b =
   match (a, b) with
   | Empty, m | m, Empty -> m
+  | Leaf x, Leaf y when x.data == y.data && x.off + x.len = y.off ->
+      Leaf { data = x.data; off = x.off; len = x.len + y.len }
   | _ -> Cat { left = a; right = b; len = length a + length b }
 
 (* Header push and drop are the per-layer hot path: every protocol

@@ -36,7 +36,8 @@ val length : t -> int
 val is_empty : t -> bool
 
 val append : t -> t -> t
-(** [append a b] is the message [a] followed by [b]; O(1). *)
+(** [append a b] is the message [a] followed by [b]; O(1).  Two
+    adjacent slices of one string become one slice. *)
 
 val push : t -> string -> t
 (** [push m h] pushes header bytes [h] onto the front of [m]; O(1). *)

@@ -15,14 +15,23 @@ exception Stalled of string
    - [near]: an array-backed binary min-heap for events due less than
      [far_after] from when they are queued: CPU charges, wire
      serialization, frame delivery, retransmission timers.
-   - [far]: the same kind of heap for everything due later.  FRAGMENT
-     keeps each sent message for 2 s and arms a 2 s timer per message
-     and per session to free it, so a busy run holds thousands of those
-     at once.  In one heap every short event would sift through all of
-     them; kept apart, the short events see a heap of a few dozen, and
-     each long timer pays the deep heap once on the way in and once on
-     the way out (the near/far split of hashed and hierarchical timing
-     wheels, kept as small as one extra heap).
+   - [far]: the same kind of heap for everything due later.  It was
+     split off when FRAGMENT armed a 2 s discard timer per sent message,
+     so a busy run held thousands of long timers at once, and in one
+     heap every short event would sift through all of them (the
+     near/far split of hashed and hierarchical timing wheels, kept as
+     small as one extra heap).  FRAGMENT now keeps one discard sweep
+     and one prune timer per session, so [far] holds a few per session;
+     whether the split still pays for itself is unmeasured.
+
+   Four ways queue an event, each by the same rule ([imm] at the current
+   instant, else [near] or [far] by distance from the clock):
+
+   - [spawn], a fresh fiber at the current instant;
+   - [after d], a callback [d] seconds from now;
+   - [at time], a callback at an absolute time, for a deadline worked
+     out earlier ([after (time -. now)] can miss [time] by an ulp);
+   - a fiber's own timed wait: [delay], [yield] or a [Server] hold.
 
    Each heap's [times] mirrors the key's time component in an unboxed
    float array so sift comparisons never chase a boxed float.  The run
@@ -49,9 +58,9 @@ exception Stalled of string
    fiber has none yet), and three rules keep a record owned by exactly
    one fiber:
 
-   - A [Sim.after] event is never a wait record: it is the caller's
-     cancel handle, which [cancel] must find [Fired] once it has run
-     ([Event.schedule] keeps it).  A callback that blocks makes its own.
+   - A [Sim.after] or [Sim.at] event is never a wait record: it is the
+     caller's cancel handle, which [cancel] must find [Fired] once it
+     has run ([Event.t] is one).  A callback that blocks makes its own.
    - A fiber started by a [Fiber] event runs with [running = dummy]: it
      must not inherit the record of the fiber that ran before it, which
      may still be queued or parked.
@@ -143,13 +152,13 @@ and heap = {
   mutable size : int;
 }
 
-(* All-float, so the stores are unboxed: the fire time of the event about
-   to be queued, and the bound of the [run] in progress ([neg_infinity]
-   when none is). *)
-and due = { mutable at : float; mutable bound : float }
+(* All-float, so the stores are unboxed: the clock, the fire time of the
+   event about to be queued, and the bound of the [run] in progress
+   ([neg_infinity] when none is).  A clock kept in [t] itself would box
+   every new time it stores. *)
+and due = { mutable now : float; mutable at : float; mutable bound : float }
 
 and t = {
-  mutable now : float;
   near : heap;
   far : heap;
   imm : ring;
@@ -165,7 +174,7 @@ and t = {
   mutable handler : unit Effect.Deep.effect_handler;
 }
 
-let now t = t.now
+let now t = t.due.now
 let pending t = t.live
 let processed t = t.processed
 let rng t = t.sim_rng
@@ -339,13 +348,14 @@ let nothing_due t =
   && (t.far.size = 0 || t.far.times.(0) > t.due.at)
 
 (* Queue [ev] due at [t.due.at] under a fresh [seq].  Scheduling in the
-   past never happens (all entry points add a non-negative delay to
-   [now]), so [at = now] is the instant case. *)
+   past never happens (the entry points add a non-negative delay to
+   [now] or refuse a time behind it), so [at = now] is the instant
+   case. *)
 let enqueue t ev =
   ev.seq <- take_seq t;
   let at = t.due.at in
-  if at = t.now then ring_push t t.imm ev
-  else if at -. t.now < far_after then heap_push t t.near ev
+  if at = t.due.now then ring_push t t.imm ev
+  else if at -. t.due.now < far_after then heap_push t t.near ev
   else heap_push t t.far ev;
   t.live <- t.live + 1
 
@@ -393,7 +403,7 @@ type _ Effect.t += Delay : unit Effect.t
 type _ Effect.t += Park : unit Effect.t
 
 let resume_now t k =
-  t.due.at <- t.now;
+  t.due.at <- t.due.now;
   ignore (schedule t (Resume { k }))
 
 (* The suspending fiber's record, now holding [k]. *)
@@ -426,11 +436,10 @@ let make_handler t =
   }
 
 let create ?(max_events = 10_000_000) ?(seed = 42) () =
-  let due = { at = 0.; bound = neg_infinity } in
+  let due = { now = 0.; at = 0.; bound = neg_infinity } in
   let rec dummy = { seq = -1; phase = Fired; action = Fiber ignore; owner = t }
   and t =
     {
-      now = 0.;
       near = heap ();
       far = heap ();
       imm = ring ();
@@ -472,7 +481,7 @@ let wait_due t =
   then begin
     t.next_seq <- t.next_seq + 2;
     t.processed <- t.processed + 2;
-    t.now <- due.at
+    due.now <- due.at
   end
   else perform_delay ()
 
@@ -480,17 +489,22 @@ let delay t d =
   if not (d >= 0.) then invalid_arg "Sim.delay: negative or NaN delay";
   if d = 0. then ()
   else begin
-    t.due.at <- t.now +. d;
+    t.due.at <- t.due.now +. d;
     wait_due t
   end
 
 let yield t =
-  t.due.at <- t.now;
+  t.due.at <- t.due.now;
   perform_delay ()
 
 let after t d f =
   if not (d >= 0.) then invalid_arg "Sim.after: negative or NaN delay";
-  t.due.at <- t.now +. d;
+  t.due.at <- t.due.now +. d;
+  schedule t (Fiber f)
+
+let at t time f =
+  if not (time >= t.due.now) then invalid_arg "Sim.at: time behind the clock or NaN";
+  t.due.at <- time;
   schedule t (Fiber f)
 
 let spawn t ?name f =
@@ -515,7 +529,7 @@ let run ?until t =
     | Asleep, Resume r ->
         (* A first half whose requeued half would fire next continues
            the fiber now and counts that half. *)
-        t.due.at <- t.now;
+        t.due.at <- t.due.now;
         if t.processed < t.max_events && nothing_due t then begin
           t.next_seq <- t.next_seq + 1;
           t.processed <- t.processed + 1;
@@ -556,21 +570,21 @@ let run ?until t =
            immediate's time is [now] by the invariant above, so a heap
            can win only on an equal time with a smaller seq (the clock
            never passes a queued immediate). *)
-        if h.size > 0 && h.times.(0) = t.now && h.evs.(0).seq < qe.seq then
+        if h.size > 0 && h.times.(0) = t.due.now && h.evs.(0).seq < qe.seq then
           execute (heap_pop t h)
         else execute (ring_pop t t.imm);
         loop ()
       end
     end
     else if h.size > 0 then
-      if h.times.(0) > limit then t.now <- limit
+      if h.times.(0) > limit then t.due.now <- limit
       else begin
-        t.now <- h.times.(0);
+        t.due.now <- h.times.(0);
         execute (heap_pop t h);
         loop ()
       end
   in
-  if limit >= t.now then begin
+  if limit >= t.due.now then begin
     let outer = t.due.bound and running = t.running in
     t.due.bound <- limit;
     Fun.protect
@@ -616,15 +630,15 @@ module Server = struct
     if not (d >= 0.) then invalid_arg "Sim.Server.hold: negative or NaN time";
     let t = s.sim and c = s.clock in
     s.holds <- s.holds + 1;
-    if c.free_at <= t.now then begin
-      c.free_at <- t.now +. d;
+    if c.free_at <= t.due.now then begin
+      c.free_at <- t.due.now +. d;
       if d > 0. then begin
         t.due.at <- c.free_at;
         wait_due t
       end
     end
     else begin
-      c.wait <- c.wait +. (c.free_at -. t.now);
+      c.wait <- c.wait +. (c.free_at -. t.due.now);
       c.free_at <- c.free_at +. d;
       t.due.at <- c.free_at;
       wait_due t

@@ -57,6 +57,12 @@ val after : t -> float -> (unit -> unit) -> event
     now.  Timer callbacks may themselves block.  Raises
     [Invalid_argument] if [d] is negative or NaN. *)
 
+val at : t -> float -> (unit -> unit) -> event
+(** [at sim time f] schedules [f] to run (as a fiber) at virtual time
+    [time] exactly: for a deadline computed earlier, where [after sim
+    (time -. now sim)] could miss it by an ulp.  Raises
+    [Invalid_argument] if [time] is behind the clock or NaN. *)
+
 val cancel : event -> bool
 (** [cancel ev] cancels [ev]; returns [false] if it already ran (or was
     already cancelled).  The x-kernel's [evCancel]. *)

@@ -360,6 +360,204 @@ let stub_lower ~host frames count =
     };
   (p, sess)
 
+(* FRAGMENT on host 0 over a recording stub, with one session to host
+   1's protocol 200; NACKs are handed to it from below as host 1 would
+   send them. *)
+let stub_sender ?profile w frames count =
+  let n0 = World.node w 0 and n1 = World.node w 1 in
+  Option.iter (Machine.set_profile n0.World.host.Host.mach) profile;
+  let lower, below = stub_lower ~host:n0.World.host frames count in
+  let f0 = Fragment.create ~host:n0.World.host ~lower () in
+  let sess =
+    Tutil.run_in w (fun () ->
+        Proto.open_ (Fragment.proto f0)
+          ~upper:(stub ~host:n0.World.host ~name:"NULL" (fun ~lower:_ _ -> ()))
+          (Part.v
+             ~local:[ Part.Ip n0.World.host.Host.ip; Part.Ip_proto 200 ]
+             ~remotes:[ [ Part.Ip n1.World.host.Host.ip; Part.Ip_proto 200 ] ]
+             ()))
+  in
+  let nack ~seq ~mask =
+    let module F = Rpc.Wire_fmt.Fragment in
+    Proto.deliver (Fragment.proto f0) ~lower:below
+      (Msg.of_string
+         (F.encode ~typ:F.typ_nack ~clnt:n1.World.host.Host.ip
+            ~srvr:n0.World.host.Host.ip ~proto:200 ~seq ~num:16 ~mask ~len:0))
+  in
+  (f0, sess, nack)
+
+(* The send cache holds a message for as long as a discard timer per
+   message did: from its push (with no CPU cost here) until 2 s later.
+   An op at a message's discard instant runs first, as it did before
+   any per-message timer armed after it, so a NACK exactly 2 s after
+   the push is still answered.  A crash empties the cache, and a
+   message it empties is never counted in "cache-drop".  After every
+   op the counters must match the per-message reference, and a NACK
+   must send again the fragments its mask names with the bytes of the
+   first send.  Probes one ulp either side of each discard instant
+   check that the sweep fires at that instant, neither early nor
+   late. *)
+let prop_send_cache_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun n -> `Send n) (int_bound 17_000));
+          ( 4,
+            map2
+              (fun back mask -> `Nack (back, mask))
+              (int_range (-2) 24) (int_range 1 0xffff) );
+          (1, return `Crash);
+        ])
+  in
+  let print (dt, op) =
+    Printf.sprintf "+%d/8 %s" dt
+      (match op with
+      | `Send n -> Printf.sprintf "send %d" n
+      | `Nack (back, mask) -> Printf.sprintf "nack back %d mask %#x" back mask
+      | `Crash -> "crash")
+  in
+  Tutil.qtest ~count:100 "send cache matches a timer per message"
+    (QCheck.make
+       ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 1 60) (pair (int_bound 24) op)))
+    (fun script ->
+      let w = World.create () in
+      let sim = w.World.sim in
+      let frames = Array.make 2048 Msg.empty and count = ref 0 in
+      let f0, sess, nack =
+        stub_sender ~profile:Machine.zero_cost w frames count
+      in
+      let stat name = Tutil.stat (Fragment.proto f0) name in
+      let ops = Array.of_list script in
+      let n = Array.length ops in
+      (* Op [i] runs at [time.(i)], in eighths of a second from 1/8. *)
+      let time = Array.make n 0. in
+      ignore
+        (Array.fold_left
+           (fun (i, units) (dt, _) ->
+             let units = units + dt in
+             time.(i) <- float_of_int units /. 8.;
+             (i + 1, units))
+           (0, 1) ops);
+      (* The reference: each cached message's op, seq, bytes and
+         discard time, and the next seq when each op runs. *)
+      let sent = ref [] and next = ref 1 and next_at = Array.make n 0 in
+      Array.iteri
+        (fun i (_, op) ->
+          next_at.(i) <- !next;
+          match op with
+          | `Send len when len <= 16 * 1024 ->
+              let seq = !next in
+              incr next;
+              let bytes = String.init len (fun j -> Char.chr (((seq * 31) + (j * 7)) land 255)) in
+              sent := (i, seq, bytes, time.(i) +. 2.0) :: !sent
+          | _ -> ())
+        ops;
+      let sent = List.rev !sent in
+      let crashed_between lo hi t_max =
+        let rec go i =
+          i < hi && ((snd ops.(i) = `Crash && time.(i) <= t_max) || go (i + 1))
+        in
+        go (lo + 1)
+      in
+      let killed (i, _, _, until) = crashed_between i n until in
+      (* Discards counted by time [t]; an op at [t] itself runs before
+         any discard due then. *)
+      let drops_by t =
+        List.length
+          (List.filter (fun ((_, _, _, until) as m) -> until < t && not (killed m)) sent)
+      in
+      let stale = ref 0 and retransmit = ref 0 and failures = ref [] in
+      let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+      let check what expect got =
+        if expect <> got then fail "%s at %h: %d, expected %d" what (Sim.now sim) got expect
+      in
+      Array.iteri
+        (fun i (_, op) ->
+          ignore
+            (Sim.at sim time.(i) (fun () ->
+                 let first = !count in
+                 (match op with
+                 | `Send len ->
+                     let bytes =
+                       match List.find_opt (fun (j, _, _, _) -> j = i) sent with
+                       | Some (_, _, bytes, until) ->
+                           List.iter
+                             (fun t ->
+                               ignore
+                                 (Sim.at sim t (fun () ->
+                                      check "cache-drop (probe)"
+                                        (drops_by t)
+                                        (stat "cache-drop"))))
+                             [ Float.pred until; Float.succ until ];
+                           bytes
+                       | None -> String.make len 'z'
+                     in
+                     Proto.push sess (Msg.of_string bytes)
+                 | `Crash -> Host.reboot (World.node w 0).World.host
+                 | `Nack (back, mask) -> (
+                     let seq = max 0 (next_at.(i) - 1 - back) in
+                     nack ~seq ~mask;
+                     let cached =
+                       List.find_opt
+                         (fun (j, s, _, until) ->
+                           s = seq && j < i && time.(i) <= until
+                           && not (crashed_between j i infinity))
+                         sent
+                     in
+                     match cached with
+                     | None -> incr stale
+                     | Some (_, _, bytes, _) ->
+                         let len = String.length bytes in
+                         let num = max 1 ((len + 1023) / 1024) in
+                         let expect =
+                           List.filter
+                             (fun k -> mask land (1 lsl k) <> 0)
+                             (List.init num Fun.id)
+                         in
+                         retransmit := !retransmit + List.length expect;
+                         let module F = Rpc.Wire_fmt.Fragment in
+                         List.iteri
+                           (fun j k ->
+                             let frame = frames.(first + j) in
+                             let off = k * 1024 in
+                             let piece = String.sub bytes off (min 1024 (len - off)) in
+                             if
+                               F.sequence_num frame <> seq
+                               || F.frag_mask frame <> 1 lsl k
+                               || Msg.to_string (Msg.drop frame F.bytes) <> piece
+                             then fail "fragment %d of seq %d resent wrong" k seq)
+                           expect;
+                         check "frames resent" (List.length expect) (!count - first)));
+                 check "nack-stale" !stale (stat "nack-stale");
+                 check "retransmit" !retransmit (stat "retransmit");
+                 check "cache-drop" (drops_by time.(i)) (stat "cache-drop"))))
+        ops;
+      Sim.run sim;
+      check "cache-drop after the drain"
+        (List.length (List.filter (fun m -> not (killed m)) sent))
+        (stat "cache-drop");
+      check "events left" 0 (Sim.pending sim);
+      match !failures with
+      | [] -> true
+      | fs -> QCheck.Test.fail_reportf "%s" (String.concat "\n" (List.rev fs)))
+
+(* A session arms one discard sweep, not a timer per message. *)
+let one_sweep_per_session () =
+  let w = World.create () in
+  let frames = Array.make 64 Msg.empty and count = ref 0 in
+  let _, sess, _ = stub_sender w frames count in
+  let grew =
+    Tutil.run_in w (fun () ->
+        let before = Sim.pending w.World.sim in
+        for _ = 1 to 50 do
+          Proto.push sess (Msg.of_string "x")
+        done;
+        Sim.pending w.World.sim - before)
+  in
+  Alcotest.(check bool) (Printf.sprintf "pending +%d <= 2" grew) true (grew <= 2)
+
 let words_per n f =
   let w0 = Gc.minor_words () in
   f ();
@@ -368,14 +566,15 @@ let words_per n f =
 let measured = ref []
 
 (* OCaml 5.1.1 measures, in minor words: a fragment sent, with its
-   share of the message's split, send cache entry and discard timer,
-   38.53 (budget 40; a header record and a pair per fragment in the
-   cache measure 52); a fragment received, with its share of the
-   reassembly, delivery and dedup entry, 24.86 (26); and on the message
-   FRAGMENT reassembled, the reads and drops of a 4-byte header under
-   an 18-byte one (SELECT's and CHANNEL's), 8 on a cord that leans
-   right (8.01, the 0.01 for the boxed float of [Gc.minor_words]) and
-   120 on a left-deep one. *)
+   share of the message's split and send cache slot, 31.75 (budget 33;
+   a discard timer per message measured 38.53, and a header record and
+   a pair per fragment in the cache 52); a fragment received, with its
+   share of the reassembly, delivery and dedup entry, 19.71 (21; 24.86
+   with a boxed time per dedup entry and a cord node per fragment); and
+   on the message FRAGMENT reassembled, the reads and drops of a 4-byte
+   header under an 18-byte one (SELECT's and CHANNEL's), 8 on a cord
+   that leans right (8.01, the 0.01 for the boxed float of
+   [Gc.minor_words]) and 120 on a left-deep one. *)
 let alloc_budget () =
   let w = World.create () in
   let n0 = World.node w 0 and n1 = World.node w 1 in
@@ -428,8 +627,8 @@ let alloc_budget () =
   let keep x = ignore (Sys.opaque_identity x) in
   let figures =
     [
-      ("per-fragment send", 40., send);
-      ("per-fragment receive", 26., recv);
+      ("per-fragment send", 33., send);
+      ("per-fragment receive", 21., recv);
       ( "16 KB reassembled, 2 drops",
         8.01,
         words_per n (fun () ->
@@ -478,6 +677,9 @@ let () =
           Alcotest.test_case "max message enforced" `Quick max_message_enforced;
           prop_integrity_under_faults;
           prop_roundtrip_repaired;
+          prop_send_cache_model;
+          Alcotest.test_case "one discard sweep per session" `Quick
+            one_sweep_per_session;
         ] );
       ("allocation", [ Alcotest.test_case "allocation budget" `Quick alloc_budget ]);
     ];

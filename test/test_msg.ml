@@ -114,6 +114,34 @@ let prop_fragment_reassemble =
       in
       Msg.equal m back)
 
+(* Slices cut side by side from one string join back into one leaf: the
+   whole string comes back from [to_string] physically, not a copy.  A
+   slice of another string at the same offsets, or a gap between slices,
+   must not join: a wrong join would read the bytes of the first string
+   straight through. *)
+let prop_append_joins_slices =
+  Tutil.qtest ~count:200 "adjacent slices append to one leaf"
+    QCheck.(pair (string_of_size (Gen.int_range 2 200)) (list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let m = Msg.of_string s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod n) cuts) in
+      let bounds = (0 :: List.filter (fun c -> c > 0) cuts) @ [ n ] in
+      let rec slices = function
+        | a :: (b :: _ as rest) -> Msg.sub m a (b - a) :: slices rest
+        | _ -> []
+      in
+      let joined_left = List.fold_left Msg.append Msg.empty (slices bounds) in
+      let joined_right = List.fold_right Msg.append (slices bounds) Msg.empty in
+      let k = 1 + (List.length cuts mod (n - 1)) in
+      let other = String.map (fun c -> Char.chr ((Char.code c + 1) land 255)) s in
+      let mixed = Msg.append (Msg.sub m 0 k) (Msg.sub (Msg.of_string other) k (n - k)) in
+      let gapped = Msg.append (Msg.sub m 0 (k - 1)) (Msg.sub m k (n - k)) in
+      Msg.to_string joined_left == s
+      && Msg.to_string joined_right == s
+      && Msg.to_string mixed = String.sub s 0 k ^ String.sub other k (n - k)
+      && Msg.to_string gapped = String.sub s 0 (k - 1) ^ String.sub s k (n - k))
+
 (* [get] reads in place through any tree shape, including leaves that
    start mid-string (a slice), and agrees with linearizing. *)
 let prop_get =
@@ -280,6 +308,7 @@ let () =
           prop_get;
           prop_equal;
           prop_checksum;
+          prop_append_joins_slices;
         ] );
       ("budget", [ Alcotest.test_case "equal allocates nothing" `Quick equal_budget ]);
     ]

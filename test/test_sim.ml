@@ -281,7 +281,7 @@ let event_module_cancel () =
   Sim.spawn sim (fun () ->
       let ev = Event.schedule host 1.0 (fun () -> fired := true) in
       Alcotest.(check bool) "cancel ok" true (Event.cancel host ev);
-      Alcotest.(check bool) "marks done" true (Event.cancelled_or_fired ev));
+      Alcotest.(check bool) "marks done" false (Event.cancel host ev));
   Sim.run sim;
   Alcotest.(check bool) "never fired" false !fired
 
@@ -598,6 +598,69 @@ let nan_delay_rejected () =
   Alcotest.(check (float 0.)) "clock untouched" 2.0 (Sim.now sim);
   Tutil.check_int "nothing pending" 0 (Sim.pending sim)
 
+(* [Sim.at] fires at exactly the time it is given.  From this clock,
+   [after] of the difference would land an ulp late. *)
+let at_exact_time () =
+  let sim = Sim.create () in
+  let start = 0.036686957209045579 and due = 2.7215053751170282 in
+  Alcotest.(check bool) "after would miss" true (start +. (due -. start) <> due);
+  let fired = ref nan in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim start;
+      ignore (Sim.at sim due (fun () -> fired := Sim.now sim)));
+  Sim.run sim;
+  Alcotest.(check bool) "fired at due" true (!fired = due)
+
+let at_refuses_past_and_nan () =
+  let sim = Sim.create () in
+  let refused what time =
+    match Sim.at sim time ignore with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let fired = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 1.0;
+      refused "Sim.at nan" nan;
+      refused "Sim.at behind the clock" (Float.pred 1.0);
+      refused "Sim.at 0" 0.;
+      ignore (Sim.at sim 1.0 (fun () -> fired := true)));
+  Sim.run sim;
+  Alcotest.(check bool) "the current instant is accepted" true !fired;
+  Alcotest.(check (float 0.)) "clock" 1.0 (Sim.now sim);
+  Tutil.check_int "nothing pending" 0 (Sim.pending sim)
+
+(* Scheduling at [now +. d] is scheduling [d] from now: the same fire
+   times, and the same order among events due at one instant, whether
+   a time falls at the current instant, in the near heap or in the far
+   one.  Each callback also spawns a fiber, which joins the back of its
+   instant. *)
+let qcheck_at_matches_after =
+  Tutil.qtest ~count:200 "at (now + d) fires as after d"
+    QCheck.(list_of_size (Gen.int_range 0 40) (pair bool (int_bound 12)))
+    (fun script ->
+      let fire_log use_at =
+        let sim = Sim.create () in
+        let log = ref [] in
+        let note id = log := (id, Sim.now sim) :: !log in
+        Sim.spawn sim (fun () ->
+            Sim.delay sim 0.3;
+            List.iteri
+              (fun i (as_at, k) ->
+                let d = float_of_int k /. 10. in
+                let f () =
+                  note i;
+                  Sim.spawn sim (fun () -> note (-i - 1))
+                in
+                ignore
+                  (if use_at && as_at then Sim.at sim (Sim.now sim +. d) f
+                   else Sim.after sim d f))
+              script);
+        Sim.run sim;
+        List.rev !log
+      in
+      fire_log true = fire_log false)
+
 (* Each fiber owns one wait record, reused by all its suspensions.  The
    next three cases each break if a record is shared.  First: a
    [Sim.after] event is the caller's cancel handle, so it is never the
@@ -704,19 +767,19 @@ let nested_run_keeps_record () =
    operation over 10k operations.  A fiber reuses one wait record for
    all its suspensions, so a fiber switch allocates only its
    continuation: OCaml 5.1 measures 2 words for a yield or a semaphore
-   hand-off, and 4 for a queued timed wait, short or long, and for a
-   queued CPU charge, which also box the new clock value (2).  A wait
-   or charge that runs in place allocates only that box, and a disabled
-   trace point nothing, or 26 words for a [debugf] that only discards
-   its arguments.  A charge that finds the CPU busy is a [Sim.Server]
-   hold, one queued timed wait to the finish it is given on arrival, so
-   8 fibers contending cost what a queued charge does (4), and so does a
-   bare hold of a busy server.  A two-op charge sums its
-   list in place (6), an ivar read that blocks until a fresh fiber fills
-   it costs 36 all told (the ivar, its wait ring and the filling fiber),
-   and one 64-byte frame on a fault-free 5-tap wire 84 (four deliveries,
-   each a timer and a fiber).  The budgets leave headroom for other 5.x
-   runtimes. *)
+   hand-off, and 2 for a queued timed wait, short or long, and for a
+   queued CPU charge.  The clock sits in an all-float record, so moving
+   it boxes nothing, and a wait or charge that runs in place allocates
+   nothing.  A disabled trace point allocates nothing, or 26 words for a
+   [debugf] that only discards its arguments.  A charge that finds the
+   CPU busy is a [Sim.Server] hold, one queued timed wait to the finish
+   it is given on arrival, so 8 fibers contending cost what a queued
+   charge does (2), and so does a bare hold of a busy server.  A two-op
+   charge sums its list in place (4), an ivar read that blocks until a
+   fresh fiber fills it costs 36 all told (the ivar, its wait ring and
+   the filling fiber), and one 64-byte frame on a fault-free 5-tap wire
+   74 (four deliveries, each a timer and a fiber).  The budgets leave
+   headroom for other 5.x runtimes. *)
 let words_per_op n f =
   let w0 = Gc.minor_words () in
   f ();
@@ -872,26 +935,25 @@ let alloc_budget () =
     [
       (* A yield is a timed wait that never touches a heap, a short
          queued wait goes through the near heap and a long one through
-         the far heap.  A wait that moves the clock also boxes the new
-         [now] (2 words); beyond that each must allocate what the one
-         before it does, so a float boxed on a heap's path shows.  In
-         place, a wait or a charge allocates the clock box alone, so a
-         float passed as an argument there, or a fall-back to the
-         queued path, shows. *)
+         the far heap.  Each must allocate what the one before it does,
+         so a float boxed on a heap's path or on the clock's shows.  In
+         place, a wait or a charge allocates nothing, so a float passed
+         as an argument there, or a fall-back to the queued path,
+         shows. *)
       ("Sim.yield", 3., !yield_w);
       ("semaphore hand-off", 2.5, !handoff_w);
-      ("Sim.delay", !yield_w +. 2.5, delay_w);
+      ("Sim.delay", !yield_w +. 0.5, delay_w);
       ("Sim.delay 1 s", delay_w +. 0.5, far_w);
-      ("Sim.delay, in place", 2.5, !in_place_w);
-      ("Machine.charge_one", 6., charge_w);
-      ("Machine.charge_one, lone fiber", 2.5, !lone_w);
+      ("Sim.delay, in place", 0.5, !in_place_w);
+      ("Machine.charge_one", 4., charge_w);
+      ("Machine.charge_one, lone fiber", 0.5, !lone_w);
       ("Trace.packet (off)", 0.01, trace_w);
       ("Trace.debugf (off)", 30., debugf_w);
-      ("Machine.charge_one, 8 contending", 6., contended_w);
-      ("server hold, busy", 6., hold_w);
-      ("Machine.charge, two ops", 8., charge2_w);
+      ("Machine.charge_one, 8 contending", 4., contended_w);
+      ("server hold, busy", 4., hold_w);
+      ("Machine.charge, two ops", 6., charge2_w);
       ("Ivar create+fill+read", 40., !ivar_w);
-      ("64-byte frame, 5-tap wire", 125., frame_w);
+      ("64-byte frame, 5-tap wire", 110., frame_w);
     ]
   in
   measured := figures;
@@ -999,6 +1061,10 @@ let () =
           Alcotest.test_case "same-instant order" `Quick same_instant_order;
           Alcotest.test_case "allocation budget" `Quick alloc_budget;
           Alcotest.test_case "NaN delay rejected" `Quick nan_delay_rejected;
+          Alcotest.test_case "at fires at the exact time" `Quick at_exact_time;
+          Alcotest.test_case "at refuses past and NaN" `Quick
+            at_refuses_past_and_nan;
+          qcheck_at_matches_after;
         ] );
       (* No suite name longer than "event queue": Alcotest pads each
          line to the longest suite name and cuts test names at 80
