@@ -144,7 +144,14 @@ let microbench () =
      other seven, whose finish times are already set.  The last charge row adds 4,096 timers that each
      re-arm 2 s out when they fire, the standing population FRAGMENT's
      discard timers kept on a busy host when it armed one per message.  The charge's own events do not
-     sift past them, but the row still pays for the timers that fire. *)
+     sift past them, but the row still pays for the timers that fire.
+     "event queue, 64 timers in near" is the queue's own figure: two
+     fibers loop on [Sim.delay] half a period apart, so each wait is
+     queued, over 64 timers that stay in the near heap (each re-arms
+     0.4 s out when it fires; one fires every 6,250 runs).  One run advances
+     the clock half a period: one wake is popped, its fiber continues
+     directly and pushes its next wait, a push and a pop on a heap of 66
+     entries plus one fiber switch. *)
   let sync_ops =
     let handoff =
       let sim = Sim.create () in
@@ -176,6 +183,23 @@ let microbench () =
       done;
       fun () -> Sim.run ~until:(Sim.now sim +. cost) sim
     in
+    let deep_queue =
+      let sim = Sim.create () in
+      let period = 2e-6 in
+      let rec rearm () = ignore (Sim.after sim 0.4 rearm) in
+      for i = 1 to 64 do
+        ignore (Sim.after sim (0.3 +. (float_of_int i *. 1e-3)) rearm)
+      done;
+      for j = 0 to 1 do
+        Sim.spawn sim (fun () ->
+            if j = 1 then Sim.delay sim (period /. 2.);
+            while true do
+              Sim.delay sim period
+            done)
+      done;
+      Sim.run ~until:period sim;
+      fun () -> Sim.run ~until:(Sim.now sim +. (period /. 2.)) sim
+    in
     let lone_charge =
       let sim = Sim.create () in
       let m = Machine.create sim Machine.xkernel_sun3 in
@@ -198,6 +222,7 @@ let microbench () =
         (Staged.stage (contended_charge ~timers:0));
       Test.make ~name:"CPU charge, 4,096 pending 2 s timers"
         (Staged.stage (contended_charge ~timers:4096));
+      Test.make ~name:"event queue, 64 timers in near" (Staged.stage deep_queue);
     ]
   in
   (* One 16 KB message down through FRAGMENT on one host and up through

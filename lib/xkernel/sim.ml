@@ -12,17 +12,23 @@ exception Stalled of string
      (time, seq)-sorted by construction and costs O(1) where a heap
      would pay its worst case (a new minimum sifts to the root and is
      popped right back).
-   - [near]: an array-backed binary min-heap for events due less than
-     [far_after] from when they are queued: CPU charges, wire
-     serialization, frame delivery, retransmission timers.
+   - [near]: a binary min-heap for events due less than [far_after]
+     from when they are queued: CPU charges, wire serialization, frame
+     delivery, retransmission timers.
    - [far]: the same kind of heap for everything due later.  It was
      split off when FRAGMENT armed a 2 s discard timer per sent message,
      so a busy run held thousands of long timers at once, and in one
      heap every short event would sift through all of them (the
      near/far split of hashed and hierarchical timing wheels, kept as
      small as one extra heap).  FRAGMENT now keeps one discard sweep
-     and one prune timer per session, so [far] holds a few per session;
-     whether the split still pays for itself is unmeasured.
+     and one prune timer per session, so [far] holds a few per session,
+     but INC's switch queues about 110,000 far timers in one inc-mixed
+     xkbench pass (up to 73 at once).  The split still pays there: with
+     [far_after = infinity] over the index heaps, 10 alternating pairs
+     at [--seconds 10] read inc-mixed's [setup_s] 14% higher (10 of 10
+     pairs) and its [heap_peak_mb] 0.8% higher (10 of 10), with calls/s
+     1.4% lower (one heap faster in 3 of 10 pairs, inside the noise);
+     null-closed did not move.
 
    Four ways queue an event, each by the same rule ([imm] at the current
    instant, else [near] or [far] by distance from the clock):
@@ -33,9 +39,19 @@ exception Stalled of string
      out earlier ([after (time -. now)] can miss [time] by an ulp);
    - a fiber's own timed wait: [delay], [yield] or a [Server] hold.
 
-   Each heap's [times] mirrors the key's time component in an unboxed
-   float array so sift comparisons never chase a boxed float.  The run
-   loop fires the least of the three heads.
+   Both heaps are index heaps.  A heap position holds its event's key
+   unboxed, the fire time in [times] and the seq in [seqs], and in
+   [slot] the number of the slot of [evs] where the event itself sits.
+   An event is stored into [evs] once, when it is pushed, and cleared
+   once, when it is popped or purged; the slots not in use are a free
+   stack kept in [slot] past the heap's size.  The sifts compare and
+   move only ints and unboxed floats, so they take no write barrier.  A
+   store of an event into a major-heap array goes through [caml_modify],
+   and a young event adds a remembered-set entry: the event-array heap
+   this replaced stored one per sift level, which filled the remembered
+   set before the minor heap (271 forced minor collections in one
+   null-closed xkbench pass at seed 1, none now).  The run loop fires
+   the least of the three heads.
 
    Cancellation is lazy: [cancel] marks the event and the run loop
    discards corpses as they surface; once heap corpses pass a
@@ -145,10 +161,16 @@ and ring = {
   mutable tail : int;
 }
 
-(* An array-backed binary min-heap keyed [(times.(i), evs.(i).seq)]. *)
+(* An index heap: a binary min-heap over positions [0, size), keyed
+   [(times.(i), seqs.(i))], whose position [i] names the event by its
+   slot [slot.(i)] in [evs].  [slot] is a permutation of [0, capacity):
+   the entries past [size] are the free slots, a stack whose top is
+   [slot.(size)]. *)
 and heap = {
-  mutable evs : event array;
-  mutable times : float array; (* times.(i) = evs.(i)'s fire time, unboxed *)
+  mutable times : float array; (* position -> fire time *)
+  mutable seqs : int array; (* position -> seq *)
+  mutable slot : int array; (* position -> slot in [evs] *)
+  mutable evs : event array; (* slot -> event, [dummy] when free *)
   mutable size : int;
 }
 
@@ -181,102 +203,134 @@ let rng t = t.sim_rng
 
 (* --- heap primitives --- *)
 
-(* Hole-based sifts: the moving event [ev] is stored once, at its final
-   slot, and each level moves one neighbour into the hole.  A store into
-   [evs] goes through the write barrier, and a young event stored over a
-   major-heap one adds a remembered-set entry; storing [ev] at every
-   level filled that set before the minor heap.  [times] keeps the moving
-   time at the hole, since an unboxed float store needs no barrier.  No
-   float is passed: it would be boxed on every call. *)
-let rec sift_up h i ev =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let ti = h.times.(i) and tp = h.times.(p) in
-    let pe = h.evs.(p) in
-    if ti < tp || (ti = tp && ev.seq < pe.seq) then begin
-      h.evs.(i) <- pe;
-      h.times.(i) <- tp;
-      h.times.(p) <- ti;
-      sift_up h p ev
+(* The sifts move keys and slot numbers, never an event (see the
+   header): each level copies one neighbour's [(time, seq, slot)] into
+   the hole, and the moving key is stored once, at its final position.
+   Both are loops over a key read from the arrays, since a float passed
+   to a function or to a recursive call would be boxed. *)
+
+(* Sift the key at position [i0] up towards the root. *)
+let sift_up h i0 =
+  let times = h.times and seqs = h.seqs and slot = h.slot in
+  let tk = times.(i0) and sk = seqs.(i0) and xk = slot.(i0) in
+  let i = ref i0 and rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = times.(p) in
+    if tk < tp || (tk = tp && sk < seqs.(p)) then begin
+      times.(!i) <- tp;
+      seqs.(!i) <- seqs.(p);
+      slot.(!i) <- slot.(p);
+      i := p
     end
-    else h.evs.(i) <- ev
-  end
-  else h.evs.(i) <- ev
+    else rising := false
+  done;
+  times.(!i) <- tk;
+  seqs.(!i) <- sk;
+  slot.(!i) <- xk
 
-let rec sift_down h n i ev =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let s =
-      if
-        l + 1 < n
-        && (h.times.(l + 1) < h.times.(l)
-           || (h.times.(l + 1) = h.times.(l)
-              && h.evs.(l + 1).seq < h.evs.(l).seq))
-      then l + 1
-      else l
-    in
-    let ts = h.times.(s) and ti = h.times.(i) in
-    let se = h.evs.(s) in
-    if ts < ti || (ts = ti && se.seq < ev.seq) then begin
-      h.evs.(i) <- se;
-      h.times.(i) <- ts;
-      h.times.(s) <- ti;
-      sift_down h n s ev
+(* Sift the key at position [k] down from the hole at [i0], within the
+   first [n] positions.  [k] is [i0] itself, or [n] when the last entry
+   refills a popped root. *)
+let sift_down h n i0 k =
+  let times = h.times and seqs = h.seqs and slot = h.slot in
+  let tk = times.(k) and sk = seqs.(k) and xk = slot.(k) in
+  let i = ref i0 and sinking = ref true in
+  while !sinking do
+    let l = (2 * !i) + 1 in
+    if l >= n then sinking := false
+    else begin
+      let c =
+        if
+          l + 1 < n
+          && (times.(l + 1) < times.(l)
+             || (times.(l + 1) = times.(l) && seqs.(l + 1) < seqs.(l)))
+        then l + 1
+        else l
+      in
+      let tc = times.(c) in
+      if tc < tk || (tc = tk && seqs.(c) < sk) then begin
+        times.(!i) <- tc;
+        seqs.(!i) <- seqs.(c);
+        slot.(!i) <- slot.(c);
+        i := c
+      end
+      else sinking := false
     end
-    else h.evs.(i) <- ev
-  end
-  else h.evs.(i) <- ev
+  done;
+  times.(!i) <- tk;
+  seqs.(!i) <- sk;
+  slot.(!i) <- xk
 
-let heap () = { evs = [||]; times = [||]; size = 0 }
+let heap () = { times = [||]; seqs = [||]; slot = [||]; evs = [||]; size = 0 }
 
-(* Push [ev] into [h] keyed at [t.due.at].  The time is read here, not
-   passed in: a float argument would be boxed on every push. *)
+(* The event at the root. *)
+let root h = h.evs.(h.slot.(0))
+
+(* Push [ev] into [h] keyed at [(t.due.at, ev.seq)], in the free slot
+   on top of the stack.  The time is read here, not passed in: a float
+   argument would be boxed on every push. *)
 let heap_push t h ev =
-  let cap = Array.length h.evs in
-  if h.size = cap then begin
-    let cap' = max 256 (2 * cap) in
-    let grown = Array.make cap' t.dummy in
-    let grown_times = Array.make cap' infinity in
-    Array.blit h.evs 0 grown 0 h.size;
-    Array.blit h.times 0 grown_times 0 h.size;
-    h.evs <- grown;
-    h.times <- grown_times
+  let n = h.size in
+  if n = Array.length h.evs then begin
+    let cap = max 64 (2 * n) in
+    let grow a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    h.times <- grow h.times infinity;
+    h.seqs <- grow h.seqs 0;
+    h.evs <- grow h.evs t.dummy;
+    (* Every slot is taken, so the new ones are the free stack. *)
+    let slot = Array.init cap Fun.id in
+    Array.blit h.slot 0 slot 0 n;
+    h.slot <- slot
   end;
-  h.times.(h.size) <- t.due.at;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1) ev
+  h.evs.(h.slot.(n)) <- ev;
+  h.times.(n) <- t.due.at;
+  h.seqs.(n) <- ev.seq;
+  h.size <- n + 1;
+  sift_up h n
 
-(* Pop the root.  The caller decides whether it was live. *)
+(* Pop the root and return its slot to the free stack.  The caller
+   decides whether it was live. *)
 let heap_pop t h =
-  let ev = h.evs.(0) in
-  h.size <- h.size - 1;
-  let last = h.evs.(h.size) in
-  h.times.(0) <- h.times.(h.size);
-  h.evs.(h.size) <- t.dummy;
-  h.times.(h.size) <- infinity;
-  if h.size > 0 then sift_down h h.size 0 last;
+  let s = h.slot.(0) in
+  let ev = h.evs.(s) in
+  h.evs.(s) <- t.dummy;
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then sift_down h n 0 n;
+  h.slot.(n) <- s;
   ev
 
 (* Compact away cancelled events and re-heapify (Floyd's O(n) pass).
-   Heap order depends only on the (time, seq) key, so rebuilding cannot
-   perturb the firing schedule. *)
+   A live entry swaps places with the first dead one, so the dead slots
+   end up past the new size, on the free stack.  Heap order depends only
+   on the (time, seq) key, so rebuilding cannot perturb the firing
+   schedule. *)
 let purge t h =
   let kept = ref 0 in
   for i = 0 to h.size - 1 do
-    let ev = h.evs.(i) in
-    if ev.phase <> Cancelled then begin
-      h.evs.(!kept) <- ev;
-      h.times.(!kept) <- h.times.(i);
-      incr kept
+    let s = h.slot.(i) in
+    let ev = h.evs.(s) in
+    if ev.phase = Cancelled then begin
+      ev.phase <- Fired;
+      h.evs.(s) <- t.dummy
     end
-  done;
-  for i = !kept to h.size - 1 do
-    h.evs.(i) <- t.dummy;
-    h.times.(i) <- infinity
+    else begin
+      let k = !kept in
+      h.slot.(i) <- h.slot.(k);
+      h.slot.(k) <- s;
+      h.times.(k) <- h.times.(i);
+      h.seqs.(k) <- h.seqs.(i);
+      kept := k + 1
+    end
   done;
   h.size <- !kept;
   for i = (!kept / 2) - 1 downto 0 do
-    sift_down h !kept i h.evs.(i)
+    sift_down h !kept i i
   done
 
 (* The heap whose root fires first, [near] when both are empty. *)
@@ -286,7 +340,7 @@ let next_heap t =
   else if n.size = 0 then f
   else
     let tn = n.times.(0) and tf = f.times.(0) in
-    if tf < tn || (tf = tn && f.evs.(0).seq < n.evs.(0).seq) then f else n
+    if tf < tn || (tf = tn && f.seqs.(0) < n.seqs.(0)) then f else n
 
 (* --- ring primitives --- *)
 
@@ -555,7 +609,7 @@ let run ?until t =
      behind the clock fires nothing, since the clock must not run back. *)
   let rec loop () =
     let h = next_heap t in
-    if h.size > 0 && h.evs.(0).phase = Cancelled then begin
+    if h.size > 0 && (root h).phase = Cancelled then begin
       (heap_pop t h).phase <- Fired;
       loop ()
     end
@@ -570,7 +624,7 @@ let run ?until t =
            immediate's time is [now] by the invariant above, so a heap
            can win only on an equal time with a smaller seq (the clock
            never passes a queued immediate). *)
-        if h.size > 0 && h.times.(0) = t.due.now && h.evs.(0).seq < qe.seq then
+        if h.size > 0 && h.times.(0) = t.due.now && h.seqs.(0) < qe.seq then
           execute (heap_pop t h)
         else execute (ring_pop t t.imm);
         loop ()

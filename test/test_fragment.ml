@@ -569,8 +569,9 @@ let measured = ref []
    share of the message's split and send cache slot, 31.75 (budget 33;
    a discard timer per message measured 38.53, and a header record and
    a pair per fragment in the cache 52); a fragment received, with its
-   share of the reassembly, delivery and dedup entry, 19.71 (21; 24.86
-   with a boxed time per dedup entry and a cord node per fragment); and
+   share of the reassembly, delivery and dedup entry, 17.71 (19; 19.71
+   with a fresh [Some] per session lookup, 24.86 with a boxed time per
+   dedup entry and a cord node per fragment); and
    on the message FRAGMENT reassembled, the reads and drops of a 4-byte
    header under an 18-byte one (SELECT's and CHANNEL's), 8 on a cord
    that leans right (8.01, the 0.01 for the boxed float of
@@ -628,7 +629,7 @@ let alloc_budget () =
   let figures =
     [
       ("per-fragment send", 33., send);
-      ("per-fragment receive", 21., recv);
+      ("per-fragment receive", 19., recv);
       ( "16 KB reassembled, 2 drops",
         8.01,
         words_per n (fun () ->

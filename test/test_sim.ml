@@ -483,6 +483,118 @@ let cancel_purge_pending () =
   Tutil.check_int "processed counts executions" (List.length live)
     (Sim.processed sim)
 
+(* Random [after], [at], [cancel] and [run ~until] steps against a
+   model that keeps every event's (time, seq) and whether it is still
+   live.  A case queues about 350-1,200 events in four to six stretches,
+   each with its own share of cancels and reach of delays.  Runs advance
+   the clock by at most 0.01 s while delays reach 0.5 s or 1 s, so
+   stretches without cancels grow a heap past its first 256 entries, and
+   stretches that cancel recent events leave enough corpses for [purge]
+   to compact the heaps and free slots that later pushes reuse.  [at]
+   aims at a 1/40 s grid that [after]'s delays also hit, so ties within
+   and across the heaps and the instant FIFO are common.  After each run
+   the events fired must be the model's survivors due by the bound, in
+   (time, seq) order; after every step [pending], and after each run the
+   clock, must agree. *)
+type queue_step = Q_after of int | Q_at of int | Q_cancel of int | Q_until of int
+
+let qcheck_queue_model =
+  let stretch =
+    QCheck.Gen.(
+      oneofl [ 0; 3; 12 ] >>= fun cancels ->
+      oneofl [ 19; 40 ] >>= fun reach ->
+      list_size (int_range 150 300)
+        (frequency
+           [
+             (4, map (fun k -> Q_after k) (int_bound reach));
+             (2, map (fun k -> Q_at k) (int_bound reach));
+             (cancels, map (fun k -> Q_cancel k) (int_bound 255));
+             (1, map (fun k -> Q_until k) (int_bound 40));
+           ]))
+  in
+  let show = function
+    | Q_after k -> Printf.sprintf "after %d/40" k
+    | Q_at k -> Printf.sprintf "at +%d/40" k
+    | Q_cancel k -> Printf.sprintf "cancel -%d" k
+    | Q_until k -> Printf.sprintf "until +%d/4000" k
+  in
+  Tutil.qtest ~count:100 "after, at, cancel, until vs model"
+    (QCheck.make
+       ~print:QCheck.Print.(list show)
+       QCheck.Gen.(map List.concat (list_size (int_range 4 6) stretch)))
+    (fun steps ->
+      let sim = Sim.create () in
+      let cap = List.length steps in
+      let handles = Array.make cap None in
+      let times = Array.make cap 0. and live = Array.make cap false in
+      let queued = ref 0 and n_live = ref 0 and now = ref 0. in
+      let fired = ref [] in
+      let schedule time arm =
+        let id = !queued in
+        incr queued;
+        incr n_live;
+        times.(id) <- time;
+        live.(id) <- true;
+        handles.(id) <- Some (arm (fun () -> fired := id :: !fired))
+      in
+      (* Fire the model's live events due by [u]; ids are seq order. *)
+      let fire_until u =
+        let due =
+          List.init !queued Fun.id
+          |> List.filter (fun id -> live.(id) && times.(id) <= u)
+          |> List.sort (fun a b -> compare (times.(a), a) (times.(b), b))
+        in
+        List.iter (fun id -> live.(id) <- false) due;
+        n_live := !n_live - List.length due;
+        (if !n_live > 0 then now := u
+         else match List.rev due with last :: _ -> now := times.(last) | [] -> ());
+        due
+      in
+      let check_fired i u =
+        let want = fire_until u and got = List.rev !fired in
+        fired := [];
+        if got <> want then
+          QCheck.Test.fail_reportf "step %d: fired [%s], model [%s]" i
+            (String.concat " " (List.map string_of_int got))
+            (String.concat " " (List.map string_of_int want));
+        if Sim.now sim <> !now then
+          QCheck.Test.fail_reportf "step %d: clock %h, model %h" i
+            (Sim.now sim) !now
+      in
+      List.iteri
+        (fun i st ->
+          (match st with
+          | Q_after k ->
+              let d = float_of_int k /. 40. in
+              schedule (!now +. d) (Sim.after sim d)
+          | Q_at k ->
+              let time =
+                Float.max !now ((Float.ceil (!now *. 40.) +. float_of_int k) /. 40.)
+              in
+              schedule time (Sim.at sim time)
+          | Q_cancel k ->
+              let id = !queued - 1 - k in
+              if id >= 0 then begin
+                let was_live = live.(id) in
+                if Sim.cancel (Option.get handles.(id)) <> was_live then
+                  QCheck.Test.fail_reportf "step %d: cancel of %d" i id;
+                if was_live then begin
+                  live.(id) <- false;
+                  decr n_live
+                end
+              end
+          | Q_until k ->
+              let u = !now +. (float_of_int k /. 4000.) in
+              Sim.run ~until:u sim;
+              check_fired i u);
+          if Sim.pending sim <> !n_live then
+            QCheck.Test.fail_reportf "step %d: pending %d, model %d" i
+              (Sim.pending sim) !n_live)
+        steps;
+      Sim.run sim;
+      check_fired cap infinity;
+      true)
+
 (* Events due at one instant fire in (time, seq) order whichever queue
    holds them.  An event lands in the far heap only when it is queued at
    least 0.5 s before it is due, so of two tied heap roots the far one
@@ -789,9 +901,14 @@ let words_per_op n f =
    rounds of [op], the second half a [period] behind, so whenever one
    waits the other's wake is queued and due sooner, and no wait runs in
    place.  Each fiber has its own machine, so no charge waits for the
-   CPU.  The count covers both fibers' rounds. *)
-let queued_words n ~period op =
+   CPU.  The count covers both fibers' rounds.  [standing] timers sit in
+   the near heap throughout, due after the rounds end, so each queued
+   wait sifts through them. *)
+let queued_words ?(standing = 0) n ~period op =
   let sim = Sim.create () in
+  for i = 1 to standing do
+    ignore (Sim.after sim (0.25 +. (float_of_int i *. 1e-3)) ignore)
+  done;
   let w = ref nan in
   let fiber ~lead =
     let m = Machine.create sim Machine.xkernel_sun3 in
@@ -826,6 +943,9 @@ let alloc_budget () =
   let two_ops = [ Machine.Layer_crossing; Machine.Process_switch ] in
   let delay_w =
     queued_words n ~period:1e-6 (fun sim _ -> Sim.delay sim 1e-6)
+  in
+  let deep_w =
+    queued_words ~standing:64 n ~period:1e-6 (fun sim _ -> Sim.delay sim 1e-6)
   in
   let far_w = queued_words n ~period:1.0 (fun sim _ -> Sim.delay sim 1.0) in
   let charge_w =
@@ -936,13 +1056,17 @@ let alloc_budget () =
       (* A yield is a timed wait that never touches a heap, a short
          queued wait goes through the near heap and a long one through
          the far heap.  Each must allocate what the one before it does,
-         so a float boxed on a heap's path or on the clock's shows.  In
+         so a float boxed on a heap's path or on the clock's shows.  With
+         64 timers in the near heap, each short wait's push and pop
+         sift five or six levels each, so a float boxed per level
+         shows (12 words with one in the downward sift alone).  In
          place, a wait or a charge allocates nothing, so a float passed
          as an argument there, or a fall-back to the queued path,
          shows. *)
       ("Sim.yield", 3., !yield_w);
       ("semaphore hand-off", 2.5, !handoff_w);
       ("Sim.delay", !yield_w +. 0.5, delay_w);
+      ("Sim.delay, 64 timers in near", 2.5, deep_w);
       ("Sim.delay 1 s", delay_w +. 0.5, far_w);
       ("Sim.delay, in place", 0.5, !in_place_w);
       ("Machine.charge_one", 4., charge_w);
@@ -1083,6 +1207,7 @@ let () =
           qcheck_heap_order;
           qcheck_nested_order;
           qcheck_fiber_order;
+          qcheck_queue_model;
           Alcotest.test_case "cancel purge and pending" `Quick
             cancel_purge_pending;
           Alcotest.test_case "cancel after fire" `Quick cancel_after_fire;
