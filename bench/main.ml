@@ -72,45 +72,35 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Msg.append (fst (Msg.split m 512)) m)));
       Test.make ~name:"SPRITE_HDR encode + read"
         (Staged.stage
-           (let h =
-              {
-                Rpc.Wire_fmt.Sprite.flags = 1;
-                clnt_host = Addr.Ip.v 10 0 0 1;
-                srvr_host = Addr.Ip.v 10 0 0 2;
-                channel = 1;
-                srvr_process = 0;
-                sequence_num = 7;
-                num_frags = 1;
-                frag_mask = 1;
-                command = 3;
-                boot_id = 1;
-                data1_sz = 0;
-                data2_sz = 0;
-                data1_off = 0;
-                data2_off = 0;
-              }
-            in
+           (let module H = Rpc.Wire_fmt.Sprite in
+            let clnt = Addr.Ip.v 10 0 0 1 and srvr = Addr.Ip.v 10 0 0 2 in
             fun () ->
+              let m =
+                Msg.of_string
+                  (H.encode ~flags:1 ~clnt ~srvr ~channel:1 ~seq:7 ~num:1
+                     ~mask:1 ~command:3 ~boot_id:1 ~len:0 ~off:0)
+              in
               ignore
-                (Rpc.Wire_fmt.Sprite.read
-                   (Msg.of_string (Rpc.Wire_fmt.Sprite.encode h)))));
+                (Sys.opaque_identity
+                   (H.flags m + Addr.Ip.to_int (H.clnt_host m)
+                  + Addr.Ip.to_int (H.srvr_host m) + H.channel m
+                  + H.sequence_num m + H.num_frags m + H.frag_mask m
+                  + H.command m + H.boot_id m + H.data1_sz m))));
       Test.make ~name:"CHANNEL header encode + read"
         (Staged.stage
-           (let h =
-              {
-                Rpc.Wire_fmt.Channel.flags = Rpc.Wire_fmt.Flags.request;
-                channel = 3;
-                protocol_num = 93;
-                sequence_num = 7;
-                error = 0;
-                boot_id = 1;
-                deadline_us = -1;
-              }
-            in
+           (let module C = Rpc.Wire_fmt.Channel in
             fun () ->
+              let m =
+                Msg.of_string
+                  (C.encode ~flags:Rpc.Wire_fmt.Flags.request ~channel:3
+                     ~proto:Rpc.Select.proto_num ~seq:7 ~error:0 ~boot_id:1
+                     ~deadline_us:(-1))
+              in
               ignore
-                (Rpc.Wire_fmt.Channel.read
-                   (Msg.of_string (Rpc.Wire_fmt.Channel.encode h)))));
+                (Sys.opaque_identity
+                   (C.header_len m + C.flags m + C.channel m
+                  + C.protocol_num m + C.sequence_num m + C.error m
+                  + C.boot_id m + C.deadline_us m))));
       Test.make ~name:"FRAGMENT header encode + read"
         (Staged.stage
            (let module F = Rpc.Wire_fmt.Fragment in
@@ -348,7 +338,7 @@ let () =
       ( "figures",
         E.figures
           ~fig2_extra:(fun ~host ~lower ->
-            Psync.proto (Psync.create ~host ~lower ()))
+            Psync.proto (Psync.create ~host ~lower))
           () );
       ("ablation", E.ablation ());
       ("cpu_note", E.cpu_note ());

@@ -42,7 +42,7 @@ let experiments cap =
       fun () ->
         E.figures
           ~fig2_extra:(fun ~host ~lower ->
-            Psync.proto (Psync.create ~host ~lower ()))
+            Psync.proto (Psync.create ~host ~lower))
           () );
     ("ablation", E.ablation);
     ("cpu", E.cpu_note);

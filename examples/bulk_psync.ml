@@ -23,7 +23,7 @@ let () =
     in
     Hashtbl.replace frag_of i fragment;
     let ps =
-      Psync.create ~host:n.World.host ~lower:(Rpc.Fragment.proto fragment) ()
+      Psync.create ~host:n.World.host ~lower:(Rpc.Fragment.proto fragment)
     in
     Psync.join ps ~conv_id:42 ~members
   in

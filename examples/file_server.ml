@@ -23,10 +23,8 @@ let encode_name_and_data name data =
   Msg.of_string (Codec.W.contents w)
 
 let decode_name_and_data msg =
-  let r = Codec.R.of_string (Msg.to_string msg) in
-  let n = Codec.R.u16 r in
-  let name = Codec.R.bytes r n in
-  (name, Codec.R.bytes r (Codec.R.remaining r))
+  let n = Msg.u16 msg 0 in
+  (Msg.to_string (Msg.sub msg 2 n), Msg.to_string (Msg.drop msg (2 + n)))
 
 let () =
   let w = World.create () in
@@ -40,7 +38,7 @@ let () =
       Rpc.Channel.create ~host:n.World.host
         ~lower:(Rpc.Fragment.proto fragment) ()
     in
-    (fragment, Rpc.Select.create ~host:n.World.host ~channel ())
+    (fragment, Rpc.Select.create ~host:n.World.host ~channel)
   in
   let _, client_sel = build client_node in
   let server_frag, server_sel = build server_node in

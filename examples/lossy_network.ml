@@ -27,7 +27,7 @@ let run_batch drop_rate =
       Rpc.Channel.create ~host:n.World.host
         ~lower:(Rpc.Fragment.proto fragment) ()
     in
-    (fragment, channel, Rpc.Select.create ~host:n.World.host ~channel ())
+    (fragment, channel, Rpc.Select.create ~host:n.World.host ~channel)
   in
   let frag_c, chan_c, sel_c = build (World.node w 0) in
   let _, _, sel_s = build (World.node w 1) in

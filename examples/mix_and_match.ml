@@ -45,7 +45,7 @@ let () =
   demo "SUN_SELECT / REQUEST_REPLY / VIP" ~mk_stack:(fun (n : World.node) ->
       let rr =
         Rpc.Request_reply.create ~host:n.World.host
-          ~lower:(Netproto.Vip.proto n.World.vip) ()
+          ~lower:(Netproto.Vip.proto n.World.vip)
       in
       Sun.create ~host:n.World.host
         ~transaction:(Sun.over_request_reply rr ~proto_num:98));
@@ -57,7 +57,7 @@ let () =
       in
       let rr =
         Rpc.Request_reply.create ~host:n.World.host
-          ~lower:(Rpc.Fragment.proto frag) ()
+          ~lower:(Rpc.Fragment.proto frag)
       in
       Sun.create ~host:n.World.host
         ~transaction:(Sun.over_request_reply rr ~proto_num:98));
@@ -80,7 +80,7 @@ let () =
           ()
       in
       let rr =
-        Rpc.Request_reply.create ~host:n.World.host ~lower:(Rpc.Auth.proto auth) ()
+        Rpc.Request_reply.create ~host:n.World.host ~lower:(Rpc.Auth.proto auth)
       in
       Sun.create ~host:n.World.host
         ~transaction:(Sun.over_request_reply rr ~proto_num:98));

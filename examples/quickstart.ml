@@ -21,7 +21,7 @@ let () =
       Rpc.Channel.create ~host:n.World.host
         ~lower:(Rpc.Fragment.proto fragment) ()
     in
-    Rpc.Select.create ~host:n.World.host ~channel ()
+    Rpc.Select.create ~host:n.World.host ~channel
   in
   let client_sel = build client_node in
   let server_sel = build server_node in

@@ -49,6 +49,7 @@ type sess = {
 (* CHANNEL's own protocol number toward the layer below; the
    protocol-number field in its header names the layer above. *)
 let own_proto = 93
+let proto_num = own_proto
 
 type t = {
   host : Host.t;
@@ -90,23 +91,20 @@ let deadline_us_of t expires =
       if rem <= 0. then 0
       else min (int_of_float rem) C.max_deadline_us
 
-let header ?(expires = None) t s ~flags ~seq ~error =
-  {
-    C.flags;
-    channel = s.chan;
-    protocol_num = s.proto_num;
-    sequence_num = seq;
-    error;
-    boot_id = t.host.Host.boot_id;
-    deadline_us = deadline_us_of t expires;
-  }
-
-let transmit t s hdr payload =
+(* The header's field values are taken before the charge, which can
+   yield. *)
+let transmit ?(expires = None) t s ~flags ~seq ~error payload =
+  let deadline_us = deadline_us_of t expires in
+  let boot_id = t.host.Host.boot_id in
   let hdr_bytes =
-    if hdr.C.deadline_us >= 0 then C.bytes + C.ext_bytes else C.bytes
+    if deadline_us >= 0 then C.bytes + C.ext_bytes else C.bytes
   in
   Machine.charge_one t.host.Host.mach (Machine.Header hdr_bytes);
-  let encoded = Msg.push payload (C.encode hdr) in
+  let encoded =
+    Msg.push payload
+      (C.encode ~flags ~channel:s.chan ~proto:s.proto_num ~seq ~error ~boot_id
+         ~deadline_us)
+  in
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
     ~dir:`Send encoded;
   Proto.push s.lower_sess encoded
@@ -280,12 +278,9 @@ let rec arm_timer t s o timeout =
                     explicitly if it is still working; the deadline
                     extension carries the budget *remaining now*, not
                     the original stamp. *)
-                 let hdr =
-                   header ~expires:o.expires t s
-                     ~flags:(Wire_fmt.Flags.request lor Wire_fmt.Flags.please_ack)
-                     ~seq:o.o_seq ~error:0
-                 in
-                 transmit t s hdr o.payload;
+                 transmit ~expires:o.expires t s
+                   ~flags:(Wire_fmt.Flags.request lor Wire_fmt.Flags.please_ack)
+                   ~seq:o.o_seq ~error:0 o.payload;
                  let patience =
                    if o.acked then base_timeout *. 4.
                    else if t.adaptive then begin
@@ -331,9 +326,7 @@ let send_request_free t s ~iv ~expires payload =
      process blocks until the reply wakes it. *)
   Machine.charge t.host.Host.mach
     [ Machine.Semaphore_op; Machine.Process_switch ];
-  transmit t s
-    (header ~expires t s ~flags:Wire_fmt.Flags.request ~seq ~error:0)
-    payload;
+  transmit ~expires t s ~flags:Wire_fmt.Flags.request ~seq ~error:0 payload;
   arm_timer t s o
     (backed_rto t s (Msg.length payload + C.bytes) *. load_scale t s)
 
@@ -359,27 +352,33 @@ let send_request ?(expires = None) t s ~iv payload =
   | None -> send_request_free t s ~iv ~expires payload
 
 let send_reply ?(error = 0) t s payload =
-  let hdr = header t s ~flags:Wire_fmt.Flags.reply ~seq:s.last_seq ~error in
   Stats.tick t.c_reply_tx;
   s.busy <- false;
-  let encoded = Msg.push payload (C.encode hdr) in
+  let encoded =
+    Msg.push payload
+      (C.encode ~flags:Wire_fmt.Flags.reply ~channel:s.chan ~proto:s.proto_num
+         ~seq:s.last_seq ~error ~boot_id:t.host.Host.boot_id ~deadline_us:(-1))
+  in
   s.cached_reply <- Some encoded;
   Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
     ~dir:`Send encoded;
   Proto.push s.lower_sess encoded
 
-let handle_request t s (hdr : C.t) body =
+(* [m] is the frame with its header in front, [body] what follows the
+   header. *)
+let handle_request t s m body =
   Stats.tick t.c_req_rx;
-  if hdr.C.boot_id <> s.client_boot then begin
+  let boot_id = C.boot_id m and seq = C.sequence_num m in
+  if boot_id <> s.client_boot then begin
     (* New incarnation of the client: forget the old channel state. *)
-    s.client_boot <- hdr.C.boot_id;
+    s.client_boot <- boot_id;
     s.last_seq <- 0;
     s.cached_reply <- None;
     s.busy <- false
   end;
-  if hdr.C.sequence_num < s.last_seq then Stats.incr t.stats "stale-rx"
-  else if hdr.C.sequence_num = s.last_seq then begin
+  if seq < s.last_seq then Stats.incr t.stats "stale-rx"
+  else if seq = s.last_seq then begin
     Stats.incr t.stats "dup-req";
     match s.cached_reply with
     | Some encoded ->
@@ -390,36 +389,34 @@ let handle_request t s (hdr : C.t) body =
     | None ->
         if s.busy then begin
           Stats.tick t.c_ack_tx;
-          transmit t s
-            (header t s ~flags:Wire_fmt.Flags.ack ~seq:hdr.C.sequence_num
-               ~error:0)
-            Msg.empty
+          transmit t s ~flags:Wire_fmt.Flags.ack ~seq ~error:0 Msg.empty
         end
   end
-  else if hdr.C.deadline_us = 0 then
-    (* The request arrived with its propagated budget already spent:
-       the caller has given up, so executing it — or even claiming the
-       channel — would be pure waste.  Dropping here is indistinguishable
-       from packet loss, which at-most-once semantics already absorb. *)
-    Stats.incr t.stats "deadline-expired-server"
-  else begin
-    (* A new request implicitly acknowledges the previous reply. *)
-    s.last_seq <- hdr.C.sequence_num;
-    s.cached_reply <- None;
-    s.busy <- true;
-    s.rx_expires <-
-      (if hdr.C.deadline_us > 0 then
-         Some
-           (Sim.now (Host.sim t.host)
-           +. (float_of_int hdr.C.deadline_us *. 1e-6))
-       else None);
-    Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
-    Proto.deliver s.upper ~lower:(Option.get s.xs) body
-  end
+  else
+    let deadline_us = C.deadline_us m in
+    if deadline_us = 0 then
+      (* The request arrived with its propagated budget already spent:
+         the caller has given up, so executing it — or even claiming the
+         channel — would be pure waste.  Dropping here is indistinguishable
+         from packet loss, which at-most-once semantics already absorb. *)
+      Stats.incr t.stats "deadline-expired-server"
+    else begin
+      (* A new request implicitly acknowledges the previous reply. *)
+      s.last_seq <- seq;
+      s.cached_reply <- None;
+      s.busy <- true;
+      s.rx_expires <-
+        (if deadline_us > 0 then
+           Some
+             (Sim.now (Host.sim t.host) +. (float_of_int deadline_us *. 1e-6))
+         else None);
+      Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+      Proto.deliver s.upper ~lower:(Option.get s.xs) body
+    end
 
-let handle_reply t s (hdr : C.t) body =
+let handle_reply t s m body =
   match s.out with
-  | Some o when hdr.C.sequence_num = o.o_seq -> (
+  | Some o when C.sequence_num m = o.o_seq -> (
       Stats.tick t.c_reply_rx;
       if t.adaptive then
         if o.tries_left = retries then
@@ -438,18 +435,17 @@ let handle_reply t s (hdr : C.t) body =
              after the loss that earned it has cleared. *)
           if s.backoff > 0 then s.backoff <- s.backoff - 1
         end;
+      let boot_id = C.boot_id m in
       let reboot_detected =
-        match s.server_boot with
-        | Some b when b <> hdr.C.boot_id -> true
-        | _ -> false
+        match s.server_boot with Some b when b <> boot_id -> true | _ -> false
       in
-      s.server_boot <- Some hdr.C.boot_id;
+      s.server_boot <- Some boot_id;
       if reboot_detected && o.tries_left < retries then
         (* The server restarted while we were retransmitting: we cannot
            know whether the procedure executed. *)
         complete t s (Error Rpc_error.Rebooted)
       else
-        match hdr.C.error with
+        match C.error m with
         | 0 -> complete t s (Ok body)
         | e when e = C.err_busy ->
             (* Explicit admission pushback: the server refused the call
@@ -461,18 +457,18 @@ let handle_reply t s (hdr : C.t) body =
         | e -> complete t s (Error (Rpc_error.Remote e)))
   | _ -> Stats.incr t.stats "stale-rx"
 
-let handle_ack t s (hdr : C.t) =
+let handle_ack t s m =
   match s.out with
-  | Some o when hdr.C.sequence_num = o.o_seq ->
+  | Some o when C.sequence_num m = o.o_seq ->
       Stats.tick t.c_ack_rx;
       o.acked <- true
   | _ -> Stats.incr t.stats "stale-rx"
 
-let handle_packet t s hdr body =
-  let f = hdr.C.flags in
-  if f land Wire_fmt.Flags.request <> 0 then handle_request t s hdr body
-  else if f land Wire_fmt.Flags.reply <> 0 then handle_reply t s hdr body
-  else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t s hdr
+let handle_packet t s m body =
+  let f = C.flags m in
+  if f land Wire_fmt.Flags.request <> 0 then handle_request t s m body
+  else if f land Wire_fmt.Flags.reply <> 0 then handle_reply t s m body
+  else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t s m
   else Stats.incr t.stats "rx-malformed"
 
 let make_session t ~upper (peer, proto_num, chan) =
@@ -578,16 +574,16 @@ let input t ~lower msg =
       if Msg.length msg < C.bytes then Stats.incr t.stats "rx-runt"
       else begin
         Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
-        (* [None] here is a deadline flag without its extension word. *)
-        match C.read msg with
-        | None -> Stats.incr t.stats "rx-runt"
-        | Some hdr -> (
-            let proto_num = hdr.C.protocol_num in
-            match
-              Demux.resolve t.demux t (peer, proto_num, hdr.C.channel) proto_num
-            with
-            | Some s -> handle_packet t s hdr (Msg.drop msg (C.length hdr))
-            | None -> Stats.incr t.stats "rx-unbound")
+        let hdr_len = C.header_len msg in
+        (* A deadline flag without its extension word. *)
+        if Msg.length msg < hdr_len then Stats.incr t.stats "rx-runt"
+        else
+          let proto_num = C.protocol_num msg in
+          match
+            Demux.resolve t.demux t (peer, proto_num, C.channel msg) proto_num
+          with
+          | Some s -> handle_packet t s msg (Msg.drop msg hdr_len)
+          | None -> Stats.incr t.stats "rx-unbound"
       end)
   | _ -> Stats.incr t.stats "rx-unidentified"
 

@@ -39,6 +39,10 @@
 
 type t
 
+val proto_num : int
+(** 93: CHANNEL's own protocol number toward the layer below (its
+    header's protocol-number field names the upper protocol). *)
+
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
@@ -47,9 +51,7 @@ val create :
   ?rto_load_floor:bool ->
   unit ->
   t
-(** CHANNEL's own protocol number toward the layer below is 93 (its
-    header's protocol-number field names the upper protocol).
-    [n_channels] (default 8) is Sprite's fixed, predefined channel
+(** [n_channels] (default 8) is Sprite's fixed, predefined channel
     count.  The timeout is Sprite's step function: 20 ms for
     single-fragment requests, plus 3 ms per expected fragment otherwise,
     with 5 retries.

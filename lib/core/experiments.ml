@@ -264,7 +264,7 @@ let figures ?fig2_extra () =
   let chan =
     Channel.create ~host:n0.World.host ~lower:(Fragment.proto frag) ()
   in
-  let sel = Select.create ~host:n0.World.host ~channel:chan () in
+  let sel = Select.create ~host:n0.World.host ~channel:chan in
   let udp2 =
     Netproto.Udp.create ~host:n0.World.host
       ~lower:(Netproto.Vip.proto n0.World.vip) ()
@@ -286,7 +286,7 @@ let figures ?fig2_extra () =
   let ca =
     Channel.create ~host:n.World.host ~lower:(Fragment.proto fa) ()
   in
-  let sa = Select.create ~host:n.World.host ~channel:ca () in
+  let sa = Select.create ~host:n.World.host ~channel:ca in
   pr "(a) FRAGMENT above VIP:\n";
   Format.printf "%a" Proto.pp_graph [ Select.proto sa ];
   let w4 = World.create () in
@@ -301,7 +301,7 @@ let figures ?fig2_extra () =
     Channel.create ~host:n.World.host
       ~lower:(Netproto.Vip_size.proto vsize) ()
   in
-  let sb = Select.create ~host:n.World.host ~channel:cb () in
+  let sb = Select.create ~host:n.World.host ~channel:cb in
   pr "(b) FRAGMENT below VIPsize:\n";
   Format.printf "%a" Proto.pp_graph [ Select.proto sb ];
   (* graphs are diagrams, not measurements — nothing to export *)

@@ -72,6 +72,7 @@ let nack_retries = 3
 (* FRAGMENT's own protocol number toward the layer below; the
    protocol-number *field* in its header names the layer above. *)
 let own_proto = 92
+let proto_num = own_proto
 
 type t = {
   host : Host.t;

@@ -24,16 +24,19 @@
 
 type t
 
+val proto_num : int
+(** 92: FRAGMENT's {e own} protocol number toward the layer below.  The
+    protocol-number field inside its header names whichever upper
+    protocol each message belongs to — the reason a reusable layer
+    "must have its own protocol number (type) field" (section 3.2). *)
+
 val create :
   host:Xkernel.Host.t ->
   lower:Xkernel.Proto.t ->
   ?frag_size:int ->
   unit ->
   t
-(** FRAGMENT's *own* protocol number toward the layer below is 92; the
-    protocol-number field inside its header names whichever upper
-    protocol each message belongs to — the reason a reusable layer
-    "must have its own protocol number (type) field" (section 3.2).  [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
+(** [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
     message becomes 16 packets, per section 4.2).  The sender discards
     a message's fragments after 2 s; a receiver waits 30 ms on an
     incomplete message before requesting the missing fragments, and

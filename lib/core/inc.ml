@@ -116,38 +116,36 @@ let store t k e =
 
 (* Answer from the cache on the server's behalf: a CHANNEL reply under a
    fresh FRAGMENT header whose [clnt_host] (the sender field) is the
-   server, so the client's FRAGMENT session for that peer accepts it. *)
+   server, so the client's FRAGMENT session for that peer accepts it.
+   [ch] is the request's CHANNEL frame, header in front. *)
 let synthesize t ~client ~server ~ch (e : entry) =
   let mach = t.host.Host.mach in
   Machine.charge mach
     [ Machine.Header Ch.bytes; Machine.Header F.bytes; Machine.Process_switch ];
-  let reply_hdr =
-    {
-      Ch.flags = Flags.reply;
-      channel = ch.Ch.channel;
-      protocol_num = ch.Ch.protocol_num;
-      sequence_num = ch.Ch.sequence_num;
-      error = 0;
-      boot_id = e.e_boot_id;
-      deadline_us = -1;
-    }
+  let chan_payload =
+    Ch.encode ~flags:Flags.reply ~channel:(Ch.channel ch)
+      ~proto:(Ch.protocol_num ch) ~seq:(Ch.sequence_num ch) ~error:0
+      ~boot_id:e.e_boot_id ~deadline_us:(-1)
+    ^ e.e_reply
   in
-  let chan_payload = Ch.encode reply_hdr ^ e.e_reply in
   let seq = t.synth_seq in
   t.synth_seq <- t.synth_seq + 1;
   let frag_hdr =
-    F.encode ~typ:F.typ_data ~clnt:server ~srvr:client ~proto:93 ~seq ~num:1
-      ~mask:1 ~len:(String.length chan_payload)
+    F.encode ~typ:F.typ_data ~clnt:server ~srvr:client ~proto:Channel.proto_num
+      ~seq ~num:1 ~mask:1 ~len:(String.length chan_payload)
   in
   let frame = Msg.push (Msg.of_string chan_payload) frag_hdr in
   Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
     "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
     Addr.Ip.pp client;
   Sim.spawn (Host.sim t.host) (fun () ->
-      Netproto.Ip.inject t.ip ~src:server ~dst:client ~proto_num:92 frame)
+      Netproto.Ip.inject t.ip ~src:server ~dst:client
+        ~proto_num:Fragment.proto_num frame)
 
+(* [ch] is the CHANNEL frame, header in front; [body] is the SELECT
+   frame behind it. *)
 let on_request t ~client ~server ~ch body =
-  if ch.Ch.deadline_us = 0 then begin
+  if Ch.deadline_us ch = 0 then begin
     (* Already expired when stamped: the server would pay an interrupt
        and a header parse only to drop it.  Shed here instead. *)
     Stats.tick t.c_sheds;
@@ -155,112 +153,119 @@ let on_request t ~client ~server ~ch body =
       "INC shed: expired deadline from %a" Addr.Ip.pp client;
     true
   end
+  else if Msg.length body < Sel.bytes then begin
+    Stats.tick t.c_forwarded;
+    false
+  end
   else
-    match Sel.read body with
-    | None ->
-        Stats.tick t.c_forwarded;
-        false
-    | Some sel ->
-        let gen =
-          if sel.Sel.typ = Sel.typ_request_sharded then
-            match Sel.read_stamp (Msg.drop body Sel.bytes) with
-            | Some s ->
-                observe_gen t (s.Sel.epoch, s.Sel.version);
-                (s.Sel.epoch, s.Sel.version)
-            | None -> (0, 0)
-          else (0, 0)
-        in
-        let request =
-          sel.Sel.typ = Sel.typ_request
-          || sel.Sel.typ = Sel.typ_request_sharded
-        in
-        if not (request && Hashtbl.mem t.cacheable sel.Sel.command) then begin
+    let typ = Sel.typ body in
+    let gen =
+      if
+        typ = Sel.typ_request_sharded
+        && Msg.length body >= Sel.bytes + Sel.stamp_bytes
+      then begin
+        let g = (Sel.epoch body, Sel.version body) in
+        observe_gen t g;
+        g
+      end
+      else (0, 0)
+    in
+    let request = typ = Sel.typ_request || typ = Sel.typ_request_sharded in
+    if not (request && Hashtbl.mem t.cacheable (Sel.command body)) then begin
+      Stats.tick t.c_forwarded;
+      false
+    end
+    else begin
+      let k = key ~client ~server body in
+      let fresh e =
+        Sim.now (Host.sim t.host) -. e.e_stored <= t.ttl
+        && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
+      in
+      match Hashtbl.find_opt t.cache k with
+      | Some e when fresh e ->
+          Stats.tick t.c_hits;
+          synthesize t ~client ~server ~ch e;
+          true
+      | found ->
+          if found <> None then Hashtbl.remove t.cache k;
+          Stats.tick t.c_misses;
           Stats.tick t.c_forwarded;
+          if Hashtbl.length t.pending > 4 * capacity then
+            Hashtbl.reset t.pending;
+          Hashtbl.replace t.pending
+            ( Addr.Ip.to_int client,
+              Addr.Ip.to_int server,
+              Ch.channel ch,
+              Ch.sequence_num ch )
+            (k, gen);
           false
-        end
-        else begin
-          let k = key ~client ~server body in
-          let fresh e =
-            Sim.now (Host.sim t.host) -. e.e_stored <= t.ttl
-            && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
-          in
-          match Hashtbl.find_opt t.cache k with
-          | Some e when fresh e ->
-              Stats.tick t.c_hits;
-              synthesize t ~client ~server ~ch e;
-              true
-          | found ->
-              if found <> None then Hashtbl.remove t.cache k;
-              Stats.tick t.c_misses;
-              Stats.tick t.c_forwarded;
-              if Hashtbl.length t.pending > 4 * capacity then
-                Hashtbl.reset t.pending;
-              Hashtbl.replace t.pending
-                ( Addr.Ip.to_int client,
-                  Addr.Ip.to_int server,
-                  ch.Ch.channel,
-                  ch.Ch.sequence_num )
-                (k, gen);
-              false
-        end
+    end
 
 let on_reply t ~client ~server ~ch body =
-  observe_boot t ~server:(Addr.Ip.to_int server) ~boot_id:ch.Ch.boot_id;
+  let boot_id = Ch.boot_id ch in
+  observe_boot t ~server:(Addr.Ip.to_int server) ~boot_id;
   let pkey =
     ( Addr.Ip.to_int client,
       Addr.Ip.to_int server,
-      ch.Ch.channel,
-      ch.Ch.sequence_num )
+      Ch.channel ch,
+      Ch.sequence_num ch )
   in
-  (match Sel.read body with
-  | Some sel
-    when sel.Sel.typ = Sel.typ_reply && sel.Sel.status = Sel.status_wrong_shard
-    -> (
-      (* The owner moved under a routed call: everything cached under
-         the older map generation is suspect. *)
-      Hashtbl.remove t.pending pkey;
-      match Sel.read_wrong_shard (Msg.drop body Sel.bytes) with
-      | Some v -> observe_gen t (fst t.gen, max v (snd t.gen + 1))
-      | None -> observe_gen t (fst t.gen, snd t.gen + 1))
-  | Some sel
-    when sel.Sel.typ = Sel.typ_reply
-         && sel.Sel.status = Sel.status_ok
-         && ch.Ch.error = 0 -> (
-      match Hashtbl.find_opt t.pending pkey with
-      | Some (k, gen) ->
-          Hashtbl.remove t.pending pkey;
-          if not (gen_newer t.gen gen && gen <> (0, 0)) then
-            store t k
-              {
-                e_reply = Msg.to_string body;
-                e_boot_id = ch.Ch.boot_id;
-                e_gen = gen;
-                e_stored = Sim.now (Host.sim t.host);
-              }
-      | None -> ())
-  | _ -> Hashtbl.remove t.pending pkey);
+  (if Msg.length body < Sel.bytes || Sel.typ body <> Sel.typ_reply then
+     Hashtbl.remove t.pending pkey
+   else
+     let status = Sel.status body in
+     if status = Sel.status_wrong_shard then begin
+       (* The owner moved under a routed call: everything cached under
+          the older map generation is suspect. *)
+       Hashtbl.remove t.pending pkey;
+       let next = snd t.gen + 1 in
+       observe_gen t
+         ( fst t.gen,
+           if Msg.length body < Sel.bytes + 4 then next
+           else max (Sel.wrong_shard_version body) next )
+     end
+     else if status = Sel.status_ok && Ch.error ch = 0 then begin
+       match Hashtbl.find_opt t.pending pkey with
+       | Some (k, gen) ->
+           Hashtbl.remove t.pending pkey;
+           if not (gen_newer t.gen gen && gen <> (0, 0)) then
+             store t k
+               {
+                 e_reply = Msg.to_string body;
+                 e_boot_id = boot_id;
+                 e_gen = gen;
+                 e_stored = Sim.now (Host.sim t.host);
+               }
+       | None -> ()
+     end
+     else Hashtbl.remove t.pending pkey);
   (* Replies always travel on to the client. *)
   false
 
 let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
-  if proto_num <> 92 || Msg.length msg < F.bytes then false
+  if proto_num <> Fragment.proto_num || Msg.length msg < F.bytes then false
   else if
-    F.typ msg <> F.typ_data || F.num_frags msg <> 1 || F.protocol_num msg <> 93
+    F.typ msg <> F.typ_data
+    || F.num_frags msg <> 1
+    || F.protocol_num msg <> Channel.proto_num
   then false
   else begin
     Machine.charge t.host.Host.mach
       [ Machine.Virtual_op; Machine.Header F.bytes; Machine.Header Ch.bytes ];
-    let rest = Msg.drop msg F.bytes in
-    match Ch.read rest with
-    | None -> false
-    | Some ch ->
-        let body = Msg.drop rest (Ch.length ch) in
-        if ch.Ch.flags land Flags.request <> 0 then
+    let ch = Msg.drop msg F.bytes in
+    if Msg.length ch < Ch.bytes then false
+    else
+      let hdr_len = Ch.header_len ch in
+      if Msg.length ch < hdr_len then false
+      else
+        let body = Msg.drop ch hdr_len in
+        let flags = Ch.flags ch in
+        if flags land Flags.request <> 0 then
           (* In a request frame FRAGMENT's sender field is the client; in
              a reply it is the server. *)
-          on_request t ~client:(F.clnt_host msg) ~server:(F.srvr_host msg) ~ch
-            body
-        else if ch.Ch.flags land Flags.reply <> 0 then
+          on_request t ~client:(F.clnt_host msg) ~server:(F.srvr_host msg)
+            ~ch body
+        else if flags land Flags.reply <> 0 then
           on_reply t ~client:(F.srvr_host msg) ~server:(F.clnt_host msg) ~ch
             body
         else false

@@ -46,7 +46,7 @@ let listen t f =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
     (Part.ip_enable proto_num)
 
-let create ~host ~channel () =
+let create ~host ~channel =
   let p = Proto.create ~host ~name:"RDGRAM" () in
   let t =
     {

@@ -8,7 +8,7 @@
 
 type t
 
-val create : host:Xkernel.Host.t -> channel:Channel.t -> unit -> t
+val create : host:Xkernel.Host.t -> channel:Channel.t -> t
 (** RDGRAM's protocol number toward CHANNEL is 94. *)
 
 val send :

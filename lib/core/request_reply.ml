@@ -199,7 +199,7 @@ let input t ~lower msg =
             else Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower () =
+let create ~host ~lower =
   let p = Proto.create ~host ~name:"REQUEST_REPLY" () in
   let t =
     {

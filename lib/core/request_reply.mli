@@ -13,11 +13,7 @@
 
 type t
 
-val create :
-  host:Xkernel.Host.t ->
-  lower:Xkernel.Proto.t ->
-  unit ->
-  t
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
 (** This layer's own number toward [lower] is 95.  A client waits 25 ms
     for each reply and retransmits 4 times before the call fails. *)
 

@@ -60,7 +60,7 @@ let call c ?expires ?shard ~command msg =
   let typ =
     match shard with None -> S.typ_request | Some _ -> S.typ_request_sharded
   in
-  let hdr = S.encode { S.typ; command; status = S.status_ok } in
+  let hdr = S.encode ~typ ~command ~status:S.status_ok in
   let request =
     match shard with
     | None -> Msg.push msg hdr
@@ -80,21 +80,20 @@ let call c ?expires ?shard ~command msg =
   | Error e -> Error e
   | Ok reply -> (
       Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-      match S.read reply with
-      | Some { S.typ; status; _ }
-        when typ = S.typ_reply && status = S.status_ok ->
-          Ok (Msg.drop reply S.bytes)
-      | Some { S.typ; status; _ }
-        when typ = S.typ_reply && status = S.status_wrong_shard ->
+      let n = Msg.length reply in
+      if n < S.bytes then Error (Rpc_error.Remote S.status_error)
+      else
+        let status = S.status reply in
+        if S.typ reply <> S.typ_reply then Error (Rpc_error.Remote status)
+        else if status = S.status_ok then Ok (Msg.drop reply S.bytes)
+        else if status = S.status_wrong_shard then
           (* The server answered but disowned the shard: its newer map
              version rides in the body so the caller can refresh and
              re-route. *)
           Error
             (Rpc_error.Wrong_shard
-               (Option.value ~default:0
-                  (S.read_wrong_shard (Msg.drop reply S.bytes))))
-      | Some { S.status; _ } -> Error (Rpc_error.Remote status)
-      | None -> Error (Rpc_error.Remote S.status_error))
+               (if n < S.bytes + 4 then 0 else S.wrong_shard_version reply))
+        else Error (Rpc_error.Remote status))
 
 let register t ~command handler = Hashtbl.replace t.handlers command handler
 
@@ -105,18 +104,15 @@ let register t ~command handler = Hashtbl.replace t.handlers command handler
    not the owner: the client is failing over around a peer it could not
    reach, and disagreeing with it here would turn every failover into a
    livelock. *)
-let reject_shard t = function
-  | None -> None
-  | Some st -> (
-      match (t.shard_self, t.shard_map) with
-      | Some self, Some m
-        when st.S.shard >= 0
-             && st.S.shard < Shard_map.shard_count m
-             && Shard_map.owner m ~shard:st.S.shard <> self
-             && Shard_map.newer_than m ~epoch:st.S.epoch ~version:st.S.version
-        ->
-          Some (Shard_map.version m)
-      | _ -> None)
+let reject_shard t ~shard ~epoch ~version =
+  match (t.shard_self, t.shard_map) with
+  | Some self, Some m
+    when shard >= 0
+         && shard < Shard_map.shard_count m
+         && Shard_map.owner m ~shard <> self
+         && Shard_map.newer_than m ~epoch ~version ->
+      Some (Shard_map.version m)
+  | _ -> None
 
 (* Server: map the command onto a procedure, run it, reply through the
    channel session the request arrived on. *)
@@ -124,73 +120,68 @@ let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
     ~dir:`Recv msg;
-  match S.read msg with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some hdr ->
-      let sharded = hdr.S.typ = S.typ_request_sharded in
-      let stamp =
-        if sharded then begin
-          Machine.charge_one t.host.Host.mach
-            (Machine.Header S.stamp_bytes);
-          S.read_stamp (Msg.drop msg S.bytes)
-        end
-        else None
+  if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
+  else
+    let typ = S.typ msg and command = S.command msg in
+    let sharded = typ = S.typ_request_sharded in
+    if sharded then
+      Machine.charge_one t.host.Host.mach (Machine.Header S.stamp_bytes);
+    let hdr_len = if sharded then S.bytes + S.stamp_bytes else S.bytes in
+    if (not sharded) && typ <> S.typ_request then
+      Stats.incr t.stats "rx-unexpected"
+    else if Msg.length msg < hdr_len then Stats.incr t.stats "rx-malformed"
+    else if
+      (* Last call before the procedure's CPU is charged: a
+         request whose propagated deadline lapsed while it queued
+         below us is dropped, and the doomed reply suppressed —
+         the caller has already given up on it. *)
+      match Proto.session_control lower Control.Get_rx_deadline with
+      | Control.R_float e -> e >= 0. && e <= Sim.now (Host.sim t.host)
+      | _ -> false
+    then Stats.incr t.stats "deadline-expired-server"
+    else begin
+      let reply_body, status =
+        match
+          if sharded then
+            reject_shard t ~shard:(S.shard msg) ~epoch:(S.epoch msg)
+              ~version:(S.version msg)
+          else None
+        with
+        | Some version ->
+            Stats.incr t.stats "wrong-shard-tx";
+            ( Msg.of_string (S.encode_wrong_shard ~version),
+              S.status_wrong_shard )
+        | None -> (
+            (* Accepted but not ours: the caller is failing over
+               around the owner (or runs a newer map than us).
+               The counter is the affinity-loss signal — a static
+               map with a dead owner shows it climbing forever,
+               a rebalanced one converges back to zero. *)
+            (match (t.shard_self, t.shard_map) with
+            | Some self, Some m when sharded ->
+                let shard = S.shard msg in
+                if
+                  shard >= 0
+                  && shard < Shard_map.shard_count m
+                  && Shard_map.owner m ~shard <> self
+                then Stats.incr t.stats "foreign-shard-rx"
+            | _ -> ());
+            Stats.tick t.c_handled;
+            Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+            match Hashtbl.find_opt t.handlers command with
+            | None -> (Msg.empty, S.status_no_command)
+            | Some h -> (
+                match h (Msg.drop msg hdr_len) with
+                | Ok reply -> (reply, S.status_ok)
+                | Error s -> (Msg.empty, s)))
       in
-      if (not sharded) && hdr.S.typ <> S.typ_request then
-        Stats.incr t.stats "rx-unexpected"
-      else if sharded && stamp = None then
-        Stats.incr t.stats "rx-malformed"
-      else if
-        (* Last call before the procedure's CPU is charged: a
-           request whose propagated deadline lapsed while it queued
-           below us is dropped, and the doomed reply suppressed —
-           the caller has already given up on it. *)
-        match Proto.session_control lower Control.Get_rx_deadline with
-        | Control.R_float e -> e >= 0. && e <= Sim.now (Host.sim t.host)
-        | _ -> false
-      then Stats.incr t.stats "deadline-expired-server"
-      else begin
-        let reply_body, status =
-          match reject_shard t stamp with
-          | Some version ->
-              Stats.incr t.stats "wrong-shard-tx";
-              ( Msg.of_string (S.encode_wrong_shard ~version),
-                S.status_wrong_shard )
-          | None -> (
-              (* Accepted but not ours: the caller is failing over
-                 around the owner (or runs a newer map than us).
-                 The counter is the affinity-loss signal — a static
-                 map with a dead owner shows it climbing forever,
-                 a rebalanced one converges back to zero. *)
-              (match (stamp, t.shard_self, t.shard_map) with
-              | Some st, Some self, Some m
-                when st.S.shard >= 0
-                     && st.S.shard < Shard_map.shard_count m
-                     && Shard_map.owner m ~shard:st.S.shard <> self ->
-                  Stats.incr t.stats "foreign-shard-rx"
-              | _ -> ());
-              Stats.tick t.c_handled;
-              Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
-              match Hashtbl.find_opt t.handlers hdr.S.command with
-              | None -> (Msg.empty, S.status_no_command)
-              | Some h -> (
-                  let hdr_len =
-                    if sharded then S.bytes + S.stamp_bytes else S.bytes
-                  in
-                  match h (Msg.drop msg hdr_len) with
-                  | Ok reply -> (reply, S.status_ok)
-                  | Error s -> (Msg.empty, s)))
-        in
-        Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-        let rhdr =
-          S.encode
-            { S.typ = S.typ_reply; command = hdr.S.command; status }
-        in
-        let reply = Msg.push reply_body rhdr in
-        Trace.packet (Host.sim t.host) ~host:t.host.Host.name
-          ~proto:"SELECT" ~dir:`Send reply;
-        Proto.push lower reply
-      end
+      Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+      let rhdr = S.encode ~typ:S.typ_reply ~command ~status in
+      let reply = Msg.push reply_body rhdr in
+      Trace.packet (Host.sim t.host) ~host:t.host.Host.name
+        ~proto:"SELECT" ~dir:`Send reply;
+      Proto.push lower reply
+    end
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
@@ -239,7 +230,7 @@ let enable_sharding t ~self =
 let shard_map_version t =
   match t.shard_map with None -> 0 | Some m -> Shard_map.version m
 
-let create ~host ~channel () =
+let create ~host ~channel =
   let p = Proto.create ~host ~name:"SELECT" () in
   let stats = Proto.stats p in
   let t =

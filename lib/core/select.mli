@@ -17,7 +17,7 @@ type t
 val proto_num : int
 (** 90: identifies the SELECT/CHANNEL pair to the layers below. *)
 
-val create : host:Xkernel.Host.t -> channel:Channel.t -> unit -> t
+val create : host:Xkernel.Host.t -> channel:Channel.t -> t
 
 val proto : t -> Xkernel.Proto.t
 

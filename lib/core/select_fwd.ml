@@ -26,35 +26,33 @@ let client t =
    channel session the original request arrived on. *)
 let input t ~lower msg =
   Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-  match S.read msg with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some hdr when hdr.S.typ = S.typ_request ->
-      let body = Msg.drop msg S.bytes in
-      Stats.incr t.stats "forwarded";
-      let reply_hdr status =
-        S.encode { S.typ = S.typ_reply; command = hdr.S.command; status }
-      in
-      let reply =
-        match Select.call (client t) ~command:hdr.S.command body with
-        | Ok reply_body -> Msg.push reply_body (reply_hdr S.status_ok)
-        | Error (Rpc_error.Remote status) ->
-            Msg.of_string (reply_hdr status)
-        | Error
-            ( Rpc_error.Timeout | Rpc_error.Rebooted | Rpc_error.Busy
-            | Rpc_error.Wrong_shard _ ) ->
-            Msg.of_string (reply_hdr S.status_error)
-      in
-      Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
-      Proto.push lower reply
-  | Some _ -> Stats.incr t.stats "rx-unexpected"
+  if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
+  else if S.typ msg <> S.typ_request then Stats.incr t.stats "rx-unexpected"
+  else begin
+    let command = S.command msg in
+    let body = Msg.drop msg S.bytes in
+    Stats.incr t.stats "forwarded";
+    let reply_hdr status = S.encode ~typ:S.typ_reply ~command ~status in
+    let reply =
+      match Select.call (client t) ~command body with
+      | Ok reply_body -> Msg.push reply_body (reply_hdr S.status_ok)
+      | Error (Rpc_error.Remote status) -> Msg.of_string (reply_hdr status)
+      | Error
+          ( Rpc_error.Timeout | Rpc_error.Rebooted | Rpc_error.Busy
+          | Rpc_error.Wrong_shard _ ) ->
+          Msg.of_string (reply_hdr S.status_error)
+    in
+    Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+    Proto.push lower reply
+  end
 
 let serve t =
   Proto.open_enable (Channel.proto t.channel) ~upper:t.p
     (Part.ip_enable Select.proto_num)
 
-let create ~host ~channel ~delegate () =
+let create ~host ~channel ~delegate =
   let p = Proto.create ~host ~name:"SELECT-FWD" () in
-  let sel = Select.create ~host ~channel () in
+  let sel = Select.create ~host ~channel in
   let t =
     {
       host;

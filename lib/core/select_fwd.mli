@@ -14,7 +14,6 @@ val create :
   host:Xkernel.Host.t ->
   channel:Channel.t ->
   delegate:Xkernel.Addr.Ip.t ->
-  unit ->
   t
 (** Requests arriving at this host are forwarded to [delegate] (which
     must run an ordinary {!Select} server; both use

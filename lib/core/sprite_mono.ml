@@ -15,10 +15,24 @@ type reasm = {
   r_command : int;
 }
 
+(* One message cut into fragments, with what every fragment's header
+   carries; fragment [i] is [f_pieces.(i)], at offset [i * f_chunk]. *)
+type frags = {
+  f_flags : int;
+  f_clnt : Addr.Ip.t;
+  f_srvr : Addr.Ip.t;
+  f_chan : int;
+  f_seq : int;
+  f_command : int;
+  f_boot : int;
+  f_chunk : int;
+  f_pieces : Msg.t array;
+}
+
 type outstanding = {
   o_seq : int;
   iv : (Msg.t, Rpc_error.t) result Sim.Ivar.ivar;
-  frags : (H.t * Msg.t) array;
+  frags : frags;
   mutable acked_mask : int; (* fragments the server has acknowledged *)
   mutable timer : Event.t option;
   mutable tries_left : int;
@@ -42,7 +56,7 @@ type ssess = {
   mutable s_lower : Proto.session;
   mutable last_seq : int;
   mutable client_boot : int;
-  mutable cached_reply : (H.t * Msg.t) array option;
+  mutable cached_reply : frags option;
   mutable busy : bool;
   mutable req_reasm : (int * reasm) option;
 }
@@ -79,33 +93,42 @@ let fragment t ~flags ~peer ~chan ~seq ~command ~as_client msg =
   let clnt, srvr =
     if as_client then (t.host.Host.ip, peer) else (peer, t.host.Host.ip)
   in
-  Array.init num (fun i ->
-      let off = i * chunk in
-      let this = min chunk (len - off) in
-      let piece = if this <= 0 then Msg.empty else Msg.sub msg off this in
-      ( {
-          H.flags;
-          clnt_host = clnt;
-          srvr_host = srvr;
-          channel = chan;
-          srvr_process = 0;
-          sequence_num = seq;
-          num_frags = num;
-          frag_mask = 1 lsl i;
-          command;
-          boot_id = t.host.Host.boot_id;
-          data1_sz = Msg.length piece;
-          data2_sz = 0;
-          data1_off = off;
-          data2_off = 0;
-        },
-        piece ))
+  {
+    f_flags = flags;
+    f_clnt = clnt;
+    f_srvr = srvr;
+    f_chan = chan;
+    f_seq = seq;
+    f_command = command;
+    f_boot = t.host.Host.boot_id;
+    f_chunk = chunk;
+    f_pieces =
+      Array.init num (fun i ->
+          let off = i * chunk in
+          let this = min chunk (len - off) in
+          if this <= 0 then Msg.empty else Msg.sub msg off this);
+  }
 
-let send_frag t lower_sess ((hdr : H.t), piece) =
+(* Fragment [i] of [fr], its header written as it is sent; [please_ack]
+   marks a retransmission. *)
+let send_frag ?(please_ack = false) t lower_sess fr i =
   Machine.charge t.host.Host.mach
     [ Machine.Header H.bytes; Machine.Frag_bookkeep ];
   Stats.incr t.stats "tx-frag";
-  Proto.push lower_sess (Msg.push piece (H.encode hdr))
+  let piece = fr.f_pieces.(i) in
+  let flags =
+    if please_ack then fr.f_flags lor Wire_fmt.Flags.please_ack
+    else fr.f_flags
+  in
+  Proto.push lower_sess
+    (Msg.push piece
+       (H.encode ~flags ~clnt:fr.f_clnt ~srvr:fr.f_srvr ~channel:fr.f_chan
+          ~seq:fr.f_seq ~num:(Array.length fr.f_pieces) ~mask:(1 lsl i)
+          ~command:fr.f_command ~boot_id:fr.f_boot ~len:(Msg.length piece)
+          ~off:(i * fr.f_chunk)))
+
+let send_all t lower_sess fr =
+  Array.iteri (fun i _ -> send_frag t lower_sess fr i) fr.f_pieces
 
 let reasm_step entry idx piece =
   let fresh = entry.pieces.(idx) = None in
@@ -123,13 +146,12 @@ let reasm_step entry idx piece =
   in
   (fresh, whole)
 
-let frag_index (hdr : H.t) =
+let frag_index m =
+  let num = H.num_frags m and mask = H.frag_mask m in
   let rec find i =
-    if i >= hdr.H.num_frags then None
-    else if hdr.H.frag_mask = 1 lsl i then Some i
-    else find (i + 1)
+    if i >= num then None else if mask = 1 lsl i then Some i else find (i + 1)
   in
-  if hdr.H.num_frags >= 1 && hdr.H.num_frags <= max_frags then find 0 else None
+  if num >= 1 && num <= max_frags then find 0 else None
 
 (* --- client side ------------------------------------------------- *)
 
@@ -177,21 +199,16 @@ let rec arm_timer t cs (o : outstanding) timeout =
                     the first unacknowledged fragment and ask for an
                     explicit (partial) acknowledgement; the ack's
                     fragment mask tells us exactly what to resend. *)
-                 let probe =
-                   Array.to_seq o.frags
-                   |> Seq.filter (fun ((h : H.t), _) ->
-                          h.H.frag_mask land o.acked_mask = 0)
-                   |> Seq.uncons
+                 let n = Array.length o.frags.f_pieces in
+                 let rec probe i =
+                   if i < n then
+                     if (1 lsl i) land o.acked_mask = 0 then begin
+                       Stats.incr t.stats "retransmit";
+                       send_frag ~please_ack:true t cs.c_lower o.frags i
+                     end
+                     else probe (i + 1)
                  in
-                 (match probe with
-                 | Some (((h : H.t), piece), _) ->
-                     Stats.incr t.stats "retransmit";
-                     send_frag t cs.c_lower
-                       ( { h with
-                           H.flags = h.H.flags lor Wire_fmt.Flags.please_ack
-                         },
-                         piece )
-                 | None -> ());
+                 probe 0;
                  let timeout =
                    if o.patient then base_timeout *. 4. else rpc_timeout 1
                  in
@@ -207,7 +224,8 @@ let start_call t cs ~command msg =
     fragment t ~flags:Wire_fmt.Flags.request ~peer:cs.c_peer ~chan:cs.c_chan
       ~seq ~command ~as_client:true msg
   in
-  if Array.length frags > max_frags then invalid_arg "Sprite_mono: message too large";
+  let nfrags = Array.length frags.f_pieces in
+  if nfrags > max_frags then invalid_arg "Sprite_mono: message too large";
   let iv = Sim.Ivar.create (Host.sim t.host) in
   Machine.charge_one t.host.Host.mach (Machine.Reasm_lookup);
   let o =
@@ -225,44 +243,48 @@ let start_call t cs ~command msg =
   Stats.incr t.stats "call-tx";
   Machine.charge t.host.Host.mach
     [ Machine.Semaphore_op; Machine.Process_switch ];
-  Array.iter (send_frag t cs.c_lower) frags;
-  arm_timer t cs o (rpc_timeout (Array.length frags));
+  send_all t cs.c_lower frags;
+  arm_timer t cs o (rpc_timeout nfrags);
   iv
 
-let handle_reply t cs (hdr : H.t) piece =
+(* [m] is the received frame, header in front; [piece] its payload. *)
+let handle_reply t cs m piece =
+  let seq = H.sequence_num m in
   match cs.out with
-  | Some o when hdr.H.sequence_num = o.o_seq -> (
+  | Some o when seq = o.o_seq -> (
       let peer_key = Addr.Ip.to_int cs.c_peer in
+      let boot_id = H.boot_id m in
       let reboot =
         match Hashtbl.find_opt t.server_boots peer_key with
-        | Some b when b <> hdr.H.boot_id -> true
+        | Some b when b <> boot_id -> true
         | _ -> false
       in
-      Hashtbl.replace t.server_boots peer_key hdr.H.boot_id;
+      Hashtbl.replace t.server_boots peer_key boot_id;
       if reboot && o.tries_left < retries then
         complete_call t cs (Error Rpc_error.Rebooted)
-      else if hdr.H.flags land flag_error <> 0 then
-        complete_call t cs (Error (Rpc_error.Remote hdr.H.command))
+      else if H.flags m land flag_error <> 0 then
+        complete_call t cs (Error (Rpc_error.Remote (H.command m)))
       else
-        match frag_index hdr with
+        match frag_index m with
         | None -> Stats.incr t.stats "rx-malformed"
         | Some idx -> (
+            let num = H.num_frags m in
             let entry =
               match cs.rep_reasm with
-              | Some (seq, e) when seq = hdr.H.sequence_num -> e
+              | Some (s, e) when s = seq -> e
               | _ ->
                   let e =
                     {
-                      pieces = Array.make hdr.H.num_frags None;
+                      pieces = Array.make num None;
                       have = 0;
-                      r_num = hdr.H.num_frags;
-                      r_command = hdr.H.command;
+                      r_num = num;
+                      r_command = H.command m;
                     }
                   in
-                  cs.rep_reasm <- Some (hdr.H.sequence_num, e);
+                  cs.rep_reasm <- Some (seq, e);
                   e
             in
-            if entry.r_num <> hdr.H.num_frags then
+            if entry.r_num <> num then
               Stats.incr t.stats "rx-malformed"
             else
               match reasm_step entry idx piece with
@@ -272,54 +294,37 @@ let handle_reply t cs (hdr : H.t) piece =
               | _, None -> ()))
   | _ -> Stats.incr t.stats "stale-rx"
 
-let handle_ack t cs (hdr : H.t) =
+let handle_ack t cs m =
   match cs.out with
-  | Some o when hdr.H.sequence_num = o.o_seq ->
+  | Some o when H.sequence_num m = o.o_seq ->
       Stats.incr t.stats "ack-rx";
-      o.acked_mask <- o.acked_mask lor hdr.H.frag_mask;
-      if o.acked_mask land full_mask (Array.length o.frags)
-         = full_mask (Array.length o.frags)
-      then
+      o.acked_mask <- o.acked_mask lor H.frag_mask m;
+      let all = full_mask (Array.length o.frags.f_pieces) in
+      if o.acked_mask land all = all then
         (* The server has the whole request and is working on it. *)
         o.patient <- true
       else
         (* Resend exactly what the partial ack reports missing. *)
-        Array.iter
-          (fun ((h : H.t), piece) ->
-            if h.H.frag_mask land o.acked_mask = 0 then begin
+        Array.iteri
+          (fun i _ ->
+            if (1 lsl i) land o.acked_mask = 0 then begin
               Stats.incr t.stats "retransmit";
-              send_frag t cs.c_lower (h, piece)
+              send_frag t cs.c_lower o.frags i
             end)
-          o.frags
+          o.frags.f_pieces
   | _ -> Stats.incr t.stats "stale-rx"
 
 (* --- server side ------------------------------------------------- *)
 
 let send_ack t ss ~seq ~mask =
   Stats.incr t.stats "ack-tx";
-  let hdr =
-    {
-      H.flags = Wire_fmt.Flags.ack;
-      clnt_host = ss.s_peer;
-      srvr_host = t.host.Host.ip;
-      channel = ss.s_chan;
-      srvr_process = 0;
-      sequence_num = seq;
-      num_frags = 0;
-      frag_mask = mask;
-      command = 0;
-      boot_id = t.host.Host.boot_id;
-      data1_sz = 0;
-      data2_sz = 0;
-      data1_off = 0;
-      data2_off = 0;
-    }
-  in
+  let boot_id = t.host.Host.boot_id in
   Machine.charge_one t.host.Host.mach (Machine.Header H.bytes);
-  Proto.push ss.s_lower (Msg.of_string (H.encode hdr))
-
-let send_reply_frags t ss frags =
-  Array.iter (send_frag t ss.s_lower) frags
+  Proto.push ss.s_lower
+    (Msg.of_string
+       (H.encode ~flags:Wire_fmt.Flags.ack ~clnt:ss.s_peer ~srvr:t.host.Host.ip
+          ~channel:ss.s_chan ~seq ~num:0 ~mask ~command:0 ~boot_id ~len:0
+          ~off:0))
 
 let execute t ss ~seq ~command body =
   ss.last_seq <- seq;
@@ -343,30 +348,30 @@ let execute t ss ~seq ~command body =
   ss.cached_reply <- Some frags;
   ss.busy <- false;
   Stats.incr t.stats "reply-tx";
-  send_reply_frags t ss frags
+  send_all t ss.s_lower frags
 
-let handle_request t ss ~lower (hdr : H.t) piece =
+let handle_request t ss ~lower m piece =
   ss.s_lower <- lower;
-  if hdr.H.boot_id <> ss.client_boot then begin
-    ss.client_boot <- hdr.H.boot_id;
+  let boot_id = H.boot_id m in
+  if boot_id <> ss.client_boot then begin
+    ss.client_boot <- boot_id;
     ss.last_seq <- 0;
     ss.cached_reply <- None;
     ss.busy <- false;
     ss.req_reasm <- None
   end;
-  let seq = hdr.H.sequence_num in
+  let seq = H.sequence_num m and num = H.num_frags m in
   if seq < ss.last_seq then Stats.incr t.stats "stale-rx"
   else if seq = ss.last_seq then begin
     Stats.incr t.stats "dup-req";
     match ss.cached_reply with
     | Some frags ->
         Stats.incr t.stats "cached-reply-tx";
-        send_reply_frags t ss frags
-    | None ->
-        if ss.busy then send_ack t ss ~seq ~mask:(full_mask hdr.H.num_frags)
+        send_all t ss.s_lower frags
+    | None -> if ss.busy then send_ack t ss ~seq ~mask:(full_mask num)
   end
   else begin
-    match frag_index hdr with
+    match frag_index m with
     | None -> Stats.incr t.stats "rx-malformed"
     | Some idx -> (
         let entry =
@@ -375,16 +380,16 @@ let handle_request t ss ~lower (hdr : H.t) piece =
           | _ ->
               let e =
                 {
-                  pieces = Array.make hdr.H.num_frags None;
+                  pieces = Array.make num None;
                   have = 0;
-                  r_num = hdr.H.num_frags;
-                  r_command = hdr.H.command;
+                  r_num = num;
+                  r_command = H.command m;
                 }
               in
               ss.req_reasm <- Some (seq, e);
               e
         in
-        if entry.r_num <> hdr.H.num_frags then Stats.incr t.stats "rx-malformed"
+        if entry.r_num <> num then Stats.incr t.stats "rx-malformed"
         else
           match reasm_step entry idx piece with
           | _, Some whole -> execute t ss ~seq ~command:entry.r_command whole
@@ -392,7 +397,7 @@ let handle_request t ss ~lower (hdr : H.t) piece =
               (* A retransmitted fragment of a partially received
                  request: tell the client what we already have so it
                  resends only the rest (Sprite's partial ack). *)
-              if (not fresh) && hdr.H.flags land Wire_fmt.Flags.please_ack <> 0
+              if (not fresh) && H.flags m land Wire_fmt.Flags.please_ack <> 0
               then send_ack t ss ~seq ~mask:entry.have)
   end
 
@@ -449,33 +454,31 @@ let input t ~lower msg =
       Machine.Reasm_lookup;
       Machine.Semaphore_op;
     ];
-  match H.read msg with
-  | None -> Stats.incr t.stats "rx-runt"
-  | Some hdr ->
-      let piece =
-        if Msg.length msg - H.bytes >= hdr.H.data1_sz then
-          Msg.sub msg H.bytes hdr.H.data1_sz
-        else Msg.drop msg H.bytes
+  if Msg.length msg < H.bytes then Stats.incr t.stats "rx-runt"
+  else
+    let len = H.data1_sz msg in
+    let piece =
+      if Msg.length msg - H.bytes >= len then Msg.sub msg H.bytes len
+      else Msg.drop msg H.bytes
+    in
+    let f = H.flags msg in
+    if f land Wire_fmt.Flags.request <> 0 then
+      let ss =
+        server_session t ~client_ip:(H.clnt_host msg) ~chan:(H.channel msg)
+          ~lower
       in
-      let f = hdr.H.flags in
-      if f land Wire_fmt.Flags.request <> 0 then
-        let ss =
-          server_session t ~client_ip:hdr.H.clnt_host ~chan:hdr.H.channel
-            ~lower
-        in
-        handle_request t ss ~lower hdr piece
-      else begin
-        match
-          Hashtbl.find_opt t.clients
-            (Addr.Ip.to_int hdr.H.srvr_host, hdr.H.channel)
-        with
-        | None -> Stats.incr t.stats "rx-unbound"
-        | Some cs ->
-            if f land Wire_fmt.Flags.reply <> 0 then
-              handle_reply t cs hdr piece
-            else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t cs hdr
-            else Stats.incr t.stats "rx-malformed"
-      end
+      handle_request t ss ~lower msg piece
+    else begin
+      match
+        Hashtbl.find_opt t.clients
+          (Addr.Ip.to_int (H.srvr_host msg), H.channel msg)
+      with
+      | None -> Stats.incr t.stats "rx-unbound"
+      | Some cs ->
+          if f land Wire_fmt.Flags.reply <> 0 then handle_reply t cs msg piece
+          else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t cs msg
+          else Stats.incr t.stats "rx-malformed"
+    end
 
 (* --- public API ---------------------------------------------------- *)
 
@@ -512,7 +515,7 @@ let serve t ?enable () =
   in
   Proto.open_enable t.lower ~upper:t.p (Part.v ~local ())
 
-let create ~host ~lower () =
+let create ~host ~lower =
   let p = Proto.create ~host ~name:"M.RPC" () in
   let t =
     {

@@ -28,11 +28,7 @@ type t
 val proto_num : int
 (** 91: M.RPC's protocol number toward the layer below. *)
 
-val create :
-  host:Xkernel.Host.t ->
-  lower:Xkernel.Proto.t ->
-  unit ->
-  t
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
 (** Sprite's parameters: 1 KB fragments, 8 channels, and a timeout of
     20 ms, plus 3 ms per fragment for multi-fragment calls, with 5
     retries. *)

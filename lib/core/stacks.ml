@@ -41,7 +41,7 @@ let mono_create ~lower (n : World.node) =
     | L_ip -> Netproto.Ip.proto n.ip
     | L_vip -> Netproto.Vip.proto n.vip
   in
-  Sprite_mono.create ~host:n.host ~lower ()
+  Sprite_mono.create ~host:n.host ~lower
 
 let mono_serve ~lower m_s =
   standard_handlers (Sprite_mono.register m_s);
@@ -114,7 +114,7 @@ let lrpc_node ?adaptive ?rto_load_floor ?n_channels (n : World.node) =
     Channel.create ~host:n.host ~lower:(Fragment.proto frag) ?adaptive
       ?rto_load_floor ?n_channels ()
   in
-  let sel = Select.create ~host:n.host ~channel:chan () in
+  let sel = Select.create ~host:n.host ~channel:chan in
   (frag, chan, sel)
 
 let lrpc ?adaptive ?rto_load_floor ?n_channels (w : World.t) =
@@ -351,7 +351,7 @@ let lrpc_vip_size_node (n : World.node) =
   let chan =
     Channel.create ~host:n.host ~lower:(Netproto.Vip_size.proto vsize) ()
   in
-  let sel = Select.create ~host:n.host ~channel:chan () in
+  let sel = Select.create ~host:n.host ~channel:chan in
   (frag, vsize, chan, sel)
 
 let lrpc_vip_size (w : World.t) =

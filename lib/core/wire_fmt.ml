@@ -12,68 +12,42 @@ module Flags = struct
 end
 
 module Sprite = struct
-  type t = {
-    flags : int;
-    clnt_host : Addr.Ip.t;
-    srvr_host : Addr.Ip.t;
-    channel : int;
-    srvr_process : int;
-    sequence_num : int;
-    num_frags : int;
-    frag_mask : int;
-    command : int;
-    boot_id : int;
-    data1_sz : int;
-    data2_sz : int;
-    data1_off : int;
-    data2_off : int;
-  }
-
   let bytes = 36
 
-  let encode t =
+  let encode ~flags ~clnt ~srvr ~channel ~seq ~num ~mask ~command ~boot_id
+      ~len ~off =
     let w = Codec.W.create bytes in
-    Codec.W.u16 w t.flags;
-    Codec.W.u32 w (Addr.Ip.to_int t.clnt_host);
-    Codec.W.u32 w (Addr.Ip.to_int t.srvr_host);
-    Codec.W.u16 w t.channel;
-    Codec.W.u16 w t.srvr_process;
-    Codec.W.u32 w t.sequence_num;
-    Codec.W.u16 w t.num_frags;
-    Codec.W.u16 w t.frag_mask;
-    Codec.W.u16 w t.command;
-    Codec.W.u32 w t.boot_id;
-    Codec.W.u16 w t.data1_sz;
-    Codec.W.u16 w t.data2_sz;
-    Codec.W.u16 w t.data1_off;
-    Codec.W.u16 w t.data2_off;
+    Codec.W.u16 w flags;
+    Codec.W.u32 w (Addr.Ip.to_int clnt);
+    Codec.W.u32 w (Addr.Ip.to_int srvr);
+    Codec.W.u16 w channel;
+    Codec.W.u16 w 0 (* srvr_process *);
+    Codec.W.u32 w seq;
+    Codec.W.u16 w num;
+    Codec.W.u16 w mask;
+    Codec.W.u16 w command;
+    Codec.W.u32 w boot_id;
+    Codec.W.u16 w len;
+    Codec.W.u16 w 0 (* data2_sz *);
+    Codec.W.u16 w off;
+    Codec.W.u16 w 0 (* data2_off *);
     Codec.W.contents w
 
-  let read m =
-    if Msg.length m < bytes then None
-    else
-      Some
-        {
-          flags = Msg.u16 m 0;
-          clnt_host = Addr.Ip.of_int32_bits (Msg.u32 m 2);
-          srvr_host = Addr.Ip.of_int32_bits (Msg.u32 m 6);
-          channel = Msg.u16 m 10;
-          srvr_process = Msg.u16 m 12;
-          sequence_num = Msg.u32 m 14;
-          num_frags = Msg.u16 m 18;
-          frag_mask = Msg.u16 m 20;
-          command = Msg.u16 m 22;
-          boot_id = Msg.u32 m 24;
-          data1_sz = Msg.u16 m 28;
-          data2_sz = Msg.u16 m 30;
-          data1_off = Msg.u16 m 32;
-          data2_off = Msg.u16 m 34;
-        }
+  (* The field offsets, in the order [encode] writes them; nothing reads
+     srvr_process (12), data1_off (32) or the second data area. *)
+  let flags m = Msg.u16 m 0
+  let clnt_host m = Addr.Ip.of_int32_bits (Msg.u32 m 2)
+  let srvr_host m = Addr.Ip.of_int32_bits (Msg.u32 m 6)
+  let channel m = Msg.u16 m 10
+  let sequence_num m = Msg.u32 m 14
+  let num_frags m = Msg.u16 m 18
+  let frag_mask m = Msg.u16 m 20
+  let command m = Msg.u16 m 22
+  let boot_id m = Msg.u32 m 24
+  let data1_sz m = Msg.u16 m 28
 end
 
 module Select = struct
-  type t = { typ : int; command : int; status : int }
-
   let bytes = 4
   let typ_request = 1
   let typ_reply = 2
@@ -83,16 +57,16 @@ module Select = struct
   let status_error = 2
   let status_wrong_shard = 3
 
-  let encode t =
+  let encode ~typ ~command ~status =
     let w = Codec.W.create bytes in
-    Codec.W.u8 w t.typ;
-    Codec.W.u16 w t.command;
-    Codec.W.u8 w t.status;
+    Codec.W.u8 w typ;
+    Codec.W.u16 w command;
+    Codec.W.u8 w status;
     Codec.W.contents w
 
-  let read m =
-    if Msg.length m < bytes then None
-    else Some { typ = Msg.u8 m 0; command = Msg.u16 m 1; status = Msg.u8 m 3 }
+  let typ m = Msg.u8 m 0
+  let command m = Msg.u16 m 1
+  let status m = Msg.u8 m 3
 
   (* Shard-stamped requests ([typ_request_sharded]) carry this extension
      between the 4-byte header and the body: which virtual shard the
@@ -110,73 +84,54 @@ module Select = struct
     Codec.W.u32 w s.version;
     Codec.W.contents w
 
-  let read_stamp m =
-    if Msg.length m < stamp_bytes then None
-    else
-      Some { shard = Msg.u16 m 0; epoch = Msg.u32 m 2; version = Msg.u32 m 6 }
+  (* The stamp's and the wrong-shard body's fields sit behind the
+     header. *)
+  let shard m = Msg.u16 m bytes
+  let epoch m = Msg.u32 m (bytes + 2)
+  let version m = Msg.u32 m (bytes + 6)
 
   let encode_wrong_shard ~version =
     let w = Codec.W.create 4 in
     Codec.W.u32 w version;
     Codec.W.contents w
 
-  let read_wrong_shard m = if Msg.length m < 4 then None else Some (Msg.u32 m 0)
+  let wrong_shard_version m = Msg.u32 m bytes
 end
 
 module Channel = struct
-  type t = {
-    flags : int;
-    channel : int;
-    protocol_num : int;
-    sequence_num : int;
-    error : int;
-    boot_id : int;
-    deadline_us : int;
-  }
-
   let bytes = 18
   let ext_bytes = 4
   let err_busy = 0xB5
   let max_deadline_us = 0xFFFFFFFF
 
-  let encode t =
-    let stamped = t.deadline_us >= 0 in
+  let encode ~flags ~channel ~proto ~seq ~error ~boot_id ~deadline_us =
+    let stamped = deadline_us >= 0 in
     let flags =
-      if stamped then t.flags lor Flags.deadline
-      else t.flags land lnot Flags.deadline
+      if stamped then flags lor Flags.deadline
+      else flags land lnot Flags.deadline
     in
     let w = Codec.W.create (if stamped then bytes + ext_bytes else bytes) in
     Codec.W.u16 w flags;
-    Codec.W.u16 w t.channel;
-    Codec.W.u32 w t.protocol_num;
-    Codec.W.u32 w t.sequence_num;
-    Codec.W.u16 w t.error;
-    Codec.W.u32 w t.boot_id;
-    if stamped then Codec.W.u32 w (min t.deadline_us max_deadline_us);
+    Codec.W.u16 w channel;
+    Codec.W.u32 w proto;
+    Codec.W.u32 w seq;
+    Codec.W.u16 w error;
+    Codec.W.u32 w boot_id;
+    if stamped then Codec.W.u32 w (min deadline_us max_deadline_us);
     Codec.W.contents w
+
+  let flags m = Msg.u16 m 0
 
   (* The optional deadline extension rides between the base header and
      the payload; the flag bit says whether it is there. *)
-  let read m =
-    let n = Msg.length m in
-    if n < bytes then None
-    else
-      let flags = Msg.u16 m 0 in
-      let stamped = flags land Flags.deadline <> 0 in
-      if stamped && n < bytes + ext_bytes then None
-      else
-        Some
-          {
-            flags;
-            channel = Msg.u16 m 2;
-            protocol_num = Msg.u32 m 4;
-            sequence_num = Msg.u32 m 8;
-            error = Msg.u16 m 12;
-            boot_id = Msg.u32 m 14;
-            deadline_us = (if stamped then Msg.u32 m bytes else -1);
-          }
-
-  let length t = if t.deadline_us >= 0 then bytes + ext_bytes else bytes
+  let stamped m = flags m land Flags.deadline <> 0
+  let header_len m = if stamped m then bytes + ext_bytes else bytes
+  let channel m = Msg.u16 m 2
+  let protocol_num m = Msg.u32 m 4
+  let sequence_num m = Msg.u32 m 8
+  let error m = Msg.u16 m 12
+  let boot_id m = Msg.u32 m 14
+  let deadline_us m = if stamped m then Msg.u32 m bytes else -1
 end
 
 (* MAP: the shard-map control-plane message.  A coordinator encodes its
@@ -205,14 +160,14 @@ module Map = struct
     Array.iter (fun o -> Codec.W.u8 w o) t.owners;
     Codec.W.contents w
 
+  let u32 s i =
+    (String.get_uint16_be s i lsl 16) lor String.get_uint16_be s (i + 2)
+
   let decode s =
     if String.length s < header_bytes then None
     else
-      let r = Codec.R.of_string s in
-      let epoch = Codec.R.u32 r in
-      let version = Codec.R.u32 r in
-      let n_replicas = Codec.R.u16 r in
-      let n_shards = Codec.R.u16 r in
+      let n_replicas = String.get_uint16_be s 8 in
+      let n_shards = String.get_uint16_be s 10 in
       if
         n_shards > max_shards || n_replicas > max_replicas
         || String.length s < header_bytes + n_shards
@@ -222,7 +177,7 @@ module Map = struct
           Array.init n_shards (fun i -> Char.code s.[header_bytes + i])
         in
         if Array.exists (fun o -> o >= n_replicas) owners then None
-        else Some { epoch; version; n_replicas; owners }
+        else Some { epoch = u32 s 0; version = u32 s 4; n_replicas; owners }
 end
 
 module Fragment = struct

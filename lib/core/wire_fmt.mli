@@ -7,11 +7,14 @@
     duplicated because FRAGMENT and CHANNEL are each meant to be used by
     multiple high-level protocols.
 
-    Each [read] takes the header at the front of a message, reading its
-    fields in place ({!Xkernel.Msg.u16} and friends), and returns [None]
-    when the message is too short to hold it; the caller then
-    {!Xkernel.Msg.drop}s the header.  FRAGMENT_HDR, read once per
-    packet on the bulk path, has one reader per field instead. *)
+    Every header has one style and no record: [encode] takes the field
+    values and writes the header once, into a string of its exact size,
+    and one reader per field reads that field in place from the header
+    at the front of a message ({!Xkernel.Msg.u16} and friends), without
+    allocating.  The readers follow [encode]'s order.  A caller first
+    checks that the message holds the header ({!Xkernel.Msg.length});
+    a reader past the end raises [Invalid_argument].  It then
+    {!Xkernel.Msg.drop}s the header. *)
 
 (** Flag bits shared by SPRITE_HDR and CHANNEL_HDR. *)
 module Flags : sig
@@ -27,36 +30,43 @@ module Flags : sig
 end
 
 module Sprite : sig
-  type t = {
-    flags : int;
-    clnt_host : Xkernel.Addr.Ip.t;
-    srvr_host : Xkernel.Addr.Ip.t;
-    channel : int;
-    srvr_process : int;
-    sequence_num : int;
-    num_frags : int;
-    frag_mask : int;
-    command : int;
-    boot_id : int;
-    data1_sz : int;
-    data2_sz : int;
-    data1_off : int;
-    data2_off : int;
-        (** The dual size/offset fields exist only in the monolithic
-            header; "layered RPC does not make use of [them]" because
-            x-kernel messages compose without scatter/gather offsets. *)
-  }
-
   val bytes : int
   (** 36 *)
 
-  val encode : t -> string
-  val read : Xkernel.Msg.t -> t option
+  val encode :
+    flags:int ->
+    clnt:Xkernel.Addr.Ip.t ->
+    srvr:Xkernel.Addr.Ip.t ->
+    channel:int ->
+    seq:int ->
+    num:int ->
+    mask:int ->
+    command:int ->
+    boot_id:int ->
+    len:int ->
+    off:int ->
+    string
+  (** One fragment's header: [num] is the message's fragment count,
+      [mask] this fragment's bit (an ack's received ones), [len] and
+      [off] its payload's size and offset in the message (data1).
+      [srvr_process] and the second data area's size and offset are
+      written as 0: "layered RPC does not make use of [them]" because
+      x-kernel messages compose without scatter/gather offsets, and
+      M.RPC sends one data area. *)
+
+  val flags : Xkernel.Msg.t -> int
+  val clnt_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t
+  val srvr_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t
+  val channel : Xkernel.Msg.t -> int
+  val sequence_num : Xkernel.Msg.t -> int
+  val num_frags : Xkernel.Msg.t -> int
+  val frag_mask : Xkernel.Msg.t -> int
+  val command : Xkernel.Msg.t -> int
+  val boot_id : Xkernel.Msg.t -> int
+  val data1_sz : Xkernel.Msg.t -> int
 end
 
 module Select : sig
-  type t = { typ : int; command : int; status : int }
-
   val bytes : int
   (** 4 *)
 
@@ -76,8 +86,10 @@ module Select : sig
       server under its installed map; the body carries the server's map
       version (u32) and the procedure was {e not} executed *)
 
-  val encode : t -> string
-  val read : Xkernel.Msg.t -> t option
+  val encode : typ:int -> command:int -> status:int -> string
+  val typ : Xkernel.Msg.t -> int
+  val command : Xkernel.Msg.t -> int
+  val status : Xkernel.Msg.t -> int
 
   type stamp = { shard : int; epoch : int; version : int }
   (** Which virtual shard the client routed by, and under which map
@@ -89,33 +101,22 @@ module Select : sig
 
   val encode_stamp : stamp -> string
 
-  val read_stamp : Xkernel.Msg.t -> stamp option
-  (** the stamp at the front of the message (after the header) *)
+  (** The stamp's fields, read from a stamped request with its SELECT
+      header still in front: the message holds at least
+      [bytes + stamp_bytes]. *)
+
+  val shard : Xkernel.Msg.t -> int
+  val epoch : Xkernel.Msg.t -> int
+  val version : Xkernel.Msg.t -> int
 
   val encode_wrong_shard : version:int -> string
 
-  val read_wrong_shard : Xkernel.Msg.t -> int option
-  (** the map version at the front of a wrong-shard reply's body *)
+  val wrong_shard_version : Xkernel.Msg.t -> int
+  (** the map version in a wrong-shard reply, read with its SELECT
+      header still in front: the message holds at least [bytes + 4] *)
 end
 
 module Channel : sig
-  type t = {
-    flags : int;
-    channel : int;
-    protocol_num : int;
-    sequence_num : int;
-    error : int;
-    boot_id : int;
-    deadline_us : int;
-        (** remaining call budget in microseconds at transmit time;
-            [-1] means "no deadline stamped" and keeps the header at its
-            paper-exact 18 bytes.  [encode] sets or clears the
-            deadline flag bit (0x10, not in the paper) itself and
-            appends the extension word only when the field is
-            non-negative, clamped to {!max_deadline_us}; [read] takes
-            the word only when the flag is set. *)
-  }
-
   val bytes : int
   (** 18 — the base header; unchanged from the paper's appendix *)
 
@@ -128,15 +129,38 @@ module Channel : sig
   val max_deadline_us : int
   (** largest encodable remaining deadline (u32) *)
 
-  val encode : t -> string
+  val encode :
+    flags:int ->
+    channel:int ->
+    proto:int ->
+    seq:int ->
+    error:int ->
+    boot_id:int ->
+    deadline_us:int ->
+    string
+  (** [proto] is the protocol number of the layer above.
+      [deadline_us] is the remaining call budget in microseconds at
+      transmit time; [-1] means "no deadline stamped" and keeps the
+      header at its paper-exact 18 bytes.  [encode] sets or clears the
+      deadline flag bit (0x10, not in the paper) itself and appends
+      the extension word only when [deadline_us] is non-negative,
+      clamped to {!max_deadline_us}. *)
 
-  val read : Xkernel.Msg.t -> t option
-  (** the whole header: base plus, when {!Flags.deadline} is set, the
-      extension; [None] if the message is shorter than that *)
+  val header_len : Xkernel.Msg.t -> int
+  (** bytes the header at the front takes, by its flags: {!bytes},
+      plus {!ext_bytes} when the deadline flag is set.  The message
+      holds at least {!bytes}; check that it holds [header_len] before
+      reading {!deadline_us}. *)
 
-  val length : t -> int
-  (** bytes the header takes on the wire: {!bytes}, plus {!ext_bytes}
-      when [deadline_us] is stamped *)
+  val flags : Xkernel.Msg.t -> int
+  val channel : Xkernel.Msg.t -> int
+  val protocol_num : Xkernel.Msg.t -> int
+  val sequence_num : Xkernel.Msg.t -> int
+  val error : Xkernel.Msg.t -> int
+  val boot_id : Xkernel.Msg.t -> int
+
+  val deadline_us : Xkernel.Msg.t -> int
+  (** the extension word when the deadline flag is set, else [-1] *)
 end
 
 (** MAP — the shard-map control-plane message pushed by a coordinator
@@ -162,9 +186,6 @@ module Map : sig
       [>= n_replicas]. *)
 end
 
-(** FRAGMENT_HDR has no record: FRAGMENT writes it field by field and
-    reads each field in place where it needs it, so a fragment costs
-    only its header bytes on either side. *)
 module Fragment : sig
   val bytes : int
   (** 23 *)
@@ -188,13 +209,6 @@ module Fragment : sig
       [num] the message's fragment count, [mask] this fragment's bit (a
       NACK's missing ones) and [len] its payload bytes.  Each field is
       masked to its width. *)
-
-  (** {2 In-place field readers}
-
-      Each reads one field of the header at the front of a message
-      without allocating.  The caller checks first that the message
-      holds at least {!bytes}; a shorter one raises
-      [Invalid_argument]. *)
 
   val typ : Xkernel.Msg.t -> int
   val clnt_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t

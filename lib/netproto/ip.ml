@@ -11,17 +11,6 @@ type iface = { if_ip : Addr.Ip.t; if_eth : Eth.t; if_arp : Arp.t }
    (ICMP) together with the offending header + 8 payload bytes. *)
 type delivery_error = Ttl_exceeded | Proto_unreachable
 
-type header = {
-  totlen : int;
-  ident : int;
-  mf : bool;
-  frag_off : int; (* bytes *)
-  ttl : int;
-  proto_num : int;
-  src : Addr.Ip.t;
-  dst : Addr.Ip.t;
-}
-
 type reasm = {
   mutable pieces : (int * Msg.t) list; (* (offset, data) *)
   mutable total : int option; (* known once the last fragment arrives *)
@@ -64,25 +53,25 @@ let rec fold16 sum =
   if sum lsr 16 = 0 then sum else fold16 ((sum land 0xffff) + (sum lsr 16))
 
 (* The header is written once: its checksum is summed from the field
-   values before any byte is written. *)
-let encode_header h =
+   values before any byte is written.  [frag_off] is in bytes. *)
+let encode_header ~totlen ~ident ~mf ~frag_off ~ttl ~proto_num ~src ~dst =
   let flags_off =
-    ((if h.mf then flag_mf else 0) lor (h.frag_off / 8)) land 0xffff
+    ((if mf then flag_mf else 0) lor (frag_off / 8)) land 0xffff
   in
-  let ttl_proto = ((h.ttl land 0xff) lsl 8) lor (h.proto_num land 0xff) in
-  let src = Addr.Ip.to_int h.src and dst = Addr.Ip.to_int h.dst in
+  let ttl_proto = ((ttl land 0xff) lsl 8) lor (proto_num land 0xff) in
+  let src = Addr.Ip.to_int src and dst = Addr.Ip.to_int dst in
   let cksum =
     lnot
       (fold16
-         (0x4500 + (h.totlen land 0xffff) + (h.ident land 0xffff) + flags_off
+         (0x4500 + (totlen land 0xffff) + (ident land 0xffff) + flags_off
         + ttl_proto + (src lsr 16) + (src land 0xffff) + (dst lsr 16)
         + (dst land 0xffff)))
     land 0xffff
   in
   let w = Codec.W.create header_bytes in
   Codec.W.u16 w 0x4500;
-  Codec.W.u16 w h.totlen;
-  Codec.W.u16 w h.ident;
+  Codec.W.u16 w totlen;
+  Codec.W.u16 w ident;
   Codec.W.u16 w flags_off;
   Codec.W.u16 w ttl_proto;
   Codec.W.u16 w cksum;
@@ -90,37 +79,32 @@ let encode_header h =
   Codec.W.u32 w dst;
   Codec.W.contents w
 
-(* The header at the front of [msg], read and checksummed in place;
-   [None] for a bad version or checksum.  [msg] holds [header_bytes]. *)
-let read_header msg =
+(* The header at the front of a datagram holding [header_bytes], read
+   in place: [header_ok] checks its version and checksum, and the
+   readers below take its fields in [encode_header]'s order. *)
+let header_ok m =
   let sum = ref 0 in
   for i = 0 to (header_bytes / 2) - 1 do
-    sum := !sum + Msg.u16 msg (2 * i)
+    sum := !sum + Msg.u16 m (2 * i)
   done;
-  if Msg.u8 msg 0 <> 0x45 || fold16 !sum <> 0xffff then None
-  else
-    let flags_off = Msg.u16 msg 6 in
-    Some
-      {
-        totlen = Msg.u16 msg 2;
-        ident = Msg.u16 msg 4;
-        mf = flags_off land flag_mf <> 0;
-        frag_off = (flags_off land 0x1fff) * 8;
-        ttl = Msg.u8 msg 8;
-        proto_num = Msg.u8 msg 9;
-        src = Addr.Ip.of_int32_bits (Msg.u32 msg 12);
-        dst = Addr.Ip.of_int32_bits (Msg.u32 msg 16);
-      }
+  Msg.u8 m 0 = 0x45 && fold16 !sum = 0xffff
 
-let report_error t h payload err =
+let totlen m = Msg.u16 m 2
+let ident m = Msg.u16 m 4
+let mf m = Msg.u16 m 6 land flag_mf <> 0
+let frag_off m = (Msg.u16 m 6 land 0x1fff) * 8
+let ttl m = Msg.u8 m 8
+let proto_num m = Msg.u8 m 9
+let src m = Addr.Ip.of_int32_bits (Msg.u32 m 12)
+let dst m = Addr.Ip.of_int32_bits (Msg.u32 m 16)
+
+(* Hands the error hook [quote] (a header) over the first eight bytes
+   of [payload]; [quote] is called only when the hook will run. *)
+let report_error t ~src ~proto_num ~quote payload err =
   match t.error_hook with
-  | Some hook when h.proto_num <> 1 && not (Addr.Ip.equal h.src Addr.Ip.any) ->
-      let quote =
-        Msg.push
-          (Msg.sub payload 0 (min 8 (Msg.length payload)))
-          (encode_header h)
-      in
-      hook ~src:h.src err quote
+  | Some hook when proto_num <> 1 && not (Addr.Ip.equal src Addr.Ip.any) ->
+      hook ~src err
+        (Msg.push (Msg.sub payload 0 (min 8 (Msg.length payload))) (quote ()))
   | _ -> ()
 
 (* Routing: a destination on one of our interface networks is reached
@@ -186,17 +170,8 @@ let send_datagram t ~src ~dst ~proto_num ~ttl msg =
             let mf = off + this < len in
             let piece = Msg.sub msg off this in
             let hdr =
-              encode_header
-                {
-                  totlen = header_bytes + this;
-                  ident;
-                  mf;
-                  frag_off = off;
-                  ttl;
-                  proto_num;
-                  src;
-                  dst;
-                }
+              encode_header ~totlen:(header_bytes + this) ~ident ~mf
+                ~frag_off:off ~ttl ~proto_num ~src ~dst
             in
             Machine.charge t.host.Host.mach
               [ Machine.Header header_bytes; Machine.Checksum header_bytes ];
@@ -248,17 +223,10 @@ let deliver_up t ~src ~dst ~proto_num ~ttl msg =
   | Some xs -> Proto.pop xs msg
   | None ->
       Stats.incr t.stats "rx-unbound";
-      report_error t
-        {
-          totlen = header_bytes + Msg.length msg;
-          ident = 0;
-          mf = false;
-          frag_off = 0;
-          ttl;
-          proto_num;
-          src;
-          dst;
-        }
+      report_error t ~src ~proto_num
+        ~quote:(fun () ->
+          encode_header ~totlen:(header_bytes + Msg.length msg) ~ident:0
+            ~mf:false ~frag_off:0 ~ttl ~proto_num ~src ~dst)
         msg Proto_unreachable
 
 (* Reassembly: collect (offset, piece) pairs until they cover
@@ -307,94 +275,94 @@ let input t msg =
       Machine.Reasm_lookup;
     ];
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  else if not (header_ok msg) then Stats.incr t.stats "rx-bad-checksum"
   else
-    match read_header msg with
-    | None -> Stats.incr t.stats "rx-bad-checksum"
-    | Some h -> (
-        let payload_len = h.totlen - header_bytes in
-        if Msg.length msg - header_bytes < payload_len then
-          Stats.incr t.stats "rx-short"
-        else
-          let payload = Msg.sub msg header_bytes payload_len in
-          let local_dst =
-            List.exists (fun i -> Addr.Ip.equal i.if_ip h.dst) t.ifaces
-            || Addr.Ip.equal h.dst Addr.Ip.broadcast
-          in
-          if not local_dst then begin
-            if t.forward && h.ttl <= 1 then begin
-              Stats.incr t.stats "ttl-exceeded";
-              report_error t h payload Ttl_exceeded
-            end
-            else if t.forward then begin
-              (* A forwarding hook (an in-network computation layer)
-                 sees whole datagrams only — a fragment in transit
-                 cannot be parsed — and may consume one instead of
-                 forwarding it. *)
-              if
-                (not h.mf) && h.frag_off = 0
-                && (match t.forward_hook with
-                   | Some hook ->
-                       hook ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-                         payload
-                   | None -> false)
-              then Stats.tick t.c_hook_consumed
-              else begin
-              Stats.tick t.c_forwarded;
-              (* Forward the fragment as-is (same ident/offset/MF) so
-                 the final destination can still reassemble. *)
-              Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
-              match route t h.dst with
-              | None -> Stats.incr t.stats "no-route"
-              | Some (iface, next_hop) -> (
-                  match eth_session t iface next_hop with
-                  | None -> Stats.incr t.stats "arp-fail"
-                  | Some eth_sess ->
-                      let hdr = encode_header { h with ttl = h.ttl - 1 } in
-                      Machine.charge t.host.Host.mach
-                        [
-                          Machine.Header header_bytes;
-                          Machine.Checksum header_bytes;
-                        ];
-                      Proto.push eth_sess (Msg.push payload hdr))
-              end
-            end
-            else Stats.incr t.stats "rx-not-mine"
-          end
-          else if (not h.mf) && h.frag_off = 0 then begin
-            Stats.tick t.c_rx;
-            deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-              ~ttl:h.ttl payload
-          end
+    let payload_len = totlen msg - header_bytes in
+    if Msg.length msg - header_bytes < payload_len then
+      Stats.incr t.stats "rx-short"
+    else
+      let payload = Msg.sub msg header_bytes payload_len in
+      let src = src msg and dst = dst msg and proto_num = proto_num msg in
+      let ttl = ttl msg and mf = mf msg and frag_off = frag_off msg in
+      let local_dst =
+        List.exists (fun i -> Addr.Ip.equal i.if_ip dst) t.ifaces
+        || Addr.Ip.equal dst Addr.Ip.broadcast
+      in
+      if not local_dst then begin
+        if t.forward && ttl <= 1 then begin
+          Stats.incr t.stats "ttl-exceeded";
+          report_error t ~src ~proto_num
+            ~quote:(fun () ->
+              encode_header ~totlen:(totlen msg) ~ident:(ident msg) ~mf
+                ~frag_off ~ttl ~proto_num ~src ~dst)
+            payload Ttl_exceeded
+        end
+        else if t.forward then begin
+          (* A forwarding hook (an in-network computation layer) sees
+             whole datagrams only — a fragment in transit cannot be
+             parsed — and may consume one instead of forwarding it. *)
+          if
+            (not mf) && frag_off = 0
+            && (match t.forward_hook with
+               | Some hook -> hook ~src ~dst ~proto_num payload
+               | None -> false)
+          then Stats.tick t.c_hook_consumed
           else begin
-            Stats.tick t.c_rx_frag;
-            let key = (Addr.Ip.to_int h.src, h.ident) in
-            let entry =
-              match Hashtbl.find_opt t.reassembly key with
-              | Some e -> e
-              | None ->
-                  (* Insert before scheduling the GC timer: scheduling
-                     charges (and so yields), and a concurrent shepherd
-                     carrying the next fragment must find this entry. *)
-                  let e = { pieces = []; total = None; timer = None } in
-                  Hashtbl.replace t.reassembly key e;
-                  e.timer <-
-                    Some
-                      (Event.schedule t.host reasm_timeout (fun () ->
-                           if Hashtbl.mem t.reassembly key then begin
-                             Hashtbl.remove t.reassembly key;
-                             Stats.incr t.stats "reasm-timeout"
-                           end));
-                  e
-            in
-            match
-              reasm_insert t key entry ~off:h.frag_off ~mf:h.mf payload
-            with
-            | None -> ()
-            | Some whole ->
-                Stats.tick t.c_rx;
-                deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
-                  ~ttl:h.ttl whole
-          end)
+            Stats.tick t.c_forwarded;
+            (* Forward the fragment as-is (same ident/offset/MF) so the
+               final destination can still reassemble. *)
+            Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
+            match route t dst with
+            | None -> Stats.incr t.stats "no-route"
+            | Some (iface, next_hop) -> (
+                match eth_session t iface next_hop with
+                | None -> Stats.incr t.stats "arp-fail"
+                | Some eth_sess ->
+                    let hdr =
+                      encode_header ~totlen:(totlen msg) ~ident:(ident msg)
+                        ~mf ~frag_off ~ttl:(ttl - 1) ~proto_num ~src ~dst
+                    in
+                    Machine.charge t.host.Host.mach
+                      [
+                        Machine.Header header_bytes;
+                        Machine.Checksum header_bytes;
+                      ];
+                    Proto.push eth_sess (Msg.push payload hdr))
+          end
+        end
+        else Stats.incr t.stats "rx-not-mine"
+      end
+      else if (not mf) && frag_off = 0 then begin
+        Stats.tick t.c_rx;
+        deliver_up t ~src ~dst ~proto_num ~ttl payload
+      end
+      else begin
+        Stats.tick t.c_rx_frag;
+        let key = (Addr.Ip.to_int src, ident msg) in
+        let entry =
+          match Hashtbl.find_opt t.reassembly key with
+          | Some e -> e
+          | None ->
+              (* Insert before scheduling the GC timer: scheduling
+                 charges (and so yields), and a concurrent shepherd
+                 carrying the next fragment must find this entry. *)
+              let e = { pieces = []; total = None; timer = None } in
+              Hashtbl.replace t.reassembly key e;
+              e.timer <-
+                Some
+                  (Event.schedule t.host reasm_timeout (fun () ->
+                       if Hashtbl.mem t.reassembly key then begin
+                         Hashtbl.remove t.reassembly key;
+                         Stats.incr t.stats "reasm-timeout"
+                       end));
+              e
+        in
+        match reasm_insert t key entry ~off:frag_off ~mf payload with
+        | None -> ()
+        | Some whole ->
+            Stats.tick t.c_rx;
+            deliver_up t ~src ~dst ~proto_num ~ttl whole
+      end
 
 let create ~host ~ifaces ?gateway ?(forward = false) () =
   if ifaces = [] then invalid_arg "Ip.create: no interfaces";

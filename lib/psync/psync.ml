@@ -236,7 +236,7 @@ let on_deliver cv f = cv.callback <- Some f
 let delivered cv = Stats.get cv.cv.stats "delivered"
 let blocked cv = List.length cv.waiting
 
-let create ~host ~lower () =
+let create ~host ~lower =
   let p = Proto.create ~host ~name:"PSYNC" () in
   let t = { host; lower; p; convs = Hashtbl.create 4; stats = Proto.stats p } in
   Proto.set_ops p

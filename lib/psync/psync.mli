@@ -19,7 +19,7 @@
 
 type t
 
-val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> unit -> t
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
 (** Psync's protocol number toward [lower] is 97. *)
 
 val proto : t -> Xkernel.Proto.t

@@ -33,37 +33,6 @@ module W = struct
     Bytes.unsafe_to_string w.buf
 end
 
-module R = struct
-  type t = { data : string; mutable pos : int }
-
-  exception Truncated
-
-  let of_string data = { data; pos = 0 }
-  let remaining r = String.length r.data - r.pos
-
-  let u8 r =
-    if remaining r < 1 then raise Truncated;
-    let v = Char.code r.data.[r.pos] in
-    r.pos <- r.pos + 1;
-    v
-
-  let u16 r =
-    let hi = u8 r in
-    let lo = u8 r in
-    (hi lsl 8) lor lo
-
-  let u32 r =
-    let hi = u16 r in
-    let lo = u16 r in
-    (hi lsl 16) lor lo
-
-  let bytes r n =
-    if n < 0 || remaining r < n then raise Truncated;
-    let s = String.sub r.data r.pos n in
-    r.pos <- r.pos + n;
-    s
-end
-
 let ones_complement_sum s =
   let n = String.length s in
   let sum = ref 0 in

@@ -7,8 +7,9 @@
 
     A header is written once, into a buffer of its exact size that
     becomes the header string without a copy.  Protocols read headers in
-    place with {!Msg.u16} and friends; {!R} decodes strings a program
-    holds outside a message (control-plane payloads, credentials). *)
+    place with {!Msg.u16} and friends; a string a program holds outside
+    a message (a control-plane payload, a credential) is read with
+    [String.get_uint16_be] and friends. *)
 
 (** Writer: fills an exact-size header buffer front to back.  An append
     that does not fit in the size given to {!W.create} raises
@@ -38,26 +39,6 @@ module W : sig
   (** [contents w] hands over the buffer as a string, without copying;
       write nothing to [w] afterwards.  Raises [Invalid_argument] unless
       exactly the size given to {!create} was written. *)
-end
-
-(** Reader: consumes a string front to back.
-
-    All read functions raise {!Truncated} when the input is exhausted. *)
-module R : sig
-  type t
-
-  exception Truncated
-
-  val of_string : string -> t
-
-  val u16 : t -> int
-  val u32 : t -> int
-
-  val bytes : t -> int -> string
-  (** [bytes r n] reads the next [n] raw bytes. *)
-
-  val remaining : t -> int
-  (** [remaining r] is the number of unread bytes. *)
 end
 
 val ip_checksum : string -> int

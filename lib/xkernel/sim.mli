@@ -70,7 +70,13 @@ val cancel : event -> bool
 val run : ?until:float -> t -> unit
 (** [run sim] processes events in time order until the queue is empty
     (or virtual time would pass [until]).  Re-raises the first exception
-    that escaped a fiber. *)
+    that escaped a fiber.
+
+    The clock ends at [until] only when a live event is left queued past
+    it.  When the queues drain first, or hold only cancelled events, it
+    stays at the last event fired, so a timer armed next counts from
+    there.  An [until] behind the clock fires nothing and leaves the
+    clock alone: the clock never decreases. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) events still queued. *)

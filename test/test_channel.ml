@@ -427,67 +427,71 @@ module C = Rpc.Wire_fmt.Channel
 let deadline_flag = 0x10
 
 let deadline_header_codec () =
-  let base =
-    {
-      C.flags = Rpc.Wire_fmt.Flags.request;
-      channel = 3;
-      protocol_num = proto_num;
-      sequence_num = 7;
-      error = 0;
-      boot_id = 42;
-      deadline_us = -1;
-    }
+  let encode deadline_us =
+    C.encode ~flags:Rpc.Wire_fmt.Flags.request ~channel:3 ~proto:proto_num
+      ~seq:7 ~error:0 ~boot_id:42 ~deadline_us
   in
   (* Unstamped: the paper-exact 18 bytes, flag clear, [-1] back out. *)
-  let s = C.encode base in
+  let s = encode (-1) in
   Tutil.check_int "base length" C.bytes (String.length s);
-  (match C.read (Msg.of_string s) with
-  | Some h ->
-      Tutil.check_int "absent decodes -1" (-1) h.C.deadline_us;
-      Tutil.check_int "flag clear" 0 (h.C.flags land deadline_flag)
-  | None -> Alcotest.fail "read failed on base header");
+  let m = Msg.of_string s in
+  Tutil.check_int "absent reads -1" (-1) (C.deadline_us m);
+  Tutil.check_int "flag clear" 0 (C.flags m land deadline_flag);
   (* Stamped: round-trips, including the zero (arrived-expired) and
      near-zero remaining budgets. *)
   List.iter
     (fun d ->
-      let s = C.encode { base with C.deadline_us = d } in
+      let s = encode d in
       Tutil.check_int "stamped length" (C.bytes + C.ext_bytes) (String.length s);
-      match C.read (Msg.of_string s) with
-      | Some h ->
-          Tutil.check_int (Printf.sprintf "round trip %d" d) d h.C.deadline_us;
-          Tutil.check_bool "flag set" true
-            (h.C.flags land deadline_flag <> 0)
-      | None -> Alcotest.fail "read failed on stamped header")
+      let m = Msg.of_string s in
+      Tutil.check_int (Printf.sprintf "round trip %d" d) d (C.deadline_us m);
+      Tutil.check_bool "flag set" true (C.flags m land deadline_flag <> 0))
     [ 0; 1; 12345; C.max_deadline_us ];
   (* Oversized budgets clamp to the largest encodable word. *)
-  (match
-     C.read
-       (Msg.of_string
-          (C.encode { base with C.deadline_us = C.max_deadline_us + 5 }))
-   with
-  | Some h -> Tutil.check_int "clamped" C.max_deadline_us h.C.deadline_us
-  | None -> Alcotest.fail "read failed on clamped header");
+  Tutil.check_int "clamped" C.max_deadline_us
+    (C.deadline_us (Msg.of_string (encode (C.max_deadline_us + 5))));
   (* The flag alone says whether an extension word follows the base
      header, as CHANNEL's input reads it: payload bytes after an
      unflagged base header are not a deadline, and a stamped header's
      word is read across a leaf boundary too. *)
-  let body = Msg.of_string "\x00\x00\x00\x63" in
-  (match C.read (Msg.push body (C.encode base)) with
-  | Some h ->
-      Tutil.check_int "base decode sees -1" (-1) h.C.deadline_us;
-      Tutil.check_int "base length" C.bytes (C.length h)
-  | None -> Alcotest.fail "base read failed");
-  let s = C.encode { base with C.deadline_us = 99 } in
+  let m = Msg.push (Msg.of_string "\x00\x00\x00\x63") (encode (-1)) in
+  Tutil.check_int "base read sees -1" (-1) (C.deadline_us m);
+  Tutil.check_int "base length" C.bytes (C.header_len m);
+  let s = encode 99 in
   let split =
     Msg.append
       (Msg.of_string (String.sub s 0 C.bytes))
       (Msg.of_string (String.sub s C.bytes C.ext_bytes))
   in
-  match C.read split with
-  | Some h ->
-      Tutil.check_int "extension word" 99 h.C.deadline_us;
-      Tutil.check_int "stamped length" (C.bytes + C.ext_bytes) (C.length h)
-  | None -> Alcotest.fail "extension read failed"
+  Tutil.check_int "extension word" 99 (C.deadline_us split);
+  Tutil.check_int "stamped length" (C.bytes + C.ext_bytes) (C.header_len split)
+
+(* Frames no CHANNEL sends, handed to the server from below: each takes
+   its branch and counter, and none reaches the layer above. *)
+let malformed_frames_counted () =
+  let w = World.create () in
+  let _, ch1, _, execs = setup w in
+  let n0 = World.node w 0 and n1 = World.node w 1 in
+  let encode ~flags ~proto deadline_us =
+    C.encode ~flags ~channel:0 ~proto ~seq:1 ~error:0 ~boot_id:1 ~deadline_us
+  in
+  let request = Rpc.Wire_fmt.Flags.request in
+  let stamped = encode ~flags:request ~proto:proto_num 5 in
+  Tutil.deliver_from_below w ~host:n1.World.host ~peer:n0.World.host.Host.ip
+    (Channel.proto ch1)
+    (List.map Msg.of_string
+       [
+         String.sub stamped 0 (C.bytes - 1);
+         (* the deadline flag without its extension word *)
+         String.sub stamped 0 (C.bytes + C.ext_bytes - 1);
+         encode ~flags:request ~proto:77 (-1);
+         encode ~flags:0 ~proto:proto_num (-1);
+       ]);
+  let stat = Tutil.stat (Channel.proto ch1) in
+  Tutil.check_int "runts" 2 (stat "rx-runt");
+  Tutil.check_int "no upper protocol" 1 (stat "rx-unbound");
+  Tutil.check_int "no request, reply or ack flag" 1 (stat "rx-malformed");
+  Tutil.check_int "nothing executed" 0 !execs
 
 (* Like [setup], but the server records the reconstructed absolute
    deadline ([Get_rx_deadline]) of every request it executes. *)
@@ -675,6 +679,8 @@ let () =
         ] );
       ( "deadline",
         [
+          Alcotest.test_case "malformed frames counted" `Quick
+            malformed_frames_counted;
           Alcotest.test_case "header codec round-trips" `Quick
             deadline_header_codec;
           Alcotest.test_case "server rebuilds the expiry" `Quick

@@ -24,7 +24,7 @@ let lnode (n : World.node) =
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels:1
       ()
   in
-  Select.create ~host:n.World.host ~channel:ch ()
+  Select.create ~host:n.World.host ~channel:ch
 
 (* One server, one client, echo registered, INC caching [cmd_echo],
    ARP/VIP/RTT warmed by one call. *)

@@ -202,6 +202,33 @@ let controls () =
   Tutil.check_int "max packet" 65515 (Control.int_exn (Proto.control p Control.Get_max_packet));
   Tutil.check_int "opt packet" 1480 (Control.int_exn (Proto.control p Control.Get_opt_packet))
 
+(* A runt, and a header whose total length runs past the bytes that
+   arrived, handed to IP from below: each is counted and dropped. *)
+let runt_and_short_counted () =
+  let w = World.create () in
+  let n0, n1, _, got = setup w in
+  let ip_int (n : World.node) =
+    Int32.of_int (Addr.Ip.to_int n.World.host.Host.ip)
+  in
+  let h = Bytes.make 20 '\000' in
+  Bytes.set_uint8 h 0 0x45;
+  Bytes.set_uint16_be h 2 (20 + 100);
+  Bytes.set_uint8 h 8 32;
+  Bytes.set_uint8 h 9 proto_num;
+  Bytes.set_int32_be h 12 (ip_int n0);
+  Bytes.set_int32_be h 16 (ip_int n1);
+  Bytes.set_uint16_be h 10 (Codec.ip_checksum (Bytes.to_string h));
+  let ip1 = Netproto.Ip.proto n1.World.ip in
+  Tutil.deliver_from_below w ~host:n1.World.host ~peer:n0.World.host.Host.ip ip1
+    [
+      Msg.of_string (String.make 19 '\000');
+      Msg.of_string (Bytes.to_string h ^ String.make 10 'x');
+    ];
+  Tutil.check_int "runt" 1 (Tutil.stat ip1 "rx-runt");
+  Tutil.check_int "short" 1 (Tutil.stat ip1 "rx-short");
+  Tutil.check_int "bad checksum" 0 (Tutil.stat ip1 "rx-bad-checksum");
+  Alcotest.(check (list string)) "nothing delivered" [] !got
+
 let () =
   Alcotest.run "ip"
     [
@@ -223,6 +250,8 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "corrupt header dropped" `Quick corrupt_header_dropped;
+          Alcotest.test_case "runt and short counted" `Quick
+            runt_and_short_counted;
           Alcotest.test_case "no route counted" `Quick no_route_counted;
         ] );
       ( "routing",

@@ -6,7 +6,7 @@ let lrpc_top w =
   let n = World.node w 0 in
   let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
   let c = Rpc.Channel.create ~host:n.World.host ~lower:(Rpc.Fragment.proto f) () in
-  let s = Rpc.Select.create ~host:n.World.host ~channel:c () in
+  let s = Rpc.Select.create ~host:n.World.host ~channel:c in
   Rpc.Select.proto s
 
 let measured_stacks_adhere () =
@@ -17,7 +17,8 @@ let measured_stacks_adhere () =
   let w2 = World.create () in
   let n = World.node w2 0 in
   let m =
-    Rpc.Sprite_mono.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) ()
+    Rpc.Sprite_mono.create ~host:n.World.host
+      ~lower:(Netproto.Vip.proto n.World.vip)
   in
   Alcotest.(check (list string)) "M.RPC clean" []
     (List.map (fun i -> i.Meta.rule) (Meta.check [ Rpc.Sprite_mono.proto m ]))
@@ -52,7 +53,7 @@ let fig3b_adheres () =
   let c =
     Rpc.Channel.create ~host:n.World.host ~lower:(Netproto.Vip_size.proto vsize) ()
   in
-  let s = Rpc.Select.create ~host:n.World.host ~channel:c () in
+  let s = Rpc.Select.create ~host:n.World.host ~channel:c in
   Alcotest.(check (list string)) "fig 3(b) clean" []
     (List.map (fun i -> i.Meta.rule) (Meta.check [ Rpc.Select.proto s ]))
 

@@ -15,7 +15,7 @@ let setup w =
           Fragment.create ~host:node.World.host
             ~lower:(Netproto.Vip.proto node.World.vip) ()
         in
-        Psync.create ~host:node.World.host ~lower:(Fragment.proto f) ())
+        Psync.create ~host:node.World.host ~lower:(Fragment.proto f))
       nodes
   in
   (* join opens sessions (ARP resolution), so it runs in a fiber *)

@@ -9,7 +9,7 @@ let setup ?(n_channels = 8) w =
   let mk (n : World.node) =
     let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
     let c = Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels () in
-    Select.create ~host:n.World.host ~channel:c ()
+    Select.create ~host:n.World.host ~channel:c
   in
   let sel0 = mk (World.node w 0) and sel1 = mk (World.node w 1) in
   (sel0, sel1)
@@ -135,13 +135,13 @@ let forwarding_select () =
   let ch0 = mk (World.node w 0) in
   let ch1 = mk (World.node w 1) in
   let ch2 = mk (World.node w 2) in
-  let sel0 = Select.create ~host:(World.node w 0).World.host ~channel:ch0 () in
+  let sel0 = Select.create ~host:(World.node w 0).World.host ~channel:ch0 in
   let fwd =
     Rpc.Select_fwd.create ~host:(World.node w 1).World.host ~channel:ch1
-      ~delegate:(World.ip_of w 2) ()
+      ~delegate:(World.ip_of w 2)
   in
   Rpc.Select_fwd.serve fwd;
-  let sel2 = Select.create ~host:(World.node w 2).World.host ~channel:ch2 () in
+  let sel2 = Select.create ~host:(World.node w 2).World.host ~channel:ch2 in
   Select.register sel2 ~command:9 (fun m ->
       Ok (Msg.push m "worker:"));
   Select.serve sel2;
@@ -162,8 +162,8 @@ let rdgram_reliable_delivery () =
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ()
   in
   let ch0 = mk (World.node w 0) and ch1 = mk (World.node w 1) in
-  let rd0 = Rpc.Rdgram.create ~host:(World.node w 0).World.host ~channel:ch0 () in
-  let rd1 = Rpc.Rdgram.create ~host:(World.node w 1).World.host ~channel:ch1 () in
+  let rd0 = Rpc.Rdgram.create ~host:(World.node w 0).World.host ~channel:ch0 in
+  let rd1 = Rpc.Rdgram.create ~host:(World.node w 1).World.host ~channel:ch1 in
   let inbox = ref [] in
   Rpc.Rdgram.listen rd1 (fun _src msg -> inbox := Msg.to_string msg :: !inbox);
   (* lose some frames: the datagram still arrives exactly once *)
@@ -179,6 +179,33 @@ let rdgram_reliable_delivery () =
       | Error e -> Alcotest.failf "send failed: %s" (Rpc.Rpc_error.to_string e));
   Alcotest.(check (list string)) "delivered exactly once" [ "dgram" ] !inbox
 
+(* Frames no SELECT sends, handed to the server from below: each takes
+   its branch and counter, and no procedure runs. *)
+let malformed_frames_counted () =
+  let w = World.create () in
+  let _, sel1 = setup w in
+  let ran = ref 0 in
+  Select.register sel1 ~command:1 (fun m ->
+      incr ran;
+      Ok m);
+  Select.serve sel1;
+  let module S = Rpc.Wire_fmt.Select in
+  let hdr typ = S.encode ~typ ~command:1 ~status:S.status_ok in
+  Tutil.deliver_from_below w ~host:(World.node w 1).World.host
+    ~peer:(World.ip_of w 0) (Select.proto sel1)
+    (List.map Msg.of_string
+       [
+         "abc";
+         hdr S.typ_reply;
+         (* a stamped request one byte short of its stamp *)
+         hdr S.typ_request_sharded ^ String.make (S.stamp_bytes - 1) '\000';
+       ]);
+  let stat = Tutil.stat (Select.proto sel1) in
+  Tutil.check_int "runt" 1 (stat "rx-runt");
+  Tutil.check_int "not a request" 1 (stat "rx-unexpected");
+  Tutil.check_int "short stamp" 1 (stat "rx-malformed");
+  Tutil.check_int "nothing ran" 0 !ran
+
 let () =
   Alcotest.run "select"
     [
@@ -190,6 +217,8 @@ let () =
           Alcotest.test_case "args/results roundtrip" `Quick
             arguments_and_results_roundtrip;
           Alcotest.test_case "16k args and reply" `Quick large_args_and_reply;
+          Alcotest.test_case "malformed frames counted" `Quick
+            malformed_frames_counted;
         ] );
       ( "channels",
         [

@@ -39,6 +39,10 @@ let cancel_timer () =
   Sim.run sim;
   Alcotest.(check bool) "did not fire" false !fired
 
+(* The clock reaches the bound only when a live event is left queued
+   past it.  When the queues drain first, or hold only cancelled events,
+   it stays at the last event fired, and a timer armed next counts from
+   there. *)
 let run_until () =
   let sim = Sim.create () in
   let fired = ref 0 in
@@ -48,7 +52,16 @@ let run_until () =
   Tutil.check_int "only first fired" 1 !fired;
   Alcotest.(check (float 1e-9)) "clock at bound" 2.0 (Sim.now sim);
   Sim.run sim;
-  Tutil.check_int "remaining fires" 2 !fired
+  Tutil.check_int "remaining fires" 2 !fired;
+  ignore (Sim.after sim 1.0 (fun () -> incr fired));
+  ignore (Sim.cancel (Sim.after sim 20.0 (fun () -> incr fired)));
+  Sim.run ~until:10.0 sim;
+  Tutil.check_int "drained" 3 !fired;
+  Alcotest.(check (float 0.)) "clock at last event" 4.0 (Sim.now sim);
+  let at = ref nan in
+  ignore (Sim.after sim 1.0 (fun () -> at := Sim.now sim));
+  Sim.run sim;
+  Alcotest.(check (float 0.)) "armed from last event" 5.0 !at
 
 (* A bound behind the clock fires nothing and leaves the clock alone:
    the clock never runs back, so a timer armed afterwards cannot fire
@@ -890,12 +903,22 @@ let nested_run_keeps_record () =
    charge sums its list in place (4), an ivar read that blocks until a
    fresh fiber fills it costs 36 all told (the ivar, its wait ring and
    the filling fiber), and one 64-byte frame on a fault-free 5-tap wire
-   74 (four deliveries, each a timer and a fiber).  The budgets leave
-   headroom for other 5.x runtimes. *)
+   74 (four deliveries, each a timer and a fiber).  A row that times a
+   whole [Sim.run] runs its batch once first, so the event heaps have
+   grown to the batch's size before the measured run.  The budgets
+   leave headroom for other 5.x runtimes. *)
 let words_per_op n f =
   let w0 = Gc.minor_words () in
   f ();
   (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Minor words per op of a run of the fibers [batch] spawns, [n] ops in
+   all, measured on the second of two runs. *)
+let warm_run_words n sim batch =
+  batch ();
+  Sim.run sim;
+  batch ();
+  words_per_op n (fun () -> Sim.run sim)
 
 (* Minor words per [op] taking the queued path.  Two fibers each run [n]
    rounds of [op], the second half a [period] behind, so whenever one
@@ -1009,33 +1032,39 @@ let alloc_budget () =
      the CPU semaphore and is woken by the previous holder. *)
   let sim = Sim.create () in
   let m = Machine.create sim Machine.xkernel_sun3 in
-  for _ = 1 to 8 do
-    Sim.spawn sim (fun () ->
-        for _ = 1 to n / 8 do
-          Machine.charge_one m Machine.Layer_crossing
+  let contended_w =
+    warm_run_words n sim (fun () ->
+        for _ = 1 to 8 do
+          Sim.spawn sim (fun () ->
+              for _ = 1 to n / 8 do
+                Machine.charge_one m Machine.Layer_crossing
+              done)
         done)
-  done;
-  let contended_w = words_per_op n (fun () -> Sim.run sim) in
+  in
   (* Two fibers hold one server in turn: after the first, every hold
      arrives while the other's is in flight. *)
   let sim = Sim.create () in
   let server = Sim.Server.create sim in
-  for _ = 1 to 2 do
-    Sim.spawn sim (fun () ->
-        for _ = 1 to n / 2 do
-          Sim.Server.hold server 1e-6
+  let hold_w =
+    warm_run_words n sim (fun () ->
+        for _ = 1 to 2 do
+          Sim.spawn sim (fun () ->
+              for _ = 1 to n / 2 do
+                Sim.Server.hold server 1e-6
+              done)
         done)
-  done;
-  let hold_w = words_per_op n (fun () -> Sim.run sim) in
+  in
   let sim = Sim.create () in
   let wire = Wire.create sim () in
   let taps = List.init 5 (fun _ -> Wire.attach wire ~recv:ignore) in
   let frame = Msg.of_string (String.make 64 'x') in
-  Sim.spawn sim (fun () ->
-      for _ = 1 to n do
-        Wire.transmit wire ~from:(List.hd taps) frame
-      done);
-  let frame_w = words_per_op n (fun () -> Sim.run sim) in
+  let frame_w =
+    warm_run_words n sim (fun () ->
+        Sim.spawn sim (fun () ->
+            for _ = 1 to n do
+              Wire.transmit wire ~from:(List.hd taps) frame
+            done))
+  in
   let msg = Msg.of_string "payload" in
   let trace_w =
     words_per_op n (fun () ->

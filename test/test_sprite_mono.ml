@@ -10,8 +10,8 @@ let setup ?(lower = `Vip) w =
     | `Ip -> Netproto.Ip.proto n.World.ip
   in
   let n0 = World.node w 0 and n1 = World.node w 1 in
-  let m0 = M.create ~host:n0.World.host ~lower:(lower_of n0) () in
-  let m1 = M.create ~host:n1.World.host ~lower:(lower_of n1) () in
+  let m0 = M.create ~host:n0.World.host ~lower:(lower_of n0) in
+  let m1 = M.create ~host:n1.World.host ~lower:(lower_of n1) in
   let execs = ref 0 in
   M.register m1 ~command:1 (fun msg ->
       incr execs;
@@ -185,6 +185,17 @@ let equivalent_over_ip () =
   let r = call w cl ~command:1 (Msg.of_string payload) in
   Tutil.check_str "works over IP" payload (Msg.to_string (Tutil.ok_exn "r" r))
 
+(* A frame shorter than SPRITE_HDR, handed to the server from below, is
+   counted and dropped. *)
+let runt_counted () =
+  let w = World.create () in
+  let _, m1, _, execs = setup w in
+  Tutil.deliver_from_below w ~host:(World.node w 1).World.host
+    ~peer:(World.ip_of w 0) (M.proto m1)
+    [ Msg.of_string (String.make (Rpc.Wire_fmt.Sprite.bytes - 1) '\001') ];
+  Tutil.check_int "runt" 1 (M.stat m1 "rx-runt");
+  Tutil.check_int "nothing executed" 0 !execs
+
 let header_codec_roundtrip =
   let gen =
     QCheck.make
@@ -193,26 +204,19 @@ let header_codec_roundtrip =
           (int_bound 0xffff))
   in
   Tutil.qtest "SPRITE_HDR codec roundtrip" gen (fun (flags, chan, seq, cmd) ->
-      let h =
-        {
-          Rpc.Wire_fmt.Sprite.flags;
-          clnt_host = Addr.Ip.v 10 0 0 1;
-          srvr_host = Addr.Ip.v 10 0 0 2;
-          channel = chan;
-          srvr_process = 3;
-          sequence_num = seq;
-          num_frags = 4;
-          frag_mask = 0x8;
-          command = cmd;
-          boot_id = 77;
-          data1_sz = 123;
-          data2_sz = 0;
-          data1_off = 45;
-          data2_off = 0;
-        }
+      let module H = Rpc.Wire_fmt.Sprite in
+      let clnt = Addr.Ip.v 10 0 0 1 and srvr = Addr.Ip.v 10 0 0 2 in
+      let m =
+        Msg.of_string
+          (H.encode ~flags ~clnt ~srvr ~channel:chan ~seq ~num:4 ~mask:0x8
+             ~command:cmd ~boot_id:77 ~len:123 ~off:45)
       in
-      Rpc.Wire_fmt.Sprite.read (Msg.of_string (Rpc.Wire_fmt.Sprite.encode h))
-      = Some h)
+      H.flags m = flags
+      && Addr.Ip.equal (H.clnt_host m) clnt
+      && Addr.Ip.equal (H.srvr_host m) srvr
+      && H.channel m = chan && H.sequence_num m = seq && H.num_frags m = 4
+      && H.frag_mask m = 0x8 && H.command m = cmd && H.boot_id m = 77
+      && H.data1_sz m = 123)
 
 let () =
   Alcotest.run "sprite_mono"
@@ -224,6 +228,7 @@ let () =
           Alcotest.test_case "unknown command" `Quick unknown_command;
           Alcotest.test_case "concurrent channel pool" `Quick concurrent_channel_pool;
           Alcotest.test_case "over IP (late binding)" `Quick equivalent_over_ip;
+          Alcotest.test_case "runt counted" `Quick runt_counted;
           header_codec_roundtrip;
         ] );
       ( "fragmentation",

@@ -217,14 +217,14 @@ let fragment_handles_packets_uppers_handle_messages () =
     Rpc.Fragment.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip) ()
   in
   let chan = Rpc.Channel.create ~host:n0.World.host ~lower:(Rpc.Fragment.proto frag) () in
-  let sel = Rpc.Select.create ~host:n0.World.host ~channel:chan () in
+  let sel = Rpc.Select.create ~host:n0.World.host ~channel:chan in
   (* server side *)
   let n1 = World.node w 1 in
   let frag1 =
     Rpc.Fragment.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip) ()
   in
   let chan1 = Rpc.Channel.create ~host:n1.World.host ~lower:(Rpc.Fragment.proto frag1) () in
-  let sel1 = Rpc.Select.create ~host:n1.World.host ~channel:chan1 () in
+  let sel1 = Rpc.Select.create ~host:n1.World.host ~channel:chan1 in
   Rpc.Select.register sel1 ~command:1 (fun _ -> Ok Msg.empty);
   Rpc.Select.serve sel1;
   Tutil.run_in w (fun () ->

@@ -18,7 +18,7 @@ let register_std sun execs =
 let setup_rr w =
   let mk (n : World.node) =
     let rr =
-      RR.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) ()
+      RR.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip)
     in
     (rr, Sun.create ~host:n.World.host ~transaction:(Sun.over_request_reply rr ~proto_num:sun_proto))
   in
@@ -151,7 +151,7 @@ let retransmit_on_loss () =
 let with_auth ~mk_auth w =
   let mk (n : World.node) =
     let auth = mk_auth n in
-    let rr = RR.create ~host:n.World.host ~lower:(Rpc.Auth.proto auth) () in
+    let rr = RR.create ~host:n.World.host ~lower:(Rpc.Auth.proto auth) in
     ( auth,
       Sun.create ~host:n.World.host
         ~transaction:(Sun.over_request_reply rr ~proto_num:sun_proto) )
@@ -194,6 +194,36 @@ let auth_unix_accepts_allowed_uid () =
   in
   Tutil.check_str "accepted" "as uid 100" (Msg.to_string (Tutil.ok_exn "r" r));
   Tutil.check_int "executed" 1 !execs
+
+(* A unix credential must be exactly a uid and a gid: one byte short or
+   over is rejected even when its first word is an allowed uid. *)
+let auth_unix_rejects_malformed () =
+  let w = World.create () in
+  let mk_auth (n : World.node) =
+    Rpc.Auth.unix ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip)
+      ~uid:100 ~gid:10
+      ~allow:(fun ~uid ~gid:_ -> uid = 100)
+      ()
+  in
+  let _, a1, _, _, execs = with_auth w ~mk_auth in
+  let frame cred =
+    let w = Codec.W.create (7 + String.length cred + 1) in
+    Codec.W.u8 w 1 (* flavour: unix *);
+    Codec.W.u32 w 95 (* REQUEST_REPLY *);
+    Codec.W.u16 w (String.length cred);
+    Codec.W.bytes w cred;
+    Codec.W.bytes w "x";
+    Msg.of_string (Codec.W.contents w)
+  in
+  let uid_100 = "\000\000\000\100" in
+  Tutil.deliver_from_below w ~host:(World.node w 1).World.host
+    ~peer:(World.ip_of w 0) (Rpc.Auth.proto a1)
+    [
+      frame (uid_100 ^ "\000\000\000");
+      frame (uid_100 ^ "\000\000\000\010\000");
+    ];
+  Tutil.check_int "both rejected" 2 (Rpc.Auth.rejects a1);
+  Tutil.check_int "never executed" 0 !execs
 
 let auth_unix_rejects_wrong_uid () =
   let w = World.create () in
@@ -248,7 +278,7 @@ let mix_sun_select_with_fragment () =
     let f =
       Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) ()
     in
-    let rr = RR.create ~host:n.World.host ~lower:(Fragment.proto f) () in
+    let rr = RR.create ~host:n.World.host ~lower:(Fragment.proto f) in
     ( f,
       Sun.create ~host:n.World.host
         ~transaction:(Sun.over_request_reply rr ~proto_num:sun_proto) )
@@ -293,6 +323,8 @@ let () =
           Alcotest.test_case "AUTH_NONE passes" `Quick auth_none_passes;
           Alcotest.test_case "AUTH_UNIX accepts" `Quick auth_unix_accepts_allowed_uid;
           Alcotest.test_case "AUTH_UNIX rejects" `Quick auth_unix_rejects_wrong_uid;
+          Alcotest.test_case "AUTH_UNIX rejects malformed" `Quick
+            auth_unix_rejects_malformed;
           Alcotest.test_case "AUTH_DIGEST detects tampering" `Quick
             auth_digest_detects_tampering;
         ] );

@@ -134,7 +134,7 @@ let lnode (n : World.node) =
       ~lower:(Netproto.Vip.proto n.World.vip) ()
   in
   let ch = Channel.create ~host:n.World.host ~lower:(Fragment.proto f) () in
-  Select.create ~host:n.World.host ~channel:ch ()
+  Select.create ~host:n.World.host ~channel:ch
 
 let chaos_cuts_a_server_access_link () =
   (* A chaos plan unplugs the server's named wire mid-run: calls inside

@@ -38,3 +38,22 @@ let body n = String.init n (fun i -> Char.chr (i * 7 mod 256))
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* Hands [frames] to [p] from below, in a fiber of [w], on the session
+   of a stub lower protocol whose peer is [peer]: how a test feeds a
+   protocol frames no sender would build. *)
+let deliver_from_below (w : Netproto.World.t) ~host ~peer p frames =
+  let below = Proto.create ~host ~name:"BELOW" () in
+  let lower =
+    Proto.make_session below
+      {
+        Proto.push = ignore;
+        pop = ignore;
+        s_control =
+          (function
+          | Control.Get_peer_host -> Control.R_ip peer
+          | _ -> Control.Unsupported);
+        close = ignore;
+      }
+  in
+  run_in w (fun () -> List.iter (Proto.deliver p ~lower) frames)
