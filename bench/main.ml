@@ -252,12 +252,12 @@ let microbench () =
       (p, s)
     in
     let lower1, below1 = handoff ~host:h1 ignore in
-    let f1 = Rpc.Fragment.create ~host:h1 ~lower:lower1 () in
+    let f1 = Rpc.Fragment.create ~host:h1 ~lower:lower1 in
     let lower0, _ =
       handoff ~host:h0 (fun frame ->
           Proto.deliver (Rpc.Fragment.proto f1) ~lower:below1 frame)
     in
-    let f0 = Rpc.Fragment.create ~host:h0 ~lower:lower0 () in
+    let f0 = Rpc.Fragment.create ~host:h0 ~lower:lower0 in
     (* The protocol above FRAGMENT on either side: [handoff]'s demux
        drops what it is handed. *)
     let sink, _ = handoff ~host:h1 ignore in

@@ -19,7 +19,7 @@ let () =
     let n = World.node w i in
     let fragment =
       Rpc.Fragment.create ~host:n.World.host
-        ~lower:(Netproto.Vip.proto n.World.vip) ()
+        ~lower:(Netproto.Vip.proto n.World.vip)
     in
     Hashtbl.replace frag_of i fragment;
     let ps =

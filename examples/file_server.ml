@@ -32,7 +32,7 @@ let () =
   let build (n : World.node) =
     let fragment =
       Rpc.Fragment.create ~host:n.World.host
-        ~lower:(Netproto.Vip.proto n.World.vip) ()
+        ~lower:(Netproto.Vip.proto n.World.vip)
     in
     let channel =
       Rpc.Channel.create ~host:n.World.host

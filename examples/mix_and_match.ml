@@ -53,7 +53,7 @@ let () =
     ~mk_stack:(fun (n : World.node) ->
       let frag =
         Rpc.Fragment.create ~host:n.World.host
-          ~lower:(Netproto.Vip.proto n.World.vip) ()
+          ~lower:(Netproto.Vip.proto n.World.vip)
       in
       let rr =
         Rpc.Request_reply.create ~host:n.World.host
@@ -64,7 +64,7 @@ let () =
   demo "SUN_SELECT / CHANNEL / FRAGMENT / VIP" ~mk_stack:(fun (n : World.node) ->
       let frag =
         Rpc.Fragment.create ~host:n.World.host
-          ~lower:(Netproto.Vip.proto n.World.vip) ()
+          ~lower:(Netproto.Vip.proto n.World.vip)
       in
       let ch =
         Rpc.Channel.create ~host:n.World.host ~lower:(Rpc.Fragment.proto frag) ()

@@ -15,8 +15,8 @@ module Stream = Rpc.Stream
 let transfer ~label ~lower_of ~drop =
   let w = World.create () in
   let n0 = World.node w 0 and n1 = World.node w 1 in
-  let s0 = Stream.create ~host:n0.World.host ~lower:(lower_of n0) () in
-  let s1 = Stream.create ~host:n1.World.host ~lower:(lower_of n1) () in
+  let s0 = Stream.create ~host:n0.World.host ~lower:(lower_of n0) in
+  let s1 = Stream.create ~host:n1.World.host ~lower:(lower_of n1) in
   let received = Buffer.create 4096 in
   Stream.on_receive s1 (fun ~peer:_ chunk ->
       Buffer.add_string received (Msg.to_string chunk));

@@ -39,7 +39,6 @@ type t = {
 
 let proto t = t.p
 let depth t = t.depth
-let admitted t = Stats.value t.c_admitted
 let busy_rejected t = Stats.value t.c_busy_rejected
 let codel_dropped t = Stats.value t.c_codel_dropped
 let expired_dropped t = Stats.value t.c_expired

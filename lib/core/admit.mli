@@ -53,8 +53,6 @@ val proto : t -> Xkernel.Proto.t
 val depth : t -> int
 (** Requests currently queued. *)
 
-val admitted : t -> int
-
 val busy_rejected : t -> int
 
 val codel_dropped : t -> int

@@ -22,7 +22,6 @@ type t = {
 }
 
 let proto t = t.p
-let rejects t = Stats.get t.stats "auth-reject"
 
 let encode t ~upper_proto cred =
   let w = Codec.W.create (fixed_bytes + String.length cred) in

@@ -23,8 +23,6 @@
 type t
 
 val proto : t -> Xkernel.Proto.t
-val rejects : t -> int
-
 val none : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> unit -> t
 (** AUTH_NONE: empty credential, always verifies; measures the pure
     cost of an extra layer. *)

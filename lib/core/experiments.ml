@@ -121,7 +121,7 @@ let table2 () =
   let w = World.create () in
   let pc, _ = Stacks.fragment_probe w in
   let points =
-    Measure.probe_sweep ~sizes:[ 16384 ] ~iters:4 w pc ~peer:(World.ip_of w 1)
+    Measure.probe_sweep w pc ~peer:(World.ip_of w 1)
   in
   let frag_alone =
     match points with
@@ -259,7 +259,7 @@ let figures ?fig2_extra () =
   let n0 = World.node w2 0 in
   let frag =
     Fragment.create ~host:n0.World.host
-      ~lower:(Netproto.Vip.proto n0.World.vip) ()
+      ~lower:(Netproto.Vip.proto n0.World.vip)
   in
   let chan =
     Channel.create ~host:n0.World.host ~lower:(Fragment.proto frag) ()
@@ -281,7 +281,7 @@ let figures ?fig2_extra () =
   let n = World.node w3 0 in
   let fa =
     Fragment.create ~host:n.World.host
-      ~lower:(Netproto.Vip.proto n.World.vip) ()
+      ~lower:(Netproto.Vip.proto n.World.vip)
   in
   let ca =
     Channel.create ~host:n.World.host ~lower:(Fragment.proto fa) ()
@@ -292,7 +292,7 @@ let figures ?fig2_extra () =
   let w4 = World.create () in
   let n = World.node w4 0 in
   let vaddr = Netproto.Vip_addr.proto n.World.vip_addr in
-  let fb = Fragment.create ~host:n.World.host ~lower:vaddr () in
+  let fb = Fragment.create ~host:n.World.host ~lower:vaddr in
   let vsize =
     Netproto.Vip_size.create ~host:n.World.host ~bulk:(Fragment.proto fb)
       ~direct:vaddr ~arp:n.World.arp
@@ -791,9 +791,9 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
         ignore
           (Sim.after sim chaos_t (fun () ->
                Rebalance.start rb ~until:(t_start +. duration))));
-    let h_pre = Load.new_hist ()
-    and h_dip = Load.new_hist ()
-    and h_heal = Load.new_hist () in
+    let h_pre = Histogram.create ()
+    and h_dip = Histogram.create ()
+    and h_heal = Histogram.create () in
     let pre = ref 0 and dip = ref 0 and heal = ref 0 in
     let t_rebalanced = ref None in
     (* A monitor fiber timestamps the first client-visible map change —

@@ -421,13 +421,13 @@ let open_session t ~upper part =
   let peer = Part.peer_ip part in
   Option.get (Demux.open_ t.demux t ~upper (peer, Part.ip_proto part)).xs
 
-let create ~host ~lower ?(frag_size = 1024) () =
+let create ~host ~lower =
   let p = Proto.create ~host ~name:"FRAGMENT" () in
   let t =
     {
       host;
       lower;
-      frag_size;
+      frag_size = 1024;
       p;
       demux = Demux.create 16 ~make:make_session;
       stats = Proto.stats p;

@@ -30,23 +30,14 @@ val proto_num : int
     protocol each message belongs to — the reason a reusable layer
     "must have its own protocol number (type) field" (section 3.2). *)
 
-val create :
-  host:Xkernel.Host.t ->
-  lower:Xkernel.Proto.t ->
-  ?frag_size:int ->
-  unit ->
-  t
-(** [frag_size] defaults to 1024 (Sprite's fragment size: a 16 KB
-    message becomes 16 packets, per section 4.2).  The sender discards
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
+(** Fragments of 1024 bytes (Sprite's fragment size: a 16 KB message
+    becomes 16 packets, per section 4.2; [Set_frag_size] changes it).  The sender discards
     a message's fragments after 2 s; a receiver waits 30 ms on an
     incomplete message before requesting the missing fragments, and
     rearms that up to 3 times. *)
 
 val proto : t -> Xkernel.Proto.t
-
-val max_message : t -> int
-(** 16 × fragment size: the largest message one FRAGMENT sequence
-    number can carry. *)
 
 val recent_count : t -> int
 (** Total entries in the recently-completed dedup tables across all
@@ -58,10 +49,12 @@ val reasm_count : t -> int
     tests. *)
 
 (** Participants: like VIP — [Ip peer] + [Ip_proto n].  Sessions answer
-    [Get_peer_host], [Get_frag_size], [Get_max_packet]
-    (= [max_message]), [Get_opt_packet] (= fragment size).  The protocol
-    answers [Get_max_msg_size] with fragment size + header, so a VIP
-    *below* FRAGMENT knows it never needs the IP path for local peers.
+    [Get_peer_host], [Get_frag_size], [Get_max_packet] (16 × fragment
+    size: the largest message one FRAGMENT sequence number can carry),
+    [Get_opt_packet] (= fragment size).  The protocol answers
+    [Get_max_packet] the same way and [Get_max_msg_size] with fragment
+    size + header, so a VIP *below* FRAGMENT knows it never needs the
+    IP path for local peers.
 
     Statistics: ["tx-msg"], ["tx-frag"], ["rx-msg"], ["rx-frag"],
     ["nack-tx"], ["nack-rx"], ["retransmit"], ["cache-drop"],

@@ -26,13 +26,14 @@ type entry = {
   e_stored : float;
 }
 
-(* Cache entries held before FIFO eviction. *)
+(* Cache entries held before FIFO eviction, and how long one stays
+   fresh after its store. *)
 let capacity = 1024
+let ttl = 2.0
 
 type t = {
   host : Host.t;
   ip : Netproto.Ip.t;
-  ttl : float;
   cacheable : (int, unit) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
   order : string Queue.t;  (* insertion order, for eviction *)
@@ -178,7 +179,7 @@ let on_request t ~client ~server ~ch body =
     else begin
       let k = key ~client ~server body in
       let fresh e =
-        Sim.now (Host.sim t.host) -. e.e_stored <= t.ttl
+        Sim.now (Host.sim t.host) -. e.e_stored <= ttl
         && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
       in
       match Hashtbl.find_opt t.cache k with
@@ -271,13 +272,12 @@ let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
         else false
   end
 
-let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) () =
+let install ~host ~ip ?(cacheable = []) () =
   let stats = Stats.create ~name:(host.Host.name ^ "/INC") () in
   let t =
     {
       host;
       ip;
-      ttl;
       cacheable = Hashtbl.create 8;
       cache = Hashtbl.create 64;
       order = Queue.create ();

@@ -32,7 +32,6 @@ val install :
   host:Xkernel.Host.t ->
   ip:Netproto.Ip.t ->
   ?cacheable:int list ->
-  ?ttl:float ->
   unit ->
   t
 (** [install ~host ~ip ()] hangs the computation off [ip]'s forward
@@ -40,7 +39,7 @@ val install :
     parsing and reply synthesis (port 0 of a switched world).
     [cacheable] (default none — commands must be registered explicitly,
     and probe/health commands never should be) lists SELECT command
-    numbers whose replies may be cached; [ttl] (default 2 s) and a
+    numbers whose replies may be cached; a TTL of 2 s and a
     capacity of 1024 entries (FIFO eviction) bound the cache.
     Registers a stats table named ["<host>/INC"] with counters [hits],
     [misses], [sheds], [forwarded], [stored] and [invalidated]. *)

@@ -30,12 +30,8 @@ type tally = {
   o_hists : Histogram.t array;
 }
 
-(* Latencies are recorded in microseconds; 100 s of range is far past
-   any retry-exhausted call. *)
-let new_hist () = Histogram.create ~max_value:100_000_000 ()
-
 let merged hists =
-  let hist = new_hist () in
+  let hist = Histogram.create () in
   Array.iter (fun h -> Histogram.merge_into ~src:h ~dst:hist) hists;
   hist
 
@@ -55,8 +51,6 @@ let spawn_queue_sampler (w : World.t) mach stop =
         Sim.delay w.World.sim sample_interval
       done);
   peak
-
-let payload_of size = if size = 0 then Msg.empty else Msg.fill size 'l'
 
 let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals ~bytes0
     ~queue_peak o =
@@ -93,24 +87,26 @@ let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals ~bytes0
     per_client = o.o_hists;
   }
 
-let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(size = 0)
-    (f : World.fanin) (s : Stacks.fan) =
+(* A closed-loop fiber's unrecorded, then measured, calls. *)
+let warmup_calls = 2
+let measured_calls = 25
+
+let run_closed ?(fibers = 8) (f : World.fanin) (s : Stacks.fan) =
   if fibers < 1 then invalid_arg "Load.run_closed: fibers < 1";
   let w = f.World.fan in
   let sim = w.World.sim in
   let m = Array.length f.World.clients in
-  let hists = Array.init m (fun _ -> new_hist ()) in
+  let hists = Array.init m (fun _ -> Histogram.create ()) in
   let completed = ref 0 and failed = ref 0 in
   let t0 = ref 0. and t_end = ref 0. and bytes0 = ref 0 in
   let stop = ref false in
   let queue_peak = ref (ref 0) in
-  let payload = payload_of size in
   let gate = Sim.Ivar.create sim in
   let warm_left = ref fibers and running = ref fibers in
   for k = 0 to fibers - 1 do
     let i = k mod m in
     World.spawn w (fun () ->
-        for _ = 1 to warmup do
+        for _ = 1 to warmup_calls do
           ignore (s.Stacks.fan_call i ~command:Stacks.cmd_null Msg.empty)
         done;
         decr warm_left;
@@ -123,9 +119,9 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(size = 0)
           Sim.Ivar.fill gate ()
         end;
         Sim.Ivar.read gate;
-        for _ = 1 to calls do
+        for _ = 1 to measured_calls do
           let t = Sim.now sim in
-          (match s.Stacks.fan_call i ~command:Stacks.cmd_null payload with
+          (match s.Stacks.fan_call i ~command:Stacks.cmd_null Msg.empty with
           | Ok _ -> incr completed
           | Error _ -> incr failed);
           let now = Sim.now sim in
@@ -137,7 +133,7 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(size = 0)
   done;
   World.run w;
   let r =
-    finish f s ~mode:"closed" ~offered:0. ~arrivals:(fibers * calls)
+    finish f s ~mode:"closed" ~offered:0. ~arrivals:(fibers * measured_calls)
       ~bytes0:!bytes0 ~queue_peak:!(!queue_peak)
       {
         o_completed = !completed;
@@ -155,20 +151,16 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(size = 0)
 
 let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
     ?warmup ?(on_start = ignore) ?(key = Fun.id) ?(on_shed = ignore)
-    ?(on_done = fun _ _ _ -> ()) ?(on_drained = ignore) ~rate (w : World.t)
-    ~clients call =
+    ?(on_done = fun _ _ _ -> ()) ~rate (w : World.t) ~clients call =
   if rate <= 0. then invalid_arg "Load.run_open: rate <= 0";
   if window < 1 then invalid_arg "Load.run_open: window < 1";
   if clients < 1 then invalid_arg "Load.run_open: clients < 1";
   let sim = w.World.sim in
-  let hists = Array.init clients (fun _ -> new_hist ()) in
+  let hists = Array.init clients (fun _ -> Histogram.create ()) in
   let completed = ref 0 and failed = ref 0 and shed = ref 0 in
   let pending = ref 0 and pending_max = ref 0 in
   let t0 = ref 0. and t_end = ref 0. in
   let dispatched_all = ref false in
-  let finish_if_drained () =
-    if !dispatched_all && !pending = 0 then on_drained ()
-  in
   let one_call i key =
     let t = Sim.now sim in
     let r = call i ~key in
@@ -177,8 +169,7 @@ let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
     Histogram.record hists.(i) (us_of (now -. t));
     if now > !t_end then t_end := now;
     on_done i t r;
-    decr pending;
-    finish_if_drained ()
+    decr pending
   in
   let interarrival =
     match arrival with
@@ -210,8 +201,7 @@ let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
       end;
       if k < arrivals - 1 then Sim.delay sim (interarrival ())
     done;
-    dispatched_all := true;
-    finish_if_drained ()
+    dispatched_all := true
   in
   (match warmup with
   | None -> Sim.spawn sim dispatcher
@@ -236,12 +226,20 @@ let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
     o_hists = hists;
   }
 
-let run_open_fan ?(arrival = Poisson) ?(arrivals = 200) ?window ~rate
-    (f : World.fanin) (s : Stacks.fan) =
+let run_open_fan ?(arrivals = 200) ?window ~rate (f : World.fanin)
+    (s : Stacks.fan) =
   let w = f.World.fan in
-  let stop = ref false and queue_peak = ref (ref 0) and bytes0 = ref 0 in
+  (* The sampler stops once every arrival is shed or its call is done,
+     at once when there are none. *)
+  let unsettled = ref arrivals in
+  let stop = ref (arrivals < 1) and queue_peak = ref (ref 0) in
+  let bytes0 = ref 0 in
+  let settle () =
+    decr unsettled;
+    if !unsettled = 0 then stop := true
+  in
   let o =
-    run_open ~arrival ~arrivals ?window ~rate w
+    run_open ~arrivals ?window ~rate w
       ~clients:(Array.length f.World.clients)
       ~warmup:(fun i ->
         (* Warm every client host (ARP, session caches, RTT
@@ -251,15 +249,11 @@ let run_open_fan ?(arrival = Poisson) ?(arrivals = 200) ?window ~rate
         bytes0 := (Wire.stats w.World.wire).Wire.bytes;
         let mach = s.Stacks.fan_server.Host.mach in
         queue_peak := spawn_queue_sampler w mach stop)
-      ~on_drained:(fun () -> stop := true)
+      ~on_shed:(fun _ -> settle ())
+      ~on_done:(fun _ _ _ -> settle ())
       (fun i ~key:_ -> s.Stacks.fan_call i ~command:Stacks.cmd_null Msg.empty)
   in
-  let mode =
-    match arrival with
-    | Uniform -> "open-uniform"
-    | Poisson -> "open-poisson"
-  in
-  finish f s ~mode ~offered:rate ~arrivals ~bytes0:!bytes0
+  finish f s ~mode:"open-poisson" ~offered:rate ~arrivals ~bytes0:!bytes0
     ~queue_peak:!(!queue_peak) o
 
 let to_json r =

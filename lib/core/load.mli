@@ -78,29 +78,18 @@ type tally = {
 (** What {!run_open} observed.  Every arrival is completed, failed or
     shed: [o_completed + o_failed + o_shed] is the arrival count. *)
 
-val new_hist : unit -> Xkernel.Histogram.t
-(** A histogram configured like the ones in {!result} (microseconds,
-    up to 100 s) — mergeable with them. *)
-
 val merged : Xkernel.Histogram.t array -> Xkernel.Histogram.t
-(** A fresh {!new_hist} holding the union of the given histograms. *)
+(** A fresh histogram holding the union of the given histograms. *)
 
 val us_of : float -> int
 (** Seconds to rounded microseconds — the unit {!result} histograms
     record. *)
 
-val run_closed :
-  ?fibers:int ->
-  ?calls:int ->
-  ?warmup:int ->
-  ?size:int ->
-  Netproto.World.fanin ->
-  Stacks.fan ->
-  result
+val run_closed : ?fibers:int -> Netproto.World.fanin -> Stacks.fan -> result
 (** [run_closed fanin fan] spreads [fibers] (default 8) closed-loop
-    fibers round-robin across the client hosts; each issues [warmup]
-    (default 2, unrecorded) then [calls] (default 25) null-procedure
-    calls of [size] bytes (default 0), back to back.  All fibers warm up
+    fibers round-robin across the client hosts; each issues 2
+    unrecorded then 25 measured null-procedure calls with empty
+    arguments, back to back.  All fibers warm up
     before the measured phase starts.  Drives the world to completion. *)
 
 val run_open :
@@ -113,7 +102,6 @@ val run_open :
   ?key:(int -> int) ->
   ?on_shed:(int -> unit) ->
   ?on_done:(int -> float -> ('a, 'e) Stdlib.result -> unit) ->
-  ?on_drained:(unit -> unit) ->
   rate:float ->
   Netproto.World.t ->
   clients:int ->
@@ -136,20 +124,17 @@ val run_open :
     - [on_start ()] runs when the arrival clock starts, at [o_t0];
     - [on_shed k] runs when arrival [k] is shed, at its arrival time;
     - [on_done i t r] runs as client [i]'s call, started at [t], ends
-      with [r];
-    - [on_drained ()] runs once, when every arrival has been
-      dispatched or shed and no call is pending. *)
+      with [r]. *)
 
 val run_open_fan :
-  ?arrival:arrival ->
   ?arrivals:int ->
   ?window:int ->
   rate:float ->
   Netproto.World.fanin ->
   Stacks.fan ->
   result
-(** {!run_open} over a fan-in: null-procedure calls round-robin across
-    client hosts, each client host having first made one unrecorded
+(** {!run_open} with {!Poisson} arrivals over a fan-in (mode
+    ["open-poisson"]): null-procedure calls round-robin across client hosts, each client host having first made one unrecorded
     call; the server's run-queue depth is sampled from dispatch start
     until the calls drain.  Registers the [load/<config>] stats
     table. *)

@@ -9,6 +9,7 @@ type row = {
   client_cpu_ms : float;
 }
 
+(* 1 KB to 16 KB in 1 KB steps. *)
 let default_sizes = List.init 16 (fun i -> (i + 1) * 1024)
 
 (* Run [f] in a fiber and drive the simulator until it finishes. *)
@@ -35,21 +36,20 @@ let timed_calls (w : World.t) ~iters f =
   (Sim.now w.World.sim -. t0) /. float_of_int iters
 
 (* The shared warm-up/aggregation discipline of every latency number:
-   [warmup] unrecorded calls, then the average of [iters] timed ones,
-   in msec. *)
-let warmed_latency_ms ~warmup ~iters (w : World.t) f =
+   3 unrecorded calls, then the average of 50 timed ones, in msec. *)
+let warmed_latency_ms (w : World.t) f =
   in_fiber w (fun () ->
-      for _ = 1 to warmup do
+      for _ = 1 to 3 do
         f ()
       done;
-      timed_calls w ~iters f *. 1e3)
+      timed_calls w ~iters:50 f *. 1e3)
 
-let latency ?(warmup = 3) ?(iters = 50) (w : World.t) (e : Stacks.endpoints) =
-  warmed_latency_ms ~warmup ~iters w (fun () ->
+let latency (w : World.t) (e : Stacks.endpoints) =
+  warmed_latency_ms w (fun () ->
       ignore (expect_ok e.config_name (e.call ~command:Stacks.cmd_null Msg.empty)))
 
-let sweep ?(sizes = default_sizes) ?(iters = 8) (w : World.t)
-    (e : Stacks.endpoints) =
+(* [(size, seconds per call)] for each request size, null replies. *)
+let sweep (w : World.t) (e : Stacks.endpoints) =
   in_fiber w (fun () ->
       ignore (expect_ok e.config_name (e.call ~command:Stacks.cmd_null Msg.empty));
       List.map
@@ -59,8 +59,8 @@ let sweep ?(sizes = default_sizes) ?(iters = 8) (w : World.t)
             ignore (expect_ok e.config_name (e.call ~command:Stacks.cmd_null msg))
           in
           call ();
-          (size, timed_calls w ~iters call))
-        sizes)
+          (size, timed_calls w ~iters:8 call))
+        default_sizes)
 
 let probe_call w p ~peer ~size =
   match Netproto.Probe.rtt p ~peer ~size () with
@@ -70,20 +70,17 @@ let probe_call w p ~peer ~size =
         (Printf.sprintf "Measure: probe timeout at t=%.3fms"
            (Sim.now w.World.sim *. 1e3))
 
-let probe_latency ?(warmup = 3) ?(iters = 50) ?(size = 0) (w : World.t) p
-    ~peer =
-  warmed_latency_ms ~warmup ~iters w (fun () ->
-      ignore (probe_call w p ~peer ~size))
+let probe_latency (w : World.t) p ~peer =
+  warmed_latency_ms w (fun () -> ignore (probe_call w p ~peer ~size:0))
 
-let probe_sweep ?(sizes = default_sizes) ?(iters = 8) (w : World.t) p ~peer =
+let probe_sweep (w : World.t) p ~peer =
   in_fiber w (fun () ->
       ignore (probe_call w p ~peer ~size:0);
-      List.map
-        (fun size ->
-          ( size,
-            timed_calls w ~iters (fun () ->
-                ignore (probe_call w p ~peer ~size)) ))
-        sizes)
+      [
+        ( 16384,
+          timed_calls w ~iters:4 (fun () ->
+              ignore (probe_call w p ~peer ~size:16384)) );
+      ])
 
 (* Least-squares slope of seconds over bytes, reported as msec/KB. *)
 let fit_slope points =

@@ -19,26 +19,21 @@ type row = {
   client_cpu_ms : float;  (** client CPU time per 16 KB call *)
 }
 
-val latency :
-  ?warmup:int -> ?iters:int -> Netproto.World.t -> Stacks.endpoints -> float
-(** Average null-call round trip in msec.  Drives the simulator. *)
-
-val sweep :
-  ?sizes:int list -> ?iters:int -> Netproto.World.t -> Stacks.endpoints ->
-  (int * float) list
-(** [(size, seconds per call)] for each request size (default
-    1 KB..16 KB in 1 KB steps), null replies. *)
+val latency : Netproto.World.t -> Stacks.endpoints -> float
+(** Average null-call round trip in msec over 50 calls, after 3
+    unrecorded ones.  Drives the simulator. *)
 
 val probe_latency :
-  ?warmup:int -> ?iters:int -> ?size:int -> Netproto.World.t ->
-  Netproto.Probe.t -> peer:Xkernel.Addr.Ip.t -> float
-(** Same for a Probe-based stack (Table III rows without RPC). *)
+  Netproto.World.t -> Netproto.Probe.t -> peer:Xkernel.Addr.Ip.t -> float
+(** Same for a Probe-based stack with empty probes (Table III rows
+    without RPC). *)
 
 val probe_sweep :
-  ?sizes:int list -> ?iters:int -> Netproto.World.t -> Netproto.Probe.t ->
-  peer:Xkernel.Addr.Ip.t -> (int * float) list
-(** Size sweep for Probe stacks.  Note both directions carry [size]
-    bytes (Probe echoes), unlike RPC's null replies. *)
+  Netproto.World.t -> Netproto.Probe.t -> peer:Xkernel.Addr.Ip.t ->
+  (int * float) list
+(** [[(16384, seconds per echo)]], averaged over 4 echoes after an
+    empty one.  Note both directions carry the 16 KB (Probe echoes),
+    unlike RPC's null replies. *)
 
 val fit_slope : (int * float) list -> float
 (** Least-squares slope in msec per KB over a [(bytes, seconds)]
@@ -51,4 +46,6 @@ val throughput_kbs : size:int -> float -> float
 val row :
   Netproto.World.t -> Stacks.endpoints -> row
 (** Full Table I/II row: latency, 16 KB throughput, incremental cost,
-    client CPU per 16 KB call. *)
+    client CPU per 16 KB call.  Throughput and incremental cost come
+    from a sweep of 1 KB to 16 KB requests in 1 KB steps, 8 calls
+    each. *)

@@ -40,7 +40,6 @@ type t = {
 }
 
 let proto t = t.p
-let executions t = Stats.get t.stats "executed"
 
 let encode ~typ ~xid ~proto_num =
   let w = Codec.W.create header_bytes in

@@ -18,6 +18,9 @@ val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
     for each reply and retransmits 4 times before the call fails. *)
 
 val proto : t -> Xkernel.Proto.t
+(** Its ["executed"] counter is the server-side deliveries: under
+    duplication it {e exceeds} the number of distinct requests, which
+    is what tells zero-or-more from at-most-once. *)
 
 val session :
   t -> peer:Xkernel.Addr.Ip.t -> upper_proto:int -> Xkernel.Proto.session
@@ -29,11 +32,6 @@ val call :
   (Xkernel.Msg.t, Rpc_error.t) result
 (** Blocking transaction; concurrent calls on one session are fine
     (xids demultiplex). *)
-
-val executions : t -> int
-(** Server-side deliveries — under duplication this *exceeds* the
-    number of distinct requests, which is exactly what the tests assert
-    to distinguish zero-or-more from at-most-once. *)
 
 (** Server side: [open_enable] with [Ip_proto n]; each request is
     delivered up, and the upper protocol must reply by pushing into the

@@ -193,7 +193,6 @@ let serve t =
 let serve_behind t ~upper =
   Proto.open_enable (Channel.proto t.channel) ~upper (Part.ip_enable proto_num)
 
-let calls_handled t = Stats.get t.stats "handled"
 
 let set_shard_gauges t =
   match t.shard_map with

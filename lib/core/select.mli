@@ -66,8 +66,6 @@ val serve_behind : t -> upper:Xkernel.Proto.t -> unit
     admission-control protocol such as {!Admit} — which forwards the
     admitted ones back down into this server's demux. *)
 
-val calls_handled : t -> int
-
 (** {1 Sharding}
 
     Off by default; nothing below changes any output until

@@ -549,7 +549,7 @@ let call t ?key ~command msg =
 let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
     ?(deadline = 1.0) ?(probation = 0.1) ?(probe_limit = 3)
     ?(propagate_deadline = false) ?retry_budget ?(hedge = false) ?probe_timeout
-    ?dead_retry_interval ?drain_deadline ?shard_map ?(below = []) ~endpoints
+    ?dead_retry_interval ?drain_deadline ?(below = []) ~endpoints
     () =
   if Array.length endpoints < 1 then
     invalid_arg "Select_replica.create: no endpoints";
@@ -612,7 +612,7 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
       tokens =
         (match retry_budget with Some r -> Float.max 1. (10. *. r) | None -> 0.);
       hedge;
-      h_lat = Histogram.create ~max_value:100_000_000 ();
+      h_lat = Histogram.create ();
       drain_deadline;
       probe_timeout;
       dead_retry_interval;
@@ -667,5 +667,4 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
     };
   if below <> [] then Proto.declare_below p below;
   set_gauges t;
-  (match shard_map with Some m -> ignore (install_map t m) | None -> ());
   t

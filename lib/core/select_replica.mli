@@ -87,7 +87,6 @@ val create :
   ?probe_timeout:float ->
   ?dead_retry_interval:float ->
   ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
   ?below:Xkernel.Proto.t list ->
   endpoints:endpoint array ->
   unit ->
@@ -106,7 +105,7 @@ val create :
     [Dead] replicas from the call path every interval (with seeded
     jitter) so a replica that reboots heals back instead of staying
     buried; [drain_deadline] bounds graceful handoff (see
-    {!install_map}); [shard_map] pre-installs a routing map. *)
+    {!install_map}). *)
 
 val call :
   t ->

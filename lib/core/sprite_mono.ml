@@ -84,7 +84,6 @@ type client = {
 
 let proto t = t.p
 let full_mask n = (1 lsl n) - 1
-let stat t name = Stats.get t.stats name
 
 let fragment t ~flags ~peer ~chan ~seq ~command ~as_client msg =
   let len = Msg.length msg in

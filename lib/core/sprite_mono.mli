@@ -61,4 +61,3 @@ val serve : t -> ?enable:Xkernel.Part.participant -> unit -> unit
 (** [enable] is the local participant for the lower [open_enable]
     (default [[Ip_proto n]]; use [[Eth_type ty]] over raw ethernet). *)
 
-val stat : t -> string -> int

@@ -108,7 +108,7 @@ let mrpc_fanin ?(lower = L_vip) (f : World.fanin) =
 (* SELECT-CHANNEL-FRAGMENT-VIP on one node (fan-in variant below). *)
 let lrpc_node ?adaptive ?rto_load_floor ?n_channels (n : World.node) =
   let frag =
-    Fragment.create ~host:n.host ~lower:(Netproto.Vip.proto n.vip) ()
+    Fragment.create ~host:n.host ~lower:(Netproto.Vip.proto n.vip)
   in
   let chan =
     Channel.create ~host:n.host ~lower:(Fragment.proto frag) ?adaptive
@@ -195,13 +195,13 @@ let wire_shards ~host ~replicas ~selects = function
 
 (* REPLICA over SELECT-CHANNEL-FRAGMENT-VIP on a fan-out topology: the
    body of both [lrpc_fanout] and [lrpc_switched]. *)
-let layered_replicas ~name ?adaptive ?n_channels ?policy ?attempt_timeout
+let layered_replicas ~name ?adaptive ?policy ?attempt_timeout
     ?deadline ?probation ?probe_limit ?admit ?propagate_deadline ?retry_budget
     ?hedge ?probe_timeout ?drain_deadline ?shard_map (f : World.fanout) =
   let selects =
     Array.map
       (fun (n : World.node) ->
-        let _, _, sel_s = lrpc_node ?adaptive ?n_channels n in
+        let _, _, sel_s = lrpc_node ?adaptive n in
         standard_handlers (Select.register sel_s);
         sel_s)
       f.World.servers
@@ -228,7 +228,7 @@ let layered_replicas ~name ?adaptive ?n_channels ?policy ?attempt_timeout
   let replicas =
     Array.map
       (fun (n : World.node) ->
-        let _, _, sel_c = lrpc_node ?adaptive ?n_channels n in
+        let _, _, sel_c = lrpc_node ?adaptive n in
         let endpoints =
           Array.map
             (fun (s : World.node) ->
@@ -270,7 +270,7 @@ let layered_replicas ~name ?adaptive ?n_channels ?policy ?attempt_timeout
   }
 
 let lrpc_fanout =
-  layered_replicas ~name:"L.RPC-VIP-REPLICA" ?adaptive:None ?n_channels:None
+  layered_replicas ~name:"L.RPC-VIP-REPLICA" ?adaptive:None
 
 let mrpc_fanout ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
     ?probe_timeout ?shard_map (f : World.fanout) =
@@ -324,10 +324,10 @@ let mrpc_fanout ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
    falls back to IP-via-gateway), which is exactly what lets an
    in-network computation see the traffic: [?inc_cacheable] installs
    {!Inc} on the switch's forwarding IP instance. *)
-let lrpc_switched ?adaptive ?n_channels ?policy ?attempt_timeout ?deadline
-    ?shard_map ?inc_cacheable (sw : World.switched) =
+let lrpc_switched ?adaptive ?policy ?attempt_timeout ?deadline ?shard_map
+    ?inc_cacheable (sw : World.switched) =
   let stack =
-    layered_replicas ~name:"L.RPC-VIP-SWITCHED" ?adaptive ?n_channels ?policy
+    layered_replicas ~name:"L.RPC-VIP-SWITCHED" ?adaptive ?policy
       ?attempt_timeout ?deadline ?shard_map sw.World.sw
   in
   let inc =
@@ -343,7 +343,7 @@ let lrpc_switched ?adaptive ?n_channels ?policy ?attempt_timeout ?deadline
    VIPaddr below both (Figure 3(b)). *)
 let lrpc_vip_size_node (n : World.node) =
   let vaddr = Netproto.Vip_addr.proto n.vip_addr in
-  let frag = Fragment.create ~host:n.host ~lower:vaddr () in
+  let frag = Fragment.create ~host:n.host ~lower:vaddr in
   let vsize =
     Netproto.Vip_size.create ~host:n.host ~bulk:(Fragment.proto frag)
       ~direct:vaddr ~arp:n.arp
@@ -420,10 +420,10 @@ let channel_fragment_vip (w : World.t) =
 let fragment_probe (w : World.t) =
   let c = World.node w 0 and s = World.node w 1 in
   let frag_c =
-    Fragment.create ~host:c.host ~lower:(Netproto.Vip.proto c.vip) ()
+    Fragment.create ~host:c.host ~lower:(Netproto.Vip.proto c.vip)
   in
   let frag_s =
-    Fragment.create ~host:s.host ~lower:(Netproto.Vip.proto s.vip) ()
+    Fragment.create ~host:s.host ~lower:(Netproto.Vip.proto s.vip)
   in
   let pc =
     Netproto.Probe.create ~host:c.host ~lower:(Fragment.proto frag_c) ()

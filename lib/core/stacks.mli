@@ -162,7 +162,6 @@ val mrpc_fanout :
 
 val lrpc_switched :
   ?adaptive:bool ->
-  ?n_channels:int ->
   ?policy:Select_replica.policy ->
   ?attempt_timeout:float ->
   ?deadline:float ->
@@ -171,10 +170,10 @@ val lrpc_switched :
   Netproto.World.switched ->
   fanout_stack * Inc.t option
 (** {!lrpc_fanout} over the switched star, with no overload control.
-    [adaptive] and [n_channels] are threaded to {!Channel.create}.
-    [inc_cacheable] installs the {!Inc} in-network computation on the
-    switch, caching replies to the listed SELECT commands for 2 s in at
-    most 1024 entries; omitted, the switch is a plain forwarder and the
+    [adaptive] is threaded to {!Channel.create}.  [inc_cacheable]
+    installs the {!Inc} in-network computation on the switch, caching
+    replies to the listed SELECT commands for 2 s in at most 1024
+    entries; omitted, the switch is a plain forwarder and the
     second component is [None]. *)
 
 val lrpc_vip_size : Netproto.World.t -> endpoints

@@ -31,16 +31,17 @@ type conn = {
 and t = {
   host : Host.t;
   lower : Proto.t;
-  window : int;
-  rto : float;
   p : Proto.t;
   conns : (int, conn) Hashtbl.t; (* peer ip *)
   mutable deliver : (peer:Addr.Ip.t -> Msg.t -> unit) option;
   stats : Stats.t;
 }
 
-(* Retransmissions of a segment before the stream breaks; STREAM's
+(* The send window in segments, the retransmission timeout, the
+   retransmissions of a segment before the stream breaks, and STREAM's
    protocol number toward the layer below. *)
+let window = 8
+let rto = 0.03
 let retries = 8
 let own_proto = 99
 
@@ -67,7 +68,7 @@ let transmit t c ~typ ~seq payload =
   Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
   Proto.push c.lower_sess
     (Msg.push payload
-       (encode ~typ ~seq ~ack:c.rcv_next ~window:t.window
+       (encode ~typ ~seq ~ack:c.rcv_next ~window
           ~len:(Msg.length payload)))
 
 let send_ack t c =
@@ -90,7 +91,7 @@ let break_stream t c =
   let waiters = c.flush_waiters in
   c.flush_waiters <- [];
   List.iter (fun iv -> Sim.Ivar.fill iv ()) waiters;
-  for _ = 1 to t.window do
+  for _ = 1 to window do
     Sim.Semaphore.v c.slots
   done
 
@@ -102,7 +103,7 @@ let rec arm_timer t c =
   let gen = c.timer_gen in
   c.rto_timer <-
     Some
-      (Event.schedule t.host t.rto (fun () ->
+      (Event.schedule t.host rto (fun () ->
            if
              gen = c.timer_gen
              && (not c.broken)
@@ -200,7 +201,7 @@ let make_conn t ~peer =
       snd_next = 1;
       snd_una = 1;
       unacked = Queue.create ();
-      slots = Sim.Semaphore.create (Host.sim t.host) t.window;
+      slots = Sim.Semaphore.create (Host.sim t.host) window;
       rto_timer = None;
       timer_gen = 0;
       tries_left = retries;
@@ -270,14 +271,12 @@ let input t ~lower msg =
         else if typ <> typ_ack then Stats.incr t.stats "rx-malformed")
   | _ -> Stats.incr t.stats "rx-unidentified"
 
-let create ~host ~lower ?(window = 8) ?(rto = 0.03) () =
+let create ~host ~lower =
   let p = Proto.create ~host ~name:"STREAM" () in
   let t =
     {
       host;
       lower;
-      window;
-      rto;
       p;
       conns = Hashtbl.create 4;
       deliver = None;

@@ -23,17 +23,11 @@
 
 type t
 
-val create :
-  host:Xkernel.Host.t ->
-  lower:Xkernel.Proto.t ->
-  ?window:int ->
-  ?rto:float ->
-  unit ->
-  t
-(** Protocol number 99 names STREAM toward the layer below;
-    [window] (default 8) is the send window in segments, each what fits
-    one lower-layer packet; [rto] (default 30 ms) is the retransmission
-    timeout, with 8 retransmissions before the stream breaks. *)
+val create : host:Xkernel.Host.t -> lower:Xkernel.Proto.t -> t
+(** Protocol number 99 names STREAM toward the layer below.  The send
+    window is 8 segments, each what fits one lower-layer packet; the
+    retransmission timeout is 30 ms, with 8 retransmissions before the
+    stream breaks. *)
 
 type conn
 

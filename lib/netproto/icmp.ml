@@ -66,7 +66,7 @@ let transmit t ~peer ~typ ~code ~ident ~seq payload =
     ];
   Proto.push (session_to t peer) (encode ~typ ~code ~ident ~seq payload)
 
-let ping t ~peer ?(payload = 56) ?(timeout = 1.0) () =
+let ping t ~peer ?(timeout = 1.0) () =
   t.next_seq <- t.next_seq + 1;
   let seq = t.next_seq in
   let iv = Sim.Ivar.create (Host.sim t.host) in
@@ -74,7 +74,7 @@ let ping t ~peer ?(payload = 56) ?(timeout = 1.0) () =
   Stats.incr t.stats "echo-tx";
   let t0 = Sim.now (Host.sim t.host) in
   transmit t ~peer ~typ:typ_echo_request ~code:0 ~ident:t.ident ~seq
-    (Msg.fill payload 'i');
+    (Msg.fill 56 'i');
   let result = Sim.Ivar.read_timeout iv timeout in
   Hashtbl.remove t.pending seq;
   match result with

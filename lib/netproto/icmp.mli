@@ -26,11 +26,11 @@ val create : host:Xkernel.Host.t -> ip:Ip.t -> t
 val ping :
   t ->
   peer:Xkernel.Addr.Ip.t ->
-  ?payload:int ->
   ?timeout:float ->
   unit ->
   float option
-(** Echo round-trip time in virtual seconds, or [None] on timeout.
+(** Echo round-trip time of 56 payload bytes in virtual seconds, or
+    [None] on timeout ([timeout] defaults to 1 s).
     Blocks; call from a fiber. *)
 
 type event =

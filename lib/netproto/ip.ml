@@ -423,8 +423,3 @@ let create ~host ~ifaces ?gateway ?(forward = false) () =
     ifaces;
   Proto.declare_below p (List.map (fun i -> Eth.proto i.if_eth) ifaces);
   t
-
-let create_simple ~host ~eth ~arp ?gateway () =
-  create ~host
-    ~ifaces:[ { if_ip = host.Host.ip; if_eth = eth; if_arp = arp } ]
-    ?gateway ()

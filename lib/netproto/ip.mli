@@ -31,15 +31,6 @@ val create :
     router.  Datagrams leave with TTL 32 until [Control.Set_ttl]
     changes it. *)
 
-val create_simple :
-  host:Xkernel.Host.t ->
-  eth:Eth.t ->
-  arp:Arp.t ->
-  ?gateway:Xkernel.Addr.Ip.t ->
-  unit ->
-  t
-(** Single-interface convenience using the host's own IP. *)
-
 val proto : t -> Xkernel.Proto.t
 
 val max_packet : int

@@ -56,7 +56,7 @@ let send t sess ~kind ~seq payload =
     [ Machine.Layer_crossing; Machine.Header header_bytes ];
   Proto.push sess (Msg.push payload (encode ~kind ~seq))
 
-let rtt t ~peer ?(size = 0) ?(timeout = 1.0) () =
+let rtt t ~peer ?(size = 0) () =
   let sess = session_for t ~peer in
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
@@ -66,7 +66,7 @@ let rtt t ~peer ?(size = 0) ?(timeout = 1.0) () =
   Stats.incr t.stats "tx";
   boundary t;
   send t sess ~kind:kind_request ~seq (Msg.fill size 'p');
-  let result = Sim.Ivar.read_timeout iv timeout in
+  let result = Sim.Ivar.read_timeout iv 1.0 in
   Hashtbl.remove t.pending seq;
   match result with
   | Some _ ->
@@ -133,5 +133,3 @@ let create ~host ~lower ?(max_msg = 1480) ?port
 let serve t =
   Proto.open_enable t.lower ~upper:t.p
     (Part.v ~local:(with_port t [ Part.Ip_proto proto_num ]) ())
-
-let echoes t = Stats.get t.stats "echoed"

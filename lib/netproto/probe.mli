@@ -33,10 +33,8 @@ val serve : t -> unit
 (** Passively enable: echo every request back to its sender. *)
 
 val rtt :
-  t -> peer:Xkernel.Addr.Ip.t -> ?size:int -> ?timeout:float -> unit -> float option
+  t -> peer:Xkernel.Addr.Ip.t -> ?size:int -> unit -> float option
 (** [rtt t ~peer ()] sends a probe of [size] payload bytes (default 0)
     and returns the round-trip time in virtual seconds, or [None] after
-    [timeout] (default 1 s).  Blocks; call from a fiber. *)
+    1 s.  Blocks; call from a fiber. *)
 
-val echoes : t -> int
-(** Number of requests this instance has echoed. *)

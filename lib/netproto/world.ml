@@ -21,7 +21,11 @@ let make_node sim wire ~name ~ip_addr ~eth_addr ~profile ~gateway =
   let dev = Netdev.create ~host ~wire in
   let eth = Eth.create ~host ~dev in
   let arp = Arp.create ~host ~eth in
-  let ip = Ip.create_simple ~host ~eth ~arp ?gateway () in
+  let ip =
+    Ip.create ~host
+      ~ifaces:[ { Ip.if_ip = host.Host.ip; if_eth = eth; if_arp = arp } ]
+      ?gateway ()
+  in
   let vip = Vip.create ~host ~eth ~ip ~arp () in
   let vip_addr = Vip_addr.create ~host ~eth ~ip ~arp in
   { host; dev; eth; arp; ip; vip; vip_addr }
@@ -37,17 +41,19 @@ let create_net sim wire ~net_prefix ~count ~profile ~gateway ~eth_off =
   in
   { sim; wire; nodes }
 
-let create ?max_events ?(n = 2) ?(profile = Machine.xkernel_sun3) ?(seed = 42)
-    () =
+(* [n] hosts of [profile] (default Sun 3/75) on one wire. *)
+let one_wire ?max_events ~n ?(profile = Machine.xkernel_sun3) ~seed () =
   let sim = Sim.create ?max_events ~seed () in
   let wire = Wire.create sim ~seed () in
   create_net sim wire ~net_prefix:0 ~count:n ~profile ~gateway:None ~eth_off:0
 
+let create ?(n = 2) ?profile ?(seed = 42) () = one_wire ~n ?profile ~seed ()
+
 type fanin = { fan : t; server : node; clients : node array }
 
-let create_fanin ?max_events ?(clients = 4) ?profile ?seed () =
+let create_fanin ?max_events ?(clients = 4) ?(seed = 42) () =
   if clients < 1 then invalid_arg "World.create_fanin: clients < 1";
-  let t = create ?max_events ~n:(clients + 1) ?profile ?seed () in
+  let t = one_wire ?max_events ~n:(clients + 1) ~seed () in
   {
     fan = t;
     server = t.nodes.(0);
@@ -58,10 +64,10 @@ type fanout = { fo : t; servers : node array; fo_clients : node array }
 
 (* Servers occupy node (and device) indices 0 .. servers-1, so a chaos
    plan targeting replica k is simply [Crash k] against {!devices}. *)
-let create_fanout ?max_events ?(clients = 4) ?(servers = 2) ?profile ?seed () =
+let create_fanout ?max_events ?(clients = 4) ?(servers = 2) ?(seed = 42) () =
   if clients < 1 then invalid_arg "World.create_fanout: clients < 1";
   if servers < 1 then invalid_arg "World.create_fanout: servers < 1";
-  let t = create ?max_events ~n:(servers + clients) ?profile ?seed () in
+  let t = one_wire ?max_events ~n:(servers + clients) ~seed () in
   {
     fo = t;
     servers = Array.sub t.nodes 0 servers;
@@ -72,7 +78,7 @@ let devices t = Array.map (fun n -> n.dev) t.nodes
 
 let node t i = t.nodes.(i)
 let ip_of t i = (node t i).host.Host.ip
-let run ?until t = Sim.run ?until t.sim
+let run t = Sim.run t.sim
 let spawn t f = Sim.spawn t.sim f
 
 type internet = {
@@ -82,10 +88,11 @@ type internet = {
   router : node * node;
 }
 
-let create_internet ?(profile = Machine.xkernel_sun3) ?(seed = 42) () =
-  let sim = Sim.create ~seed () in
-  let wire_w = Wire.create sim ~seed () in
-  let wire_e = Wire.create sim ~seed:(seed + 1) () in
+let create_internet () =
+  let profile = Machine.xkernel_sun3 in
+  let sim = Sim.create ~seed:42 () in
+  let wire_w = Wire.create sim ~seed:42 () in
+  let wire_e = Wire.create sim ~seed:43 () in
   let gw_w = Addr.Ip.v 10 0 0 254 and gw_e = Addr.Ip.v 10 0 1 254 in
   let west =
     create_net sim wire_w ~net_prefix:0 ~count:2 ~profile
@@ -157,8 +164,8 @@ type switched = { sw : fanout; sw_ip : Ip.t; sw_ports : port array }
    them.  Per-port receive and transmit costs charge per-port engines;
    IP-level work — routing, and any in-network computation installed via
    [Ip.set_forward_hook] — charges port 0's engine, the fabric CPU. *)
-let create_switched ?max_events ?(clients = 4) ?(servers = 1)
-    ?(profile = Machine.xkernel_sun3) ?(seed = 42) () =
+let create_switched ?max_events ?(clients = 4) ?(servers = 1) ?(seed = 42) () =
+  let profile = Machine.xkernel_sun3 in
   if clients < 1 then invalid_arg "World.create_switched: clients < 1";
   if servers < 1 then invalid_arg "World.create_switched: servers < 1";
   let n = servers + clients in

@@ -24,11 +24,10 @@ type t = {
 }
 
 val create :
-  ?max_events:int ->
   ?n:int -> ?profile:Xkernel.Machine.profile -> ?seed:int -> unit -> t
 (** [create ()] is two hosts ([h0] = 10.0.0.1, [h1] = 10.0.0.2) on one
-    wire.  [n] adds more hosts on the same wire.  [max_events] raises
-    the simulator's runaway guard for million-call sweeps. *)
+    wire.  [n] adds more hosts on the same wire.  Hosts run [profile]
+    (default Sun 3/75); [seed] defaults to 42. *)
 
 type fanin = {
   fan : t;
@@ -37,12 +36,11 @@ type fanin = {
 }
 
 val create_fanin :
-  ?max_events:int ->
-  ?clients:int -> ?profile:Xkernel.Machine.profile -> ?seed:int -> unit ->
-  fanin
+  ?max_events:int -> ?clients:int -> ?seed:int -> unit -> fanin
 (** [create_fanin ~clients ()] is the load-generation topology: one
     server plus [clients] (default 4) client hosts, all on one wire —
-    {!create}[ ~n:(clients+1)] with the roles named.  The load
+    {!create}[ ~n:(clients+1)] with the roles named.  [max_events]
+    raises the simulator's runaway guard for million-call sweeps.  The load
     subsystem ({!Rpc.Load}) fans M client hosts into the single
     server. *)
 
@@ -56,7 +54,6 @@ val create_fanout :
   ?max_events:int ->
   ?clients:int ->
   ?servers:int ->
-  ?profile:Xkernel.Machine.profile ->
   ?seed:int ->
   unit ->
   fanout
@@ -73,8 +70,9 @@ val devices : t -> Xkernel.Netdev.t array
 val node : t -> int -> node
 val ip_of : t -> int -> Xkernel.Addr.Ip.t
 
-val run : ?until:float -> t -> unit
-(** Drive the simulator (delegates to {!Xkernel.Sim.run}). *)
+val run : t -> unit
+(** Drive the simulator until nothing is left to do (delegates to
+    {!Xkernel.Sim.run}). *)
 
 val spawn : t -> (unit -> unit) -> unit
 
@@ -85,8 +83,8 @@ type internet = {
   router : node * node;  (** the router's two interfaces (west, east) *)
 }
 
-val create_internet : ?profile:Xkernel.Machine.profile -> ?seed:int -> unit -> internet
-(** Two 2-host ethernets joined by an IP router; hosts have their
+val create_internet : unit -> internet
+(** Two 2-host ethernets of Sun 3/75 hosts joined by an IP router; hosts have their
     gateway configured, so cross-network traffic exercises IP
     forwarding while VIP detects non-locality via ARP failure. *)
 
@@ -120,7 +118,6 @@ val create_switched :
   ?max_events:int ->
   ?clients:int ->
   ?servers:int ->
-  ?profile:Xkernel.Machine.profile ->
   ?seed:int ->
   unit ->
   switched
@@ -128,7 +125,7 @@ val create_switched :
     of the [servers + clients] hosts on its own wire (network
     [10.0.<i>.x], gateway [10.0.<i>.254]) behind one switch.  Servers
     occupy node/port indices [0..servers-1], as in {!create_fanout}.
-    End hosts run [profile] (default Sun 3/75); the switch's ports run
+    End hosts run the Sun 3/75 profile; the switch's ports run
     {!Xkernel.Machine.switch_fabric}, which forwards minimum frames
     several times faster than a wire can carry them.  Wires are labelled, so each registers its own
     [wire/<label>] stats table.

@@ -45,7 +45,10 @@ let validate ~n ~wires plan =
             invalid_arg "Chaos: loss probability outside [0, 1]")
     plan
 
-let apply ?(seed = 7) ?(wires = []) ~wire ~devices plan =
+(* Seeds the rng streams of [Burst_loss] and of each [Wire_loss] wire. *)
+let seed = 7
+
+let apply ?(wires = []) ~wire ~devices plan =
   validate ~n:(Array.length devices) ~wires plan;
   let sim = Wire.sim wire in
   let at t f =

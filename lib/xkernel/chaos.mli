@@ -43,7 +43,6 @@ type window = { from_t : float; until_t : float; spec : spec }
 type plan = window list
 
 val apply :
-  ?seed:int ->
   ?wires:(string * Wire.t) list ->
   wire:Wire.t ->
   devices:Netdev.t array ->
@@ -60,7 +59,7 @@ val apply :
     (a switched topology's per-port access links; see
     [World.switched_wires]).  [Wire_down] schedules {!Wire.set_down};
     [Wire_loss] installs a per-frame fault hook on the named wire, with
-    an rng stream derived from [seed] per wire.
+    an rng stream of its own per wire, seeded from a constant.
 
     Must be called before [Sim.run], with the simulator at a time no
     later than any window's [from_t].

@@ -10,8 +10,17 @@ let sub_bits = 8
 let sub_count = 1 lsl sub_bits
 let half = sub_count / 2
 
+(* Values up to 10^8 (100 s in microseconds) are tracked: [n_buckets]
+   is the fewest buckets that reach it, and [h_max] the highest value
+   they hold. *)
+let n_buckets =
+  let n = ref 1 in
+  while (sub_count lsl (!n - 1)) - 1 < 100_000_000 do incr n done;
+  !n
+
+let h_max = (sub_count lsl (n_buckets - 1)) - 1
+
 type t = {
-  h_max : int;  (* highest trackable value *)
   counts : int array;
   mutable total : int;
   mutable n_clamped : int;
@@ -20,13 +29,9 @@ type t = {
   mutable sum : float;
 }
 
-let create ?(max_value = 1_000_000_000) () =
-  if max_value < 1 then invalid_arg "Histogram.create: max_value < 1";
-  let n_buckets = ref 1 in
-  while (sub_count lsl (!n_buckets - 1)) - 1 < max_value do incr n_buckets done;
+let create () =
   {
-    h_max = (sub_count lsl (!n_buckets - 1)) - 1;
-    counts = Array.make ((!n_buckets + 1) * half) 0;
+    counts = Array.make ((n_buckets + 1) * half) 0;
     total = 0;
     n_clamped = 0;
     v_min = max_int;
@@ -62,9 +67,9 @@ let highest_at idx =
 let record t v =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   let v =
-    if v > t.h_max then begin
+    if v > h_max then begin
       t.n_clamped <- t.n_clamped + 1;
-      t.h_max
+      h_max
     end
     else v
   in
@@ -75,9 +80,7 @@ let record t v =
   if v > t.v_max then t.v_max <- v
 
 let count t = t.total
-let clamped t = t.n_clamped
 let min_value t = if t.total = 0 then 0 else t.v_min
-let max_value t = t.v_max
 let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
 
 let percentile t p =
@@ -96,8 +99,6 @@ let percentile t p =
   end
 
 let merge_into ~src ~dst =
-  if src.h_max <> dst.h_max then
-    invalid_arg "Histogram.merge_into: incompatible configurations";
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) src.counts;
   dst.total <- dst.total + src.total;
   dst.n_clamped <- dst.n_clamped + src.n_clamped;

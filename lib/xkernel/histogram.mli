@@ -14,25 +14,15 @@
 
 type t
 
-val create : ?max_value:int -> unit -> t
-(** [create ()] tracks values in [0, max_value] (default [10^9], i.e.
-    1000 s when recording microseconds).  Values above [max_value] are
-    clamped into the top bucket and counted in {!clamped}. *)
+val create : unit -> t
+(** [create ()] tracks values in [0, 10^8] (100 s when recording
+    microseconds); larger ones land in the top bucket, as its highest
+    value 134,217,727, and are counted as clamped. *)
 
 val record : t -> int -> unit
 (** O(1).  Raises [Invalid_argument] on negative values. *)
 
 val count : t -> int
-val clamped : t -> int
-
-val min_value : t -> int
-(** Smallest recorded value ([0] when empty). *)
-
-val max_value : t -> int
-(** Largest recorded value, as clamped ([0] when empty). *)
-
-val mean : t -> float
-(** Arithmetic mean of recorded values ([0.] when empty). *)
 
 val percentile : t -> float -> int
 (** [percentile t p] for [p] in [0, 100]: the highest value equivalent
@@ -40,9 +30,10 @@ val percentile : t -> float -> int
     — within one sub-bucket of the true quantile.  [0] when empty. *)
 
 val merge_into : src:t -> dst:t -> unit
-(** Add [src]'s counts into [dst].  Both histograms must share the
-    same [max_value] (raises [Invalid_argument] otherwise).  [src] is unchanged. *)
+(** Add [src]'s counts into [dst].  [src] is unchanged. *)
 
 val to_json : t -> Json.t
 (** [{"count", "clamped", "min", "max", "mean", "p50", "p90", "p99",
-    "p999"}] — values in the recording unit. *)
+    "p999"}] — values in the recording unit; the count of clamped
+    values, the smallest and largest recorded (as clamped) and their
+    arithmetic mean are [0] when empty. *)

@@ -5,7 +5,6 @@ type t =
 
 let empty = Empty
 let length = function Empty -> 0 | Leaf l -> l.len | Cat c -> c.len
-let is_empty m = length m = 0
 
 let leaf data off len =
   if len = 0 then Empty else Leaf { data; off; len }

@@ -33,8 +33,6 @@ val fill : int -> char -> t
 val length : t -> int
 (** O(1). *)
 
-val is_empty : t -> bool
-
 val append : t -> t -> t
 (** [append a b] is the message [a] followed by [b]; O(1).  Two
     adjacent slices of one string become one slice. *)

@@ -22,8 +22,13 @@ exception Stalled of string
      near/far split of hashed and hierarchical timing wheels, kept as
      small as one extra heap).  FRAGMENT now keeps one discard sweep
      and one prune timer per session, so [far] holds a few per session,
-     but INC's switch queues about 110,000 far timers in one inc-mixed
-     xkbench pass (up to 73 at once).  The split still pays there: with
+     but inc-mixed's callers queue about 110,000 far timers in one
+     xkbench pass (up to 73 at once): [Select_replica.attempt] waits
+     for each attempt with [Ivar.read_timeout] on its 0.5 s attempt
+     timeout (109,006 of the 110,508 far pushes at seed 1, counting the
+     ten set-up-only passes of [--seconds 0]; 694 more are due exactly
+     2 s out and 808 at other delays).  INC itself arms no timer: it
+     checks an entry's TTL when it looks the entry up.  The split still pays there: with
      [far_after = infinity] over the index heaps, 10 alternating pairs
      at [--seconds 10] read inc-mixed's [setup_s] 14% higher (10 of 10
      pairs) and its [heap_peak_mb] 0.8% higher (10 of 10), with calls/s

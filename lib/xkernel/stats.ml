@@ -49,7 +49,6 @@ let store c v =
 
 let value c = c.v
 
-let add t name n = bump (counter t name) n
 let incr t name = tick (counter t name)
 let set t name v = store (counter t name) v
 
@@ -92,8 +91,6 @@ let json () =
              );
            ])
        (registered ()))
-
-let to_json () = Json.to_string (json ())
 
 let control t = function
   | Control.Get_stat name -> Control.R_int (get t name)

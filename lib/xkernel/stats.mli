@@ -6,7 +6,7 @@
     SELECT handle only one", section 4.2).
 
     Tables created with [~name] additionally register themselves in a
-    process-wide registry so one {!dump} (or {!to_json}) call returns
+    process-wide registry so one {!dump} (or {!json}) call returns
     every protocol's counters at once — the observability companion to
     the paper's per-layer measurements. *)
 
@@ -14,7 +14,7 @@ type t
 
 val create : ?name:string -> unit -> t
 (** A fresh, empty table.  With [~name] the table is also added to the
-    global registry ({!dump}, {!to_json}).  Protocol tables are
+    global registry ({!dump}, {!json}).  Protocol tables are
     conventionally named ["host/PROTO"], e.g. ["h0.0/CHANNEL"]. *)
 
 (** {2 Interned counter handles}
@@ -45,14 +45,12 @@ val value : counter -> int
 (** {2 String-keyed API} *)
 
 val incr : t -> string -> unit
-val add : t -> string -> int -> unit
 
 val set : t -> string -> int -> unit
 (** [set t name v] overwrites the counter — a gauge; {!store} by
     name. *)
 
 val get : t -> string -> int
-val reset : t -> unit
 
 val to_list : t -> (string * int) list
 (** Sorted by name. *)
@@ -69,8 +67,6 @@ val dump : unit -> (string * (string * int) list) list
 
 val json : unit -> Json.t
 (** {!dump} as a JSON array of [{"name", "counters"}] objects. *)
-
-val to_json : unit -> string
 
 val reset_registry : unit -> unit
 (** Forget all registered tables (the tables themselves survive).

@@ -1,4 +1,5 @@
-(* Report the exported values that no other compilation unit uses.
+(* Report the exported values, and the optional parameters of used ones,
+   that no other compilation unit uses.
 
    Exports are the [val] items of every .cmti under an [-exports] root,
    nested signatures included.  References are the value identifiers
@@ -8,8 +9,13 @@
    export is UNUSED when no other unit refers to it, and TESTONLY when
    only units under a [-tests] root do.
 
+   For an export some other unit outside the tests uses, every optional
+   parameter needs an application outside the tests that writes it,
+   as [~x:v] or as a wrapper's pass-through [?x]; one that none writes
+   is reported as OPTION [Module.value?x].
+
    With [-allowlist FILE] the report must match FILE exactly.  Each
-   line of FILE is [KIND Module.value  reason]; blank lines and lines
+   line of FILE is [KIND name  reason]; blank lines and lines
    starting with [#] are skipped.  Every reported value needs a line
    with a reason, and every line must still be reported; otherwise the
    mismatches go to stderr and the exit code is 1.
@@ -42,9 +48,19 @@ let short_name modname =
 type export = {
   name : string;
   unit_name : string;
+  options : string list;  (** the labels of its optional parameters *)
   mutable used : bool;  (** referenced from a unit outside the tests *)
   mutable test_used : bool;
+  mutable passed : string list;
+      (** optional labels an application outside the tests writes *)
 }
+
+(* The labels of a value's optional parameters, in order. *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, rest, _) -> l :: optional_labels rest
+  | Tarrow (_, _, rest, _) -> optional_labels rest
+  | _ -> []
 
 let add_exports tbl path =
   let cmt = Cmt_format.read_cmt path in
@@ -56,7 +72,14 @@ let add_exports tbl path =
         | Tsig_value vd ->
             let name = prefix ^ "." ^ Ident.name vd.val_id in
             Hashtbl.replace tbl vd.val_val.val_uid
-              { name; unit_name; used = false; test_used = false }
+              {
+                name;
+                unit_name;
+                options = optional_labels vd.val_val.val_type;
+                used = false;
+                test_used = false;
+                passed = [];
+              }
         | Tsig_module { md_id = Some id; md_type; _ } -> (
             match md_type.mty_desc with
             | Tmty_signature sg -> items (prefix ^ "." ^ Ident.name id) sg
@@ -68,17 +91,53 @@ let add_exports tbl path =
   | Interface sg -> items (short_name unit_name) sg
   | _ -> ()
 
+(* The optional labels an application writes.  The typer fills each
+   omitted optional argument with a [None] of its own at
+   [Location.none]; a written one ([~x:v], [?x]) keeps a source
+   location.  The arguments are read from the untyped tree, whose
+   [Pexp_apply] shape has held across compiler releases, so no
+   typed-tree argument type is named here; [shallow] stops the
+   untyping at each argument's root. *)
+let written_options (apply : Typedtree.expression) =
+  let shallow =
+    {
+      Untypeast.default_mapper with
+      expr = (fun _ e -> Ast_helper.Exp.unreachable ~loc:e.exp_loc ());
+    }
+  in
+  match (Untypeast.default_mapper.expr shallow apply).pexp_desc with
+  | Pexp_apply (_, args) ->
+      List.filter_map
+        (fun ((l : Asttypes.arg_label), (a : Parsetree.expression)) ->
+          match l with
+          | Optional l when a.pexp_loc <> Location.none -> Some l
+          | _ -> None)
+        args
+  | _ -> []
+
+(* The only function that matches on typed expressions, so that a
+   compiler's change to their shapes has one place to land. *)
 let add_refs tbl ~from_test path =
   let cmt = Cmt_format.read_cmt path in
+  (* A uid is a unit name and a counter; an interface and its own
+     implementation count separately, so their uids can collide.  Only
+     another unit's reference is a use. *)
+  let export (vd : Types.value_description) =
+    match Hashtbl.find_opt tbl vd.val_uid with
+    | Some e when e.unit_name <> cmt.cmt_modname -> Some e
+    | _ -> None
+  in
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
-        match Hashtbl.find_opt tbl vd.val_uid with
-        (* A uid is a unit name and a counter; an interface and its own
-           implementation count separately, so their uids can collide.
-           Only another unit's reference is a use. *)
-        | Some e when e.unit_name <> cmt.cmt_modname ->
-            if from_test then e.test_used <- true else e.used <- true
+        match export vd with
+        | Some e -> if from_test then e.test_used <- true else e.used <- true
+        | None -> ())
+    | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, _) when not from_test
+      -> (
+        match export vd with
+        | Some x when x.options <> [] ->
+            x.passed <- written_options e @ x.passed
         | _ -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr sub e
@@ -88,7 +147,10 @@ let add_refs tbl ~from_test path =
   | Implementation str -> it.structure it str
   | _ -> ()
 
-(* Sorted [(kind, name)] pairs of every export not used outside tests. *)
+(* Sorted [(kind, name)] pairs of every export not used outside tests,
+   and as [OPTION Module.value?label] every optional parameter of a used
+   export that no application outside the tests writes.  An export
+   that no program uses is reported once, without its options. *)
 let report ~exports ~tests roots =
   let tbl = Hashtbl.create 1024 in
   List.iter (add_exports tbl) (files ".cmti" exports);
@@ -99,7 +161,9 @@ let report ~exports ~tests roots =
     (files ".cmt" roots);
   Hashtbl.fold
     (fun _ e acc ->
-      if e.used then acc
+      if e.used then
+        List.filter (fun l -> not (List.mem l e.passed)) e.options
+        |> List.fold_left (fun acc l -> ("OPTION", e.name ^ "?" ^ l) :: acc) acc
       else ((if e.test_used then "TESTONLY" else "UNUSED"), e.name) :: acc)
     tbl []
   |> List.sort (fun (_, a) (_, b) -> compare a b)
@@ -152,7 +216,8 @@ let () =
   let rows = report ~exports:!exports ~tests:!tests !roots in
   List.iter (fun (k, n) -> Printf.printf "%-8s %s\n" k n) rows;
   let count k = List.length (List.filter (fun (k', _) -> k' = k) rows) in
-  Printf.printf "%d UNUSED, %d TESTONLY\n%!" (count "UNUSED") (count "TESTONLY");
+  Printf.printf "%d UNUSED, %d TESTONLY, %d OPTION\n%!" (count "UNUSED")
+    (count "TESTONLY") (count "OPTION");
   match !allowlist with
   | None -> ()
   | Some f -> (

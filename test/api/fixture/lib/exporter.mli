@@ -6,3 +6,7 @@ val tested : int
 
 val unused : int
 (** Called from nowhere. *)
+
+val opts : ?lib:int -> ?tested:int -> ?never:int -> unit -> int
+(** [?lib] is passed through from {!User}, [?tested] only from the
+    fixture's test directory, [?never] from nowhere. *)

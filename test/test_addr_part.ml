@@ -170,9 +170,9 @@ let stats_counters () =
   let s = Stats.create () in
   Stats.incr s "a";
   Stats.incr s "a";
-  Stats.add s "b" 5;
+  Stats.set s "b" 5;
   Tutil.check_int "incr" 2 (Stats.get s "a");
-  Tutil.check_int "add" 5 (Stats.get s "b");
+  Tutil.check_int "set" 5 (Stats.get s "b");
   Tutil.check_int "missing" 0 (Stats.get s "zzz");
   Alcotest.(check (list (pair string int))) "sorted list"
     [ ("a", 2); ("b", 5) ] (Stats.to_list s);

@@ -9,7 +9,7 @@ let proto_num = 90
 let setup ?(server = fun msg -> msg) ?(n_channels = 8) ?adaptive w =
   let n0 = World.node w 0 and n1 = World.node w 1 in
   let mk (n : World.node) =
-    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels
       ?adaptive ()
   in
@@ -389,7 +389,7 @@ let many_sessions_constant_call () =
   let other = Channel.create ~host:n0.World.host
       ~lower:(Fragment.proto
                 (Fragment.create ~host:n0.World.host
-                   ~lower:(Netproto.Vip.proto n0.World.vip) ()))
+                   ~lower:(Netproto.Vip.proto n0.World.vip)))
       ()
   in
   let own =
@@ -500,7 +500,7 @@ let deadline_setup ?adaptive w =
   let mk (n : World.node) =
     let f =
       Fragment.create ~host:n.World.host
-        ~lower:(Netproto.Vip.proto n.World.vip) ()
+        ~lower:(Netproto.Vip.proto n.World.vip)
     in
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ?adaptive ()
   in

@@ -16,7 +16,7 @@ let setup ?(n_channels = 8) w =
   let mk (n : World.node) =
     let f =
       Fragment.create ~host:n.World.host
-        ~lower:(Netproto.Vip.proto n.World.vip) ()
+        ~lower:(Netproto.Vip.proto n.World.vip)
     in
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels ()
   in

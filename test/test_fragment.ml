@@ -4,15 +4,13 @@ module Fragment = Rpc.Fragment
 
 (* Build a FRAGMENT-VIP pair with a recording sink above the server
    side and a raw session open on the client side. *)
-let setup ?(frag_size = 1024) w =
+let setup w =
   let n0 = World.node w 0 and n1 = World.node w 1 in
   let f0 =
     Fragment.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip)
-      ~frag_size ()
   in
   let f1 =
     Fragment.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip)
-      ~frag_size ()
   in
   let received = ref [] in
   let up = Proto.create ~host:n1.World.host ~name:"SINK" () in
@@ -229,7 +227,10 @@ let max_message_enforced () =
   let f0, _, sess, got = setup w in
   (* Slightly over 16 x frag_size still fits by rounding the fragment
      size up (headers on a 16 KB payload must work)... *)
-  send w sess (Msg.fill (Fragment.max_message f0 + 100) 'x');
+  let max_message =
+    Control.int_exn (Proto.control (Fragment.proto f0) Control.Get_max_packet)
+  in
+  send w sess (Msg.fill (max_message + 100) 'x');
   Tutil.check_int "slack absorbed" 1 (List.length !got);
   (* ...but 16 fragments of wire-MTU size is a hard ceiling. *)
   send w sess (Msg.fill (16 * (1500 - 23) + 1) 'y');
@@ -367,7 +368,7 @@ let stub_sender ?profile w frames count =
   let n0 = World.node w 0 and n1 = World.node w 1 in
   Option.iter (Machine.set_profile n0.World.host.Host.mach) profile;
   let lower, below = stub_lower ~host:n0.World.host frames count in
-  let f0 = Fragment.create ~host:n0.World.host ~lower () in
+  let f0 = Fragment.create ~host:n0.World.host ~lower in
   let sess =
     Tutil.run_in w (fun () ->
         Proto.open_ (Fragment.proto f0)
@@ -583,8 +584,8 @@ let alloc_budget () =
   let frames = Array.make (msgs * frags) Msg.empty and count = ref 0 in
   let lower0, _ = stub_lower ~host:n0.World.host frames count in
   let lower1, below1 = stub_lower ~host:n1.World.host [| Msg.empty |] (ref 0) in
-  let f0 = Fragment.create ~host:n0.World.host ~lower:lower0 () in
-  let f1 = Fragment.create ~host:n1.World.host ~lower:lower1 () in
+  let f0 = Fragment.create ~host:n0.World.host ~lower:lower0 in
+  let f1 = Fragment.create ~host:n1.World.host ~lower:lower1 in
   let last = ref Msg.empty in
   let sink = stub ~host:n1.World.host ~name:"SINK" (fun ~lower:_ m -> last := m) in
   Proto.open_enable (Fragment.proto f1) ~upper:sink

@@ -18,7 +18,7 @@ module Shard_map = Rpc.Shard_map
 let lnode (n : World.node) =
   let f =
     Fragment.create ~host:n.World.host
-      ~lower:(Netproto.Vip.proto n.World.vip) ()
+      ~lower:(Netproto.Vip.proto n.World.vip)
   in
   let ch =
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels:1
@@ -28,7 +28,7 @@ let lnode (n : World.node) =
 
 (* One server, one client, echo registered, INC caching [cmd_echo],
    ARP/VIP/RTT warmed by one call. *)
-let setup ?ttl () =
+let setup () =
   let sw = World.create_switched ~clients:2 ~servers:1 () in
   let w = sw.World.sw.World.fo in
   let server = World.node w 0 and client = World.node w 1 in
@@ -39,7 +39,7 @@ let setup ?ttl () =
     Inc.install
       ~host:sw.World.sw_ports.(0).World.pt_host
       ~ip:sw.World.sw_ip
-      ~cacheable:[ Stacks.cmd_echo ] ?ttl ()
+      ~cacheable:[ Stacks.cmd_echo ] ()
   in
   let cl =
     Tutil.run_in w (fun () ->
@@ -103,17 +103,24 @@ let null_not_cached () =
   Alcotest.(check bool) "requests forwarded" true (Inc.forwarded inc >= 2)
 
 let ttl_expires_entries () =
-  let _, w, _, _, cl, inc = setup ~ttl:0.05 () in
+  (* Entries live 2 s from their store: a repeat 1.9 s after the first
+     call still hits, one 0.3 s later misses. *)
+  let _, w, _, _, cl, inc = setup () in
   let h0 = Inc.hits inc in
+  let echo what =
+    ignore
+      (Tutil.ok_exn what
+         (Select.call cl ~command:Stacks.cmd_echo (Msg.of_string "t")))
+  in
   Tutil.run_in w (fun () ->
-      ignore
-        (Tutil.ok_exn "miss"
-           (Select.call cl ~command:Stacks.cmd_echo (Msg.of_string "t")));
-      Sim.delay w.World.sim 0.2;
-      ignore
-        (Tutil.ok_exn "expired -> miss again"
-           (Select.call cl ~command:Stacks.cmd_echo (Msg.of_string "t"))));
-  Tutil.check_int "no hits across the TTL" 0 (Inc.hits inc - h0)
+      echo "miss";
+      Sim.delay w.World.sim 1.9;
+      echo "inside the TTL -> hit");
+  Tutil.check_int "a hit inside the TTL" 1 (Inc.hits inc - h0);
+  Tutil.run_in w (fun () ->
+      Sim.delay w.World.sim 0.3;
+      echo "expired -> miss again");
+  Tutil.check_int "no hit across the TTL" 1 (Inc.hits inc - h0)
 
 let deadline_shed_at_the_switch () =
   (* A request stamped with an already-spent deadline is consumed by the
@@ -163,7 +170,7 @@ let rebalance_under_inc () =
   let stack, inc_opt =
     (* The first call over the switched star pays the VIP gateway
        fallback (~0.3 s), longer than the stock 0.25 s attempt timeout. *)
-    Stacks.lrpc_switched ~n_channels:1 ~policy:Rpc.Select_replica.Hash
+    Stacks.lrpc_switched ~policy:Rpc.Select_replica.Hash
       ~attempt_timeout:2.0 ~deadline:8.0 ~shard_map:map
       ~inc_cacheable:[ cmd_whoami ] sw
   in

@@ -4,7 +4,7 @@ module Meta = Rpc.Meta
 
 let lrpc_top w =
   let n = World.node w 0 in
-  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
   let c = Rpc.Channel.create ~host:n.World.host ~lower:(Rpc.Fragment.proto f) () in
   let s = Rpc.Select.create ~host:n.World.host ~channel:c in
   Rpc.Select.proto s
@@ -45,7 +45,7 @@ let fig3b_adheres () =
   let w = World.create () in
   let n = World.node w 0 in
   let vaddr = Netproto.Vip_addr.proto n.World.vip_addr in
-  let f = Rpc.Fragment.create ~host:n.World.host ~lower:vaddr () in
+  let f = Rpc.Fragment.create ~host:n.World.host ~lower:vaddr in
   let vsize =
     Netproto.Vip_size.create ~host:n.World.host ~bulk:(Rpc.Fragment.proto f)
       ~direct:vaddr ~arp:n.World.arp
@@ -62,7 +62,7 @@ let oversized_upper_flagged () =
      the size-compatibility rule. *)
   let w = World.create () in
   let n = World.node w 0 in
-  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
   let greedy =
     Netproto.Probe.create ~host:n.World.host ~lower:(Rpc.Fragment.proto f)
       ~max_msg:65535 ()
@@ -74,7 +74,7 @@ let oversized_upper_flagged () =
 let well_sized_upper_clean () =
   let w = World.create () in
   let n = World.node w 0 in
-  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+  let f = Rpc.Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
   let modest =
     Netproto.Probe.create ~host:n.World.host ~lower:(Rpc.Fragment.proto f)
       ~max_msg:16000 ()

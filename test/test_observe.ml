@@ -152,7 +152,7 @@ let registry_dump_and_find () =
   Stats.incr anon "invisible";
   let s = Stats.create ~name:"test/T" () in
   Stats.incr s "a";
-  Stats.add s "b" 3;
+  Stats.set s "b" 3;
   (match Stats.find "test/T" with
   | Some t -> Tutil.check_int "find reads the table" 1 (Stats.get t "a")
   | None -> Alcotest.fail "named table not registered");
@@ -165,7 +165,7 @@ let registry_dump_and_find () =
         [ ("a", 1); ("b", 3) ]
         counters
   | d -> Alcotest.failf "expected one registered table, got %d" (List.length d));
-  check_valid "registry json" (Stats.to_json ())
+  check_valid "registry json" (Json.to_string (Stats.json ()))
 
 (* Pre-resolved counter handles (Stats.counter/tick/bump/value) must be
    observationally identical to the string API — same values read back
@@ -186,8 +186,9 @@ let counter_handles () =
   (match Stats.dump () with
   | [ ("test/A", [ ("hits", 5) ]) ] -> ()
   | d -> Alcotest.failf "unexpected dump shape (%d tables)" (List.length d));
-  (* reset zeroes in place, so handles resolved before it stay valid *)
-  Stats.reset a;
+  (* a reset (Flush_cache) zeroes in place, so handles resolved before
+     it stay valid *)
+  ignore (Stats.control a Control.Flush_cache);
   Tutil.check_int "reset zeroes through handle" 0 (Stats.value ca);
   Stats.tick ca;
   Tutil.check_int "handle live after reset" 1 (Stats.value ca)
@@ -197,15 +198,15 @@ let counter_handle_dump_identical () =
     Stats.reset_registry ();
     let t = Stats.create ~name:"test/H" () in
     f t;
-    Stats.to_json ()
+    Json.to_string (Stats.json ())
   in
   let via_strings =
     dump_of (fun t ->
         Stats.incr t "x";
-        Stats.add t "y" 5;
+        Stats.set t "y" 5;
         Stats.incr t "x";
-        (* add 0 still materializes the counter in the dump *)
-        Stats.add t "zero" 0)
+        (* set 0 still materializes the counter in the dump *)
+        Stats.set t "zero" 0)
   in
   let via_handles =
     dump_of (fun t ->
@@ -285,7 +286,7 @@ let null_rpc_layer_counts () =
         (Stats.get (table tbl) key - b))
     watched before;
   (* The full dump must be valid JSON and mention the crossing counters. *)
-  let j = Stats.to_json () in
+  let j = Json.to_string (Stats.json ()) in
   check_valid "stats dump" j;
   Alcotest.(check bool) "dump carries crossings" true
     (let needle = {|"crossings"|} in

@@ -66,7 +66,7 @@ let admit_queue_full_rejects () =
         Proto.deliver (Admit.proto t) ~lower:sess
           (Msg.of_string (string_of_int i))
       done);
-  Tutil.check_int "first two admitted" 2 (Admit.admitted t);
+  Tutil.check_int "first two admitted" 2 (Tutil.stat (Admit.proto t) "admitted");
   Tutil.check_int "overflow rejected" 3 (Admit.busy_rejected t);
   Tutil.check_int "each reject answered with busy" 3 !rejects;
   Tutil.check_int "served the admitted ones" 2 (List.length !served);
@@ -84,7 +84,7 @@ let admit_drops_expired () =
   Tutil.check_int "silently dropped" 1 (Admit.expired_dropped t);
   Tutil.check_int "no reply owed" 0 !rejects;
   Tutil.check_int "procedure never ran" 0 (List.length !served);
-  Tutil.check_int "nothing admitted" 0 (Admit.admitted t)
+  Tutil.check_int "nothing admitted" 0 (Tutil.stat (Admit.proto t) "admitted")
 
 let admit_lifo_serves_newest_first () =
   let w = zero_world () in
@@ -131,7 +131,7 @@ let admit_codel_sheds_persistent_queue () =
     (!rejects = Admit.codel_dropped t);
   Alcotest.(check bool) "still serving" true (List.length !served > 0);
   Tutil.check_int "accounted for every request" 20
-    (Admit.admitted t + Admit.codel_dropped t)
+    (Tutil.stat (Admit.proto t) "admitted" + Admit.codel_dropped t)
 
 (* --- REPLICA governance against scripted endpoints ----------------------- *)
 

@@ -13,7 +13,7 @@ let setup w =
       (fun (node : World.node) ->
         let f =
           Fragment.create ~host:node.World.host
-            ~lower:(Netproto.Vip.proto node.World.vip) ()
+            ~lower:(Netproto.Vip.proto node.World.vip)
         in
         Psync.create ~host:node.World.host ~lower:(Fragment.proto f))
       nodes

@@ -201,9 +201,9 @@ let handoff_forces_the_straggler () =
   in
   let t =
     Select_replica.create ~host ~policy:Select_replica.Hash
-      ~attempt_timeout:1.0 ~deadline:3.0 ~drain_deadline:0.01 ~shard_map:map
-      ~endpoints ()
+      ~attempt_timeout:1.0 ~deadline:3.0 ~drain_deadline:0.01 ~endpoints ()
   in
+  ignore (Select_replica.install_map t map);
   let m2 = Shard_map.move map ~shard ~to_:new_owner in
   Select_replica.set_refresh t (fun () ->
       ignore (Select_replica.install_map t m2));

@@ -7,7 +7,7 @@ module Select = Rpc.Select
 (* Full L.RPC stacks (SELECT-CHANNEL-FRAGMENT-VIP) on both nodes. *)
 let setup ?(n_channels = 8) w =
   let mk (n : World.node) =
-    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
     let c = Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels () in
     Select.create ~host:n.World.host ~channel:c
   in
@@ -129,7 +129,7 @@ let forwarding_select () =
      SELECT-FWD moves execution without touching CHANNEL/FRAGMENT. *)
   let w = World.create ~n:3 () in
   let mk (n : World.node) =
-    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ()
   in
   let ch0 = mk (World.node w 0) in
@@ -153,12 +153,12 @@ let forwarding_select () =
   Tutil.check_str "executed on the worker" "worker:job"
     (Msg.to_string (Tutil.ok_exn "fwd" r));
   Tutil.check_int "forwarder relayed" 1 (Rpc.Select_fwd.forwarded fwd);
-  Tutil.check_int "worker handled" 1 (Select.calls_handled sel2)
+  Tutil.check_int "worker handled" 1 (Tutil.stat (Select.proto sel2) "handled")
 
 let rdgram_reliable_delivery () =
   let w = World.create () in
   let mk (n : World.node) =
-    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) () in
+    let f = Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) in
     Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ()
   in
   let ch0 = mk (World.node w 0) and ch1 = mk (World.node w 1) in

@@ -58,8 +58,8 @@ let internal_fragmentation () =
   let r = call w cl ~command:1 (Msg.of_string payload) in
   Tutil.check_str "16k each way" payload (Msg.to_string (Tutil.ok_exn "r" r));
   (* 16 request packets + 16 reply packets, all carrying SPRITE_HDR. *)
-  Tutil.check_int "client sent 16 fragments" 16 (M.stat m0 "tx-frag");
-  Tutil.check_int "server sent 16 fragments" 16 (M.stat m1 "tx-frag")
+  Tutil.check_int "client sent 16 fragments" 16 (Tutil.stat (M.proto m0) "tx-frag");
+  Tutil.check_int "server sent 16 fragments" 16 (Tutil.stat (M.proto m1) "tx-frag")
 
 let large_via_own_fragmentation_stays_on_ethernet () =
   (* M.RPC tells VIP its messages never exceed one fragment, so even a
@@ -100,12 +100,12 @@ let selective_retransmission () =
   let r = call w cl ~command:1 (Msg.of_string payload) in
   Tutil.check_str "recovered" payload (Msg.to_string (Tutil.ok_exn "r" r));
   Tutil.check_int "executed once" 2 !execs;
-  Alcotest.(check bool) "server partial-acked" true (M.stat m1 "ack-tx" >= 1);
+  Alcotest.(check bool) "server partial-acked" true (Tutil.stat (M.proto m1) "ack-tx" >= 1);
   (* Selective: far fewer retransmissions than the 8 fragments. *)
   Alcotest.(check bool)
-    (Printf.sprintf "selective resend (%d)" (M.stat m0 "retransmit"))
+    (Printf.sprintf "selective resend (%d)" (Tutil.stat (M.proto m0) "retransmit"))
     true
-    (M.stat m0 "retransmit" >= 1 && M.stat m0 "retransmit" <= 3)
+    (Tutil.stat (M.proto m0) "retransmit" >= 1 && Tutil.stat (M.proto m0) "retransmit" <= 3)
 
 let lost_reply_cached () =
   let w = World.create () in
@@ -130,7 +130,7 @@ let lost_reply_cached () =
   Tutil.check_str "cached reply arrives" "keep me once"
     (Msg.to_string (Tutil.ok_exn "r" r));
   Tutil.check_int "no re-execution" 2 !execs;
-  m1_stats := M.stat m1 "cached-reply-tx";
+  m1_stats := Tutil.stat (M.proto m1) "cached-reply-tx";
   Alcotest.(check bool) "reply came from cache" true (!m1_stats >= 1)
 
 let timeout_surfaces () =
@@ -193,7 +193,7 @@ let runt_counted () =
   Tutil.deliver_from_below w ~host:(World.node w 1).World.host
     ~peer:(World.ip_of w 0) (M.proto m1)
     [ Msg.of_string (String.make (Rpc.Wire_fmt.Sprite.bytes - 1) '\001') ];
-  Tutil.check_int "runt" 1 (M.stat m1 "rx-runt");
+  Tutil.check_int "runt" 1 (Tutil.stat (M.proto m1) "rx-runt");
   Tutil.check_int "nothing executed" 0 !execs
 
 let header_codec_roundtrip =

@@ -38,7 +38,7 @@ let every_config_null_call () =
         Tutil.run_in w (fun () -> e.Stacks.call ~command:Stacks.cmd_null Msg.empty)
       in
       Alcotest.(check bool) (name ^ " null ok") true
-        (match r with Ok m -> Msg.is_empty m | Error _ -> false))
+        (match r with Ok m -> Msg.length m = 0 | Error _ -> false))
     all_builders
 
 let mono_and_layered_equivalent () =
@@ -139,7 +139,7 @@ let events_per_call_exact () =
 
 let lat mk =
   let w = World.create () in
-  Measure.latency ~iters:20 w (mk w)
+  Measure.latency w (mk w)
 
 let vip_overhead_negligible () =
   let eth = lat (fun w -> Stacks.mrpc w ~lower:Stacks.L_eth) in
@@ -195,11 +195,7 @@ let throughputs_comparable () =
   (* Both versions saturate the controller: within 10% of each other. *)
   let tput mk =
     let w = World.create () in
-    let e = mk w in
-    let points = Measure.sweep ~sizes:[ 16384 ] ~iters:4 w e in
-    match points with
-    | [ (size, t) ] -> Measure.throughput_kbs ~size t
-    | _ -> assert false
+    (Measure.row w (mk w)).Measure.throughput_kbs
   in
   let mono = tput (fun w -> Stacks.mrpc w ~lower:Stacks.L_vip) in
   let layered = tput (fun w -> Stacks.lrpc w) in
@@ -214,14 +210,14 @@ let fragment_handles_packets_uppers_handle_messages () =
   let w = World.create () in
   let n0 = World.node w 0 in
   let frag =
-    Rpc.Fragment.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip) ()
+    Rpc.Fragment.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip)
   in
   let chan = Rpc.Channel.create ~host:n0.World.host ~lower:(Rpc.Fragment.proto frag) () in
   let sel = Rpc.Select.create ~host:n0.World.host ~channel:chan in
   (* server side *)
   let n1 = World.node w 1 in
   let frag1 =
-    Rpc.Fragment.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip) ()
+    Rpc.Fragment.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip)
   in
   let chan1 = Rpc.Channel.create ~host:n1.World.host ~lower:(Rpc.Fragment.proto frag1) () in
   let sel1 = Rpc.Select.create ~host:n1.World.host ~channel:chan1 in
@@ -242,7 +238,7 @@ let buffer_scheme_ablation_end_to_end () =
   let lat_with scheme =
     let profile = Machine.with_buffer_scheme scheme Machine.xkernel_sun3 in
     let w = World.create ~profile () in
-    Measure.latency ~iters:10 w (Stacks.lrpc w)
+    Measure.latency w (Stacks.lrpc w)
   in
   let fast = lat_with Machine.Prealloc in
   let slow = lat_with Machine.Per_header_alloc in
@@ -256,7 +252,7 @@ let sprite_profile_slower () =
   let xk = lat (fun w -> Stacks.mrpc w ~lower:Stacks.L_eth) in
   let sprite =
     let w = World.create ~profile:Machine.sprite_kernel () in
-    Measure.latency ~iters:20 w (Stacks.mrpc w ~lower:Stacks.L_eth)
+    Measure.latency w (Stacks.mrpc w ~lower:Stacks.L_eth)
   in
   Alcotest.(check bool)
     (Printf.sprintf "native sprite (%.2f) slower than x-kernel (%.2f)" sprite xk)

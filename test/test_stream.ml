@@ -4,15 +4,15 @@ module Stream = Rpc.Stream
 
 (* A STREAM pair over a chosen lower layer, with the receiver logging
    every in-order chunk. *)
-let setup ?(lower = `Vip) ?window ?rto w =
+let setup ?(lower = `Vip) w =
   let lower_of (n : World.node) =
     match lower with
     | `Vip -> Netproto.Vip.proto n.World.vip
     | `Ip -> Netproto.Ip.proto n.World.ip
   in
   let n0 = World.node w 0 and n1 = World.node w 1 in
-  let s0 = Stream.create ~host:n0.World.host ~lower:(lower_of n0) ?window ?rto () in
-  let s1 = Stream.create ~host:n1.World.host ~lower:(lower_of n1) ?window ?rto () in
+  let s0 = Stream.create ~host:n0.World.host ~lower:(lower_of n0) in
+  let s1 = Stream.create ~host:n1.World.host ~lower:(lower_of n1) in
   let received = Buffer.create 256 in
   Stream.on_receive s1 (fun ~peer:_ chunk ->
       Buffer.add_string received (Msg.to_string chunk));
@@ -45,14 +45,32 @@ let large_transfer_segments () =
   ignore s1
 
 let window_blocks_sender () =
-  (* With a window of 2 segments, the sender cannot run ahead of the
-     acks: at most window segments are ever unacknowledged. *)
+  (* The sender cannot run ahead of the acks: at most the window's 8
+     segments are ever unacknowledged, and a 20 KB send fills it. *)
   let w = World.create () in
-  let s0, _, received = setup ~window:2 w in
+  let s0, _, received = setup w in
   let conn = Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1)) in
+  (* A segment is what one VIP packet carries after STREAM's 13-byte
+     header. *)
+  let segment =
+    Control.int_exn
+      (Proto.control (Netproto.Vip.proto (World.node w 0).World.vip)
+         Control.Get_opt_packet)
+    - 13
+  in
+  let peak = ref 0 and sending = ref true in
+  World.spawn w (fun () ->
+      while !sending do
+        peak := max !peak (Stream.bytes_sent conn - Stream.bytes_acked conn);
+        Sim.delay w.World.sim 1e-5
+      done);
   let payload = Tutil.body 20_000 in
-  send_all w conn [ payload ];
-  Tutil.check_str "still intact" payload (Buffer.contents received)
+  Tutil.run_in w (fun () ->
+      Stream.send conn (Msg.of_string payload);
+      Stream.flush conn;
+      sending := false);
+  Tutil.check_str "still intact" payload (Buffer.contents received);
+  Tutil.check_int "unacknowledged bytes peak at 8 segments" (8 * segment) !peak
 
 let loss_recovered () =
   let w = World.create () in
@@ -103,7 +121,7 @@ let duplication_exactly_once () =
 
 let breaks_when_peer_gone () =
   let w = World.create () in
-  let s0, _, _ = setup ~rto:0.01 w in
+  let s0, _, _ = setup w in
   let conn = Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1)) in
   send_all w conn [ "warm." ];
   Wire.set_fault_hook w.World.wire (Some (fun _ _ -> [ Wire.Drop ]));
@@ -127,10 +145,10 @@ let bidirectional () =
   let w = World.create () in
   let n0 = World.node w 0 and n1 = World.node w 1 in
   let s0 =
-    Stream.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip) ()
+    Stream.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip)
   in
   let s1 =
-    Stream.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip) ()
+    Stream.create ~host:n1.World.host ~lower:(Netproto.Vip.proto n1.World.vip)
   in
   let got0 = Buffer.create 64 and got1 = Buffer.create 64 in
   Stream.on_receive s0 (fun ~peer:_ c -> Buffer.add_string got0 (Msg.to_string c));

@@ -90,7 +90,7 @@ let zero_or_more_reexecutes () =
     (Printf.sprintf "re-executed (%d executions for 2 calls)" !execs)
     true (!execs > 2);
   Alcotest.(check bool) "server-side executions counted" true
-    (RR.executions rr1 > 2)
+    (Tutil.stat (RR.proto rr1) "executed" > 2)
 
 let at_most_once_with_channel_swap () =
   (* "one can replace the REQUEST_REPLY protocol with the CHANNEL
@@ -98,7 +98,7 @@ let at_most_once_with_channel_swap () =
   let w = World.create () in
   let mk (n : World.node) =
     let f =
-      Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) ()
+      Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip)
     in
     let ch = Channel.create ~host:n.World.host ~lower:(Fragment.proto f) () in
     Sun.create ~host:n.World.host
@@ -222,7 +222,7 @@ let auth_unix_rejects_malformed () =
       frame (uid_100 ^ "\000\000\000");
       frame (uid_100 ^ "\000\000\000\010\000");
     ];
-  Tutil.check_int "both rejected" 2 (Rpc.Auth.rejects a1);
+  Tutil.check_int "both rejected" 2 (Tutil.stat (Rpc.Auth.proto a1) "auth-reject");
   Tutil.check_int "never executed" 0 !execs
 
 let auth_unix_rejects_wrong_uid () =
@@ -241,7 +241,7 @@ let auth_unix_rejects_wrong_uid () =
   in
   Alcotest.(check bool) "call times out" true (r = Error Rpc.Rpc_error.Timeout);
   Tutil.check_int "never executed" 0 !execs;
-  Alcotest.(check bool) "rejections counted" true (Rpc.Auth.rejects a1 > 0)
+  Alcotest.(check bool) "rejections counted" true (Tutil.stat (Rpc.Auth.proto a1) "auth-reject" > 0)
 
 let auth_digest_detects_tampering () =
   let w = World.create () in
@@ -268,7 +268,7 @@ let auth_digest_detects_tampering () =
   in
   Alcotest.(check bool) "tampered call fails" true (r2 = Error Rpc.Rpc_error.Timeout);
   Tutil.check_int "still one execution" 1 !execs;
-  Alcotest.(check bool) "digest rejections" true (Rpc.Auth.rejects a1 > 0)
+  Alcotest.(check bool) "digest rejections" true (Tutil.stat (Rpc.Auth.proto a1) "auth-reject" > 0)
 
 let mix_sun_select_with_fragment () =
   (* "one can compose SUN_SELECT and REQUEST_REPLY with FRAGMENT rather
@@ -276,7 +276,7 @@ let mix_sun_select_with_fragment () =
   let w = World.create () in
   let mk (n : World.node) =
     let f =
-      Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip) ()
+      Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip)
     in
     let rr = RR.create ~host:n.World.host ~lower:(Fragment.proto f) in
     ( f,

@@ -131,7 +131,7 @@ let labelled_wires_register_distinct_stats () =
 let lnode (n : World.node) =
   let f =
     Fragment.create ~host:n.World.host
-      ~lower:(Netproto.Vip.proto n.World.vip) ()
+      ~lower:(Netproto.Vip.proto n.World.vip)
   in
   let ch = Channel.create ~host:n.World.host ~lower:(Fragment.proto f) () in
   Select.create ~host:n.World.host ~channel:ch

@@ -38,7 +38,7 @@ let large_upper_opens_both () =
       Alcotest.(check bool) "small echo" true
         (Probe.rtt pc ~peer:n1.World.host.Host.ip ~size:100 () <> None);
       Alcotest.(check bool) "large echo" true
-        (Probe.rtt pc ~peer:n1.World.host.Host.ip ~size:8000 ~timeout:5.0 ()
+        (Probe.rtt pc ~peer:n1.World.host.Host.ip ~size:8000 ()
         <> None));
   Tutil.check_int "opened both" 1 (vip_stat n0 "open-both");
   Alcotest.(check bool) "small went over ethernet" true (vip_stat n0 "tx-eth" > 0);
@@ -53,7 +53,7 @@ let remote_peer_uses_ip () =
   Probe.serve ps;
   let rtt = ref None in
   Sim.spawn inet.World.inet_sim (fun () ->
-      rtt := Probe.rtt pc ~peer:en.World.host.Host.ip ~timeout:5.0 ());
+      rtt := Probe.rtt pc ~peer:en.World.host.Host.ip ());
   Sim.run inet.World.inet_sim;
   Alcotest.(check bool) "cross-network echo" true (!rtt <> None);
   (* ARP could not resolve the remote peer, so VIP fell back to IP. *)
@@ -105,7 +105,7 @@ let headerless () =
     (Part.v ~local:[ Part.Eth_type (Addr.eth_type_of_ip_proto 200) ] ());
   let pc = Probe.create ~host:n0.World.host ~lower:(Netproto.Vip.proto n0.World.vip) () in
   Tutil.run_in w (fun () ->
-      ignore (Probe.rtt pc ~peer:n1.World.host.Host.ip ~size:11 ~timeout:0.05 ()));
+      ignore (Probe.rtt pc ~peer:n1.World.host.Host.ip ~size:11 ()));
   (* probe header (5) + payload (11): nothing from VIP. *)
   Tutil.check_int "no VIP header bytes" 16 !seen_len
 
@@ -240,7 +240,7 @@ let vip_of (n : World.node) = Netproto.Vip.proto n.World.vip
 
 let vip_size_of (n : World.node) =
   let vaddr = Netproto.Vip_addr.proto n.World.vip_addr in
-  let frag = Rpc.Fragment.create ~host:n.World.host ~lower:vaddr () in
+  let frag = Rpc.Fragment.create ~host:n.World.host ~lower:vaddr in
   Netproto.Vip_size.proto
     (Netproto.Vip_size.create ~host:n.World.host ~bulk:(Rpc.Fragment.proto frag)
        ~direct:vaddr ~arp:n.World.arp)
