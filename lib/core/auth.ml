@@ -40,8 +40,8 @@ let make_session t ~upper (peer, upper_proto) =
   let push msg =
     let cred = t.cred_for msg in
     Stats.incr t.stats "tx";
-    Machine.charge_one t.host.Host.mach
-      (Machine.Header (fixed_bytes + String.length cred));
+    Machine.charge_bytes t.host.Host.mach Machine.Header_bytes
+      (fixed_bytes + String.length cred);
     Proto.push lower_sess (Msg.push msg (encode t ~upper_proto cred))
   in
   let pop msg = Proto.deliver upper ~lower:(Option.get !cell) msg in

@@ -99,7 +99,7 @@ let transmit ?(expires = None) t s ~flags ~seq ~error payload =
   let hdr_bytes =
     if deadline_us >= 0 then C.bytes + C.ext_bytes else C.bytes
   in
-  Machine.charge_one t.host.Host.mach (Machine.Header hdr_bytes);
+  Machine.charge_bytes t.host.Host.mach Machine.Header_bytes hdr_bytes;
   let encoded =
     Msg.push payload
       (C.encode ~flags ~channel:s.chan ~proto:s.proto_num ~seq ~error ~boot_id

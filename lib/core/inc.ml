@@ -136,9 +136,10 @@ let synthesize t ~client ~server ~ch (e : entry) =
       ~seq ~num:1 ~mask:1 ~len:(String.length chan_payload)
   in
   let frame = Msg.push (Msg.of_string chan_payload) frag_hdr in
-  Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
-    "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
-    Addr.Ip.pp client;
+  if Trace.enabled () then
+    Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
+      "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
+      Addr.Ip.pp client;
   Sim.spawn (Host.sim t.host) (fun () ->
       Netproto.Ip.inject t.ip ~src:server ~dst:client
         ~proto_num:Fragment.proto_num frame)
@@ -150,8 +151,9 @@ let on_request t ~client ~server ~ch body =
     (* Already expired when stamped: the server would pay an interrupt
        and a header parse only to drop it.  Shed here instead. *)
     Stats.tick t.c_sheds;
-    Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
-      "INC shed: expired deadline from %a" Addr.Ip.pp client;
+    if Trace.enabled () then
+      Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
+        "INC shed: expired deadline from %a" Addr.Ip.pp client;
     true
   end
   else if Msg.length body < Sel.bytes then begin

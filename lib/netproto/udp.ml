@@ -48,7 +48,8 @@ let make_session t ~upper (lport, peer_ip, rport) =
     let len = header_bytes + Msg.length msg in
     let cksum =
       if t.checksum then begin
-        Machine.charge_one t.host.Host.mach (Machine.Checksum (Msg.length msg));
+        Machine.charge_bytes t.host.Host.mach Machine.Checksum_bytes
+          (Msg.length msg);
         let dst =
           Control.ip_exn (Proto.session_control lower_sess Get_peer_host)
         in
@@ -111,8 +112,8 @@ let input t ~lower msg =
         cksum = 0
         ||
         begin
-          Machine.charge_one t.host.Host.mach
-            (Machine.Checksum (Msg.length payload));
+          Machine.charge_bytes t.host.Host.mach Machine.Checksum_bytes
+            (Msg.length payload);
           pseudo_checksum ~src ~dst:t.host.Host.ip payload = cksum
         end
       in

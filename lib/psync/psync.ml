@@ -85,7 +85,8 @@ let parse msg =
 
 let transmit t sess ~typ pk =
   let hdr = header_of pk ~typ in
-  Machine.charge_one t.host.Host.mach (Machine.Header (String.length hdr));
+  Machine.charge_bytes t.host.Host.mach Machine.Header_bytes
+    (String.length hdr);
   Proto.push sess (Msg.push pk.pk_body hdr)
 
 

@@ -27,7 +27,6 @@ type req =
   | Get_ttl
   | Set_ttl of int
   | Get_channel_count
-  | Get_free_channels
   | Get_stat of string
   | Flush_cache
   | Get_rx_deadline

@@ -42,7 +42,6 @@ type req =
   | Get_ttl
   | Set_ttl of int
   | Get_channel_count
-  | Get_free_channels
   | Get_stat of string  (** named protocol counter *)
   | Flush_cache  (** drop cached sessions / tables *)
   | Get_rx_deadline

@@ -157,70 +157,85 @@ type op =
   | Os_per_message
   | Busy of float
 
-let[@inline] op_cost p op =
-  match op with
-  | Layer_crossing -> p.layer_crossing
-  | Virtual_op -> p.virtual_op
-  | Header n ->
+type per_byte = Header_bytes | Checksum_bytes | Interrupt_bytes | Device_bytes
+
+(* The cost of an op of [n] bytes, for [op_cost] and [charge_bytes]
+   alike, so a sized charge adds up exactly as its [op] would. *)
+let[@inline] bytes_cost p kind n =
+  match kind with
+  | Header_bytes ->
       let alloc =
         match p.buffer_scheme with
         | Prealloc -> 0.
         | Per_header_alloc -> p.alloc
       in
       p.header_base +. (float_of_int n *. p.header_per_byte) +. alloc
-  | Checksum n -> float_of_int n *. p.checksum_per_byte
+  | Checksum_bytes -> float_of_int n *. p.checksum_per_byte
+  | Interrupt_bytes -> p.interrupt +. (float_of_int n *. p.device_per_byte)
+  | Device_bytes -> p.device_fixed +. (float_of_int n *. p.device_per_byte)
+
+let[@inline] op_cost p op =
+  match op with
+  | Layer_crossing -> p.layer_crossing
+  | Virtual_op -> p.virtual_op
+  | Header n -> bytes_cost p Header_bytes n
+  | Checksum n -> bytes_cost p Checksum_bytes n
   | Route_lookup -> p.route_lookup
   | Reasm_lookup -> p.reasm_lookup
   | Frag_bookkeep -> p.frag_bookkeep
   | Process_switch -> p.process_switch
   | Semaphore_op -> p.semaphore_op
   | Timer_op -> p.timer_op
-  | Interrupt n -> p.interrupt +. (float_of_int n *. p.device_per_byte)
-  | Device_send n -> p.device_fixed +. (float_of_int n *. p.device_per_byte)
+  | Interrupt n -> bytes_cost p Interrupt_bytes n
+  | Device_send n -> bytes_cost p Device_bytes n
   | Syscall -> p.syscall
   | Os_per_message -> p.os_per_message
   | Busy s -> s
 
-(* All-float, so adding up an op list stores unboxed: scratch space for
-   [charge]. *)
-type account = { mutable sum : float }
-
-(* The CPU is a FIFO server: a charge is one timed wait to its finish. *)
+(* The CPU is a FIFO server: a charge is one timed wait to its finish.
+   [cost] carries each charge's total to the hold, stored unboxed. *)
 type t = {
   m_sim : Sim.t;
   cpu : Sim.Server.server;
   mutable prof : profile;
-  acct : account;
+  cost : Sim.Server.duration;
 }
 
 let create m_sim prof =
-  { m_sim; cpu = Sim.Server.create m_sim; prof; acct = { sum = 0. } }
+  { m_sim; cpu = Sim.Server.create m_sim; prof; cost = { seconds = 0. } }
 
 let sim m = m.m_sim
 let profile m = m.prof
 let set_profile m p = m.prof <- p
 
-(* The server also adds up the run-queue sojourn, time a charge waited
-   for the CPU as opposed to using it: the server-side queueing-delay
-   signal overload experiments account against deadlines. *)
-let charge_cost m total = if total > 0. then Sim.Server.hold m.cpu total
+(* Hold the CPU for [m.cost].  The server also adds up the run-queue
+   sojourn, time a charge waited for the CPU as opposed to using it:
+   the server-side queueing-delay signal overload experiments account
+   against deadlines. *)
+let hold_cost m = if m.cost.seconds > 0. then Sim.Server.hold m.cpu m.cost
 
-(* Left to right, as a fold would, but into [a.sum]: with [op_cost]
+(* Left to right, as a fold would, but into [c.seconds]: with [op_cost]
    inlined the running total never leaves a float register. *)
-let rec add_costs a p = function
+let rec add_costs c p = function
   | [] -> ()
   | op :: ops ->
-      a.sum <- a.sum +. op_cost p op;
-      add_costs a p ops
+      c.Sim.Server.seconds <- c.Sim.Server.seconds +. op_cost p op;
+      add_costs c p ops
 
 let charge m ops =
-  m.acct.sum <- 0.;
-  add_costs m.acct m.prof ops;
-  charge_cost m m.acct.sum
+  m.cost.seconds <- 0.;
+  add_costs m.cost m.prof ops;
+  hold_cost m
 
 (* Single-op form for per-event hot paths (layer crossings, timer
    bookkeeping): no op list per call. *)
-let charge_one m op = charge_cost m (op_cost m.prof op)
+let charge_one m op =
+  m.cost.seconds <- op_cost m.prof op;
+  hold_cost m
+
+let charge_bytes m kind n =
+  m.cost.seconds <- bytes_cost m.prof kind n;
+  hold_cost m
 
 let cpu_seconds m = Sim.Server.busy m.cpu
 let reset_cpu_seconds m = Sim.Server.reset m.cpu

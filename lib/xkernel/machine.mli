@@ -87,6 +87,13 @@ type op =
 
 val op_cost : profile -> op -> float
 
+(** The ops whose cost grows with a byte count, for {!charge_bytes}. *)
+type per_byte =
+  | Header_bytes  (** as [Header n] *)
+  | Checksum_bytes  (** as [Checksum n] *)
+  | Interrupt_bytes  (** as [Interrupt n] *)
+  | Device_bytes  (** as [Device_send n] *)
+
 type t
 (** One host's CPU: a FIFO server on the virtual clock plus
     accumulated busy and wait times. *)
@@ -106,6 +113,11 @@ val charge : t -> op list -> unit
 val charge_one : t -> op -> unit
 (** [charge_one m op] = [charge m [op]] without the per-call list — for
     per-event hot paths. *)
+
+val charge_bytes : t -> per_byte -> int -> unit
+(** [charge_bytes m Header_bytes n] = [charge_one m (Header n)], and so
+    on for each kind, without building the op: for a byte count known
+    only at run time, such as a frame's length. *)
 
 val cpu_seconds : t -> float
 (** Total CPU time charged so far — the paper's "uses less CPU time"

@@ -33,7 +33,8 @@ let receive dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Recv frame;
-  Machine.charge_one dev.nd_host.Host.mach (Machine.Interrupt (Msg.length frame));
+  Machine.charge_bytes dev.nd_host.Host.mach Machine.Interrupt_bytes
+    (Msg.length frame);
   match dev.handler with Some h -> h frame | None -> ()
 
 let create ~host ~wire =
@@ -72,8 +73,8 @@ let transmit dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Send frame;
-  Machine.charge_one dev.nd_host.Host.mach
-    (Machine.Device_send (Msg.length frame));
+  Machine.charge_bytes dev.nd_host.Host.mach Machine.Device_bytes
+    (Msg.length frame);
   Queue.add frame dev.txq;
   Sim.Semaphore.v dev.txq_items
 

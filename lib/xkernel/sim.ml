@@ -675,6 +675,7 @@ module Server = struct
     mutable wait : float;
   }
 
+  type duration = { mutable seconds : float }
   type server = { sim : t; clock : clock; mutable holds : int }
 
   let create sim =
@@ -684,8 +685,11 @@ module Server = struct
      arrival order, so a hold that finds the server busy starts exactly
      when the holds ahead of it end, at [free_at], and its finish is
      known on arrival.  The arithmetic stays here: a finish time passed
-     to [Sim] from outside would be boxed. *)
-  let hold s d =
+     to [Sim] from outside would be boxed, and so would the duration,
+     which is why it is read from the caller's record, once, before
+     the wait. *)
+  let hold s dur =
+    let d = dur.seconds in
     if not (d >= 0.) then invalid_arg "Sim.Server.hold: negative or NaN time";
     let t = s.sim and c = s.clock in
     s.holds <- s.holds + 1;

@@ -117,13 +117,21 @@ module Server : sig
   val create : t -> server
   (** An idle server. *)
 
-  val hold : server -> float -> unit
+  type duration = { mutable seconds : float }
+  (** How long a hold lasts, in a record its caller owns and rewrites
+      before each hold.  It is all-float, so a computed duration is
+      stored unboxed; passed as a float argument it would be boxed on
+      every hold. *)
+
+  val hold : server -> duration -> unit
   (** [hold s d] waits for every hold that arrived before it, then holds
-      [s] for [d] seconds, blocking the calling fiber throughout.  A hold
-      of an idle server for [0.] returns at once.  Its queued wait takes
-      its place among events at its finish instant when it arrives, not
-      when the server is granted.  Raises [Invalid_argument] if [d] is
-      negative or NaN. *)
+      [s] for [d.seconds] seconds, blocking the calling fiber throughout.
+      It reads [d.seconds] once, on entry, so [d] may be rewritten for
+      the next hold while this one waits.  A hold of an idle server for
+      [0.] returns at once.  Its queued wait takes its place among
+      events at its finish instant when it arrives, not when the server
+      is granted.  Raises [Invalid_argument] if [d.seconds] is negative
+      or NaN. *)
 
   val busy : server -> float
   (** Total time held, counted as each hold ends. *)

@@ -13,4 +13,9 @@ val packet :
 (** [packet sim ~host ~proto ~dir msg] logs one packet event at debug
     level with the current virtual time. *)
 
+val enabled : unit -> bool
+(** Whether debug tracing is on.  A {!debugf} that is off still builds
+    a closure per argument it is applied to, so a site on a per-call
+    path tests this first. *)
+
 val debugf : Sim.t -> host:string -> ('a, Format.formatter, unit) format -> 'a

@@ -39,6 +39,7 @@ let propagation = 5e-6
 type t = {
   w_sim : Sim.t;
   medium : Sim.Server.server;
+  tx_time : Sim.Server.duration; (* each frame's serialization time *)
   rng : Random.State.t;
   lbl : lbl option;
   mutable taps : attachment list;
@@ -81,6 +82,7 @@ let create w_sim ?(seed = 42) ?label () =
   {
     w_sim;
     medium = Sim.Server.create w_sim;
+    tx_time = { seconds = 0. };
     rng = Random.State.make [| seed |];
     lbl;
     taps = [];
@@ -243,7 +245,8 @@ let transmit w ~from msg =
   (match w.lbl with
   | None -> ()
   | Some l -> Stats.bump l.l_bytes wire_bytes);
-  Sim.Server.hold w.medium (float_of_int (wire_bytes * 8) /. bandwidth);
+  w.tx_time.seconds <- float_of_int (wire_bytes * 8) /. bandwidth;
+  Sim.Server.hold w.medium w.tx_time;
   let faults =
     match w.fault_hook with
     | Some hook -> hook n msg

@@ -567,12 +567,15 @@ let words_per n f =
 let measured = ref []
 
 (* OCaml 5.1.1 measures, in minor words: a fragment sent, with its
-   share of the message's split and send cache slot, 31.75 (budget 33;
-   a discard timer per message measured 38.53, and a header record and
-   a pair per fragment in the cache 52); a fragment received, with its
-   share of the reassembly, delivery and dedup entry, 17.71 (19; 19.71
-   with a fresh [Some] per session lookup, 24.86 with a boxed time per
-   dedup entry and a cord node per fragment); and
+   share of the message's split and send cache slot, 21.63 (budget 23);
+   a fragment received, with its share of the reassembly, delivery and
+   dedup entry, 10.46 (12).  A build that compiles the libraries with
+   [-opaque] and passes each CPU hold its duration as a float measured
+   31.75 and 17.71; on that build a discard timer per message read
+   38.53 on the send row, a header record and a pair per fragment in
+   the cache 52, and on the receive row a fresh [Some] per session
+   lookup 19.71, a boxed time per dedup entry and a cord node per
+   fragment 24.86; and
    on the message FRAGMENT reassembled, the reads and drops of a 4-byte
    header under an 18-byte one (SELECT's and CHANNEL's), 8 on a cord
    that leans right (8.01, the 0.01 for the boxed float of
@@ -629,8 +632,8 @@ let alloc_budget () =
   let keep x = ignore (Sys.opaque_identity x) in
   let figures =
     [
-      ("per-fragment send", 33., send);
-      ("per-fragment receive", 19., recv);
+      ("per-fragment send", 23., send);
+      ("per-fragment receive", 12., recv);
       ( "16 KB reassembled, 2 drops",
         8.01,
         words_per n (fun () ->

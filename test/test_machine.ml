@@ -205,6 +205,44 @@ let per_byte_costs_scale () =
     (float_of_int (1500 - 64) *. p.Machine.device_per_byte)
     (large -. small)
 
+(* A sized charge holds the CPU exactly as long as its op would, bit for
+   bit, so moving a call site from one to the other moves no virtual
+   time. *)
+let charge_bytes_matches_op () =
+  let bits charge prof =
+    let sim = Sim.create () in
+    let m = Machine.create sim prof in
+    Sim.spawn sim (fun () -> charge m);
+    Sim.run sim;
+    Int64.bits_of_float (Machine.cpu_seconds m)
+  in
+  let kinds =
+    [
+      (Machine.Header_bytes, fun n -> Machine.Header n);
+      (Machine.Checksum_bytes, fun n -> Machine.Checksum n);
+      (Machine.Interrupt_bytes, fun n -> Machine.Interrupt n);
+      (Machine.Device_bytes, fun n -> Machine.Device_send n);
+    ]
+  in
+  List.iter
+    (fun prof ->
+      List.iter
+        (fun (kind, op) ->
+          List.iter
+            (fun n ->
+              Alcotest.(check int64)
+                (Printf.sprintf "%s, %d bytes" prof.Machine.profile_name n)
+                (bits (fun m -> Machine.charge_one m (op n)) prof)
+                (bits (fun m -> Machine.charge_bytes m kind n) prof))
+            [ 0; 1; 37; 1500 ])
+        kinds)
+    [
+      Machine.xkernel_sun3;
+      Machine.sprite_kernel;
+      Machine.switch_fabric;
+      Machine.with_buffer_scheme Machine.Per_header_alloc Machine.xkernel_sun3;
+    ]
+
 let set_profile_switches () =
   let sim = Sim.create () in
   let m = Machine.create sim p in
@@ -234,6 +272,8 @@ let () =
           Alcotest.test_case "buffer scheme ablation" `Quick buffer_scheme_ablation;
           Alcotest.test_case "profile cost ordering" `Quick profile_ordering;
           Alcotest.test_case "per-byte scaling" `Quick per_byte_costs_scale;
+          Alcotest.test_case "sized charge matches its op" `Quick
+            charge_bytes_matches_op;
           Alcotest.test_case "profile switching" `Quick set_profile_switches;
           Alcotest.test_case "virtual op cheaper" `Quick virtual_op_cheaper;
         ] );

@@ -895,18 +895,24 @@ let nested_run_keeps_record () =
    hand-off, and 2 for a queued timed wait, short or long, and for a
    queued CPU charge.  The clock sits in an all-float record, so moving
    it boxes nothing, and a wait or charge that runs in place allocates
-   nothing.  A disabled trace point allocates nothing, or 26 words for a
-   [debugf] that only discards its arguments.  A charge that finds the
-   CPU busy is a [Sim.Server] hold, one queued timed wait to the finish
-   it is given on arrival, so 8 fibers contending cost what a queued
-   charge does (2), and so does a bare hold of a busy server.  A two-op
-   charge sums its list in place (4), an ivar read that blocks until a
-   fresh fiber fills it costs 36 all told (the ivar, its wait ring and
-   the filling fiber), and one 64-byte frame on a fault-free 5-tap wire
-   74 (four deliveries, each a timer and a fiber).  A row that times a
-   whole [Sim.run] runs its batch once first, so the event heaps have
-   grown to the batch's size before the measured run.  The budgets
-   leave headroom for other 5.x runtimes. *)
+   nothing, a charge of a run-time byte count included: it takes the
+   count as an int and its hold reads the cost from the machine's
+   all-float record, so neither an op block nor a float is built.  A
+   read of [Sim.now] from this module into float arithmetic allocates
+   nothing because the libraries are compiled without [-opaque], so the
+   read is inlined; with [-opaque] it returns a boxed float (2 words).
+   A disabled trace point allocates nothing, or 15 words for a [debugf]
+   that only discards its arguments (26 with [-opaque]).  A charge that
+   finds the CPU busy is a [Sim.Server] hold, one queued timed wait to
+   the finish it is given on arrival, so 8 fibers contending cost what
+   a queued charge does (2), and so does a bare hold of a busy server.
+   A two-op charge sums its list in place (2), an ivar read that blocks
+   until a fresh fiber fills it costs 36 all told (the ivar, its wait
+   ring and the filling fiber), and one 64-byte frame on a fault-free
+   5-tap wire 72 (four deliveries, each a timer and a fiber).  A row
+   that times a whole [Sim.run] runs its batch once first, so the event
+   heaps have grown to the batch's size before the measured run.  The
+   budgets leave headroom for other 5.x runtimes. *)
 let words_per_op n f =
   let w0 = Gc.minor_words () in
   f ();
@@ -955,6 +961,9 @@ let queued_words ?(standing = 0) n ~period op =
    test log records this runtime's figures. *)
 let measured = ref []
 
+(* A float accumulator that boxes nothing. *)
+type total = { mutable total : float }
+
 let alloc_budget () =
   let n = 10_000 in
   let cost ops =
@@ -982,7 +991,8 @@ let alloc_budget () =
   let sim = Sim.create () in
   let m = Machine.create sim Machine.xkernel_sun3 in
   let yield_w = ref nan and in_place_w = ref nan and lone_w = ref nan in
-  let ivar_w = ref nan in
+  let bytes_w = ref nan and now_w = ref nan and ivar_w = ref nan in
+  let acc = { total = 0. } in
   Sim.spawn sim (fun () ->
       yield_w :=
         words_per_op n (fun () ->
@@ -998,6 +1008,16 @@ let alloc_budget () =
         words_per_op n (fun () ->
             for _ = 1 to n do
               Machine.charge_one m Machine.Layer_crossing
+            done);
+      bytes_w :=
+        words_per_op n (fun () ->
+            for i = 1 to n do
+              Machine.charge_bytes m Machine.Header_bytes i
+            done);
+      now_w :=
+        words_per_op n (fun () ->
+            for _ = 1 to n do
+              acc.total <- acc.total +. Sim.now sim
             done);
       ivar_w :=
         words_per_op n (fun () ->
@@ -1045,12 +1065,13 @@ let alloc_budget () =
      arrives while the other's is in flight. *)
   let sim = Sim.create () in
   let server = Sim.Server.create sim in
+  let d = { Sim.Server.seconds = 1e-6 } in
   let hold_w =
     warm_run_words n sim (fun () ->
         for _ = 1 to 2 do
           Sim.spawn sim (fun () ->
               for _ = 1 to n / 2 do
-                Sim.Server.hold server 1e-6
+                Sim.Server.hold server d
               done)
         done)
   in
@@ -1100,13 +1121,15 @@ let alloc_budget () =
       ("Sim.delay, in place", 0.5, !in_place_w);
       ("Machine.charge_one", 4., charge_w);
       ("Machine.charge_one, lone fiber", 0.5, !lone_w);
+      ("charge_bytes, lone fiber", 0.5, !bytes_w);
+      ("Sim.now read from outside", 0.5, !now_w);
       ("Trace.packet (off)", 0.01, trace_w);
-      ("Trace.debugf (off)", 30., debugf_w);
+      ("Trace.debugf (off)", 17., debugf_w);
       ("Machine.charge_one, 8 contending", 4., contended_w);
-      ("server hold, busy", 4., hold_w);
-      ("Machine.charge, two ops", 6., charge2_w);
+      ("server hold, busy", 2.5, hold_w);
+      ("Machine.charge, two ops", 2.5, charge2_w);
       ("Ivar create+fill+read", 40., !ivar_w);
-      ("64-byte frame, 5-tap wire", 110., frame_w);
+      ("64-byte frame, 5-tap wire", 80., frame_w);
     ]
   in
   measured := figures;
