@@ -1,22 +1,16 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
-
-   Tables I-III and the section 4.3 experiment are virtual-time
-   measurements from the simulator (the numbers to compare against the
-   paper); the final section uses Bechamel for wall-clock
-   microbenchmarks of the infrastructure itself (one procedure call per
-   layer crossing, message push/pop, header codecs, blocking on a
-   semaphore or a busy CPU). *)
+(* Wall-clock microbenchmarks (Bechamel) of the infrastructure itself:
+   one procedure call per layer crossing, message push/pop, header
+   codecs, blocking on a semaphore or a busy CPU, a frame from host to
+   host, FRAGMENT's split and reassembly.  The paper's tables and
+   figures, in virtual time, come from [xkrpc exp all] ([--json FILE]
+   for the machine-readable rows). *)
 
 open Xkernel
-module E = Rpc.Experiments
 
 let pr = Printf.printf
-let section title = pr "\n=== %s ===\n%!" title
-
-(* --- wall-clock microbenchmarks ------------------------------------------ *)
 
 let microbench () =
-  section "Wall-clock microbenchmarks (Bechamel; real ns, not simulated)";
+  pr "\n=== Wall-clock microbenchmarks (Bechamel; real ns, not simulated) ===\n%!";
   let open Bechamel in
   let open Toolkit in
   (* A chain of [n] trivial protocols on a zero-cost machine: the real
@@ -285,8 +279,50 @@ let microbench () =
       Sim.Semaphore.v go;
       Sim.run sim
   in
+  (* One 1 KB message pushed into a VIP session on one host and handed
+     to the protocol above VIP on the other: VIP, ETH, the device's
+     transmit ring and fiber, the wire and the receiving shepherd, on
+     zero-cost machines, so the row is the simulator's own price of a
+     frame.  A run drains the simulator. *)
+  let frame_1k =
+    let w = Netproto.World.create ~profile:Machine.zero_cost () in
+    let n0 = Netproto.World.node w 0 and n1 = Netproto.World.node w 1 in
+    let sink = Proto.create ~host:n1.Netproto.World.host ~name:"SINK" () in
+    Proto.set_ops sink
+      {
+        Proto.open_ = (fun ~upper:_ _ -> invalid_arg "sink");
+        open_enable = (fun ~upper:_ _ -> invalid_arg "sink");
+        open_done = (fun ~upper:_ _ -> invalid_arg "sink");
+        demux = (fun ~lower:_ _ -> ());
+        p_control = (fun _ -> Control.Unsupported);
+      };
+    let vip (n : Netproto.World.node) = Netproto.Vip.proto n.Netproto.World.vip in
+    Proto.open_enable (vip n1) ~upper:sink (Part.ip_enable 200);
+    let body = Msg.fill 1024 'v' in
+    let go = Sim.Semaphore.create w.Netproto.World.sim 0 in
+    Netproto.World.spawn w (fun () ->
+        let sess =
+          Proto.open_ (vip n0) ~upper:sink
+            (Part.ip_open ~local:n0.Netproto.World.host.Host.ip
+               ~peer:n1.Netproto.World.host.Host.ip 200)
+        in
+        let rec sender () =
+          Sim.Semaphore.p go;
+          Proto.push sess body;
+          sender ()
+        in
+        sender ());
+    Netproto.World.run w;
+    fun () ->
+      Sim.Semaphore.v go;
+      Netproto.World.run w
+  in
   let layer_ops =
-    [ Test.make ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k) ]
+    [
+      Test.make ~name:"1 KB frame, host to host (ETH+VIP+wire)"
+        (Staged.stage frame_1k);
+      Test.make ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k);
+    ]
   in
   let tests =
     Test.make_grouped ~name:"xkernel"
@@ -313,54 +349,13 @@ let microbench () =
     "\n(A layer crossing adds only a handful of ns of real work - the\n\
     \ x-kernel claim that a layer costs one procedure call.)\n"
 
-(* [--json FILE] writes every experiment's rows plus the full
-   stats-registry dump.  Anything else is refused, so a misspelled flag
-   never silently runs the whole suite. *)
-let json_path () =
-  match Array.to_list Sys.argv with
-  | [ _ ] -> None
-  | [ _; "--json"; path ] -> Some path
-  | _ ->
-      prerr_endline "usage: main.exe [--json FILE]";
-      exit 2
-
+(* No options: a misspelled flag exits 2 instead of running the whole
+   set of benchmarks. *)
 let () =
-  let json = json_path () in
-  pr "RPC in the x-Kernel: reproduction benchmarks\n";
-  pr "(virtual-time msec from the calibrated simulator; see DESIGN.md)\n";
-  let sections =
-    [
-      ("intro", E.intro ());
-      ("table1", E.table1 ());
-      ("table2", E.table2 ());
-      ("table3", E.table3 ());
-      ("removal", E.removal ());
-      ( "figures",
-        E.figures
-          ~fig2_extra:(fun ~host ~lower ->
-            Psync.proto (Psync.create ~host ~lower))
-          () );
-      ("ablation", E.ablation ());
-      ("cpu_note", E.cpu_note ());
-      ("loss_sweep", E.loss_sweep ());
-      ("capacity", E.capacity ());
-      ("failover", E.failover ());
-      ("rebalance", E.rebalance ());
-      ("overload", E.overload ());
-      ("inc", E.inc ());
-      ("shardscale", E.shardscale ());
-    ]
-  in
-  microbench ();
-  match json with
-  | None -> ()
-  | Some path -> (
-      let doc =
-        Json.Obj
-          [ ("experiments", Json.Obj sections); ("stats", Stats.json ()) ]
-      in
-      match Json.write_file path doc with
-      | () -> pr "\nwrote JSON results to %s\n" path
-      | exception Sys_error e ->
-          Printf.eprintf "bench: cannot write JSON: %s\n" e;
-          exit 1)
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe (takes no arguments)";
+    exit 2
+  end;
+  pr "RPC in the x-Kernel: infrastructure microbenchmarks\n";
+  pr "(the paper's tables and figures: xkrpc exp all [--json FILE])\n";
+  microbench ()

@@ -563,6 +563,11 @@ let open_session t ~upper part =
          chan t.chans);
   Option.get (Demux.open_ t.demux t ~upper (peer, proto_num, chan)).xs
 
+(* The session key from the two ints [Demux.find] caches it by: the
+   peer, and the protocol number above the 16-bit channel number. *)
+let session_key peer b =
+  (Addr.Ip.of_int32_bits peer, b lsr 16, b land 0xffff)
+
 let input t ~lower msg =
   (* The channel header carries no host addresses (they would duplicate
      what every sensible lower layer already knows), so the peer's
@@ -580,7 +585,9 @@ let input t ~lower msg =
         else
           let proto_num = C.protocol_num msg in
           match
-            Demux.resolve t.demux t (peer, proto_num, C.channel msg) proto_num
+            Demux.find t.demux t ~key:session_key (Addr.Ip.to_int peer)
+              ((proto_num lsl 16) lor C.channel msg)
+              proto_num
           with
           | Some s -> handle_packet t s msg (Msg.drop msg hdr_len)
           | None -> Stats.incr t.stats "rx-unbound"

@@ -391,6 +391,8 @@ let recent_count t =
 let reasm_count t =
   Demux.fold (fun s acc -> acc + Hashtbl.length s.reasm) t.demux 0
 
+let session_key peer proto_num = (Addr.Ip.of_int32_bits peer, proto_num)
+
 let input t msg =
   Machine.charge t.host.Host.mach
     [ Machine.Header F.bytes; Machine.Frag_bookkeep ];
@@ -401,7 +403,11 @@ let input t msg =
     Stats.tick t.c_rx_frag;
     (* The peer is whoever sent this packet. *)
     let proto_num = F.protocol_num msg in
-    match Demux.resolve t.demux t (F.clnt_host msg, proto_num) proto_num with
+    match
+      Demux.find t.demux t ~key:session_key
+        (Addr.Ip.to_int (F.clnt_host msg))
+        proto_num proto_num
+    with
     | None -> Stats.incr t.stats "rx-unbound"
     | Some s ->
         let typ = F.typ msg in

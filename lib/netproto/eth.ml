@@ -32,12 +32,13 @@ let common_control t = function
 let make_session t ~upper (peer, typ) =
   let cell = ref None in
   let self () = Option.get !cell in
+  (* Every field of the header is fixed for the session's life. *)
+  let hdr = encode_header ~dst:peer ~src:t.host.Host.eth ~typ in
   let push msg =
     Stats.tick t.c_tx;
     Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
       ~dir:`Send msg;
     Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
-    let hdr = encode_header ~dst:peer ~src:t.host.Host.eth ~typ in
     Netdev.transmit t.dev (Msg.push msg hdr)
   in
   let pop msg = Proto.deliver upper ~lower:(self ()) msg in
@@ -71,6 +72,8 @@ let open_session t ~upper part =
   in
   Demux.open_ t.demux t ~upper (peer, typ)
 
+let session_key src typ = (Addr.Eth.v src, typ)
+
 (* Shared receive path; the layer crossing itself is charged by the
    caller (device handler or Proto.deliver). *)
 let input t msg =
@@ -83,12 +86,12 @@ let input t msg =
     in
     if not for_me then Stats.incr t.stats "rx-other"
     else begin
-      let src = Addr.Eth.v (Msg.u48 msg 6) and typ = Msg.u16 msg 12 in
+      let src = Msg.u48 msg 6 and typ = Msg.u16 msg 12 in
       let rest = Msg.drop msg header_bytes in
       Stats.tick t.c_rx;
       Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
         ~dir:`Recv rest;
-      match Demux.resolve t.demux t (src, typ) typ with
+      match Demux.find t.demux t ~key:session_key src typ typ with
       | Some xs -> Proto.pop xs rest
       | None -> Stats.incr t.stats "rx-unbound"
     end

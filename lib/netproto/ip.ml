@@ -216,10 +216,15 @@ let open_session t ~upper part =
   let peer = Part.peer_ip part in
   Demux.open_ t.demux t ~upper (peer, Part.ip_proto part)
 
+let session_key peer proto_num = (Addr.Ip.of_int32_bits peer, proto_num)
+
 let deliver_up t ~src ~dst ~proto_num ~ttl msg =
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"IP"
     ~dir:`Recv msg;
-  match Demux.resolve t.demux t (src, proto_num) proto_num with
+  match
+    Demux.find t.demux t ~key:session_key (Addr.Ip.to_int src) proto_num
+      proto_num
+  with
   | Some xs -> Proto.pop xs msg
   | None ->
       Stats.incr t.stats "rx-unbound";

@@ -34,6 +34,21 @@ val resolve : ('p, 'k, 's) t -> 'p -> 'k -> int -> 's option
     to [k]; else, when an upper protocol enabled [key], a fresh session
     for it, bound to [k]; else [None]. *)
 
+val find :
+  ('p, 'k, 's) t ->
+  'p ->
+  key:(int -> int -> 'k) ->
+  int ->
+  int ->
+  int ->
+  's option
+(** [find d p ~key a b e] is [resolve d p (key a b) e], for a key built
+    from two ints, such as a peer address and a protocol number read
+    from a header.  A small cache of sessions already found by [(a, b)]
+    answers most calls without building the key, so a hit allocates
+    nothing.  Pass the same [key] at every call on one [d]: the cache
+    stands for [key a b] by [(a, b)]. *)
+
 val unbind : (_, 'k, _) t -> 'k -> unit
 (** Forget the key's session (its [close]); the next message for it
     opens afresh if its upper protocol is still enabled. *)

@@ -151,15 +151,13 @@ type op =
   | Process_switch
   | Semaphore_op
   | Timer_op
-  | Interrupt of int
-  | Device_send of int
   | Syscall
   | Os_per_message
   | Busy of float
 
 type per_byte = Header_bytes | Checksum_bytes | Interrupt_bytes | Device_bytes
 
-(* The cost of an op of [n] bytes, for [op_cost] and [charge_bytes]
+(* The cost of [n] bytes of [kind], for [op_cost] and [charge_bytes]
    alike, so a sized charge adds up exactly as its [op] would. *)
 let[@inline] bytes_cost p kind n =
   match kind with
@@ -186,8 +184,6 @@ let[@inline] op_cost p op =
   | Process_switch -> p.process_switch
   | Semaphore_op -> p.semaphore_op
   | Timer_op -> p.timer_op
-  | Interrupt n -> bytes_cost p Interrupt_bytes n
-  | Device_send n -> bytes_cost p Device_bytes n
   | Syscall -> p.syscall
   | Os_per_message -> p.os_per_message
   | Busy s -> s
@@ -198,7 +194,7 @@ type t = {
   m_sim : Sim.t;
   cpu : Sim.Server.server;
   mutable prof : profile;
-  cost : Sim.Server.duration;
+  cost : Sim.duration;
 }
 
 let create m_sim prof =
@@ -219,7 +215,7 @@ let hold_cost m = if m.cost.seconds > 0. then Sim.Server.hold m.cpu m.cost
 let rec add_costs c p = function
   | [] -> ()
   | op :: ops ->
-      c.Sim.Server.seconds <- c.Sim.Server.seconds +. op_cost p op;
+      c.Sim.seconds <- c.Sim.seconds +. op_cost p op;
       add_costs c p ops
 
 let charge m ops =

@@ -79,20 +79,24 @@ type op =
   | Process_switch
   | Semaphore_op
   | Timer_op
-  | Interrupt of int  (** receive [n] bytes off the device *)
-  | Device_send of int  (** hand [n] bytes to the device *)
   | Syscall
   | Os_per_message
   | Busy of float  (** explicit CPU seconds (application work) *)
 
 val op_cost : profile -> op -> float
 
-(** The ops whose cost grows with a byte count, for {!charge_bytes}. *)
+(** The costs that grow with a byte count, for {!charge_bytes}.  The two
+    device costs are only ever charged for a frame's run-time length,
+    so they have no {!op}. *)
 type per_byte =
   | Header_bytes  (** as [Header n] *)
   | Checksum_bytes  (** as [Checksum n] *)
-  | Interrupt_bytes  (** as [Interrupt n] *)
-  | Device_bytes  (** as [Device_send n] *)
+  | Interrupt_bytes
+      (** receive [n] bytes off the device: [interrupt] plus
+          [device_per_byte] a byte *)
+  | Device_bytes
+      (** hand [n] bytes to the device: [device_fixed] plus
+          [device_per_byte] a byte *)
 
 type t
 (** One host's CPU: a FIFO server on the virtual clock plus
@@ -115,9 +119,9 @@ val charge_one : t -> op -> unit
     per-event hot paths. *)
 
 val charge_bytes : t -> per_byte -> int -> unit
-(** [charge_bytes m Header_bytes n] = [charge_one m (Header n)], and so
-    on for each kind, without building the op: for a byte count known
-    only at run time, such as a frame's length. *)
+(** [charge_bytes m Header_bytes n] = [charge_one m (Header n)], and
+    likewise for [Checksum_bytes], without building the op: for a byte
+    count known only at run time, such as a frame's length. *)
 
 val cpu_seconds : t -> float
 (** Total CPU time charged so far — the paper's "uses less CPU time"

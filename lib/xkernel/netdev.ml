@@ -1,8 +1,13 @@
+(* The transmit queue is a FIFO ring of frames in a power-of-two array:
+   [tx_head] and [tx_tail] grow without bound and are masked on access,
+   so queueing a frame allocates nothing once the ring has grown. *)
 type t = {
   nd_host : Host.t;
   mutable tap : Wire.attachment option;
-  txq : Msg.t Queue.t;
-  txq_items : Sim.Semaphore.sem;
+  mutable txq : Msg.t array;
+  mutable tx_head : int;
+  mutable tx_tail : int;
+  txq_items : Sim.Semaphore.sem; (* frames in [txq] *)
   mutable handler : (Msg.t -> unit) option;
   mutable promiscuous : bool;
 }
@@ -29,6 +34,29 @@ let accepts dev frame =
       let dst = Addr.Eth.v d in
       Addr.Eth.equal dst dev.nd_host.Host.eth || Addr.Eth.is_broadcast dst
 
+let tx_add dev frame =
+  let cap = Array.length dev.txq and len = dev.tx_tail - dev.tx_head in
+  if len = cap then begin
+    let grown = Array.make (max 8 (2 * cap)) Msg.empty in
+    for i = 0 to len - 1 do
+      grown.(i) <- dev.txq.((dev.tx_head + i) land (cap - 1))
+    done;
+    dev.txq <- grown;
+    dev.tx_head <- 0;
+    dev.tx_tail <- len
+  end;
+  dev.txq.(dev.tx_tail land (Array.length dev.txq - 1)) <- frame;
+  dev.tx_tail <- dev.tx_tail + 1
+
+(* The oldest frame; its slot is cleared so the ring does not keep the
+   frame reachable after it is sent.  Only called with a frame queued. *)
+let tx_take dev =
+  let i = dev.tx_head land (Array.length dev.txq - 1) in
+  let frame = dev.txq.(i) in
+  dev.txq.(i) <- Msg.empty;
+  dev.tx_head <- dev.tx_head + 1;
+  frame
+
 let receive dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
@@ -42,7 +70,9 @@ let create ~host ~wire =
     {
       nd_host = host;
       tap = None;
-      txq = Queue.create ();
+      txq = [||];
+      tx_head = 0;
+      tx_tail = 0;
       txq_items = Sim.Semaphore.create (Wire.sim wire) 0;
       handler = None;
       promiscuous = false;
@@ -56,7 +86,7 @@ let create ~host ~wire =
   (* Transmitter fiber: drains the queue for the life of the run. *)
   let rec tx_loop () =
     Sim.Semaphore.p dev.txq_items;
-    let frame = Queue.take dev.txq in
+    let frame = tx_take dev in
     (match dev.tap with
     | Some tap -> Wire.transmit wire ~from:tap frame
     | None -> assert false);
@@ -75,7 +105,7 @@ let transmit dev frame =
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Send frame;
   Machine.charge_bytes dev.nd_host.Host.mach Machine.Device_bytes
     (Msg.length frame);
-  Queue.add frame dev.txq;
+  tx_add dev frame;
   Sim.Semaphore.v dev.txq_items
 
 let set_handler dev h = dev.handler <- Some h

@@ -35,10 +35,12 @@ exception Stalled of string
      1.4% lower (one heap faster in 3 of 10 pairs, inside the noise);
      null-closed did not move.
 
-   Four ways queue an event, each by the same rule ([imm] at the current
+   Five ways queue an event, each by the same rule ([imm] at the current
    instant, else [near] or [far] by distance from the clock):
 
    - [spawn], a fresh fiber at the current instant;
+   - [call_after d f x], [f x] as a fresh fiber [d] seconds from now,
+     with no cancel handle: a wire delivery;
    - [after d], a callback [d] seconds from now;
    - [at time], a callback at an absolute time, for a deadline worked
      out earlier ([after (time -. now)] can miss [time] by an ulp);
@@ -71,20 +73,24 @@ exception Stalled of string
    the clock cannot pass a queued immediate).  Dropping the float field
    keeps the record box-free.
 
-   Each fiber has one event record, its wait record, made at its first
-   suspension; every later timed wait, park and yield of that fiber
-   reuses it, so a fiber switch allocates only its continuation, which
-   the record's [Resume] holds until the fiber continues.  The run loop
-   keeps the running fiber's record in [t.running] ([dummy] while the
-   fiber has none yet), and three rules keep a record owned by exactly
-   one fiber:
+   Each fiber has one event record, its wait record; every timed wait,
+   park and yield of that fiber reuses it, so a fiber switch allocates
+   only its continuation, which the record's [Resume] holds until the
+   fiber continues.  The run loop keeps the running fiber's record in
+   [t.running], and three rules keep a record owned by exactly one
+   fiber:
 
    - A [Sim.after] or [Sim.at] event is never a wait record: it is the
      caller's cancel handle, which [cancel] must find [Fired] once it
-     has run ([Event.t] is one).  A callback that blocks makes its own.
-   - A fiber started by a [Fiber] event runs with [running = dummy]: it
-     must not inherit the record of the fiber that ran before it, which
-     may still be queued or parked.
+     has run ([Event.t] is one).  Its [Fiber] runs with
+     [running = dummy], not the record of the fiber that ran before it
+     (which may still be queued or parked), and makes its own record at
+     its first suspension.
+   - A [Call] event, which [spawn] and [call_after] queue, is nobody's
+     handle: neither returns it, and once it fires it is in no queue.
+     So its fiber runs with [running] set to it, and its first
+     suspension turns its action into [Resume] in place.  Every wire
+     delivery starts a fiber this way, with one event and no closure.
    - [run] restores [running] on exit, as it restores [due.bound]: a
      fiber that runs a nested [run] keeps its own record afterwards.
 
@@ -140,7 +146,7 @@ exception Stalled of string
 type event = {
   mutable seq : int;
   mutable phase : phase;
-  action : action;
+  mutable action : action;
   owner : t;
 }
 
@@ -154,6 +160,9 @@ and action =
   | Fiber of (unit -> unit)
       (* start the thunk as a fresh fiber; in a wait ring, a callback
          called in place when the ring wakes it *)
+  | Call : { f : 'a -> unit; x : 'a } -> action
+      (* start [f x] as a fresh fiber; the event is nobody's handle, so
+         it becomes that fiber's wait record *)
   | Resume of { mutable k : (unit, unit) Effect.Deep.continuation }
       (* a fiber's wait record: continue [k] *)
 
@@ -200,6 +209,10 @@ and t = {
   mutable running : event; (* the running fiber's record, or [dummy] *)
   mutable handler : unit Effect.Deep.effect_handler;
 }
+
+(* A span of virtual time in a record its caller owns and rewrites, so
+   a computed span reaches [Sim] unboxed. *)
+type duration = { mutable seconds : float }
 
 let now t = t.due.now
 let pending t = t.live
@@ -446,7 +459,10 @@ let requeue ev =
    back of the current instant, a callback runs in place. *)
 let wake t r =
   let ev = ring_pop t r in
-  match ev.action with Resume _ -> requeue ev | Fiber f -> f ()
+  match ev.action with
+  | Resume _ -> requeue ev
+  | Fiber f -> f ()
+  | Call { f; x } -> f x
 
 (* Three ways to suspend, all with a handler branch built once per
    simulator:
@@ -465,12 +481,17 @@ let resume_now t k =
   t.due.at <- t.due.now;
   ignore (schedule t (Resume { k }))
 
-(* The suspending fiber's record, now holding [k]. *)
+(* The suspending fiber's record, now holding [k]: the one it has, the
+   [Call] event that started it, or a fresh one. *)
 let record t k =
-  match t.running.action with
+  let ev = t.running in
+  match ev.action with
   | Resume r ->
       r.k <- k;
-      t.running
+      ev
+  | Call _ ->
+      ev.action <- Resume { k };
+      ev
   | Fiber _ -> { seq = -1; phase = Fired; action = Resume { k }; owner = t }
 
 let make_handler t =
@@ -566,16 +587,30 @@ let at t time f =
   t.due.at <- time;
   schedule t (Fiber f)
 
+(* Queue [f x] as a fresh fiber due at [t.due.at]. *)
+let call t f x = ignore (schedule t (Call { f; x }))
+
+let call_after t d f x =
+  let s = d.seconds in
+  if not (s >= 0.) then invalid_arg "Sim.call_after: negative or NaN delay";
+  t.due.at <- t.due.now +. s;
+  call t f x
+
+(* Preserve the fiber's name in the backtrace-less sim world. *)
+let escaped name =
+  failwith
+    (Printf.sprintf "fiber %s: blocking operation escaped its fiber" name)
+
+let run_anon f = try f () with Not_in_fiber -> escaped "<anon>"
+
 let spawn t ?name f =
-  let run () =
-    try f ()
-    with Not_in_fiber ->
-      (* Preserve the fiber's name in the backtrace-less sim world. *)
-      failwith
-        (Printf.sprintf "fiber %s: blocking operation escaped its fiber"
-           (Option.value name ~default:"<anon>"))
+  let run =
+    match name with
+    | None -> run_anon
+    | Some name -> fun f -> ( try f () with Not_in_fiber -> escaped name)
   in
-  ignore (after t 0. run)
+  t.due.at <- t.due.now;
+  call t run f
 
 let run ?until t =
   let execute ev =
@@ -597,11 +632,15 @@ let run ?until t =
           Effect.Deep.continue r.k ()
         end
         else requeue ev
-    | Asleep, Fiber _ -> requeue ev
+    | Asleep, (Fiber _ | Call _) -> requeue ev
     | _, Fiber f ->
         ev.phase <- Fired;
         t.running <- t.dummy;
         Effect.Deep.try_with f () t.handler
+    | _, Call { f; x } ->
+        ev.phase <- Fired;
+        t.running <- ev;
+        Effect.Deep.try_with f x t.handler
     | _, Resume r ->
         ev.phase <- Fired;
         t.running <- ev;
@@ -675,7 +714,6 @@ module Server = struct
     mutable wait : float;
   }
 
-  type duration = { mutable seconds : float }
   type server = { sim : t; clock : clock; mutable holds : int }
 
   let create sim =

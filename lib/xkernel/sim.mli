@@ -38,7 +38,24 @@ val rng : t -> Random.State.t
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn sim f] schedules a new fiber running [f] at the current
     virtual time.  Exceptions escaping [f] are logged and re-raised out
-    of {!run}. *)
+    of {!run}.  As with {!call_after}, the event that starts the fiber
+    becomes its wait record. *)
+
+type duration = { mutable seconds : float }
+(** A span of virtual seconds, in a record its caller owns and rewrites
+    before each use.  It is all-float, so a computed span is stored
+    unboxed; passed as a float argument it would be boxed on every
+    call. *)
+
+val call_after : t -> duration -> ('a -> unit) -> 'a -> unit
+(** [call_after sim d f x] schedules a new fiber running [f x]
+    [d.seconds] from now, reading [d] once, on entry: a wire's frame
+    delivery.  Unlike {!after} it returns no handle, so it cannot be
+    cancelled, and it builds no closure: the event carries [f] and [x]
+    and becomes the fiber's wait record when the fiber first blocks,
+    so a delivery that blocks on a CPU charge allocates one event, not
+    two.  Raises [Invalid_argument] if [d.seconds] is negative or
+    NaN. *)
 
 val delay : t -> float -> unit
 (** [delay sim d] suspends the calling fiber for [d] virtual seconds.
@@ -54,7 +71,10 @@ type event
 
 val after : t -> float -> (unit -> unit) -> event
 (** [after sim d f] schedules [f] to run (as a fiber) [d] seconds from
-    now.  Timer callbacks may themselves block.  Raises
+    now.  Timer callbacks may themselves block; the returned event is
+    the caller's cancel handle, which {!cancel} must find spent once
+    [f] has started, so it never becomes the callback's wait record
+    and a callback that blocks allocates its own.  Raises
     [Invalid_argument] if [d] is negative or NaN. *)
 
 val at : t -> float -> (unit -> unit) -> event
@@ -116,12 +136,6 @@ module Server : sig
 
   val create : t -> server
   (** An idle server. *)
-
-  type duration = { mutable seconds : float }
-  (** How long a hold lasts, in a record its caller owns and rewrites
-      before each hold.  It is all-float, so a computed duration is
-      stored unboxed; passed as a float argument it would be boxed on
-      every hold. *)
 
   val hold : server -> duration -> unit
   (** [hold s d] waits for every hold that arrived before it, then holds

@@ -39,7 +39,8 @@ let propagation = 5e-6
 type t = {
   w_sim : Sim.t;
   medium : Sim.Server.server;
-  tx_time : Sim.Server.duration; (* each frame's serialization time *)
+  tx_time : Sim.duration; (* each frame's serialization time *)
+  arrival : Sim.duration; (* each copy's delay from the end of transmission *)
   rng : Random.State.t;
   lbl : lbl option;
   mutable taps : attachment list;
@@ -83,6 +84,7 @@ let create w_sim ?(seed = 42) ?label () =
     w_sim;
     medium = Sim.Server.create w_sim;
     tx_time = { seconds = 0. };
+    arrival = { seconds = 0. };
     rng = Random.State.make [| seed |];
     lbl;
     taps = [];
@@ -185,13 +187,14 @@ let draw_faults w =
 
 let invert c = Char.chr (Char.code c lxor 0xff)
 
-(* Hand the frame to every tap but [from], [d] seconds from now.  The
+(* Hand the frame to every tap but [from], [w.arrival] from now.  The
    first of [copies] is [m], which carries any corruption (it damages
    the original transmission); a Duplicate is an independent clean
    copy of [msg].  [delivered] counts every copy handed to a tap, but
    only a copy the tap's filter accepts costs an event: the filter
-   judges each copy by its own bytes. *)
-let rec deliver w ~from ~d ~copies msg m = function
+   judges each copy by its own bytes.  The event carries the tap's
+   [recv] and the copy, with no closure and no cancel handle. *)
+let rec deliver w ~from ~copies msg m = function
   | [] -> ()
   | tap :: taps ->
       if tap.tap_id <> from.tap_id then
@@ -209,16 +212,17 @@ let rec deliver w ~from ~d ~copies msg m = function
             let m = if copy = 1 then m else msg in
             w.n_delivered <- w.n_delivered + 1;
             mirror w (fun l -> l.l_delivered);
-            if tap.accepts m then
-              ignore (Sim.after w.w_sim d (fun () -> tap.recv m))
+            if tap.accepts m then Sim.call_after w.w_sim w.arrival tap.recv m
           done;
-      deliver w ~from ~d ~copies msg m taps
+      deliver w ~from ~copies msg m taps
 
 (* Apply [faults] in order to one transmission of [msg], then deliver
    it.  The caller has already handled [Drop], and an empty frame has
    no byte to corrupt. *)
 let rec apply_faults w ~from ~copies ~extra msg m = function
-  | [] -> deliver w ~from ~d:(propagation +. extra) ~copies msg m w.taps
+  | [] ->
+      w.arrival.seconds <- propagation +. extra;
+      deliver w ~from ~copies msg m w.taps
   | Duplicate :: faults ->
       w.n_duplicated <- w.n_duplicated + 1;
       mirror w (fun l -> l.l_duplicated);

@@ -54,6 +54,97 @@ let unbind_reopens () =
     (Some ("UPPER", (4, 17), 2))
     (Demux.resolve d ctx (4, 17) 17)
 
+(* [find] builds its key from two ints; here the key is the pair. *)
+let pair a b = (a, b)
+
+(* Random active opens, enables, unbinds and lookups on two map
+   managers, one looked up with [find] and one with [resolve]: every
+   lookup must return the same session, built by the same [make] call.
+   There are 32 keys for [find]'s 16 cache slots, so at least 16 of
+   them share a slot with another, and a lookup often follows an unbind
+   of a key the cache holds. *)
+type step = Open of int * int | Enable of int | Unbind of int * int | Look of int * int
+
+let qcheck_find_is_resolve =
+  let key = QCheck.Gen.(pair (int_bound 7) (int_bound 3)) in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, map (fun (a, b) -> Open (a, b)) key);
+          (1, map (fun b -> Enable b) (int_bound 3));
+          (2, map (fun (a, b) -> Unbind (a, b)) key);
+          (6, map (fun (a, b) -> Look (a, b)) key);
+        ])
+  in
+  let show = function
+    | Open (a, b) -> Printf.sprintf "open %d,%d" a b
+    | Enable b -> Printf.sprintf "enable %d" b
+    | Unbind (a, b) -> Printf.sprintf "unbind %d,%d" a b
+    | Look (a, b) -> Printf.sprintf "look %d,%d" a b
+  in
+  Tutil.qtest ~count:200 "find returns what resolve returns"
+    (QCheck.make
+       ~print:QCheck.Print.(list show)
+       QCheck.Gen.(list_size (int_range 1 300) step))
+    (fun steps ->
+      let ctx_f, by_find, up = fixture () in
+      let ctx_r = { made = 0 } and by_resolve = Demux.create 16 ~make in
+      let upper = Array.init 4 (fun b -> up (Printf.sprintf "UP%d" b)) in
+      List.iteri
+        (fun i -> function
+          | Open (a, b) ->
+              ignore (Demux.open_ by_find ctx_f ~upper:upper.(b) (a, b));
+              ignore (Demux.open_ by_resolve ctx_r ~upper:upper.(b) (a, b))
+          | Enable b ->
+              Demux.enable by_find b upper.(b);
+              Demux.enable by_resolve b upper.(b)
+          | Unbind (a, b) ->
+              Demux.unbind by_find (a, b);
+              Demux.unbind by_resolve (a, b)
+          | Look (a, b) ->
+              let got = Demux.find by_find ctx_f ~key:pair a b b
+              and want = Demux.resolve by_resolve ctx_r (a, b) b in
+              if got <> want then
+                QCheck.Test.fail_reportf "step %d: find and resolve differ" i)
+        steps;
+      ctx_f.made = ctx_r.made)
+
+(* The active map is a [Hashtbl] of the key, created at the size the
+   protocol asks for, and nothing else reorders it: [iter] visits
+   bound sessions in the order a bare table given the same binds and
+   unbinds does, which is what a reboot hook that walks CHANNEL's
+   sessions sees.  The sequence grows the table past several resizes
+   and mixes passive opens through [find] with active ones. *)
+let iter_keeps_table_order () =
+  let ctx, d, up = fixture () in
+  let table = Hashtbl.create 16 in
+  let upper = up "UPPER" in
+  Demux.enable d 17 upper;
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 400 do
+    let a = Random.State.int rng 200 and b = 16 + Random.State.int rng 2 in
+    match Random.State.int rng 4 with
+    | 0 ->
+        Demux.unbind d (a, b);
+        Hashtbl.remove table (a, b)
+    | 1 ->
+        let s = Demux.open_ d ctx ~upper (a, b) in
+        if not (Hashtbl.mem table (a, b)) then Hashtbl.replace table (a, b) s
+    | _ -> (
+        match Demux.find d ctx ~key:pair a b b with
+        | Some s ->
+            if not (Hashtbl.mem table (a, b)) then
+              Hashtbl.replace table (a, b) s
+        | None -> ())
+  done;
+  let order = ref [] in
+  Demux.iter (fun s -> order := s :: !order) d;
+  let want = ref [] in
+  Hashtbl.iter (fun _ s -> want := s :: !want) table;
+  Tutil.check_bool "some sessions bound" true (Hashtbl.length table > 50);
+  Alcotest.(check (list session)) "iter order" !want !order
+
 let () =
   Alcotest.run "demux"
     [
@@ -63,5 +154,8 @@ let () =
           Alcotest.test_case "passive open once" `Quick passive_open_once;
           Alcotest.test_case "unbound is None" `Quick unbound_is_none;
           Alcotest.test_case "unbind reopens" `Quick unbind_reopens;
+          qcheck_find_is_resolve;
+          Alcotest.test_case "iter keeps the table's order" `Quick
+            iter_keeps_table_order;
         ] );
     ]

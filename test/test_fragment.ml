@@ -569,7 +569,8 @@ let measured = ref []
 (* OCaml 5.1.1 measures, in minor words: a fragment sent, with its
    share of the message's split and send cache slot, 21.63 (budget 23);
    a fragment received, with its share of the reassembly, delivery and
-   dedup entry, 10.46 (12).  A build that compiles the libraries with
+   dedup entry, 7.46 (8.5); a key tuple per session lookup, as
+   [Demux.resolve] builds, read 10.46 there.  A build that compiles the libraries with
    [-opaque] and passes each CPU hold its duration as a float measured
    31.75 and 17.71; on that build a discard timer per message read
    38.53 on the send row, a header record and a pair per fragment in
@@ -633,7 +634,7 @@ let alloc_budget () =
   let figures =
     [
       ("per-fragment send", 23., send);
-      ("per-fragment receive", 12., recv);
+      ("per-fragment receive", 8.5, recv);
       ( "16 KB reassembled, 2 drops",
         8.01,
         words_per n (fun () ->

@@ -175,6 +175,15 @@ let buffer_scheme_ablation () =
   Alcotest.(check (float 1e-9)) "difference is the alloc cost" p.Machine.alloc
     (dear -. cheap)
 
+(* The CPU time one [charge_bytes] of [n] bytes of [kind] holds: the
+   device costs have no [op], so their cost is read off a charge. *)
+let bytes_seconds prof kind n =
+  let sim = Sim.create () in
+  let m = Machine.create sim prof in
+  Sim.spawn sim (fun () -> Machine.charge_bytes m kind n);
+  Sim.run sim;
+  Machine.cpu_seconds m
+
 let profile_ordering () =
   (* The Sprite-kernel and SunOS profiles must be uniformly no cheaper
      than the x-kernel profile on the shared cost axes. *)
@@ -183,23 +192,24 @@ let profile_ordering () =
       Machine.Layer_crossing;
       Machine.Header 36;
       Machine.Process_switch;
-      Machine.Interrupt 64;
-      Machine.Device_send 64;
       Machine.Os_per_message;
     ]
   in
+  let check cost =
+    let base = cost Machine.xkernel_sun3 in
+    Alcotest.(check bool) "sprite >= xkernel" true
+      (cost Machine.sprite_kernel >= base);
+    Alcotest.(check bool) "sunos >= xkernel" true
+      (cost Machine.sunos_socket >= base)
+  in
+  List.iter (fun op -> check (fun prof -> Machine.op_cost prof op)) ops;
   List.iter
-    (fun op ->
-      let base = Machine.op_cost Machine.xkernel_sun3 op in
-      Alcotest.(check bool) "sprite >= xkernel" true
-        (Machine.op_cost Machine.sprite_kernel op >= base);
-      Alcotest.(check bool) "sunos >= xkernel" true
-        (Machine.op_cost Machine.sunos_socket op >= base))
-    ops
+    (fun kind -> check (fun prof -> bytes_seconds prof kind 64))
+    [ Machine.Interrupt_bytes; Machine.Device_bytes ]
 
 let per_byte_costs_scale () =
-  let small = Machine.op_cost p (Machine.Device_send 64) in
-  let large = Machine.op_cost p (Machine.Device_send 1500) in
+  let small = bytes_seconds p Machine.Device_bytes 64 in
+  let large = bytes_seconds p Machine.Device_bytes 1500 in
   Alcotest.(check bool) "larger frame costs more" true (large > small);
   Alcotest.(check (float 1e-9)) "linear in bytes"
     (float_of_int (1500 - 64) *. p.Machine.device_per_byte)
@@ -207,7 +217,8 @@ let per_byte_costs_scale () =
 
 (* A sized charge holds the CPU exactly as long as its op would, bit for
    bit, so moving a call site from one to the other moves no virtual
-   time. *)
+   time.  The device costs have no op; theirs must equal the profile's
+   formula, held as a [Busy] charge, bit for bit. *)
 let charge_bytes_matches_op () =
   let bits charge prof =
     let sim = Sim.create () in
@@ -218,10 +229,18 @@ let charge_bytes_matches_op () =
   in
   let kinds =
     [
-      (Machine.Header_bytes, fun n -> Machine.Header n);
-      (Machine.Checksum_bytes, fun n -> Machine.Checksum n);
-      (Machine.Interrupt_bytes, fun n -> Machine.Interrupt n);
-      (Machine.Device_bytes, fun n -> Machine.Device_send n);
+      (Machine.Header_bytes, fun _ n -> Machine.Header n);
+      (Machine.Checksum_bytes, fun _ n -> Machine.Checksum n);
+      ( Machine.Interrupt_bytes,
+        fun prof n ->
+          Machine.Busy
+            (prof.Machine.interrupt
+            +. (float_of_int n *. prof.Machine.device_per_byte)) );
+      ( Machine.Device_bytes,
+        fun prof n ->
+          Machine.Busy
+            (prof.Machine.device_fixed
+            +. (float_of_int n *. prof.Machine.device_per_byte)) );
     ]
   in
   List.iter
@@ -232,7 +251,7 @@ let charge_bytes_matches_op () =
             (fun n ->
               Alcotest.(check int64)
                 (Printf.sprintf "%s, %d bytes" prof.Machine.profile_name n)
-                (bits (fun m -> Machine.charge_one m (op n)) prof)
+                (bits (fun m -> Machine.charge_one m (op prof n)) prof)
                 (bits (fun m -> Machine.charge_bytes m kind n) prof))
             [ 0; 1; 37; 1500 ])
         kinds)

@@ -505,11 +505,23 @@ let cancel_purge_pending () =
    stretches that cancel recent events leave enough corpses for [purge]
    to compact the heaps and free slots that later pushes reuse.  [at]
    aims at a 1/40 s grid that [after]'s delays also hit, so ties within
-   and across the heaps and the instant FIFO are common.  After each run
-   the events fired must be the model's survivors due by the bound, in
-   (time, seq) order; after every step [pending], and after each run the
-   clock, must agree. *)
-type queue_step = Q_after of int | Q_at of int | Q_cancel of int | Q_until of int
+   and across the heaps and the instant FIFO are common.  [call_after]
+   queues handle-less callbacks on the same grid (a cancel that picks one
+   does nothing); each blocks on one CPU charge of a shared machine, so
+   its event becomes the wait record of a fiber that may sit in the CPU's
+   queue across runs.  The model serves those charges in the order the
+   callbacks start, each finishing its cost after the one before it.
+   After each run the events fired must be the model's survivors due by
+   the bound, in (time, seq) order, and the charges done must be those
+   the model finishes by the bound, each at its finish time; after every
+   step [pending] (live events plus charges still held), and after each
+   run the clock, must agree. *)
+type queue_step =
+  | Q_after of int
+  | Q_at of int
+  | Q_call of int
+  | Q_cancel of int
+  | Q_until of int
 
 let qcheck_queue_model =
   let stretch =
@@ -521,6 +533,7 @@ let qcheck_queue_model =
            [
              (4, map (fun k -> Q_after k) (int_bound reach));
              (2, map (fun k -> Q_at k) (int_bound reach));
+             (2, map (fun k -> Q_call k) (int_bound reach));
              (cancels, map (fun k -> Q_cancel k) (int_bound 255));
              (1, map (fun k -> Q_until k) (int_bound 40));
            ]))
@@ -528,6 +541,7 @@ let qcheck_queue_model =
   let show = function
     | Q_after k -> Printf.sprintf "after %d/40" k
     | Q_at k -> Printf.sprintf "at +%d/40" k
+    | Q_call k -> Printf.sprintf "call_after %d/40" k
     | Q_cancel k -> Printf.sprintf "cancel -%d" k
     | Q_until k -> Printf.sprintf "until +%d/4000" k
   in
@@ -537,20 +551,29 @@ let qcheck_queue_model =
        QCheck.Gen.(map List.concat (list_size (int_range 4 6) stretch)))
     (fun steps ->
       let sim = Sim.create () in
+      let m = Machine.create sim Machine.xkernel_sun3 in
+      let cost = Machine.op_cost Machine.xkernel_sun3 Machine.Layer_crossing in
       let cap = List.length steps in
       let handles = Array.make cap None in
       let times = Array.make cap 0. and live = Array.make cap false in
       let queued = ref 0 and n_live = ref 0 and now = ref 0. in
       let fired = ref [] in
+      (* The handle-less callbacks: when each one's charge ends, in the
+         run and in the model, and the model's CPU. *)
+      let is_call = Array.make cap false in
+      let done_at = Array.make cap nan and finish = Array.make cap nan in
+      let free_at = ref 0. and held = ref [] in
       let schedule time arm =
         let id = !queued in
         incr queued;
         incr n_live;
         times.(id) <- time;
         live.(id) <- true;
-        handles.(id) <- Some (arm (fun () -> fired := id :: !fired))
+        handles.(id) <- arm id
       in
-      (* Fire the model's live events due by [u]; ids are seq order. *)
+      (* Fire the model's live events due by [u]; ids are seq order.  A
+         callback that fires queues its charge behind the CPU's last
+         one; the charges that end by [u] are done. *)
       let fire_until u =
         let due =
           List.init !queued Fun.id
@@ -559,35 +582,74 @@ let qcheck_queue_model =
         in
         List.iter (fun id -> live.(id) <- false) due;
         n_live := !n_live - List.length due;
-        (if !n_live > 0 then now := u
-         else match List.rev due with last :: _ -> now := times.(last) | [] -> ());
-        due
+        List.iter
+          (fun id ->
+            if is_call.(id) then begin
+              let start = times.(id) in
+              free_at :=
+                if !free_at <= start then start +. cost else !free_at +. cost;
+              finish.(id) <- !free_at;
+              held := !held @ [ id ]
+            end)
+          due;
+        let ended, still = List.partition (fun id -> finish.(id) <= u) !held in
+        held := still;
+        let last =
+          List.fold_left Float.max !now
+            (List.map (fun id -> times.(id)) due
+            @ List.map (fun id -> finish.(id)) ended)
+        in
+        now := if !n_live + List.length still > 0 then u else last;
+        (due, ended)
       in
+      let ids l = String.concat " " (List.map string_of_int l) in
       let check_fired i u =
-        let want = fire_until u and got = List.rev !fired in
+        let want, ended = fire_until u and got = List.rev !fired in
         fired := [];
         if got <> want then
           QCheck.Test.fail_reportf "step %d: fired [%s], model [%s]" i
-            (String.concat " " (List.map string_of_int got))
-            (String.concat " " (List.map string_of_int want));
+            (ids got) (ids want);
+        List.iter
+          (fun id ->
+            if done_at.(id) <> finish.(id) then
+              QCheck.Test.fail_reportf "step %d: call %d done at %h, model %h"
+                i id done_at.(id) finish.(id))
+          ended;
+        List.iter
+          (fun id ->
+            if not (Float.is_nan done_at.(id)) then
+              QCheck.Test.fail_reportf "step %d: call %d done early" i id)
+          !held;
         if Sim.now sim <> !now then
           QCheck.Test.fail_reportf "step %d: clock %h, model %h" i
             (Sim.now sim) !now
+      in
+      let note id () = fired := id :: !fired in
+      let call id =
+        note id ();
+        Machine.charge_one m Machine.Layer_crossing;
+        done_at.(id) <- Sim.now sim
       in
       List.iteri
         (fun i st ->
           (match st with
           | Q_after k ->
               let d = float_of_int k /. 40. in
-              schedule (!now +. d) (Sim.after sim d)
+              schedule (!now +. d) (fun id -> Some (Sim.after sim d (note id)))
           | Q_at k ->
               let time =
                 Float.max !now ((Float.ceil (!now *. 40.) +. float_of_int k) /. 40.)
               in
-              schedule time (Sim.at sim time)
+              schedule time (fun id -> Some (Sim.at sim time (note id)))
+          | Q_call k ->
+              let d = { Sim.seconds = float_of_int k /. 40. } in
+              schedule (!now +. d.seconds) (fun id ->
+                  is_call.(id) <- true;
+                  Sim.call_after sim d call id;
+                  None)
           | Q_cancel k ->
               let id = !queued - 1 - k in
-              if id >= 0 then begin
+              if id >= 0 && not is_call.(id) then begin
                 let was_live = live.(id) in
                 if Sim.cancel (Option.get handles.(id)) <> was_live then
                   QCheck.Test.fail_reportf "step %d: cancel of %d" i id;
@@ -600,9 +662,10 @@ let qcheck_queue_model =
               let u = !now +. (float_of_int k /. 4000.) in
               Sim.run ~until:u sim;
               check_fired i u);
-          if Sim.pending sim <> !n_live then
+          let model = !n_live + List.length !held in
+          if Sim.pending sim <> model then
             QCheck.Test.fail_reportf "step %d: pending %d, model %d" i
-              (Sim.pending sim) !n_live)
+              (Sim.pending sim) model)
         steps;
       Sim.run sim;
       check_fired cap infinity;
@@ -907,9 +970,13 @@ let nested_run_keeps_record () =
    the finish it is given on arrival, so 8 fibers contending cost what
    a queued charge does (2), and so does a bare hold of a busy server.
    A two-op charge sums its list in place (2), an ivar read that blocks
-   until a fresh fiber fills it costs 36 all told (the ivar, its wait
-   ring and the filling fiber), and one 64-byte frame on a fault-free
-   5-tap wire 72 (four deliveries, each a timer and a fiber).  A row
+   until a fresh fiber fills it costs 32 all told (the ivar, its wait
+   ring and the filling fiber, whose spawn builds no closure: 36 with
+   one), and one 64-byte frame on a fault-free
+   5-tap wire 54 (four deliveries, each one event carrying the tap's
+   [recv] and the frame, with no closure; the arrival delay is read
+   from the wire's all-float record).  A closure per delivery reads 72
+   there, and a boxed delay 56.  A row
    that times a whole [Sim.run] runs its batch once first, so the event
    heaps have grown to the batch's size before the measured run.  The
    budgets leave headroom for other 5.x runtimes. *)
@@ -1065,7 +1132,7 @@ let alloc_budget () =
      arrives while the other's is in flight. *)
   let sim = Sim.create () in
   let server = Sim.Server.create sim in
-  let d = { Sim.Server.seconds = 1e-6 } in
+  let d = { Sim.seconds = 1e-6 } in
   let hold_w =
     warm_run_words n sim (fun () ->
         for _ = 1 to 2 do
@@ -1128,8 +1195,8 @@ let alloc_budget () =
       ("Machine.charge_one, 8 contending", 4., contended_w);
       ("server hold, busy", 2.5, hold_w);
       ("Machine.charge, two ops", 2.5, charge2_w);
-      ("Ivar create+fill+read", 40., !ivar_w);
-      ("64-byte frame, 5-tap wire", 80., frame_w);
+      ("Ivar create+fill+read", 34., !ivar_w);
+      ("64-byte frame, 5-tap wire", 55., frame_w);
     ]
   in
   measured := figures;
