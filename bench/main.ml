@@ -1,9 +1,9 @@
 (* Wall-clock microbenchmarks (Bechamel) of the infrastructure itself:
    one procedure call per layer crossing, message push/pop, header
    codecs, blocking on a semaphore or a busy CPU, a frame from host to
-   host, FRAGMENT's split and reassembly.  The paper's tables and
-   figures, in virtual time, come from [xkrpc exp all] ([--json FILE]
-   for the machine-readable rows). *)
+   host, FRAGMENT's split and reassembly, one REPLICA call.  The
+   paper's tables and figures, in virtual time, come from [xkrpc exp
+   all] ([--json FILE] for the machine-readable rows). *)
 
 open Xkernel
 
@@ -317,11 +317,46 @@ let microbench () =
       Sim.Semaphore.v go;
       Netproto.World.run w
   in
+  (* One REPLICA call over two stub endpoints that answer at once, on a
+     zero-cost machine, so the row is the virtual protocol's own price:
+     its attempt record, the primary leg's fiber and the timed read that
+     bounds the attempt, plus the semaphore hand-off that starts each
+     run (the "semaphore hand-off" row).  No hedge is armed: with every
+     call taking no virtual time, the p99 that would delay it is 0. *)
+  let replica_call =
+    let sim = Sim.create () in
+    let host =
+      Host.create sim ~name:"replica" ~ip:(Addr.Ip.v 10 9 9 8)
+        ~eth:(Addr.Eth.v 43) ~profile:Machine.zero_cost ()
+    in
+    let endpoint i =
+      {
+        Rpc.Select_replica.ep_addr = Addr.Ip.v 10 9 8 i;
+        ep_call = (fun ?expires:_ ?shard:_ ~command:_ m -> Ok m);
+      }
+    in
+    let r =
+      Rpc.Select_replica.create ~host ~endpoints:[| endpoint 1; endpoint 2 |] ()
+    in
+    let go = Sim.Semaphore.create sim 0 in
+    let rec caller () =
+      Sim.Semaphore.p go;
+      ignore (Rpc.Select_replica.call r ~command:1 Msg.empty);
+      caller ()
+    in
+    Sim.spawn sim caller;
+    Sim.run sim;
+    fun () ->
+      Sim.Semaphore.v go;
+      Sim.run sim
+  in
   let layer_ops =
     [
       Test.make ~name:"1 KB frame, host to host (ETH+VIP+wire)"
         (Staged.stage frame_1k);
       Test.make ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k);
+      Test.make ~name:"REPLICA call, 2 stub endpoints"
+        (Staged.stage replica_call);
     ]
   in
   let tests =

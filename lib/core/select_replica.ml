@@ -40,10 +40,29 @@ type replica = {
 type inflight = {
   if_shard : int;
   if_owner : int;
-  if_force : int -> unit; (* settle the attempt with [Wrong_shard v] *)
+  if_attempt : attempt; (* settled with [Wrong_shard v] when forced *)
 }
 
-type t = {
+(* One bounded attempt: the arguments both of its legs call with, the
+   ivar the caller waits on, and [settled], set by whichever of a leg's
+   result, a forced handoff and the caller's timeout comes first.  The
+   record is also the primary leg's argument. *)
+and attempt = {
+  a_t : t;
+  a_iv : (Msg.t, Rpc_error.t) result Sim.Ivar.ivar;
+  mutable settled : bool;
+  a_primary : replica;
+  a_expires : float option;
+  a_shard : Wire_fmt.Select.stamp option;
+  a_command : int;
+  a_msg : Msg.t;
+}
+
+(* All-float, so a token count is stored unboxed: in [t] every earned
+   token fraction would box a fresh float. *)
+and bucket = { token_cap : float; mutable tokens : float }
+
+and t = {
   host : Host.t;
   p : Proto.t;
   replicas : replica array;
@@ -58,8 +77,7 @@ type t = {
   (* Overload governance (all off by default). *)
   propagate_deadline : bool;
   retry_budget : float option; (* tokens earned per call; None = unlimited *)
-  token_cap : float;
-  mutable tokens : float;
+  bucket : bucket;
   hedge : bool;
   h_lat : Histogram.t; (* successful-call latency, for the hedge delay *)
   (* Sharded routing (all inert until a map is installed). *)
@@ -242,122 +260,167 @@ let mark_suspect t r =
 let earn_token t =
   match t.retry_budget with
   | None -> ()
-  | Some ratio -> t.tokens <- Float.min t.token_cap (t.tokens +. ratio)
+  | Some ratio ->
+      let b = t.bucket in
+      b.tokens <- Float.min b.token_cap (b.tokens +. ratio)
 
 let take_token t =
   match t.retry_budget with
   | None -> true
   | Some _ ->
-      if t.tokens >= 1. then begin
-        t.tokens <- t.tokens -. 1.;
+      let b = t.bucket in
+      if b.tokens >= 1. then begin
+        b.tokens <- b.tokens -. 1.;
         true
       end
       else false
 
-(* One bounded attempt against one replica.  The call itself runs in
-   its own fiber so the attempt can be abandoned after [budget] without
-   waiting out the channel's full RTO ladder; an abandoned call still
-   completes in the background, and a late success teaches the health
-   tracker that the replica is alive after all.
+(* One leg of an attempt: [r]'s call, in a fiber of its own.  The first
+   leg to finish settles the attempt; a later one only teaches the
+   health tracker that its replica is alive. *)
+let run_leg a r ~is_hedge =
+  let t = a.a_t in
+  let res =
+    r.r_call ?expires:a.a_expires ?shard:a.a_shard ~command:a.a_command a.a_msg
+  in
+  if a.settled then begin
+    match res with
+    | Ok _ ->
+        Stats.tick t.c_late_ok;
+        mark_healthy t r
+    | Error _ -> ()
+  end
+  else begin
+    a.settled <- true;
+    (match res with
+    | Ok _ ->
+        mark_healthy t r;
+        if is_hedge then Stats.tick t.c_hedge_win
+    | Error _ -> ());
+    Sim.Ivar.fill a.a_iv res
+  end
 
-   [hedge_to]: optionally race a second replica, launched [hedge_after]
-   seconds in (if the primary has not settled by then, and a retry
-   token is available); the first settlement wins, the loser is
-   absorbed by the late-completion machinery. *)
-let attempt t r ?hedge_to ?shard ~budget ~expires ~command msg =
+let run_primary a = run_leg a a.a_primary ~is_hedge:false
+
+type hedge_leg = { h_attempt : attempt; h_replica : replica }
+
+let run_hedge h = run_leg h.h_attempt h.h_replica ~is_hedge:true
+
+(* A leg starts as a fresh fiber at the back of the current instant. *)
+let now_span = { Sim.seconds = 0. }
+
+(* The hedge timer's callback.  Like the end of a timed wait, it reads
+   [settled] and takes a token from the back of the instant the timer
+   fires in, after everything already due then: hence the yield. *)
+let fire_hedge a rh =
+  let sim = Host.sim a.a_t.host in
+  Sim.yield sim;
+  if (not a.settled) && take_token a.a_t then begin
+    Stats.tick a.a_t.c_hedge_sent;
+    Sim.call_after sim now_span run_hedge { h_attempt = a; h_replica = rh }
+  end
+
+(* Settle a shard-routed attempt that a map install forced over. *)
+let force a v =
+  if not a.settled then begin
+    a.settled <- true;
+    Stats.tick a.a_t.c_handoff_forced;
+    Sim.Ivar.fill a.a_iv (Error (Rpc_error.Wrong_shard v))
+  end
+
+(* One bounded attempt against [r].  The call itself runs in its own
+   fiber so the attempt can be abandoned after [budget] without waiting
+   out the channel's full RTO ladder; an abandoned call still completes
+   in the background, and a late success teaches the health tracker
+   that the replica is alive after all.
+
+   [hedge_to] is the next candidate, or [-1] when this attempt may not
+   hedge.  A hedge is a timer at the p99 latency; if the primary has
+   not settled when it fires and a retry token is available, a second
+   leg calls [hedge_to].  The first settlement wins, the loser is
+   absorbed as a late completion, and the attempt cancels the timer
+   when it returns. *)
+let attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg =
   let sim = Host.sim t.host in
-  let iv = Sim.Ivar.create sim in
-  let settled = ref false in
-  let launch r' ~is_hedge =
-    Sim.spawn sim (fun () ->
-        let res = r'.r_call ?expires ?shard ~command msg in
-        if !settled then begin
-          match res with
-          | Ok _ ->
-              Stats.tick t.c_late_ok;
-              mark_healthy t r'
-          | Error _ -> ()
-        end
-        else begin
-          settled := true;
-          (match res with
-          | Ok _ ->
-              mark_healthy t r';
-              if is_hedge then Stats.tick t.c_hedge_win
-          | Error _ -> ());
-          Sim.Ivar.fill iv res
-        end)
+  let a =
+    {
+      a_t = t;
+      a_iv = Sim.Ivar.create sim;
+      settled = false;
+      a_primary = r;
+      a_expires = expires;
+      a_shard = stamp;
+      a_command = command;
+      a_msg = msg;
+    }
   in
   (* Shard-routed attempts register themselves so a map install can
      find the stragglers bound for an ex-owner and, at the drain
      deadline, settle them with [Wrong_shard] — the forced handoff. *)
-  let entry =
-    match shard with
-    | None -> None
-    | Some st ->
-        let e =
-          {
-            if_shard = st.Wire_fmt.Select.shard;
-            if_owner = r.r_idx;
-            if_force =
-              (fun v ->
-                if not !settled then begin
-                  settled := true;
-                  Stats.tick t.c_handoff_forced;
-                  Sim.Ivar.fill iv (Error (Rpc_error.Wrong_shard v))
-                end);
-          }
-        in
-        t.inflight <- e :: t.inflight;
-        Some e
+  (match stamp with
+  | None -> ()
+  | Some st ->
+      let e =
+        {
+          if_shard = st.Wire_fmt.Select.shard;
+          if_owner = r.r_idx;
+          if_attempt = a;
+        }
+      in
+      t.inflight <- e :: t.inflight);
+  Sim.call_after sim now_span run_primary a;
+  let hedge_after =
+    if hedge_to < 0 then 0.
+    else float_of_int (Histogram.percentile t.h_lat 99.) *. 1e-6
   in
-  let unregister () =
-    match entry with
-    | None -> ()
-    | Some e -> t.inflight <- List.filter (fun e' -> e' != e) t.inflight
+  let got =
+    if hedge_after > 0. && hedge_after < budget then begin
+      let rh = t.replicas.(hedge_to) in
+      let hedge = Sim.after sim hedge_after (fun () -> fire_hedge a rh) in
+      let got = Sim.Ivar.read_timeout a.a_iv budget in
+      ignore (Sim.cancel hedge);
+      got
+    end
+    else Sim.Ivar.read_timeout a.a_iv budget
   in
-  launch r ~is_hedge:false;
-  (match hedge_to with
-  | Some (rh, hedge_after) ->
-      Sim.spawn sim (fun () ->
-          Sim.delay sim hedge_after;
-          if (not !settled) && take_token t then begin
-            Stats.tick t.c_hedge_sent;
-            launch rh ~is_hedge:true
-          end)
-  | None -> ());
-  match Sim.Ivar.read_timeout iv budget with
-  | Some res ->
-      unregister ();
-      res
+  (match stamp with
+  | None -> ()
+  | Some _ ->
+      t.inflight <- List.filter (fun e -> e.if_attempt != a) t.inflight);
+  match got with
+  | Some res -> res
   | None ->
-      unregister ();
-      if !settled then
+      if a.settled then
         (* A force event won the race against the budget timer. *)
         Error
           (Rpc_error.Wrong_shard (match t.map with
           | Some m -> Shard_map.version m
           | None -> 0))
       else begin
-        settled := true;
+        a.settled <- true;
         Stats.tick t.c_attempt_timeout;
         Error Rpc_error.Timeout
       end
 
 (* Candidate order: start from the policy's preferred replica and walk
    successors (the consistent-hash ring walk, degenerate for
-   round-robin), then stable-sort by health so healthy replicas are
-   tried first and dead ones only as a last resort. *)
+   round-robin), healthy replicas first, then suspect ones, and dead
+   ones only as a last resort, each group in walk order. *)
+let rank = function Healthy -> 0 | Suspect -> 1 | Dead -> 2
+
 let health_walk t ~start =
   let k = Array.length t.replicas in
-  let rank i =
-    match t.replicas.(i).r_health with
-    | Healthy -> 0
-    | Suspect -> 1
-    | Dead -> 2
-  in
-  List.init k (fun i -> (start + i) mod k)
-  |> List.stable_sort (fun a b -> compare (rank a) (rank b))
+  let order = Array.make k 0 and n = ref 0 in
+  for want = 0 to 2 do
+    for i = 0 to k - 1 do
+      let idx = (start + i) mod k in
+      if rank t.replicas.(idx).r_health = want then begin
+        order.(!n) <- idx;
+        incr n
+      end
+    done
+  done;
+  order
 
 let order t ~key =
   let k = Array.length t.replicas in
@@ -428,7 +491,7 @@ let install_map t m =
           let v = Shard_map.version m in
           ignore
             (Event.schedule t.host d (fun () ->
-                 List.iter (fun e -> e.if_force v) doomed))
+                 List.iter (fun e -> force e.if_attempt v) doomed))
         end
     | _ -> ())
   end;
@@ -436,6 +499,76 @@ let install_map t m =
 
 let all_dead t =
   Array.for_all (fun r -> r.r_health = Dead) t.replicas
+
+(* Attempts along [order] from [pos] until one settles the call.  A
+   function of its own, not a closure per call: [tried] counts attempts
+   made, [last_err] is what the call fails with when the candidates run
+   out. *)
+let rec attempts t ~key ~command msg ~expires ~deadline_at ~refreshed ~stamp
+    tried last_err order pos =
+  if pos >= Array.length order || tried >= Array.length t.replicas then
+    Error last_err
+  else begin
+    let r = t.replicas.(order.(pos)) in
+    let remaining = deadline_at -. Sim.now (Host.sim t.host) in
+    if remaining <= 0. then begin
+      Stats.tick t.c_deadline_expired;
+      Error Rpc_error.Timeout
+    end
+    else begin
+      if tried > 0 then Stats.tick t.c_failover;
+      let budget = Float.min t.attempt_timeout remaining in
+      let last = pos + 1 >= Array.length order in
+      let hedge_to =
+        if
+          t.hedge && tried = 0 && (not last)
+          && Histogram.count t.h_lat >= hedge_min_samples
+        then order.(pos + 1)
+        else -1
+      in
+      match attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg with
+      | Ok reply ->
+          if tried > 0 then Stats.tick t.c_failover_ok;
+          Ok reply
+      | Error Rpc_error.Busy as e ->
+          (* Explicit admission pushback: the server is up and refusing
+             load.  Not a health failure — a failover here is exactly
+             the retry storm the budget exists to prevent. *)
+          Stats.tick t.c_busy_rx;
+          e
+      | Error (Rpc_error.Wrong_shard _) as e ->
+          (* The replica answered from a newer map (or a map install
+             forced the attempt over): not a health failure, and no
+             retry token — the server did no work.  Refresh the map and
+             re-route once; a second wrong-shard means the control plane
+             is churning and the error surfaces. *)
+          Stats.tick t.c_wrong_shard_rx;
+          if refreshed then e
+          else begin
+            (match t.on_refresh with Some f -> f () | None -> ());
+            let order, stamp = route t ~key in
+            attempts t ~key ~command msg ~expires ~deadline_at ~refreshed:true
+              ~stamp tried last_err order 0
+          end
+      | Error (Rpc_error.Remote _) as e ->
+          (* The replica answered: retrying elsewhere could re-execute a
+             non-idempotent procedure. *)
+          e
+      | Error ((Rpc_error.Timeout | Rpc_error.Rebooted) as err) ->
+          Stats.tick r.c_fail;
+          mark_suspect t r;
+          if last || tried + 1 >= Array.length t.replicas || take_token t
+          then
+            attempts t ~key ~command msg ~expires ~deadline_at ~refreshed
+              ~stamp (tried + 1) err order (pos + 1)
+          else begin
+            (* Out of retry tokens: absorb the failure instead of
+               amplifying the overload with another attempt. *)
+            Stats.tick t.c_exhausted;
+            Error err
+          end
+    end
+  end
 
 let call t ?key ~command msg =
   let sim = Host.sim t.host in
@@ -455,86 +588,17 @@ let call t ?key ~command msg =
     let t0 = Sim.now sim in
     let deadline_at = t0 +. t.deadline in
     let expires = if t.propagate_deadline then Some deadline_at else None in
-    let max_attempts = Array.length t.replicas in
-    let rec go ~refreshed ~stamp tried last_err = function
-      | [] -> Error last_err
-      | _ when tried >= max_attempts -> Error last_err
-      | i :: rest -> (
-          let r = t.replicas.(i) in
-          let remaining = deadline_at -. Sim.now sim in
-          if remaining <= 0. then begin
-            Stats.tick t.c_deadline_expired;
-            Error Rpc_error.Timeout
-          end
-          else begin
-            if tried > 0 then Stats.tick t.c_failover;
-            let budget = Float.min t.attempt_timeout remaining in
-            let hedge_to =
-              if
-                t.hedge && tried = 0 && rest <> []
-                && Histogram.count t.h_lat >= hedge_min_samples
-              then
-                let p99 =
-                  float_of_int (Histogram.percentile t.h_lat 99.) *. 1e-6
-                in
-                if p99 > 0. && p99 < budget then
-                  Some (t.replicas.(List.hd rest), p99)
-                else None
-              else None
-            in
-            match
-              attempt t r ?hedge_to ?shard:stamp ~budget ~expires ~command msg
-            with
-            | Ok reply ->
-                if tried > 0 then Stats.tick t.c_failover_ok;
-                Ok reply
-            | Error Rpc_error.Busy as e ->
-                (* Explicit admission pushback: the server is up and
-                   refusing load.  Not a health failure — a failover
-                   here is exactly the retry storm the budget exists to
-                   prevent. *)
-                Stats.tick t.c_busy_rx;
-                e
-            | Error (Rpc_error.Wrong_shard _) as e ->
-                (* The replica answered from a newer map (or a map
-                   install forced the attempt over): not a health
-                   failure, and no retry token — the server did no work.
-                   Refresh the map and re-route once; a second
-                   wrong-shard means the control plane is churning and
-                   the error surfaces. *)
-                Stats.tick t.c_wrong_shard_rx;
-                if refreshed then e
-                else begin
-                  (match t.on_refresh with Some f -> f () | None -> ());
-                  let idxs, stamp = route t ~key in
-                  go ~refreshed:true ~stamp tried last_err idxs
-                end
-            | Error (Rpc_error.Remote _) as e ->
-                (* The replica answered: retrying elsewhere could
-                   re-execute a non-idempotent procedure. *)
-                e
-            | Error ((Rpc_error.Timeout | Rpc_error.Rebooted) as err) ->
-                Stats.tick r.c_fail;
-                mark_suspect t r;
-                if rest = [] || tried + 1 >= max_attempts then
-                  go ~refreshed ~stamp (tried + 1) err rest
-                else if take_token t then go ~refreshed ~stamp (tried + 1) err rest
-                else begin
-                  (* Out of retry tokens: absorb the failure instead of
-                     amplifying the overload with another attempt. *)
-                  Stats.tick t.c_exhausted;
-                  Error err
-                end
-          end)
-    in
-    let idxs, stamp = route t ~key in
+    let order, stamp = route t ~key in
     (match stamp with
     | Some st
       when st.Wire_fmt.Select.shard < Array.length t.shard_calls ->
         t.shard_calls.(st.Wire_fmt.Select.shard) <-
           t.shard_calls.(st.Wire_fmt.Select.shard) + 1
     | _ -> ());
-    let res = go ~refreshed:false ~stamp 0 Rpc_error.Timeout idxs in
+    let res =
+      attempts t ~key ~command msg ~expires ~deadline_at ~refreshed:false
+        ~stamp 0 Rpc_error.Timeout order 0
+    in
     (match res with
     | Ok reply ->
         Stats.tick t.c_ok;
@@ -605,12 +669,13 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
       rr = 0;
       propagate_deadline;
       retry_budget;
-      token_cap =
-        (match retry_budget with
-        | Some r -> Float.max 1. (10. *. r)
-        | None -> 0.);
-      tokens =
-        (match retry_budget with Some r -> Float.max 1. (10. *. r) | None -> 0.);
+      bucket =
+        (let full =
+           match retry_budget with
+           | Some r -> Float.max 1. (10. *. r)
+           | None -> 0.
+         in
+         { token_cap = full; tokens = full });
       hedge;
       h_lat = Histogram.create ();
       drain_deadline;

@@ -43,8 +43,10 @@
       not a death certificate, so no failover storm.
     - [hedge] arms a second attempt against the next candidate after
       the observed p99 call latency (from an internal HDR histogram;
-      needs 32 successful samples), cancelled on first settlement
-      (["hedge-sent"] / ["hedge-win"]); hedges spend retry tokens too.
+      needs 32 successful samples): a timer that the attempt cancels
+      when it settles first, so a call answered before the p99 leaves
+      nothing queued behind it (["hedge-sent"] / ["hedge-win"]);
+      hedges spend retry tokens too.
 
     Counters (["failovers"], ["failover-ok"], ["probe-sent"],
     ["probe-ok"], ["attempt-timeout"], per-replica ["replicaN-*"]) and

@@ -91,6 +91,9 @@ exception Stalled of string
      So its fiber runs with [running] set to it, and its first
      suspension turns its action into [Resume] in place.  Every wire
      delivery starts a fiber this way, with one event and no closure.
+     A timed read's timer (below) is a [Call] event that its reader's
+     cell holds, to cancel it, but its callback never suspends, so it
+     never becomes a record.
    - [run] restores [running] on exit, as it restores [due.bound]: a
      fiber that runs a nested [run] keeps its own record afterwards.
 
@@ -140,9 +143,17 @@ exception Stalled of string
    A fiber blocked on a semaphore or an ivar is its record parked in
    that primitive's wait ring, outside the queues.  Waking it is the
    same move as a timed wait's first half: a fresh [seq] and an append
-   to [imm].  [Ivar.read_timeout] suspends the general way instead: its
-   resumption is a fresh [Resume] event, which becomes the fiber's
-   record from then on. *)
+   to [imm].
+
+   [Ivar.read_timeout] parks its record too, but the ring holds its
+   timer, not the record: one [Call] event, queued at the deadline
+   under the [seq] taken when the reader suspends, whose argument is a
+   cell naming the record.  A fill wakes the ring entry in place, which
+   cancels the timer and requeues the record; a timer that fires first
+   requeues it the same way and leaves the ring entry behind, a no-op
+   for a later fill.  Either way the record continues from the back of
+   the instant in which it was settled, and the timer is the only event
+   the wait adds. *)
 type event = {
   mutable seq : int;
   mutable phase : phase;
@@ -158,11 +169,13 @@ and phase =
 
 and action =
   | Fiber of (unit -> unit)
-      (* start the thunk as a fresh fiber; in a wait ring, a callback
-         called in place when the ring wakes it *)
+      (* start the thunk as a fresh fiber: a [Sim.after] or [Sim.at]
+         callback, never in a wait ring *)
   | Call : { f : 'a -> unit; x : 'a } -> action
       (* start [f x] as a fresh fiber; the event is nobody's handle, so
-         it becomes that fiber's wait record *)
+         it becomes that fiber's wait record.  In a wait ring, a timed
+         reader's timer, whose [f x] runs in place when the ring wakes
+         it. *)
   | Resume of { mutable k : (unit, unit) Effect.Deep.continuation }
       (* a fiber's wait record: continue [k] *)
 
@@ -456,30 +469,39 @@ let requeue ev =
   t.live <- t.live + 1
 
 (* Wake the waiter at the head of [r]: a parked fiber continues from the
-   back of the current instant, a callback runs in place. *)
+   back of the current instant, a timed reader's timer settles it in
+   place. *)
 let wake t r =
   let ev = ring_pop t r in
   match ev.action with
   | Resume _ -> requeue ev
-  | Fiber f -> f ()
   | Call { f; x } -> f x
+  | Fiber _ -> assert false
+
+(* A timed read's cell: the reader's record, parked until [settle]
+   runs, and the timer that is also the reader's ring entry.  [waiting]
+   is cleared by whichever of the fill and the timer comes first. *)
+type timed = { reader : event; timer : event; mutable waiting : bool }
+
+let settle c =
+  if c.waiting then begin
+    c.waiting <- false;
+    ignore (cancel c.timer);
+    requeue c.reader
+  end
 
 (* Three ways to suspend, all with a handler branch built once per
-   simulator:
+   simulator, none with a payload, so performing one allocates only the
+   continuation once the fiber has its record:
 
-   - [Delay], a timed wait due at [t.due.at], and [Park], which waits in
-     the ring [t.park_in], carry no payload, so performing either
-     allocates only the continuation, once the fiber has its record.
-   - [Suspend] hands the fiber's resumption to [register]; whoever holds
-     it calls it once to queue the continuation at the back of the
-     current instant.  Only [Ivar.read_timeout] needs that generality. *)
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+   - [Delay], a timed wait due at [t.due.at];
+   - [Park], which waits in the ring [t.park_in];
+   - [Park_timed], which waits in [t.park_in] and at most until
+     [t.due.at]: [Ivar.read_timeout].  Its branch builds the cell and
+     the timer, the only words it adds. *)
 type _ Effect.t += Delay : unit Effect.t
 type _ Effect.t += Park : unit Effect.t
-
-let resume_now t k =
-  t.due.at <- t.due.now;
-  ignore (schedule t (Resume { k }))
+type _ Effect.t += Park_timed : unit Effect.t
 
 (* The suspending fiber's record, now holding [k]: the one it has, the
    [Call] event that started it, or a fresh one. *)
@@ -503,6 +525,22 @@ let make_handler t =
         enqueue t ev)
   in
   let on_park = Some (fun k -> ring_push t t.park_in (record t k)) in
+  let on_park_timed =
+    Some
+      (fun k ->
+        let reader = record t k in
+        let rec c = { reader; timer; waiting = true }
+        and timer =
+          {
+            seq = -1;
+            phase = Live;
+            action = Call { f = settle; x = c };
+            owner = t;
+          }
+        in
+        enqueue t timer;
+        ring_push t t.park_in timer)
+  in
   {
     Effect.Deep.effc =
       (fun (type a) (eff : a Effect.t) :
@@ -510,8 +548,7 @@ let make_handler t =
         match eff with
         | Delay -> on_delay
         | Park -> on_park
-        | Suspend register ->
-            Some (fun k -> register (fun () -> resume_now t k))
+        | Park_timed -> on_park_timed
         | _ -> None);
   }
 
@@ -538,10 +575,6 @@ let create ?(max_events = 10_000_000) ?(seed = 42) () =
   t.handler <- make_handler t;
   t
 
-let suspend register =
-  try Effect.perform (Suspend register)
-  with Effect.Unhandled (Suspend _) -> raise Not_in_fiber
-
 let perform_delay () =
   try Effect.perform Delay with Effect.Unhandled Delay -> raise Not_in_fiber
 
@@ -550,6 +583,13 @@ let perform_delay () =
 let park t r =
   t.park_in <- r;
   try Effect.perform Park with Effect.Unhandled Park -> raise Not_in_fiber
+
+(* Block the calling fiber in [r] until a [wake] reaches it or the clock
+   reaches [t.due.at], whichever comes first. *)
+let park_timed t r =
+  t.park_in <- r;
+  try Effect.perform Park_timed
+  with Effect.Unhandled Park_timed -> raise Not_in_fiber
 
 (* Wait until [t.due.at], which lies ahead of the clock.  A wait that
    would fire next and resume next runs in place: the fiber keeps
@@ -781,28 +821,16 @@ module Ivar = struct
         park iv.iv_sim waiters;
         match iv.state with Set x -> x | Unset _ -> assert false)
 
-  (* The reader waits in the ring as a callback, so a fill wakes it in
-     arrival order among plain readers; [once] keeps the fill and the
-     timer from both resuming it. *)
+  (* The reader's timer waits in the ring, so a fill wakes it in arrival
+     order among plain readers (see the header). *)
   let read_timeout iv d =
     match iv.state with
     | Set x -> Some x
-    | Unset waiters ->
+    | Unset waiters -> (
         let sim = iv.iv_sim in
-        suspend (fun resume ->
-            let fired = ref false in
-            let once () =
-              if not !fired then begin
-                fired := true;
-                resume ()
-              end
-            in
-            let ev = after sim d once in
-            let on_fill () =
-              ignore (cancel ev);
-              once ()
-            in
-            ring_push sim waiters
-              { seq = -1; phase = Live; action = Fiber on_fill; owner = sim });
-        (match iv.state with Set x -> Some x | Unset _ -> None)
+        if not (d >= 0.) then
+          invalid_arg "Sim.Ivar.read_timeout: negative or NaN delay";
+        sim.due.at <- sim.due.now +. d;
+        park_timed sim waiters;
+        match iv.state with Set x -> Some x | Unset _ -> None)
 end

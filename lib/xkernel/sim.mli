@@ -181,5 +181,11 @@ module Ivar : sig
   (** Blocks the calling fiber until filled. *)
 
   val read_timeout : 'a ivar -> float -> 'a option
-  (** [read_timeout iv d] waits at most [d] seconds; [None] on timeout. *)
+  (** [read_timeout iv d] waits at most [d] seconds; [None] on timeout.
+      The deadline is one timer event, queued when the reader blocks and
+      cancelled by a fill that comes first; either way the reader
+      continues after everything already due at that instant, and
+      returns the value if a fill has landed by then.  Raises
+      [Invalid_argument] if it would block and [d] is negative or
+      NaN. *)
 end

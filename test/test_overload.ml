@@ -267,6 +267,151 @@ let hedge_races_the_slow_replica () =
     (!elapsed < 0.05);
   Tutil.check_int "not counted as a failover" 0 (Select_replica.failovers t)
 
+(* Two scripted replicas under [Hash] with key 0, so replica 0 is the
+   primary and replica 1 the hedge.  Replica 0 answers in 1.5 ms until
+   [fast] or [slow] is set, then in 1 ms or 200 ms; replica 1 always
+   answers in 1 ms.  [called.(i)] lists the times replica [i] was
+   called, latest first, and [lat] holds the latencies REPLICA's own
+   histogram records, which set the hedge delay. *)
+type hedged = {
+  hw : World.t;
+  ht : Select_replica.t;
+  hits : int array;
+  called : float list array;
+  fast : bool ref;
+  slow : bool ref;
+  lat : Histogram.t;
+}
+
+let hedged ?retry_budget () =
+  let w = zero_world () in
+  let sim = w.World.sim in
+  let fast = ref false and slow = ref false in
+  let called = Array.make 2 [] in
+  let t, hits =
+    scripted w ~policy:Select_replica.Hash ~hedge:true ?retry_budget ~k:2
+      (fun i ->
+        called.(i) <- Sim.now sim :: called.(i);
+        if i = 1 || !fast then Block 0.001
+        else if !slow then Block 0.2
+        else Block 0.0015)
+  in
+  { hw = w; ht = t; hits; called; fast; slow; lat = Histogram.create () }
+
+let hedged_call h =
+  Select_replica.call h.ht ~key:0 ~command:Stacks.cmd_null Msg.empty
+
+(* 40 calls, past the histogram's minimum sample count.  A latency of
+   1.5 ms (1,499 or 1,500 us) sits low in its histogram bucket, whose
+   top, the p99, is a few us above it, so no warm-up call hedges. *)
+let warm_up h =
+  let sim = h.hw.World.sim in
+  for _ = 1 to 40 do
+    let t0 = Sim.now sim in
+    ignore (Tutil.ok_exn "warm" (hedged_call h));
+    Histogram.record h.lat (int_of_float ((Sim.now sim -. t0) *. 1e6))
+  done;
+  Tutil.check_int "no hedge while warming up" 0 (rstat h.ht "hedge-sent")
+
+(* The hedge is a timer, cancelled when the attempt settles: a call
+   whose primary answers before the hedge delay leaves nothing queued
+   behind it. *)
+let hedge_cancelled_on_settle () =
+  let h = hedged () in
+  let pending = ref (-1) in
+  Tutil.run_in h.hw (fun () ->
+      warm_up h;
+      h.fast := true;
+      ignore (Tutil.ok_exn "fast" (hedged_call h));
+      pending := Sim.pending h.hw.World.sim);
+  Tutil.check_int "nothing queued when the call returns" 0 !pending;
+  Tutil.check_int "no hedge sent" 0 (rstat h.ht "hedge-sent");
+  Tutil.check_int "the hedge replica never called" 0 h.hits.(1)
+
+(* A hedge that fires calls the next candidate exactly the p99 after
+   the attempt began, and spends a retry token: with a budget of 0 the
+   bucket holds its initial token only, so a second stalled call finds
+   it empty and sends no hedge. *)
+let hedge_fires_after_p99 () =
+  let h = hedged ~retry_budget:0. () in
+  Tutil.run_in h.hw (fun () ->
+      warm_up h;
+      h.slow := true;
+      let hedge_after =
+        float_of_int (Histogram.percentile h.lat 99.) *. 1e-6
+      in
+      ignore (Tutil.ok_exn "hedged" (hedged_call h));
+      Alcotest.(check (float 0.)) "hedge launched the p99 after the primary"
+        (List.hd h.called.(0) +. hedge_after)
+        (List.hd h.called.(1));
+      Tutil.check_int "hedge-sent" 1 (rstat h.ht "hedge-sent");
+      Tutil.check_int "hedge-win" 1 (rstat h.ht "hedge-win");
+      ignore (Tutil.ok_exn "stalled, no token" (hedged_call h)));
+  Tutil.check_int "the second hedge had no token" 1 (rstat h.ht "hedge-sent");
+  Tutil.check_int "the hedge replica called once" 1 h.hits.(1)
+
+(* (row, budget, measured), printed after the run so that every test
+   log records this runtime's figures. *)
+let measured = ref []
+
+(* Minor words and simulator events per REPLICA call over two scripted
+   endpoints that answer in 1.5 ms, replica 0 the primary.  With
+   [hedge], each call past the 40-call warm-up arms a hedge at the p99,
+   a few us past the answer, and cancels it. *)
+let replica_call_cost ~hedge =
+  let n = 2_000 in
+  let w = zero_world () in
+  let sim = w.World.sim in
+  let t, _ =
+    scripted w ~policy:Select_replica.Hash ~hedge ~k:2 (fun _ -> Block 0.0015)
+  in
+  let call () =
+    Select_replica.call t ~key:0 ~command:Stacks.cmd_null Msg.empty
+  in
+  let words = ref nan and events = ref nan in
+  Tutil.run_in w (fun () ->
+      for _ = 1 to 40 do
+        ignore (call ())
+      done;
+      let e0 = Sim.processed sim and w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (call ())
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n;
+      events := float_of_int (Sim.processed sim - e0) /. float_of_int n);
+  Tutil.check_int "no hedge fired" 0 (rstat t "hedge-sent");
+  (!words, !events)
+
+(* Allocation budget, in minor words per call (OCaml 5.1.1 measure ->
+   budget), and the exact event count per call.  A call allocates its
+   attempt record, the ivar, the primary leg's event and the timed
+   read's timer and cell; an armed hedge adds its timer and callback.
+   Before attempts were one record the rows read 196 and 233.26 words,
+   and 7 events with a hedge.  A closure per leg handed to [Sim.spawn]
+   reads 86 and 100.26 words; the hedge as a fiber that sleeps out its
+   delay reads 114.26 words and 9 events. *)
+let replica_alloc_budget () =
+  let plain_w, plain_e = replica_call_cost ~hedge:false in
+  let hedge_w, hedge_e = replica_call_cost ~hedge:true in
+  let figures =
+    [
+      ("REPLICA call", 85., plain_w);
+      ("REPLICA call, hedge armed", 100., hedge_w);
+    ]
+  in
+  measured := figures;
+  Alcotest.(check (float 0.)) "events per call" 4. plain_e;
+  Alcotest.(check (float 0.)) "events per call, hedge armed" 4. hedge_e;
+  match List.filter (fun (_, budget, w) -> not (w <= budget)) figures with
+  | [] -> ()
+  | over ->
+      Alcotest.failf "over budget: %s"
+        (String.concat ", "
+           (List.map
+              (fun (what, budget, w) ->
+                Printf.sprintf "%s %.2f > %g" what w budget)
+              over))
+
 (* --- the experiment ------------------------------------------------------ *)
 
 let overload_experiment_deterministic () =
@@ -280,7 +425,7 @@ let overload_experiment_deterministic () =
   Alcotest.(check string) "identical JSON twice" a b
 
 let () =
-  Alcotest.run "overload"
+  Alcotest.run ~and_exit:false "overload"
     [
       ( "admit",
         [
@@ -302,10 +447,20 @@ let () =
           Alcotest.test_case "all dead: fail fast" `Quick all_dead_fails_fast;
           Alcotest.test_case "hedge races the slow replica" `Quick
             hedge_races_the_slow_replica;
+          Alcotest.test_case "hedge cancelled on settlement" `Quick
+            hedge_cancelled_on_settle;
+          Alcotest.test_case "hedge fires after the p99" `Quick
+            hedge_fires_after_p99;
+          Alcotest.test_case "allocation budget" `Quick replica_alloc_budget;
         ] );
       ( "experiment",
         [
           Alcotest.test_case "deterministic" `Quick
             overload_experiment_deterministic;
         ] );
-    ]
+    ];
+  print_string "\n\nallocation budget, minor words/call:\n";
+  List.iter
+    (fun (what, budget, w) ->
+      Printf.printf "  %-34s %6.2f (budget %g)\n" what w budget)
+    !measured

@@ -972,7 +972,10 @@ let nested_run_keeps_record () =
    A two-op charge sums its list in place (2), an ivar read that blocks
    until a fresh fiber fills it costs 32 all told (the ivar, its wait
    ring and the filling fiber, whose spawn builds no closure: 36 with
-   one), and one 64-byte frame on a fault-free
+   one), 55 with [read_timeout] instead (its timer event and action,
+   the cell naming the reader's record, and the [Some]: 88 through the
+   closure-based suspend path this replaced, 60 with a ring entry apart
+   from the timer), and one 64-byte frame on a fault-free
    5-tap wire 54 (four deliveries, each one event carrying the tap's
    [recv] and the frame, with no closure; the arrival delay is read
    from the wire's all-float record).  A closure per delivery reads 72
@@ -1059,6 +1062,7 @@ let alloc_budget () =
   let m = Machine.create sim Machine.xkernel_sun3 in
   let yield_w = ref nan and in_place_w = ref nan and lone_w = ref nan in
   let bytes_w = ref nan and now_w = ref nan and ivar_w = ref nan in
+  let timed_w = ref nan in
   let acc = { total = 0. } in
   Sim.spawn sim (fun () ->
       yield_w :=
@@ -1092,6 +1096,13 @@ let alloc_budget () =
               let iv = Sim.Ivar.create sim in
               Sim.spawn sim (fun () -> Sim.Ivar.fill iv ());
               Sim.Ivar.read iv
+            done);
+      timed_w :=
+        words_per_op n (fun () ->
+            for _ = 1 to n do
+              let iv = Sim.Ivar.create sim in
+              Sim.spawn sim (fun () -> Sim.Ivar.fill iv ());
+              ignore (Sim.Ivar.read_timeout iv 1.0)
             done));
   Sim.run sim;
   (* Two fibers pass control back and forth through two semaphores: each
@@ -1196,6 +1207,7 @@ let alloc_budget () =
       ("server hold, busy", 2.5, hold_w);
       ("Machine.charge, two ops", 2.5, charge2_w);
       ("Ivar create+fill+read", 34., !ivar_w);
+      ("Ivar create+fill+read_timeout", 57., !timed_w);
       ("64-byte frame, 5-tap wire", 55., frame_w);
     ]
   in
@@ -1282,6 +1294,145 @@ let ivar_wake_order () =
   Alcotest.(check (float 0.)) "no timer left to run" 1. (Sim.now sim);
   Tutil.check_int "nothing pending" 0 (Sim.pending sim)
 
+(* The timed read's order at a deadline that ties a fill.  The
+   reader's timer takes its [seq] when the reader suspends, and either
+   way the reader continues from the back of the instant it was settled
+   in, once, reading whatever the ivar holds by then.  [fill_at] arms
+   the fill: before the read, after the read has suspended, or after it
+   and one yield late, so it lands behind the reader's resumption. *)
+type fill_at = Before_read | After_read | After_resume
+
+let timed_read_at_deadline fill_at =
+  let sim = Sim.create () in
+  let iv = Sim.Ivar.create sim in
+  let log = ref [] in
+  let note s = log := (s, Sim.now sim) :: !log in
+  let fill () =
+    if fill_at = After_resume then Sim.yield sim;
+    note "fill";
+    Sim.Ivar.fill iv 1
+  in
+  Sim.spawn sim (fun () ->
+      (match Sim.Ivar.read_timeout iv 1.0 with
+      | Some _ -> note "read"
+      | None -> note "timed out");
+      Sim.delay sim 1.0;
+      note "reader done");
+  (match fill_at with
+  | Before_read -> ignore (Sim.after sim 1.0 fill)
+  | After_read | After_resume ->
+      (* Runs after the reader has suspended and taken its timer's seq. *)
+      Sim.spawn sim (fun () -> ignore (Sim.after sim 1.0 fill)));
+  Sim.run sim;
+  Tutil.check_int "nothing pending" 0 (Sim.pending sim);
+  (List.rev !log, Sim.processed sim)
+
+let timeline = Alcotest.(list (pair string (float 0.)))
+
+let timed_read_fill_queued_first () =
+  let log, processed = timed_read_at_deadline Before_read in
+  Alcotest.check timeline "the fill wins and cancels the timer"
+    [ ("fill", 1.0); ("read", 1.0); ("reader done", 2.0) ]
+    log;
+  (* Reader start, fill, reader resumed, the delay's two halves. *)
+  Tutil.check_int "events" 5 processed
+
+let timed_read_deadline_queued_first () =
+  let log, processed = timed_read_at_deadline After_read in
+  Alcotest.check timeline
+    "the timer fires first; the fill lands before the reader resumes"
+    [ ("fill", 1.0); ("read", 1.0); ("reader done", 2.0) ]
+    log;
+  (* Reader start, the arming fiber, timer, fill, reader resumed, the
+     delay's two halves. *)
+  Tutil.check_int "events" 7 processed
+
+let timed_read_fill_after_resume () =
+  let log, processed = timed_read_at_deadline After_resume in
+  Alcotest.check timeline "the reader resumes empty-handed, once"
+    [ ("timed out", 1.0); ("fill", 1.0); ("reader done", 2.0) ]
+    log;
+  (* As above, plus the fill's yield: two halves. *)
+  Tutil.check_int "events" 9 processed
+
+(* Plain and timed readers, one of each, in both arrival orders. *)
+let timed_and_plain_in_arrival_order () =
+  List.iter
+    (fun timed_first ->
+      let sim = Sim.create () in
+      let iv = Sim.Ivar.create sim in
+      let log = ref [] in
+      let plain () =
+        Sim.spawn sim (fun () ->
+            let x = Sim.Ivar.read iv in
+            log := ("plain", x) :: !log)
+      in
+      let timed () =
+        Sim.spawn sim (fun () ->
+            match Sim.Ivar.read_timeout iv 5.0 with
+            | Some x -> log := ("timed", x) :: !log
+            | None -> log := ("timed out", 0) :: !log)
+      in
+      if timed_first then (timed (); plain ()) else (plain (); timed ());
+      ignore (Sim.after sim 1.0 (fun () -> Sim.Ivar.fill iv 3));
+      Sim.run sim;
+      let order =
+        if timed_first then [ ("timed", 3); ("plain", 3) ]
+        else [ ("plain", 3); ("timed", 3) ]
+      in
+      Alcotest.(check (list (pair string int))) "arrival order" order
+        (List.rev !log);
+      Alcotest.(check (float 0.)) "the timer was cancelled" 1.0 (Sim.now sim);
+      Tutil.check_int "nothing pending" 0 (Sim.pending sim))
+    [ true; false ]
+
+(* A [Sim.after] callback runs as a fiber with no wait record of its
+   own; a timed read there makes one, for either outcome, and the
+   callback can wait again afterwards. *)
+let timed_read_in_after_callback () =
+  let sim = Sim.create () in
+  let filled = Sim.Ivar.create sim and never = Sim.Ivar.create sim in
+  let log = ref [] in
+  let note s = log := (s, Sim.now sim) :: !log in
+  ignore
+    (Sim.after sim 1.0 (fun () ->
+         (match Sim.Ivar.read_timeout filled 1.0 with
+         | Some x -> note (Printf.sprintf "got %d" x)
+         | None -> note "filled: timed out");
+         (match Sim.Ivar.read_timeout never 0.5 with
+         | Some _ -> note "never: filled"
+         | None -> note "never: timed out");
+         Sim.delay sim 0.25;
+         note "callback done"));
+  ignore (Sim.after sim 1.5 (fun () -> Sim.Ivar.fill filled 9));
+  Sim.run sim;
+  Alcotest.check timeline "one fill, one timeout, then a delay"
+    [ ("got 9", 1.5); ("never: timed out", 2.0); ("callback done", 2.25) ]
+    (List.rev !log);
+  Tutil.check_int "nothing pending" 0 (Sim.pending sim)
+
+(* A fill that comes after the reader's timeout finds the reader parked
+   elsewhere, on a semaphore, and must leave it there. *)
+let late_fill_resumes_once () =
+  let sim = Sim.create () in
+  let iv = Sim.Ivar.create sim in
+  let sem = Sim.Semaphore.create sim 0 in
+  let log = ref [] in
+  let note s = log := (s, Sim.now sim) :: !log in
+  Sim.spawn sim (fun () ->
+      (match Sim.Ivar.read_timeout iv 1.0 with
+      | Some _ -> note "read"
+      | None -> note "timed out");
+      Sim.Semaphore.p sem;
+      note "released");
+  ignore (Sim.after sim 1.5 (fun () -> Sim.Ivar.fill iv 0));
+  ignore (Sim.after sim 3.0 (fun () -> Sim.Semaphore.v sem));
+  Sim.run sim;
+  Alcotest.check timeline "one resumption per wait"
+    [ ("timed out", 1.0); ("released", 3.0) ]
+    (List.rev !log);
+  Tutil.check_int "nothing pending" 0 (Sim.pending sim)
+
 let () =
   Alcotest.run ~and_exit:false "sim"
     [
@@ -1350,6 +1501,18 @@ let () =
           Alcotest.test_case "multiple readers" `Quick ivar_multiple_readers;
           Alcotest.test_case "mixed readers wake in order" `Quick
             ivar_wake_order;
+          Alcotest.test_case "timed read: fill queued first" `Quick
+            timed_read_fill_queued_first;
+          Alcotest.test_case "timed read: deadline queued first" `Quick
+            timed_read_deadline_queued_first;
+          Alcotest.test_case "timed read: fill after the resume" `Quick
+            timed_read_fill_after_resume;
+          Alcotest.test_case "timed and plain in arrival order" `Quick
+            timed_and_plain_in_arrival_order;
+          Alcotest.test_case "timed read in an after callback" `Quick
+            timed_read_in_after_callback;
+          Alcotest.test_case "late fill resumes once" `Quick
+            late_fill_resumes_once;
           Alcotest.test_case "event library cancel" `Quick event_module_cancel;
         ] );
     ];
