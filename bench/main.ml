@@ -119,9 +119,9 @@ let microbench () =
   (* Blocking primitives.  One run of "semaphore hand-off" wakes a fiber
      parked on a semaphore, lets it continue and park again.  "CPU
      charge, lone fiber" is the same hand-off with one uncontended
-     [charge_one] between the wake and the park; nothing else is queued,
+     [Machine.charge] between the wake and the park; nothing else is queued,
      so the charge's wait runs in place, and the gap between the two
-     rows is its cost.  Eight fibers loop on [charge_one] against one
+     rows is its cost.  Eight fibers loop on [Machine.charge] against one
      CPU, and one run of "CPU charge, 8 contending fibers" advances the
      clock by one charge's cost, so exactly one charge completes: the
      holder's timed wait ends and it queues its next charge behind the
@@ -153,14 +153,14 @@ let microbench () =
     let contended_charge ~timers =
       let sim = Sim.create () in
       let m = Machine.create sim Machine.xkernel_sun3 in
-      let cost = Machine.op_cost Machine.xkernel_sun3 Machine.Layer_crossing in
+      let cost = Machine.cost Machine.xkernel_sun3 Machine.Layer_crossing 0 in
       let rec rearm () = ignore (Sim.after sim 2.0 rearm) in
       for i = 1 to timers do
         ignore (Sim.after sim (2.0 *. float_of_int i /. float_of_int timers) rearm)
       done;
       for _ = 1 to 8 do
         let rec charger () =
-          Machine.charge_one m Machine.Layer_crossing;
+          Machine.charge m Machine.Layer_crossing 0;
           charger ()
         in
         Sim.spawn sim charger
@@ -190,7 +190,7 @@ let microbench () =
       let go = Sim.Semaphore.create sim 0 in
       let rec charger () =
         Sim.Semaphore.p go;
-        Machine.charge_one m Machine.Layer_crossing;
+        Machine.charge m Machine.Layer_crossing 0;
         charger ()
       in
       Sim.spawn sim charger;

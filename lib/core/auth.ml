@@ -40,7 +40,7 @@ let make_session t ~upper (peer, upper_proto) =
   let push msg =
     let cred = t.cred_for msg in
     Stats.incr t.stats "tx";
-    Machine.charge_bytes t.host.Host.mach Machine.Header_bytes
+    Machine.charge t.host.Host.mach Machine.Header
       (fixed_bytes + String.length cred);
     Proto.push lower_sess (Msg.push msg (encode t ~upper_proto cred))
   in
@@ -58,7 +58,7 @@ let make_session t ~upper (peer, upper_proto) =
 let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
-      Machine.charge_one t.host.Host.mach (Machine.Header fixed_bytes);
+      Machine.charge t.host.Host.mach Machine.Header fixed_bytes;
       if Msg.length msg < fixed_bytes then Stats.incr t.stats "rx-runt"
       else
         let flavor = Msg.u8 msg 0 and upper_proto = Msg.u32 msg 1 in

@@ -99,7 +99,7 @@ let transmit ?(expires = None) t s ~flags ~seq ~error payload =
   let hdr_bytes =
     if deadline_us >= 0 then C.bytes + C.ext_bytes else C.bytes
   in
-  Machine.charge_bytes t.host.Host.mach Machine.Header_bytes hdr_bytes;
+  Machine.charge t.host.Host.mach Machine.Header hdr_bytes;
   let encoded =
     Msg.push payload
       (C.encode ~flags ~channel:s.chan ~proto:s.proto_num ~seq ~error ~boot_id
@@ -211,8 +211,8 @@ let complete t s outcome =
       s.out <- None;
       t.in_flight <- t.in_flight - 1;
       cancel_timer t o;
-      Machine.charge t.host.Host.mach
-        [ Machine.Semaphore_op; Machine.Process_switch ];
+      Machine.charge_all t.host.Host.mach
+        [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
       match o.iv with
       | Some iv -> Sim.Ivar.fill iv outcome
       | None -> (
@@ -324,8 +324,8 @@ let send_request_free t s ~iv ~expires payload =
   Stats.tick t.c_req_tx;
   (* The synchronisation intrinsic to request/reply: the calling
      process blocks until the reply wakes it. *)
-  Machine.charge t.host.Host.mach
-    [ Machine.Semaphore_op; Machine.Process_switch ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
   transmit ~expires t s ~flags:Wire_fmt.Flags.request ~seq ~error:0 payload;
   arm_timer t s o
     (backed_rto t s (Msg.length payload + C.bytes) *. load_scale t s)
@@ -360,7 +360,7 @@ let send_reply ?(error = 0) t s payload =
          ~seq:s.last_seq ~error ~boot_id:t.host.Host.boot_id ~deadline_us:(-1))
   in
   s.cached_reply <- Some encoded;
-  Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
+  Machine.charge t.host.Host.mach Machine.Header C.bytes;
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
     ~dir:`Send encoded;
   Proto.push s.lower_sess encoded
@@ -384,7 +384,7 @@ let handle_request t s m body =
     | Some encoded ->
         (* The implicit ack (next request) never came; resend. *)
         Stats.incr t.stats "cached-reply-tx";
-        Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
+        Machine.charge t.host.Host.mach Machine.Header C.bytes;
         Proto.push s.lower_sess encoded
     | None ->
         if s.busy then begin
@@ -410,7 +410,7 @@ let handle_request t s m body =
            Some
              (Sim.now (Host.sim t.host) +. (float_of_int deadline_us *. 1e-6))
          else None);
-      Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+      Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
       Proto.deliver s.upper ~lower:(Option.get s.xs) body
     end
 
@@ -578,7 +578,7 @@ let input t ~lower msg =
         ~dir:`Recv msg;
       if Msg.length msg < C.bytes then Stats.incr t.stats "rx-runt"
       else begin
-        Machine.charge_one t.host.Host.mach (Machine.Header C.bytes);
+        Machine.charge t.host.Host.mach Machine.Header C.bytes;
         let hdr_len = C.header_len msg in
         (* A deadline flag without its extension word. *)
         if Msg.length msg < hdr_len then Stats.incr t.stats "rx-runt"

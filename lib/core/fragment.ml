@@ -97,8 +97,8 @@ let full_mask num = (1 lsl num) - 1
 (* Fragment [i] of message [seq]; its header is written only here, so
    the send cache holds nothing but the pieces. *)
 let send_fragment t s ~seq ~num i piece =
-  Machine.charge t.host.Host.mach
-    [ Machine.Frag_bookkeep; Machine.Header F.bytes ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Frag_bookkeep, 0); (Machine.Header, F.bytes) ];
   Stats.tick t.c_tx_frag;
   let hdr =
     F.encode ~typ:F.typ_data ~clnt:t.host.Host.ip ~srvr:s.peer
@@ -180,7 +180,7 @@ let push_message t s msg =
     let seq = s.next_seq in
     cache_message s msg chunk;
     Stats.tick t.c_tx_msg;
-    Machine.charge_one t.host.Host.mach Machine.Timer_op;
+    Machine.charge t.host.Host.mach Machine.Timer_op 0;
     (* A crash during the charge emptied the cache. *)
     if seq >= s.sent_base then begin
       s.sent_until.(slot s.sent_until seq) <-
@@ -198,7 +198,7 @@ let send_nack t s ~seq ~num ~missing =
     F.encode ~typ:F.typ_nack ~clnt:t.host.Host.ip ~srvr:s.peer
       ~proto:s.proto_num ~seq ~num ~mask:missing ~len:0
   in
-  Machine.charge_one t.host.Host.mach (Machine.Header F.bytes);
+  Machine.charge t.host.Host.mach Machine.Header F.bytes;
   Proto.push s.lower_sess (Msg.of_string hdr)
 
 (* Receiver side: the persistence mechanism.  While a message sits
@@ -394,8 +394,8 @@ let reasm_count t =
 let session_key peer proto_num = (Addr.Ip.of_int32_bits peer, proto_num)
 
 let input t msg =
-  Machine.charge t.host.Host.mach
-    [ Machine.Header F.bytes; Machine.Frag_bookkeep ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Header, F.bytes); (Machine.Frag_bookkeep, 0) ];
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"FRAGMENT"
     ~dir:`Recv msg;
   if Msg.length msg < F.bytes then Stats.incr t.stats "rx-runt"

@@ -121,8 +121,12 @@ let store t k e =
    [ch] is the request's CHANNEL frame, header in front. *)
 let synthesize t ~client ~server ~ch (e : entry) =
   let mach = t.host.Host.mach in
-  Machine.charge mach
-    [ Machine.Header Ch.bytes; Machine.Header F.bytes; Machine.Process_switch ];
+  Machine.charge_all mach
+    [
+      (Machine.Header, Ch.bytes);
+      (Machine.Header, F.bytes);
+      (Machine.Process_switch, 0);
+    ];
   let chan_payload =
     Ch.encode ~flags:Flags.reply ~channel:(Ch.channel ch)
       ~proto:(Ch.protocol_num ch) ~seq:(Ch.sequence_num ch) ~error:0
@@ -253,8 +257,12 @@ let hook t ~src:_ ~dst:_ ~proto_num (msg : Msg.t) =
     || F.protocol_num msg <> Channel.proto_num
   then false
   else begin
-    Machine.charge t.host.Host.mach
-      [ Machine.Virtual_op; Machine.Header F.bytes; Machine.Header Ch.bytes ];
+    Machine.charge_all t.host.Host.mach
+      [
+        (Machine.Virtual_op, 0);
+        (Machine.Header, F.bytes);
+        (Machine.Header, Ch.bytes);
+      ];
     let ch = Msg.drop msg F.bytes in
     if Msg.length ch < Ch.bytes then false
     else

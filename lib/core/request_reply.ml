@@ -49,7 +49,7 @@ let encode ~typ ~xid ~proto_num =
   Codec.W.contents w
 
 let transmit t s ~typ ~xid payload =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   Proto.push s.lower_sess
     (Msg.push payload (encode ~typ ~xid ~proto_num:s.upper_proto))
 
@@ -62,8 +62,8 @@ let finish t s p outcome =
       ignore (Event.cancel t.host ev);
       p.timer <- None
   | None -> ());
-  Machine.charge t.host.Host.mach
-    [ Machine.Semaphore_op; Machine.Process_switch ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
   Sim.Ivar.fill p.iv outcome
 
 let rec arm_timer t s p =
@@ -97,8 +97,8 @@ let start_call t s payload =
   in
   Hashtbl.replace s.pending xid p;
   Stats.incr t.stats "call-tx";
-  Machine.charge t.host.Host.mach
-    [ Machine.Semaphore_op; Machine.Process_switch ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
   transmit t s ~typ:typ_call ~xid payload;
   arm_timer t s p;
   p.iv
@@ -168,7 +168,7 @@ let call t xs msg =
 let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
-      Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+      Machine.charge t.host.Host.mach Machine.Header header_bytes;
       if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
       else
         let typ = Msg.u8 msg 0 and xid = Msg.u32 msg 1 in
@@ -181,7 +181,7 @@ let input t ~lower msg =
               (* Every arriving request executes: no duplicate
                  filtering at this layer. *)
               Stats.incr t.stats "executed";
-              Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+              Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
               s.serving_xid <- Some xid;
               Proto.deliver s.upper ~lower:(Option.get s.xs) body;
               (* If the upper protocol did not reply synchronously,

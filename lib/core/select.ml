@@ -55,8 +55,12 @@ let call c ?expires ?shard ~command msg =
   Sim.Semaphore.p c.free_sem;
   let chan_sess = Queue.take c.free in
   Stats.tick t.c_call;
-  Machine.charge t.host.Host.mach
-    [ Machine.Semaphore_op; Machine.Layer_crossing; Machine.Header S.bytes ];
+  Machine.charge_all t.host.Host.mach
+    [
+      (Machine.Semaphore_op, 0);
+      (Machine.Layer_crossing, 0);
+      (Machine.Header, S.bytes);
+    ];
   let typ =
     match shard with None -> S.typ_request | Some _ -> S.typ_request_sharded
   in
@@ -67,7 +71,7 @@ let call c ?expires ?shard ~command msg =
     | Some stamp ->
         (* Shard-routed: the stamp rides between header and body so an
            ex-owner can answer wrong-shard instead of executing. *)
-        Machine.charge_one t.host.Host.mach (Machine.Header S.stamp_bytes);
+        Machine.charge t.host.Host.mach Machine.Header S.stamp_bytes;
         Msg.push (Msg.push msg (S.encode_stamp stamp)) hdr
   in
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
@@ -75,11 +79,11 @@ let call c ?expires ?shard ~command msg =
   let result = Channel.call ?expires t.channel chan_sess request in
   Queue.add chan_sess c.free;
   Sim.Semaphore.v c.free_sem;
-  Machine.charge_one t.host.Host.mach (Machine.Layer_crossing);
+  Machine.charge t.host.Host.mach Machine.Layer_crossing 0;
   match result with
   | Error e -> Error e
   | Ok reply -> (
-      Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+      Machine.charge t.host.Host.mach Machine.Header S.bytes;
       let n = Msg.length reply in
       if n < S.bytes then Error (Rpc_error.Remote S.status_error)
       else
@@ -117,7 +121,7 @@ let reject_shard t ~shard ~epoch ~version =
 (* Server: map the command onto a procedure, run it, reply through the
    channel session the request arrived on. *)
 let input t ~lower msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+  Machine.charge t.host.Host.mach Machine.Header S.bytes;
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
     ~dir:`Recv msg;
   if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
@@ -125,7 +129,7 @@ let input t ~lower msg =
     let typ = S.typ msg and command = S.command msg in
     let sharded = typ = S.typ_request_sharded in
     if sharded then
-      Machine.charge_one t.host.Host.mach (Machine.Header S.stamp_bytes);
+      Machine.charge t.host.Host.mach Machine.Header S.stamp_bytes;
     let hdr_len = if sharded then S.bytes + S.stamp_bytes else S.bytes in
     if (not sharded) && typ <> S.typ_request then
       Stats.incr t.stats "rx-unexpected"
@@ -167,7 +171,7 @@ let input t ~lower msg =
                 then Stats.incr t.stats "foreign-shard-rx"
             | _ -> ());
             Stats.tick t.c_handled;
-            Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+            Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
             match Hashtbl.find_opt t.handlers command with
             | None -> (Msg.empty, S.status_no_command)
             | Some h -> (
@@ -175,7 +179,7 @@ let input t ~lower msg =
                 | Ok reply -> (reply, S.status_ok)
                 | Error s -> (Msg.empty, s)))
       in
-      Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+      Machine.charge t.host.Host.mach Machine.Header S.bytes;
       let rhdr = S.encode ~typ:S.typ_reply ~command ~status in
       let reply = Msg.push reply_body rhdr in
       Trace.packet (Host.sim t.host) ~host:t.host.Host.name

@@ -25,7 +25,7 @@ let client t =
    toward the delegate, then send the delegate's answer back on the
    channel session the original request arrived on. *)
 let input t ~lower msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+  Machine.charge t.host.Host.mach Machine.Header S.bytes;
   if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
   else if S.typ msg <> S.typ_request then Stats.incr t.stats "rx-unexpected"
   else begin
@@ -42,7 +42,7 @@ let input t ~lower msg =
           | Rpc_error.Wrong_shard _ ) ->
           Msg.of_string (reply_hdr S.status_error)
     in
-    Machine.charge_one t.host.Host.mach (Machine.Header S.bytes);
+    Machine.charge t.host.Host.mach Machine.Header S.bytes;
     Proto.push lower reply
   end
 

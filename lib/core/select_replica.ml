@@ -575,7 +575,7 @@ let call t ?key ~command msg =
   Stats.tick t.c_call;
   earn_token t;
   maybe_retry_dead t;
-  Machine.charge_one t.host.Host.mach Machine.Virtual_op;
+  Machine.charge t.host.Host.mach Machine.Virtual_op 0;
   Trace.packet sim ~host:t.host.Host.name ~proto:"REPLICA" ~dir:`Send msg;
   if all_dead t then begin
     (* Every replica is dead and probing has stopped: sleeping out the

@@ -111,8 +111,8 @@ let fragment t ~flags ~peer ~chan ~seq ~command ~as_client msg =
 (* Fragment [i] of [fr], its header written as it is sent; [please_ack]
    marks a retransmission. *)
 let send_frag ?(please_ack = false) t lower_sess fr i =
-  Machine.charge t.host.Host.mach
-    [ Machine.Header H.bytes; Machine.Frag_bookkeep ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Header, H.bytes); (Machine.Frag_bookkeep, 0) ];
   Stats.incr t.stats "tx-frag";
   let piece = fr.f_pieces.(i) in
   let flags =
@@ -180,8 +180,8 @@ let complete_call t cs outcome =
       cs.out <- None;
       cs.rep_reasm <- None;
       cancel_timer t o;
-      Machine.charge t.host.Host.mach
-        [ Machine.Semaphore_op; Machine.Process_switch ];
+      Machine.charge_all t.host.Host.mach
+        [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
       Sim.Ivar.fill o.iv outcome
 
 let rec arm_timer t cs (o : outstanding) timeout =
@@ -226,7 +226,7 @@ let start_call t cs ~command msg =
   let nfrags = Array.length frags.f_pieces in
   if nfrags > max_frags then invalid_arg "Sprite_mono: message too large";
   let iv = Sim.Ivar.create (Host.sim t.host) in
-  Machine.charge_one t.host.Host.mach (Machine.Reasm_lookup);
+  Machine.charge t.host.Host.mach Machine.Reasm_lookup 0;
   let o =
     {
       o_seq = seq;
@@ -240,8 +240,8 @@ let start_call t cs ~command msg =
   in
   cs.out <- Some o;
   Stats.incr t.stats "call-tx";
-  Machine.charge t.host.Host.mach
-    [ Machine.Semaphore_op; Machine.Process_switch ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
   send_all t cs.c_lower frags;
   arm_timer t cs o (rpc_timeout nfrags);
   iv
@@ -318,7 +318,7 @@ let handle_ack t cs m =
 let send_ack t ss ~seq ~mask =
   Stats.incr t.stats "ack-tx";
   let boot_id = t.host.Host.boot_id in
-  Machine.charge_one t.host.Host.mach (Machine.Header H.bytes);
+  Machine.charge t.host.Host.mach Machine.Header H.bytes;
   Proto.push ss.s_lower
     (Msg.of_string
        (H.encode ~flags:Wire_fmt.Flags.ack ~clnt:ss.s_peer ~srvr:t.host.Host.ip
@@ -330,7 +330,7 @@ let execute t ss ~seq ~command body =
   ss.busy <- true;
   ss.cached_reply <- None;
   ss.req_reasm <- None;
-  Machine.charge_one t.host.Host.mach (Machine.Semaphore_op);
+  Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
   Stats.incr t.stats "handled";
   let reply_body, flags, rcommand =
     match Hashtbl.find_opt t.handlers command with
@@ -446,12 +446,12 @@ let server_session t ~client_ip ~chan ~lower =
       ss
 
 let input t ~lower msg =
-  Machine.charge t.host.Host.mach
+  Machine.charge_all t.host.Host.mach
     [
-      Machine.Header H.bytes;
-      Machine.Frag_bookkeep;
-      Machine.Reasm_lookup;
-      Machine.Semaphore_op;
+      (Machine.Header, H.bytes);
+      (Machine.Frag_bookkeep, 0);
+      (Machine.Reasm_lookup, 0);
+      (Machine.Semaphore_op, 0);
     ];
   if Msg.length msg < H.bytes then Stats.incr t.stats "rx-runt"
   else

@@ -381,7 +381,7 @@ let channel_echo ~host ~channel:chan =
       open_done = (fun ~upper:_ _ -> invalid_arg "chan-echo");
       demux =
         (fun ~lower msg ->
-          Machine.charge_one host.Host.mach (Machine.Layer_crossing);
+          Machine.charge host.Host.mach Machine.Layer_crossing 0;
           Proto.push lower msg);
       p_control = (fun _ -> Control.Unsupported);
     };

@@ -65,7 +65,7 @@ let segment_size c =
   | _ -> 512
 
 let transmit t c ~typ ~seq payload =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   Proto.push c.lower_sess
     (Msg.push payload
        (encode ~typ ~seq ~ack:c.rcv_next ~window
@@ -255,7 +255,7 @@ let on_receive t f = t.deliver <- Some f
 let input t ~lower msg =
   match Proto.session_control lower Control.Get_peer_host with
   | Control.R_ip peer -> (
-      Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+      Machine.charge t.host.Host.mach Machine.Header header_bytes;
       if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
       else
         let typ = Msg.u8 msg 0 and seq = Msg.u32 msg 1 in

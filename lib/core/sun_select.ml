@@ -68,14 +68,14 @@ let connect t ~server ~prog ~vers =
 let call cl ~proc msg =
   let t = cl.c_t in
   Stats.incr t.stats "call";
-  Machine.charge t.host.Host.mach
-    [ Machine.Layer_crossing; Machine.Header header_bytes ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Layer_crossing, 0); (Machine.Header, header_bytes) ];
   let hdr = encode ~prog:cl.prog ~vers:cl.vers ~proc ~status:status_ok in
   match t.transaction.x_call cl.sess (Msg.push msg hdr) with
   | Error e -> Error e
   | Ok reply -> (
-      Machine.charge t.host.Host.mach
-        [ Machine.Layer_crossing; Machine.Header header_bytes ];
+      Machine.charge_all t.host.Host.mach
+        [ (Machine.Layer_crossing, 0); (Machine.Header, header_bytes) ];
       if Msg.length reply < header_bytes then
         Error (Rpc_error.Remote status_proc_unavail)
       else
@@ -87,7 +87,7 @@ let register t ~prog ~vers ~proc handler =
   Hashtbl.replace t.handlers (prog, vers, proc) handler
 
 let input t ~lower msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
     let prog = Msg.u32 msg 0 and vers = Msg.u32 msg 4 in
@@ -108,7 +108,7 @@ let input t ~lower msg =
           in
           (Msg.empty, if prog_known then status_proc_unavail else status_prog_unavail)
     in
-      Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+      Machine.charge t.host.Host.mach Machine.Header header_bytes;
       Proto.push lower (Msg.push reply_body (encode ~prog ~vers ~proc ~status))
 
 let serve t = t.transaction.x_serve ~upper:t.p

@@ -57,7 +57,7 @@ let broadcast_session t =
       s
 
 let send t ~via ~op ~target_ip ~target_eth =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   let pkt =
     encode ~op ~sender_ip:t.host.Host.ip ~sender_eth:t.host.Host.eth
       ~target_ip ~target_eth
@@ -111,7 +111,7 @@ let learn t ip eth =
   end
 
 let input t msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
     let op = Msg.u8 msg 0 in

@@ -38,7 +38,7 @@ let make_session t ~upper (peer, typ) =
     Stats.tick t.c_tx;
     Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"ETH"
       ~dir:`Send msg;
-    Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+    Machine.charge t.host.Host.mach Machine.Header header_bytes;
     Netdev.transmit t.dev (Msg.push msg hdr)
   in
   let pop msg = Proto.deliver upper ~lower:(self ()) msg in
@@ -77,7 +77,7 @@ let session_key src typ = (Addr.Eth.v src, typ)
 (* Shared receive path; the layer crossing itself is charged by the
    caller (device handler or Proto.deliver). *)
 let input t msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
     let dst = Addr.Eth.v (Msg.u48 msg 0) in
@@ -125,6 +125,6 @@ let create ~host ~dev =
   in
   Proto.set_ops p ops;
   Netdev.set_handler dev (fun frame ->
-      Machine.charge_one host.Host.mach (Machine.Layer_crossing);
+      Machine.charge host.Host.mach Machine.Layer_crossing 0;
       input t frame);
   t

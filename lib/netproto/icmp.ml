@@ -58,11 +58,14 @@ let session_to t peer =
       Hashtbl.replace t.sessions (Addr.Ip.to_int peer) s;
       s
 
+(* The checksum, whose length is known only at run time, comes first in
+   a charge, so the header's cost is the list's static tail; two costs
+   sum the same in either order. *)
 let transmit t ~peer ~typ ~code ~ident ~seq payload =
-  Machine.charge t.host.Host.mach
+  Machine.charge_all t.host.Host.mach
     [
-      Machine.Header header_bytes;
-      Machine.Checksum (header_bytes + Msg.length payload);
+      (Machine.Checksum, header_bytes + Msg.length payload);
+      (Machine.Header, header_bytes);
     ];
   Proto.push (session_to t peer) (encode ~typ ~code ~ident ~seq payload)
 
@@ -82,8 +85,8 @@ let ping t ~peer ?(timeout = 1.0) () =
   | None -> None
 
 let input t ~lower msg =
-  Machine.charge t.host.Host.mach
-    [ Machine.Header header_bytes; Machine.Checksum (Msg.length msg) ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Checksum, Msg.length msg); (Machine.Header, header_bytes) ];
   if Msg.ones_complement_sum msg <> 0xffff then
     Stats.incr t.stats "rx-bad-checksum"
   else if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"

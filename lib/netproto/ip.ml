@@ -151,7 +151,7 @@ let lower_payload _t iface =
 let send_datagram t ~src ~dst ~proto_num ~ttl msg =
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"IP"
     ~dir:`Send msg;
-  Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
+  Machine.charge t.host.Host.mach Machine.Route_lookup 0;
   match route t dst with
   | None -> Stats.incr t.stats "no-route"
   | Some (iface, next_hop) -> (
@@ -173,8 +173,11 @@ let send_datagram t ~src ~dst ~proto_num ~ttl msg =
               encode_header ~totlen:(header_bytes + this) ~ident ~mf
                 ~frag_off:off ~ttl ~proto_num ~src ~dst
             in
-            Machine.charge t.host.Host.mach
-              [ Machine.Header header_bytes; Machine.Checksum header_bytes ];
+            Machine.charge_all t.host.Host.mach
+              [
+                (Machine.Header, header_bytes);
+                (Machine.Checksum, header_bytes);
+              ];
             Stats.tick (if mf || off > 0 then t.c_tx_frag else t.c_tx);
             Proto.push eth_sess (Msg.push piece hdr);
             if mf then emit (off + this)
@@ -273,11 +276,11 @@ let reasm_insert t key entry ~off ~mf piece =
       else None
 
 let input t msg =
-  Machine.charge t.host.Host.mach
+  Machine.charge_all t.host.Host.mach
     [
-      Machine.Header header_bytes;
-      Machine.Checksum header_bytes;
-      Machine.Reasm_lookup;
+      (Machine.Header, header_bytes);
+      (Machine.Checksum, header_bytes);
+      (Machine.Reasm_lookup, 0);
     ];
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else if not (header_ok msg) then Stats.incr t.stats "rx-bad-checksum"
@@ -316,7 +319,7 @@ let input t msg =
             Stats.tick t.c_forwarded;
             (* Forward the fragment as-is (same ident/offset/MF) so the
                final destination can still reassemble. *)
-            Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
+            Machine.charge t.host.Host.mach Machine.Route_lookup 0;
             match route t dst with
             | None -> Stats.incr t.stats "no-route"
             | Some (iface, next_hop) -> (
@@ -327,10 +330,10 @@ let input t msg =
                       encode_header ~totlen:(totlen msg) ~ident:(ident msg)
                         ~mf ~frag_off ~ttl:(ttl - 1) ~proto_num ~src ~dst
                     in
-                    Machine.charge t.host.Host.mach
+                    Machine.charge_all t.host.Host.mach
                       [
-                        Machine.Header header_bytes;
-                        Machine.Checksum header_bytes;
+                        (Machine.Header, header_bytes);
+                        (Machine.Checksum, header_bytes);
                       ];
                     Proto.push eth_sess (Msg.push payload hdr))
           end

@@ -23,7 +23,8 @@ type t = {
    kernel-to-kernel experiments of section 4 skip this. *)
 let boundary t =
   if t.user_level then
-    Machine.charge t.host.Host.mach [ Machine.Syscall; Machine.Os_per_message ]
+    Machine.charge_all t.host.Host.mach
+      [ (Machine.Syscall, 0); (Machine.Os_per_message, 0) ]
 
 let proto t = t.p
 
@@ -52,8 +53,8 @@ let session_for t ~peer =
       s
 
 let send t sess ~kind ~seq payload =
-  Machine.charge t.host.Host.mach
-    [ Machine.Layer_crossing; Machine.Header header_bytes ];
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Layer_crossing, 0); (Machine.Header, header_bytes) ];
   Proto.push sess (Msg.push payload (encode ~kind ~seq))
 
 let rtt t ~peer ?(size = 0) () =
@@ -75,7 +76,7 @@ let rtt t ~peer ?(size = 0) () =
   | None -> None
 
 let input t ~lower msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
     let kind = Msg.u8 msg 0 and seq = Msg.u32 msg 1 in
@@ -86,7 +87,7 @@ let input t ~lower msg =
       boundary t;
       (* Echo straight back through the session the request arrived
          on — sessions are bidirectional endpoints. *)
-      Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+      Machine.charge t.host.Host.mach Machine.Header header_bytes;
       Proto.push lower (Msg.push rest (encode ~kind:kind_reply ~seq))
     end
     else begin

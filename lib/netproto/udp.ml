@@ -48,7 +48,7 @@ let make_session t ~upper (lport, peer_ip, rport) =
     let len = header_bytes + Msg.length msg in
     let cksum =
       if t.checksum then begin
-        Machine.charge_bytes t.host.Host.mach Machine.Checksum_bytes
+        Machine.charge t.host.Host.mach Machine.Checksum
           (Msg.length msg);
         let dst =
           Control.ip_exn (Proto.session_control lower_sess Get_peer_host)
@@ -57,7 +57,7 @@ let make_session t ~upper (lport, peer_ip, rport) =
       end
       else 0
     in
-    Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+    Machine.charge t.host.Host.mach Machine.Header header_bytes;
     Proto.push lower_sess
       (Msg.push msg (encode ~sport:lport ~dport:rport ~len ~cksum))
   in
@@ -96,7 +96,7 @@ let open_session t ~upper part =
   Demux.open_ t.demux t ~upper (lport, peer_ip, rport)
 
 let input t ~lower msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header header_bytes);
+  Machine.charge t.host.Host.mach Machine.Header header_bytes;
   if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
   else
     let sport = Msg.u16 msg 0 and dport = Msg.u16 msg 2 in
@@ -112,7 +112,7 @@ let input t ~lower msg =
         cksum = 0
         ||
         begin
-          Machine.charge_bytes t.host.Host.mach Machine.Checksum_bytes
+          Machine.charge t.host.Host.mach Machine.Checksum
             (Msg.length payload);
           pseudo_checksum ~src ~dst:t.host.Host.ip payload = cksum
         end

@@ -39,7 +39,7 @@ let send t ~op =
   Codec.W.u8 w op;
   Codec.W.u32 w (Addr.Ip.to_int t.host.Host.ip);
   Codec.W.u8 w version;
-  Machine.charge_one t.host.Host.mach (Machine.Header packet_bytes);
+  Machine.charge t.host.Host.mach Machine.Header packet_bytes;
   Proto.push (broadcast_session t) (Msg.of_string (Codec.W.contents w))
 
 let advertise t =
@@ -51,7 +51,7 @@ let query t =
   send t ~op:op_query
 
 let input t msg =
-  Machine.charge_one t.host.Host.mach (Machine.Header packet_bytes);
+  Machine.charge t.host.Host.mach Machine.Header packet_bytes;
   if Msg.length msg < packet_bytes then Stats.incr t.stats "rx-runt"
   else
     let op = Msg.u8 msg 0 and ip = Addr.Ip.of_int32_bits (Msg.u32 msg 1) in

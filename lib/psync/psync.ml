@@ -85,7 +85,7 @@ let parse msg =
 
 let transmit t sess ~typ pk =
   let hdr = header_of pk ~typ in
-  Machine.charge_bytes t.host.Host.mach Machine.Header_bytes
+  Machine.charge t.host.Host.mach Machine.Header
     (String.length hdr);
   Proto.push sess (Msg.push pk.pk_body hdr)
 

@@ -20,13 +20,18 @@ let n_buckets =
 
 let h_max = (sub_count lsl (n_buckets - 1)) - 1
 
+(* The running sum of recorded values.  A float field of a mixed record
+   is boxed, so storing into one would allocate on every [record]; an
+   all-float record stores it unboxed. *)
+type acc = { mutable sum : float }
+
 type t = {
   counts : int array;
   mutable total : int;
   mutable n_clamped : int;
   mutable v_min : int;
   mutable v_max : int;
-  mutable sum : float;
+  acc : acc;
 }
 
 let create () =
@@ -36,7 +41,7 @@ let create () =
     n_clamped = 0;
     v_min = max_int;
     v_max = 0;
-    sum = 0.;
+    acc = { sum = 0. };
   }
 
 (* Position of the highest set bit of [v] > 0. *)
@@ -75,13 +80,13 @@ let record t v =
   in
   t.counts.(index_of v) <- t.counts.(index_of v) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum +. float_of_int v;
+  t.acc.sum <- t.acc.sum +. float_of_int v;
   if v < t.v_min then t.v_min <- v;
   if v > t.v_max then t.v_max <- v
 
 let count t = t.total
 let min_value t = if t.total = 0 then 0 else t.v_min
-let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+let mean t = if t.total = 0 then 0. else t.acc.sum /. float_of_int t.total
 
 let percentile t p =
   if p < 0. || p > 100. then invalid_arg "Histogram.percentile";
@@ -102,7 +107,7 @@ let merge_into ~src ~dst =
   Array.iteri (fun i n -> dst.counts.(i) <- dst.counts.(i) + n) src.counts;
   dst.total <- dst.total + src.total;
   dst.n_clamped <- dst.n_clamped + src.n_clamped;
-  dst.sum <- dst.sum +. src.sum;
+  dst.acc.sum <- dst.acc.sum +. src.acc.sum;
   if src.total > 0 then begin
     if src.v_min < dst.v_min then dst.v_min <- src.v_min;
     if src.v_max > dst.v_max then dst.v_max <- src.v_max

@@ -4,9 +4,16 @@
     repository reproduces the msec scale with a per-operation cost model
     while the protocol *behaviour* (packet counts, layer crossings,
     timeouts) comes from actually running the protocol code.  Each
-    simulated host owns a {!t}; protocol code charges abstract
-    operations ({!op}) against it, which advances virtual time while
-    holding the host's single CPU.
+    simulated host owns a {!t}; protocol code charges costs against it,
+    which advances virtual time while holding the host's single CPU.
+
+    Every cost a protocol charges has one name, a {!kind}, and one
+    formula: a cost of [n] bytes of a kind is the kind's fixed cost plus
+    [n] times its per-byte cost (plus the profile's per-buffer
+    allocation for a {!Header} under {!Per_header_alloc}).  A kind that
+    does not grow with bytes is charged with [n = 0].  A {!profile} is
+    one table of those two figures per kind, so a profile is data and
+    the formula reads nothing else.
 
     Calibration (see DESIGN.md §5) is anchored to the paper's published
     component costs — 0.11 msec minimum round-trip cost per layer, 0.06
@@ -19,29 +26,31 @@
     layer; the pre-allocated header buffer costs 0.11. *)
 type buffer_scheme = Prealloc | Per_header_alloc
 
-type profile = {
-  profile_name : string;
-  layer_crossing : float;  (** one push or demux across a layer boundary *)
-  virtual_op : float;  (** a virtual protocol's per-message test *)
-  header_base : float;  (** fixed cost to encode or decode one header *)
-  header_per_byte : float;
-  checksum_per_byte : float;
-  route_lookup : float;  (** IP routing decision *)
-  reasm_lookup : float;  (** reassembly-table lookup *)
-  frag_bookkeep : float;  (** fragment mask/cache bookkeeping *)
-  process_switch : float;
-  semaphore_op : float;
-  timer_op : float;  (** registering or cancelling an event *)
-  interrupt : float;  (** fixed receive-interrupt dispatch cost *)
-  device_fixed : float;  (** fixed transmit cost in the driver *)
-  device_per_byte : float;  (** DMA/copy cost, both directions *)
-  syscall : float;  (** user/kernel boundary crossing *)
-  os_per_message : float;
+type kind =
+  | Layer_crossing  (** one push or demux across a layer boundary *)
+  | Virtual_op  (** a virtual protocol's per-message test *)
+  | Header  (** encode or decode a header of [n] bytes *)
+  | Checksum  (** per byte checksummed; no fixed part *)
+  | Route_lookup  (** IP routing decision *)
+  | Reasm_lookup  (** reassembly-table lookup *)
+  | Frag_bookkeep  (** fragment mask/cache bookkeeping *)
+  | Process_switch
+  | Semaphore_op
+  | Timer_op  (** registering or cancelling an event *)
+  | Interrupt
+      (** receive a frame off the device: interrupt dispatch, and a
+          DMA/copy cost per byte *)
+  | Device
+      (** hand a frame to the device: the driver's transmit cost, and
+          the same DMA/copy cost per byte *)
+  | Syscall  (** user/kernel boundary crossing *)
+  | Os_per_message
       (** per-message kernel overhead outside the protocols; zero in the
           x-kernel, large in the SunOS-socket profile *)
-  alloc : float;  (** per-buffer allocation under {!Per_header_alloc} *)
-  buffer_scheme : buffer_scheme;
-}
+
+type profile
+(** A fixed and a per-byte cost for every {!kind}, a per-buffer
+    allocation cost and a {!buffer_scheme}. *)
 
 val xkernel_sun3 : profile
 (** The x-kernel on a Sun 3/75 — the profile behind every x-kernel
@@ -64,39 +73,15 @@ val switch_fabric : profile
 val with_buffer_scheme : buffer_scheme -> profile -> profile
 
 val zero_cost : profile
-(** All operations free: virtual time never advances.  Used by the
+(** All costs free: virtual time never advances.  Used by the
     wall-clock microbenchmarks, which measure the real OCaml cost of
     the infrastructure (e.g. that a layer crossing is one call). *)
 
-type op =
-  | Layer_crossing
-  | Virtual_op
-  | Header of int  (** encode or decode [n] header bytes *)
-  | Checksum of int
-  | Route_lookup
-  | Reasm_lookup
-  | Frag_bookkeep
-  | Process_switch
-  | Semaphore_op
-  | Timer_op
-  | Syscall
-  | Os_per_message
-  | Busy of float  (** explicit CPU seconds (application work) *)
+val cost : profile -> kind -> int -> float
+(** [cost p kind n] is the CPU seconds [n] bytes of [kind] cost under
+    [p]: the model's one formula. *)
 
-val op_cost : profile -> op -> float
-
-(** The costs that grow with a byte count, for {!charge_bytes}.  The two
-    device costs are only ever charged for a frame's run-time length,
-    so they have no {!op}. *)
-type per_byte =
-  | Header_bytes  (** as [Header n] *)
-  | Checksum_bytes  (** as [Checksum n] *)
-  | Interrupt_bytes
-      (** receive [n] bytes off the device: [interrupt] plus
-          [device_per_byte] a byte *)
-  | Device_bytes
-      (** hand [n] bytes to the device: [device_fixed] plus
-          [device_per_byte] a byte *)
+type op = Busy of float  (** explicit CPU seconds (application work) *)
 
 type t
 (** One host's CPU: a FIFO server on the virtual clock plus
@@ -104,24 +89,22 @@ type t
 
 val create : Sim.t -> profile -> t
 val sim : t -> Sim.t
-val profile : t -> profile
-val set_profile : t -> profile -> unit
 
-val charge : t -> op list -> unit
-(** [charge m ops] occupies the CPU for the summed cost of [ops]
-    (blocking the calling fiber) and adds it to the busy-time counter.
-    The CPU is a FIFO server ({!Sim.Server}): a charge that finds it
-    busy finishes its cost after the charges ahead of it, a finish time
-    known on arrival.  Free when the total cost is zero. *)
+val charge : t -> kind -> int -> unit
+(** [charge m kind n] occupies the CPU for [cost] of [n] bytes of
+    [kind] (blocking the calling fiber) and adds it to the busy-time
+    counter.  The CPU is a FIFO server ({!Sim.Server}): a charge that
+    finds it busy finishes its cost after the charges ahead of it, a
+    finish time known on arrival.  Free when the cost is zero. *)
+
+val charge_all : t -> (kind * int) list -> unit
+(** [charge_all m costs] is one {!charge} for the sum of [costs], each
+    cost formed whole and added left to right from 0. *)
 
 val charge_one : t -> op -> unit
-(** [charge_one m op] = [charge m [op]] without the per-call list — for
-    per-event hot paths. *)
-
-val charge_bytes : t -> per_byte -> int -> unit
-(** [charge_bytes m Header_bytes n] = [charge_one m (Header n)], and
-    likewise for [Checksum_bytes], without building the op: for a byte
-    count known only at run time, such as a frame's length. *)
+(** [charge_one m (Busy s)] is one charge of [s] seconds.
+    @raise Invalid_argument if [s] is negative or NaN, before it
+    blocks. *)
 
 val cpu_seconds : t -> float
 (** Total CPU time charged so far — the paper's "uses less CPU time"

@@ -61,7 +61,7 @@ let receive dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Recv frame;
-  Machine.charge_bytes dev.nd_host.Host.mach Machine.Interrupt_bytes
+  Machine.charge dev.nd_host.Host.mach Machine.Interrupt
     (Msg.length frame);
   match dev.handler with Some h -> h frame | None -> ()
 
@@ -103,7 +103,7 @@ let transmit dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Send frame;
-  Machine.charge_bytes dev.nd_host.Host.mach Machine.Device_bytes
+  Machine.charge dev.nd_host.Host.mach Machine.Device
     (Msg.length frame);
   tx_add dev frame;
   Sim.Semaphore.v dev.txq_items

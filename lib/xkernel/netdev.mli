@@ -2,7 +2,7 @@
 
     One per (host, wire) pair.  Transmission is asynchronous: the
     calling shepherd process pays only the driver cost
-    ([Device_bytes]) and the frame is queued for a transmitter fiber, so
+    ([Machine.Device]) and the frame is queued for a transmitter fiber, so
     protocol processing of the next fragment overlaps serialization of
     the previous one — the pipelining that lets the throughput tests
     "drive the ethernet controller at its maximum rate" (section 4.1).
@@ -11,7 +11,7 @@
     "hardware" (free): the wire asks the filter as it sends each copy,
     so a frame for another station costs no event at all.  An accepted
     frame dispatches an interrupt: a fresh shepherd fiber charges
-    [Interrupt_bytes] and hands the frame to the handler the ETH protocol
+    [Machine.Interrupt] and hands the frame to the handler the ETH protocol
     registered. *)
 
 type t

@@ -71,14 +71,14 @@ let open_enable p ~upper part = (ops p).open_enable ~upper part
 let open_done p ~upper part = (ops p).open_done ~upper part
 let control p req = (ops p).p_control req
 
-let crossing_op p =
+let crossing_kind p =
   if p.virtual_ then Machine.Virtual_op else Machine.Layer_crossing
 
 let deliver p ~lower msg =
   Stats.tick p.c_demuxes;
   Stats.tick p.c_crossings;
   Stats.bump p.c_demux_bytes (Msg.length msg);
-  Machine.charge_one p.p_host.Host.mach (crossing_op p);
+  Machine.charge p.p_host.Host.mach (crossing_kind p) 0;
   (ops p).demux ~lower msg
 
 let make_session p ?name s_ops =
@@ -99,7 +99,7 @@ let push s msg =
   Stats.tick p.c_pushes;
   Stats.tick p.c_crossings;
   Stats.bump p.c_push_bytes (Msg.length msg);
-  Machine.charge_one p.p_host.Host.mach (crossing_op p);
+  Machine.charge p.p_host.Host.mach (crossing_kind p) 0;
   s.s_ops.push msg
 
 let pop s msg = s.s_ops.pop msg

@@ -364,9 +364,8 @@ let stub_lower ~host frames count =
 (* FRAGMENT on host 0 over a recording stub, with one session to host
    1's protocol 200; NACKs are handed to it from below as host 1 would
    send them. *)
-let stub_sender ?profile w frames count =
+let stub_sender w frames count =
   let n0 = World.node w 0 and n1 = World.node w 1 in
-  Option.iter (Machine.set_profile n0.World.host.Host.mach) profile;
   let lower, below = stub_lower ~host:n0.World.host frames count in
   let f0 = Fragment.create ~host:n0.World.host ~lower in
   let sess =
@@ -423,12 +422,10 @@ let prop_send_cache_model =
        ~print:QCheck.Print.(list print)
        QCheck.Gen.(list_size (int_range 1 60) (pair (int_bound 24) op)))
     (fun script ->
-      let w = World.create () in
+      let w = World.create ~profile:Machine.zero_cost () in
       let sim = w.World.sim in
       let frames = Array.make 2048 Msg.empty and count = ref 0 in
-      let f0, sess, nack =
-        stub_sender ~profile:Machine.zero_cost w frames count
-      in
+      let f0, sess, nack = stub_sender w frames count in
       let stat name = Tutil.stat (Fragment.proto f0) name in
       let ops = Array.of_list script in
       let n = Array.length ops in

@@ -82,6 +82,29 @@ let hist_merge () =
   Alcotest.(check bool) "merge == recording the union" true
     (Histogram.to_json a = Histogram.to_json all)
 
+(* Allocation budget for [Histogram.record], minor words per record:
+   OCaml 5.1.1 measures 0 (budget 0.01).  A running sum boxed in the
+   histogram's mixed record reads 2, one float box per record.  The
+   values span several buckets, and a first pass runs before the
+   measured one. *)
+let record_budget = 0.01
+let record_measured = ref nan
+
+let hist_record_alloc_budget () =
+  let h = Histogram.create () and n = 10_000 in
+  let pass () =
+    for v = 1 to n do
+      Histogram.record h (v * 37)
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  record_measured := words;
+  if not (words <= record_budget) then
+    Alcotest.failf "Histogram.record: %.2f words > %g" words record_budget
+
 (* --- Measure.fit_slope degenerate series --------------------------------- *)
 
 let fit_slope_degenerate () =
@@ -242,7 +265,7 @@ let sweep_deterministic () =
   Alcotest.(check string) "same worlds, same JSON" (once ()) (once ())
 
 let () =
-  Alcotest.run "load"
+  Alcotest.run ~and_exit:false "load"
     [
       ( "histogram",
         [
@@ -251,6 +274,8 @@ let () =
           Alcotest.test_case "clamps above max_value" `Quick hist_clamps;
           hist_precision;
           Alcotest.test_case "merge" `Quick hist_merge;
+          Alcotest.test_case "allocation budget" `Quick
+            hist_record_alloc_budget;
         ] );
       ( "measure",
         [ Alcotest.test_case "fit_slope degenerate" `Quick fit_slope_degenerate ] );
@@ -276,4 +301,7 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "identical JSON twice" `Quick sweep_deterministic ] );
-    ]
+    ];
+  print_string "\n\nallocation budget, minor words/op:\n";
+  Printf.printf "  %-32s %6.2f (budget %g)\n" "Histogram.record"
+    !record_measured record_budget

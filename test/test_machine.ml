@@ -6,18 +6,44 @@ let charge_advances_clock () =
   let sim = Sim.create () in
   let m = Machine.create sim p in
   Sim.spawn sim (fun () ->
-      Machine.charge m [ Machine.Busy 0.001; Machine.Busy 0.002 ]);
+      Machine.charge_all m
+        [ (Machine.Layer_crossing, 0); (Machine.Header, 20) ]);
   Sim.run sim;
-  Alcotest.(check (float 1e-12)) "summed" 0.003 (Sim.now sim);
-  Alcotest.(check (float 1e-12)) "cpu accounted" 0.003 (Machine.cpu_seconds m)
+  let want =
+    Machine.cost p Machine.Layer_crossing 0 +. Machine.cost p Machine.Header 20
+  in
+  Alcotest.(check (float 1e-12)) "summed" want (Sim.now sim);
+  Alcotest.(check (float 1e-12)) "cpu accounted" want (Machine.cpu_seconds m)
 
 let zero_charge_free () =
   let sim = Sim.create () in
   let m = Machine.create sim p in
   (* a zero-cost charge must not require a fiber at all *)
-  Machine.charge m [];
-  Machine.charge m [ Machine.Busy 0. ];
+  Machine.charge_all m [];
+  Machine.charge m Machine.Checksum 0;
+  Machine.charge_one m (Machine.Busy 0.);
   Alcotest.(check (float 1e-12)) "no time" 0. (Sim.now sim)
+
+(* A negative or NaN [Busy] is refused before the charge blocks, in a
+   fiber or outside one, and holds nothing. *)
+let bad_busy_refused () =
+  List.iter
+    (fun s ->
+      let sim = Sim.create () in
+      let m = Machine.create sim p in
+      let refused () =
+        match Machine.charge_one m (Machine.Busy s) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let what = Printf.sprintf "Busy %h" s in
+      Alcotest.(check bool) (what ^ " outside a fiber") true (refused ());
+      Alcotest.(check bool) (what ^ " in a fiber") true
+        (Tutil.run_sim sim refused);
+      Alcotest.(check (float 0.)) (what ^ " holds nothing") 0.
+        (Machine.cpu_seconds m);
+      Alcotest.(check (float 0.)) (what ^ " takes no time") 0. (Sim.now sim))
+    [ -1e-3; -0.5e-300; nan; neg_infinity ]
 
 let cpu_is_exclusive () =
   let sim = Sim.create () in
@@ -25,7 +51,7 @@ let cpu_is_exclusive () =
   let done_at = ref [] in
   for _ = 1 to 3 do
     Sim.spawn sim (fun () ->
-        Machine.charge m [ Machine.Busy 1.0 ];
+        Machine.charge_one m (Machine.Busy 1.0);
         done_at := Sim.now sim :: !done_at)
   done;
   Sim.run sim;
@@ -154,125 +180,283 @@ let two_hosts_parallel () =
   let m1 = Machine.create sim p and m2 = Machine.create sim p in
   let done_at = ref [] in
   Sim.spawn sim (fun () ->
-      Machine.charge m1 [ Machine.Busy 1.0 ];
+      Machine.charge_one m1 (Machine.Busy 1.0);
       done_at := Sim.now sim :: !done_at);
   Sim.spawn sim (fun () ->
-      Machine.charge m2 [ Machine.Busy 1.0 ];
+      Machine.charge_one m2 (Machine.Busy 1.0);
       done_at := Sim.now sim :: !done_at);
   Sim.run sim;
   Alcotest.(check (list (float 1e-9))) "independent CPUs overlap" [ 1.; 1. ]
     !done_at
 
-let buffer_scheme_ablation () =
-  (* Per-header allocation makes every header cost ~an allocation more:
-     the 0.50 vs 0.11 msec per layer contrast of section 5. *)
-  let cheap = Machine.op_cost p (Machine.Header 20) in
-  let dear =
-    Machine.op_cost
-      (Machine.with_buffer_scheme Machine.Per_header_alloc p)
-      (Machine.Header 20)
-  in
-  Alcotest.(check (float 1e-9)) "difference is the alloc cost" p.Machine.alloc
-    (dear -. cheap)
+let all_kinds =
+  [
+    (Machine.Layer_crossing, "Layer_crossing");
+    (Machine.Virtual_op, "Virtual_op");
+    (Machine.Header, "Header");
+    (Machine.Checksum, "Checksum");
+    (Machine.Route_lookup, "Route_lookup");
+    (Machine.Reasm_lookup, "Reasm_lookup");
+    (Machine.Frag_bookkeep, "Frag_bookkeep");
+    (Machine.Process_switch, "Process_switch");
+    (Machine.Semaphore_op, "Semaphore_op");
+    (Machine.Timer_op, "Timer_op");
+    (Machine.Interrupt, "Interrupt");
+    (Machine.Device, "Device");
+    (Machine.Syscall, "Syscall");
+    (Machine.Os_per_message, "Os_per_message");
+  ]
 
-(* The CPU time one [charge_bytes] of [n] bytes of [kind] holds: the
-   device costs have no [op], so their cost is read off a charge. *)
-let bytes_seconds prof kind n =
-  let sim = Sim.create () in
-  let m = Machine.create sim prof in
-  Sim.spawn sim (fun () -> Machine.charge_bytes m kind n);
-  Sim.run sim;
-  Machine.cpu_seconds m
+let buffer_scheme_ablation () =
+  (* Per-header allocation makes every header cost one allocation more,
+     whatever its size, and nothing else dearer: the 0.50 vs 0.11 msec
+     per layer contrast of section 5. *)
+  let dear = Machine.with_buffer_scheme Machine.Per_header_alloc p in
+  let extra kind n = Machine.cost dear kind n -. Machine.cost p kind n in
+  let alloc = extra Machine.Header 0 in
+  Alcotest.(check bool) "an allocation costs time" true (alloc > 0.);
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 1e-12)) "the same at every size" alloc
+        (extra Machine.Header n))
+    [ 1; 20; 1500 ];
+  List.iter
+    (fun (kind, name) ->
+      if kind <> Machine.Header then
+        Alcotest.(check (float 0.)) (name ^ " unchanged") 0. (extra kind 20))
+    all_kinds
 
 let profile_ordering () =
   (* The Sprite-kernel and SunOS profiles must be uniformly no cheaper
      than the x-kernel profile on the shared cost axes. *)
-  let ops =
-    [
-      Machine.Layer_crossing;
-      Machine.Header 36;
-      Machine.Process_switch;
-      Machine.Os_per_message;
-    ]
-  in
-  let check cost =
-    let base = cost Machine.xkernel_sun3 in
-    Alcotest.(check bool) "sprite >= xkernel" true
-      (cost Machine.sprite_kernel >= base);
-    Alcotest.(check bool) "sunos >= xkernel" true
-      (cost Machine.sunos_socket >= base)
-  in
-  List.iter (fun op -> check (fun prof -> Machine.op_cost prof op)) ops;
   List.iter
-    (fun kind -> check (fun prof -> bytes_seconds prof kind 64))
-    [ Machine.Interrupt_bytes; Machine.Device_bytes ]
+    (fun (kind, n) ->
+      let base = Machine.cost Machine.xkernel_sun3 kind n in
+      Alcotest.(check bool) "sprite >= xkernel" true
+        (Machine.cost Machine.sprite_kernel kind n >= base);
+      Alcotest.(check bool) "sunos >= xkernel" true
+        (Machine.cost Machine.sunos_socket kind n >= base))
+    [
+      (Machine.Layer_crossing, 0);
+      (Machine.Header, 36);
+      (Machine.Process_switch, 0);
+      (Machine.Os_per_message, 0);
+      (Machine.Interrupt, 64);
+      (Machine.Device, 64);
+    ]
 
 let per_byte_costs_scale () =
-  let small = bytes_seconds p Machine.Device_bytes 64 in
-  let large = bytes_seconds p Machine.Device_bytes 1500 in
-  Alcotest.(check bool) "larger frame costs more" true (large > small);
-  Alcotest.(check (float 1e-9)) "linear in bytes"
-    (float_of_int (1500 - 64) *. p.Machine.device_per_byte)
-    (large -. small)
+  let device n = Machine.cost p Machine.Device n in
+  Alcotest.(check bool) "larger frame costs more" true
+    (device 1500 > device 64);
+  Alcotest.(check (float 1e-12)) "linear in bytes"
+    (float_of_int (1500 - 64) *. (device 1 -. device 0))
+    (device 1500 -. device 64)
 
-(* A sized charge holds the CPU exactly as long as its op would, bit for
-   bit, so moving a call site from one to the other moves no virtual
-   time.  The device costs have no op; theirs must equal the profile's
-   formula, held as a [Busy] charge, bit for bit. *)
-let charge_bytes_matches_op () =
-  let bits charge prof =
+(* The cost model as it stood before its profiles became tables: each
+   profile's constants by name and one formula per operation.  It is
+   the reference the table must reproduce bit for bit, so that no
+   virtual time moves. *)
+module Reference = struct
+  type profile = {
+    layer_crossing : float;
+    virtual_op : float;
+    header_base : float;
+    header_per_byte : float;
+    checksum_per_byte : float;
+    route_lookup : float;
+    reasm_lookup : float;
+    frag_bookkeep : float;
+    process_switch : float;
+    semaphore_op : float;
+    timer_op : float;
+    interrupt : float;
+    device_fixed : float;
+    device_per_byte : float;
+    syscall : float;
+    os_per_message : float;
+    alloc : float;
+    per_header_alloc : bool;
+  }
+
+  let us x = x *. 1e-6
+
+  let xkernel_sun3 =
+    {
+      layer_crossing = us 22.;
+      virtual_op = us 15.;
+      header_base = us 5.;
+      header_per_byte = us 0.4;
+      checksum_per_byte = us 1.5;
+      route_lookup = us 30.;
+      reasm_lookup = us 15.;
+      frag_bookkeep = us 10.;
+      process_switch = us 140.;
+      semaphore_op = us 25.;
+      timer_op = us 6.;
+      interrupt = us 185.;
+      device_fixed = us 100.;
+      device_per_byte = us 0.72;
+      syscall = us 120.;
+      os_per_message = 0.;
+      alloc = us 97.;
+      per_header_alloc = false;
+    }
+
+  let sprite_kernel =
+    {
+      xkernel_sun3 with
+      layer_crossing = us 60.;
+      header_base = us 20.;
+      header_per_byte = us 1.0;
+      process_switch = us 250.;
+      semaphore_op = us 40.;
+      interrupt = us 225.;
+      device_fixed = us 170.;
+      device_per_byte = us 0.72;
+      os_per_message = us 120.;
+    }
+
+  let sunos_socket =
+    {
+      xkernel_sun3 with
+      layer_crossing = us 55.;
+      header_base = us 12.;
+      process_switch = us 300.;
+      interrupt = us 250.;
+      device_fixed = us 160.;
+      syscall = us 350.;
+      os_per_message = us 450.;
+    }
+
+  let switch_fabric =
+    {
+      layer_crossing = us 1.;
+      virtual_op = us 1.;
+      header_base = us 0.5;
+      header_per_byte = us 0.02;
+      checksum_per_byte = us 0.05;
+      route_lookup = us 2.;
+      reasm_lookup = us 1.;
+      frag_bookkeep = us 1.;
+      process_switch = us 5.;
+      semaphore_op = us 1.;
+      timer_op = us 1.;
+      interrupt = us 8.;
+      device_fixed = us 5.;
+      device_per_byte = us 0.036;
+      syscall = us 5.;
+      os_per_message = 0.;
+      alloc = us 2.;
+      per_header_alloc = false;
+    }
+
+  let cost p (kind : Machine.kind) n =
+    match kind with
+    | Layer_crossing -> p.layer_crossing
+    | Virtual_op -> p.virtual_op
+    | Header ->
+        let alloc = if p.per_header_alloc then p.alloc else 0. in
+        p.header_base +. (float_of_int n *. p.header_per_byte) +. alloc
+    | Checksum -> float_of_int n *. p.checksum_per_byte
+    | Route_lookup -> p.route_lookup
+    | Reasm_lookup -> p.reasm_lookup
+    | Frag_bookkeep -> p.frag_bookkeep
+    | Process_switch -> p.process_switch
+    | Semaphore_op -> p.semaphore_op
+    | Timer_op -> p.timer_op
+    | Interrupt -> p.interrupt +. (float_of_int n *. p.device_per_byte)
+    | Device -> p.device_fixed +. (float_of_int n *. p.device_per_byte)
+    | Syscall -> p.syscall
+    | Os_per_message -> p.os_per_message
+
+  (* Each cost whole, then summed left to right from 0. *)
+  let sum p costs =
+    List.fold_left (fun acc (kind, n) -> acc +. cost p kind n) 0. costs
+end
+
+(* Every list of costs [lib/] charges in one [Machine.charge_all], by
+   site, with [n] standing for a byte count known only at run time. *)
+let charged_lists n =
+  let module F = Rpc.Wire_fmt.Fragment in
+  let module Ch = Rpc.Wire_fmt.Channel in
+  let module S = Rpc.Wire_fmt.Select in
+  let module H = Rpc.Wire_fmt.Sprite in
+  let ip = 20 and icmp = 8 and probe = 5 and sun_select = 13 in
+  Machine.
+    [
+      ("IP send", [ (Header, ip); (Checksum, ip) ]);
+      ("IP input", [ (Header, ip); (Checksum, ip); (Reasm_lookup, 0) ]);
+      ("ICMP send", [ (Checksum, icmp + n); (Header, icmp) ]);
+      ("ICMP input", [ (Checksum, n); (Header, icmp) ]);
+      ("PROBE boundary", [ (Syscall, 0); (Os_per_message, 0) ]);
+      ("PROBE send", [ (Layer_crossing, 0); (Header, probe) ]);
+      ( "SELECT call",
+        [ (Semaphore_op, 0); (Layer_crossing, 0); (Header, S.bytes) ] );
+      ("wake a caller", [ (Semaphore_op, 0); (Process_switch, 0) ]);
+      ( "INC reply",
+        [ (Header, Ch.bytes); (Header, F.bytes); (Process_switch, 0) ] );
+      ("INC test", [ (Virtual_op, 0); (Header, F.bytes); (Header, Ch.bytes) ]);
+      ("FRAGMENT send", [ (Frag_bookkeep, 0); (Header, F.bytes) ]);
+      ("FRAGMENT input", [ (Header, F.bytes); (Frag_bookkeep, 0) ]);
+      ("M.RPC send", [ (Header, H.bytes); (Frag_bookkeep, 0) ]);
+      ( "M.RPC input",
+        [
+          (Header, H.bytes);
+          (Frag_bookkeep, 0);
+          (Reasm_lookup, 0);
+          (Semaphore_op, 0);
+        ] );
+      ("SunSELECT", [ (Layer_crossing, 0); (Header, sun_select) ]);
+    ]
+
+(* Every charge holds the CPU for exactly the reference's cost: each
+   kind alone at several sizes, and every list [lib/] charges, compared
+   bit for bit through [Machine.cpu_seconds]. *)
+let charges_match_reference () =
+  let held prof charge =
     let sim = Sim.create () in
     let m = Machine.create sim prof in
     Sim.spawn sim (fun () -> charge m);
     Sim.run sim;
     Int64.bits_of_float (Machine.cpu_seconds m)
   in
-  let kinds =
-    [
-      (Machine.Header_bytes, fun _ n -> Machine.Header n);
-      (Machine.Checksum_bytes, fun _ n -> Machine.Checksum n);
-      ( Machine.Interrupt_bytes,
-        fun prof n ->
-          Machine.Busy
-            (prof.Machine.interrupt
-            +. (float_of_int n *. prof.Machine.device_per_byte)) );
-      ( Machine.Device_bytes,
-        fun prof n ->
-          Machine.Busy
-            (prof.Machine.device_fixed
-            +. (float_of_int n *. prof.Machine.device_per_byte)) );
-    ]
+  let check what want got =
+    Alcotest.(check int64) what (Int64.bits_of_float want) got
   in
   List.iter
-    (fun prof ->
+    (fun (name, prof, r) ->
       List.iter
-        (fun (kind, op) ->
+        (fun n ->
           List.iter
-            (fun n ->
-              Alcotest.(check int64)
-                (Printf.sprintf "%s, %d bytes" prof.Machine.profile_name n)
-                (bits (fun m -> Machine.charge_one m (op prof n)) prof)
-                (bits (fun m -> Machine.charge_bytes m kind n) prof))
-            [ 0; 1; 37; 1500 ])
-        kinds)
+            (fun (kind, kind_name) ->
+              check
+                (Printf.sprintf "%s: %s, %d bytes" name kind_name n)
+                (Reference.cost r kind n)
+                (held prof (fun m -> Machine.charge m kind n)))
+            all_kinds;
+          List.iter
+            (fun (site, costs) ->
+              check
+                (Printf.sprintf "%s: %s, n = %d" name site n)
+                (Reference.sum r costs)
+                (held prof (fun m -> Machine.charge_all m costs)))
+            (charged_lists n))
+        [ 0; 1; 37; 1500 ])
     [
-      Machine.xkernel_sun3;
-      Machine.sprite_kernel;
-      Machine.switch_fabric;
-      Machine.with_buffer_scheme Machine.Per_header_alloc Machine.xkernel_sun3;
+      ("xkernel-sun3", Machine.xkernel_sun3, Reference.xkernel_sun3);
+      ("sprite-kernel", Machine.sprite_kernel, Reference.sprite_kernel);
+      ("sunos-socket", Machine.sunos_socket, Reference.sunos_socket);
+      ("switch-fabric", Machine.switch_fabric, Reference.switch_fabric);
+      ( "xkernel-sun3, per-header alloc",
+        Machine.(with_buffer_scheme Per_header_alloc xkernel_sun3),
+        { Reference.xkernel_sun3 with per_header_alloc = true } );
     ]
-
-let set_profile_switches () =
-  let sim = Sim.create () in
-  let m = Machine.create sim p in
-  Machine.set_profile m Machine.sprite_kernel;
-  Alcotest.(check string) "profile swapped" "sprite-kernel"
-    (Machine.profile m).Machine.profile_name
 
 let virtual_op_cheaper () =
   Alcotest.(check bool) "virtual < layer crossing" true
-    (Machine.op_cost p Machine.Virtual_op
-    < Machine.op_cost p Machine.Layer_crossing)
+    (Machine.cost p Machine.Virtual_op 0
+    < Machine.cost p Machine.Layer_crossing 0)
 
 let () =
   Alcotest.run "machine"
@@ -281,6 +465,8 @@ let () =
         [
           Alcotest.test_case "charge advances clock" `Quick charge_advances_clock;
           Alcotest.test_case "zero charge is free" `Quick zero_charge_free;
+          Alcotest.test_case "negative or NaN Busy refused" `Quick
+            bad_busy_refused;
           Alcotest.test_case "CPU mutual exclusion" `Quick cpu_is_exclusive;
           Alcotest.test_case "hosts run in parallel" `Quick two_hosts_parallel;
           Alcotest.test_case "matches the semaphore model" `Quick
@@ -291,9 +477,8 @@ let () =
           Alcotest.test_case "buffer scheme ablation" `Quick buffer_scheme_ablation;
           Alcotest.test_case "profile cost ordering" `Quick profile_ordering;
           Alcotest.test_case "per-byte scaling" `Quick per_byte_costs_scale;
-          Alcotest.test_case "sized charge matches its op" `Quick
-            charge_bytes_matches_op;
-          Alcotest.test_case "profile switching" `Quick set_profile_switches;
+          Alcotest.test_case "charges match the reference model" `Quick
+            charges_match_reference;
           Alcotest.test_case "virtual op cheaper" `Quick virtual_op_cheaper;
         ] );
     ]

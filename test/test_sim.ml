@@ -552,7 +552,7 @@ let qcheck_queue_model =
     (fun steps ->
       let sim = Sim.create () in
       let m = Machine.create sim Machine.xkernel_sun3 in
-      let cost = Machine.op_cost Machine.xkernel_sun3 Machine.Layer_crossing in
+      let cost = Machine.cost Machine.xkernel_sun3 Machine.Layer_crossing 0 in
       let cap = List.length steps in
       let handles = Array.make cap None in
       let times = Array.make cap 0. and live = Array.make cap false in
@@ -627,7 +627,7 @@ let qcheck_queue_model =
       let note id () = fired := id :: !fired in
       let call id =
         note id ();
-        Machine.charge_one m Machine.Layer_crossing;
+        Machine.charge m Machine.Layer_crossing 0;
         done_at.(id) <- Sim.now sim
       in
       List.iteri
@@ -1038,11 +1038,11 @@ let alloc_budget () =
   let n = 10_000 in
   let cost ops =
     List.fold_left
-      (fun acc op -> acc +. Machine.op_cost Machine.xkernel_sun3 op)
+      (fun acc (kind, n) -> acc +. Machine.cost Machine.xkernel_sun3 kind n)
       0. ops
   in
-  let crossing = [ Machine.Layer_crossing ] in
-  let two_ops = [ Machine.Layer_crossing; Machine.Process_switch ] in
+  let crossing = [ (Machine.Layer_crossing, 0) ] in
+  let two_ops = [ (Machine.Layer_crossing, 0); (Machine.Process_switch, 0) ] in
   let delay_w =
     queued_words n ~period:1e-6 (fun sim _ -> Sim.delay sim 1e-6)
   in
@@ -1052,10 +1052,11 @@ let alloc_budget () =
   let far_w = queued_words n ~period:1.0 (fun sim _ -> Sim.delay sim 1.0) in
   let charge_w =
     queued_words n ~period:(cost crossing) (fun _ m ->
-        Machine.charge_one m Machine.Layer_crossing)
+        Machine.charge m Machine.Layer_crossing 0)
   in
   let charge2_w =
-    queued_words n ~period:(cost two_ops) (fun _ m -> Machine.charge m two_ops)
+    queued_words n ~period:(cost two_ops) (fun _ m ->
+        Machine.charge_all m two_ops)
   in
   (* A lone fiber: nothing else is ever due, so its waits run in place. *)
   let sim = Sim.create () in
@@ -1078,12 +1079,12 @@ let alloc_budget () =
       lone_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
-              Machine.charge_one m Machine.Layer_crossing
+              Machine.charge m Machine.Layer_crossing 0
             done);
       bytes_w :=
         words_per_op n (fun () ->
             for i = 1 to n do
-              Machine.charge_bytes m Machine.Header_bytes i
+              Machine.charge m Machine.Header i
             done);
       now_w :=
         words_per_op n (fun () ->
@@ -1135,7 +1136,7 @@ let alloc_budget () =
         for _ = 1 to 8 do
           Sim.spawn sim (fun () ->
               for _ = 1 to n / 8 do
-                Machine.charge_one m Machine.Layer_crossing
+                Machine.charge m Machine.Layer_crossing 0
               done)
         done)
   in
@@ -1197,15 +1198,15 @@ let alloc_budget () =
       ("Sim.delay, 64 timers in near", 2.5, deep_w);
       ("Sim.delay 1 s", delay_w +. 0.5, far_w);
       ("Sim.delay, in place", 0.5, !in_place_w);
-      ("Machine.charge_one", 4., charge_w);
-      ("Machine.charge_one, lone fiber", 0.5, !lone_w);
-      ("charge_bytes, lone fiber", 0.5, !bytes_w);
+      ("Machine.charge", 4., charge_w);
+      ("Machine.charge, lone fiber", 0.5, !lone_w);
+      ("charge of run-time bytes, lone", 0.5, !bytes_w);
       ("Sim.now read from outside", 0.5, !now_w);
       ("Trace.packet (off)", 0.01, trace_w);
       ("Trace.debugf (off)", 17., debugf_w);
-      ("Machine.charge_one, 8 contending", 4., contended_w);
+      ("Machine.charge, 8 contending", 4., contended_w);
       ("server hold, busy", 2.5, hold_w);
-      ("Machine.charge, two ops", 2.5, charge2_w);
+      ("Machine.charge_all, two ops", 2.5, charge2_w);
       ("Ivar create+fill+read", 34., !ivar_w);
       ("Ivar create+fill+read_timeout", 57., !timed_w);
       ("64-byte frame, 5-tap wire", 55., frame_w);
