@@ -16,11 +16,12 @@ let cmd_stat = 12
 
 (* Tiny argument codecs over the byte codec the headers use. *)
 let encode_name_and_data name data =
-  let w = Codec.W.create (2 + String.length name + String.length data) in
-  Codec.W.u16 w (String.length name);
-  Codec.W.bytes w name;
-  Codec.W.bytes w data;
-  Msg.of_string (Codec.W.contents w)
+  let n = String.length name in
+  let b = Bytes.create (2 + n + String.length data) in
+  Codec.set_u16 b 0 n;
+  Codec.set_string b 2 name;
+  Codec.set_string b (2 + n) data;
+  Msg.of_string (Bytes.unsafe_to_string b)
 
 let decode_name_and_data msg =
   let n = Msg.u16 msg 0 in
@@ -61,9 +62,9 @@ let () =
         | Some data -> String.length data
         | None -> -1
       in
-      let w = Codec.W.create 4 in
-      Codec.W.u32 w (size land 0xffffffff);
-      Ok (Msg.of_string (Codec.W.contents w)));
+      let b = Bytes.create 4 in
+      Codec.set_u32 b 0 (size land 0xffffffff);
+      Ok (Msg.of_string (Bytes.unsafe_to_string b)));
   Rpc.Select.serve server_sel;
 
   World.spawn w (fun () ->

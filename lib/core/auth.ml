@@ -24,12 +24,12 @@ type t = {
 let proto t = t.p
 
 let encode t ~upper_proto cred =
-  let w = Codec.W.create (fixed_bytes + String.length cred) in
-  Codec.W.u8 w t.flavor;
-  Codec.W.u32 w upper_proto;
-  Codec.W.u16 w (String.length cred);
-  Codec.W.bytes w cred;
-  Codec.W.contents w
+  let b = Bytes.create (fixed_bytes + String.length cred) in
+  Codec.set_u8 b 0 t.flavor;
+  Codec.set_u32 b 1 upper_proto;
+  Codec.set_u16 b 5 (String.length cred);
+  Codec.set_string b fixed_bytes cred;
+  Bytes.unsafe_to_string b
 
 let make_session t ~upper (peer, upper_proto) =
   let lower_sess =
@@ -123,10 +123,10 @@ let none ~host ~lower () =
 
 let unix ~host ~lower ~uid ~gid ~allow () =
   let cred_for _msg =
-    let w = Codec.W.create 8 in
-    Codec.W.u32 w uid;
-    Codec.W.u32 w gid;
-    Codec.W.contents w
+    let b = Bytes.create 8 in
+    Codec.set_u32 b 0 uid;
+    Codec.set_u32 b 4 gid;
+    Bytes.unsafe_to_string b
   in
   let verify ~cred _msg =
     let u32 i =
@@ -144,9 +144,9 @@ let digest_of ~key msg =
   let feed c = h := (((!h lsl 5) + !h) + Char.code c) land 0x3fffffff in
   String.iter feed key;
   String.iter feed (Msg.to_string msg);
-  let w = Codec.W.create 4 in
-  Codec.W.u32 w !h;
-  Codec.W.contents w
+  let b = Bytes.create 4 in
+  Codec.set_u32 b 0 !h;
+  Bytes.unsafe_to_string b
 
 let digest ~host ~lower ~key () =
   make ~host ~lower ~flavor:flavor_digest ~name:"AUTH_DIGEST"

@@ -82,8 +82,13 @@ val call :
     must be a channel session of [t]): sends, blocks the calling fiber,
     retransmits on timeout, and returns the reply.  This is the paper's
     "a high-level protocol pushes a message into the session and a reply
-    message is returned".  Raises [Invalid_argument] if a transaction is
-    already outstanding on the channel.
+    message is returned".  A channel carries one transaction at a time:
+    if one is already outstanding, or its blocked caller has not yet
+    taken its reply, [call] returns [Error Busy] at once (counted as
+    ["call-busy"]).  The transaction lives in the session itself, so a
+    call allocates no transaction record, ivar or timer closure.
+    Raises [Invalid_argument] if [session] is not a channel session of
+    [t].
 
     [expires] (absolute sim time) propagates the caller's deadline: each
     transmission — including retransmits — stamps the budget remaining

@@ -994,10 +994,10 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
           | _ -> ())
         ~rate w ~clients:(Array.length s.Stacks.fos_clients)
         (fun i ~key:_ ->
-          let wr = Codec.W.create 6 in
-          Codec.W.u48 wr (Load.us_of (Sim.now sim +. deadline));
+          let b = Bytes.create 6 in
+          Codec.set_u48 b 0 (Load.us_of (Sim.now sim +. deadline));
           s.Stacks.fos_call i ~command:cmd_work
-            (Msg.of_string (Codec.W.contents wr)))
+            (Msg.of_string (Bytes.unsafe_to_string b)))
     in
     let hist = Load.merged o.Load.o_hists in
     let sum_admit f = sum_over s.Stacks.fos_admits f in

@@ -40,7 +40,12 @@ type sess = {
   mutable sent_chunk : int array;
   mutable sent_until : float array; (* discard times *)
   mutable sweep_armed : bool;
-  sweep : unit -> unit; (* the discard sweep, built once *)
+  (* The session's timer callbacks, built once: the discard sweep, the
+     gap timer (its argument is the message's sequence number) and the
+     prune of [recent]. *)
+  sweep : unit -> unit;
+  gap : int -> unit;
+  prune : unit -> unit;
   reasm : (int, reasm) Hashtbl.t;
   recent : (int, unit) Hashtbl.t; (* recently completed sequence numbers *)
   mutable recent_head : int;
@@ -78,6 +83,10 @@ type t = {
   host : Host.t;
   lower : Proto.t;
   mutable frag_size : int;
+  (* Control answers that depend only on [frag_size], built when it is
+     set: an upper layer asks for them per call. *)
+  mutable r_frag_size : Control.reply;
+  mutable r_max_packet : Control.reply;
   p : Proto.t;
   demux : (t, Addr.Ip.t * int, sess) Demux.t; (* (peer, proto_num) *)
   stats : Stats.t;
@@ -92,6 +101,12 @@ type t = {
 
 let proto t = t.p
 let max_message t = max_frags * t.frag_size
+
+let set_frag_size t n =
+  t.frag_size <- n;
+  t.r_frag_size <- Control.R_int n;
+  t.r_max_packet <- Control.R_int (max_message t)
+
 let full_mask num = (1 lsl num) - 1
 
 (* Fragment [i] of message [seq]; its header is written only here, so
@@ -204,22 +219,22 @@ let send_nack t s ~seq ~num ~missing =
 (* Receiver side: the persistence mechanism.  While a message sits
    incomplete, periodically ask the sender for exactly the missing
    fragments; give up after [nack_retries] — the layer is unreliable. *)
-let rec arm_gap_timer t s seq =
-  ignore
-    (Event.schedule t.host nack_delay (fun () ->
-         match Hashtbl.find_opt s.reasm seq with
-         | None -> ()
-         | Some entry ->
-             if entry.nacks_left <= 0 then begin
-               Hashtbl.remove s.reasm seq;
-               Stats.incr t.stats "give-up"
-             end
-             else begin
-               entry.nacks_left <- entry.nacks_left - 1;
-               let missing = full_mask entry.r_num land lnot entry.have in
-               send_nack t s ~seq ~num:entry.r_num ~missing;
-               arm_gap_timer t s seq
-             end))
+let arm_gap_timer t s seq = ignore (Event.schedule t.host nack_delay s.gap seq)
+
+let gap_fired t s seq =
+  match Hashtbl.find_opt s.reasm seq with
+  | None -> ()
+  | Some entry ->
+      if entry.nacks_left <= 0 then begin
+        Hashtbl.remove s.reasm seq;
+        Stats.incr t.stats "give-up"
+      end
+      else begin
+        entry.nacks_left <- entry.nacks_left - 1;
+        let missing = full_mask entry.r_num land lnot entry.have in
+        send_nack t s ~seq ~num:entry.r_num ~missing;
+        arm_gap_timer t s seq
+      end
 
 let prune_recent t s =
   let now = Sim.now (Host.sim t.host) in
@@ -236,15 +251,16 @@ let prune_recent t s =
    traffic stops: deliver_complete prunes on traffic, and this timer
    sweeps the tail, re-arming only while entries remain (so the event
    queue drains when the session goes quiet). *)
-let rec arm_prune_timer t s =
+let arm_prune_timer t s =
   if not s.prune_armed then begin
     s.prune_armed <- true;
-    ignore
-      (Event.schedule t.host cache_ttl (fun () ->
-           s.prune_armed <- false;
-           prune_recent t s;
-           if Hashtbl.length s.recent > 0 then arm_prune_timer t s))
+    ignore (Event.schedule t.host cache_ttl s.prune ())
   end
+
+let prune_fired t s =
+  s.prune_armed <- false;
+  prune_recent t s;
+  if Hashtbl.length s.recent > 0 then arm_prune_timer t s
 
 let note_recent t s seq =
   Hashtbl.replace s.recent seq ();
@@ -355,6 +371,8 @@ let make_session t ~upper (peer, proto_num) =
       sent_until = Array.make 8 infinity;
       sweep_armed = false;
       sweep = (fun () -> sweep_cache t s);
+      gap = (fun seq -> gap_fired t s seq);
+      prune = (fun () -> prune_fired t s);
       reasm = Hashtbl.create 8;
       recent = Hashtbl.create 16;
       recent_head = 0;
@@ -367,13 +385,15 @@ let make_session t ~upper (peer, proto_num) =
   in
   let push msg = push_message t s msg in
   let pop _msg = () (* all delivery goes through deliver_complete *) in
+  (* The peer is asked per message (CHANNEL's demux), so its answer is
+     built once. *)
+  let r_peer = Control.R_ip peer in
   let s_control = function
-    | Control.Get_peer_host -> Control.R_ip peer
+    | Control.Get_peer_host -> r_peer
     | Control.Get_my_host -> Control.R_ip t.host.Host.ip
     | Control.Get_peer_proto | Control.Get_my_proto -> Control.R_int proto_num
-    | Control.Get_frag_size -> Control.R_int t.frag_size
-    | Control.Get_max_packet -> Control.R_int (max_message t)
-    | Control.Get_opt_packet -> Control.R_int t.frag_size
+    | Control.Get_frag_size | Control.Get_opt_packet -> t.r_frag_size
+    | Control.Get_max_packet -> t.r_max_packet
     | req -> Stats.control t.stats req
   in
   let close () = Demux.unbind t.demux (peer, proto_num) in
@@ -433,7 +453,9 @@ let create ~host ~lower =
     {
       host;
       lower;
-      frag_size = 1024;
+      frag_size = 0;
+      r_frag_size = Control.Unsupported;
+      r_max_packet = Control.Unsupported;
       p;
       demux = Demux.create 16 ~make:make_session;
       stats = Proto.stats p;
@@ -445,6 +467,7 @@ let create ~host ~lower =
       c_cache_drop = Stats.counter (Proto.stats p) "cache-drop";
     }
   in
+  set_frag_size t 1024;
   Proto.set_ops p
     {
       Proto.open_ = (fun ~upper part -> open_session t ~upper part);
@@ -462,13 +485,12 @@ let create ~host ~lower =
           (* What we push below is one fragment plus our header, so a
              VIP beneath us can safely choose the ethernet-only path. *)
           | Control.Get_max_msg_size -> Control.R_int (t.frag_size + F.bytes)
-          | Control.Get_max_packet -> Control.R_int (max_message t)
-          | Control.Get_opt_packet -> Control.R_int t.frag_size
-          | Control.Get_frag_size -> Control.R_int t.frag_size
+          | Control.Get_max_packet -> t.r_max_packet
+          | Control.Get_opt_packet | Control.Get_frag_size -> t.r_frag_size
           | Control.Set_frag_size n ->
               if n < 1 || n > 65535 then Control.Unsupported
               else begin
-                t.frag_size <- n;
+                set_frag_size t n;
                 Control.R_unit
               end
           | Control.Get_my_host -> Control.R_ip host.Host.ip

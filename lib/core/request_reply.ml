@@ -42,11 +42,11 @@ type t = {
 let proto t = t.p
 
 let encode ~typ ~xid ~proto_num =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u8 w typ;
-  Codec.W.u32 w xid;
-  Codec.W.u32 w proto_num;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u8 b 0 typ;
+  Codec.set_u32 b 1 xid;
+  Codec.set_u32 b 5 proto_num;
+  Bytes.unsafe_to_string b
 
 let transmit t s ~typ ~xid payload =
   Machine.charge t.host.Host.mach Machine.Header header_bytes;
@@ -67,21 +67,20 @@ let finish t s p outcome =
   Sim.Ivar.fill p.iv outcome
 
 let rec arm_timer t s p =
-  p.timer <-
-    Some
-      (Event.schedule t.host timeout (fun () ->
-           if Hashtbl.mem s.pending p.p_xid then begin
-             if p.tries_left <= 0 then finish t s p (Error Rpc_error.Timeout)
-             else begin
-               p.tries_left <- p.tries_left - 1;
-               Stats.incr t.stats "retransmit";
-               (* No server-side memory of this xid exists: the
-                  retransmission may execute the procedure again.
-                  Zero-or-more semantics. *)
-               transmit t s ~typ:typ_call ~xid:p.p_xid p.payload;
-               arm_timer t s p
-             end
-           end))
+  p.timer <- Some (Event.schedule t.host timeout timer_fired (t, s, p))
+
+and timer_fired (t, s, p) =
+  if Hashtbl.mem s.pending p.p_xid then begin
+    if p.tries_left <= 0 then finish t s p (Error Rpc_error.Timeout)
+    else begin
+      p.tries_left <- p.tries_left - 1;
+      Stats.incr t.stats "retransmit";
+      (* No server-side memory of this xid exists: the retransmission
+         may execute the procedure again.  Zero-or-more semantics. *)
+      transmit t s ~typ:typ_call ~xid:p.p_xid p.payload;
+      arm_timer t s p
+    end
+  end
 
 let start_call t s payload =
   t.next_xid <- t.next_xid + 1;

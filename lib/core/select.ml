@@ -20,9 +20,15 @@ type t = {
   c_handled : Stats.counter;
 }
 
+(* The free channels are a FIFO ring: a call takes the channel that has
+   been free longest and puts it back at the tail, with no cell per
+   call.  [free_sem] admits at most as many callers as there are
+   channels, so the ring never overflows. *)
 type client = {
   c_t : t;
-  free : Proto.session Queue.t;
+  free : Proto.session array;
+  mutable free_head : int; (* taken so far *)
+  mutable free_tail : int; (* returned so far, counting the first fill *)
   free_sem : Sim.Semaphore.sem;
 }
 
@@ -30,30 +36,45 @@ let proto t = t.p
 
 let connect t ~server =
   let n = Channel.n_channels t.channel in
-  let free = Queue.create () in
-  for chan = 0 to n - 1 do
-    let part =
-      Part.v
-        ~local:
-          [
-            Part.Ip t.host.Host.ip;
-            Part.Ip_proto proto_num;
-            Part.Channel chan;
-          ]
-        ~remotes:[ [ Part.Ip server; Part.Ip_proto proto_num ] ]
-        ()
-    in
-    Queue.add (Proto.open_ (Channel.proto t.channel) ~upper:t.p part) free
-  done;
-  { c_t = t; free; free_sem = Sim.Semaphore.create (Host.sim t.host) n }
+  let free =
+    Array.init n (fun chan ->
+        let part =
+          Part.v
+            ~local:
+              [
+                Part.Ip t.host.Host.ip;
+                Part.Ip_proto proto_num;
+                Part.Channel chan;
+              ]
+            ~remotes:[ [ Part.Ip server; Part.Ip_proto proto_num ] ]
+            ()
+        in
+        Proto.open_ (Channel.proto t.channel) ~upper:t.p part)
+  in
+  {
+    c_t = t;
+    free;
+    free_head = 0;
+    free_tail = n;
+    free_sem = Sim.Semaphore.create (Host.sim t.host) n;
+  }
 
-let free_channels c = Queue.length c.free
+let free_channels c = c.free_tail - c.free_head
+
+let take_channel c =
+  let s = c.free.(c.free_head mod Array.length c.free) in
+  c.free_head <- c.free_head + 1;
+  s
+
+let return_channel c s =
+  c.free.(c.free_tail mod Array.length c.free) <- s;
+  c.free_tail <- c.free_tail + 1
 
 let call c ?expires ?shard ~command msg =
   let t = c.c_t in
   (* Choose one of the existing channels; block if none is available. *)
   Sim.Semaphore.p c.free_sem;
-  let chan_sess = Queue.take c.free in
+  let chan_sess = take_channel c in
   Stats.tick t.c_call;
   Machine.charge_all t.host.Host.mach
     [
@@ -77,7 +98,7 @@ let call c ?expires ?shard ~command msg =
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
     ~dir:`Send request;
   let result = Channel.call ?expires t.channel chan_sess request in
-  Queue.add chan_sess c.free;
+  return_channel c chan_sess;
   Sim.Semaphore.v c.free_sem;
   Machine.charge t.host.Host.mach Machine.Layer_crossing 0;
   match result with
@@ -172,9 +193,9 @@ let input t ~lower msg =
             | _ -> ());
             Stats.tick t.c_handled;
             Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
-            match Hashtbl.find_opt t.handlers command with
-            | None -> (Msg.empty, S.status_no_command)
-            | Some h -> (
+            match Hashtbl.find t.handlers command with
+            | exception Not_found -> (Msg.empty, S.status_no_command)
+            | h -> (
                 match h (Msg.drop msg hdr_len) with
                 | Ok reply -> (reply, S.status_ok)
                 | Error s -> (Msg.empty, s)))

@@ -46,12 +46,13 @@ type inflight = {
 (* One bounded attempt: the arguments both of its legs call with, the
    ivar the caller waits on, and [settled], set by whichever of a leg's
    result, a forced handoff and the caller's timeout comes first.  The
-   record is also the primary leg's argument. *)
+   record is also the argument of each leg and of the hedge timer. *)
 and attempt = {
   a_t : t;
   a_iv : (Msg.t, Rpc_error.t) result Sim.Ivar.ivar;
   mutable settled : bool;
   a_primary : replica;
+  a_hedge : replica; (* the hedge leg's replica, if one is armed *)
   a_expires : float option;
   a_shard : Wire_fmt.Select.stamp option;
   a_command : int;
@@ -193,28 +194,28 @@ let probe_once t r =
 let rec arm_probe t r ~delay =
   if not r.r_probe_armed then begin
     r.r_probe_armed <- true;
-    ignore
-      (Event.schedule t.host delay (fun () ->
-           r.r_probe_armed <- false;
-           if r.r_health = Suspect then begin
-             Stats.tick t.c_probe_sent;
-             match probe_once t r with
-             | Ok _ ->
-                 Stats.tick t.c_probe_ok;
-                 mark_healthy t r
-             | Error _ ->
-                 r.r_probe_fails <- r.r_probe_fails + 1;
-                 if r.r_probe_fails >= t.probe_limit then begin
-                   r.r_health <- Dead;
-                   (match t.dead_retry_interval with
-                   | Some iv ->
-                       r.r_next_retry <- Sim.now (Host.sim t.host) +. iv
-                   | None -> ());
-                   Stats.tick r.c_dead;
-                   set_gauges t
-                 end
-                 else arm_probe t r ~delay:(probe_delay t r.r_probe_fails)
-           end))
+    ignore (Event.schedule t.host delay probe_due (t, r))
+  end
+
+and probe_due (t, r) =
+  r.r_probe_armed <- false;
+  if r.r_health = Suspect then begin
+    Stats.tick t.c_probe_sent;
+    match probe_once t r with
+    | Ok _ ->
+        Stats.tick t.c_probe_ok;
+        mark_healthy t r
+    | Error _ ->
+        r.r_probe_fails <- r.r_probe_fails + 1;
+        if r.r_probe_fails >= t.probe_limit then begin
+          r.r_health <- Dead;
+          (match t.dead_retry_interval with
+          | Some iv -> r.r_next_retry <- Sim.now (Host.sim t.host) +. iv
+          | None -> ());
+          Stats.tick r.c_dead;
+          set_gauges t
+        end
+        else arm_probe t r ~delay:(probe_delay t r.r_probe_fails)
   end
 
 (* The Dead-permanence fix: with [dead_retry_interval] set, each call
@@ -301,10 +302,7 @@ let run_leg a r ~is_hedge =
   end
 
 let run_primary a = run_leg a a.a_primary ~is_hedge:false
-
-type hedge_leg = { h_attempt : attempt; h_replica : replica }
-
-let run_hedge h = run_leg h.h_attempt h.h_replica ~is_hedge:true
+let run_hedge a = run_leg a a.a_hedge ~is_hedge:true
 
 (* A leg starts as a fresh fiber at the back of the current instant. *)
 let now_span = { Sim.seconds = 0. }
@@ -312,12 +310,12 @@ let now_span = { Sim.seconds = 0. }
 (* The hedge timer's callback.  Like the end of a timed wait, it reads
    [settled] and takes a token from the back of the instant the timer
    fires in, after everything already due then: hence the yield. *)
-let fire_hedge a rh =
+let fire_hedge a =
   let sim = Host.sim a.a_t.host in
   Sim.yield sim;
   if (not a.settled) && take_token a.a_t then begin
     Stats.tick a.a_t.c_hedge_sent;
-    Sim.call_after sim now_span run_hedge { h_attempt = a; h_replica = rh }
+    Sim.call_after sim now_span run_hedge a
   end
 
 (* Settle a shard-routed attempt that a map install forced over. *)
@@ -327,6 +325,8 @@ let force a v =
     Stats.tick a.a_t.c_handoff_forced;
     Sim.Ivar.fill a.a_iv (Error (Rpc_error.Wrong_shard v))
   end
+
+let force_all (doomed, v) = List.iter (fun e -> force e.if_attempt v) doomed
 
 (* One bounded attempt against [r].  The call itself runs in its own
    fiber so the attempt can be abandoned after [budget] without waiting
@@ -348,6 +348,7 @@ let attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg =
       a_iv = Sim.Ivar.create sim;
       settled = false;
       a_primary = r;
+      a_hedge = (if hedge_to < 0 then r else t.replicas.(hedge_to));
       a_expires = expires;
       a_shard = stamp;
       a_command = command;
@@ -375,8 +376,7 @@ let attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg =
   in
   let got =
     if hedge_after > 0. && hedge_after < budget then begin
-      let rh = t.replicas.(hedge_to) in
-      let hedge = Sim.after sim hedge_after (fun () -> fire_hedge a rh) in
+      let hedge = Sim.timer sim hedge_after fire_hedge a in
       let got = Sim.Ivar.read_timeout a.a_iv budget in
       ignore (Sim.cancel hedge);
       got
@@ -487,12 +487,9 @@ let install_map t m =
               && e.if_owner <> Shard_map.owner m ~shard:e.if_shard)
             t.inflight
         in
-        if doomed <> [] then begin
-          let v = Shard_map.version m in
+        if doomed <> [] then
           ignore
-            (Event.schedule t.host d (fun () ->
-                 List.iter (fun e -> force e.if_attempt v) doomed))
-        end
+            (Event.schedule t.host d force_all (doomed, Shard_map.version m))
     | _ -> ())
   end;
   newer

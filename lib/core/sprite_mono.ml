@@ -185,35 +185,34 @@ let complete_call t cs outcome =
       Sim.Ivar.fill o.iv outcome
 
 let rec arm_timer t cs (o : outstanding) timeout =
-  o.timer <-
-    Some
-      (Event.schedule t.host timeout (fun () ->
-           match cs.out with
-           | Some o' when o' == o ->
-               if o.tries_left <= 0 then
-                 complete_call t cs (Error Rpc_error.Timeout)
-               else begin
-                 o.tries_left <- o.tries_left - 1;
-                 (* Selective retransmission, Sprite style: probe with
-                    the first unacknowledged fragment and ask for an
-                    explicit (partial) acknowledgement; the ack's
-                    fragment mask tells us exactly what to resend. *)
-                 let n = Array.length o.frags.f_pieces in
-                 let rec probe i =
-                   if i < n then
-                     if (1 lsl i) land o.acked_mask = 0 then begin
-                       Stats.incr t.stats "retransmit";
-                       send_frag ~please_ack:true t cs.c_lower o.frags i
-                     end
-                     else probe (i + 1)
-                 in
-                 probe 0;
-                 let timeout =
-                   if o.patient then base_timeout *. 4. else rpc_timeout 1
-                 in
-                 arm_timer t cs o timeout
-               end
-           | _ -> ()))
+  o.timer <- Some (Event.schedule t.host timeout timer_fired (t, cs, o))
+
+and timer_fired (t, cs, o) =
+  match cs.out with
+  | Some o' when o' == o ->
+      if o.tries_left <= 0 then complete_call t cs (Error Rpc_error.Timeout)
+      else begin
+        o.tries_left <- o.tries_left - 1;
+        (* Selective retransmission, Sprite style: probe with the first
+           unacknowledged fragment and ask for an explicit (partial)
+           acknowledgement; the ack's fragment mask tells us exactly
+           what to resend. *)
+        let n = Array.length o.frags.f_pieces in
+        let rec probe i =
+          if i < n then
+            if (1 lsl i) land o.acked_mask = 0 then begin
+              Stats.incr t.stats "retransmit";
+              send_frag ~please_ack:true t cs.c_lower o.frags i
+            end
+            else probe (i + 1)
+        in
+        probe 0;
+        let timeout =
+          if o.patient then base_timeout *. 4. else rpc_timeout 1
+        in
+        arm_timer t cs o timeout
+      end
+  | _ -> ()
 
 let start_call t cs ~command msg =
   if cs.out <> None then invalid_arg "Sprite_mono: channel busy";

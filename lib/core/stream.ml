@@ -50,13 +50,13 @@ let bytes_sent c = c.snd_next - 1
 let bytes_acked c = c.snd_una - 1
 
 let encode ~typ ~seq ~ack ~window ~len =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u8 w typ;
-  Codec.W.u32 w seq;
-  Codec.W.u32 w ack;
-  Codec.W.u16 w window;
-  Codec.W.u16 w len;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u8 b 0 typ;
+  Codec.set_u32 b 1 seq;
+  Codec.set_u32 b 5 ack;
+  Codec.set_u16 b 9 window;
+  Codec.set_u16 b 11 len;
+  Bytes.unsafe_to_string b
 
 (* What fits one lower-layer packet. *)
 let segment_size c =
@@ -100,22 +100,19 @@ let break_stream t c =
    and stale cancellations are no-ops. *)
 let rec arm_timer t c =
   c.timer_gen <- c.timer_gen + 1;
-  let gen = c.timer_gen in
   c.rto_timer <-
-    Some
-      (Event.schedule t.host rto (fun () ->
-           if
-             gen = c.timer_gen
-             && (not c.broken)
-             && not (Queue.is_empty c.unacked)
-           then begin
-             if c.tries_left <= 0 then break_stream t c
-             else begin
-               c.tries_left <- c.tries_left - 1;
-               retransmit_all t c;
-               arm_timer t c
-             end
-           end))
+    Some (Event.schedule t.host rto rto_fired (t, c, c.timer_gen))
+
+and rto_fired (t, c, gen) =
+  if gen = c.timer_gen && (not c.broken) && not (Queue.is_empty c.unacked)
+  then begin
+    if c.tries_left <= 0 then break_stream t c
+    else begin
+      c.tries_left <- c.tries_left - 1;
+      retransmit_all t c;
+      arm_timer t c
+    end
+  end
 
 let cancel_timer t c =
   c.timer_gen <- c.timer_gen + 1;

@@ -55,12 +55,12 @@ type client = { c_t : t; sess : Proto.session; prog : int; vers : int }
 let calls_handled t = Stats.get t.stats "handled"
 
 let encode ~prog ~vers ~proc ~status =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u32 w prog;
-  Codec.W.u32 w vers;
-  Codec.W.u32 w proc;
-  Codec.W.u8 w status;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u32 b 0 prog;
+  Codec.set_u32 b 4 vers;
+  Codec.set_u32 b 8 proc;
+  Codec.set_u8 b 12 status;
+  Bytes.unsafe_to_string b
 
 let connect t ~server ~prog ~vers =
   { c_t = t; sess = t.transaction.x_open ~peer:server; prog; vers }

@@ -16,22 +16,22 @@ module Sprite = struct
 
   let encode ~flags ~clnt ~srvr ~channel ~seq ~num ~mask ~command ~boot_id
       ~len ~off =
-    let w = Codec.W.create bytes in
-    Codec.W.u16 w flags;
-    Codec.W.u32 w (Addr.Ip.to_int clnt);
-    Codec.W.u32 w (Addr.Ip.to_int srvr);
-    Codec.W.u16 w channel;
-    Codec.W.u16 w 0 (* srvr_process *);
-    Codec.W.u32 w seq;
-    Codec.W.u16 w num;
-    Codec.W.u16 w mask;
-    Codec.W.u16 w command;
-    Codec.W.u32 w boot_id;
-    Codec.W.u16 w len;
-    Codec.W.u16 w 0 (* data2_sz *);
-    Codec.W.u16 w off;
-    Codec.W.u16 w 0 (* data2_off *);
-    Codec.W.contents w
+    let b = Bytes.create bytes in
+    Codec.set_u16 b 0 flags;
+    Codec.set_u32 b 2 (Addr.Ip.to_int clnt);
+    Codec.set_u32 b 6 (Addr.Ip.to_int srvr);
+    Codec.set_u16 b 10 channel;
+    Codec.set_u16 b 12 0 (* srvr_process *);
+    Codec.set_u32 b 14 seq;
+    Codec.set_u16 b 18 num;
+    Codec.set_u16 b 20 mask;
+    Codec.set_u16 b 22 command;
+    Codec.set_u32 b 24 boot_id;
+    Codec.set_u16 b 28 len;
+    Codec.set_u16 b 30 0 (* data2_sz *);
+    Codec.set_u16 b 32 off;
+    Codec.set_u16 b 34 0 (* data2_off *);
+    Bytes.unsafe_to_string b
 
   (* The field offsets, in the order [encode] writes them; nothing reads
      srvr_process (12), data1_off (32) or the second data area. *)
@@ -58,11 +58,11 @@ module Select = struct
   let status_wrong_shard = 3
 
   let encode ~typ ~command ~status =
-    let w = Codec.W.create bytes in
-    Codec.W.u8 w typ;
-    Codec.W.u16 w command;
-    Codec.W.u8 w status;
-    Codec.W.contents w
+    let b = Bytes.create bytes in
+    Codec.set_u8 b 0 typ;
+    Codec.set_u16 b 1 command;
+    Codec.set_u8 b 3 status;
+    Bytes.unsafe_to_string b
 
   let typ m = Msg.u8 m 0
   let command m = Msg.u16 m 1
@@ -78,11 +78,11 @@ module Select = struct
   let stamp_bytes = 10
 
   let encode_stamp s =
-    let w = Codec.W.create stamp_bytes in
-    Codec.W.u16 w s.shard;
-    Codec.W.u32 w s.epoch;
-    Codec.W.u32 w s.version;
-    Codec.W.contents w
+    let b = Bytes.create stamp_bytes in
+    Codec.set_u16 b 0 s.shard;
+    Codec.set_u32 b 2 s.epoch;
+    Codec.set_u32 b 6 s.version;
+    Bytes.unsafe_to_string b
 
   (* The stamp's and the wrong-shard body's fields sit behind the
      header. *)
@@ -91,9 +91,9 @@ module Select = struct
   let version m = Msg.u32 m (bytes + 6)
 
   let encode_wrong_shard ~version =
-    let w = Codec.W.create 4 in
-    Codec.W.u32 w version;
-    Codec.W.contents w
+    let b = Bytes.create 4 in
+    Codec.set_u32 b 0 version;
+    Bytes.unsafe_to_string b
 
   let wrong_shard_version m = Msg.u32 m bytes
 end
@@ -110,15 +110,15 @@ module Channel = struct
       if stamped then flags lor Flags.deadline
       else flags land lnot Flags.deadline
     in
-    let w = Codec.W.create (if stamped then bytes + ext_bytes else bytes) in
-    Codec.W.u16 w flags;
-    Codec.W.u16 w channel;
-    Codec.W.u32 w proto;
-    Codec.W.u32 w seq;
-    Codec.W.u16 w error;
-    Codec.W.u32 w boot_id;
-    if stamped then Codec.W.u32 w (min deadline_us max_deadline_us);
-    Codec.W.contents w
+    let b = Bytes.create (if stamped then bytes + ext_bytes else bytes) in
+    Codec.set_u16 b 0 flags;
+    Codec.set_u16 b 2 channel;
+    Codec.set_u32 b 4 proto;
+    Codec.set_u32 b 8 seq;
+    Codec.set_u16 b 12 error;
+    Codec.set_u32 b 14 boot_id;
+    if stamped then Codec.set_u32 b bytes (min deadline_us max_deadline_us);
+    Bytes.unsafe_to_string b
 
   let flags m = Msg.u16 m 0
 
@@ -152,13 +152,13 @@ module Map = struct
 
   let encode t =
     let s = Array.length t.owners in
-    let w = Codec.W.create (header_bytes + s) in
-    Codec.W.u32 w t.epoch;
-    Codec.W.u32 w t.version;
-    Codec.W.u16 w t.n_replicas;
-    Codec.W.u16 w s;
-    Array.iter (fun o -> Codec.W.u8 w o) t.owners;
-    Codec.W.contents w
+    let b = Bytes.create (header_bytes + s) in
+    Codec.set_u32 b 0 t.epoch;
+    Codec.set_u32 b 4 t.version;
+    Codec.set_u16 b 8 t.n_replicas;
+    Codec.set_u16 b 10 s;
+    Array.iteri (fun i o -> Codec.set_u8 b (header_bytes + i) o) t.owners;
+    Bytes.unsafe_to_string b
 
   let u32 s i =
     (String.get_uint16_be s i lsl 16) lor String.get_uint16_be s (i + 2)
@@ -186,16 +186,16 @@ module Fragment = struct
   let typ_nack = 2
 
   let encode ~typ ~clnt ~srvr ~proto ~seq ~num ~mask ~len =
-    let w = Codec.W.create bytes in
-    Codec.W.u8 w typ;
-    Codec.W.u32 w (Addr.Ip.to_int clnt);
-    Codec.W.u32 w (Addr.Ip.to_int srvr);
-    Codec.W.u32 w proto;
-    Codec.W.u32 w seq;
-    Codec.W.u16 w num;
-    Codec.W.u16 w mask;
-    Codec.W.u16 w len;
-    Codec.W.contents w
+    let b = Bytes.create bytes in
+    Codec.set_u8 b 0 typ;
+    Codec.set_u32 b 1 (Addr.Ip.to_int clnt);
+    Codec.set_u32 b 5 (Addr.Ip.to_int srvr);
+    Codec.set_u32 b 9 proto;
+    Codec.set_u32 b 13 seq;
+    Codec.set_u16 b 17 num;
+    Codec.set_u16 b 19 mask;
+    Codec.set_u16 b 21 len;
+    Bytes.unsafe_to_string b
 
   (* The field offsets, in the order [encode] writes them. *)
   let typ m = Msg.u8 m 0

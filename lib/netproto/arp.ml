@@ -20,13 +20,13 @@ type t = {
 let proto t = t.p
 
 let encode ~op ~sender_ip ~sender_eth ~target_ip ~target_eth =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u8 w op;
-  Codec.W.u32 w (Addr.Ip.to_int sender_ip);
-  Codec.W.u48 w (Addr.Eth.to_int sender_eth);
-  Codec.W.u32 w (Addr.Ip.to_int target_ip);
-  Codec.W.u48 w (Addr.Eth.to_int target_eth);
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u8 b 0 op;
+  Codec.set_u32 b 1 (Addr.Ip.to_int sender_ip);
+  Codec.set_u48 b 5 (Addr.Eth.to_int sender_eth);
+  Codec.set_u32 b 11 (Addr.Ip.to_int target_ip);
+  Codec.set_u48 b 15 (Addr.Eth.to_int target_eth);
+  Bytes.unsafe_to_string b
 
 let generation t = t.generation
 

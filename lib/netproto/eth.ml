@@ -17,11 +17,11 @@ type t = {
 let proto t = t.p
 
 let encode_header ~dst ~src ~typ =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u48 w (Addr.Eth.to_int dst);
-  Codec.W.u48 w (Addr.Eth.to_int src);
-  Codec.W.u16 w typ;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u48 b 0 (Addr.Eth.to_int dst);
+  Codec.set_u48 b 6 (Addr.Eth.to_int src);
+  Codec.set_u16 b 12 typ;
+  Bytes.unsafe_to_string b
 
 let common_control t = function
   | Control.Get_mtu | Control.Get_max_packet | Control.Get_opt_packet ->

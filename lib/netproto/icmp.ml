@@ -39,13 +39,13 @@ let encode ~typ ~code ~ident ~seq payload =
     + (ident land 0xffff) + (seq land 0xffff)
   in
   let ck = lnot (Msg.ones_complement_sum ~init:words payload) land 0xffff in
-  let w = Codec.W.create header_bytes in
-  Codec.W.u8 w typ;
-  Codec.W.u8 w code;
-  Codec.W.u16 w ck;
-  Codec.W.u16 w ident;
-  Codec.W.u16 w seq;
-  Msg.push payload (Codec.W.contents w)
+  let b = Bytes.create header_bytes in
+  Codec.set_u8 b 0 typ;
+  Codec.set_u8 b 1 code;
+  Codec.set_u16 b 2 ck;
+  Codec.set_u16 b 4 ident;
+  Codec.set_u16 b 6 seq;
+  Msg.push payload (Bytes.unsafe_to_string b)
 
 let session_to t peer =
   match Hashtbl.find_opt t.sessions (Addr.Ip.to_int peer) with

@@ -68,16 +68,16 @@ let encode_header ~totlen ~ident ~mf ~frag_off ~ttl ~proto_num ~src ~dst =
         + (dst land 0xffff)))
     land 0xffff
   in
-  let w = Codec.W.create header_bytes in
-  Codec.W.u16 w 0x4500;
-  Codec.W.u16 w totlen;
-  Codec.W.u16 w ident;
-  Codec.W.u16 w flags_off;
-  Codec.W.u16 w ttl_proto;
-  Codec.W.u16 w cksum;
-  Codec.W.u32 w src;
-  Codec.W.u32 w dst;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u16 b 0 0x4500;
+  Codec.set_u16 b 2 totlen;
+  Codec.set_u16 b 4 ident;
+  Codec.set_u16 b 6 flags_off;
+  Codec.set_u16 b 8 ttl_proto;
+  Codec.set_u16 b 10 cksum;
+  Codec.set_u32 b 12 src;
+  Codec.set_u32 b 16 dst;
+  Bytes.unsafe_to_string b
 
 (* The header at the front of a datagram holding [header_bytes], read
    in place: [header_ok] checks its version and checksum, and the
@@ -275,6 +275,14 @@ let reasm_insert t key entry ~off ~mf piece =
       end
       else None
 
+(* A reassembly's lifetime timer: an entry still incomplete when it
+   fires is dropped. *)
+let reasm_expired (t, key) =
+  if Hashtbl.mem t.reassembly key then begin
+    Hashtbl.remove t.reassembly key;
+    Stats.incr t.stats "reasm-timeout"
+  end
+
 let input t msg =
   Machine.charge_all t.host.Host.mach
     [
@@ -358,11 +366,7 @@ let input t msg =
               Hashtbl.replace t.reassembly key e;
               e.timer <-
                 Some
-                  (Event.schedule t.host reasm_timeout (fun () ->
-                       if Hashtbl.mem t.reassembly key then begin
-                         Hashtbl.remove t.reassembly key;
-                         Stats.incr t.stats "reasm-timeout"
-                       end));
+                  (Event.schedule t.host reasm_timeout reasm_expired (t, key));
               e
         in
         match reasm_insert t key entry ~off:frag_off ~mf payload with

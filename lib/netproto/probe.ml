@@ -29,10 +29,10 @@ let boundary t =
 let proto t = t.p
 
 let encode ~kind ~seq =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u8 w kind;
-  Codec.W.u32 w seq;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u8 b 0 kind;
+  Codec.set_u32 b 1 seq;
+  Bytes.unsafe_to_string b
 
 let with_port t comps =
   match t.port with Some p -> Part.Port p :: comps | None -> comps

@@ -24,12 +24,12 @@ let pseudo_checksum ~src ~dst payload =
   land 0xffff
 
 let encode ~sport ~dport ~len ~cksum =
-  let w = Codec.W.create header_bytes in
-  Codec.W.u16 w sport;
-  Codec.W.u16 w dport;
-  Codec.W.u16 w len;
-  Codec.W.u16 w cksum;
-  Codec.W.contents w
+  let b = Bytes.create header_bytes in
+  Codec.set_u16 b 0 sport;
+  Codec.set_u16 b 2 dport;
+  Codec.set_u16 b 4 len;
+  Codec.set_u16 b 6 cksum;
+  Bytes.unsafe_to_string b
 
 let ephemeral t =
   let p = t.next_ephemeral in

@@ -95,14 +95,18 @@ let make_session t ~upper (peer_ip, proto_num) =
     | None, None -> Stats.incr t.stats "tx-unroutable"
   in
   let pop msg = Proto.deliver upper ~lower:(self ()) msg in
+  (* Invariant answers, built once: FRAGMENT asks for the packet size
+     per message. *)
+  let r_peer = Control.R_ip peer_ip and r_payload = Control.R_int payload in
+  let r_max_packet =
+    Control.R_int (match ip_sess with Some _ -> Ip.max_packet | None -> payload)
+  in
   let s_control = function
-    | Control.Get_peer_host -> Control.R_ip peer_ip
+    | Control.Get_peer_host -> r_peer
     | Control.Get_my_host -> Control.R_ip t.host.Host.ip
     | Control.Get_peer_proto | Control.Get_my_proto -> Control.R_int proto_num
-    | Control.Get_opt_packet | Control.Get_mtu -> Control.R_int payload
-    | Control.Get_max_packet ->
-        Control.R_int
-          (match ip_sess with Some _ -> Ip.max_packet | None -> payload)
+    | Control.Get_opt_packet | Control.Get_mtu -> r_payload
+    | Control.Get_max_packet -> r_max_packet
     | req -> Stats.control t.stats req
   in
   let close () =

@@ -35,12 +35,12 @@ let broadcast_session t =
       s
 
 let send t ~op =
-  let w = Codec.W.create packet_bytes in
-  Codec.W.u8 w op;
-  Codec.W.u32 w (Addr.Ip.to_int t.host.Host.ip);
-  Codec.W.u8 w version;
+  let b = Bytes.create packet_bytes in
+  Codec.set_u8 b 0 op;
+  Codec.set_u32 b 1 (Addr.Ip.to_int t.host.Host.ip);
+  Codec.set_u8 b 5 version;
   Machine.charge t.host.Host.mach Machine.Header packet_bytes;
-  Proto.push (broadcast_session t) (Msg.of_string (Codec.W.contents w))
+  Proto.push (broadcast_session t) (Msg.of_string (Bytes.unsafe_to_string b))
 
 let advertise t =
   Stats.incr t.stats "beacon-tx";

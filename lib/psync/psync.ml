@@ -47,18 +47,19 @@ let fixed_bytes = 14
 
 let header_of pk ~typ =
   let nctx = List.length pk.pk_ctx in
-  let w = Codec.W.create (fixed_bytes + (nctx * 8)) in
-  Codec.W.u8 w typ;
-  Codec.W.u32 w pk.pk_conv;
-  Codec.W.u32 w (Addr.Ip.to_int pk.pk_id.origin);
-  Codec.W.u32 w pk.pk_id.seq;
-  Codec.W.u8 w nctx;
-  List.iter
-    (fun id ->
-      Codec.W.u32 w (Addr.Ip.to_int id.origin);
-      Codec.W.u32 w id.seq)
+  let b = Bytes.create (fixed_bytes + (nctx * 8)) in
+  Codec.set_u8 b 0 typ;
+  Codec.set_u32 b 1 pk.pk_conv;
+  Codec.set_u32 b 5 (Addr.Ip.to_int pk.pk_id.origin);
+  Codec.set_u32 b 9 pk.pk_id.seq;
+  Codec.set_u8 b 13 nctx;
+  List.iteri
+    (fun i id ->
+      let off = fixed_bytes + (i * 8) in
+      Codec.set_u32 b off (Addr.Ip.to_int id.origin);
+      Codec.set_u32 b (off + 4) id.seq)
     pk.pk_ctx;
-  Codec.W.contents w
+  Bytes.unsafe_to_string b
 
 let parse msg =
   if Msg.length msg < fixed_bytes then None
@@ -136,10 +137,10 @@ let rec request_missing cv id =
         transmit cv.cv sess ~typ:typ_resend
           { pk_conv = cv.conv_id; pk_id = id; pk_ctx = []; pk_body = Msg.empty }
     | None -> ());
-    ignore
-      (Event.schedule cv.cv.host resend_delay (fun () ->
-           if not (is_delivered cv id) then request_missing cv id))
+    ignore (Event.schedule cv.cv.host resend_delay resend_due (cv, id))
   end
+
+and resend_due (cv, id) = if not (is_delivered cv id) then request_missing cv id
 
 let receive_data cv pk =
   if is_delivered cv pk.pk_id then Stats.incr cv.cv.stats "dup"

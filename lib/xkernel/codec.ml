@@ -1,37 +1,30 @@
-module W = struct
-  type t = { buf : Bytes.t; mutable pos : int }
+(* A field that does not fit is refused before any byte is written. *)
+let check b off n =
+  if off < 0 || off > Bytes.length b - n then
+    invalid_arg "Codec: field past the header"
 
-  let create size = { buf = Bytes.create size; pos = 0 }
+let set_u8 b off v =
+  check b off 1;
+  Bytes.set_uint8 b off (v land 0xff)
 
-  (* Claims the next [n] bytes; a write that does not fit changes
-     nothing. *)
-  let claim w n =
-    let p = w.pos in
-    if p + n > Bytes.length w.buf then invalid_arg "Codec.W: past the header";
-    w.pos <- p + n;
-    p
+let set_u16 b off v =
+  check b off 2;
+  Bytes.set_uint16_be b off (v land 0xffff)
 
-  let u8 w v = Bytes.set_uint8 w.buf (claim w 1) (v land 0xff)
-  let u16 w v = Bytes.set_uint16_be w.buf (claim w 2) (v land 0xffff)
+let set_u32 b off v =
+  check b off 4;
+  Bytes.set_uint16_be b off ((v lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (v land 0xffff)
 
-  let u32 w v =
-    let p = claim w 4 in
-    Bytes.set_uint16_be w.buf p ((v lsr 16) land 0xffff);
-    Bytes.set_uint16_be w.buf (p + 2) (v land 0xffff)
+let set_u48 b off v =
+  check b off 6;
+  Bytes.set_uint16_be b off ((v lsr 32) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) ((v lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 4) (v land 0xffff)
 
-  let u48 w v =
-    let p = claim w 6 in
-    Bytes.set_uint16_be w.buf p ((v lsr 32) land 0xffff);
-    Bytes.set_uint16_be w.buf (p + 2) ((v lsr 16) land 0xffff);
-    Bytes.set_uint16_be w.buf (p + 4) (v land 0xffff)
-
-  let bytes w s =
-    Bytes.blit_string s 0 w.buf (claim w (String.length s)) (String.length s)
-
-  let contents w =
-    if w.pos <> Bytes.length w.buf then invalid_arg "Codec.W.contents";
-    Bytes.unsafe_to_string w.buf
-end
+let set_string b off s =
+  check b off (String.length s);
+  Bytes.blit_string s 0 b off (String.length s)
 
 let ones_complement_sum s =
   let n = String.length s in

@@ -5,41 +5,40 @@
     primitives.  All multi-byte fields are big-endian ("network order"),
     matching the wire formats the paper's C structures imply.
 
-    A header is written once, into a buffer of its exact size that
-    becomes the header string without a copy.  Protocols read headers in
-    place with {!Msg.u16} and friends; a string a program holds outside
-    a message (a control-plane payload, a credential) is read with
-    [String.get_uint16_be] and friends. *)
+    A header is written once, field by field at fixed offsets, into a
+    buffer of its exact size that becomes the header string without a
+    copy.  Protocols read headers in place with {!Msg.u16} and friends;
+    a string a program holds outside a message (a control-plane
+    payload, a credential) is read with [String.get_uint16_be] and
+    friends. *)
 
-(** Writer: fills an exact-size header buffer front to back.  An append
-    that does not fit in the size given to {!W.create} raises
+(** {1 Setters}
+
+    An encoder allocates its header with [Bytes.create n], [n] the
+    header's exact size, writes every field with these setters at the
+    offset its reader uses, and hands the buffer over with
+    [Bytes.unsafe_to_string]: the header's string is the only block it
+    allocates.  Each setter checks that the whole field lies inside the
+    buffer first, so a write that does not fit raises
     [Invalid_argument] and writes nothing. *)
-module W : sig
-  type t
 
-  val create : int -> t
-  (** [create n] is a writer for an [n]-byte header. *)
+val set_u8 : Bytes.t -> int -> int -> unit
+(** [set_u8 b off v] writes the low 8 bits of [v] at [off]. *)
 
-  val u8 : t -> int -> unit
-  (** [u8 w v] appends the low 8 bits of [v]. *)
+val set_u16 : Bytes.t -> int -> int -> unit
+(** [set_u16 b off v] writes the low 16 bits of [v] at [off],
+    big-endian. *)
 
-  val u16 : t -> int -> unit
-  (** [u16 w v] appends the low 16 bits of [v], big-endian. *)
+val set_u32 : Bytes.t -> int -> int -> unit
+(** [set_u32 b off v] writes the low 32 bits of [v] at [off],
+    big-endian. *)
 
-  val u32 : t -> int -> unit
-  (** [u32 w v] appends the low 32 bits of [v], big-endian. *)
+val set_u48 : Bytes.t -> int -> int -> unit
+(** [set_u48 b off v] writes the low 48 bits of [v] at [off] (ethernet
+    addresses). *)
 
-  val u48 : t -> int -> unit
-  (** [u48 w v] appends the low 48 bits of [v] (ethernet addresses). *)
-
-  val bytes : t -> string -> unit
-  (** [bytes w s] appends [s] verbatim. *)
-
-  val contents : t -> string
-  (** [contents w] hands over the buffer as a string, without copying;
-      write nothing to [w] afterwards.  Raises [Invalid_argument] unless
-      exactly the size given to {!create} was written. *)
-end
+val set_string : Bytes.t -> int -> string -> unit
+(** [set_string b off s] copies [s] verbatim to [off]. *)
 
 val ip_checksum : string -> int
 (** [ip_checksum s] is the complement of the 16-bit one's-complement

@@ -1,8 +1,10 @@
 type t = Sim.event
 
-let schedule host d f =
+let schedule host d f x =
   Machine.charge host.Host.mach Machine.Timer_op 0;
-  Sim.after (Host.sim host) d f
+  Sim.timer (Host.sim host) d f x
+
+let none host = Sim.spent (Host.sim host)
 
 let cancel host t =
   (* Cancel before charging: charging yields the fiber, and a due timer

@@ -50,7 +50,7 @@ val drop : t -> int -> t
 
     [u8 m off], [u16 m off], [u32 m off] and [u48 m off] are the 1-, 2-,
     4- and 6-byte big-endian values at byte [off] of [m] ("network
-    order", as {!Codec.W} writes them).  A read inside the first leaf,
+    order", as the {!Codec} setters write them).  A read inside the first leaf,
     which holds a header just pushed, allocates nothing; one that
     straddles leaves falls back to {!get}.  Raise [Invalid_argument] if
     any byte is out of range. *)

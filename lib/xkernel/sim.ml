@@ -41,9 +41,11 @@ exception Stalled of string
    - [spawn], a fresh fiber at the current instant;
    - [call_after d f x], [f x] as a fresh fiber [d] seconds from now,
      with no cancel handle: a wire delivery;
-   - [after d], a callback [d] seconds from now;
-   - [at time], a callback at an absolute time, for a deadline worked
-     out earlier ([after (time -. now)] can miss [time] by an ulp);
+   - [timer d f x], [f x] as a fresh fiber [d] seconds from now, with a
+     cancel handle: the x-kernel's [evSchedule(func, arg, time)];
+     [after d] and [at time] are the same timer for a thunk, [at] at an
+     absolute time, for a deadline worked out earlier ([after (time -.
+     now)] can miss [time] by an ulp);
    - a fiber's own timed wait: [delay], [yield] or a [Server] hold.
 
    Both heaps are index heaps.  A heap position holds its event's key
@@ -80,12 +82,12 @@ exception Stalled of string
    [t.running], and three rules keep a record owned by exactly one
    fiber:
 
-   - A [Sim.after] or [Sim.at] event is never a wait record: it is the
-     caller's cancel handle, which [cancel] must find [Fired] once it
-     has run ([Event.t] is one).  Its [Fiber] runs with
-     [running = dummy], not the record of the fiber that ran before it
-     (which may still be queued or parked), and makes its own record at
-     its first suspension.
+   - A timer event ([timer], [after], [at]) is never a wait record: it
+     is the caller's cancel handle, which [cancel] must find [Fired] once
+     it has run ([Event.t] is one).  Its [Timer] action, the one timer
+     action, runs [f x] with [running = dummy], not the record of the
+     fiber that ran before it (which may still be queued or parked), and
+     the callback makes its own record at its first suspension.
    - A [Call] event, which [spawn] and [call_after] queue, is nobody's
      handle: neither returns it, and once it fires it is in no queue.
      So its fiber runs with [running] set to it, and its first
@@ -168,9 +170,10 @@ and phase =
   | Fired (* out of the queues: ran, was purged, or a parked record *)
 
 and action =
-  | Fiber of (unit -> unit)
-      (* start the thunk as a fresh fiber: a [Sim.after] or [Sim.at]
-         callback, never in a wait ring *)
+  | Timer : { f : 'a -> unit; x : 'a } -> action
+      (* start [f x] as a fresh fiber: a timer's callback ([timer],
+         [after], [at]), whose event is the caller's cancel handle, so
+         never a wait record and never in a wait ring *)
   | Call : { f : 'a -> unit; x : 'a } -> action
       (* start [f x] as a fresh fiber; the event is nobody's handle, so
          it becomes that fiber's wait record.  In a wait ring, a timed
@@ -476,7 +479,7 @@ let wake t r =
   match ev.action with
   | Resume _ -> requeue ev
   | Call { f; x } -> f x
-  | Fiber _ -> assert false
+  | Timer _ -> assert false
 
 (* A timed read's cell: the reader's record, parked until [settle]
    runs, and the timer that is also the reader's ring entry.  [waiting]
@@ -514,7 +517,7 @@ let record t k =
   | Call _ ->
       ev.action <- Resume { k };
       ev
-  | Fiber _ -> { seq = -1; phase = Fired; action = Resume { k }; owner = t }
+  | Timer _ -> { seq = -1; phase = Fired; action = Resume { k }; owner = t }
 
 let make_handler t =
   let on_delay =
@@ -554,7 +557,8 @@ let make_handler t =
 
 let create ?(max_events = 10_000_000) ?(seed = 42) () =
   let due = { now = 0.; at = 0.; bound = neg_infinity } in
-  let rec dummy = { seq = -1; phase = Fired; action = Fiber ignore; owner = t }
+  let rec dummy =
+    { seq = -1; phase = Fired; action = Timer { f = ignore; x = () }; owner = t }
   and t =
     {
       near = heap ();
@@ -617,15 +621,25 @@ let yield t =
   t.due.at <- t.due.now;
   perform_delay ()
 
+let timer t d f x =
+  if not (d >= 0.) then invalid_arg "Sim.timer: negative or NaN delay";
+  t.due.at <- t.due.now +. d;
+  schedule t (Timer { f; x })
+
+(* A thunk is a timer whose function applies its argument. *)
+let apply f = f ()
+
 let after t d f =
   if not (d >= 0.) then invalid_arg "Sim.after: negative or NaN delay";
   t.due.at <- t.due.now +. d;
-  schedule t (Fiber f)
+  schedule t (Timer { f = apply; x = f })
 
 let at t time f =
   if not (time >= t.due.now) then invalid_arg "Sim.at: time behind the clock or NaN";
   t.due.at <- time;
-  schedule t (Fiber f)
+  schedule t (Timer { f = apply; x = f })
+
+let spent t = t.dummy
 
 (* Queue [f x] as a fresh fiber due at [t.due.at]. *)
 let call t f x = ignore (schedule t (Call { f; x }))
@@ -672,11 +686,11 @@ let run ?until t =
           Effect.Deep.continue r.k ()
         end
         else requeue ev
-    | Asleep, (Fiber _ | Call _) -> requeue ev
-    | _, Fiber f ->
+    | Asleep, (Timer _ | Call _) -> requeue ev
+    | _, Timer { f; x } ->
         ev.phase <- Fired;
         t.running <- t.dummy;
-        Effect.Deep.try_with f () t.handler
+        Effect.Deep.try_with f x t.handler
     | _, Call { f; x } ->
         ev.phase <- Fired;
         t.running <- ev;

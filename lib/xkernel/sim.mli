@@ -69,13 +69,21 @@ type event
 (** A cancellable scheduled event — the x-kernel event library's
     [evSchedule] handle. *)
 
+val timer : t -> float -> ('a -> unit) -> 'a -> event
+(** [timer sim d f x] schedules [f x] to run (as a fiber) [d] seconds
+    from now: the x-kernel's [evSchedule(func, arg, time)].  The event
+    carries [f] and [x], so a timer whose function is built once and
+    whose argument already exists allocates only the event.  Timer
+    callbacks may themselves block; the returned event is the caller's
+    cancel handle, which {!cancel} must find spent once [f] has
+    started, so it never becomes the callback's wait record and a
+    callback that blocks allocates its own.  Raises [Invalid_argument]
+    if [d] is negative or NaN. *)
+
 val after : t -> float -> (unit -> unit) -> event
-(** [after sim d f] schedules [f] to run (as a fiber) [d] seconds from
-    now.  Timer callbacks may themselves block; the returned event is
-    the caller's cancel handle, which {!cancel} must find spent once
-    [f] has started, so it never becomes the callback's wait record
-    and a callback that blocks allocates its own.  Raises
-    [Invalid_argument] if [d] is negative or NaN. *)
+(** [after sim d f] is {!timer} for a thunk: [f ()] runs (as a fiber)
+    [d] seconds from now.  Raises [Invalid_argument] if [d] is negative
+    or NaN. *)
 
 val at : t -> float -> (unit -> unit) -> event
 (** [at sim time f] schedules [f] to run (as a fiber) at virtual time
@@ -86,6 +94,10 @@ val at : t -> float -> (unit -> unit) -> event
 val cancel : event -> bool
 (** [cancel ev] cancels [ev]; returns [false] if it already ran (or was
     already cancelled).  The x-kernel's [evCancel]. *)
+
+val spent : t -> event
+(** A handle that is never live: {!cancel} returns [false] on it.  A
+    holder's value for "no timer armed", which needs no option box. *)
 
 val run : ?until:float -> t -> unit
 (** [run sim] processes events in time order until the queue is empty

@@ -564,9 +564,10 @@ let words_per n f =
 let measured = ref []
 
 (* OCaml 5.1.1 measures, in minor words: a fragment sent, with its
-   share of the message's split and send cache slot, 21.63 (budget 23);
-   a fragment received, with its share of the reassembly, delivery and
-   dedup entry, 7.46 (8.5); a key tuple per session lookup, as
+   share of the message's split and send cache slot, 18.63 (budget 19;
+   21.63 with a writer record per header); a fragment received, with
+   its share of the reassembly, delivery and dedup entry, 7.08 (8.5;
+   7.46 with a closure per gap timer); a key tuple per session lookup, as
    [Demux.resolve] builds, read 10.46 there.  A build that compiles the libraries with
    [-opaque] and passes each CPU hold its duration as a float measured
    31.75 and 17.71; on that build a discard timer per message read
@@ -630,7 +631,7 @@ let alloc_budget () =
   let keep x = ignore (Sys.opaque_identity x) in
   let figures =
     [
-      ("per-fragment send", 23., send);
+      ("per-fragment send", 19., send);
       ("per-fragment receive", 8.5, recv);
       ( "16 KB reassembled, 2 drops",
         8.01,

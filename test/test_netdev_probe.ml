@@ -5,11 +5,11 @@ module Probe = Netproto.Probe
 (* --- Netdev --- *)
 
 let frame ~dst ~src ~typ payload =
-  let w = Codec.W.create 14 in
-  Codec.W.u48 w (Addr.Eth.to_int dst);
-  Codec.W.u48 w (Addr.Eth.to_int src);
-  Codec.W.u16 w typ;
-  Msg.push (Msg.of_string payload) (Codec.W.contents w)
+  let b = Bytes.create 14 in
+  Codec.set_u48 b 0 (Addr.Eth.to_int dst);
+  Codec.set_u48 b 6 (Addr.Eth.to_int src);
+  Codec.set_u16 b 12 typ;
+  Msg.push (Msg.of_string payload) (Bytes.unsafe_to_string b)
 
 let dst_filter () =
   let w = World.create ~n:3 () in

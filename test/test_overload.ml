@@ -385,18 +385,20 @@ let replica_call_cost ~hedge =
 (* Allocation budget, in minor words per call (OCaml 5.1.1 measure ->
    budget), and the exact event count per call.  A call allocates its
    attempt record, the ivar, the primary leg's event and the timed
-   read's timer and cell; an armed hedge adds its timer and callback.
-   Before attempts were one record the rows read 196 and 233.26 words,
-   and 7 events with a hedge.  A closure per leg handed to [Sim.spawn]
-   reads 86 and 100.26 words; the hedge as a fiber that sleeps out its
-   delay reads 114.26 words and 9 events. *)
+   read's timer and cell; an armed hedge adds its timer, whose argument
+   is the attempt (81 and 91.26 words).  Before attempts were one
+   record the rows read 196 and 233.26 words, and 7 events with a
+   hedge.  A closure per leg handed to [Sim.spawn] reads 86 and 100.26
+   words; the hedge as a fiber that sleeps out its delay reads 114.26
+   words and 9 events, and as a closure over the attempt and its
+   replica 96.26 words. *)
 let replica_alloc_budget () =
   let plain_w, plain_e = replica_call_cost ~hedge:false in
   let hedge_w, hedge_e = replica_call_cost ~hedge:true in
   let figures =
     [
       ("REPLICA call", 85., plain_w);
-      ("REPLICA call, hedge armed", 100., hedge_w);
+      ("REPLICA call, hedge armed", 92., hedge_w);
     ]
   in
   measured := figures;

@@ -292,7 +292,7 @@ let event_module_cancel () =
   in
   let fired = ref false in
   Sim.spawn sim (fun () ->
-      let ev = Event.schedule host 1.0 (fun () -> fired := true) in
+      let ev = Event.schedule host 1.0 (fun r -> r := true) fired in
       Alcotest.(check bool) "cancel ok" true (Event.cancel host ev);
       Alcotest.(check bool) "marks done" false (Event.cancel host ev));
   Sim.run sim;
@@ -496,9 +496,10 @@ let cancel_purge_pending () =
   Tutil.check_int "processed counts executions" (List.length live)
     (Sim.processed sim)
 
-(* Random [after], [at], [cancel] and [run ~until] steps against a
-   model that keeps every event's (time, seq) and whether it is still
-   live.  A case queues about 350-1,200 events in four to six stretches,
+(* Random [after], [timer], [at], [cancel] and [run ~until] steps
+   against a model that keeps every event's (time, seq) and whether it
+   is still live.  [timer] is [after] with the callback's argument in
+   the event instead of in a closure.  A case queues about 350-1,200 events in four to six stretches,
    each with its own share of cancels and reach of delays.  Runs advance
    the clock by at most 0.01 s while delays reach 0.5 s or 1 s, so
    stretches without cancels grow a heap past its first 256 entries, and
@@ -518,6 +519,7 @@ let cancel_purge_pending () =
    run the clock, must agree. *)
 type queue_step =
   | Q_after of int
+  | Q_timer of int
   | Q_at of int
   | Q_call of int
   | Q_cancel of int
@@ -531,7 +533,8 @@ let qcheck_queue_model =
       list_size (int_range 150 300)
         (frequency
            [
-             (4, map (fun k -> Q_after k) (int_bound reach));
+             (3, map (fun k -> Q_after k) (int_bound reach));
+             (2, map (fun k -> Q_timer k) (int_bound reach));
              (2, map (fun k -> Q_at k) (int_bound reach));
              (2, map (fun k -> Q_call k) (int_bound reach));
              (cancels, map (fun k -> Q_cancel k) (int_bound 255));
@@ -540,6 +543,7 @@ let qcheck_queue_model =
   in
   let show = function
     | Q_after k -> Printf.sprintf "after %d/40" k
+    | Q_timer k -> Printf.sprintf "timer %d/40" k
     | Q_at k -> Printf.sprintf "at +%d/40" k
     | Q_call k -> Printf.sprintf "call_after %d/40" k
     | Q_cancel k -> Printf.sprintf "cancel -%d" k
@@ -624,7 +628,8 @@ let qcheck_queue_model =
           QCheck.Test.fail_reportf "step %d: clock %h, model %h" i
             (Sim.now sim) !now
       in
-      let note id () = fired := id :: !fired in
+      let note_id id = fired := id :: !fired in
+      let note id () = note_id id in
       let call id =
         note id ();
         Machine.charge m Machine.Layer_crossing 0;
@@ -636,6 +641,9 @@ let qcheck_queue_model =
           | Q_after k ->
               let d = float_of_int k /. 40. in
               schedule (!now +. d) (fun id -> Some (Sim.after sim d (note id)))
+          | Q_timer k ->
+              let d = float_of_int k /. 40. in
+              schedule (!now +. d) (fun id -> Some (Sim.timer sim d note_id id))
           | Q_at k ->
               let time =
                 Float.max !now ((Float.ceil (!now *. 40.) +. float_of_int k) /. 40.)
@@ -878,6 +886,34 @@ let after_handle_not_a_record () =
   Sim.run sim;
   Alcotest.(check bool) "callback finished" true !finished;
   Alcotest.(check (float 0.)) "woken at 1.5, slept 1 s" 2.5 (Sim.now sim);
+  Tutil.check_int "nothing pending" 0 (Sim.pending sim)
+
+(* The same for an argument-carrying timer: its callback suspends on a
+   semaphore, and a cancel while it is parked, and one right after the
+   [v] that requeues it (before it resumes), both find the timer spent.
+   Were the timer event the callback's wait record, the second cancel
+   would find it queued, return [true] and drop the continuation. *)
+let timer_handle_not_a_record () =
+  let sim = Sim.create () in
+  let sem = Sim.Semaphore.create sim 0 in
+  let log = ref [] in
+  let callback tag =
+    log := (tag ^ " parks") :: !log;
+    Sim.Semaphore.p sem;
+    log := (tag ^ " resumes") :: !log
+  in
+  let ev = Sim.timer sim 0.5 callback "timer" in
+  let cancels = ref [] in
+  ignore
+    (Sim.after sim 1.0 (fun () ->
+         cancels := Sim.cancel ev :: !cancels;
+         Sim.Semaphore.v sem;
+         cancels := Sim.cancel ev :: !cancels));
+  Sim.run sim;
+  Alcotest.(check (list bool)) "cancel while parked, and once woken" [ false; false ]
+    !cancels;
+  Alcotest.(check (list string))
+    "callback ran to the end" [ "timer parks"; "timer resumes" ] (List.rev !log);
   Tutil.check_int "nothing pending" 0 (Sim.pending sim)
 
 (* Second: one fiber goes through every kind of suspension, its record
@@ -1468,6 +1504,8 @@ let () =
         [
           Alcotest.test_case "after handle is not a record" `Quick
             after_handle_not_a_record;
+          Alcotest.test_case "cancel of a suspended timer callback" `Quick
+            timer_handle_not_a_record;
           Alcotest.test_case "one fiber, every wait" `Quick
             one_fiber_every_wait;
           Alcotest.test_case "nested run keeps the record" `Quick

@@ -207,13 +207,14 @@ let auth_unix_rejects_malformed () =
   in
   let _, a1, _, _, execs = with_auth w ~mk_auth in
   let frame cred =
-    let w = Codec.W.create (7 + String.length cred + 1) in
-    Codec.W.u8 w 1 (* flavour: unix *);
-    Codec.W.u32 w 95 (* REQUEST_REPLY *);
-    Codec.W.u16 w (String.length cred);
-    Codec.W.bytes w cred;
-    Codec.W.bytes w "x";
-    Msg.of_string (Codec.W.contents w)
+    let n = String.length cred in
+    let b = Bytes.create (7 + n + 1) in
+    Codec.set_u8 b 0 1 (* flavour: unix *);
+    Codec.set_u32 b 1 95 (* REQUEST_REPLY *);
+    Codec.set_u16 b 5 n;
+    Codec.set_string b 7 cred;
+    Codec.set_string b (7 + n) "x";
+    Msg.of_string (Bytes.unsafe_to_string b)
   in
   let uid_100 = "\000\000\000\100" in
   Tutil.deliver_from_below w ~host:(World.node w 1).World.host

@@ -298,13 +298,13 @@ let stale_eth_unidentified make () =
   (* Node 1's ARP hears that node 0's address moved to another ethernet
      address; node 0 keeps sending from its own. *)
   let moved =
-    let c = Codec.W.create 21 in
-    Codec.W.u8 c 2 (* reply *);
-    Codec.W.u32 c (Addr.Ip.to_int n0.World.host.Host.ip);
-    Codec.W.u48 c 0x0800200000ff;
-    Codec.W.u32 c (Addr.Ip.to_int n1.World.host.Host.ip);
-    Codec.W.u48 c (Addr.Eth.to_int n1.World.host.Host.eth);
-    Msg.of_string (Codec.W.contents c)
+    let c = Bytes.create 21 in
+    Codec.set_u8 c 0 (2 (* reply *));
+    Codec.set_u32 c 1 (Addr.Ip.to_int n0.World.host.Host.ip);
+    Codec.set_u48 c 5 0x0800200000ff;
+    Codec.set_u32 c 11 (Addr.Ip.to_int n1.World.host.Host.ip);
+    Codec.set_u48 c 15 (Addr.Eth.to_int n1.World.host.Host.eth);
+    Msg.of_string (Bytes.unsafe_to_string c)
   in
   Tutil.run_in w (fun () ->
       Proto.deliver (Netproto.Arp.proto n1.World.arp) ~lower:(List.hd !seen) moved);
