@@ -13,6 +13,16 @@ let microbench () =
   pr "\n=== Wall-clock microbenchmarks (Bechamel; real ns, not simulated) ===\n%!";
   let open Bechamel in
   let open Toolkit in
+  (* Every row is also run here outside Bechamel, to count the minor
+     words one run allocates: Bechamel's [minor_allocated] reads
+     [Gc.quick_stat], which OCaml 5 brings up to date only at a minor
+     collection. *)
+  let runs = ref [] in
+  let row ~name f =
+    let run = Staged.unstage f in
+    runs := (name, fun () -> ignore (Sys.opaque_identity (run ()))) :: !runs;
+    Test.make ~name f
+  in
   (* A chain of [n] trivial protocols on a zero-cost machine: the real
      price of one layer crossing in this infrastructure. *)
   let make_chain n =
@@ -53,18 +63,18 @@ let microbench () =
   let crossing n =
     let top = make_chain n in
     let msg = Msg.of_string "x" in
-    Test.make ~name:(Printf.sprintf "push through %2d layers" n)
+    row ~name:(Printf.sprintf "push through %2d layers" n)
       (Staged.stage (fun () -> Proto.push top msg))
   in
   let msg_ops =
     let m = Msg.fill 1024 'a' in
     [
-      Test.make ~name:"msg push+drop 36B header"
+      row ~name:"msg push+drop 36B header"
         (Staged.stage (fun () ->
              ignore (Msg.drop (Msg.push m (String.make 36 'h')) 36)));
-      Test.make ~name:"msg split+append 1KB"
+      row ~name:"msg split+append 1KB"
         (Staged.stage (fun () -> ignore (Msg.append (fst (Msg.split m 512)) m)));
-      Test.make ~name:"SPRITE_HDR encode + read"
+      row ~name:"SPRITE_HDR encode + read"
         (Staged.stage
            (let module H = Rpc.Wire_fmt.Sprite in
             let clnt = Addr.Ip.v 10 0 0 1 and srvr = Addr.Ip.v 10 0 0 2 in
@@ -80,7 +90,7 @@ let microbench () =
                   + Addr.Ip.to_int (H.srvr_host m) + H.channel m
                   + H.sequence_num m + H.num_frags m + H.frag_mask m
                   + H.command m + H.boot_id m + H.data1_sz m))));
-      Test.make ~name:"CHANNEL header encode + read"
+      row ~name:"CHANNEL header encode + read"
         (Staged.stage
            (let module C = Rpc.Wire_fmt.Channel in
             fun () ->
@@ -95,7 +105,7 @@ let microbench () =
                    (C.header_len m + C.flags m + C.channel m
                   + C.protocol_num m + C.sequence_num m + C.error m
                   + C.boot_id m + C.deadline_us m))));
-      Test.make ~name:"FRAGMENT header encode + read"
+      row ~name:"FRAGMENT header encode + read"
         (Staged.stage
            (let module F = Rpc.Wire_fmt.Fragment in
             let clnt = Addr.Ip.v 10 0 0 1 and srvr = Addr.Ip.v 10 0 0 2 in
@@ -110,7 +120,7 @@ let microbench () =
                    (F.typ m + Addr.Ip.to_int (F.clnt_host m)
                   + Addr.Ip.to_int (F.srvr_host m) + F.protocol_num m
                   + F.sequence_num m + F.num_frags m + F.frag_mask m + F.len m))));
-      Test.make ~name:"IP checksum over 20B"
+      row ~name:"IP checksum over 20B"
         (Staged.stage
            (let hdr = String.make 20 '\x42' in
             fun () -> ignore (Codec.ip_checksum hdr)));
@@ -200,13 +210,13 @@ let microbench () =
         Sim.run sim
     in
     [
-      Test.make ~name:"semaphore hand-off" (Staged.stage handoff);
-      Test.make ~name:"CPU charge, lone fiber" (Staged.stage lone_charge);
-      Test.make ~name:"CPU charge, 8 contending fibers"
+      row ~name:"semaphore hand-off" (Staged.stage handoff);
+      row ~name:"CPU charge, lone fiber" (Staged.stage lone_charge);
+      row ~name:"CPU charge, 8 contending fibers"
         (Staged.stage (contended_charge ~timers:0));
-      Test.make ~name:"CPU charge, 4,096 pending 2 s timers"
+      row ~name:"CPU charge, 4,096 pending 2 s timers"
         (Staged.stage (contended_charge ~timers:4096));
-      Test.make ~name:"event queue, 64 timers in near" (Staged.stage deep_queue);
+      row ~name:"event queue, 64 timers in near" (Staged.stage deep_queue);
     ]
   in
   (* One 16 KB message down through FRAGMENT on one host and up through
@@ -350,13 +360,76 @@ let microbench () =
       Sim.Semaphore.v go;
       Sim.run sim
   in
+  (* One 64-byte datagram from a client through the switch of a
+     zero-cost switched world to the server's IP: the client's IP, ETH,
+     device and wire, the switch's IP receive and forward path with
+     INC's miss path, and the server's side up to a sink.  The datagram
+     is a FRAGMENT-CHANNEL-SELECT request for a cacheable command that
+     is never answered, so every copy misses at the switch. *)
+  let switched_64 =
+    let module W = Netproto.World in
+    let module F = Rpc.Wire_fmt.Fragment in
+    let module C = Rpc.Wire_fmt.Channel in
+    let module S = Rpc.Wire_fmt.Select in
+    let sw =
+      W.create_switched ~clients:1 ~servers:1 ~profile:Machine.zero_cost ()
+    in
+    let w = sw.W.sw.W.fo in
+    let server = W.node w 0 and client = W.node w 1 in
+    ignore
+      (Rpc.Inc.install ~host:sw.W.sw_ports.(0).W.pt_host ~ip:sw.W.sw_ip
+         ~cacheable:[ Rpc.Stacks.cmd_echo ] ());
+    let sink = Proto.create ~host:server.W.host ~name:"SINK" () in
+    Proto.set_ops sink
+      {
+        Proto.open_ = (fun ~upper:_ _ -> invalid_arg "sink");
+        open_enable = (fun ~upper:_ _ -> invalid_arg "sink");
+        open_done = (fun ~upper:_ _ -> invalid_arg "sink");
+        demux = (fun ~lower:_ _ -> ());
+        p_control = (fun _ -> Control.Unsupported);
+      };
+    let ip (n : W.node) = Netproto.Ip.proto n.W.ip in
+    Proto.open_enable (ip server) ~upper:sink
+      (Part.ip_enable Rpc.Fragment.proto_num);
+    let body = String.make (64 - F.bytes - C.bytes - S.bytes) 'q' in
+    let datagram =
+      Msg.of_string
+        (F.encode ~typ:F.typ_data ~clnt:client.W.host.Host.ip
+           ~srvr:server.W.host.Host.ip ~proto:Rpc.Channel.proto_num ~seq:1
+           ~num:1 ~mask:1
+           ~len:(C.bytes + S.bytes + String.length body)
+        ^ C.encode ~flags:Rpc.Wire_fmt.Flags.request ~channel:0 ~proto:1
+            ~seq:1 ~error:0 ~boot_id:1 ~deadline_us:(-1)
+        ^ S.encode ~typ:S.typ_request ~command:Rpc.Stacks.cmd_echo ~status:0
+        ^ body)
+    in
+    let go = Sim.Semaphore.create w.W.sim 0 in
+    W.spawn w (fun () ->
+        let sess =
+          Proto.open_ (ip client) ~upper:sink
+            (Part.ip_open ~local:client.W.host.Host.ip
+               ~peer:server.W.host.Host.ip Rpc.Fragment.proto_num)
+        in
+        let rec sender () =
+          Sim.Semaphore.p go;
+          Proto.push sess datagram;
+          sender ()
+        in
+        sender ());
+    W.run w;
+    fun () ->
+      Sim.Semaphore.v go;
+      W.run w
+  in
   let layer_ops =
     [
-      Test.make ~name:"1 KB frame, host to host (ETH+VIP+wire)"
+      row ~name:"1 KB frame, host to host (ETH+VIP+wire)"
         (Staged.stage frame_1k);
-      Test.make ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k);
-      Test.make ~name:"REPLICA call, 2 stub endpoints"
+      row ~name:"FRAGMENT 16 KB send + reassemble" (Staged.stage fragment_16k);
+      row ~name:"REPLICA call, 2 stub endpoints"
         (Staged.stage replica_call);
+      row ~name:"64 B datagram through the switch (IP+INC)"
+        (Staged.stage switched_64);
     ]
   in
   let tests =
@@ -369,17 +442,30 @@ let microbench () =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let words_per_run run =
+    let n = 2_000 in
+    run ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      run ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let words =
+    List.map (fun (name, run) -> ("xkernel/" ^ name, words_per_run run)) !runs
+  in
   let rows =
     Hashtbl.fold
       (fun name ols acc ->
         let est =
           match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> nan
         in
-        (name, est) :: acc)
+        (name, est, List.assoc name words) :: acc)
       results []
     |> List.sort compare
   in
-  List.iter (fun (name, ns) -> pr "%-40s %10.1f ns\n" name ns) rows;
+  pr "%-48s %9s %11s\n" "" "ns/run" "words/run";
+  List.iter (fun (name, ns, w) -> pr "%-48s %9.1f %11.2f\n" name ns w) rows;
   pr
     "\n(A layer crossing adds only a handful of ns of real work - the\n\
     \ x-kernel claim that a layer costs one procedure call.)\n"

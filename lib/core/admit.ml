@@ -144,7 +144,7 @@ let create ~host ~upper ?(config = default) () =
   (* The executor: requests surface in [demux] (any demux fiber), but
      only this fiber runs them, one at a time — the explicit queue in
      front of the procedure that the admission policy governs. *)
-  Sim.spawn (Host.sim host) ~name:"admit-worker" (fun () ->
+  Sim.daemon (Host.sim host) ~name:"admit-worker" (fun () ->
       let rec loop () =
         Sim.Semaphore.p t.work;
         dispatch t (take t);

@@ -86,6 +86,9 @@ type t = {
   stats : Stats.t;
   mutable in_flight : int; (* outstanding requests across all sessions *)
   no_timer : Event.t;
+  span : Sim.duration;
+      (* an RTO being worked out: written, then read back or handed to
+         [Event.schedule] before anything can yield *)
   (* Per-message counters and gauges, resolved once at create time (hot
      path). *)
   c_rtt_sample : Stats.counter;
@@ -156,11 +159,13 @@ let nfrags s len =
 
 (* Step-function timeout: short for single-fragment requests; long
    enough for multi-fragment ones that the fragmentation layer below is
-   surely done transmitting. *)
-let request_timeout s len =
+   surely done transmitting.  This and the RTO functions below write
+   their result into [d], so it is never boxed. *)
+let request_timeout s len (d : Sim.duration) =
   let n = nfrags s len in
-  if n <= 1 then base_timeout
-  else base_timeout +. (float_of_int n *. per_frag_timeout)
+  d.seconds <-
+    (if n <= 1 then base_timeout
+     else base_timeout +. (float_of_int n *. per_frag_timeout))
 
 (* Effective RTO.  Before the first RTT sample (and whenever adaptation
    is off) this is exactly the paper's step function, so a loss-free run
@@ -169,12 +174,17 @@ let request_timeout s len =
    fragment-serialization component alone — the part of the step
    function that measures how long the layer below is still busy — and
    capped at [rto_max]. *)
-let request_rto t s len =
+let request_rto t s len (d : Sim.duration) =
   let c = s.clock in
-  if (not t.adaptive) || c.srtt < 0. then request_timeout s len
+  if (not t.adaptive) || c.srtt < 0. then request_timeout s len d
   else
     let floor = float_of_int (nfrags s len) *. per_frag_timeout in
-    Float.min rto_max (Float.max (c.srtt +. (4. *. c.rttvar)) floor)
+    (* [Float.min rto_max (Float.max est floor)], written out so that no
+       float crosses a call: nothing here is NaN, and [floor] and
+       [rto_max] are positive. *)
+    let est = c.srtt +. (4. *. c.rttvar) in
+    let v = if floor > est then floor else est in
+    d.seconds <- (if v > rto_max then rto_max else v)
 
 (* Karn's backoff persistence: [s.backoff] carries over into the next
    transaction; a valid sample clears it, and every retransmitted-but-
@@ -184,10 +194,10 @@ let request_rto t s len =
    the backed-off RTO while transactions are still failing is what
    lets it converge, while the per-completion decay stops it from
    staying pinned after loss clears. *)
-let backed_rto t s len =
-  let rto = request_rto t s len in
-  if s.backoff = 0 then rto
-  else Float.min rto_max (rto *. (2. ** float_of_int s.backoff))
+let backed_rto t s len (d : Sim.duration) =
+  request_rto t s len d;
+  if s.backoff <> 0 then
+    d.seconds <- Float.min rto_max (d.seconds *. (2. ** float_of_int s.backoff))
 
 (* Load-sensitive RTO floor (the lrpc-arto cold-start storm fix).  The
    estimator's srtt describes round trips observed while [s.srtt_load]
@@ -198,12 +208,13 @@ let backed_rto t s len =
    storm.  Scaling the *armed* timeout by the in-flight ratio rides out
    the transient; once samples arrive at the new load the ratio returns
    to 1.  Only the armed timer is scaled: {!request_rto} (and the rto-us
-   gauge derived from it) still reports the bare estimate. *)
-let load_scale t s =
-  if
-    (not t.adaptive) || (not t.rto_load_floor) || t.in_flight <= s.srtt_load
-  then 1.
-  else float_of_int t.in_flight /. float_of_int (max 1 s.srtt_load)
+   gauge derived from it) still reports the bare estimate.  Scales [d]
+   in place. *)
+let load_scale t s (d : Sim.duration) =
+  if t.adaptive && t.rto_load_floor && t.in_flight > s.srtt_load then
+    d.seconds <-
+      d.seconds
+      *. (float_of_int t.in_flight /. float_of_int (max 1 s.srtt_load))
 
 (* Jacobson's estimator: alpha = 1/8, beta = 1/4, fed the round trip
    of the outstanding transaction, which ends now.  The sample is taken
@@ -225,7 +236,8 @@ let observe_rtt t s ~load =
   Stats.tick t.c_rtt_sample;
   (* Gauges (microseconds): the most recent sample on any channel. *)
   Stats.store t.g_srtt_us (int_of_float (c.srtt *. 1e6));
-  Stats.store t.g_rto_us (int_of_float (request_rto t s s.last_len *. 1e6))
+  request_rto t s s.last_len t.span;
+  Stats.store t.g_rto_us (int_of_float (t.span.seconds *. 1e6))
 
 (* Cleared before the cancel, which charges and so yields: a
    transaction started meanwhile arms a timer of its own. *)
@@ -291,11 +303,12 @@ let crash_session t s =
   s.backoff <- 0;
   s.srtt_load <- 1
 
-(* Arm the retransmit timer of transaction [txn].  The [Timer_op]
-   charge yields: if a reply or a crash ended [txn] meanwhile, the timer
-   is nobody's and fires as a no-op. *)
-let arm_timer t s txn timeout =
-  let ev = Event.schedule t.host timeout s.on_timeout txn in
+(* Arm the retransmit timer of transaction [txn] for [t.span], which the
+   caller has just written.  The [Timer_op] charge yields: if a reply or
+   a crash ended [txn] meanwhile, the timer is nobody's and fires as a
+   no-op. *)
+let arm_timer t s txn =
+  let ev = Event.schedule t.host t.span s.on_timeout txn in
   if s.active && s.txn = txn then s.timer <- ev
 
 (* The retransmit timer of transaction [txn].  Everything it reads after
@@ -326,20 +339,21 @@ let timer_fired t s txn =
       transmit t s ~expires:s.expires
         ~flags:(Wire_fmt.Flags.request lor Wire_fmt.Flags.please_ack)
         ~seq:s.out_seq ~error:0 s.payload;
-      let patience =
-        if s.acked_txn = txn then base_timeout *. 4.
-        else if t.adaptive then begin
-          (* Exponential backoff on the effective RTO, capped, with a
-             little seeded jitter so a fleet of channels that timed out
-             together does not retransmit in lockstep forever. *)
-          s.backoff <- s.backoff + 1;
-          Stats.incr t.stats "rto-backoff";
-          backed_rto t s len *. load_scale t s
-          *. (1. +. (0.1 *. Random.State.float t.rng 1.))
-        end
-        else request_timeout s len
-      in
-      arm_timer t s txn patience
+      let patience = t.span in
+      if s.acked_txn = txn then patience.seconds <- base_timeout *. 4.
+      else if t.adaptive then begin
+        (* Exponential backoff on the effective RTO, capped, with a
+           little seeded jitter so a fleet of channels that timed out
+           together does not retransmit in lockstep forever. *)
+        s.backoff <- s.backoff + 1;
+        Stats.incr t.stats "rto-backoff";
+        let jitter = 1. +. (0.1 *. Random.State.float t.rng 1.) in
+        backed_rto t s len patience;
+        load_scale t s patience;
+        patience.seconds <- patience.seconds *. jitter
+      end
+      else request_timeout s len patience;
+      arm_timer t s txn
     end
   end
 
@@ -369,8 +383,9 @@ let send_request_free t s ~expires payload =
   Machine.charge_all t.host.Host.mach
     [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
   transmit t s ~expires ~flags:Wire_fmt.Flags.request ~seq ~error:0 payload;
+  backed_rto t s (Msg.length payload + C.bytes) t.span;
+  load_scale t s t.span;
   arm_timer t s txn
-    (backed_rto t s (Msg.length payload + C.bytes) *. load_scale t s)
 
 (* A uniform push: a request whose reply goes up. *)
 let send_request t s payload =
@@ -557,8 +572,11 @@ let make_session t ~upper (peer, proto_num, chan) =
        the last one sent: fragment-aware, and adaptive once the channel
        has an RTT estimate. *)
     | Control.Get_timeout | Control.Get_rto ->
-        Control.R_float (request_rto t s s.last_len)
-    | Control.Get_rto_backed -> Control.R_float (backed_rto t s s.last_len)
+        request_rto t s s.last_len t.span;
+        Control.R_float t.span.seconds
+    | Control.Get_rto_backed ->
+        backed_rto t s s.last_len t.span;
+        Control.R_float t.span.seconds
     | Control.Get_srtt -> Control.R_float (Float.max s.clock.srtt 0.)
     | Control.Get_rx_deadline ->
         let e = s.clock.rx_expires in
@@ -681,6 +699,7 @@ let create ~host ~lower ?(n_channels = 8) ?(adaptive = true)
       stats = Proto.stats p;
       in_flight = 0;
       no_timer = Event.none host;
+      span = { Sim.seconds = 0. };
       c_rtt_sample = Stats.counter (Proto.stats p) "rtt-sample";
       c_req_tx = Stats.counter (Proto.stats p) "req-tx";
       c_reply_tx = Stats.counter (Proto.stats p) "reply-tx";

@@ -71,7 +71,8 @@ let slot ring i = i land (Array.length ring - 1)
 (* The sender keeps a message's fragments for 2 s; a receiver missing
    fragments asks for them after 30 ms, at most 3 times. *)
 let cache_ttl = 2.0
-let nack_delay = 0.03
+let nack_delay = { Sim.seconds = 0.03 }
+let cache_ttl_span = { Sim.seconds = cache_ttl }
 let nack_retries = 3
 
 (* FRAGMENT's own protocol number toward the layer below; the
@@ -254,7 +255,7 @@ let prune_recent t s =
 let arm_prune_timer t s =
   if not s.prune_armed then begin
     s.prune_armed <- true;
-    ignore (Event.schedule t.host cache_ttl s.prune ())
+    ignore (Event.schedule t.host cache_ttl_span s.prune ())
   end
 
 let prune_fired t s =

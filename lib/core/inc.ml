@@ -26,6 +26,30 @@ type entry = {
   e_stored : float;
 }
 
+(* A forwarded cacheable request awaiting its reply, and that request's
+   key in [pending] too: the four ints that name its transaction.  A
+   reply looks its request up by the instance's [probe], whose four
+   ints it overwrites, so neither side builds a key. *)
+type pending = {
+  mutable p_client : int;
+  mutable p_server : int;
+  mutable p_chan : int;
+  mutable p_seq : int;
+  p_key : string;  (* the cache key the reply is stored under *)
+  p_gen : int * int;  (* (epoch, version) stamped on the request *)
+}
+
+module Pending = Hashtbl.Make (struct
+  type t = pending
+
+  let equal a b =
+    a.p_client = b.p_client && a.p_server = b.p_server && a.p_chan = b.p_chan
+    && a.p_seq = b.p_seq
+
+  let hash p =
+    (((((p.p_client * 31) + p.p_server) * 31) + p.p_chan) * 31) + p.p_seq
+end)
+
 (* Cache entries held before FIFO eviction, and how long one stays
    fresh after its store. *)
 let capacity = 1024
@@ -33,11 +57,11 @@ let ttl = 2.0
 
 type t = {
   host : Host.t;
-  ip : Netproto.Ip.t;
   cacheable : (int, unit) Hashtbl.t;
   cache : (string, entry) Hashtbl.t;
   order : string Queue.t;  (* insertion order, for eviction *)
-  pending : (int * int * int * int, string * (int * int)) Hashtbl.t;
+  pending : pending Pending.t;  (* each request is its own key *)
+  probe : pending;
   server_boot : (int, int) Hashtbl.t;
   (* Newest shard-map generation observed in transit; entries stamped
      with an older one are dead. *)
@@ -46,6 +70,7 @@ type t = {
      real FRAGMENT sender's (those count up from 1), so they can never
      collide in a client's duplicate-suppression table. *)
   mutable synth_seq : int;
+  inject : Msg.t -> unit;  (* sends a synthesized reply, built once *)
   c_hits : Stats.counter;
   c_misses : Stats.counter;
   c_sheds : Stats.counter;
@@ -78,22 +103,21 @@ let observe_gen t g =
 (* A server reboot invalidates its at-most-once state; replies recorded
    under the old boot must die with it. *)
 let observe_boot t ~server ~boot_id =
-  match Hashtbl.find_opt t.server_boot server with
-  | Some b when b = boot_id -> ()
-  | prev ->
+  match Hashtbl.find t.server_boot server with
+  | b when b = boot_id -> ()
+  | _ ->
       Hashtbl.replace t.server_boot server boot_id;
-      if prev <> None then begin
-        let dead =
-          Hashtbl.fold
-            (fun k e acc -> if e.e_boot_id <> 0 then k :: acc else acc)
-            t.cache []
-        in
-        List.iter
-          (fun k ->
-            Hashtbl.remove t.cache k;
-            Stats.tick t.c_invalidated)
-          dead
-      end
+      let dead =
+        Hashtbl.fold
+          (fun k e acc -> if e.e_boot_id <> 0 then k :: acc else acc)
+          t.cache []
+      in
+      List.iter
+        (fun k ->
+          Hashtbl.remove t.cache k;
+          Stats.tick t.c_invalidated)
+        dead
+  | exception Not_found -> Hashtbl.replace t.server_boot server boot_id
 
 (* The cache key, written once at its exact size: client, server (4
    bytes each), then the request body. *)
@@ -115,10 +139,26 @@ let store t k e =
   Hashtbl.replace t.cache k e;
   Stats.tick t.c_stored
 
+(* An entry may answer while its TTL lasts and no newer map generation
+   than the one it was stored under has been seen. *)
+let fresh t e =
+  Sim.now (Host.sim t.host) -. e.e_stored <= ttl
+  && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
+
+(* Sends a synthesized reply from its fiber: the FRAGMENT header names
+   the server as the sender and the client as the receiver. *)
+let inject_reply ip frame =
+  Netproto.Ip.inject ip ~src:(F.clnt_host frame) ~dst:(F.srvr_host frame)
+    ~proto_num:Fragment.proto_num frame
+
+(* The inject fiber starts at the back of the current instant. *)
+let now_span = { Sim.seconds = 0. }
+
 (* Answer from the cache on the server's behalf: a CHANNEL reply under a
    fresh FRAGMENT header whose [clnt_host] (the sender field) is the
    server, so the client's FRAGMENT session for that peer accepts it.
-   [ch] is the request's CHANNEL frame, header in front. *)
+   [ch] is the request's CHANNEL frame, header in front.  Both headers
+   and the stored reply are written into one buffer. *)
 let synthesize t ~client ~server ~ch (e : entry) =
   let mach = t.host.Host.mach in
   Machine.charge_all mach
@@ -127,26 +167,40 @@ let synthesize t ~client ~server ~ch (e : entry) =
       (Machine.Header, F.bytes);
       (Machine.Process_switch, 0);
     ];
-  let chan_payload =
-    Ch.encode ~flags:Flags.reply ~channel:(Ch.channel ch)
-      ~proto:(Ch.protocol_num ch) ~seq:(Ch.sequence_num ch) ~error:0
-      ~boot_id:e.e_boot_id ~deadline_us:(-1)
-    ^ e.e_reply
-  in
+  let reply_len = String.length e.e_reply in
   let seq = t.synth_seq in
   t.synth_seq <- t.synth_seq + 1;
-  let frag_hdr =
-    F.encode ~typ:F.typ_data ~clnt:server ~srvr:client ~proto:Channel.proto_num
-      ~seq ~num:1 ~mask:1 ~len:(String.length chan_payload)
-  in
-  let frame = Msg.push (Msg.of_string chan_payload) frag_hdr in
+  let b = Bytes.create (F.bytes + Ch.bytes + reply_len) in
+  F.write b 0 ~typ:F.typ_data ~clnt:server ~srvr:client
+    ~proto:Channel.proto_num ~seq ~num:1 ~mask:1 ~len:(Ch.bytes + reply_len);
+  Ch.write b F.bytes ~flags:Flags.reply ~channel:(Ch.channel ch)
+    ~proto:(Ch.protocol_num ch) ~seq:(Ch.sequence_num ch) ~error:0
+    ~boot_id:e.e_boot_id ~deadline_us:(-1);
+  Bytes.blit_string e.e_reply 0 b (F.bytes + Ch.bytes) reply_len;
   if Trace.enabled () then
     Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
-      "INC hit: reply %d bytes for %a from cache" (String.length e.e_reply)
-      Addr.Ip.pp client;
-  Sim.spawn (Host.sim t.host) (fun () ->
-      Netproto.Ip.inject t.ip ~src:server ~dst:client
-        ~proto_num:Fragment.proto_num frame)
+      "INC hit: reply %d bytes for %a from cache" reply_len Addr.Ip.pp client;
+  Sim.call_after (Host.sim t.host) now_span t.inject
+    (Msg.of_string (Bytes.unsafe_to_string b))
+
+(* A cacheable request the cache could not answer goes on to the server,
+   remembered so its reply can be stored under [k]. *)
+let forward_miss t ~client ~server ~ch k gen =
+  Stats.tick t.c_misses;
+  Stats.tick t.c_forwarded;
+  if Pending.length t.pending > 4 * capacity then Pending.reset t.pending;
+  let p =
+    {
+      p_client = Addr.Ip.to_int client;
+      p_server = Addr.Ip.to_int server;
+      p_chan = Ch.channel ch;
+      p_seq = Ch.sequence_num ch;
+      p_key = k;
+      p_gen = gen;
+    }
+  in
+  Pending.replace t.pending p p;
+  false
 
 (* [ch] is the CHANNEL frame, header in front; [body] is the SELECT
    frame behind it. *)
@@ -184,47 +238,33 @@ let on_request t ~client ~server ~ch body =
     end
     else begin
       let k = key ~client ~server body in
-      let fresh e =
-        Sim.now (Host.sim t.host) -. e.e_stored <= ttl
-        && not (gen_newer t.gen e.e_gen && e.e_gen <> (0, 0))
-      in
-      match Hashtbl.find_opt t.cache k with
-      | Some e when fresh e ->
+      match Hashtbl.find t.cache k with
+      | e when fresh t e ->
           Stats.tick t.c_hits;
           synthesize t ~client ~server ~ch e;
           true
-      | found ->
-          if found <> None then Hashtbl.remove t.cache k;
-          Stats.tick t.c_misses;
-          Stats.tick t.c_forwarded;
-          if Hashtbl.length t.pending > 4 * capacity then
-            Hashtbl.reset t.pending;
-          Hashtbl.replace t.pending
-            ( Addr.Ip.to_int client,
-              Addr.Ip.to_int server,
-              Ch.channel ch,
-              Ch.sequence_num ch )
-            (k, gen);
-          false
+      | _ ->
+          Hashtbl.remove t.cache k;
+          forward_miss t ~client ~server ~ch k gen
+      | exception Not_found -> forward_miss t ~client ~server ~ch k gen
     end
 
 let on_reply t ~client ~server ~ch body =
   let boot_id = Ch.boot_id ch in
   observe_boot t ~server:(Addr.Ip.to_int server) ~boot_id;
-  let pkey =
-    ( Addr.Ip.to_int client,
-      Addr.Ip.to_int server,
-      Ch.channel ch,
-      Ch.sequence_num ch )
-  in
+  let pkey = t.probe in
+  pkey.p_client <- Addr.Ip.to_int client;
+  pkey.p_server <- Addr.Ip.to_int server;
+  pkey.p_chan <- Ch.channel ch;
+  pkey.p_seq <- Ch.sequence_num ch;
   (if Msg.length body < Sel.bytes || Sel.typ body <> Sel.typ_reply then
-     Hashtbl.remove t.pending pkey
+     Pending.remove t.pending pkey
    else
      let status = Sel.status body in
      if status = Sel.status_wrong_shard then begin
        (* The owner moved under a routed call: everything cached under
           the older map generation is suspect. *)
-       Hashtbl.remove t.pending pkey;
+       Pending.remove t.pending pkey;
        let next = snd t.gen + 1 in
        observe_gen t
          ( fst t.gen,
@@ -232,20 +272,20 @@ let on_reply t ~client ~server ~ch body =
            else max (Sel.wrong_shard_version body) next )
      end
      else if status = Sel.status_ok && Ch.error ch = 0 then begin
-       match Hashtbl.find_opt t.pending pkey with
-       | Some (k, gen) ->
-           Hashtbl.remove t.pending pkey;
-           if not (gen_newer t.gen gen && gen <> (0, 0)) then
-             store t k
+       match Pending.find t.pending pkey with
+       | p ->
+           Pending.remove t.pending pkey;
+           if not (gen_newer t.gen p.p_gen && p.p_gen <> (0, 0)) then
+             store t p.p_key
                {
                  e_reply = Msg.to_string body;
                  e_boot_id = boot_id;
-                 e_gen = gen;
+                 e_gen = p.p_gen;
                  e_stored = Sim.now (Host.sim t.host);
                }
-       | None -> ()
+       | exception Not_found -> ()
      end
-     else Hashtbl.remove t.pending pkey);
+     else Pending.remove t.pending pkey);
   (* Replies always travel on to the client. *)
   false
 
@@ -287,14 +327,23 @@ let install ~host ~ip ?(cacheable = []) () =
   let t =
     {
       host;
-      ip;
       cacheable = Hashtbl.create 8;
       cache = Hashtbl.create 64;
       order = Queue.create ();
-      pending = Hashtbl.create 64;
+      pending = Pending.create 64;
+      probe =
+        {
+          p_client = 0;
+          p_server = 0;
+          p_chan = 0;
+          p_seq = 0;
+          p_key = "";
+          p_gen = (0, 0);
+        };
       server_boot = Hashtbl.create 8;
       gen = (0, 0);
       synth_seq = 0x40000000;
+      inject = inject_reply ip;
       c_hits = Stats.counter stats "hits";
       c_misses = Stats.counter stats "misses";
       c_sheds = Stats.counter stats "sheds";

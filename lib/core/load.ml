@@ -204,7 +204,7 @@ let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
     dispatched_all := true
   in
   (match warmup with
-  | None -> Sim.spawn sim dispatcher
+  | None -> Sim.spawn sim ~name:"load-dispatcher" dispatcher
   | Some warm ->
       (* The last client to finish warming up starts the arrival clock. *)
       let warm_left = ref clients in
@@ -212,7 +212,7 @@ let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32) ?start_at
         World.spawn w (fun () ->
             warm i;
             decr warm_left;
-            if !warm_left = 0 then Sim.spawn sim dispatcher)
+            if !warm_left = 0 then Sim.spawn sim ~name:"load-dispatcher" dispatcher)
       done);
   World.run w;
   assert !dispatched_all;

@@ -27,6 +27,7 @@ type sess = {
    times before the call fails; the layer's own number toward the layer
    below is 95. *)
 let timeout = 0.025
+let timeout_span = { Sim.seconds = timeout }
 let retries = 4
 let own_proto = 95
 
@@ -67,7 +68,7 @@ let finish t s p outcome =
   Sim.Ivar.fill p.iv outcome
 
 let rec arm_timer t s p =
-  p.timer <- Some (Event.schedule t.host timeout timer_fired (t, s, p))
+  p.timer <- Some (Event.schedule t.host timeout_span timer_fired (t, s, p))
 
 and timer_fired (t, s, p) =
   if Hashtbl.mem s.pending p.p_xid then begin

@@ -82,13 +82,18 @@ and t = {
   hedge : bool;
   h_lat : Histogram.t; (* successful-call latency, for the hedge delay *)
   (* Sharded routing (all inert until a map is installed). *)
-  drain_deadline : float option;
-  probe_timeout : float option;
+  drain_deadline : Sim.duration option;
+  probe_timeout : Sim.duration option;
   dead_retry_interval : float option;
   mutable map : Shard_map.t option;
   mutable on_refresh : (unit -> unit) option;
   mutable shard_calls : int array; (* per-shard routed-call counts *)
   mutable inflight : inflight list;
+  (* Delays on their way to [Sim], each written just before the call
+     that reads it on entry: an attempt's budget, and a hedge or
+     probe delay. *)
+  budget : Sim.duration;
+  span : Sim.duration;
   (* Per-call counters, resolved once at create time (hot path). *)
   c_call : Stats.counter;
   c_ok : Stats.counter;
@@ -194,7 +199,8 @@ let probe_once t r =
 let rec arm_probe t r ~delay =
   if not r.r_probe_armed then begin
     r.r_probe_armed <- true;
-    ignore (Event.schedule t.host delay probe_due (t, r))
+    t.span.seconds <- delay;
+    ignore (Event.schedule t.host t.span probe_due (t, r))
   end
 
 and probe_due (t, r) =
@@ -329,7 +335,8 @@ let force a v =
 let force_all (doomed, v) = List.iter (fun e -> force e.if_attempt v) doomed
 
 (* One bounded attempt against [r].  The call itself runs in its own
-   fiber so the attempt can be abandoned after [budget] without waiting
+   fiber so the attempt can be abandoned after [budget.seconds], read
+   before anything yields, without waiting
    out the channel's full RTO ladder; an abandoned call still completes
    in the background, and a late success teaches the health tracker
    that the replica is alive after all.
@@ -375,8 +382,9 @@ let attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg =
     else float_of_int (Histogram.percentile t.h_lat 99.) *. 1e-6
   in
   let got =
-    if hedge_after > 0. && hedge_after < budget then begin
-      let hedge = Sim.timer sim hedge_after fire_hedge a in
+    if hedge_after > 0. && hedge_after < budget.Sim.seconds then begin
+      t.span.seconds <- hedge_after;
+      let hedge = Sim.timer sim t.span fire_hedge a in
       let got = Sim.Ivar.read_timeout a.a_iv budget in
       ignore (Sim.cancel hedge);
       got
@@ -437,21 +445,25 @@ let order t ~key =
 (* Map routing: under [Hash] with a map installed, the key picks a
    virtual shard and the map's owner is the preferred replica — the
    ring walk and health sort still provide failover successors.  The
-   returned stamp travels with the request so an ex-owner can refuse
-   it. *)
+   stamp travels with the request so an ex-owner can refuse it. *)
 let route t ~key =
   match (t.policy, key, t.map) with
   | Hash, Some key, Some m ->
       let shard = Shard_map.shard_of_key m key in
-      let start = Shard_map.owner m ~shard mod Array.length t.replicas in
-      ( health_walk t ~start,
-        Some
-          {
-            Wire_fmt.Select.shard;
-            epoch = Shard_map.epoch m;
-            version = Shard_map.version m;
-          } )
-  | _ -> (order t ~key, None)
+      health_walk t
+        ~start:(Shard_map.owner m ~shard mod Array.length t.replicas)
+  | _ -> order t ~key
+
+let stamp_of t ~key =
+  match (t.policy, key, t.map) with
+  | Hash, Some key, Some m ->
+      Some
+        {
+          Wire_fmt.Select.shard = Shard_map.shard_of_key m key;
+          epoch = Shard_map.epoch m;
+          version = Shard_map.version m;
+        }
+  | _ -> None
 
 (* Accept a strictly newer map.  With a [drain_deadline], shard-routed
    attempts still in flight toward an owner the new map revoked get a
@@ -497,75 +509,46 @@ let install_map t m =
 let all_dead t =
   Array.for_all (fun r -> r.r_health = Dead) t.replicas
 
-(* Attempts along [order] from [pos] until one settles the call.  A
-   function of its own, not a closure per call: [tried] counts attempts
-   made, [last_err] is what the call fails with when the candidates run
-   out. *)
-let rec attempts t ~key ~command msg ~expires ~deadline_at ~refreshed ~stamp
-    tried last_err order pos =
-  if pos >= Array.length order || tried >= Array.length t.replicas then
-    Error last_err
-  else begin
-    let r = t.replicas.(order.(pos)) in
-    let remaining = deadline_at -. Sim.now (Host.sim t.host) in
-    if remaining <= 0. then begin
-      Stats.tick t.c_deadline_expired;
-      Error Rpc_error.Timeout
-    end
-    else begin
-      if tried > 0 then Stats.tick t.c_failover;
-      let budget = Float.min t.attempt_timeout remaining in
-      let last = pos + 1 >= Array.length order in
-      let hedge_to =
-        if
-          t.hedge && tried = 0 && (not last)
-          && Histogram.count t.h_lat >= hedge_min_samples
-        then order.(pos + 1)
-        else -1
-      in
-      match attempt t r ~hedge_to ~stamp ~budget ~expires ~command msg with
-      | Ok reply ->
-          if tried > 0 then Stats.tick t.c_failover_ok;
-          Ok reply
-      | Error Rpc_error.Busy as e ->
-          (* Explicit admission pushback: the server is up and refusing
-             load.  Not a health failure — a failover here is exactly
-             the retry storm the budget exists to prevent. *)
-          Stats.tick t.c_busy_rx;
-          e
-      | Error (Rpc_error.Wrong_shard _) as e ->
-          (* The replica answered from a newer map (or a map install
-             forced the attempt over): not a health failure, and no
-             retry token — the server did no work.  Refresh the map and
-             re-route once; a second wrong-shard means the control plane
-             is churning and the error surfaces. *)
-          Stats.tick t.c_wrong_shard_rx;
-          if refreshed then e
-          else begin
-            (match t.on_refresh with Some f -> f () | None -> ());
-            let order, stamp = route t ~key in
-            attempts t ~key ~command msg ~expires ~deadline_at ~refreshed:true
-              ~stamp tried last_err order 0
-          end
-      | Error (Rpc_error.Remote _) as e ->
-          (* The replica answered: retrying elsewhere could re-execute a
-             non-idempotent procedure. *)
-          e
-      | Error ((Rpc_error.Timeout | Rpc_error.Rebooted) as err) ->
-          Stats.tick r.c_fail;
-          mark_suspect t r;
-          if last || tried + 1 >= Array.length t.replicas || take_token t
-          then
-            attempts t ~key ~command msg ~expires ~deadline_at ~refreshed
-              ~stamp (tried + 1) err order (pos + 1)
-          else begin
-            (* Out of retry tokens: absorb the failure instead of
-               amplifying the overload with another attempt. *)
-            Stats.tick t.c_exhausted;
-            Error err
-          end
-    end
-  end
+(* What a call does after an attempt: end with the attempt's result,
+   move to the next candidate, or refresh the map and start over along
+   a new order. *)
+type next = Done | Next | Reroute
+
+(* How the attempt against [r] that ended with [res] moves the call on. *)
+let after_attempt t r ~tried ~last ~refreshed res =
+  match res with
+  | Ok _ ->
+      if tried > 0 then Stats.tick t.c_failover_ok;
+      Done
+  | Error Rpc_error.Busy ->
+      (* Explicit admission pushback: the server is up and refusing
+         load.  Not a health failure — a failover here is exactly the
+         retry storm the budget exists to prevent. *)
+      Stats.tick t.c_busy_rx;
+      Done
+  | Error (Rpc_error.Wrong_shard _) ->
+      (* The replica answered from a newer map (or a map install forced
+         the attempt over): not a health failure, and no retry token —
+         the server did no work.  Refresh the map and re-route once; a
+         second wrong-shard means the control plane is churning and the
+         error surfaces. *)
+      Stats.tick t.c_wrong_shard_rx;
+      if refreshed then Done else Reroute
+  | Error (Rpc_error.Remote _) ->
+      (* The replica answered: retrying elsewhere could re-execute a
+         non-idempotent procedure. *)
+      Done
+  | Error (Rpc_error.Timeout | Rpc_error.Rebooted) ->
+      Stats.tick r.c_fail;
+      mark_suspect t r;
+      if last || tried + 1 >= Array.length t.replicas || take_token t then
+        Next
+      else begin
+        (* Out of retry tokens: absorb the failure instead of amplifying
+           the overload with another attempt. *)
+        Stats.tick t.c_exhausted;
+        Done
+      end
 
 let call t ?key ~command msg =
   let sim = Host.sim t.host in
@@ -585,17 +568,72 @@ let call t ?key ~command msg =
     let t0 = Sim.now sim in
     let deadline_at = t0 +. t.deadline in
     let expires = if t.propagate_deadline then Some deadline_at else None in
-    let order, stamp = route t ~key in
-    (match stamp with
+    let order = ref (route t ~key) and stamp = ref (stamp_of t ~key) in
+    (match !stamp with
     | Some st
       when st.Wire_fmt.Select.shard < Array.length t.shard_calls ->
         t.shard_calls.(st.Wire_fmt.Select.shard) <-
           t.shard_calls.(st.Wire_fmt.Select.shard) + 1
     | _ -> ());
-    let res =
-      attempts t ~key ~command msg ~expires ~deadline_at ~refreshed:false
-        ~stamp 0 Rpc_error.Timeout order 0
-    in
+    (* Attempts along [!order] from [!pos] until one settles the call, in
+       a loop of [call]'s own, so the deadline stays an unboxed local:
+       [tried] counts attempts made, [last_err] is what the call fails
+       with when the candidates run out. *)
+    let pos = ref 0 and tried = ref 0 and refreshed = ref false in
+    let last_err = ref Rpc_error.Timeout in
+    let res = ref (Error Rpc_error.Timeout) and running = ref true in
+    while !running do
+      if !pos >= Array.length !order || !tried >= Array.length t.replicas
+      then begin
+        res := Error !last_err;
+        running := false
+      end
+      else begin
+        let r = t.replicas.(!order.(!pos)) in
+        let remaining = deadline_at -. Sim.now sim in
+        if remaining <= 0. then begin
+          Stats.tick t.c_deadline_expired;
+          res := Error Rpc_error.Timeout;
+          running := false
+        end
+        else begin
+          if !tried > 0 then Stats.tick t.c_failover;
+          (* [Float.min t.attempt_timeout remaining], both positive. *)
+          t.budget.seconds <-
+            (if remaining > t.attempt_timeout then t.attempt_timeout
+             else remaining);
+          let last = !pos + 1 >= Array.length !order in
+          let hedge_to =
+            if
+              t.hedge && !tried = 0 && (not last)
+              && Histogram.count t.h_lat >= hedge_min_samples
+            then !order.(!pos + 1)
+            else -1
+          in
+          let got =
+            attempt t r ~hedge_to ~stamp:!stamp ~budget:t.budget ~expires
+              ~command msg
+          in
+          match
+            after_attempt t r ~tried:!tried ~last ~refreshed:!refreshed got
+          with
+          | Done ->
+              res := got;
+              running := false
+          | Next ->
+              (match got with Error err -> last_err := err | Ok _ -> ());
+              incr tried;
+              incr pos
+          | Reroute ->
+              (match t.on_refresh with Some f -> f () | None -> ());
+              order := route t ~key;
+              stamp := stamp_of t ~key;
+              refreshed := true;
+              pos := 0
+        end
+      end
+    done;
+    let res = !res in
     (match res with
     | Ok reply ->
         Stats.tick t.c_ok;
@@ -675,13 +713,15 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
          { token_cap = full; tokens = full });
       hedge;
       h_lat = Histogram.create ();
-      drain_deadline;
-      probe_timeout;
+      drain_deadline = Option.map (fun s -> { Sim.seconds = s }) drain_deadline;
+      probe_timeout = Option.map (fun s -> { Sim.seconds = s }) probe_timeout;
       dead_retry_interval;
       map = None;
       on_refresh = None;
       shard_calls = [||];
       inflight = [];
+      budget = { Sim.seconds = 0. };
+      span = { Sim.seconds = 0. };
       c_call = Stats.counter stats "call";
       c_ok = Stats.counter stats "ok";
       c_failed = Stats.counter stats "failed";

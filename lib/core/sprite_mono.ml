@@ -74,6 +74,7 @@ type t = {
   server_boots : (int, int) Hashtbl.t;
   handlers : (int, Select.handler) Hashtbl.t;
   stats : Stats.t;
+  span : Sim.duration; (* the timeout being armed, written just before *)
 }
 
 type client = {
@@ -185,7 +186,8 @@ let complete_call t cs outcome =
       Sim.Ivar.fill o.iv outcome
 
 let rec arm_timer t cs (o : outstanding) timeout =
-  o.timer <- Some (Event.schedule t.host timeout timer_fired (t, cs, o))
+  t.span.seconds <- timeout;
+  o.timer <- Some (Event.schedule t.host t.span timer_fired (t, cs, o))
 
 and timer_fired (t, cs, o) =
   match cs.out with
@@ -525,6 +527,7 @@ let create ~host ~lower =
       server_boots = Hashtbl.create 4;
       handlers = Hashtbl.create 16;
       stats = Proto.stats p;
+      span = { Sim.seconds = 0. };
     }
   in
   Proto.set_ops p

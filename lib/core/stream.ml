@@ -41,7 +41,7 @@ and t = {
    retransmissions of a segment before the stream breaks, and STREAM's
    protocol number toward the layer below. *)
 let window = 8
-let rto = 0.03
+let rto = { Sim.seconds = 0.03 }
 let retries = 8
 let own_proto = 99
 

@@ -104,20 +104,26 @@ module Channel = struct
   let err_busy = 0xB5
   let max_deadline_us = 0xFFFFFFFF
 
-  let encode ~flags ~channel ~proto ~seq ~error ~boot_id ~deadline_us =
+  let write b off ~flags ~channel ~proto ~seq ~error ~boot_id ~deadline_us =
     let stamped = deadline_us >= 0 in
     let flags =
       if stamped then flags lor Flags.deadline
       else flags land lnot Flags.deadline
     in
-    let b = Bytes.create (if stamped then bytes + ext_bytes else bytes) in
-    Codec.set_u16 b 0 flags;
-    Codec.set_u16 b 2 channel;
-    Codec.set_u32 b 4 proto;
-    Codec.set_u32 b 8 seq;
-    Codec.set_u16 b 12 error;
-    Codec.set_u32 b 14 boot_id;
-    if stamped then Codec.set_u32 b bytes (min deadline_us max_deadline_us);
+    Codec.set_u16 b off flags;
+    Codec.set_u16 b (off + 2) channel;
+    Codec.set_u32 b (off + 4) proto;
+    Codec.set_u32 b (off + 8) seq;
+    Codec.set_u16 b (off + 12) error;
+    Codec.set_u32 b (off + 14) boot_id;
+    if stamped then
+      Codec.set_u32 b (off + bytes) (min deadline_us max_deadline_us)
+
+  let encode ~flags ~channel ~proto ~seq ~error ~boot_id ~deadline_us =
+    let b =
+      Bytes.create (if deadline_us >= 0 then bytes + ext_bytes else bytes)
+    in
+    write b 0 ~flags ~channel ~proto ~seq ~error ~boot_id ~deadline_us;
     Bytes.unsafe_to_string b
 
   let flags m = Msg.u16 m 0
@@ -185,16 +191,19 @@ module Fragment = struct
   let typ_data = 1
   let typ_nack = 2
 
+  let write b off ~typ ~clnt ~srvr ~proto ~seq ~num ~mask ~len =
+    Codec.set_u8 b off typ;
+    Codec.set_u32 b (off + 1) (Addr.Ip.to_int clnt);
+    Codec.set_u32 b (off + 5) (Addr.Ip.to_int srvr);
+    Codec.set_u32 b (off + 9) proto;
+    Codec.set_u32 b (off + 13) seq;
+    Codec.set_u16 b (off + 17) num;
+    Codec.set_u16 b (off + 19) mask;
+    Codec.set_u16 b (off + 21) len
+
   let encode ~typ ~clnt ~srvr ~proto ~seq ~num ~mask ~len =
     let b = Bytes.create bytes in
-    Codec.set_u8 b 0 typ;
-    Codec.set_u32 b 1 (Addr.Ip.to_int clnt);
-    Codec.set_u32 b 5 (Addr.Ip.to_int srvr);
-    Codec.set_u32 b 9 proto;
-    Codec.set_u32 b 13 seq;
-    Codec.set_u16 b 17 num;
-    Codec.set_u16 b 19 mask;
-    Codec.set_u16 b 21 len;
+    write b 0 ~typ ~clnt ~srvr ~proto ~seq ~num ~mask ~len;
     Bytes.unsafe_to_string b
 
   (* The field offsets, in the order [encode] writes them. *)

@@ -146,6 +146,20 @@ module Channel : sig
       the extension word only when [deadline_us] is non-negative,
       clamped to {!max_deadline_us}. *)
 
+  val write :
+    bytes ->
+    int ->
+    flags:int ->
+    channel:int ->
+    proto:int ->
+    seq:int ->
+    error:int ->
+    boot_id:int ->
+    deadline_us:int ->
+    unit
+  (** [write b off ...] writes the header {!encode} would return into
+      [b] at [off]: a frame built in one buffer, headers and body. *)
+
   val header_len : Xkernel.Msg.t -> int
   (** bytes the header at the front takes, by its flags: {!bytes},
       plus {!ext_bytes} when the deadline flag is set.  The message
@@ -209,6 +223,21 @@ module Fragment : sig
       [num] the message's fragment count, [mask] this fragment's bit (a
       NACK's missing ones) and [len] its payload bytes.  Each field is
       masked to its width. *)
+
+  val write :
+    bytes ->
+    int ->
+    typ:int ->
+    clnt:Xkernel.Addr.Ip.t ->
+    srvr:Xkernel.Addr.Ip.t ->
+    proto:int ->
+    seq:int ->
+    num:int ->
+    mask:int ->
+    len:int ->
+    unit
+  (** [write b off ...] writes the header {!encode} would return into
+      [b] at [off]. *)
 
   val typ : Xkernel.Msg.t -> int
   val clnt_host : Xkernel.Msg.t -> Xkernel.Addr.Ip.t

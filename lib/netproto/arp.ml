@@ -3,7 +3,7 @@ open Xkernel
 let op_request = 1
 let op_reply = 2
 let header_bytes = 21
-let retry_timeout = 0.05
+let retry_timeout = { Sim.seconds = 0.05 }
 let max_tries = 3
 
 type t = {

@@ -78,7 +78,7 @@ let ping t ~peer ?(timeout = 1.0) () =
   let t0 = Sim.now (Host.sim t.host) in
   transmit t ~peer ~typ:typ_echo_request ~code:0 ~ident:t.ident ~seq
     (Msg.fill 56 'i');
-  let result = Sim.Ivar.read_timeout iv timeout in
+  let result = Sim.Ivar.read_timeout iv { Sim.seconds = timeout } in
   Hashtbl.remove t.pending seq;
   match result with
   | Some () -> Some (Sim.now (Host.sim t.host) -. t0)

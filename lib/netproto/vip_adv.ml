@@ -85,6 +85,6 @@ let create ~host ~eth =
     (Part.v ~local:[ Part.Eth_type eth_type_vip_adv ] ());
   Proto.declare_below p [ Eth.proto eth ];
   (* announce ourselves as soon as the simulation starts *)
-  Sim.spawn (Host.sim host) ~name:(host.Host.name ^ ":vip-adv") (fun () ->
+  Sim.daemon (Host.sim host) ~name:(host.Host.name ^ ":vip-adv") (fun () ->
       advertise t);
   t

@@ -164,8 +164,10 @@ type switched = { sw : fanout; sw_ip : Ip.t; sw_ports : port array }
    them.  Per-port receive and transmit costs charge per-port engines;
    IP-level work — routing, and any in-network computation installed via
    [Ip.set_forward_hook] — charges port 0's engine, the fabric CPU. *)
-let create_switched ?max_events ?(clients = 4) ?(servers = 1) ?(seed = 42) () =
-  let profile = Machine.xkernel_sun3 in
+let create_switched ?max_events ?(clients = 4) ?(servers = 1) ?profile
+    ?(seed = 42) () =
+  let port_profile = Option.value profile ~default:Machine.switch_fabric in
+  let profile = Option.value profile ~default:Machine.xkernel_sun3 in
   if clients < 1 then invalid_arg "World.create_switched: clients < 1";
   if servers < 1 then invalid_arg "World.create_switched: servers < 1";
   let n = servers + clients in
@@ -193,7 +195,7 @@ let create_switched ?max_events ?(clients = 4) ?(servers = 1) ?(seed = 42) () =
             ~name:(Printf.sprintf "switch.p%d" i)
             ~ip:(gw i)
             ~eth:(Addr.Eth.v (eth_base + 0xff0000 + i))
-            ~profile:Machine.switch_fabric ()
+            ~profile:port_profile ()
         in
         let pt_dev = Netdev.create ~host:pt_host ~wire:wires.(i) in
         let pt_eth = Eth.create ~host:pt_host ~dev:pt_dev in

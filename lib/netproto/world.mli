@@ -118,6 +118,7 @@ val create_switched :
   ?max_events:int ->
   ?clients:int ->
   ?servers:int ->
+  ?profile:Xkernel.Machine.profile ->
   ?seed:int ->
   unit ->
   switched
@@ -127,7 +128,9 @@ val create_switched :
     occupy node/port indices [0..servers-1], as in {!create_fanout}.
     End hosts run the Sun 3/75 profile; the switch's ports run
     {!Xkernel.Machine.switch_fabric}, which forwards minimum frames
-    several times faster than a wire can carry them.  Wires are labelled, so each registers its own
+    several times faster than a wire can carry them; [profile], when
+    given, replaces both (a {!Xkernel.Machine.zero_cost} world prices
+    the simulator alone).  Wires are labelled, so each registers its own
     [wire/<label>] stats table.
 
     Note that cross-wire {!Xkernel.Chaos.apply} [Partition] specs are

@@ -2,7 +2,7 @@ open Xkernel
 
 let typ_data = 1
 let typ_resend = 2
-let resend_delay = 0.05
+let resend_delay = { Sim.seconds = 0.05 }
 let resend_tries = 3
 let proto_num = 97
 

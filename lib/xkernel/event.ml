@@ -1,8 +1,16 @@
 type t = Sim.event
 
+(* [schedule] reads the caller's delay on entry, before the charge,
+   which yields, and hands it to [Sim.timer] through [span] once the
+   charge is paid: nothing runs between that write and [Sim.timer]'s
+   read. *)
+let span = { Sim.seconds = 0. }
+
 let schedule host d f x =
+  let s = d.Sim.seconds in
   Machine.charge host.Host.mach Machine.Timer_op 0;
-  Sim.timer (Host.sim host) d f x
+  span.seconds <- s;
+  Sim.timer (Host.sim host) span f x
 
 let none host = Sim.spent (Host.sim host)
 

@@ -10,14 +10,16 @@ type t
 (** A scheduled event handle: the {!Sim.event} itself, with no record
     of its own. *)
 
-val schedule : Host.t -> float -> ('a -> unit) -> 'a -> t
-(** [schedule host d f x] runs [f x] (in a fresh fiber) after [d]
-    virtual seconds, charging one [Timer_op] to [host] now: the
-    x-kernel's [evSchedule(func, arg, time)], a function and an
-    argument rather than a closure.  A protocol builds [f] once and
-    passes state it already holds as [x] (a session, or an int naming
-    the transaction the timer guards), so arming a timer allocates only
-    its event. *)
+val schedule : Host.t -> Sim.duration -> ('a -> unit) -> 'a -> t
+(** [schedule host d f x] runs [f x] (in a fresh fiber) after
+    [d.seconds] virtual seconds, charging one [Timer_op] to [host] now:
+    the x-kernel's [evSchedule(func, arg, time)], a function and an
+    argument rather than a closure.  It reads [d] once, on entry, so a
+    caller may rewrite [d] while the charge runs.  A protocol builds [f]
+    once and passes state it already holds as [x] (a session, or an int
+    naming the transaction the timer guards), and writes a computed
+    delay into a [Sim.duration] it owns, so arming a timer allocates
+    only its event. *)
 
 val none : Host.t -> t
 (** A handle that is never live: {!cancel} and {!abort} return [false]

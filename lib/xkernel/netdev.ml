@@ -92,7 +92,7 @@ let create ~host ~wire =
     | None -> assert false);
     tx_loop ()
   in
-  Sim.spawn sim ~name:(host.Host.name ^ ":tx") (fun () ->
+  Sim.daemon sim ~name:(host.Host.name ^ ":tx") (fun () ->
       (* The transmitter parks on the semaphore between frames; when the
          event queue otherwise drains, [Sim.run] simply ends with this
          fiber blocked, which is fine. *)

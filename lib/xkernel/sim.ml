@@ -143,9 +143,12 @@ exception Stalled of string
      counts a hold's wait when it arrives, not when it is granted.
 
    A fiber blocked on a semaphore or an ivar is its record parked in
-   that primitive's wait ring, outside the queues.  Waking it is the
-   same move as a timed wait's first half: a fresh [seq] and an append
-   to [imm].
+   that primitive's wait ring, outside the queues, in phase [Parked].
+   Waking it is the same move as a timed wait's first half: a fresh
+   [seq] and an append to [imm].  [t.parked] counts the parked records,
+   so a run that has drained its queues can tell how many fibers will
+   never continue; a fiber started with a name is listed in [t.named],
+   so those of them that were can be reported by it.
 
    [Ivar.read_timeout] parks its record too, but the ring holds its
    timer, not the record: one [Call] event, queued at the deadline
@@ -167,7 +170,8 @@ and phase =
   | Live (* queued; runs [action] when it fires *)
   | Asleep (* a timed wait's first half: when it fires, it requeues *)
   | Cancelled (* still queued, discarded when it surfaces *)
-  | Fired (* out of the queues: ran, was purged, or a parked record *)
+  | Parked (* a fiber's record in a semaphore's or an ivar's wait ring *)
+  | Fired (* out of the queues: ran or was purged *)
 
 and action =
   | Timer : { f : 'a -> unit; x : 'a } -> action
@@ -210,6 +214,12 @@ and heap = {
    every new time it stores. *)
 and due = { mutable now : float; mutable at : float; mutable bound : float }
 
+(* A fiber started with a name: its record, to tell whether it is
+   parked, and whether it is a daemon, which may be.  A fiber that ends
+   stays listed; its record is never parked again.  Only a few fibers
+   per world have names. *)
+and named = { fb_name : string; fb_daemon : bool; fb_record : event }
+
 and t = {
   near : heap;
   far : heap;
@@ -223,6 +233,8 @@ and t = {
   due : due;
   mutable park_in : ring; (* where the next [Park]ed fiber waits *)
   mutable running : event; (* the running fiber's record, or [dummy] *)
+  mutable parked : int; (* records in phase [Parked] *)
+  mutable named : named list; (* fibers started with a name, newest first *)
   mutable handler : unit Effect.Deep.effect_handler;
 }
 
@@ -460,7 +472,7 @@ let cancel ev =
       t.live <- t.live - 1;
       maybe_purge t;
       true
-  | Asleep | Cancelled | Fired -> false
+  | Asleep | Cancelled | Parked | Fired -> false
 
 (* Queue [ev], taken off a wait ring or a timed wait's first half, at
    the back of the current instant. *)
@@ -477,7 +489,9 @@ let requeue ev =
 let wake t r =
   let ev = ring_pop t r in
   match ev.action with
-  | Resume _ -> requeue ev
+  | Resume _ ->
+      t.parked <- t.parked - 1;
+      requeue ev
   | Call { f; x } -> f x
   | Timer _ -> assert false
 
@@ -490,6 +504,8 @@ let settle c =
   if c.waiting then begin
     c.waiting <- false;
     ignore (cancel c.timer);
+    let t = c.reader.owner in
+    t.parked <- t.parked - 1;
     requeue c.reader
   end
 
@@ -527,11 +543,17 @@ let make_handler t =
         ev.phase <- Asleep;
         enqueue t ev)
   in
-  let on_park = Some (fun k -> ring_push t t.park_in (record t k)) in
+  let park_record k =
+    let ev = record t k in
+    ev.phase <- Parked;
+    t.parked <- t.parked + 1;
+    ev
+  in
+  let on_park = Some (fun k -> ring_push t t.park_in (park_record k)) in
   let on_park_timed =
     Some
       (fun k ->
-        let reader = record t k in
+        let reader = park_record k in
         let rec c = { reader; timer; waiting = true }
         and timer =
           {
@@ -573,6 +595,8 @@ let create ?(max_events = 10_000_000) ?(seed = 42) () =
       due;
       park_in = ring ();
       running = dummy;
+      parked = 0;
+      named = [];
       handler = { Effect.Deep.effc = (fun _ -> None) };
     }
   in
@@ -622,8 +646,9 @@ let yield t =
   perform_delay ()
 
 let timer t d f x =
-  if not (d >= 0.) then invalid_arg "Sim.timer: negative or NaN delay";
-  t.due.at <- t.due.now +. d;
+  let s = d.seconds in
+  if not (s >= 0.) then invalid_arg "Sim.timer: negative or NaN delay";
+  t.due.at <- t.due.now +. s;
   schedule t (Timer { f; x })
 
 (* A thunk is a timer whose function applies its argument. *)
@@ -657,14 +682,32 @@ let escaped name =
 
 let run_anon f = try f () with Not_in_fiber -> escaped "<anon>"
 
-let spawn t ?name f =
-  let run =
-    match name with
-    | None -> run_anon
-    | Some name -> fun f -> ( try f () with Not_in_fiber -> escaped name)
-  in
+(* A named fiber is listed with the event that starts it, which becomes
+   its record at its first suspension. *)
+let start_named t ~daemon name f =
   t.due.at <- t.due.now;
-  call t run f
+  let ev =
+    schedule t
+      (Call { f = (fun f -> try f () with Not_in_fiber -> escaped name); x = f })
+  in
+  t.named <- { fb_name = name; fb_daemon = daemon; fb_record = ev } :: t.named
+
+let spawn t ?name f =
+  match name with
+  | None ->
+      t.due.at <- t.due.now;
+      call t run_anon f
+  | Some name -> start_named t ~daemon:false name f
+
+let daemon t ~name f = start_named t ~daemon:true name f
+
+let hung t =
+  let parked fb = fb.fb_record.phase = Parked in
+  let named = List.rev (List.filter parked t.named) in
+  List.filter_map
+    (fun fb -> if fb.fb_daemon then None else Some fb.fb_name)
+    named
+  @ List.init (t.parked - List.length named) (fun _ -> "<anon>")
 
 let run ?until t =
   let execute ev =
@@ -841,10 +884,10 @@ module Ivar = struct
     match iv.state with
     | Set x -> Some x
     | Unset waiters -> (
-        let sim = iv.iv_sim in
-        if not (d >= 0.) then
+        let sim = iv.iv_sim and s = d.seconds in
+        if not (s >= 0.) then
           invalid_arg "Sim.Ivar.read_timeout: negative or NaN delay";
-        sim.due.at <- sim.due.now +. d;
+        sim.due.at <- sim.due.now +. s;
         park_timed sim waiters;
         match iv.state with Set x -> Some x | Unset _ -> None)
 end

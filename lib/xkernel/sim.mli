@@ -39,7 +39,21 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn sim f] schedules a new fiber running [f] at the current
     virtual time.  Exceptions escaping [f] are logged and re-raised out
     of {!run}.  As with {!call_after}, the event that starts the fiber
-    becomes its wait record. *)
+    becomes its wait record.  [name] names the fiber when a blocking
+    operation escapes it and in {!hung}. *)
+
+val daemon : t -> name:string -> (unit -> unit) -> unit
+(** [daemon sim ~name f] is [spawn sim ~name f] for a long-lived loop (a
+    device's transmitter, a worker) that is expected to be left parked
+    in a semaphore when a run's queues drain: {!hung} leaves it out. *)
+
+val hung : t -> string list
+(** The fibers parked in a semaphore's or an ivar's wait ring that are
+    not daemons, oldest named first: a fiber started with a name by that
+    name, any other as ["<anon>"].  After a {!run} that drained the
+    queues, each is a fiber that will never continue.  The count behind
+    it costs nothing per wait: one int moves on each park, wake and
+    timed-read settlement. *)
 
 type duration = { mutable seconds : float }
 (** A span of virtual seconds, in a record its caller owns and rewrites
@@ -69,16 +83,17 @@ type event
 (** A cancellable scheduled event — the x-kernel event library's
     [evSchedule] handle. *)
 
-val timer : t -> float -> ('a -> unit) -> 'a -> event
-(** [timer sim d f x] schedules [f x] to run (as a fiber) [d] seconds
-    from now: the x-kernel's [evSchedule(func, arg, time)].  The event
-    carries [f] and [x], so a timer whose function is built once and
-    whose argument already exists allocates only the event.  Timer
+val timer : t -> duration -> ('a -> unit) -> 'a -> event
+(** [timer sim d f x] schedules [f x] to run (as a fiber) [d.seconds]
+    from now, reading [d] once, on entry: the x-kernel's
+    [evSchedule(func, arg, time)].  The event carries [f] and [x], and
+    the delay arrives unboxed in [d], so a timer whose function is built
+    once and whose argument already exists allocates only the event.  Timer
     callbacks may themselves block; the returned event is the caller's
     cancel handle, which {!cancel} must find spent once [f] has
     started, so it never becomes the callback's wait record and a
     callback that blocks allocates its own.  Raises [Invalid_argument]
-    if [d] is negative or NaN. *)
+    if [d.seconds] is negative or NaN. *)
 
 val after : t -> float -> (unit -> unit) -> event
 (** [after sim d f] is {!timer} for a thunk: [f ()] runs (as a fiber)
@@ -192,12 +207,13 @@ module Ivar : sig
   val read : 'a ivar -> 'a
   (** Blocks the calling fiber until filled. *)
 
-  val read_timeout : 'a ivar -> float -> 'a option
-  (** [read_timeout iv d] waits at most [d] seconds; [None] on timeout.
+  val read_timeout : 'a ivar -> duration -> 'a option
+  (** [read_timeout iv d] waits at most [d.seconds] seconds, reading [d]
+      once, on entry; [None] on timeout.
       The deadline is one timer event, queued when the reader blocks and
       cancelled by a fill that comes first; either way the reader
       continues after everything already due at that instant, and
       returns the value if a fill has landed by then.  Raises
-      [Invalid_argument] if it would block and [d] is negative or
-      NaN. *)
+      [Invalid_argument] if it would block and [d.seconds] is negative
+      or NaN. *)
 end

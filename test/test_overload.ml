@@ -386,7 +386,9 @@ let replica_call_cost ~hedge =
    budget), and the exact event count per call.  A call allocates its
    attempt record, the ivar, the primary leg's event and the timed
    read's timer and cell; an armed hedge adds its timer, whose argument
-   is the attempt (81 and 91.26 words).  Before attempts were one
+   is the attempt (72 and 80.26 words).  With the call's deadline, each
+   attempt's budget and the hedge delay boxed and a tuple per route
+   they read 81 and 91.26 words.  Before attempts were one
    record the rows read 196 and 233.26 words, and 7 events with a
    hedge.  A closure per leg handed to [Sim.spawn] reads 86 and 100.26
    words; the hedge as a fiber that sleeps out its delay reads 114.26
@@ -397,8 +399,8 @@ let replica_alloc_budget () =
   let hedge_w, hedge_e = replica_call_cost ~hedge:true in
   let figures =
     [
-      ("REPLICA call", 85., plain_w);
-      ("REPLICA call, hedge armed", 92., hedge_w);
+      ("REPLICA call", 75., plain_w);
+      ("REPLICA call, hedge armed", 83., hedge_w);
     ]
   in
   measured := figures;

@@ -260,7 +260,7 @@ let ivar_timeout_expires () =
   let sim = Sim.create () in
   let iv : int Sim.Ivar.ivar = Sim.Ivar.create sim in
   let got = ref (Some 0) in
-  Sim.spawn sim (fun () -> got := Sim.Ivar.read_timeout iv 1.0);
+  Sim.spawn sim (fun () -> got := Sim.Ivar.read_timeout iv { Sim.seconds = 1.0 });
   Sim.run sim;
   Alcotest.(check bool) "timed out" true (!got = None);
   Alcotest.(check (float 1e-9)) "waited exactly" 1.0 (Sim.now sim)
@@ -269,7 +269,7 @@ let ivar_timeout_wins () =
   let sim = Sim.create () in
   let iv = Sim.Ivar.create sim in
   let got = ref None in
-  Sim.spawn sim (fun () -> got := Sim.Ivar.read_timeout iv 1.0);
+  Sim.spawn sim (fun () -> got := Sim.Ivar.read_timeout iv { Sim.seconds = 1.0 });
   ignore (Sim.after sim 0.5 (fun () -> Sim.Ivar.fill iv 7));
   Sim.run sim;
   Alcotest.(check bool) "value before timeout" true (!got = Some 7)
@@ -292,7 +292,7 @@ let event_module_cancel () =
   in
   let fired = ref false in
   Sim.spawn sim (fun () ->
-      let ev = Event.schedule host 1.0 (fun r -> r := true) fired in
+      let ev = Event.schedule host { Sim.seconds = 1.0 } (fun r -> r := true) fired in
       Alcotest.(check bool) "cancel ok" true (Event.cancel host ev);
       Alcotest.(check bool) "marks done" false (Event.cancel host ev));
   Sim.run sim;
@@ -643,7 +643,7 @@ let qcheck_queue_model =
               schedule (!now +. d) (fun id -> Some (Sim.after sim d (note id)))
           | Q_timer k ->
               let d = float_of_int k /. 40. in
-              schedule (!now +. d) (fun id -> Some (Sim.timer sim d note_id id))
+              schedule (!now +. d) (fun id -> Some (Sim.timer sim { Sim.seconds = d } note_id id))
           | Q_at k ->
               let time =
                 Float.max !now ((Float.ceil (!now *. 40.) +. float_of_int k) /. 40.)
@@ -902,7 +902,7 @@ let timer_handle_not_a_record () =
     Sim.Semaphore.p sem;
     log := (tag ^ " resumes") :: !log
   in
-  let ev = Sim.timer sim 0.5 callback "timer" in
+  let ev = Sim.timer sim { Sim.seconds = 0.5 } callback "timer" in
   let cancels = ref [] in
   ignore
     (Sim.after sim 1.0 (fun () ->
@@ -943,7 +943,7 @@ let one_fiber_every_wait () =
             (Sim.after sim 1e-4 (fun () ->
                  Sim.yield sim;
                  Sim.Ivar.fill iv i));
-        (match Sim.Ivar.read_timeout iv 1e-3 with
+        (match Sim.Ivar.read_timeout iv { Sim.seconds = 1e-3 } with
         | Some j ->
             Tutil.check_int "the round's value" i j;
             incr filled
@@ -1134,12 +1134,13 @@ let alloc_budget () =
               Sim.spawn sim (fun () -> Sim.Ivar.fill iv ());
               Sim.Ivar.read iv
             done);
+      let one_s = { Sim.seconds = 1.0 } in
       timed_w :=
         words_per_op n (fun () ->
             for _ = 1 to n do
               let iv = Sim.Ivar.create sim in
               Sim.spawn sim (fun () -> Sim.Ivar.fill iv ());
-              ignore (Sim.Ivar.read_timeout iv 1.0)
+              ignore (Sim.Ivar.read_timeout iv one_s)
             done));
   Sim.run sim;
   (* Two fibers pass control back and forth through two semaphores: each
@@ -1312,7 +1313,7 @@ let ivar_wake_order () =
   let reader name = Sim.spawn sim (fun () -> note (name ^ "=" ^ Sim.Ivar.read iv)) in
   let timed name d =
     Sim.spawn sim (fun () ->
-        match Sim.Ivar.read_timeout iv d with
+        match Sim.Ivar.read_timeout iv { Sim.seconds = d } with
         | Some x -> note (name ^ "=" ^ x)
         | None -> note (name ^ " timed out"))
   in
@@ -1350,7 +1351,7 @@ let timed_read_at_deadline fill_at =
     Sim.Ivar.fill iv 1
   in
   Sim.spawn sim (fun () ->
-      (match Sim.Ivar.read_timeout iv 1.0 with
+      (match Sim.Ivar.read_timeout iv { Sim.seconds = 1.0 } with
       | Some _ -> note "read"
       | None -> note "timed out");
       Sim.delay sim 1.0;
@@ -1406,7 +1407,7 @@ let timed_and_plain_in_arrival_order () =
       in
       let timed () =
         Sim.spawn sim (fun () ->
-            match Sim.Ivar.read_timeout iv 5.0 with
+            match Sim.Ivar.read_timeout iv { Sim.seconds = 5.0 } with
             | Some x -> log := ("timed", x) :: !log
             | None -> log := ("timed out", 0) :: !log)
       in
@@ -1433,10 +1434,10 @@ let timed_read_in_after_callback () =
   let note s = log := (s, Sim.now sim) :: !log in
   ignore
     (Sim.after sim 1.0 (fun () ->
-         (match Sim.Ivar.read_timeout filled 1.0 with
+         (match Sim.Ivar.read_timeout filled { Sim.seconds = 1.0 } with
          | Some x -> note (Printf.sprintf "got %d" x)
          | None -> note "filled: timed out");
-         (match Sim.Ivar.read_timeout never 0.5 with
+         (match Sim.Ivar.read_timeout never { Sim.seconds = 0.5 } with
          | Some _ -> note "never: filled"
          | None -> note "never: timed out");
          Sim.delay sim 0.25;
@@ -1457,7 +1458,7 @@ let late_fill_resumes_once () =
   let log = ref [] in
   let note s = log := (s, Sim.now sim) :: !log in
   Sim.spawn sim (fun () ->
-      (match Sim.Ivar.read_timeout iv 1.0 with
+      (match Sim.Ivar.read_timeout iv { Sim.seconds = 1.0 } with
       | Some _ -> note "read"
       | None -> note "timed out");
       Sim.Semaphore.p sem;

@@ -10,11 +10,19 @@ let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
 (* Run [f] as a fiber in [w] and drive the simulator to completion,
-   returning [f]'s result.  Fails the test on deadlock. *)
+   returning [f]'s result.  Fails the test when a fiber that is not a
+   daemon is left parked at the end, [f]'s own ("run_in") or any other:
+   a hung fiber. *)
 let run_in (w : Netproto.World.t) f =
   let result = ref None in
-  Netproto.World.spawn w (fun () -> result := Some (f ()));
+  Sim.spawn w.Netproto.World.sim ~name:"run_in" (fun () ->
+      result := Some (f ()));
   Netproto.World.run w;
+  (match Sim.hung w.Netproto.World.sim with
+  | [] -> ()
+  | names ->
+      Alcotest.failf "fibers parked at the end of the world: %s"
+        (String.concat ", " names));
   match !result with
   | Some r -> r
   | None -> Alcotest.fail "fiber did not complete (deadlock?)"
