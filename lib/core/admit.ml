@@ -83,10 +83,13 @@ let dispatch t item =
     Stats.set t.stats "sojourn-max-us" (int_of_float (sojourn *. 1e6))
   end;
   let expired = match item.expires with Some e -> e <= now | None -> false in
-  if expired then
+  if expired then begin
     (* The caller's budget lapsed while the request queued here: no
-       reply — the caller is gone — and, crucially, no procedure CPU. *)
-    Stats.tick t.c_expired
+       reply — the caller is gone — and, crucially, no procedure CPU.
+       The channel below stops waiting for one. *)
+    Stats.tick t.c_expired;
+    ignore (Proto.session_control item.lower Control.No_reply)
+  end
   else if t.cfg.codel_target > 0. && sojourn > t.cfg.codel_target then
     if t.above_since < 0. then begin
       (* First sojourn above target: start the interval clock, admit. *)

@@ -25,21 +25,16 @@ type sess = {
   mutable xs : Proto.session option;
   clock : clock;
   (* client role: the outstanding transaction *)
-  mutable next_seq : int;
-  mutable txn : int;
-      (* transactions started, never reset, not even by a crash: the
-         retransmit timer's argument, naming the transaction it guards
-         (a crash resets [next_seq], so a sequence number could name the
-         next one) *)
-  mutable active : bool;
+  caller : Amo.client;
+      (* its sequence number, which names it to its retransmit timer
+         (no later transaction reuses one, not even after a crash), and
+         the server's boot *)
   mutable blocked : bool;
       (* a {!call} is blocked here, or woken and not yet back: it owns
          the transaction's result, and the channel takes no other
-         transaction until it has it.  Otherwise the reply goes up
-         (uniform push). *)
+         transaction until it has it *)
   wake : Sim.Semaphore.sem; (* the blocked caller waits here *)
   mutable result : (Msg.t, Rpc_error.t) result; (* for the woken caller *)
-  mutable out_seq : int;
   mutable payload : Msg.t;
   mutable sent_load : int; (* protocol-wide in-flight count when first sent *)
   mutable expires : float option;
@@ -48,18 +43,15 @@ type sess = {
          retransmit timer gives up outright once it has passed *)
   mutable timer : Event.t; (* [t.no_timer] when none is armed *)
   mutable tries_left : int;
-  mutable acked_txn : int;
+  mutable acked_seq : int;
       (* the last transaction an explicit ACK named: the server is
          working on it *)
   on_timeout : int -> unit; (* the retransmit timer's callback, built once *)
-  mutable server_boot : int; (* -1 until a reply is heard *)
   (* server role *)
-  mutable last_seq : int;
-  mutable client_boot : int;
+  amo : Amo.server; (* the request executing, and the last one answered *)
   mutable cached_reply : Msg.t;
-      (* encoded, ready to retransmit; [Msg.empty] when there is none
-         (an encoded reply carries its header) *)
-  mutable busy : bool;
+      (* encoded, ready to retransmit, while [amo] says a reply is
+         cached (an encoded reply carries its header) *)
   (* adaptive RTO estimator (Jacobson), per channel, with [clock] *)
   mutable backoff : int; (* consecutive timeouts on the current transaction *)
   mutable last_len : int; (* last request length, for effective-RTO queries *)
@@ -248,27 +240,21 @@ let cancel_timer t s =
     ignore (Event.cancel t.host ev)
   end
 
-(* Finish the outstanding transaction: wake the blocked caller, or — on
-   the uniform path — deliver the reply up through the session. *)
+let active s = s.caller.Amo.out_seq <> 0
+
+(* Finish the outstanding transaction and wake its caller, which stays
+   [blocked] until it has the result, so no call starts meanwhile. *)
 let complete t s outcome =
-  if s.active then begin
+  if active s then begin
     (* Clear the slot before anything that can yield (see
        Sprite_mono.complete_call). *)
-    s.active <- false;
+    Amo.finish s.caller;
     t.in_flight <- t.in_flight - 1;
-    (* Read before the charges: a call may start while they run. *)
-    let blocked = s.blocked in
     cancel_timer t s;
     Machine.charge_all t.host.Host.mach
       [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
-    if blocked then begin
-      s.result <- outcome;
-      Sim.Semaphore.v s.wake
-    end
-    else
-      match outcome with
-      | Ok reply -> Proto.deliver s.upper ~lower:(Option.get s.xs) reply
-      | Error _ -> Stats.incr t.stats "uniform-error"
+    s.result <- outcome;
+    Sim.Semaphore.v s.wake
   end
 
 (* Crash teardown for one session, from a {!Host.at_reboot} hook.  Runs
@@ -276,47 +262,39 @@ let complete t s outcome =
    timers die via {!Event.abort}, callers are woken with [Rebooted].
    State is reset {e in place} — upper layers (SELECT) hold on to the
    exported session handles, and those must stay valid across a reboot;
-   the fresh boot id is what makes the sequence-number reset safe.
-   [txn] is not reset: a timer armed before the crash by a retransmit
-   still charging must not match the next transaction. *)
+   the fresh boot id starts fresh sequence numbers, so a timer armed
+   before the crash by a retransmit still charging matches nothing. *)
 let crash_session t s =
-  if s.active then begin
-    s.active <- false;
+  if active s then begin
     t.in_flight <- t.in_flight - 1;
     ignore (Event.abort s.timer);
     s.timer <- t.no_timer;
-    if s.blocked then begin
-      s.result <- Error Rpc_error.Rebooted;
-      Sim.Semaphore.v s.wake
-    end
-    else Stats.incr t.stats "uniform-error"
+    s.result <- Error Rpc_error.Rebooted;
+    Sim.Semaphore.v s.wake
   end;
-  s.next_seq <- 0;
-  s.server_boot <- -1;
-  s.last_seq <- 0;
-  s.client_boot <- 0;
+  Amo.reset_client s.caller ~boot:t.host.Host.boot_id;
+  Amo.reset_server s.amo;
   s.cached_reply <- Msg.empty;
-  s.busy <- false;
   s.clock.rx_expires <- -1.;
   s.clock.srtt <- -1.;
   s.clock.rttvar <- 0.;
   s.backoff <- 0;
   s.srtt_load <- 1
 
-(* Arm the retransmit timer of transaction [txn] for [t.span], which the
+(* Arm the retransmit timer of transaction [seq] for [t.span], which the
    caller has just written.  The [Timer_op] charge yields: if a reply or
-   a crash ended [txn] meanwhile, the timer is nobody's and fires as a
+   a crash ended [seq] meanwhile, the timer is nobody's and fires as a
    no-op. *)
-let arm_timer t s txn =
-  let ev = Event.schedule t.host t.span s.on_timeout txn in
-  if s.active && s.txn = txn then s.timer <- ev
+let arm_timer t s seq =
+  let ev = Event.schedule t.host t.span s.on_timeout seq in
+  if Amo.outstanding s.caller ~seq then s.timer <- ev
 
-(* The retransmit timer of transaction [txn].  Everything it reads after
-   the retransmission's charges belongs to [txn] even if a reply ended
+(* The retransmit timer of transaction [seq].  Everything it reads after
+   the retransmission's charges belongs to [seq] even if a reply ended
    it meanwhile: the payload length is read before, and an ACK is
    remembered by the transaction it named. *)
-let timer_fired t s txn =
-  if s.active && s.txn = txn then begin
+let timer_fired t s seq =
+  if Amo.outstanding s.caller ~seq then begin
     let expired =
       match s.expires with
       | Some e -> e <= Sim.now (Host.sim t.host)
@@ -338,9 +316,9 @@ let timer_fired t s txn =
          *remaining now*, not the original stamp. *)
       transmit t s ~expires:s.expires
         ~flags:(Wire_fmt.Flags.request lor Wire_fmt.Flags.please_ack)
-        ~seq:s.out_seq ~error:0 s.payload;
+        ~seq ~error:0 s.payload;
       let patience = t.span in
-      if s.acked_txn = txn then patience.seconds <- base_timeout *. 4.
+      if s.acked_seq = seq then patience.seconds <- base_timeout *. 4.
       else if t.adaptive then begin
         (* Exponential backoff on the effective RTO, capped, with a
            little seeded jitter so a fleet of channels that timed out
@@ -353,23 +331,16 @@ let timer_fired t s txn =
         patience.seconds <- patience.seconds *. jitter
       end
       else request_timeout s len patience;
-      arm_timer t s txn
+      arm_timer t s seq
     end
   end
 
 (* Start a transaction on an idle channel.  What its first transmission
    and timer use is passed down from here, not read back from [s] after
    a charge: a crash during one could start the next transaction. *)
-let send_request_free t s ~expires payload =
-  (* Sequence numbers start at 1: a fresh server-side channel holds
-     last_seq = 0, so the first request must compare greater. *)
-  s.next_seq <- s.next_seq + 1;
-  let seq = s.next_seq in
-  s.txn <- s.txn + 1;
-  let txn = s.txn in
+let send_request t s ~expires payload =
+  let seq = Amo.call s.caller in
   t.in_flight <- t.in_flight + 1;
-  s.active <- true;
-  s.out_seq <- seq;
   s.payload <- payload;
   s.clock.sent_at <- Sim.now (Host.sim t.host);
   s.sent_load <- t.in_flight;
@@ -385,130 +356,113 @@ let send_request_free t s ~expires payload =
   transmit t s ~expires ~flags:Wire_fmt.Flags.request ~seq ~error:0 payload;
   backed_rto t s (Msg.length payload + C.bytes) t.span;
   load_scale t s t.span;
-  arm_timer t s txn
+  arm_timer t s seq
 
-(* A uniform push: a request whose reply goes up. *)
-let send_request t s payload =
-  if s.active || s.blocked then begin
-    (* A transaction is already outstanding.  This must not raise: the
-       push can be triggered remotely, and a crash of the whole host is
-       the wrong answer.  Count it and drop it. *)
-    Stats.incr t.stats "uniform-busy";
-    (* Surface the drop where it hurts: on the protocol whose message
-       was silently discarded, with a trace hook so a per-layer capture
-       sees it. *)
-    Stats.incr (Proto.stats s.upper) "busy-dropped";
-    Trace.packet (Host.sim t.host) ~host:t.host.Host.name
-      ~proto:(Proto.name s.upper) ~dir:`Send payload
-  end
-  else send_request_free t s ~expires:None payload
-
+(* The upper layer's answer to the request executing on [s]: sent,
+   stamped with that request's sequence number, unless a newer request
+   or client boot arrived meanwhile. *)
 let send_reply ?(error = 0) t s payload =
-  Stats.tick t.c_reply_tx;
-  s.busy <- false;
-  let encoded =
-    Msg.push payload
-      (C.encode ~flags:Wire_fmt.Flags.reply ~channel:s.chan ~proto:s.proto_num
-         ~seq:s.last_seq ~error ~boot_id:t.host.Host.boot_id ~deadline_us:(-1))
-  in
-  s.cached_reply <- encoded;
-  Machine.charge t.host.Host.mach Machine.Header C.bytes;
-  Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
-    ~dir:`Send encoded;
-  Proto.push s.lower_sess encoded
+  match Amo.reply s.amo with
+  | Amo.Send_reply ->
+      Stats.tick t.c_reply_tx;
+      let encoded =
+        Msg.push payload
+          (C.encode ~flags:Wire_fmt.Flags.reply ~channel:s.chan
+             ~proto:s.proto_num ~seq:s.amo.Amo.last_seq ~error
+             ~boot_id:t.host.Host.boot_id ~deadline_us:(-1))
+      in
+      s.cached_reply <- encoded;
+      Machine.charge t.host.Host.mach Machine.Header C.bytes;
+      Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"CHANNEL"
+        ~dir:`Send encoded;
+      Proto.push s.lower_sess encoded
+  | _ -> Stats.incr t.stats "reply-late"
 
 (* [m] is the frame with its header in front, [body] what follows the
    header. *)
 let handle_request t s m body =
   Stats.tick t.c_req_rx;
-  let boot_id = C.boot_id m and seq = C.sequence_num m in
-  if boot_id <> s.client_boot then begin
-    (* New incarnation of the client: forget the old channel state. *)
-    s.client_boot <- boot_id;
-    s.last_seq <- 0;
-    s.cached_reply <- Msg.empty;
-    s.busy <- false
-  end;
-  if seq < s.last_seq then Stats.incr t.stats "stale-rx"
-  else if seq = s.last_seq then begin
-    Stats.incr t.stats "dup-req";
-    let encoded = s.cached_reply in
-    if Msg.length encoded > 0 then begin
-      (* The implicit ack (next request) never came; resend. *)
+  let seq = C.sequence_num m in
+  match Amo.request s.amo ~boot:(C.boot_id m) ~seq with
+  | Amo.Execute ->
+      let deadline_us = C.deadline_us m in
+      if deadline_us = 0 then
+        (* The request arrived with its propagated budget already spent:
+           the caller has given up, so executing it — or even claiming
+           the channel — would be pure waste.  Dropping here is
+           indistinguishable from packet loss, which at-most-once
+           semantics already absorb. *)
+        Stats.incr t.stats "deadline-expired-server"
+      else begin
+        Amo.execute s.amo ~seq;
+        s.cached_reply <- Msg.empty;
+        s.clock.rx_expires <-
+          (if deadline_us > 0 then
+             Sim.now (Host.sim t.host) +. (float_of_int deadline_us *. 1e-6)
+           else -1.);
+        Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
+        Proto.deliver s.upper ~lower:(Option.get s.xs) body
+      end
+  | Amo.Resend_cached ->
+      (* The implicit ack (next request) never came; resend.  The reply
+         is read before the charge, during which a new request may take
+         its place. *)
+      let encoded = s.cached_reply in
+      Stats.incr t.stats "dup-req";
       Stats.incr t.stats "cached-reply-tx";
       Machine.charge t.host.Host.mach Machine.Header C.bytes;
       Proto.push s.lower_sess encoded
-    end
-    else if s.busy then begin
+  | Amo.Ack ->
+      Stats.incr t.stats "dup-req";
       Stats.tick t.c_ack_tx;
       transmit t s ~expires:None ~flags:Wire_fmt.Flags.ack ~seq ~error:0
         Msg.empty
-    end
-  end
-  else
-    let deadline_us = C.deadline_us m in
-    if deadline_us = 0 then
-      (* The request arrived with its propagated budget already spent:
-         the caller has given up, so executing it — or even claiming the
-         channel — would be pure waste.  Dropping here is indistinguishable
-         from packet loss, which at-most-once semantics already absorb. *)
-      Stats.incr t.stats "deadline-expired-server"
-    else begin
-      (* A new request implicitly acknowledges the previous reply. *)
-      s.last_seq <- seq;
-      s.cached_reply <- Msg.empty;
-      s.busy <- true;
-      s.clock.rx_expires <-
-        (if deadline_us > 0 then
-           Sim.now (Host.sim t.host) +. (float_of_int deadline_us *. 1e-6)
-         else -1.);
-      Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
-      Proto.deliver s.upper ~lower:(Option.get s.xs) body
-    end
+  | Amo.Hold -> Stats.incr t.stats "req-held"
+  | _ -> Stats.incr t.stats "stale-rx"
 
 let handle_reply t s m body =
-  if s.active && C.sequence_num m = s.out_seq then begin
-    Stats.tick t.c_reply_rx;
-    if t.adaptive then
-      if s.tries_left = retries then
-        (* Karn's rule: a retransmitted transaction yields no sample —
-           the reply cannot be matched to a particular transmission. *)
-        observe_rtt t s ~load:s.sent_load
-      else begin
-        Stats.tick t.c_karn_skip;
-        (* No sample, but the completion still witnesses a serving
-           peer: decay the persistent backoff one step per completed
-           transaction.  Under sustained saturation every transaction
-           retransmits, so clean samples — which clear the backoff
-           outright in [observe_rtt] — may never arrive; without this
-           decay the RTO stays pinned at the backed-off ceiling long
-           after the loss that earned it has cleared. *)
-        if s.backoff > 0 then s.backoff <- s.backoff - 1
-      end;
-    let boot_id = C.boot_id m in
-    let reboot_detected = s.server_boot >= 0 && s.server_boot <> boot_id in
-    s.server_boot <- boot_id;
-    if reboot_detected && s.tries_left < retries then
-      (* The server restarted while we were retransmitting: we cannot
-         know whether the procedure executed. *)
-      complete t s (Error Rpc_error.Rebooted)
-    else
-      match C.error m with
-      | 0 -> complete t s (Ok body)
-      | e when e = C.err_busy ->
-          (* Explicit admission pushback: the server refused the call in
-             one RTT.  Surfaced as [Busy] so the replica layer can treat
-             it as backoff pressure rather than a health failure. *)
-          Stats.incr t.stats "busy-reply-rx";
-          complete t s (Error Rpc_error.Busy)
-      | e -> complete t s (Error (Rpc_error.Remote e))
-  end
-  else Stats.incr t.stats "stale-rx"
+  match
+    Amo.client_reply s.caller ~seq:(C.sequence_num m) ~boot:(C.boot_id m)
+      ~retransmitted:(s.tries_left < retries)
+  with
+  | Amo.Stale -> Stats.incr t.stats "stale-rx"
+  | verdict -> (
+      Stats.tick t.c_reply_rx;
+      if t.adaptive then
+        if s.tries_left = retries then
+          (* Karn's rule: a retransmitted transaction yields no sample —
+             the reply cannot be matched to a particular transmission. *)
+          observe_rtt t s ~load:s.sent_load
+        else begin
+          Stats.tick t.c_karn_skip;
+          (* No sample, but the completion still witnesses a serving
+             peer: decay the persistent backoff one step per completed
+             transaction.  Under sustained saturation every transaction
+             retransmits, so clean samples — which clear the backoff
+             outright in [observe_rtt] — may never arrive; without this
+             decay the RTO stays pinned at the backed-off ceiling long
+             after the loss that earned it has cleared. *)
+          if s.backoff > 0 then s.backoff <- s.backoff - 1
+        end;
+      match verdict with
+      | Amo.Rebooted -> complete t s (Error Rpc_error.Rebooted)
+      | _ -> (
+          match C.error m with
+          | 0 -> complete t s (Ok body)
+          | e when e = C.err_busy ->
+              (* Explicit admission pushback: the server refused the call
+                 in one RTT.  Surfaced as [Busy] so the replica layer can
+                 treat it as backoff pressure rather than a health
+                 failure. *)
+              Stats.incr t.stats "busy-reply-rx";
+              complete t s (Error Rpc_error.Busy)
+          | e -> complete t s (Error (Rpc_error.Remote e))))
 
 let handle_ack t s m =
-  if s.active && C.sequence_num m = s.out_seq then begin
+  let seq = C.sequence_num m in
+  if Amo.outstanding s.caller ~seq then begin
     Stats.tick t.c_ack_rx;
-    s.acked_txn <- s.txn
+    s.acked_seq <- seq
   end
   else Stats.incr t.stats "stale-rx"
 
@@ -533,35 +487,27 @@ let make_session t ~upper (peer, proto_num, chan) =
       lower_sess;
       xs = None;
       clock = { srtt = -1.; rttvar = 0.; sent_at = 0.; rx_expires = -1. };
-      next_seq = 0;
-      txn = 0;
-      active = false;
+      caller = Amo.client (Amo.peer ()) ~boot:t.host.Host.boot_id;
       blocked = false;
       wake;
       result = no_result;
-      out_seq = 0;
       payload = Msg.empty;
       sent_load = 0;
       expires = None;
       timer = t.no_timer;
       tries_left = 0;
-      acked_txn = 0;
-      on_timeout = (fun txn -> timer_fired t s txn);
-      server_boot = -1;
-      last_seq = 0;
-      client_boot = 0;
+      acked_seq = 0;
+      on_timeout = (fun seq -> timer_fired t s seq);
+      amo = Amo.server ();
       cached_reply = Msg.empty;
-      busy = false;
       backoff = 0;
       last_len = C.bytes;
       srtt_load = 1;
     }
   in
-  let push msg =
-    (* A busy server session replies; otherwise this is a client
-       request on the uniform (non-blocking) path. *)
-    if s.busy then send_reply t s msg else send_request t s msg
-  in
+  (* A push answers the request executing on the session; a call is
+     the only way to send a request. *)
+  let push msg = send_reply t s msg in
   let pop _ = () in
   let s_control = function
     | Control.Get_peer_host -> Control.R_ip peer
@@ -587,6 +533,11 @@ let make_session t ~upper (peer, proto_num, chan) =
            error.  Cached like any reply, so a duplicate of the refused
            request gets the same verdict. *)
         send_reply ~error:C.err_busy t s Msg.empty;
+        Control.R_unit
+    | Control.No_reply ->
+        (* The upper layer dropped the request executing here: the
+           execution is over, and the channel free for the next one. *)
+        Amo.no_reply s.amo;
         Control.R_unit
     | ( Control.Get_frag_size | Control.Get_max_packet
       | Control.Get_opt_packet ) as req ->
@@ -667,14 +618,14 @@ let call ?expires t xs msg =
     | _ | (exception Not_found) ->
         invalid_arg "Channel.call: not a channel session of this protocol"
   in
-  if s.active || s.blocked then begin
+  if active s || s.blocked then begin
     (* A transaction is already outstanding: reject the call. *)
     Stats.incr t.stats "call-busy";
     Error Rpc_error.Busy
   end
   else begin
     s.blocked <- true;
-    send_request_free t s ~expires msg;
+    send_request t s ~expires msg;
     Sim.Semaphore.p s.wake;
     let r = s.result in
     s.result <- no_result;

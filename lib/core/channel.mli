@@ -9,12 +9,11 @@
     an explicit acknowledgement, which a busy server answers with an ACK
     packet ("I have it; keep waiting").
 
-    At-most-once: the server keeps, per channel, the last sequence
-    number executed and the cached reply; a duplicate request gets the
-    cached reply back instead of a re-execution.  Boot identifiers on
-    both sides detect restarts — a reply from a different incarnation of
-    the server surfaces as [Rebooted] rather than a silent
-    re-execution.
+    At-most-once follows {!Amo}, the rule M.RPC shares: a channel
+    executes one request at a time, a duplicate gets the cached reply
+    instead of a re-execution, a reply answers the request whose
+    execution produced it, and a restarted server surfaces as
+    [Rebooted] rather than a silent re-execution.
 
     CHANNEL's timeout is a step function tuned to FRAGMENT living below
     it as a separate protocol: single-fragment requests use a short
@@ -100,11 +99,12 @@ val call :
     the paper's 18-byte header. *)
 
 (** Uniform-interface use: [open_] takes [Ip peer], [Ip_proto n] and
-    [Channel c] components.  A plain [push] sends a request whose reply
-    is delivered *up* (via the opener's [demux]) instead of returned.
-    The server side is passive: [open_enable] with [Ip_proto n]; each
-    incoming request is delivered up, and the upper protocol replies by
-    pushing into the session the request arrived on.
+    [Channel c] components; requests go out only through {!call}.  The
+    server side is passive: [open_enable] with [Ip_proto n]; each
+    request {!Amo} lets execute is delivered up, and the upper protocol
+    answers it by pushing into the session it arrived on, or by
+    [control No_reply] if it never will.  A push that answers nothing is
+    counted (["reply-late"]) and not sent.
 
     Session control: [Get_timeout] and [Get_rto] both report the
     {e effective} RTO for a request the size of the last one sent —
@@ -118,9 +118,8 @@ val call :
 
     Statistics: ["req-tx"], ["req-rx"], ["reply-tx"], ["reply-rx"],
     ["retransmit"], ["ack-tx"], ["ack-rx"], ["dup-req"],
-    ["cached-reply-tx"], ["stale-rx"]; estimator: ["rtt-sample"],
-    ["karn-skip"], ["rto-backoff"], ["crash-reset"], and gauges
-    ["srtt-us"] / ["rto-us"]; overload control: ["deadline-give-up"],
-    ["deadline-expired-server"], ["busy-reply-rx"], ["uniform-busy"]
-    (plus a ["busy-dropped"] counter on the {e upper} protocol whose
-    uniform push was discarded). *)
+    ["cached-reply-tx"], ["stale-rx"], ["req-held"], ["reply-late"];
+    estimator: ["rtt-sample"], ["karn-skip"], ["rto-backoff"],
+    ["crash-reset"], and gauges ["srtt-us"] / ["rto-us"]; overload
+    control: ["deadline-give-up"], ["deadline-expired-server"],
+    ["busy-reply-rx"]. *)

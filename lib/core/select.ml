@@ -139,22 +139,27 @@ let reject_shard t ~shard ~epoch ~version =
       Some (Shard_map.version m)
   | _ -> None
 
+(* A request dropped unanswered: counted, and the channel session it
+   came on told that no reply will come, so it takes the next one. *)
+let drop t ~lower counter =
+  Stats.incr t.stats counter;
+  ignore (Proto.session_control lower Control.No_reply)
+
 (* Server: map the command onto a procedure, run it, reply through the
    channel session the request arrived on. *)
 let input t ~lower msg =
   Machine.charge t.host.Host.mach Machine.Header S.bytes;
   Trace.packet (Host.sim t.host) ~host:t.host.Host.name ~proto:"SELECT"
     ~dir:`Recv msg;
-  if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
+  if Msg.length msg < S.bytes then drop t ~lower "rx-runt"
   else
     let typ = S.typ msg and command = S.command msg in
     let sharded = typ = S.typ_request_sharded in
     if sharded then
       Machine.charge t.host.Host.mach Machine.Header S.stamp_bytes;
     let hdr_len = if sharded then S.bytes + S.stamp_bytes else S.bytes in
-    if (not sharded) && typ <> S.typ_request then
-      Stats.incr t.stats "rx-unexpected"
-    else if Msg.length msg < hdr_len then Stats.incr t.stats "rx-malformed"
+    if (not sharded) && typ <> S.typ_request then drop t ~lower "rx-unexpected"
+    else if Msg.length msg < hdr_len then drop t ~lower "rx-malformed"
     else if
       (* Last call before the procedure's CPU is charged: a
          request whose propagated deadline lapsed while it queued
@@ -163,7 +168,7 @@ let input t ~lower msg =
       match Proto.session_control lower Control.Get_rx_deadline with
       | Control.R_float e -> e >= 0. && e <= Sim.now (Host.sim t.host)
       | _ -> false
-    then Stats.incr t.stats "deadline-expired-server"
+    then drop t ~lower "deadline-expired-server"
     else begin
       let reply_body, status =
         match

@@ -21,13 +21,19 @@ let client t =
       t.client <- Some c;
       c
 
+(* A request dropped unanswered: counted, and the channel session it
+   came on told that no reply will come. *)
+let drop t ~lower counter =
+  Stats.incr t.stats counter;
+  ignore (Proto.session_control lower Control.No_reply)
+
 (* Relay: read just enough of the SELECT header to re-issue the call
    toward the delegate, then send the delegate's answer back on the
    channel session the original request arrived on. *)
 let input t ~lower msg =
   Machine.charge t.host.Host.mach Machine.Header S.bytes;
-  if Msg.length msg < S.bytes then Stats.incr t.stats "rx-runt"
-  else if S.typ msg <> S.typ_request then Stats.incr t.stats "rx-unexpected"
+  if Msg.length msg < S.bytes then drop t ~lower "rx-runt"
+  else if S.typ msg <> S.typ_request then drop t ~lower "rx-unexpected"
   else begin
     let command = S.command msg in
     let body = Msg.drop msg S.bytes in

@@ -8,11 +8,11 @@ let flag_error = 0x10 (* reply carries an error status in [command] *)
 let frag_size = 1024
 let n_channels = 8
 
+(* The one message a session reassembles at a time; [r_seq] 0: none. *)
 type reasm = {
-  pieces : Msg.t option array;
+  mutable r_seq : int;
+  mutable pieces : Msg.t option array;
   mutable have : int;
-  r_num : int;
-  r_command : int;
 }
 
 (* One message cut into fragments, with what every fragment's header
@@ -30,7 +30,6 @@ type frags = {
 }
 
 type outstanding = {
-  o_seq : int;
   iv : (Msg.t, Rpc_error.t) result Sim.Ivar.ivar;
   frags : frags;
   mutable acked_mask : int; (* fragments the server has acknowledged *)
@@ -44,9 +43,9 @@ type csess = {
   c_peer : Addr.Ip.t;
   c_chan : int;
   c_lower : Proto.session;
-  mutable next_seq : int;
+  amo : Amo.client;
   mutable out : outstanding option;
-  mutable rep_reasm : (int * reasm) option;
+  rep_reasm : reasm;
 }
 
 (* Server-role session: one per (client, channel). *)
@@ -54,11 +53,9 @@ type ssess = {
   s_peer : Addr.Ip.t;
   s_chan : int;
   mutable s_lower : Proto.session;
-  mutable last_seq : int;
-  mutable client_boot : int;
-  mutable cached_reply : frags option;
-  mutable busy : bool;
-  mutable req_reasm : (int * reasm) option;
+  s_amo : Amo.server;
+  mutable cached_reply : frags option; (* while [s_amo] says one is cached *)
+  req_reasm : reasm;
 }
 
 let proto_num = 91
@@ -69,9 +66,6 @@ type t = {
   p : Proto.t;
   clients : (int * int, csess) Hashtbl.t; (* (server, chan) *)
   servers : (int * int, ssess) Hashtbl.t; (* (client, chan) *)
-  (* Boot ids are a property of the peer host, shared by all channels
-     toward it. *)
-  server_boots : (int, int) Hashtbl.t;
   handlers : (int, Select.handler) Hashtbl.t;
   stats : Stats.t;
   span : Sim.duration; (* the timeout being armed, written just before *)
@@ -130,28 +124,48 @@ let send_frag ?(please_ack = false) t lower_sess fr i =
 let send_all t lower_sess fr =
   Array.iteri (fun i _ -> send_frag t lower_sess fr i) fr.f_pieces
 
-let reasm_step entry idx piece =
-  let fresh = entry.pieces.(idx) = None in
-  if fresh then begin
-    entry.pieces.(idx) <- Some piece;
-    entry.have <- entry.have lor (1 lsl idx)
-  end;
-  let whole =
-    if entry.have = full_mask entry.r_num then
-      Some
-        (Array.fold_left
-           (fun acc p -> Msg.append acc (Option.get p))
-           Msg.empty entry.pieces)
-    else None
-  in
-  (fresh, whole)
-
 let frag_index m =
   let num = H.num_frags m and mask = H.frag_mask m in
   let rec find i =
     if i >= num then None else if mask = 1 lsl i then Some i else find (i + 1)
   in
   if num >= 1 && num <= max_frags then find 0 else None
+
+let new_reasm () = { r_seq = 0; pieces = [||]; have = 0 }
+
+let clear r =
+  r.r_seq <- 0;
+  r.pieces <- [||];
+  r.have <- 0
+
+(* Fragment [m], payload [piece], of message [seq] into [r], which
+   drops any other message: [None] if malformed, else whether the piece
+   was new and, once complete, the whole message. *)
+let reassemble t r ~seq m piece =
+  let num = H.num_frags m in
+  match frag_index m with
+  | Some idx when r.r_seq <> seq || Array.length r.pieces = num ->
+      if r.r_seq <> seq then begin
+        r.r_seq <- seq;
+        r.pieces <- Array.make num None;
+        r.have <- 0
+      end;
+      let fresh = r.pieces.(idx) = None in
+      if fresh then begin
+        r.pieces.(idx) <- Some piece;
+        r.have <- r.have lor (1 lsl idx)
+      end;
+      Some
+        ( fresh,
+          if r.have <> full_mask num then None
+          else
+            Some
+              (Array.fold_left
+                 (fun acc p -> Msg.append acc (Option.get p))
+                 Msg.empty r.pieces) )
+  | _ ->
+      Stats.incr t.stats "rx-malformed";
+      None
 
 (* --- client side ------------------------------------------------- *)
 
@@ -179,7 +193,8 @@ let complete_call t cs outcome =
       (* Clear the slot before anything that can yield, so a concurrent
          timer firing cannot complete the same call twice. *)
       cs.out <- None;
-      cs.rep_reasm <- None;
+      Amo.finish cs.amo;
+      clear cs.rep_reasm;
       cancel_timer t o;
       Machine.charge_all t.host.Host.mach
         [ (Machine.Semaphore_op, 0); (Machine.Process_switch, 0) ];
@@ -218,8 +233,7 @@ and timer_fired (t, cs, o) =
 
 let start_call t cs ~command msg =
   if cs.out <> None then invalid_arg "Sprite_mono: channel busy";
-  cs.next_seq <- cs.next_seq + 1;
-  let seq = cs.next_seq in
+  let seq = Amo.call cs.amo in
   let frags =
     fragment t ~flags:Wire_fmt.Flags.request ~peer:cs.c_peer ~chan:cs.c_chan
       ~seq ~command ~as_client:true msg
@@ -230,7 +244,6 @@ let start_call t cs ~command msg =
   Machine.charge t.host.Host.mach Machine.Reasm_lookup 0;
   let o =
     {
-      o_seq = seq;
       iv;
       frags;
       acked_mask = 0;
@@ -251,52 +264,27 @@ let start_call t cs ~command msg =
 let handle_reply t cs m piece =
   let seq = H.sequence_num m in
   match cs.out with
-  | Some o when seq = o.o_seq -> (
-      let peer_key = Addr.Ip.to_int cs.c_peer in
-      let boot_id = H.boot_id m in
-      let reboot =
-        match Hashtbl.find_opt t.server_boots peer_key with
-        | Some b when b <> boot_id -> true
-        | _ -> false
-      in
-      Hashtbl.replace t.server_boots peer_key boot_id;
-      if reboot && o.tries_left < retries then
-        complete_call t cs (Error Rpc_error.Rebooted)
-      else if H.flags m land flag_error <> 0 then
-        complete_call t cs (Error (Rpc_error.Remote (H.command m)))
-      else
-        match frag_index m with
-        | None -> Stats.incr t.stats "rx-malformed"
-        | Some idx -> (
-            let num = H.num_frags m in
-            let entry =
-              match cs.rep_reasm with
-              | Some (s, e) when s = seq -> e
-              | _ ->
-                  let e =
-                    {
-                      pieces = Array.make num None;
-                      have = 0;
-                      r_num = num;
-                      r_command = H.command m;
-                    }
-                  in
-                  cs.rep_reasm <- Some (seq, e);
-                  e
-            in
-            if entry.r_num <> num then
-              Stats.incr t.stats "rx-malformed"
-            else
-              match reasm_step entry idx piece with
-              | _, Some whole ->
-                  Stats.incr t.stats "reply-rx";
-                  complete_call t cs (Ok whole)
-              | _, None -> ()))
-  | _ -> Stats.incr t.stats "stale-rx"
+  | None -> Stats.incr t.stats "stale-rx"
+  | Some o -> (
+      match
+        Amo.client_reply cs.amo ~seq ~boot:(H.boot_id m)
+          ~retransmitted:(o.tries_left < retries)
+      with
+      | Amo.Stale -> Stats.incr t.stats "stale-rx"
+      | Amo.Rebooted -> complete_call t cs (Error Rpc_error.Rebooted)
+      | Amo.Accept -> (
+          if H.flags m land flag_error <> 0 then
+            complete_call t cs (Error (Rpc_error.Remote (H.command m)))
+          else
+            match reassemble t cs.rep_reasm ~seq m piece with
+            | Some (_, Some whole) ->
+                Stats.incr t.stats "reply-rx";
+                complete_call t cs (Ok whole)
+            | _ -> ()))
 
 let handle_ack t cs m =
   match cs.out with
-  | Some o when H.sequence_num m = o.o_seq ->
+  | Some o when Amo.outstanding cs.amo ~seq:(H.sequence_num m) ->
       Stats.incr t.stats "ack-rx";
       o.acked_mask <- o.acked_mask lor H.frag_mask m;
       let all = full_mask (Array.length o.frags.f_pieces) in
@@ -326,11 +314,12 @@ let send_ack t ss ~seq ~mask =
           ~channel:ss.s_chan ~seq ~num:0 ~mask ~command:0 ~boot_id ~len:0
           ~off:0))
 
+(* Runs the procedure in the fiber of the request's last fragment; its
+   reply is sent only if no newer request or client boot came meanwhile. *)
 let execute t ss ~seq ~command body =
-  ss.last_seq <- seq;
-  ss.busy <- true;
+  Amo.execute ss.s_amo ~seq;
   ss.cached_reply <- None;
-  ss.req_reasm <- None;
+  clear ss.req_reasm;
   Machine.charge t.host.Host.mach Machine.Semaphore_op 0;
   Stats.incr t.stats "handled";
   let reply_body, flags, rcommand =
@@ -341,65 +330,42 @@ let execute t ss ~seq ~command body =
         | Ok reply -> (reply, Wire_fmt.Flags.reply, command)
         | Error status -> (Msg.empty, Wire_fmt.Flags.reply lor flag_error, status))
   in
-  let frags =
-    fragment t ~flags ~peer:ss.s_peer ~chan:ss.s_chan ~seq ~command:rcommand
-      ~as_client:false reply_body
-  in
-  ss.cached_reply <- Some frags;
-  ss.busy <- false;
-  Stats.incr t.stats "reply-tx";
-  send_all t ss.s_lower frags
+  match Amo.reply ss.s_amo with
+  | Amo.Send_reply ->
+      let frags =
+        fragment t ~flags ~peer:ss.s_peer ~chan:ss.s_chan
+          ~seq:ss.s_amo.Amo.last_seq ~command:rcommand ~as_client:false
+          reply_body
+      in
+      ss.cached_reply <- Some frags;
+      Stats.incr t.stats "reply-tx";
+      send_all t ss.s_lower frags
+  | _ -> Stats.incr t.stats "reply-late"
 
 let handle_request t ss ~lower m piece =
   ss.s_lower <- lower;
-  let boot_id = H.boot_id m in
-  if boot_id <> ss.client_boot then begin
-    ss.client_boot <- boot_id;
-    ss.last_seq <- 0;
-    ss.cached_reply <- None;
-    ss.busy <- false;
-    ss.req_reasm <- None
-  end;
   let seq = H.sequence_num m and num = H.num_frags m in
-  if seq < ss.last_seq then Stats.incr t.stats "stale-rx"
-  else if seq = ss.last_seq then begin
-    Stats.incr t.stats "dup-req";
-    match ss.cached_reply with
-    | Some frags ->
-        Stats.incr t.stats "cached-reply-tx";
-        send_all t ss.s_lower frags
-    | None -> if ss.busy then send_ack t ss ~seq ~mask:(full_mask num)
-  end
-  else begin
-    match frag_index m with
-    | None -> Stats.incr t.stats "rx-malformed"
-    | Some idx -> (
-        let entry =
-          match ss.req_reasm with
-          | Some (s, e) when s = seq -> e
-          | _ ->
-              let e =
-                {
-                  pieces = Array.make num None;
-                  have = 0;
-                  r_num = num;
-                  r_command = H.command m;
-                }
-              in
-              ss.req_reasm <- Some (seq, e);
-              e
-        in
-        if entry.r_num <> num then Stats.incr t.stats "rx-malformed"
-        else
-          match reasm_step entry idx piece with
-          | _, Some whole -> execute t ss ~seq ~command:entry.r_command whole
-          | fresh, None ->
-              (* A retransmitted fragment of a partially received
-                 request: tell the client what we already have so it
-                 resends only the rest (Sprite's partial ack). *)
-              if (not fresh) && H.flags m land Wire_fmt.Flags.please_ack <> 0
-              then send_ack t ss ~seq ~mask:entry.have)
-  end
+  match Amo.request ss.s_amo ~boot:(H.boot_id m) ~seq with
+  | Amo.Resend_cached ->
+      Stats.incr t.stats "dup-req";
+      Stats.incr t.stats "cached-reply-tx";
+      send_all t ss.s_lower (Option.get ss.cached_reply)
+  | Amo.Ack ->
+      Stats.incr t.stats "dup-req";
+      send_ack t ss ~seq ~mask:(full_mask num)
+  | Amo.Hold -> Stats.incr t.stats "req-held"
+  | Amo.Drop_stale | Amo.Send_reply | Amo.Discard_late ->
+      Stats.incr t.stats "stale-rx"
+  | Amo.Execute -> (
+      match reassemble t ss.req_reasm ~seq m piece with
+      | Some (_, Some whole) -> execute t ss ~seq ~command:(H.command m) whole
+      | Some (fresh, None) ->
+          (* A retransmitted fragment of a partially received request:
+             tell the client what we already have so it resends only the
+             rest (Sprite's partial ack). *)
+          if (not fresh) && H.flags m land Wire_fmt.Flags.please_ack <> 0 then
+            send_ack t ss ~seq ~mask:ss.req_reasm.have
+      | None -> ())
 
 (* --- demux -------------------------------------------------------- *)
 
@@ -414,14 +380,21 @@ let client_session t ~server ~chan ~remote =
           ()
       in
       let lower = Proto.open_ t.lower ~upper:t.p part in
+      (* A server's boot id is a property of its host, shared by all
+         channels toward it: channel 0 holds it. *)
+      let peer =
+        match Hashtbl.find_opt t.clients (Addr.Ip.to_int server, 0) with
+        | Some cs0 -> cs0.amo.Amo.peer
+        | None -> Amo.peer ()
+      in
       let cs =
         {
           c_peer = server;
           c_chan = chan;
           c_lower = lower;
-          next_seq = 0;
+          amo = Amo.client peer ~boot:t.host.Host.boot_id;
           out = None;
-          rep_reasm = None;
+          rep_reasm = new_reasm ();
         }
       in
       Hashtbl.replace t.clients (Addr.Ip.to_int server, chan) cs;
@@ -436,11 +409,9 @@ let server_session t ~client_ip ~chan ~lower =
           s_peer = client_ip;
           s_chan = chan;
           s_lower = lower;
-          last_seq = 0;
-          client_boot = 0;
+          s_amo = Amo.server ();
           cached_reply = None;
-          busy = false;
-          req_reasm = None;
+          req_reasm = new_reasm ();
         }
       in
       Hashtbl.replace t.servers (Addr.Ip.to_int client_ip, chan) ss;
@@ -479,6 +450,29 @@ let input t ~lower msg =
           else if f land Wire_fmt.Flags.ack <> 0 then handle_ack t cs msg
           else Stats.incr t.stats "rx-malformed"
     end
+
+(* A crash of this host, from its {!Host.at_reboot} hook: outside any
+   fiber, so nothing here charges or blocks.  Outstanding calls end with
+   [Rebooted], and both roles' sessions are reset in place. *)
+let crash t =
+  Stats.incr t.stats "crash-reset";
+  Hashtbl.iter
+    (fun _ cs ->
+      (match cs.out with
+      | Some o ->
+          cs.out <- None;
+          Option.iter (fun ev -> ignore (Event.abort ev)) o.timer;
+          Sim.Ivar.fill o.iv (Error Rpc_error.Rebooted)
+      | None -> ());
+      clear cs.rep_reasm;
+      Amo.reset_client cs.amo ~boot:t.host.Host.boot_id)
+    t.clients;
+  Hashtbl.iter
+    (fun _ ss ->
+      Amo.reset_server ss.s_amo;
+      ss.cached_reply <- None;
+      clear ss.req_reasm)
+    t.servers
 
 (* --- public API ---------------------------------------------------- *)
 
@@ -524,7 +518,6 @@ let create ~host ~lower =
       p;
       clients = Hashtbl.create 16;
       servers = Hashtbl.create 16;
-      server_boots = Hashtbl.create 4;
       handlers = Hashtbl.create 16;
       stats = Proto.stats p;
       span = { Sim.seconds = 0. };
@@ -545,13 +538,8 @@ let create ~host ~lower =
           | Control.Get_max_msg_size ->
               Control.R_int (frag_size + H.bytes)
           | Control.Get_channel_count -> Control.R_int n_channels
-          | Control.Flush_cache ->
-              (* What an actual reboot does to the protocol state. *)
-              Hashtbl.reset t.clients;
-              Hashtbl.reset t.servers;
-              Hashtbl.reset t.server_boots;
-              Control.R_unit
           | req -> Stats.control t.stats req);
     };
   Proto.declare_below p [ lower ];
+  Host.at_reboot host (fun () -> crash t);
   t

@@ -13,7 +13,9 @@
       retransmission is selective: an explicit (partial) ACK carries the
       mask of fragments the server has, and the client resends only the
       missing ones;
-    - boot identifiers give at-most-once across restarts.
+    - at-most-once by {!Amo}, the rule CHANNEL shares, with boot
+      identifiers across restarts; a crash of the host ends its
+      outstanding calls with [Rebooted] and clears its state.
 
     Semantically equivalent to layered L.RPC (SELECT ∘ CHANNEL ∘
     FRAGMENT) but *not* wire-compatible with it — "they are in effect

@@ -11,9 +11,18 @@ type endpoints = {
 let cmd_null = 1
 let cmd_echo = 2
 
-let standard_handlers register =
+(* Command 3, the slow procedure, sleeps for the microseconds its first
+   four bytes name and then echoes: a procedure that can outlast the
+   caller's retry window. *)
+let standard_handlers (n : World.node) register =
   register ~command:cmd_null (fun _req -> Ok Msg.empty);
-  register ~command:cmd_echo (fun req -> Ok req)
+  register ~command:cmd_echo (fun req -> Ok req);
+  register ~command:3 (fun req ->
+      if Msg.length req < 4 then Error 1
+      else begin
+        Sim.delay (Host.sim n.host) (float_of_int (Msg.u32 req 0) *. 1e-6);
+        Ok req
+      end)
 
 (* A connection opened by the first call that needs it (inside that
    call's fiber, where blocking is allowed) and reused after. *)
@@ -43,8 +52,8 @@ let mono_create ~lower (n : World.node) =
   in
   Sprite_mono.create ~host:n.host ~lower
 
-let mono_serve ~lower m_s =
-  standard_handlers (Sprite_mono.register m_s);
+let mono_serve ~lower (n : World.node) m_s =
+  standard_handlers n (Sprite_mono.register m_s);
   match lower with
   | L_eth -> Sprite_mono.serve m_s ~enable:[ Part.Eth_type mono_eth_type ] ()
   | L_ip | L_vip -> Sprite_mono.serve m_s ()
@@ -69,7 +78,7 @@ let mono_connect ~lower (n : World.node) m_c server =
 let mrpc (w : World.t) ~lower =
   let c = World.node w 0 and s = World.node w 1 in
   let m_c = mono_create ~lower c in
-  mono_serve ~lower (mono_create ~lower s);
+  mono_serve ~lower s (mono_create ~lower s);
   let connect = mono_connect ~lower c m_c s.host.Host.ip in
   {
     config_name = mono_name lower;
@@ -90,7 +99,7 @@ type fan = {
 
 let mrpc_fanin ?(lower = L_vip) (f : World.fanin) =
   let s = f.World.server in
-  mono_serve ~lower (mono_create ~lower s);
+  mono_serve ~lower s (mono_create ~lower s);
   let mk_client (n : World.node) =
     let m_c = mono_create ~lower n in
     let connect = mono_connect ~lower n m_c s.World.host.Host.ip in
@@ -121,7 +130,7 @@ let lrpc ?adaptive ?rto_load_floor ?n_channels (w : World.t) =
   let c = World.node w 0 and s = World.node w 1 in
   let _, _, sel_c = lrpc_node ?adaptive ?rto_load_floor ?n_channels c in
   let _, _, sel_s = lrpc_node ?adaptive ?rto_load_floor ?n_channels s in
-  standard_handlers (Select.register sel_s);
+  standard_handlers s (Select.register sel_s);
   Select.serve sel_s;
   let connect =
     on_first_use (fun () -> Select.connect sel_c ~server:s.host.Host.ip)
@@ -135,7 +144,7 @@ let lrpc ?adaptive ?rto_load_floor ?n_channels (w : World.t) =
 
 let lrpc_fanin ?adaptive ?rto_load_floor (f : World.fanin) =
   let _, _, sel_s = lrpc_node ?adaptive ?rto_load_floor f.World.server in
-  standard_handlers (Select.register sel_s);
+  standard_handlers f.World.server (Select.register sel_s);
   Select.serve sel_s;
   let server_ip = f.World.server.World.host.Host.ip in
   let mk_client (n : World.node) =
@@ -202,7 +211,7 @@ let layered_replicas ~name ?adaptive ?policy ?attempt_timeout
     Array.map
       (fun (n : World.node) ->
         let _, _, sel_s = lrpc_node ?adaptive n in
-        standard_handlers (Select.register sel_s);
+        standard_handlers n (Select.register sel_s);
         sel_s)
       f.World.servers
   in
@@ -275,7 +284,7 @@ let lrpc_fanout =
 let mrpc_fanout ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
     ?probe_timeout ?shard_map (f : World.fanout) =
   let lower = L_vip in
-  Array.iter (fun s -> mono_serve ~lower (mono_create ~lower s)) f.World.servers;
+  Array.iter (fun s -> mono_serve ~lower s (mono_create ~lower s)) f.World.servers;
   let mk_client (n : World.node) =
     let m_c = mono_create ~lower n in
     let endpoints =
@@ -358,7 +367,7 @@ let lrpc_vip_size (w : World.t) =
   let c = World.node w 0 and s = World.node w 1 in
   let _, _, _, sel_c = lrpc_vip_size_node c in
   let _, _, _, sel_s = lrpc_vip_size_node s in
-  standard_handlers (Select.register sel_s);
+  standard_handlers s (Select.register sel_s);
   Select.serve sel_s;
   let connect =
     on_first_use (fun () -> Select.connect sel_c ~server:s.host.Host.ip)

@@ -7,7 +7,9 @@
 
     Standard procedures: command 1 is the null procedure (null reply —
     the latency and throughput tests of section 4); command 2 echoes its
-    argument. *)
+    argument; command 3 sleeps for the microseconds its argument's first
+    four bytes name, then echoes it — a procedure slower than the
+    caller's retry window when asked to be. *)
 
 type endpoints = {
   config_name : string;

@@ -88,7 +88,11 @@ let register t ~prog ~vers ~proc handler =
 
 let input t ~lower msg =
   Machine.charge t.host.Host.mach Machine.Header header_bytes;
-  if Msg.length msg < header_bytes then Stats.incr t.stats "rx-runt"
+  if Msg.length msg < header_bytes then begin
+    (* Dropped unanswered: a CHANNEL below stops waiting for a reply. *)
+    Stats.incr t.stats "rx-runt";
+    ignore (Proto.session_control lower Control.No_reply)
+  end
   else
     let prog = Msg.u32 msg 0 and vers = Msg.u32 msg 4 in
     let proc = Msg.u32 msg 8 in

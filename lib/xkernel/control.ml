@@ -31,6 +31,7 @@ type req =
   | Flush_cache
   | Get_rx_deadline
   | Reject_busy
+  | No_reply
   | Install_map of string
   | Get_map_version
 
@@ -44,7 +45,7 @@ type reply =
   | R_string of string
   | Unsupported
 
-let op_count = 34
+let op_count = 35
 
 let shape_failure what reply_name =
   failwith (Printf.sprintf "Control: expected %s, got %s" what reply_name)

@@ -53,6 +53,11 @@ type req =
       (** issued against a server-side session by an admission layer:
           answer the current request with an explicit busy-pushback
           error instead of delivering it *)
+  | No_reply
+      (** issued against a server-side session by the layer above it:
+          the request it delivered will never be answered (dropped as
+          malformed, unexpected or expired), so the session stops
+          waiting for a reply *)
   | Install_map of string
       (** the MAP control-plane push: an encoded shard-map wire message
           (see [Rpc.Wire_fmt.Map]).  Shard-aware protocols decode it and

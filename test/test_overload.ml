@@ -86,6 +86,52 @@ let admit_drops_expired () =
   Tutil.check_int "procedure never ran" 0 (List.length !served);
   Tutil.check_int "nothing admitted" 0 (Tutil.stat (Admit.proto t) "admitted")
 
+(* End to end over CHANNEL: a request whose deadline lapses in ADMIT's
+   queue (behind a 50 ms procedure on another channel) is dropped, and
+   its channel is free for the next call. *)
+let admit_expired_frees_channel () =
+  let w = World.create () in
+  let sim = w.World.sim in
+  let mk (n : World.node) =
+    let f =
+      Rpc.Fragment.create ~host:n.World.host
+        ~lower:(Netproto.Vip.proto n.World.vip)
+    in
+    let ch =
+      Rpc.Channel.create ~host:n.World.host ~lower:(Rpc.Fragment.proto f)
+        ~n_channels:2 ()
+    in
+    Rpc.Select.create ~host:n.World.host ~channel:ch
+  in
+  let sel0 = mk (World.node w 0) and sel1 = mk (World.node w 1) in
+  Rpc.Select.register sel1 ~command:1 (fun m -> Ok m);
+  Rpc.Select.register sel1 ~command:2 (fun m ->
+      Sim.delay sim 0.05;
+      Ok m);
+  let admit =
+    Admit.create ~host:(World.node w 1).World.host
+      ~upper:(Rpc.Select.proto sel1) ()
+  in
+  Rpc.Select.serve_behind sel1 ~upper:(Admit.proto admit);
+  let expired = ref (Ok Msg.empty) and next = ref (Ok Msg.empty) in
+  Tutil.run_in w (fun () ->
+      let cl = Rpc.Select.connect sel0 ~server:(World.ip_of w 1) in
+      ignore (Tutil.ok_exn "warm" (Rpc.Select.call cl ~command:1 Msg.empty));
+      (* The slow call takes channel 1, the doomed call channel 0, which
+         the ring hands out again next. *)
+      Sim.spawn sim (fun () ->
+          ignore (Rpc.Select.call cl ~command:2 (Msg.of_string "slow")));
+      Sim.delay sim 0.001;
+      expired :=
+        Rpc.Select.call cl ~expires:(Sim.now sim +. 0.01) ~command:1
+          (Msg.of_string "doomed");
+      next := Rpc.Select.call cl ~command:1 (Msg.of_string "next"));
+  Alcotest.(check bool) "the doomed call times out" true
+    (!expired = Error Rpc.Rpc_error.Timeout);
+  Tutil.check_int "ADMIT dropped it expired" 1 (Admit.expired_dropped admit);
+  Tutil.check_str "the next call on its channel runs" "next"
+    (Msg.to_string (Tutil.ok_exn "next" !next))
+
 let admit_lifo_serves_newest_first () =
   let w = zero_world () in
   let host = (World.node w 0).World.host in
@@ -437,6 +483,8 @@ let () =
             admit_queue_full_rejects;
           Alcotest.test_case "expired request dropped silently" `Quick
             admit_drops_expired;
+          Alcotest.test_case "expired request frees its channel" `Quick
+            admit_expired_frees_channel;
           Alcotest.test_case "lifo serves newest first" `Quick
             admit_lifo_serves_newest_first;
           Alcotest.test_case "codel sheds a persistent queue" `Quick

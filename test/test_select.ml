@@ -206,6 +206,56 @@ let malformed_frames_counted () =
   Tutil.check_int "short stamp" 1 (stat "rx-malformed");
   Tutil.check_int "nothing ran" 0 !ran
 
+(* A request SELECT drops as malformed ends its execution on the
+   channel: the next call on that channel runs.  The client sends the
+   malformed request straight through CHANNEL, on the one channel its
+   SELECT client then uses too. *)
+let malformed_request_frees_channel () =
+  let module S = Rpc.Wire_fmt.Select in
+  let w = World.create () in
+  let mk (n : World.node) =
+    let f =
+      Fragment.create ~host:n.World.host ~lower:(Netproto.Vip.proto n.World.vip)
+    in
+    Channel.create ~host:n.World.host ~lower:(Fragment.proto f) ~n_channels:1 ()
+  in
+  let ch0 = mk (World.node w 0) and ch1 = mk (World.node w 1) in
+  let sel0 = Select.create ~host:(World.node w 0).World.host ~channel:ch0 in
+  let sel1 = Select.create ~host:(World.node w 1).World.host ~channel:ch1 in
+  Select.register sel1 ~command:1 (fun m -> Ok m);
+  Select.serve sel1;
+  let sim = w.World.sim in
+  let dropped, answered =
+    Tutil.run_in w (fun () ->
+        let cl = Select.connect sel0 ~server:(World.ip_of w 1) in
+        let chan0 =
+          Proto.open_ (Channel.proto ch0) ~upper:(Select.proto sel0)
+            (Part.v
+               ~local:
+                 [
+                   Part.Ip (World.ip_of w 0);
+                   Part.Ip_proto Select.proto_num;
+                   Part.Channel 0;
+                 ]
+               ~remotes:[ [ Part.Ip (World.ip_of w 1); Part.Ip_proto Select.proto_num ] ]
+               ())
+        in
+        (* a stamped request without its stamp *)
+        let bad =
+          Msg.of_string (S.encode ~typ:S.typ_request_sharded ~command:1 ~status:0)
+        in
+        let dropped =
+          Channel.call ~expires:(Sim.now sim +. 0.05) ch0 chan0 bad
+        in
+        (dropped, Select.call cl ~command:1 (Msg.of_string "next")))
+  in
+  Alcotest.(check bool) "the malformed call gets no answer" true
+    (dropped = Error Rpc.Rpc_error.Timeout);
+  Tutil.check_int "dropped as malformed" 1
+    (Tutil.stat (Select.proto sel1) "rx-malformed");
+  Tutil.check_str "the next call on the channel runs" "next"
+    (Msg.to_string (Tutil.ok_exn "next" answered))
+
 let () =
   Alcotest.run "select"
     [
@@ -219,6 +269,8 @@ let () =
           Alcotest.test_case "16k args and reply" `Quick large_args_and_reply;
           Alcotest.test_case "malformed frames counted" `Quick
             malformed_frames_counted;
+          Alcotest.test_case "malformed request frees its channel" `Quick
+            malformed_request_frees_channel;
         ] );
       ( "channels",
         [

@@ -144,7 +144,7 @@ let timeout_surfaces () =
 let server_reboot_detected () =
   let w = World.create () in
   let n1 = World.node w 1 in
-  let _, m1, cl, _ = setup w in
+  let _, _, cl, _ = setup w in
   ignore (Tutil.ok_exn "warm" (call w cl ~command:1 (Msg.of_string "w")));
   let fired = ref false in
   Wire.set_fault_hook w.World.wire
@@ -154,11 +154,34 @@ let server_reboot_detected () =
          else begin
            fired := true;
            Host.reboot n1.World.host;
-           ignore (Proto.control (M.proto m1) Control.Flush_cache);
            [ Wire.Drop ]
          end));
   let r = call w cl ~command:1 (Msg.of_string "during") in
   Alcotest.(check bool) "reboot detected" true (r = Error Rpc.Rpc_error.Rebooted)
+
+(* The client host crashes 5 ms into a call whose procedure takes
+   10 ms: the call ends [Rebooted], its caller is not left parked, and
+   the next call gets its own reply, executed once. *)
+let client_crash_during_call () =
+  let w = World.create () in
+  let n0 = World.node w 0 in
+  let _, m1, cl, execs = setup w in
+  M.register m1 ~command:3 (fun msg ->
+      incr execs;
+      Sim.delay w.World.sim 0.01;
+      Ok msg);
+  ignore (Tutil.ok_exn "warm" (call w cl ~command:1 (Msg.of_string "w")));
+  ignore (Sim.after w.World.sim 0.005 (fun () -> Host.reboot n0.World.host));
+  let first, second =
+    Tutil.run_in w (fun () ->
+        let first = M.call (cl ()) ~command:3 (Msg.of_string "first") in
+        (first, M.call (cl ()) ~command:3 (Msg.of_string "second")))
+  in
+  Alcotest.(check bool) "first call ended by the crash" true
+    (first = Error Rpc.Rpc_error.Rebooted);
+  Tutil.check_str "second call answered" "second"
+    (Msg.to_string (Tutil.ok_exn "second" second));
+  Tutil.check_int "each executed once" 3 !execs
 
 let concurrent_channel_pool () =
   let w = World.create () in
@@ -244,5 +267,7 @@ let () =
           Alcotest.test_case "lost reply cached" `Quick lost_reply_cached;
           Alcotest.test_case "timeout" `Quick timeout_surfaces;
           Alcotest.test_case "server reboot" `Quick server_reboot_detected;
+          Alcotest.test_case "client crash during a call" `Quick
+            client_crash_during_call;
         ] );
     ]

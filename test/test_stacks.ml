@@ -41,23 +41,83 @@ let every_config_null_call () =
         (match r with Ok m -> Msg.length m = 0 | Error _ -> false))
     all_builders
 
-let mono_and_layered_equivalent () =
-  (* Semantically equivalent services: same inputs, same outputs,
-     different wire protocols. *)
-  let run mk =
-    let w = World.create () in
-    let e = mk w in
-    Tutil.run_in w (fun () ->
-        List.map
-          (fun size ->
-            Msg.to_string
-              (Tutil.ok_exn "call"
-                 (e.Stacks.call ~command:Stacks.cmd_echo (Msg.of_string (Tutil.body size)))))
-          [ 0; 1; 1024; 5000; 16000 ])
+(* Stacks' standard command 3 sleeps for the microseconds its first four
+   bytes name, then echoes. *)
+let cmd_sleep = 3
+
+let sleep_for us =
+  let b = Bytes.create 4 in
+  Codec.set_u32 b 0 us;
+  Msg.of_string (Bytes.to_string b)
+
+let outcome = function
+  | Ok m -> "Ok " ^ String.escaped (Msg.to_string m)
+  | Error e -> "Error " ^ Rpc.Rpc_error.to_string e
+
+(* Runs [script] on a fresh two-host world built by [mk]; returns each
+   call's outcome and how many procedures the server ran. *)
+let scenario mk script =
+  Stats.reset_registry ();
+  let w = World.create () in
+  let e = mk w in
+  let outcomes = Tutil.run_in w (fun () -> script w e) in
+  let executions =
+    List.fold_left
+      (fun acc (name, counters) ->
+        if String.starts_with ~prefix:"h0.1/" name then
+          acc + Option.value (List.assoc_opt "handled" counters) ~default:0
+        else acc)
+      0 (Stats.dump ())
   in
-  let mono = run (fun w -> Stacks.mrpc w ~lower:Stacks.L_vip) in
-  let layered = run (fun w -> Stacks.lrpc w) in
-  Alcotest.(check (list string)) "identical results" mono layered
+  (outcomes, executions)
+
+(* Semantically equivalent services: same inputs, same outputs,
+   different wire protocols.  The at-most-once rule is one module under
+   both, so a slow procedure and a client crash end the same way too:
+   the same outcome and reply per call, the same number of executions.
+   The delays stay clear of both retry windows (about 0.4 s), which
+   differ between the two. *)
+let mono_and_layered_equivalent () =
+  let call e ~command msg = outcome (e.Stacks.call ~command msg) in
+  let sizes = [ 0; 1; 1024; 5000; 16000 ] in
+  let echoes _ e =
+    List.map
+      (fun size -> call e ~command:Stacks.cmd_echo (Msg.of_string (Tutil.body size)))
+      sizes
+  and slow _ e =
+    [
+      call e ~command:cmd_sleep (sleep_for 1_000_000);
+      call e ~command:Stacks.cmd_echo (Msg.of_string "after");
+      call e ~command:cmd_sleep (sleep_for 50_000);
+    ]
+  and client_crash w e =
+    let first = call e ~command:Stacks.cmd_echo (Msg.of_string "warm") in
+    let client = (World.node w 0).World.host in
+    ignore (Sim.after w.World.sim 0.005 (fun () -> Host.reboot client));
+    let crashed = call e ~command:cmd_sleep (sleep_for 10_000) in
+    [ first; crashed; call e ~command:Stacks.cmd_echo (Msg.of_string "again") ]
+  in
+  List.iter
+    (fun (name, script, expected) ->
+      let mono = scenario (fun w -> Stacks.mrpc w ~lower:Stacks.L_vip) script in
+      let layered = scenario (fun w -> Stacks.lrpc w) script in
+      Alcotest.(check (pair (list string) int))
+        (name ^ ": M.RPC outcomes and executions") expected mono;
+      Alcotest.(check (pair (list string) int)) (name ^ ": L.RPC agrees") mono
+        layered)
+    [
+      ( "echoes",
+        echoes,
+        ( List.map (fun size -> "Ok " ^ String.escaped (Tutil.body size)) sizes,
+          List.length sizes ) );
+      ( "slow procedure",
+        slow,
+        ( [ "Error timeout"; "Ok after"; "Ok " ^ String.escaped "\000\000\195P" ],
+          3 ) );
+      ( "client crash",
+        client_crash,
+        ([ "Ok warm"; "Error server rebooted"; "Ok again" ], 3) );
+    ]
 
 let layered_under_loss_and_dup () =
   (* End-to-end correctness of the full layered stack under a nasty
