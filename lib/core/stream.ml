@@ -95,22 +95,31 @@ let break_stream t c =
     Sim.Semaphore.v c.slots
   done
 
-(* Arming and cancelling both yield (timer bookkeeping is charged), so
-   a generation counter decides which timer is current: stale callbacks
-   and stale cancellations are no-ops. *)
+(* Arming, cancelling and retransmitting all yield (timer bookkeeping
+   and headers are charged), so a generation counter decides which timer
+   is current: stale callbacks and stale cancellations are no-ops.
+   [rto_timer] names only the current, still pending timer, because
+   [send] arms one only when it is [None]: a timer superseded while it
+   was being scheduled is dropped, and one that fires is forgotten. *)
 let rec arm_timer t c =
   c.timer_gen <- c.timer_gen + 1;
-  c.rto_timer <-
-    Some (Event.schedule t.host rto rto_fired (t, c, c.timer_gen))
+  let gen = c.timer_gen in
+  let ev = Event.schedule t.host rto rto_fired (t, c, gen) in
+  if gen = c.timer_gen then c.rto_timer <- Some ev
+  else ignore (Event.abort ev)
 
 and rto_fired (t, c, gen) =
+  if gen = c.timer_gen then c.rto_timer <- None;
   if gen = c.timer_gen && (not c.broken) && not (Queue.is_empty c.unacked)
   then begin
     if c.tries_left <= 0 then break_stream t c
     else begin
       c.tries_left <- c.tries_left - 1;
       retransmit_all t c;
-      arm_timer t c
+      (* An ack during the retransmission may have emptied the queue or
+         re-armed the timer. *)
+      if c.rto_timer = None && not (Queue.is_empty c.unacked) then
+        arm_timer t c
     end
   end
 

@@ -189,29 +189,41 @@ let same_code_over_ip_and_vip () =
   Tutil.check_int "IP untouched" 0
     (Tutil.stat (Netproto.Ip.proto (World.node w 0).World.ip) "tx")
 
+(* Sends chunks of [sizes] bytes through mild random faults seeded by
+   [seed]; true when the receiver got exactly the bytes sent. *)
+let intact_under_faults (seed, sizes) =
+  let w = World.create ~seed () in
+  let s0, _, received = setup w in
+  let conn =
+    Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1))
+  in
+  (* warm, then mild random faults *)
+  send_all w conn [ "w" ];
+  let rng = Random.State.make [| seed |] in
+  Wire.set_fault_hook w.World.wire
+    (Some
+       (fun _ _ ->
+         match Random.State.int rng 12 with
+         | 0 -> [ Wire.Drop ]
+         | 1 -> [ Wire.Duplicate ]
+         | 2 -> [ Wire.Delay 0.002 ]
+         | _ -> []));
+  let chunks = List.map Tutil.body sizes in
+  send_all w conn chunks;
+  String.equal (Buffer.contents received) ("w" ^ String.concat "" chunks)
+
 let prop_integrity_random_chunks_and_faults =
   Tutil.qtest ~count:25 "byte stream intact under random chunks + faults"
     QCheck.(pair (int_bound 1000) (list_of_size (Gen.int_range 1 6) (int_range 1 4000)))
-    (fun (seed, sizes) ->
-      let w = World.create ~seed () in
-      let s0, _, received = setup w in
-      let conn =
-        Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1))
-      in
-      (* warm, then mild random faults *)
-      send_all w conn [ "w" ];
-      let rng = Random.State.make [| seed |] in
-      Wire.set_fault_hook w.World.wire
-        (Some
-           (fun _ _ ->
-             match Random.State.int rng 12 with
-             | 0 -> [ Wire.Drop ]
-             | 1 -> [ Wire.Duplicate ]
-             | 2 -> [ Wire.Delay 0.002 ]
-             | _ -> []));
-      let chunks = List.map Tutil.body sizes in
-      send_all w conn chunks;
-      String.equal (Buffer.contents received) ("w" ^ String.concat "" chunks))
+    intact_under_faults
+
+let lost_segment_after_ack_race () =
+  (* An ack that empties the queue while a retransmission timer is
+     being scheduled left [rto_timer] naming a dead timer, so the next
+     send armed none and its lost segment was never resent: the sender
+     hung in [flush]. *)
+  Alcotest.(check bool) "intact" true
+    (intact_under_faults (14, [ 3386; 3006; 2975 ]))
 
 let () =
   Alcotest.run "stream"
@@ -232,5 +244,7 @@ let () =
             duplication_exactly_once;
           Alcotest.test_case "breaks when peer gone" `Quick breaks_when_peer_gone;
           prop_integrity_random_chunks_and_faults;
+          Alcotest.test_case "timer armed after an ack race" `Quick
+            lost_segment_after_ack_race;
         ] );
     ]
